@@ -5,10 +5,9 @@ uses pytest-benchmark's actual timing to track the Python-level cost of
 the allocator fast paths — the converged exact-match cycle the paper's
 §4.2.2 relies on being cheap — plus the two hot-path overhaul regimes:
 a large pool (10k+ free blocks, where O(n) list memmoves used to
-dominate) and the serving decode-step loop.  The absolute-number
-harness with before/after speedups is ``benchmarks/hotpaths.py``
-(writes ``BENCH_hotpaths.json``); these pytest-benchmark variants give
-per-op statistics for trend tracking.
+dominate) and the serving decode-step loop.  End-to-end numbers come
+from ``benchmarks/perf``; these pytest-benchmark variants give per-op
+statistics for trend tracking.
 """
 
 import pytest

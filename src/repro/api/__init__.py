@@ -30,10 +30,6 @@ Quick start::
         workload=api.WorkloadSpec(model="opt-1.3b", batch_size=2),
     ))
     print(results[-1].summary())
-
-The legacy entry points (``repro.sim.engine.make_allocator``,
-``ALLOCATOR_FACTORIES``, ``gmlake_factory``) remain as thin
-deprecation shims over this package.
 """
 
 from repro.api.experiment import (

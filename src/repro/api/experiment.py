@@ -209,14 +209,11 @@ class ServingSpec:
             # paged model (or the untouched chunked default) to the
             # prefix-sharing variant, preserving any block size.
             kv = KVCacheSpec.parse(self.kv_cache)
-            if kv.info.name == "paged" or self.kv_cache == "chunked":
-                query = "&".join(f"{k}={v}"
-                                 for k, v in sorted(kv.params.items()))
-                shared = "paged-shared" + (f"?{query}" if query else "")
+            if kv.name == "paged" or self.kv_cache == "chunked":
                 object.__setattr__(
                     self, "kv_cache",
-                    KVCacheSpec.parse(shared).spec_string())
-            elif kv.info.name != "paged-shared":
+                    KVCacheSpec("paged-shared", kv.params).spec_string())
+            elif kv.name != "paged-shared":
                 raise SpecError(
                     f"prefix_sharing needs a paged KV cache, got "
                     f"{self.kv_cache!r} (use kv_cache: \"paged\" or "
@@ -226,13 +223,12 @@ class ServingSpec:
                 self, "trace", TraceSpec.parse(self.trace).spec_string())
         if self.memory_tiers:
             from repro.serve.memtier import parse_memory_tiers
-            from repro.serve.preemption import PreemptionSpec as _PSpec
 
             tiers = parse_memory_tiers(self.memory_tiers)
             object.__setattr__(
                 self, "memory_tiers",
                 ",".join(t.spec_string() for t in tiers))
-            if _PSpec.parse(self.preemption).info.name == "swap":
+            if PreemptionSpec.parse(self.preemption).name == "swap":
                 raise SpecError(
                     "memory_tiers generalizes swap preemption's single "
                     "host hop; pass preemption: \"recompute\" (the "
@@ -318,12 +314,17 @@ class ServingSpec:
                             mean_dwell_s=self.mean_dwell_s)
 
     def build_stream(self):
-        from repro.serve.arrivals import LengthSampler
+        """The request stream: ``n_requests`` arrivals, or as many as
+        a ``replay`` log holds when that is fewer."""
+        from repro.serve.arrivals import LengthSampler, ReplayArrivals
 
+        arrivals = self.build_arrivals()
+        n_requests = self.n_requests
+        if isinstance(arrivals, ReplayArrivals):
+            n_requests = min(n_requests, len(arrivals.times))
         lengths = LengthSampler(mean_prompt=self.mean_prompt,
                                 mean_output=self.mean_output)
-        return self.build_arrivals().generate(
-            self.n_requests, lengths, seed=self.seed)
+        return arrivals.generate(n_requests, lengths, seed=self.seed)
 
     def slo(self):
         from repro.serve.metrics import SloConfig
@@ -493,54 +494,40 @@ def _run_serve(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResu
 
     serving = spec.serving
     stream = serving.build_stream()
-    config = ServingConfig(max_batch=serving.max_batch,
-                           queue_timeout_s=serving.queue_timeout_s,
-                           record_timeline=spec.record_timeline)
     recorder = TraceRecorder() if serving.trace else None
-    gauges = (GaugeSampler(serving.gauge_every_s)
-              if serving.gauge_every_s > 0 else None)
+    # What every topology's runner takes; the branches below add only
+    # what sizes the fleet.
+    shared = dict(
+        allocator=allocator, capacity=spec.capacity,
+        scheduler=serving.scheduler,
+        config=ServingConfig(max_batch=serving.max_batch,
+                             queue_timeout_s=serving.queue_timeout_s,
+                             record_timeline=spec.record_timeline),
+        kv_cache=serving.kv_cache, preemption=serving.preemption,
+        trace=recorder,
+        gauges=(GaugeSampler(serving.gauge_every_s)
+                if serving.gauge_every_s > 0 else None),
+        faults=serving.faults, retry=serving.retry,
+        memory_tiers=serving.memory_tiers,
+    )
     if serving.disagg is not None:
         result = run_serving_disagg(
             stream, serving.model,
             prefill_replicas=serving.disagg.prefill_replicas,
             decode_replicas=serving.disagg.decode_replicas,
-            allocator=allocator, capacity=spec.capacity,
-            scheduler=serving.scheduler, config=config,
-            kv_cache=serving.kv_cache, preemption=serving.preemption,
-            autoscaler=serving.autoscaler,
             interconnect=serving.disagg.interconnect,
-            trace=recorder, gauges=gauges,
-            faults=serving.faults, retry=serving.retry,
-            memory_tiers=serving.memory_tiers,
-        )
-        outcome = ExperimentResult.from_serve_disagg(
-            result, slo=serving.slo(), label=allocator.label,
-            streaming=serving.streaming)
+            autoscaler=serving.autoscaler, **shared)
+        adapt = ExperimentResult.from_serve_disagg
     elif serving.replicas > 1:
         result = run_serving_cluster(
             stream, serving.model, n_replicas=serving.replicas,
-            allocator=allocator, capacity=spec.capacity,
-            scheduler=serving.scheduler, config=config,
-            kv_cache=serving.kv_cache, preemption=serving.preemption,
-            autoscaler=serving.autoscaler, trace=recorder, gauges=gauges,
-            faults=serving.faults, retry=serving.retry,
-            memory_tiers=serving.memory_tiers,
-        )
-        outcome = ExperimentResult.from_serve_cluster(
-            result, slo=serving.slo(), label=allocator.label,
-            streaming=serving.streaming)
+            autoscaler=serving.autoscaler, **shared)
+        adapt = ExperimentResult.from_serve_cluster
     else:
-        result = run_serving(
-            stream, serving.model, allocator=allocator,
-            capacity=spec.capacity, scheduler=serving.scheduler,
-            config=config, kv_cache=serving.kv_cache,
-            preemption=serving.preemption, trace=recorder, gauges=gauges,
-            faults=serving.faults, retry=serving.retry,
-            memory_tiers=serving.memory_tiers,
-        )
-        outcome = ExperimentResult.from_serving(
-            result, slo=serving.slo(), label=allocator.label,
-            streaming=serving.streaming)
+        result = run_serving(stream, serving.model, **shared)
+        adapt = ExperimentResult.from_serving
+    outcome = adapt(result, slo=serving.slo(), label=allocator.label,
+                    streaming=serving.streaming)
     if recorder is not None:
         sink = TraceSpec.parse(serving.trace).build()
         if len(spec.allocators) > 1:

@@ -57,9 +57,8 @@ class SpecError(ReproError, ValueError):
 class UnknownComponentError(SpecError, KeyError):
     """The spec names a component the registry does not know.
 
-    Inherits :class:`KeyError` so legacy callers of the deprecated
-    ``make_allocator`` / ``make_scheduler`` shims keep catching the
-    same exception type.
+    Inherits :class:`KeyError` so callers that predate the registry
+    keep catching the same exception type.
     """
 
     def __str__(self) -> str:  # KeyError.__str__ repr()s the message
@@ -345,8 +344,7 @@ def register_kind(
     :class:`UnknownComponentError`).  Returns the kind's **live**
     catalogue dict (canonical name → :class:`ComponentInfo`) — the
     same object later registrations fill in, so a kind's home module
-    can expose it (the allocator kind's ``_REGISTRY``, the serving
-    side's ``KV_CACHE_MODELS``).
+    can expose it (the allocator kind's ``_REGISTRY``).
     """
     registry = _COMPONENTS.setdefault(kind, {})
     _COMPONENT_ALIASES.setdefault(kind, {})

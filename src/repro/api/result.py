@@ -89,6 +89,12 @@ class WorstMemberRunResult:
         return 1.0 - self.utilization_ratio
 
 
+#: The report-only serving metrics layered over ``result.extras()``.
+_REPORT_EXTRAS = ("goodput_req_s", "slo_attainment", "p99_ttft_s",
+                  "mean_tpot_s", "token_slo_attainment",
+                  "token_goodput_tok_s")
+
+
 @dataclass
 class ExperimentResult:
     """A mode-agnostic result adapter satisfying :class:`RunResult`.
@@ -142,121 +148,76 @@ class ExperimentResult:
         )
 
     # ------------------------------------------------------------------
-    # Adapters, one per experiment mode
+    # Adapters, one per experiment mode, over one constructor call
     # ------------------------------------------------------------------
+    @classmethod
+    def _adapt(cls, mode: str, result, label: str, throughput: float,
+               extras: Dict[str, Any]) -> "ExperimentResult":
+        """Everything else delegates to ``result``'s own
+        :class:`RunResult` surface, so the two can never disagree."""
+        return cls(
+            allocator_name=label or result.allocator_name,
+            mode=mode,
+            peak_active_bytes=result.peak_active_bytes,
+            peak_reserved_bytes=result.peak_reserved_bytes,
+            throughput=throughput,
+            oom=result.oom,
+            raw=result,
+            _extras=extras,
+        )
+
     @classmethod
     def from_engine(cls, result, label: str = "") -> "ExperimentResult":
         """Adapt an offline-replay :class:`EngineResult`."""
-        return cls(
-            allocator_name=label or result.allocator_name,
-            mode="replay",
-            peak_active_bytes=result.peak_active_bytes,
-            peak_reserved_bytes=result.peak_reserved_bytes,
-            throughput=result.throughput_samples_per_s,
-            oom=result.oom,
-            raw=result,
-            _extras=result.extras(),
-        )
+        return cls._adapt("replay", result, label,
+                          result.throughput_samples_per_s, result.extras())
 
     @classmethod
     def from_cluster(cls, result, label: str = "") -> "ExperimentResult":
-        """Adapt a multi-rank training :class:`ClusterResult`.
+        """Adapt a multi-rank training :class:`ClusterResult`: peaks are
+        worst-rank (what capacity planning sees), throughput is the
+        synchronous job's (slowest rank)."""
+        return cls._adapt("cluster", result, label, result.throughput,
+                          result.extras())
 
-        Peaks are worst-rank (what capacity planning sees); throughput
-        is the synchronous job's (slowest rank).  Everything delegates
-        to the cluster result's own :class:`RunResult` surface so the
-        two paths can never disagree.
-        """
-        return cls(
-            allocator_name=label or result.allocator_name,
-            mode="cluster",
-            peak_active_bytes=result.peak_active_bytes,
-            peak_reserved_bytes=result.peak_reserved_bytes,
-            throughput=result.throughput,
-            oom=result.oom,
-            raw=result,
-            _extras=result.extras(),
-        )
+    @classmethod
+    def _from_serve(cls, mode: str, result, slo, label: str,
+                    streaming: bool,
+                    report_keys=_REPORT_EXTRAS) -> "ExperimentResult":
+        """The one body behind the three serve adapters: ``extras()``
+        is extended with the SLO metrics only a report (which needs an
+        :class:`SloConfig`) can compute.  ``streaming=True`` computes
+        report percentiles from t-digest sketches instead of
+        materialized sample lists."""
+        report = result.report(slo, streaming=streaming)
+        extras = result.extras()
+        extras.update((key, getattr(report, key)) for key in report_keys)
+        return cls._adapt(mode, result, label, result.throughput, extras)
 
     @classmethod
     def from_serving(cls, result, slo=None, label: str = "",
                      streaming: bool = False) -> "ExperimentResult":
-        """Adapt a single-replica :class:`ServingResult`; the result's
-        own :class:`RunResult` surface is extended with the SLO metrics
-        only a report (which needs an :class:`SloConfig`) can compute.
-        ``streaming=True`` computes report percentiles from t-digest
-        sketches instead of materialized sample lists."""
-        report = result.report(slo, streaming=streaming)
-        return cls(
-            allocator_name=label or result.allocator_name,
-            mode="serve",
-            peak_active_bytes=result.peak_active_bytes,
-            peak_reserved_bytes=result.peak_reserved_bytes,
-            throughput=result.throughput,
-            oom=result.oom,  # serving preempts instead of crashing
-            raw=result,
-            _extras={**result.extras(), **_slo_extras(report)},
-        )
+        """Adapt a single-replica :class:`ServingResult`."""
+        return cls._from_serve("serve", result, slo, label, streaming)
 
     @classmethod
     def from_serve_cluster(cls, result, slo=None, label: str = "",
                            streaming: bool = False) -> "ExperimentResult":
-        """Adapt a multi-replica :class:`ServeClusterResult`.
-
-        Memory headlines are worst-replica, SLO metrics fleet-wide.
-        ``streaming=True`` merges per-replica accumulators instead of
-        reporting over the merged request list.
-        """
-        report = result.report(slo, streaming=streaming)
-        return cls(
-            allocator_name=label or result.allocator_name,
-            mode="serve-cluster",
-            peak_active_bytes=result.peak_active_bytes,
-            peak_reserved_bytes=result.peak_reserved_bytes,
-            throughput=result.throughput,
-            oom=result.oom,
-            raw=result,
-            _extras={**result.extras(), **_slo_extras(report)},
-        )
+        """Adapt a multi-replica :class:`ServeClusterResult`: memory
+        headlines are worst-replica, SLO metrics fleet-wide."""
+        return cls._from_serve("serve-cluster", result, slo, label,
+                               streaming)
 
     @classmethod
     def from_serve_disagg(cls, result, slo=None, label: str = "",
                           streaming: bool = False) -> "ExperimentResult":
-        """Adapt a :class:`~repro.serve.disagg.DisaggServingResult`.
-
-        Memory headlines are worst-replica across both fleets; SLO
-        metrics cover the merged original-request population, extended
-        with the per-phase TTFT attribution (mean prefill-queue and
-        decode-queue wait) only a disaggregated run can report.
-        """
-        report = result.report(slo, streaming=streaming)
-        return cls(
-            allocator_name=label or result.allocator_name,
-            mode="serve-disagg",
-            peak_active_bytes=result.peak_active_bytes,
-            peak_reserved_bytes=result.peak_reserved_bytes,
-            throughput=result.throughput,
-            oom=result.oom,
-            raw=result,
-            _extras={
-                **result.extras(),
-                **_slo_extras(report),
-                "prefill_wait_s": report.prefill_wait_s,
-                "decode_wait_s": report.decode_wait_s,
-            },
-        )
-
-
-def _slo_extras(report) -> Dict[str, Any]:
-    """The report-only serving metrics layered over ``result.extras()``."""
-    return {
-        "goodput_req_s": report.goodput_req_s,
-        "slo_attainment": report.slo_attainment,
-        "p99_ttft_s": report.p99_ttft_s,
-        "mean_tpot_s": report.mean_tpot_s,
-        "token_slo_attainment": report.token_slo_attainment,
-        "token_goodput_tok_s": report.token_goodput_tok_s,
-    }
+        """Adapt a :class:`~repro.serve.disagg.DisaggServingResult`:
+        memory headlines are worst-replica across both fleets, SLO
+        metrics cover the merged original-request population, plus the
+        per-phase TTFT attribution only a disaggregated run reports."""
+        return cls._from_serve(
+            "serve-disagg", result, slo, label, streaming,
+            report_keys=_REPORT_EXTRAS + ("prefill_wait_s", "decode_wait_s"))
 
 
 def run_result_row(result: RunResult) -> Dict[str, Any]:

@@ -62,12 +62,13 @@ from repro.analysis.observability import format_gauges
 from repro.analysis.serving import format_serving_summary, format_tenant_summary
 from repro.api import (
     AllocatorSpec,
+    DisaggSpec,
     ExperimentSpec,
+    ServingSpec,
     SpecError,
     allocator_names,
     component_kinds,
     expand_spec_points,
-    iter_allocators,
     iter_components,
     kind_label,
     run_result_row,
@@ -77,31 +78,11 @@ from repro.api import (
 from repro.api import run as run_experiment
 from repro.errors import AllocatorError
 from repro.gpu.device import GpuDevice
-from repro.obs import GaugeSampler, TraceRecorder, TraceSpec
+from repro.obs import TraceSpec
 from repro.serve import (
-    KV_CACHE_MODELS,
-    ArrivalSpec,
-    AutoscalerSpec,
-    FaultsSpec,
-    InterconnectSpec,
-    KVCacheSpec,
-    LengthSampler,
-    MMPPArrivals,
-    PoissonArrivals,
-    PreemptionSpec,
-    ReplayArrivals,
-    RetrySpec,
-    SchedulerSpec,
-    ServingConfig,
-    SloConfig,
     interconnect_names,
     kv_cache_names,
-    load_arrival_log,
     memory_tier_names,
-    parse_memory_tiers,
-    run_serving,
-    run_serving_cluster,
-    run_serving_disagg,
     scheduler_names,
 )
 from repro.sim.engine import run_trace, run_workload
@@ -283,200 +264,118 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     try:
         return _cmd_serve(args)
-    except (KeyError, ValueError) as exc:
-        # Config errors (unknown allocator/model, bad rates, ...) are
-        # user errors, not crashes.
+    except (KeyError, ValueError, AllocatorError) as exc:
+        # Config errors (unknown allocator/model, bad rates, weights
+        # that alone exceed --capacity) are user errors, not crashes.
         message = exc.args[0] if exc.args else exc
         print(f"serve: {message}", file=sys.stderr)
         return 2
-    except AllocatorError as exc:
-        # E.g. the model's weights alone exceed --capacity.
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+
+
+def _serve_spec_from(args: argparse.Namespace) -> ExperimentSpec:
+    """The experiment the ``serve`` flags describe.
+
+    Flags only *name* things; :class:`repro.api.ServingSpec` is the one
+    validator, so a misuse fails here — before any simulation runs —
+    with the same message ``repro run --spec`` would give.
+    """
+    arrivals = args.arrivals
+    if args.tenants:
+        # --tenants is sugar over the multi-tenant arrivals component;
+        # a full --arrivals spec already says everything.
+        if arrivals:
+            raise SpecError(
+                "--tenants conflicts with --arrivals; encode the tenant "
+                "count in the spec, e.g. 'multi-tenant?tenants=8&rate=4'")
+        arrivals = (f"multi-tenant?tenants={args.tenants}"
+                    f"&rate={args.rate:g}"
+                    f"&shared_prefix_tokens={args.shared_prefix}")
+    elif args.arrival == "replay" and not arrivals:
+        if not args.arrival_log:
+            raise SpecError("--arrival replay requires --arrival-log")
+        arrivals = f"replay?path={args.arrival_log}"
+    allocators = _parse_spec_list(args.allocator)
+    if args.trace and len(allocators) > 1:
+        raise SpecError(
+            "--trace records one run; pass a single allocator spec (or "
+            "use an ExperimentSpec, which writes one trace file per "
+            "allocator)")
+    disagg = None
+    if args.disagg:
+        disagg = DisaggSpec(prefill_replicas=args.prefill_replicas,
+                            decode_replicas=args.decode_replicas,
+                            interconnect=args.interconnect)
+    serving = ServingSpec(
+        model=args.model, arrival=args.arrival, rate_per_s=args.rate,
+        burst_rate_per_s=args.burst_rate, mean_dwell_s=args.dwell,
+        n_requests=args.requests, mean_prompt=args.mean_prompt,
+        mean_output=args.mean_output, scheduler=args.scheduler,
+        max_batch=args.max_batch, queue_timeout_s=args.timeout,
+        replicas=args.gpus, slo_ttft_s=args.slo_ttft,
+        slo_tpot_s=args.slo_tpot, kv_cache=args.kv_cache,
+        arrivals=arrivals, preemption=args.preemption,
+        autoscaler=args.autoscaler, faults=args.faults, retry=args.retry,
+        trace=(TraceSpec.for_path(args.trace).spec_string()
+               if args.trace else ""),
+        gauge_every_s=args.gauge_every if args.gauges else 0.0,
+        streaming=args.streaming, disagg=disagg,
+        prefix_sharing=args.prefix_sharing,
+        memory_tiers=args.memory_tiers, seed=args.seed)
+    return ExperimentSpec(mode="serve", allocators=allocators,
+                          capacity=args.capacity, serving=serving)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.spec:
         return _run_spec_file(args.spec)
-    if args.tenants:
-        # --tenants is sugar over the multi-tenant arrivals component;
-        # a full --arrivals spec already says everything.
-        if args.arrivals:
-            print("serve: --tenants conflicts with --arrivals; encode the "
-                  "tenant count in the spec, e.g. "
-                  "'multi-tenant?tenants=8&rate=4'", file=sys.stderr)
-            return 2
-        if args.tenants < 1:
-            print(f"serve: --tenants must be >= 1, got {args.tenants}",
-                  file=sys.stderr)
-            return 2
-        args.arrivals = (f"multi-tenant?tenants={args.tenants}"
-                         f"&rate={args.rate:g}"
-                         f"&shared_prefix_tokens={args.shared_prefix}")
-    if args.arrivals:
-        # One spec string names the whole arrival process — the
-        # registry-validated path (replay/closed-loop live here too).
-        arrival_spec = ArrivalSpec.parse(args.arrivals)
-        arrivals = arrival_spec.build()
-        shape = arrival_spec.label
-    elif args.arrival == "poisson":
-        arrivals = PoissonArrivals(rate_per_s=args.rate)
-        shape = f"poisson rate={args.rate:g}/s"
-    elif args.arrival == "mmpp":
-        burst = args.burst_rate if args.burst_rate else 4.0 * args.rate
-        arrivals = MMPPArrivals(rate_calm_per_s=args.rate,
-                                rate_burst_per_s=burst,
-                                mean_dwell_s=args.dwell)
-        shape = f"mmpp rate={args.rate:g}/s"
-    elif args.arrival == "replay":
-        if not args.arrival_log:
-            print("--arrival replay requires --arrival-log", file=sys.stderr)
-            return 2
-        arrivals = ReplayArrivals(load_arrival_log(args.arrival_log))
-        shape = "replay"
-    else:  # argparse choices make this unreachable
-        print(f"unknown arrival process {args.arrival!r}", file=sys.stderr)
-        return 2
-
-    if args.gpus < 1:
-        raise ValueError(f"--gpus must be >= 1, got {args.gpus}")
-    n_requests = args.requests
-    if isinstance(arrivals, ReplayArrivals):
-        n_requests = min(n_requests, len(arrivals.times))
-    lengths = LengthSampler(mean_prompt=args.mean_prompt,
-                            mean_output=args.mean_output)
-    config = ServingConfig(max_batch=args.max_batch,
-                           queue_timeout_s=args.timeout)
-    slo = SloConfig(ttft_s=args.slo_ttft, tpot_s=args.slo_tpot)
-
-    # Parse every component spec up front: a typo fails before any
-    # simulation runs, with the registry's known-names message.
-    if args.prefix_sharing:
-        kv = KVCacheSpec.parse(args.kv_cache)
-        if kv.info.name == "paged" or args.kv_cache == "chunked":
-            # Rewrite the paged model (or the untouched chunked
-            # default) to the prefix-sharing variant, keeping params.
-            query = "&".join(f"{k}={v}" for k, v in sorted(kv.params.items()))
-            args.kv_cache = "paged-shared" + (f"?{query}" if query else "")
-        elif kv.info.name != "paged-shared":
-            print(f"serve: --prefix-sharing needs a paged KV cache, got "
-                  f"--kv-cache {args.kv_cache!r} (use 'paged' or "
-                  f"'paged-shared')", file=sys.stderr)
-            return 2
-    kv_spec = KVCacheSpec.parse(args.kv_cache)
-    scheduler_spec = SchedulerSpec.parse(args.scheduler)
-    preemption_spec = PreemptionSpec.parse(args.preemption)
-    autoscaler_spec = AutoscalerSpec.parse(args.autoscaler)
-    interconnect_spec = InterconnectSpec.parse(args.interconnect)
-    faults_spec = FaultsSpec.parse(args.faults)
-    retry_spec = RetrySpec.parse(args.retry)
-    tier_specs = parse_memory_tiers(args.memory_tiers)
-    memory_tiers = ",".join(t.spec_string() for t in tier_specs)
-    if memory_tiers and preemption_spec.name == "swap":
-        print("serve: --memory-tiers generalizes swap preemption's single "
-              "host hop; use --preemption recompute (the default) with a "
-              "tier hierarchy, or drop --memory-tiers to keep legacy swap",
-              file=sys.stderr)
-        return 2
-    if args.disagg and args.gpus > 1:
-        print("serve: --disagg sizes its fleets with --prefill-replicas/"
-              "--decode-replicas; drop --gpus", file=sys.stderr)
-        return 2
-    if args.disagg and (args.prefill_replicas < 1
-                        or args.decode_replicas < 1):
-        print("serve: --prefill-replicas and --decode-replicas must be "
-              ">= 1", file=sys.stderr)
-        return 2
-    if (autoscaler_spec.name != "none" and args.gpus < 2
-            and not args.disagg):
-        print("serve: --autoscaler needs --gpus >= 2 "
-              "(a single replica has nothing to scale)", file=sys.stderr)
-        return 2
-    allocator_specs = _parse_spec_list(args.allocator)
-    if args.trace and len(allocator_specs) > 1:
-        print("serve: --trace records one run; pass a single allocator "
-              "spec (or use an ExperimentSpec, which writes one trace "
-              "file per allocator)", file=sys.stderr)
-        return 2
-    recorder = TraceRecorder() if args.trace else None
-    gauges = GaugeSampler(args.gauge_every) if args.gauges else None
+    spec = _serve_spec_from(args)
+    serving, slo = spec.serving, spec.serving.slo()
+    fleet = serving.disagg is not None or serving.replicas > 1
     reports = {}
     gauge_points = []
     phase_rows = []
     tenant_tables = []
-    for spec in allocator_specs:
-        # Regenerate per allocator: the simulator mutates the requests.
-        stream = arrivals.generate(n_requests, lengths, seed=args.seed)
-        if args.disagg:
-            result = run_serving_disagg(
-                stream, args.model,
-                prefill_replicas=args.prefill_replicas,
-                decode_replicas=args.decode_replicas, allocator=spec,
-                capacity=args.capacity, scheduler=scheduler_spec,
-                config=config, kv_cache=kv_spec,
-                preemption=preemption_spec, autoscaler=autoscaler_spec,
-                interconnect=interconnect_spec, trace=recorder,
-                gauges=gauges, faults=faults_spec, retry=retry_spec,
-                memory_tiers=memory_tiers)
-            if gauges is not None:
-                gauge_points.extend(result.gauge_points)
-        elif args.gpus > 1:
-            result = run_serving_cluster(
-                stream, args.model, n_replicas=args.gpus, allocator=spec,
-                capacity=args.capacity, scheduler=scheduler_spec,
-                config=config, kv_cache=kv_spec,
-                preemption=preemption_spec, autoscaler=autoscaler_spec,
-                trace=recorder, gauges=gauges, faults=faults_spec,
-                retry=retry_spec, memory_tiers=memory_tiers)
-            if gauges is not None:
-                gauge_points.extend(result.gauge_points)
-        else:
-            result = run_serving(
-                stream, args.model, allocator=spec, capacity=args.capacity,
-                scheduler=scheduler_spec, config=config, kv_cache=kv_spec,
-                preemption=preemption_spec, trace=recorder, gauges=gauges,
-                faults=faults_spec, retry=retry_spec,
-                memory_tiers=memory_tiers)
-            if gauges is not None:
-                gauge_points.extend(result.gauges)
-        reports[spec.label] = result.report(slo, streaming=args.streaming)
-        population = getattr(result, "requests", [])
-        if any(r.tenant for r in population):
+    results = run_experiment(spec)
+    for result in results:
+        raw, label = result.raw, result.allocator_name
+        report = reports[label] = raw.report(slo,
+                                             streaming=serving.streaming)
+        # The replica leaf calls its series `gauges`, a fleet merges
+        # its replicas' into `gauge_points`.
+        gauge_points.extend(raw.gauge_points if fleet else raw.gauges)
+        if any(r.tenant for r in raw.requests):
             tenant_tables.append(format_tenant_summary(
-                population, result.makespan_s,
-                title=f"per-tenant serving summary ({spec.label})", slo=slo))
-        if args.disagg:
+                raw.requests, raw.makespan_s,
+                title=f"per-tenant serving summary ({label})", slo=slo))
+        if serving.disagg is not None:
             # Per-phase TTFT attribution: where first-token latency was
             # actually spent, plus the migration bill between fleets.
-            report = reports[spec.label]
             phase_rows.append({
-                "allocator": spec.label,
+                "allocator": label,
                 "prefill wait (s)": round(report.prefill_wait_s, 4),
                 "decode wait (s)": round(report.decode_wait_s, 4),
-                "migrations": result.migrations,
-                "migrated (MB)": round(result.migrated_bytes / MB, 1),
+                "migrations": raw.migrations,
+                "migrated (MB)": round(raw.migrated_bytes / MB, 1),
             })
-        if gauges is not None:
-            # One sampler per allocator run: reset so the next run's
-            # points don't inherit this run's stride phase.
-            gauges = GaugeSampler(args.gauge_every)
 
-    if args.disagg:
-        topology = (f"{args.prefill_replicas}P+{args.decode_replicas}D "
-                    f"over {interconnect_spec.label}")
+    if serving.disagg is not None:
+        topology = (f"{serving.disagg.prefill_replicas}P+"
+                    f"{serving.disagg.decode_replicas}D "
+                    f"over {serving.disagg.interconnect}")
     else:
-        topology = f"{args.gpus} GPU(s)"
-    title = (f"serve {args.model}: {n_requests} req, {shape}, "
-             f"{topology}, scheduler={scheduler_spec.label}, "
-             f"kv={kv_spec.label}, preemption={preemption_spec.label}")
-    if memory_tiers:
-        title += f", tiers={memory_tiers}"
-    if autoscaler_spec.name != "none" and (args.gpus > 1 or args.disagg):
-        title += f", autoscaler={autoscaler_spec.label}"
-    if faults_spec.name != "none":
-        title += f", faults={faults_spec.label}"
-    if retry_spec.name != "none":
-        title += f", retry={retry_spec.label}"
+        topology = f"{serving.replicas} GPU(s)"
+    shape = (serving.arrivals
+             or f"{serving.arrival} rate={serving.rate_per_s:g}/s")
+    n_requests = len(results[0].raw.requests)  # a replay log may be short
+    title = (f"serve {serving.model}: {n_requests} req, {shape}, "
+             f"{topology}, scheduler={serving.scheduler}, "
+             f"kv={serving.kv_cache}, preemption={serving.preemption}")
+    for name, value, off in (("tiers", serving.memory_tiers, ""),
+                             ("autoscaler", serving.autoscaler, "none"),
+                             ("faults", serving.faults, "none"),
+                             ("retry", serving.retry, "none")):
+        if value != off:
+            title += f", {name}={value}"
     print(format_serving_summary(reports, title=title, slo=slo))
     for table in tenant_tables:
         print()
@@ -488,16 +387,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                  "(mean queue wait by fleet)"))
     if gauge_points:
         print()
-        print(format_gauges(gauge_points,
-                            title=f"gauges (every {args.gauge_every:g}s)"))
-    if recorder is not None:
-        path = TraceSpec.for_path(args.trace).build().write(recorder)
-        print(f"\nwrote {len(recorder.events)} trace events to {path}")
+        print(format_gauges(
+            gauge_points,
+            title=f"gauges (every {serving.gauge_every_s:g}s)"))
+    if serving.trace:
+        print(f"\nwrote trace events to {args.trace}")
     return 0
 
 
-def cmd_list_allocators(args: argparse.Namespace) -> int:
-    del args
+def _catalogue_rows(kind: str, owner: str = "name"):
+    """(registry rows, parameter rows) of one component kind, by name;
+    ``owner`` titles the parameter table's component column."""
+    infos = sorted(iter_components(kind), key=lambda i: i.name)
     rows = [
         {
             "name": info.name,
@@ -506,23 +407,27 @@ def cmd_list_allocators(args: argparse.Namespace) -> int:
             "paper": info.paper_section or "-",
             "description": info.description,
         }
-        for info in iter_allocators()
+        for info in infos
     ]
-    rows.sort(key=lambda r: r["name"])
-    print(format_table(rows, title="allocator registry"))
-
     params = [
         {
-            "allocator": info.name,
+            owner: info.name,
             "parameter": param.name,
             "type": param.type_name,
             "default": param.default_str(),
             "spec keys": ",".join(k for k in param.keys if k != param.name) or "-",
             "description": param.doc or "-",
         }
-        for info in sorted(iter_allocators(), key=lambda i: i.name)
+        for info in infos
         for param in info.params
     ]
+    return rows, params
+
+
+def cmd_list_allocators(args: argparse.Namespace) -> int:
+    del args
+    rows, params = _catalogue_rows("allocator", owner="allocator")
+    print(format_table(rows, title="allocator registry"))
     if params:
         print()
         print(format_table(
@@ -537,7 +442,7 @@ def cmd_list_allocators(args: argparse.Namespace) -> int:
             "default": param.default_str(),
             "description": info.description,
         }
-        for info in KV_CACHE_MODELS.values()
+        for info in iter_components("kv-cache")
         for param in info.params
     ]
     print()
@@ -566,32 +471,9 @@ def cmd_list_components(args: argparse.Namespace) -> int:
                 return 2
         kinds = list(args.kind)
     for kind in kinds:
-        rows = [
-            {
-                "name": info.name,
-                "aliases": ",".join(info.aliases) or "-",
-                "class": info.cls.__name__,
-                "paper": info.paper_section or "-",
-                "description": info.description,
-            }
-            for info in iter_components(kind)
-        ]
-        rows.sort(key=lambda r: r["name"])
+        rows, params = _catalogue_rows(kind)
         print(format_table(
             rows, title=f"component kind {kind!r} — {kind_label(kind)} registry"))
-        params = [
-            {
-                "name": info.name,
-                "parameter": param.name,
-                "type": param.type_name,
-                "default": param.default_str(),
-                "spec keys": ",".join(
-                    k for k in param.keys if k != param.name) or "-",
-                "description": param.doc or "-",
-            }
-            for info in sorted(iter_components(kind), key=lambda i: i.name)
-            for param in info.params
-        ]
         if params:
             print(format_table(
                 params,
@@ -690,7 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=parse_size, default=80 * GB)
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("serve", help="online serving simulation")
+    p = sub.add_parser(
+        "serve", help="online serving simulation",
+        epilog="The flags only fill in a repro.api.ServingSpec (and its "
+               "DisaggSpec block); that spec is the source of truth for "
+               "which values and combinations are valid, and `repro run "
+               "--spec` runs the same experiment from its JSON form.")
     p.add_argument("--model", default="opt-13b",
                    help="model registry name (see `models`)")
     p.add_argument("--arrival", choices=("poisson", "mmpp", "replay"),

@@ -133,7 +133,6 @@ from repro.serve.interconnect import (
     resolve_interconnect,
 )
 from repro.serve.kvcache import (
-    KV_CACHE_MODELS,
     ChunkedKVCache,
     KVCacheMetrics,
     KVCacheModel,
@@ -175,7 +174,6 @@ from repro.serve.preemption import (
 )
 from repro.serve.request import RequestState, ServeRequest
 from repro.serve.scheduler import (
-    SCHEDULER_FACTORIES,
     FcfsScheduler,
     MemoryAwareScheduler,
     Scheduler,
@@ -184,7 +182,6 @@ from repro.serve.scheduler import (
     SchedulerView,
     ShortestPromptScheduler,
     WeightedFairScheduler,
-    make_scheduler,
     parse_tenant_weights,
     resolve_scheduler,
     scheduler_names,
@@ -225,7 +222,6 @@ __all__ = [
     "PagedKVCache",
     "SharedPagedKVCache",
     "PrefixTrie",
-    "KV_CACHE_MODELS",
     "kv_cache_names",
     "resolve_kv_cache",
     "PreemptionLike",
@@ -257,8 +253,6 @@ __all__ = [
     "MemoryAwareScheduler",
     "WeightedFairScheduler",
     "parse_tenant_weights",
-    "SCHEDULER_FACTORIES",
-    "make_scheduler",
     "resolve_scheduler",
     "scheduler_names",
     "ServingConfig",

@@ -161,8 +161,166 @@ def dispatch_requests(
     return shards
 
 
+class FleetResult(WorstMemberRunResult):
+    """What every multi-replica serving aggregate reports, defined once.
+
+    A fleet is a list of per-replica :class:`ServingResult` leaves
+    (``replicas``) plus the request population the run is judged on
+    (``requests``).  Subclasses supply those two —
+    :class:`ServeClusterResult` as the merged replica populations,
+    :class:`~repro.serve.disagg.DisaggServingResult` as the original
+    requests with both phases folded back on — and everything derived
+    lives here: the fleet's makespan is the slowest replica's, memory
+    headlines are worst-replica (:class:`WorstMemberRunResult`), request
+    tallies and SLO metrics cover ``requests``.
+    """
+
+    def _result_members(self) -> List[ServingResult]:
+        return self.replicas
+
+    @property
+    def makespan_s(self) -> float:
+        """The fleet finishes when its slowest replica does."""
+        return max((r.makespan_s for r in self.replicas), default=0.0)
+
+    @property
+    def min_utilization(self) -> float:
+        """The worst replica's memory utilization ratio."""
+        return min(r.utilization for r in self.replicas)
+
+    @property
+    def max_peak_reserved_gb(self) -> float:
+        """The worst replica's reserved peak (capacity planning view)."""
+        return max(r.peak_reserved_gb for r in self.replicas)
+
+    @property
+    def completed(self) -> int:
+        return sum(1 for r in self.requests if r.finished)
+
+    @property
+    def rejected(self) -> int:
+        return sum(1 for r in self.requests if r.rejected)
+
+    @property
+    def preemptions(self) -> int:
+        return sum(r.preemptions for r in self.requests)
+
+    @property
+    def retries(self) -> int:
+        """Crash-forced re-dispatches summed over the population."""
+        return sum(r.retries for r in self.requests)
+
+    @property
+    def failed(self) -> int:
+        """Requests rejected permanently by replica faults."""
+        return sum(1 for r in self.requests if r.reject_reason == "failed")
+
+    @property
+    def throughput(self) -> float:
+        """Fleet-wide completed requests per second of makespan."""
+        return self.completed / max(self.makespan_s, 1e-9)
+
+    @property
+    def oom(self) -> bool:
+        return False
+
+    @property
+    def kv_cache_name(self) -> str:
+        """The fleet's (uniform) KV-cache model name."""
+        return self.replicas[0].kv_cache_name if self.replicas else "chunked"
+
+    @property
+    def kv_metrics(self) -> Optional[KVCacheMetrics]:
+        """Fleet-wide KV-cache metrics, merged across replicas.
+
+        Counters, copy bytes and utilization samples sum; the peak
+        fields sum *per-replica* peaks (the fleet's capacity-planning
+        upper bound — replicas own disjoint memory, but their peaks
+        need not coincide in time).  The merge is field-generic
+        (:meth:`KVCacheMetrics.merge_from`), so metrics fields added
+        later — per-tier demote/promote dicts, sharing ledgers — are
+        merged by construction instead of silently dropped.
+        """
+        merged: Optional[KVCacheMetrics] = None
+        for replica in self.replicas:
+            metrics = replica.kv_metrics
+            if metrics is None:
+                continue
+            if merged is None:
+                merged = KVCacheMetrics(kv_cache=metrics.kv_cache,
+                                        block_tokens=metrics.block_tokens)
+            merged.merge_from(metrics)
+        return merged
+
+    @property
+    def gauge_points(self) -> List[GaugePoint]:
+        """Every replica's gauge samples, merged in time order."""
+        return sorted((point for replica in self.replicas
+                       for point in replica.gauges),
+                      key=lambda p: (p.t_s, p.replica))
+
+    def _extras_tail(self, out: Dict[str, object]) -> Dict[str, object]:
+        """Close an ``extras()`` dict with the keys every fleet form
+        shares: fault tallies and the merged KV-cache figures."""
+        retries, failed = self.retries, self.failed
+        if retries:
+            out["retries"] = retries
+        if failed:
+            out["failed"] = failed
+        merged = self.kv_metrics
+        if merged is not None:
+            # No prefix-sharing keys here (the replica leaf has them):
+            # the benchmark digest pins this key set.
+            out["kv_internal_frag"] = round(merged.internal_frag_ratio, 3)
+            if merged.swapped_bytes:
+                out["swapped_mb"] = round(merged.swapped_bytes / (1 << 20), 1)
+            if merged.migrated_bytes:
+                out["migrated_mb"] = round(
+                    merged.migrated_bytes / (1 << 20), 1)
+            if merged.demoted_bytes:
+                out["demoted_mb"] = round(
+                    sum(merged.demoted_bytes.values()) / (1 << 20), 1)
+                out["promoted_mb"] = round(
+                    sum(merged.promoted_bytes.values()) / (1 << 20), 1)
+        return out
+
+    def _sketch_populations(self) -> List[List[ServeRequest]]:
+        """The request lists a streaming report sketches one by one
+        and merges: each replica's own population."""
+        return [replica.requests for replica in self.replicas]
+
+    def report(self, slo: Optional[SloConfig] = None,
+               streaming: bool = False) -> ServingReport:
+        """Fleet-wide SLO report over the request population.
+
+        ``streaming=True`` folds each of :meth:`_sketch_populations`
+        into a :class:`~repro.serve.metrics.ServingReportAccumulator`
+        and merges the accumulators — constant memory, never touching
+        the merged request list (percentiles come from merged t-digest
+        sketches, within sketch tolerance of the exact path).
+        """
+        metrics = self.kv_metrics
+        headline = dict(
+            utilization=self.min_utilization,
+            peak_reserved_gb=self.max_peak_reserved_gb,
+            migrated_mb=((metrics.migrated_bytes / (1 << 20))
+                         if metrics is not None else 0.0))
+        if not streaming:
+            return ServingReport.from_requests(
+                self.requests, self.makespan_s, slo, **headline)
+        merged: Optional[ServingReportAccumulator] = None
+        for population in self._sketch_populations():
+            acc = ServingReportAccumulator(slo)
+            for request in population:
+                acc.observe(request)
+            merged = acc if merged is None else merged.merge(acc)
+        if merged is None:
+            merged = ServingReportAccumulator(slo)
+        return merged.report(self.makespan_s, **headline)
+
+
 @dataclass
-class ServeClusterResult(WorstMemberRunResult):
+class ServeClusterResult(FleetResult):
     """Aggregated outcome of one multi-replica serving run."""
 
     replicas: List[ServingResult] = field(default_factory=list)
@@ -193,41 +351,6 @@ class ServeClusterResult(WorstMemberRunResult):
         return self._merged
 
     @property
-    def makespan_s(self) -> float:
-        """The fleet finishes when its slowest replica does."""
-        return max((r.makespan_s for r in self.replicas), default=0.0)
-
-    @property
-    def min_utilization(self) -> float:
-        """The worst replica's memory utilization ratio."""
-        return min(r.utilization for r in self.replicas)
-
-    @property
-    def max_peak_reserved_gb(self) -> float:
-        """The worst replica's reserved peak (capacity planning view)."""
-        return max(r.peak_reserved_gb for r in self.replicas)
-
-    # -- the :class:`repro.api.RunResult` shared surface ---------------
-    # Memory figures delegate to WorstMemberRunResult (worst replica).
-    def _result_members(self) -> List[ServingResult]:
-        return self.replicas
-
-    @property
-    def throughput(self) -> float:
-        """Fleet-wide completed requests per second of makespan."""
-        done = sum(r.completed for r in self.replicas)
-        return done / max(self.makespan_s, 1e-9)
-
-    @property
-    def oom(self) -> bool:
-        return False
-
-    @property
-    def kv_cache_name(self) -> str:
-        """The fleet's (uniform) KV-cache model name."""
-        return self.replicas[0].kv_cache_name if self.replicas else "chunked"
-
-    @property
     def preemption_name(self) -> str:
         """The fleet's (uniform) preemption policy name."""
         return self.replicas[0].preemption_name if self.replicas else "recompute"
@@ -238,36 +361,13 @@ class ServeClusterResult(WorstMemberRunResult):
         autoscaled fleet may leave some replicas idle)."""
         return sum(1 for r in self.replicas if r.requests)
 
-    @property
-    def kv_metrics(self) -> Optional[KVCacheMetrics]:
-        """Fleet-wide KV-cache metrics, merged across replicas.
-
-        Counters, copy bytes and utilization samples sum; the peak
-        fields sum *per-replica* peaks (the fleet's capacity-planning
-        upper bound — replicas own disjoint memory, but their peaks
-        need not coincide in time).  The merge is field-generic
-        (:meth:`KVCacheMetrics.merge_from`), so metrics fields added
-        later — per-tier demote/promote dicts, sharing ledgers — are
-        merged by construction instead of silently dropped.
-        """
-        merged: Optional[KVCacheMetrics] = None
-        for replica in self.replicas:
-            metrics = replica.kv_metrics
-            if metrics is None:
-                continue
-            if merged is None:
-                merged = KVCacheMetrics(kv_cache=metrics.kv_cache,
-                                        block_tokens=metrics.block_tokens)
-            merged.merge_from(metrics)
-        return merged
-
     def extras(self) -> Dict[str, object]:
         """Fleet-specific metrics beyond the shared surface."""
         out: Dict[str, object] = {
             "n_replicas": self.n_replicas,
-            "completed": sum(r.completed for r in self.replicas),
-            "rejected": sum(r.rejected for r in self.replicas),
-            "preemptions": sum(r.preemptions for r in self.replicas),
+            "completed": self.completed,
+            "rejected": self.rejected,
+            "preemptions": self.preemptions,
             "makespan_s": self.makespan_s,
             "kv_cache": self.kv_cache_name,
             "preemption": self.preemption_name,
@@ -275,68 +375,7 @@ class ServeClusterResult(WorstMemberRunResult):
         if self.autoscaler_name != "none":
             out["autoscaler"] = self.autoscaler_name
             out["active_replicas"] = self.active_replicas
-        retries = sum(r.retries for r in self.replicas)
-        failed = sum(r.failed for r in self.replicas)
-        if retries:
-            out["retries"] = retries
-        if failed:
-            out["failed"] = failed
-        merged = self.kv_metrics
-        if merged is not None:
-            out["kv_internal_frag"] = round(merged.internal_frag_ratio, 3)
-            if merged.swapped_bytes:
-                out["swapped_mb"] = round(merged.swapped_bytes / (1 << 20), 1)
-            if merged.migrated_bytes:
-                out["migrated_mb"] = round(
-                    merged.migrated_bytes / (1 << 20), 1)
-            if merged.demoted_bytes:
-                out["demoted_mb"] = round(
-                    sum(merged.demoted_bytes.values()) / (1 << 20), 1)
-                out["promoted_mb"] = round(
-                    sum(merged.promoted_bytes.values()) / (1 << 20), 1)
-        return out
-
-    @property
-    def gauge_points(self) -> List[GaugePoint]:
-        """Every replica's gauge samples, merged in time order."""
-        return sorted((point for replica in self.replicas
-                       for point in replica.gauges),
-                      key=lambda p: (p.t_s, p.replica))
-
-    def report(self, slo: Optional[SloConfig] = None,
-               streaming: bool = False) -> ServingReport:
-        """Fleet-wide SLO report over the merged request population.
-
-        ``streaming=True`` folds each replica's requests into a
-        :class:`~repro.serve.metrics.ServingReportAccumulator` and
-        merges the accumulators — constant memory, never touching the
-        merged request list (percentiles come from merged t-digest
-        sketches, within sketch tolerance of the exact path).
-        """
-        metrics = self.kv_metrics
-        migrated_mb = ((metrics.migrated_bytes / (1 << 20))
-                       if metrics is not None else 0.0)
-        if streaming:
-            merged: Optional[ServingReportAccumulator] = None
-            for replica in self.replicas:
-                acc = ServingReportAccumulator(slo)
-                for request in replica.requests:
-                    acc.observe(request)
-                merged = acc if merged is None else merged.merge(acc)
-            if merged is None:
-                merged = ServingReportAccumulator(slo)
-            return merged.report(
-                self.makespan_s,
-                utilization=self.min_utilization,
-                peak_reserved_gb=self.max_peak_reserved_gb,
-                migrated_mb=migrated_mb,
-            )
-        return ServingReport.from_requests(
-            self.requests, self.makespan_s, slo,
-            utilization=self.min_utilization,
-            peak_reserved_gb=self.max_peak_reserved_gb,
-            migrated_mb=migrated_mb,
-        )
+        return self._extras_tail(out)
 
     def summary(self) -> str:
         """One-line fleet report."""
@@ -347,15 +386,14 @@ class ServeClusterResult(WorstMemberRunResult):
 def _co_simulate(
     sims: List[ServingSimulator],
     calendar: Optional[DownCalendar],
-    retry_policy,
+    hedge_after_s: Optional[float],
     trace: Optional[TraceRecorder],
 ) -> None:
     """Advance a fleet of *started* simulators on interleaved clocks.
 
-    The fault-free fleet runs replicas to completion one after another
-    (they never interact).  Under faults they do interact — a crashed
-    replica's work re-enters the dispatcher and lands elsewhere, and a
-    hedging front-end duplicates stragglers onto healthy peers — so
+    Replicas interact under crash faults — a crashed replica's work
+    re-enters the dispatcher and lands elsewhere — and under a hedging
+    front-end, which duplicates stragglers onto healthy peers.  So
     this orchestrator single-steps whichever busy replica's clock is
     furthest behind, keeping every cross-replica hand-off causal: a
     request re-dispatched at ``ready_s`` is injected before any peer's
@@ -366,8 +404,8 @@ def _co_simulate(
     replica with the fewest outstanding requests at the hand-off
     instant, falling back to the full fleet when everything is down.
 
-    Hedging (``retry_policy.hedge_after_s``): after each tick, requests
-    still un-admitted past the hedge deadline are cloned onto the
+    Hedging (``hedge_after_s``): after each tick, requests still
+    un-admitted past the hedge deadline are cloned onto the
     least-loaded healthy *other* replica; the first copy to finish wins
     and the loser is cancelled (its KV freed, the object withdrawn from
     its replica's population), so the merged population keeps exactly
@@ -385,9 +423,8 @@ def _co_simulate(
                 if j != exclude
                 and (calendar is None or not calendar.down_at(j, t_s))]
 
-    def redispatch(request: ServeRequest, ready_s: float,
-                   failover: bool) -> None:
-        del failover  # routing is identical for victims and drained queues
+    def redispatch(request: ServeRequest, ready_s: float) -> None:
+        # Crash victims and a crashing replica's queue route alike.
         pool = healthy(ready_s) or list(range(n))
         target = pick(pool)
         request.replica = target
@@ -396,7 +433,6 @@ def _co_simulate(
     for sim in sims:
         sim._fault_sink = redispatch
 
-    after_s = retry_policy.hedge_after_s
     hedged: Dict[int, Tuple[ServeRequest, ServeRequest]] = {}
 
     def consider_hedges(i: int) -> None:
@@ -407,7 +443,8 @@ def _co_simulate(
             # been admitted anywhere (a clean clone carries no KV), and
             # leave crash-retried requests to the retry path.
             if (request.req_id in hedged or request.admitted_s is not None
-                    or request.retries or now - request.arrival_s < after_s):
+                    or request.retries
+                    or now - request.arrival_s < hedge_after_s):
                 continue
             pool = healthy(now, exclude=i)
             if not pool:
@@ -445,9 +482,55 @@ def _co_simulate(
             break
         i = min(busy, key=lambda j: (sims[j].session.elapsed_s, j))
         sims[i].tick()
-        if after_s is not None:
+        if hedge_after_s is not None:
             consider_hedges(i)
             settle_hedges()
+
+
+def check_per_replica_specs(kv_cache: KVCacheLike,
+                            preemption: PreemptionLike) -> None:
+    """Fleets build one KV model and one preemption policy per replica,
+    so both must arrive as specs, never as live instances."""
+    if isinstance(kv_cache, KVCacheModel):
+        raise ValueError(
+            "pass kv_cache as a spec string or KVCacheSpec so each "
+            "replica builds its own model (a shared instance would mix "
+            "block tables across replicas)"
+        )
+    if isinstance(preemption, PreemptionPolicy):
+        raise ValueError(
+            "pass preemption as a spec string or PreemptionSpec so each "
+            "replica builds its own policy (a shared instance would mix "
+            "swap ledgers across replicas)"
+        )
+
+
+def run_fleet(
+    sims: List[ServingSimulator],
+    shards: List[List[ServeRequest]],
+    calendar: Optional[DownCalendar] = None,
+    hedge_after_s: Optional[float] = None,
+    trace: Optional[TraceRecorder] = None,
+) -> List[ServingResult]:
+    """Serve ``shards[i]`` on ``sims[i]``; one result per replica.
+
+    Which loop runs is decided by what can couple the replicas, not by
+    how the fleet was configured.  Replicas exchange requests only
+    through crash failover (``calendar``) or hedging
+    (``hedge_after_s``); without either they are independent
+    partitions, so each is drained to completion in replica order —
+    no cross-replica scan per tick (3-11 % of ``fleet_shared``
+    throughput, see docs/architecture.md).  With either, the min-clock
+    :func:`_co_simulate` keeps every hand-off causal.  For an uncoupled
+    fleet the two loops give byte-identical results
+    (tests/test_metamorphic.py pins that), so the choice is speed only.
+    """
+    if calendar is None and hedge_after_s is None:
+        return [sim.run(shard) for sim, shard in zip(sims, shards)]
+    for sim, shard in zip(sims, shards):
+        sim.start(shard)
+    _co_simulate(sims, calendar, hedge_after_s, trace)
+    return [sim.finish() for sim in sims]
 
 
 def run_serving_cluster(
@@ -481,32 +564,19 @@ def run_serving_cluster(
     the whole fleet as separate processes.
 
     ``faults`` / ``retry`` (see :mod:`repro.serve.faults`) inject
-    replica failures and drive the recovery policy.  With both at
-    ``"none"`` the fleet runs the original sequential path, bit for
-    bit.  Otherwise dispatch becomes health-aware (crashed replicas
-    are routed around), replicas are co-simulated on interleaved
-    clocks, crash victims fail over to healthy peers through the
-    front-end, and ``hedge`` duplicates stragglers across replicas
-    (see :func:`_co_simulate`).
+    replica failures and drive the recovery policy.  Crash faults make
+    dispatch health-aware (crashed replicas are routed around) and
+    fail crash victims over to healthy peers through the front-end;
+    ``hedge`` duplicates stragglers across replicas.  Those are the
+    fleets whose replicas are co-simulated on interleaved clocks; every
+    other fleet is drained replica by replica (see :func:`run_fleet`).
     """
-    if isinstance(kv_cache, KVCacheModel):
-        raise ValueError(
-            "pass kv_cache as a spec string or KVCacheSpec so each "
-            "replica builds its own model (a shared instance would mix "
-            "block tables across replicas)"
-        )
-    if isinstance(preemption, PreemptionPolicy):
-        raise ValueError(
-            "pass preemption as a spec string or PreemptionSpec so each "
-            "replica builds its own policy (a shared instance would mix "
-            "swap ledgers across replicas)"
-        )
+    check_per_replica_specs(kv_cache, preemption)
     model = get_model(model) if isinstance(model, str) else model
     config = config if config is not None else ServingConfig()
     scaler = resolve_autoscaler(autoscaler)
     fault_model = resolve_faults(faults)
     retry_policy = resolve_retry(retry)
-    fault_aware = fault_model.name != "none" or retry_policy.name != "none"
     calendar = (DownCalendar(fault_model, n_replicas)
                 if fault_model.has_crashes else None)
     shards = dispatch_requests(requests, n_replicas,
@@ -516,16 +586,6 @@ def run_serving_cluster(
     result = ServeClusterResult(autoscaler_name=scaler.name)
     if gauges is not None:
         result.active_replica_points = list(gauges.active_points)
-    if not fault_aware:
-        for replica_id, shard in enumerate(shards):
-            simulator = ServingSimulator(
-                model, allocator=allocator, capacity=capacity,
-                scheduler=scheduler, config=config, replica_id=replica_id,
-                kv_cache=kv_cache, preemption=preemption, trace=trace,
-                gauges=gauges, memory_tiers=memory_tiers,
-            )
-            result.replicas.append(simulator.run(shard))
-        return result
     sims = [
         ServingSimulator(
             model, allocator=allocator, capacity=capacity,
@@ -536,9 +596,6 @@ def run_serving_cluster(
         )
         for replica_id in range(n_replicas)
     ]
-    for sim, shard in zip(sims, shards):
-        sim.start(shard)
-    _co_simulate(sims, calendar, retry_policy, trace)
-    for sim in sims:
-        result.replicas.append(sim.finish())
+    result.replicas = run_fleet(sims, shards, calendar,
+                                retry_policy.hedge_after_s, trace)
     return result

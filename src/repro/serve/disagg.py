@@ -37,12 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.api.result import WorstMemberRunResult
 from repro.api.spec import AllocatorLike
-from repro.obs.gauges import GaugePoint, GaugeSampler
+from repro.obs.gauges import GaugeSampler
 from repro.obs.trace import TraceRecorder
 from repro.serve.autoscale import AutoscalerLike, resolve_autoscaler
-from repro.serve.cluster import dispatch_requests
+from repro.serve.cluster import (
+    FleetResult,
+    check_per_replica_specs,
+    dispatch_requests,
+    run_fleet,
+)
 from repro.serve.faults import (
     FaultsLike,
     RetryLike,
@@ -54,18 +58,13 @@ from repro.serve.interconnect import (
     InterconnectLike,
     resolve_interconnect,
 )
-from repro.serve.kvcache import KVCacheLike, KVCacheMetrics, KVCacheModel
-from repro.serve.metrics import (
-    ServingReport,
-    ServingReportAccumulator,
-    SloConfig,
-)
+from repro.serve.kvcache import KVCacheLike
 from repro.serve.preemption import (
     PreemptionLike,
     PreemptionPolicy,
     resolve_preemption,
 )
-from repro.serve.request import RequestState, ServeRequest
+from repro.serve.request import ServeRequest
 from repro.serve.scheduler import SchedulerLike
 from repro.serve.simulator import (
     ServingConfig,
@@ -171,8 +170,16 @@ class _DecodeImportPolicy(PreemptionPolicy):
 
 
 @dataclass
-class DisaggServingResult(WorstMemberRunResult):
-    """Aggregated outcome of one disaggregated prefill/decode run."""
+class DisaggServingResult(FleetResult):
+    """Aggregated outcome of one disaggregated prefill/decode run.
+
+    Everything a fleet reports (makespan, worst-replica memory, merged
+    KV metrics, request tallies, the SLO report) comes from
+    :class:`~repro.serve.cluster.FleetResult`; this class holds what is
+    disaggregation's own.  TTFT spans both phases (arrival → prefill
+    first token) and the report carries its per-phase queue-wait
+    attribution (``prefill_wait_s`` / ``decode_wait_s``).
+    """
 
     prefill_results: List[ServingResult] = field(default_factory=list)
     decode_results: List[ServingResult] = field(default_factory=list)
@@ -205,81 +212,16 @@ class DisaggServingResult(WorstMemberRunResult):
     def n_decode_replicas(self) -> int:
         return len(self.decode_results)
 
-    @property
-    def makespan_s(self) -> float:
-        """The run finishes when its slowest replica (either fleet)
-        does."""
-        return max((r.makespan_s for r in self.replicas), default=0.0)
-
-    @property
-    def min_utilization(self) -> float:
-        return min(r.utilization for r in self.replicas)
-
-    @property
-    def max_peak_reserved_gb(self) -> float:
-        return max(r.peak_reserved_gb for r in self.replicas)
-
-    # -- the :class:`repro.api.RunResult` shared surface ---------------
-    def _result_members(self) -> List[ServingResult]:
-        return self.replicas
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for r in self.requests if r.finished)
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for r in self.requests if r.rejected)
-
-    @property
-    def preemptions(self) -> int:
-        return sum(r.preemptions for r in self.requests)
-
-    @property
-    def retries(self) -> int:
-        """Crash-forced re-dispatches, summed over both phases."""
-        return sum(r.retries for r in self.requests)
-
-    @property
-    def failed(self) -> int:
-        """Requests rejected permanently by replica faults."""
-        return sum(1 for r in self.requests
-                   if r.reject_reason == "failed")
-
-    @property
-    def throughput(self) -> float:
-        """Completed original requests per second of makespan."""
-        return self.completed / max(self.makespan_s, 1e-9)
-
-    @property
-    def oom(self) -> bool:
-        return False
-
-    @property
-    def kv_cache_name(self) -> str:
-        return (self.replicas[0].kv_cache_name if self.replicas
-                else "chunked")
+    def _sketch_populations(self) -> List[List[ServeRequest]]:
+        # Replica populations hold per-phase clones; the report is over
+        # the merged originals, one sketch.
+        return [self.requests]
 
     @property
     def preemption_name(self) -> str:
         """The decode fleet's (inner) preemption policy name."""
         return (self.decode_results[0].preemption_name
                 if self.decode_results else "recompute")
-
-    @property
-    def kv_metrics(self) -> Optional[KVCacheMetrics]:
-        """KV metrics merged across both fleets (cluster semantics:
-        counters sum, peaks sum per-replica peaks)."""
-        merged: Optional[KVCacheMetrics] = None
-        for replica in self.replicas:
-            metrics = replica.kv_metrics
-            if metrics is None:
-                continue
-            if merged is None:
-                merged = KVCacheMetrics(kv_cache=metrics.kv_cache,
-                                        block_tokens=metrics.block_tokens)
-            merged.merge_from(metrics)
-        return merged
 
     @property
     def migrated_bytes(self) -> int:
@@ -303,59 +245,7 @@ class DisaggServingResult(WorstMemberRunResult):
         }
         if self.autoscaler_name != "none":
             out["autoscaler"] = self.autoscaler_name
-        if self.retries:
-            out["retries"] = self.retries
-        if self.failed:
-            out["failed"] = self.failed
-        merged = self.kv_metrics
-        if merged is not None:
-            out["kv_internal_frag"] = round(merged.internal_frag_ratio, 3)
-            if merged.swapped_bytes:
-                out["swapped_mb"] = round(merged.swapped_bytes / (1 << 20), 1)
-            if merged.migrated_bytes:
-                out["migrated_mb"] = round(
-                    merged.migrated_bytes / (1 << 20), 1)
-            if merged.demoted_bytes:
-                out["demoted_mb"] = round(
-                    sum(merged.demoted_bytes.values()) / (1 << 20), 1)
-                out["promoted_mb"] = round(
-                    sum(merged.promoted_bytes.values()) / (1 << 20), 1)
-        return out
-
-    @property
-    def gauge_points(self) -> List[GaugePoint]:
-        """Every replica's gauge samples, merged in time order."""
-        return sorted((point for replica in self.replicas
-                       for point in replica.gauges),
-                      key=lambda p: (p.t_s, p.replica))
-
-    def report(self, slo: Optional[SloConfig] = None,
-               streaming: bool = False) -> ServingReport:
-        """SLO report over the merged original-request population.
-
-        TTFT spans both phases (arrival → prefill first token) and the
-        report carries its per-phase queue-wait attribution
-        (``prefill_wait_s`` / ``decode_wait_s``) plus ``migrated_mb``.
-        """
-        metrics = self.kv_metrics
-        migrated_mb = ((metrics.migrated_bytes / (1 << 20))
-                       if metrics is not None else 0.0)
-        if streaming:
-            acc = ServingReportAccumulator(slo)
-            for request in self.requests:
-                acc.observe(request)
-            return acc.report(
-                self.makespan_s,
-                utilization=self.min_utilization,
-                peak_reserved_gb=self.max_peak_reserved_gb,
-                migrated_mb=migrated_mb,
-            )
-        return ServingReport.from_requests(
-            self.requests, self.makespan_s, slo,
-            utilization=self.min_utilization,
-            peak_reserved_gb=self.max_peak_reserved_gb,
-            migrated_mb=migrated_mb,
-        )
+        return self._extras_tail(out)
 
     def summary(self) -> str:
         """One-line topology + SLO report."""
@@ -411,18 +301,7 @@ def run_serving_disagg(
         raise ValueError(
             f"need at least one replica per fleet, got "
             f"{prefill_replicas} prefill / {decode_replicas} decode")
-    if isinstance(kv_cache, KVCacheModel):
-        raise ValueError(
-            "pass kv_cache as a spec string or KVCacheSpec so each "
-            "replica builds its own model (a shared instance would mix "
-            "block tables across replicas)"
-        )
-    if isinstance(preemption, PreemptionPolicy):
-        raise ValueError(
-            "pass preemption as a spec string or PreemptionSpec so each "
-            "replica builds its own policy (a shared instance would mix "
-            "swap ledgers across replicas)"
-        )
+    check_per_replica_specs(kv_cache, preemption)
     model = get_model(model) if isinstance(model, str) else model
     config = config if config is not None else ServingConfig()
     fault_model = resolve_faults(faults)
@@ -451,8 +330,10 @@ def run_serving_disagg(
         interconnect_name=link.name,
         autoscaler_name=prefill_scaler.name,
     )
-    for replica_id, shard in enumerate(prefill_shards):
-        simulator = _PrefillSimulator(
+    # Recovery is local on both fleets, so their replicas are
+    # uncoupled: run_fleet drains each in replica order.
+    result.prefill_results = run_fleet([
+        _PrefillSimulator(
             model, allocator=allocator, capacity=capacity,
             scheduler=scheduler, config=config, replica_id=replica_id,
             kv_cache=kv_cache, preemption=preemption, trace=trace,
@@ -461,7 +342,8 @@ def run_serving_disagg(
             interconnect=link,
             needs_decode=needs_decode, exported=in_flight,
         )
-        result.prefill_results.append(simulator.run(shard))
+        for replica_id in range(prefill_replicas)
+    ], prefill_shards)
     result.migrations = len(in_flight)
 
     # ---- phase 2: the decode fleet -----------------------------------
@@ -482,18 +364,20 @@ def run_serving_disagg(
         drain_tokens_per_s=config.decode_tokens_per_s,
         autoscaler=decode_scaler, gauges=gauges, trace=trace,
         fleet="decode")
-    for offset, shard in enumerate(decode_shards):
-        policy = _DecodeImportPolicy(
-            resolve_preemption(preemption), link, in_flight)
-        simulator = ServingSimulator(
+    result.decode_results = run_fleet([
+        ServingSimulator(
             model, allocator=allocator, capacity=capacity,
             scheduler=scheduler, config=config,
             replica_id=prefill_replicas + offset,
-            kv_cache=kv_cache, preemption=policy, trace=trace,
+            kv_cache=kv_cache,
+            preemption=_DecodeImportPolicy(
+                resolve_preemption(preemption), link, in_flight),
+            trace=trace,
             gauges=gauges, faults=fault_model, retry=retry_policy,
             memory_tiers=memory_tiers,
         )
-        result.decode_results.append(simulator.run(shard))
+        for offset in range(decode_replicas)
+    ], decode_shards)
     result.pending_imports = len(in_flight)
 
     # ---- merge both phases back onto the originals -------------------

@@ -55,9 +55,7 @@ from repro.units import align_up
 from repro.workloads.inference import kv_bytes
 from repro.workloads.models import ModelSpec
 
-#: The live ``kv-cache`` catalogue dict, filled by the registrations
-#: below (exposed publicly as :data:`KV_CACHE_MODELS`).
-_KV_CACHE_REGISTRY = register_kind("kv-cache", label="KV-cache model")
+register_kind("kv-cache", label="KV-cache model")
 
 
 # ----------------------------------------------------------------------
@@ -590,13 +588,6 @@ register_component(
     description="fixed-size blocks + per-request block tables "
                 "(cache-level defragmentation)",
 )(PagedKVCache)
-
-
-#: The KV-cache model catalogue — the *live* ``kv-cache`` kind dict of
-#: the component registry (the serving-side sibling of the allocator
-#: kind's ``_REGISTRY``), so pre-registry extension code that inserted
-#: entries directly keeps working and later registrations show up.
-KV_CACHE_MODELS: Dict[str, ComponentInfo] = _KV_CACHE_REGISTRY
 
 
 def kv_cache_names() -> List[str]:

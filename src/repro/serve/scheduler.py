@@ -27,17 +27,15 @@ the same ``"name?key=value"`` mini-DSL as allocators)
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Callable, Dict, Optional, Sequence, Union
+from typing import Any, ClassVar, Dict, Optional, Sequence, Union
 
 from repro.allocators.base import BaseAllocator
 from repro.api.registry import (
     Param,
     SpecError,
     component_names,
-    component_registry,
     register_component,
     register_kind,
 )
@@ -336,37 +334,3 @@ def resolve_scheduler(kind: SchedulerLike) -> Scheduler:
     if isinstance(kind, Scheduler):
         return kind
     return SchedulerSpec.parse(kind).build()
-
-
-# ----------------------------------------------------------------------
-# Deprecated shims (pre-registry entry points)
-# ----------------------------------------------------------------------
-#: Deprecated shim — the scheduler catalogue now lives in the
-#: kind-aware component registry; this dict is a snapshot of it
-#: (aliases included) **frozen at import**, for callers that predate
-#: :class:`SchedulerSpec`.  Like the ``ALLOCATOR_FACTORIES`` shim, it
-#: does not see later ``register_component("scheduler", ...)`` calls —
-#: enumerate the registry (``scheduler_names()``) instead.
-SCHEDULER_FACTORIES: Dict[str, Callable[[], Scheduler]] = {
-    key: info.cls
-    for info in component_registry("scheduler").values()
-    for key in (info.name, *info.aliases)
-}
-
-
-def make_scheduler(kind: Union[str, Scheduler]) -> Scheduler:
-    """Instantiate a scheduler by name (or pass one through).
-
-    .. deprecated::
-        Thin shim over :func:`resolve_scheduler`; new code should name
-        schedulers with a :class:`SchedulerSpec` (e.g.
-        ``"memory-aware?margin=1.5"``), which also carries parameters
-        through CLI flags and JSON experiment files.  Unknown names
-        still raise :class:`KeyError`.
-    """
-    warnings.warn(
-        "make_scheduler is deprecated; use repro.serve.resolve_scheduler "
-        "or a SchedulerSpec (e.g. 'memory-aware?margin=1.5')",
-        DeprecationWarning, stacklevel=2,
-    )
-    return resolve_scheduler(kind)

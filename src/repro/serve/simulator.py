@@ -361,9 +361,9 @@ class ServingSimulator:
         # decode_workspace_bytes is a pure function of (model, batch),
         # evaluated once per decode step — memoize per batch size.
         self._workspace_bytes: Dict[int, int] = {}
-        #: Min-heap of (deadline, req_id, request) queue-timeout events,
-        #: owned by :meth:`run`; requeue paths push into it directly.
-        self._timeouts: List[Tuple[float, int, ServeRequest]] = []
+        #: Min-heap of (deadline, req_id, seq, request) queue-timeout
+        #: events, owned by :meth:`run`; filled by :meth:`_push_timeout`.
+        self._timeouts: List[Tuple[float, int, int, ServeRequest]] = []
         # Fault injection.  With faults="none" the replica context is
         # None, so the loop body's fault branches never fire and the
         # run stays byte-identical to the pre-fault simulator (the
@@ -378,7 +378,10 @@ class ServingSimulator:
         #: landing after backoff and hedge duplicates, drained into
         #: the admission queue alongside arrivals.
         self._injected: List[Tuple[float, int, ServeRequest]] = []
-        self._inject_seq = 0
+        #: Push counter shared by both heaps: it orders full ties (a
+        #: hedge clone and its original share deadline *and* req_id),
+        #: so a heap never falls through to comparing requests.
+        self._heap_seq = 0
         #: ``id()`` of requests that left this replica (re-dispatched
         #: to another one, or cancelled hedge losers): their stale
         #: timeout-heap entries are skipped and they are dropped from
@@ -388,7 +391,7 @@ class ServingSimulator:
         self._adopted: List[ServeRequest] = []
         self._adopted_ids: set = set()
         self._home_ids: set = set()
-        #: Orchestrator hook, (request, ready_s, failover) -> None.
+        #: Orchestrator hook, (request, ready_s) -> None.
         #: When set (fleet co-simulation), crash victims and failover
         #: re-routes go fleet-wide; when None they re-enter *this*
         #: replica's queue after the retry delay.
@@ -463,10 +466,16 @@ class ServingSimulator:
         # on every requeue so a preempted request can still time out.
         # A surviving duplicate is harmless: the first expiry pop
         # rejects, later pops see a non-queued state and skip.
+        self._push_timeout(request)
+
+    def _push_timeout(self, request: ServeRequest) -> None:
+        """Arm ``request``'s queue-timeout deadline (end-to-end: its
+        original arrival plus the timeout, however often it requeues)."""
+        self._heap_seq += 1
         heapq.heappush(
             self._timeouts,
             (request.arrival_s + self.config.queue_timeout_s,
-             request.req_id, request))
+             request.req_id, self._heap_seq, request))
 
     # ------------------------------------------------------------------
     # Admission
@@ -562,7 +571,7 @@ class ServingSimulator:
     def _expire_timeouts(self, queue: "Deque[ServeRequest]") -> None:
         """Reject queued requests that waited past the timeout SLO.
 
-        ``self._timeouts`` is a min-heap of ``(deadline, req_id,
+        ``self._timeouts`` is a min-heap of ``(deadline, req_id, seq,
         request)`` pushed at arrival and again on every requeue.
         Entries for requests that already left the queue (admitted,
         finished, rejected) are skipped lazily.  The expiry test is the
@@ -576,7 +585,7 @@ class ServingSimulator:
         timeout_s = self.config.queue_timeout_s
         timeouts = self._timeouts
         while timeouts:
-            _, _, request = timeouts[0]
+            request = timeouts[0][-1]
             if (request.state not in _QUEUE_STATES
                     or id(request) in self._gone):
                 heapq.heappop(timeouts)  # left the queue (or replica)
@@ -660,8 +669,8 @@ class ServingSimulator:
         if rid not in self._home_ids and rid not in self._adopted_ids:
             self._adopted_ids.add(rid)
             self._adopted.append(request)
-        self._inject_seq += 1
-        heapq.heappush(self._injected, (ready_s, self._inject_seq, request))
+        self._heap_seq += 1
+        heapq.heappush(self._injected, (ready_s, self._heap_seq, request))
 
     def cancel(self, request: ServeRequest) -> None:
         """Withdraw ``request`` from this replica (a hedge copy lost
@@ -710,7 +719,7 @@ class ServingSimulator:
                                      delay_s=delay)
         if self._fault_sink is not None:
             self._gone.add(id(request))
-            self._fault_sink(request, now + delay, False)
+            self._fault_sink(request, now + delay)
         else:
             self.inject(request, now + delay)
 
@@ -757,7 +766,7 @@ class ServingSimulator:
                 while queue:
                     request = queue.popleft()
                     self._gone.add(id(request))
-                    self._fault_sink(request, now, True)
+                    self._fault_sink(request, now)
 
     @property
     def busy(self) -> bool:
@@ -810,7 +819,6 @@ class ServingSimulator:
                 or self._injected):
             return False
         timeouts = self._timeouts
-        timeout_s = self.config.queue_timeout_s
         now = self._now()
         if self._crash is not None:
             self._crash_poll(queue, running)
@@ -818,9 +826,7 @@ class ServingSimulator:
                and pending[self._index].arrival_s <= now + _EPS):
             request = pending[self._index]
             queue.append(request)
-            heapq.heappush(
-                timeouts,
-                (request.arrival_s + timeout_s, request.req_id, request))
+            self._push_timeout(request)
             if self.trace is not None:
                 self.trace.request_event("arrival", request,
                                          request.arrival_s,
@@ -834,9 +840,7 @@ class ServingSimulator:
             request.replica = self.replica_id
             request.state = RequestState.QUEUED
             queue.append(request)
-            heapq.heappush(
-                timeouts,
-                (request.arrival_s + timeout_s, request.req_id, request))
+            self._push_timeout(request)
         self._expire_timeouts(queue)
         down = self._crash is not None and self._crash.down
         if not down:
@@ -851,8 +855,8 @@ class ServingSimulator:
         # retry/hedge re-entry, or the crash window's end.  Stale heap
         # entries (requests that already left the queue) are discarded
         # first so they can never shorten the jump.
-        while timeouts and (timeouts[0][2].state not in _QUEUE_STATES
-                            or id(timeouts[0][2]) in self._gone):
+        while timeouts and (timeouts[0][-1].state not in _QUEUE_STATES
+                            or id(timeouts[0][-1]) in self._gone):
             heapq.heappop(timeouts)
         horizons = []
         if self._index < len(pending):

@@ -11,7 +11,6 @@ from repro.sim.cluster import ClusterResult, run_cluster
 from repro.sim.engine import (
     EngineResult,
     ReplaySession,
-    make_allocator,
     run_trace,
     run_workload,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "ReplaySession",
     "run_trace",
     "run_workload",
-    "make_allocator",
     "ClusterResult",
     "run_cluster",
     "ComparisonRow",

@@ -21,10 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.allocators.base import Allocation, BaseAllocator
-from repro.api.registry import allocator_names, get_allocator_info
 from repro.api.spec import AllocatorLike, resolve_allocator
-from repro.core.allocator import GMLakeAllocator
-from repro.core.config import GMLakeConfig
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.sim.timeline import TimelinePoint, TimelineRecorder
@@ -33,48 +30,6 @@ from repro.workloads.request import Op, Trace
 from repro.workloads.training import TrainingWorkload
 
 AllocatorFactory = Callable[[GpuDevice], BaseAllocator]
-
-#: Deprecated shim — the allocator catalogue now lives in
-#: :mod:`repro.api.registry`; this dict mirrors it (aliases included)
-#: for callers that predate :class:`repro.api.AllocatorSpec`.
-ALLOCATOR_FACTORIES: Dict[str, AllocatorFactory] = {
-    name: get_allocator_info(name).cls
-    for name in allocator_names(include_aliases=True)
-}
-
-
-def make_allocator(
-    kind: Union[AllocatorLike, AllocatorFactory], device: GpuDevice
-) -> BaseAllocator:
-    """Instantiate an allocator by spec, name, or factory on ``device``.
-
-    .. deprecated::
-        Thin shim over :func:`repro.api.resolve_allocator`; new code
-        should build allocators from a :class:`repro.api.AllocatorSpec`.
-        Kept because the name/factory calling convention predates the
-        registry.  Unknown names still raise :class:`KeyError`.
-    """
-    return resolve_allocator(kind, device)
-
-
-def gmlake_factory(config: GMLakeConfig) -> AllocatorFactory:
-    """A factory for GMLake with a specific config.
-
-    .. deprecated::
-        Use an :class:`repro.api.AllocatorSpec` instead, e.g.
-        ``AllocatorSpec("gmlake", {"chunk_size": 512 * MB})`` or the
-        spec string ``"gmlake?chunk_mb=512"`` — both carry the config
-        through CLI flags and JSON experiment files, which a closure
-        cannot.
-    """
-    import warnings
-
-    warnings.warn(
-        "gmlake_factory is deprecated; use repro.api.AllocatorSpec "
-        "(e.g. 'gmlake?chunk_mb=512')",
-        DeprecationWarning, stacklevel=2,
-    )
-    return lambda device: GMLakeAllocator(device, config)
 
 
 @dataclass

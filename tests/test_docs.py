@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.serve import KV_CACHE_MODELS
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
@@ -145,12 +144,12 @@ class TestCataloguesAreComplete:
 
     def test_every_kv_cache_model_documented(self):
         text = (DOCS / "serving.md").read_text(encoding="utf-8")
-        for name, info in KV_CACHE_MODELS.items():
-            assert f"`{name}`" in text, \
-                f"docs/serving.md misses KV-cache model {name!r}"
+        for info in api.iter_components("kv-cache"):
+            assert f"`{info.name}`" in text, \
+                f"docs/serving.md misses KV-cache model {info.name!r}"
             for param in info.params:
                 assert f"`{param.name}`" in text, \
-                    f"docs/serving.md misses {name}.{param.name}"
+                    f"docs/serving.md misses {info.name}.{param.name}"
 
     def test_every_kind_has_a_doc_home(self):
         """A newly registered component *kind* must pick a guide."""

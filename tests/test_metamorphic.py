@@ -26,11 +26,17 @@ output moves the right way (or doesn't move at all):
 - **mttr → 0**: vanishing repair times recover the no-fault fleet's
   completions (and nearly its goodput);
 - **retry budget ↑**: at light load a larger crash-retry budget never
-  completes fewer requests.
+  completes fewer requests;
+- **uncoupled fleet ≡ its shards**: without crash windows or hedging
+  no request can cross replicas, so a fleet's per-request digest is
+  the digest of each dispatched shard served alone — whichever of the
+  two fleet loops drives it.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.serve import (
     LengthSampler,
@@ -38,9 +44,12 @@ from repro.serve import (
     MultiTenantArrivals,
     PoissonArrivals,
     ServingConfig,
+    ServingSimulator,
+    dispatch_requests,
     run_serving,
     run_serving_cluster,
 )
+from repro.serve.cluster import _co_simulate
 from repro.units import GB
 from test_equivalence_goldens import (
     SCENARIOS,
@@ -259,3 +268,53 @@ class TestFaultLimits:
                                  f"budget?max={budget}").report()
             completions.append(report.completed)
         assert completions == sorted(completions)
+
+
+@pytest.mark.parametrize("retry", ["none", "budget?max=2"])
+@pytest.mark.parametrize("faults", ["none", "straggler?slowdown=3&prob=0.2"])
+class TestUncoupledFleetIsItsShards:
+    """Neither a straggler nor a retry budget lets a request change
+    replica, so these fleets are independent partitions."""
+
+    N_REPLICAS = 3
+    REPLICA = dict(allocator="caching", capacity=3 * GB,
+                   scheduler="memory-aware",
+                   kv_cache="paged?block_tokens=16")
+
+    def _stream(self):
+        return PoissonArrivals(rate_per_s=16.0).generate(120, seed=3)
+
+    def _replicas(self, faults, retry):
+        """The fleet's simulators and the shards its front-end deals."""
+        shards = dispatch_requests(
+            self._stream(), self.N_REPLICAS,
+            drain_tokens_per_s=ServingConfig().decode_tokens_per_s)
+        sims = [ServingSimulator(MODEL, replica_id=i, faults=faults,
+                                 retry=retry, **self.REPLICA)
+                for i in range(self.N_REPLICAS)]
+        return sims, shards
+
+    def _fleet_digest(self, faults, retry):
+        fleet = run_serving_cluster(
+            self._stream(), MODEL, n_replicas=self.N_REPLICAS,
+            faults=faults, retry=retry, **self.REPLICA)
+        assert fleet.preemptions > 0     # the fleet is under pressure
+        return _request_digest(fleet.requests)
+
+    def test_fleet_equals_each_shard_served_alone(self, faults, retry):
+        sims, shards = self._replicas(faults, retry)
+        alone = [request for sim, shard in zip(sims, shards)
+                 for request in sim.run(shard).requests]
+        assert _request_digest(alone) == self._fleet_digest(faults, retry)
+
+    def test_loop_choice_is_a_speed_choice_only(self, faults, retry):
+        """Forced through the min-clock loop that coupled fleets need,
+        an uncoupled fleet replays to the very same digest."""
+        sims, shards = self._replicas(faults, retry)
+        for sim, shard in zip(sims, shards):
+            sim.start(shard)
+        _co_simulate(sims, None, None, None)
+        interleaved = [request for sim in sims
+                       for request in sim.finish().requests]
+        assert (_request_digest(interleaved)
+                == self._fleet_digest(faults, retry))

@@ -237,6 +237,20 @@ class TestClusterFaultTolerance:
         assert all(r.state in (RequestState.FINISHED, RequestState.REJECTED)
                    for r in population)
 
+    def test_hedge_clone_may_tie_its_original_in_one_timeout_heap(self):
+        """benchmarks/perf README finding 2: on a loaded crash fleet a
+        failed-over original lands on its hedge clone's replica, where
+        both carry the same (deadline, req_id) — the timeout heap must
+        order the tie itself, never compare the requests."""
+        result = run_serving_cluster(
+            stream(n=600, rate=32.0, seed=0), "opt-1.3b", n_replicas=4,
+            allocator="caching", capacity=3 * GB,
+            kv_cache="paged?block_tokens=16", scheduler="memory-aware",
+            faults="replica-crash?mtbf_s=15&mttr_s=5",
+            retry="hedge?after_s=1")
+        assert sorted(r.req_id for r in result.requests) == list(range(600))
+        assert all(r.finished or r.rejected for r in result.requests)
+
     def test_fault_none_paths_are_identical(self):
         plain = run_serving_cluster(stream(n=120), "opt-1.3b", **CLUSTER)
         gated = run_fleet(n=120)        # explicit faults="none"/"none"
@@ -307,8 +321,7 @@ class FaultFleetMachine(RuleBasedStateMachine):
         self.requests = []
         self.next_id = 0
 
-    def _redispatch(self, request, ready_s, failover):
-        del failover
+    def _redispatch(self, request, ready_s):
         healthy = [i for i in range(self.N_REPLICAS)
                    if not self.calendar.down_at(i, ready_s)]
         pool = healthy or list(range(self.N_REPLICAS))
@@ -333,7 +346,7 @@ class FaultFleetMachine(RuleBasedStateMachine):
             req_id=self.next_id, arrival_s=now + gap_ms / 1000.0,
             prompt_tokens=prompt_blocks * 16, output_tokens=output)
         self.next_id += 1
-        self._redispatch(request, request.arrival_s, failover=False)
+        self._redispatch(request, request.arrival_s)
         self.requests.append(request)
 
     @rule(steps=st.integers(1, 12))
@@ -368,7 +381,9 @@ class FaultFleetMachine(RuleBasedStateMachine):
         while any(sim.busy for sim in self.sims):
             busy = [i for i in range(self.N_REPLICAS) if self.sims[i].busy]
             i = min(busy, key=lambda j: (self.sims[j].session.elapsed_s, j))
-            assert self.sims[i].tick(), "busy replica made no progress"
+            # A tick that retires the last work reports False itself.
+            assert self.sims[i].tick() or not self.sims[i].busy, \
+                "busy replica made no progress"
             guard += 1
             assert guard < 200_000, "fleet failed to drain"
         populations = [sim.finish().requests for sim in self.sims]

@@ -10,10 +10,14 @@ import dataclasses
 
 import pytest
 
-from repro.api import ExperimentSpec, ServingSpec, SpecError, run
+from repro.api import (
+    ExperimentSpec,
+    ServingSpec,
+    SpecError,
+    iter_components,
+    run,
+)
 from repro.serve import (
-    KV_CACHE_MODELS,
-    ChunkedKVCache,
     KVCacheSpec,
     PoissonArrivals,
     ServingConfig,
@@ -40,8 +44,8 @@ def churn_stream(n=40, rate=2.0, seed=1):
 class TestKVCacheSpec:
     def test_registry_names(self):
         assert kv_cache_names() == ["chunked", "paged", "paged-shared"]
-        for name, info in KV_CACHE_MODELS.items():
-            assert info.name == name
+        for info in iter_components("kv-cache"):
+            assert info.name in kv_cache_names()
             assert info.params
 
     def test_parse_round_trip(self):
@@ -287,26 +291,3 @@ class TestExperimentSpecIntegration:
         assert len(results) == 1
         assert results[0].extras()["kv_cache"] == "paged"
         assert results[0].extras()["completed"] == 10
-
-
-class TestLiveCatalogue:
-    def test_kv_cache_models_is_the_live_registry(self):
-        """Direct insertion into KV_CACHE_MODELS (the pre-registry
-        extension idiom) stays visible to the spec/lookup path."""
-        from repro.api.registry import ComponentInfo, Param
-        from repro.serve.kvcache import KV_CACHE_MODELS, get_kv_cache_info
-
-        info = ComponentInfo(
-            name="radix-test", cls=ChunkedKVCache, kind="kv-cache",
-            params=(Param("chunk_tokens", int, 256),),
-            description="live-catalogue test entry",
-        )
-        KV_CACHE_MODELS["radix-test"] = info
-        try:
-            assert get_kv_cache_info("radix-test") is info
-            spec = KVCacheSpec.parse("radix-test?chunk_tokens=64")
-            assert spec.params == {"chunk_tokens": 64}
-        finally:
-            del KV_CACHE_MODELS["radix-test"]
-        with pytest.raises(SpecError):
-            get_kv_cache_info("radix-test")

@@ -7,10 +7,15 @@ PCIe both ways, account ``swapped_bytes``, and never leak host-side
 ledger entries.
 """
 
+import warnings
+
 import pytest
 
 from repro.gpu.device import GpuDevice
+from repro.gpu.latency import LatencyModel
 from repro.serve import (
+    NvlinkInterconnect,
+    PcieInterconnect,
     PoissonArrivals,
     PreemptionSpec,
     RecomputePreemption,
@@ -64,7 +69,8 @@ class TestResolve:
         assert resolve_preemption(policy) is policy
 
     def test_spec_params(self):
-        policy = PreemptionSpec.parse("swap?gb_per_s=12").build()
+        with pytest.warns(DeprecationWarning, match="interconnect"):
+            policy = PreemptionSpec.parse("swap?gb_per_s=12").build()
         assert policy.pcie_gb_per_s == 12.0
 
     def test_rebind_rejected(self):
@@ -173,8 +179,8 @@ class TestSwap:
     def test_bandwidth_scales_transfer_cost(self):
         """Halving PCIe bandwidth makes the same swap traffic slower
         (a longer makespan) without changing what was moved."""
-        fast = _run("swap?pcie_gb_per_s=48")
-        slow = _run("swap?pcie_gb_per_s=2")
+        fast = _run("swap?interconnect=pcie?gb_per_s=48")
+        slow = _run("swap?interconnect=pcie?gb_per_s=2")
         assert fast.kv_metrics.swapped_bytes > 0
         assert slow.makespan_s > fast.makespan_s
 
@@ -189,3 +195,53 @@ class TestSwap:
         slow = latency.pcie_transfer(256 * MB, latency.pcie_gb_per_s / 2)
         fast = latency.pcie_transfer(256 * MB)
         assert (slow - base) == pytest.approx(2 * (fast - base))
+
+
+class TestSwapPcieParamShim:
+    """Swap's legacy ``pcie_*`` knobs fold into the interconnect kind."""
+
+    def test_legacy_params_warn_and_fold(self):
+        with pytest.warns(DeprecationWarning, match="interconnect"):
+            policy = SwapPreemption(pcie_gb_per_s=12.0, pcie_latency_us=5.0)
+        assert isinstance(policy.interconnect, PcieInterconnect)
+        assert policy.interconnect.gb_per_s == 12.0
+        assert policy.interconnect.latency_us == 5.0
+        # The legacy attributes survive for legacy readers.
+        assert policy.pcie_gb_per_s == 12.0
+        assert policy.pcie_latency_us == 5.0
+
+    def test_legacy_spec_string_warns_on_build(self):
+        with pytest.warns(DeprecationWarning, match="interconnect"):
+            policy = resolve_preemption("swap?pcie_gb_per_s=12")
+        assert policy.interconnect.gb_per_s == 12.0
+
+    def test_new_path_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy = resolve_preemption("swap?interconnect=pcie?gb_per_s=12")
+        assert isinstance(policy.interconnect, PcieInterconnect)
+        assert policy.interconnect.gb_per_s == 12.0
+
+    def test_legacy_and_explicit_link_conflict(self):
+        with pytest.warns(DeprecationWarning):
+            with pytest.raises(ValueError, match="not both"):
+                SwapPreemption(pcie_gb_per_s=12.0,
+                               interconnect=NvlinkInterconnect())
+
+    def test_legacy_pricing_is_byte_identical(self):
+        """The folded link prices exactly like the old inline formula
+        (and the bare default exactly like the device latency model)."""
+        latency = LatencyModel()
+        size = 1 << 30
+        with pytest.warns(DeprecationWarning):
+            policy = SwapPreemption(pcie_gb_per_s=12.0, pcie_latency_us=5.0)
+        assert policy.interconnect.transfer_us(size, latency) \
+            == 5.0 + size / (12.0 * (1 << 30)) * 1e6
+        bare = SwapPreemption()
+        assert bare.interconnect.transfer_us(size, latency) \
+            == latency.pcie_transfer(size)
+
+    def test_other_interconnects_plug_in(self):
+        policy = resolve_preemption("swap?interconnect=nvlink?gb_per_s=300")
+        assert isinstance(policy.interconnect, NvlinkInterconnect)
+        assert policy.interconnect.gb_per_s == 300.0

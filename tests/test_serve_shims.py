@@ -1,128 +1,9 @@
-"""The pre-registry scheduler entry points survive as deprecation shims.
-
-Mirrors the ``make_allocator`` / ``ALLOCATOR_FACTORIES`` shim coverage
-in ``test_sim_engine.py``: legacy callers keep working (same types,
-same ``KeyError`` on unknown names) while the canonical path is the
-kind-aware component registry.  Swap preemption's legacy PCIe
-parameters get the same treatment: they still work, warn, and price
-byte-identically to the ``interconnect`` component that replaced them.
-"""
-
-import warnings
+"""Swap preemption survives as a shim over the memory-tier subsystem."""
 
 import pytest
 
 from repro.gpu.latency import LatencyModel
-from repro.serve import (
-    SCHEDULER_FACTORIES,
-    FcfsScheduler,
-    MemoryAwareScheduler,
-    NvlinkInterconnect,
-    PcieInterconnect,
-    ShortestPromptScheduler,
-    SwapPreemption,
-    make_scheduler,
-    resolve_preemption,
-    resolve_scheduler,
-    scheduler_names,
-)
-
-
-class TestSchedulerFactoriesShim:
-    def test_mirrors_registry_with_aliases(self):
-        assert set(SCHEDULER_FACTORIES) == set(
-            scheduler_names(include_aliases=True))
-        assert SCHEDULER_FACTORIES["fcfs"] is FcfsScheduler
-        assert SCHEDULER_FACTORIES["memory-aware"] is MemoryAwareScheduler
-
-    def test_alias_maps_to_canonical_class(self):
-        assert SCHEDULER_FACTORIES["sjf"] is ShortestPromptScheduler
-        assert SCHEDULER_FACTORIES["sjf"] \
-            is SCHEDULER_FACTORIES["shortest-prompt"]
-
-    def test_entries_construct(self):
-        from repro.serve import Scheduler
-
-        for factory in SCHEDULER_FACTORIES.values():
-            assert isinstance(factory(), Scheduler)
-
-
-class TestMakeSchedulerShim:
-    def test_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="make_scheduler"):
-            scheduler = make_scheduler("fcfs")
-        assert isinstance(scheduler, FcfsScheduler)
-
-    def test_alias_resolves(self):
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_scheduler("sjf"), ShortestPromptScheduler)
-
-    def test_unknown_still_raises_keyerror(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                make_scheduler("priority-lottery")
-
-    def test_instance_passes_through(self):
-        scheduler = MemoryAwareScheduler(margin=2.0)
-        with pytest.warns(DeprecationWarning):
-            assert make_scheduler(scheduler) is scheduler
-
-    def test_spec_strings_reach_the_registry(self):
-        """The shim rides the same path as the canonical resolver."""
-        with pytest.warns(DeprecationWarning):
-            scheduler = make_scheduler("memory-aware?margin=1.5")
-        assert scheduler.margin == 1.5
-        assert resolve_scheduler("memory-aware?margin=1.5").margin == 1.5
-
-
-class TestSwapPcieParamShim:
-    """Swap's legacy ``pcie_*`` knobs fold into the interconnect kind."""
-
-    def test_legacy_params_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="interconnect"):
-            policy = SwapPreemption(pcie_gb_per_s=12.0, pcie_latency_us=5.0)
-        assert isinstance(policy.interconnect, PcieInterconnect)
-        assert policy.interconnect.gb_per_s == 12.0
-        assert policy.interconnect.latency_us == 5.0
-        # The legacy attributes survive for legacy readers.
-        assert policy.pcie_gb_per_s == 12.0
-        assert policy.pcie_latency_us == 5.0
-
-    def test_legacy_spec_string_warns_on_build(self):
-        with pytest.warns(DeprecationWarning, match="interconnect"):
-            policy = resolve_preemption("swap?pcie_gb_per_s=12")
-        assert policy.interconnect.gb_per_s == 12.0
-
-    def test_new_path_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            policy = resolve_preemption("swap?interconnect=pcie?gb_per_s=12")
-        assert isinstance(policy.interconnect, PcieInterconnect)
-        assert policy.interconnect.gb_per_s == 12.0
-
-    def test_legacy_and_explicit_link_conflict(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                SwapPreemption(pcie_gb_per_s=12.0,
-                               interconnect=NvlinkInterconnect())
-
-    def test_legacy_pricing_is_byte_identical(self):
-        """The folded link prices exactly like the old inline formula
-        (and the bare default exactly like the device latency model)."""
-        latency = LatencyModel()
-        size = 1 << 30
-        with pytest.warns(DeprecationWarning):
-            policy = SwapPreemption(pcie_gb_per_s=12.0, pcie_latency_us=5.0)
-        assert policy.interconnect.transfer_us(size, latency) \
-            == 5.0 + size / (12.0 * (1 << 30)) * 1e6
-        bare = SwapPreemption()
-        assert bare.interconnect.transfer_us(size, latency) \
-            == latency.pcie_transfer(size)
-
-    def test_other_interconnects_plug_in(self):
-        policy = resolve_preemption("swap?interconnect=nvlink?gb_per_s=300")
-        assert isinstance(policy.interconnect, NvlinkInterconnect)
-        assert policy.interconnect.gb_per_s == 300.0
+from repro.serve import SwapPreemption, resolve_preemption
 
 
 class TestSwapIsTieredShim:

@@ -2,16 +2,14 @@
 
 import pytest
 
-from repro.core import GMLakeConfig
+from repro.api import resolve_allocator
 from repro.gpu.device import GpuDevice
 from repro.sim import (
-    make_allocator,
     mem_reduction_ratio,
     render_timeline,
     run_trace,
     run_workload,
 )
-from repro.sim.engine import ALLOCATOR_FACTORIES, gmlake_factory
 from repro.sim.metrics import compare_results
 from repro.sim.timeline import TimelinePoint, downsample
 from repro.units import GB, MB
@@ -38,14 +36,14 @@ def tiny_trace():
 class TestRunTrace:
     def test_basic_replay(self):
         device = GpuDevice(capacity=1 * GB)
-        result = run_trace(make_allocator("caching", device), tiny_trace())
+        result = run_trace(resolve_allocator("caching", device), tiny_trace())
         assert result.iterations_completed == 2
         assert result.peak_active_bytes == 30 * MB
         assert not result.oom
 
     def test_compute_time_advances_clock(self):
         device = GpuDevice(capacity=1 * GB)
-        result = run_trace(make_allocator("caching", device), tiny_trace())
+        result = run_trace(resolve_allocator("caching", device), tiny_trace())
         assert result.total_time_s >= 0.002  # two 1 ms iterations
 
     def test_oom_is_recorded_not_raised(self):
@@ -55,7 +53,7 @@ class TestRunTrace:
         trace.alloc("huge", 64 * MB)
         trace.iter_end(0)
         trace.compute_us_per_iter = [1.0]
-        result = run_trace(make_allocator("gmlake", device), trace)
+        result = run_trace(resolve_allocator("gmlake", device), trace)
         assert result.oom
         assert result.oom_iteration == 0
         assert result.iterations_completed == 0
@@ -65,12 +63,12 @@ class TestRunTrace:
         trace = Trace()
         trace.free("ghost")
         with pytest.raises(ValueError):
-            run_trace(make_allocator("caching", device), trace)
+            run_trace(resolve_allocator("caching", device), trace)
 
     def test_timeline_recording(self):
         device = GpuDevice(capacity=1 * GB)
         result = run_trace(
-            make_allocator("caching", device), tiny_trace(),
+            resolve_allocator("caching", device), tiny_trace(),
             record_timeline=True, timeline_every=1,
         )
         assert len(result.timeline) >= 5
@@ -79,12 +77,12 @@ class TestRunTrace:
 
     def test_throughput_uses_steady_state(self):
         device = GpuDevice(capacity=1 * GB)
-        result = run_trace(make_allocator("caching", device), tiny_trace())
+        result = run_trace(resolve_allocator("caching", device), tiny_trace())
         assert result.throughput_samples_per_s > 0
 
     def test_utilization_properties(self):
         device = GpuDevice(capacity=1 * GB)
-        result = run_trace(make_allocator("caching", device), tiny_trace())
+        result = run_trace(resolve_allocator("caching", device), tiny_trace())
         assert 0.0 < result.utilization_ratio <= 1.0
         assert result.fragmentation_ratio == pytest.approx(
             1 - result.utilization_ratio
@@ -92,30 +90,8 @@ class TestRunTrace:
 
     def test_summary_line(self):
         device = GpuDevice(capacity=1 * GB)
-        result = run_trace(make_allocator("gmlake", device), tiny_trace())
+        result = run_trace(resolve_allocator("gmlake", device), tiny_trace())
         assert "gmlake" in result.summary()
-
-
-class TestFactories:
-    def test_known_names(self):
-        device = GpuDevice(capacity=64 * MB)
-        for name in ALLOCATOR_FACTORIES:
-            allocator = make_allocator(name, device if name == "caching"
-                                       else GpuDevice(capacity=64 * MB))
-            assert allocator.malloc(1 * MB)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError):
-            make_allocator("tcmalloc", GpuDevice(capacity=64 * MB))
-
-    def test_callable_factory_passthrough(self):
-        factory = gmlake_factory(GMLakeConfig(enable_stitch=False))
-        allocator = make_allocator(factory, GpuDevice(capacity=64 * MB))
-        assert allocator.config.enable_stitch is False
-
-    def test_pytorch_alias_is_caching(self):
-        allocator = make_allocator("pytorch", GpuDevice(capacity=64 * MB))
-        assert allocator.name == "caching"
 
 
 class TestRunWorkload:
@@ -141,8 +117,8 @@ class TestMetrics:
     def test_comparison_row(self):
         device_a = GpuDevice(capacity=1 * GB)
         device_b = GpuDevice(capacity=1 * GB)
-        base = run_trace(make_allocator("caching", device_a), tiny_trace())
-        gml = run_trace(make_allocator("gmlake", device_b), tiny_trace())
+        base = run_trace(resolve_allocator("caching", device_a), tiny_trace())
+        gml = run_trace(resolve_allocator("gmlake", device_b), tiny_trace())
         row = compare_results("tiny", base, gml)
         assert row.label == "tiny"
         assert isinstance(row.reserved_saving_gb, float)

@@ -1,10 +1,11 @@
 """Tests for trace serialization and the command-line interface."""
 
 import json
+import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _serve_spec_from, build_parser, main
 from repro.units import MB
 from repro.workloads import TrainingWorkload
 from repro.workloads.inference import ServingWorkload
@@ -167,6 +168,62 @@ class TestCli:
         code = main(["serve", "--arrival", "replay"])
         assert code == 2
         assert "--arrival-log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--gpus", "3"],
+        ["--disagg", "--prefill-replicas", "2", "--interconnect", "nvlink"],
+        ["--kv-cache", "paged?block_tokens=16", "--prefix-sharing",
+         "--tenants", "8", "--scheduler", "wfq"],
+        ["--kv-cache", "paged?block_tokens=16", "--max-batch", "32",
+         "--memory-tiers", "dram?gb=0.2,cxl?gb=16&gb_per_s=40"],
+    ], ids=["single", "gpus", "disagg", "prefix-sharing", "memory-tiers"])
+    def test_serve_flags_equal_run_on_the_spec_they_build(
+            self, flags, tmp_path, capsys):
+        """`repro serve <flags>` and `repro run --spec` on the spec
+        those flags build are one path: same report rows."""
+        argv = ["serve", "--model", "opt-1.3b", "--rate", "12",
+                "--requests", "40", "--allocator", "caching,gmlake",
+                "--capacity", "3500MB", *flags]
+        path = str(tmp_path / "spec.json")
+        _serve_spec_from(build_parser().parse_args(argv)).save(path)
+        assert main(argv) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert main(["run", "--spec", path]) == 0
+        extras = {
+            line.split(":")[0].strip(): dict(re.findall(r"(\w+)=([^,]+)", line))
+            for line in capsys.readouterr().out.splitlines()
+            if "completed=" in line}
+        header = [cell.strip() for cell in table[1].split("|")]
+        rows = [dict(zip(header, (cell.strip() for cell in line.split("|"))))
+                for line in table[3:5]]
+        assert [row["run"] for row in rows] == list(extras) \
+            == ["caching", "gmlake"]
+        for row in rows:
+            ran = extras[row["run"]]
+            assert (row["done"], row["rej"], row["preempt"]) == (
+                ran["completed"], ran["rejected"], ran["preemptions"])
+            assert float(row["goodput (req/s)"]) == float(ran["goodput_req_s"])
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--memory-tiers", "dram?gb=1", "--preemption", "swap"],
+         "memory_tiers"),
+        (["--disagg", "--gpus", "2"], "replicas"),
+        (["--autoscaler", "queue-depth?high=100&low=10"], "replicas"),
+        (["--prefix-sharing", "--kv-cache", "chunked?chunk_tokens=128"],
+         "prefix_sharing"),
+        (["--tenants", "4", "--arrivals", "poisson?rate=2"], "--tenants"),
+    ], ids=["tiers+swap", "disagg+gpus", "autoscaler-one-gpu",
+            "prefix-sharing-unpaged", "tenants+arrivals"])
+    def test_serve_misuse_exits_2_naming_the_field(
+            self, flags, field, monkeypatch, capsys):
+        """ServingSpec is the one validator: a flag combination it
+        rejects dies before any simulation runs."""
+        monkeypatch.setattr(
+            "repro.cli.run_experiment",
+            lambda spec: pytest.fail("a simulation ran"))
+        assert main(["serve", "--model", "opt-1.3b", *flags]) == 2
+        assert field in capsys.readouterr().err
 
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):
