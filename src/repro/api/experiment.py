@@ -113,7 +113,7 @@ class ServingSpec:
       empty, the legacy ``arrival`` + ``rate_per_s`` /
       ``burst_rate_per_s`` / ``mean_dwell_s`` fields are used instead;
     - ``preemption`` — what an OOM eviction does to the victim's KV
-      (``"recompute"``, ``"swap?pcie_gb_per_s=12"``);
+      (``"recompute"``, ``"swap?interconnect=pcie?gb_per_s=12"``);
     - ``autoscaler`` — the replica-count policy when ``replicas > 1``
       (``"none"``, ``"queue-depth?high=6000&low=800"``);
     - ``trace`` — an optional trace-export sink for the request
@@ -144,7 +144,7 @@ class ServingSpec:
     promotes back on first touch (see :mod:`repro.serve.memtier`);
     empty means no tiering and runs byte-identically to a spec
     predating the field.  Mutually exclusive with ``preemption:
-    "swap"`` — the hierarchy generalizes swap's single host hop.
+    "swap"``, whose single host hop the hierarchy already covers.
 
     ``prefix_sharing=True`` switches the paged KV model to its
     radix-trie prefix-sharing variant (``kv_cache: "paged"`` becomes
@@ -190,7 +190,10 @@ class ServingSpec:
         from repro.serve.autoscale import AutoscalerSpec
         from repro.serve.faults import FaultsSpec, RetrySpec
         from repro.serve.kvcache import KVCacheSpec
-        from repro.serve.preemption import PreemptionSpec
+        from repro.serve.preemption import (
+            PreemptionSpec,
+            check_tiers_exclude_swap,
+        )
         from repro.serve.scheduler import SchedulerSpec
 
         # Validate (and canonicalize) every component spec eagerly so a
@@ -228,12 +231,7 @@ class ServingSpec:
             object.__setattr__(
                 self, "memory_tiers",
                 ",".join(t.spec_string() for t in tiers))
-            if PreemptionSpec.parse(self.preemption).name == "swap":
-                raise SpecError(
-                    "memory_tiers generalizes swap preemption's single "
-                    "host hop; pass preemption: \"recompute\" (the "
-                    "default) with a tier hierarchy, or drop "
-                    "memory_tiers to keep legacy swap")
+            check_tiers_exclude_swap(self.preemption, self.memory_tiers)
         if self.gauge_every_s < 0:
             raise SpecError(
                 f"gauge_every_s must be >= 0, got {self.gauge_every_s}")

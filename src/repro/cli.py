@@ -12,9 +12,9 @@ serve            Online serving simulation with live admission control.
 microbench       Print the Figure 6 / Table 1 VMM latency tables.
 models           List the model registry.
 list-allocators  List the allocator registry with tunable parameters.
-list-components  List every registered component kind (allocators,
-                 KV caches, schedulers, arrivals, preemption policies,
-                 autoscalers, trace sinks) with tunable parameters.
+list-components  List every registered component kind with tunable
+                 parameters (``--kind`` narrows it; the command's help
+                 names the kinds).
 
 Anywhere a component is named, the full :class:`repro.api.ComponentSpec`
 mini-DSL works — ``gmlake?chunk_mb=512&stitching=off`` configures GMLake,
@@ -68,6 +68,7 @@ from repro.api import (
     SpecError,
     allocator_names,
     component_kinds,
+    component_names,
     expand_spec_points,
     iter_components,
     kind_label,
@@ -79,12 +80,7 @@ from repro.api import run as run_experiment
 from repro.errors import AllocatorError
 from repro.gpu.device import GpuDevice
 from repro.obs import TraceSpec
-from repro.serve import (
-    interconnect_names,
-    kv_cache_names,
-    memory_tier_names,
-    scheduler_names,
-)
+import repro.serve  # noqa: F401  (registers the serving component kinds)
 from repro.sim.engine import run_trace, run_workload
 from repro.units import GB, MB, parse_size
 from repro.workloads import MODELS, TrainingWorkload
@@ -598,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheduler", default="memory-aware",
                    help="admission scheduler spec, e.g. 'fcfs', "
                         "'memory-aware?margin=1.5' "
-                        f"(names: {scheduler_names()})")
+                        f"(names: {component_names('scheduler')})")
     p.add_argument("--arrivals", default="",
                    help="arrival process spec overriding --arrival/--rate, "
                         "e.g. 'poisson?rate=4', 'closed-loop?clients=8', "
@@ -606,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kv-cache", default="chunked",
                    help="KV-cache memory model spec, e.g. 'chunked', "
                         "'paged?block_tokens=16' "
-                        f"(names: {kv_cache_names()})")
+                        f"(names: {component_names('kv-cache')})")
     p.add_argument("--prefix-sharing", action="store_true",
                    help="share common prompt prefixes across requests "
                         "copy-on-write (switches --kv-cache to "
@@ -630,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'dram?gb=64,cxl?gb=256&gb_per_s=40,nvme' — cold "
                         "KV demotes down the hierarchy instead of being "
                         "recomputed "
-                        f"(names: {memory_tier_names()})")
+                        f"(names: {component_names('memory-tier')})")
     p.add_argument("--autoscaler", default="none",
                    help="replica autoscaler spec (multi-GPU or disagg): "
                         "'none' or 'queue-depth?high=4000&low=500' "
@@ -657,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interconnect spec pricing KV migration, e.g. "
                         "'pcie?gb_per_s=24' or 'nvlink?gb_per_s=300"
                         "&latency_us=1.5' "
-                        f"(names: {interconnect_names()})")
+                        f"(names: {component_names('interconnect')})")
     p.add_argument("--capacity", type=parse_size, default=80 * GB,
                    help="device memory per replica, e.g. 80GB")
     p.add_argument("--max-batch", type=int, default=16,
@@ -700,8 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list-components",
                        help="list every registered component kind "
-                            "(allocators, KV caches, schedulers, arrivals, "
-                            "preemption, autoscalers)")
+                            f"({', '.join(component_kinds())})")
     p.add_argument("--kind", action="append", default=None,
                    help="only this kind (e.g. scheduler, preemption); "
                         "repeatable")

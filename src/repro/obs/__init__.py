@@ -38,11 +38,8 @@ from repro.obs.trace import (
     ChromeTraceSink,
     JsonlTraceSink,
     TraceEvent,
-    TraceLike,
     TraceRecorder,
     TraceSpec,
-    resolve_trace_sink,
-    trace_sink_names,
     validate_chrome_trace,
 )
 
@@ -58,10 +55,7 @@ __all__ = [
     "SYSTEM_EVENT_KINDS",
     "TRACE_SINKS",
     "TraceEvent",
-    "TraceLike",
     "TraceRecorder",
     "TraceSpec",
-    "resolve_trace_sink",
-    "trace_sink_names",
     "validate_chrome_trace",
 ]

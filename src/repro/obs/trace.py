@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.allocators.base import Allocation, AllocatorObserver, BaseAllocator
 from repro.api.registry import (
     Param,
     SpecError,
-    component_names,
     register_component,
     register_kind,
 )
@@ -54,9 +53,6 @@ __all__ = [
     "ChromeTraceSink",
     "JsonlTraceSink",
     "TraceSpec",
-    "TraceLike",
-    "resolve_trace_sink",
-    "trace_sink_names",
     "validate_chrome_trace",
 ]
 
@@ -536,49 +532,3 @@ class TraceSpec(ComponentSpec):
         ``jsonl``, anything else → ``chrome``)."""
         name = "jsonl" if str(path).endswith(".jsonl") else "chrome"
         return cls(name, {"path": path})
-
-
-#: Anything accepted where a trace sink is named.
-TraceLike = Union[str, TraceSpec]
-
-
-def resolve_trace_sink(sink: TraceLike):
-    """Build a trace sink from a spec string or :class:`TraceSpec`."""
-    if isinstance(sink, TraceSpec):
-        return sink.build()
-    return TraceSpec.parse(sink).build()
-
-
-def trace_sink_names() -> List[str]:
-    """Registered trace-sink names."""
-    return component_names("trace")
-
-
-def trace_events_from_result(recorder: TraceRecorder,
-                             requests: Iterable,
-                             replica: int = 0) -> None:
-    """Backfill lifecycle events from final request timestamps.
-
-    For results produced *without* a live recorder (e.g. a finished
-    :class:`~repro.serve.simulator.ServingResult` someone wants to
-    visualize after the fact).  Mid-run detail (preemptions' exact
-    times) is not reconstructible — only terminal timestamps are —
-    so live recording is preferred; this is the lossy fallback.
-    """
-    for request in requests:
-        recorder.record("arrival", request.arrival_s,
-                        replica=replica, req_id=request.req_id)
-        if request.admitted_s is not None:
-            recorder.record("admit", request.admitted_s,
-                            replica=replica, req_id=request.req_id)
-        if request.first_token_s is not None:
-            recorder.record("first_token", request.first_token_s,
-                            replica=replica, req_id=request.req_id)
-        if request.finished_s is not None:
-            recorder.record("finish", request.finished_s,
-                            replica=replica, req_id=request.req_id,
-                            tokens=request.tokens_done)
-        if request.rejected_s is not None:
-            recorder.record("reject", request.rejected_s,
-                            replica=replica, req_id=request.req_id,
-                            reason=request.reject_reason)

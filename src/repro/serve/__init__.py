@@ -43,12 +43,14 @@ Layout
   ``allocator.stats()`` through the KV model's headroom — free-block
   counts under paged KV, reuse-aware under prefix sharing).
 - :mod:`repro.serve.preemption` — what an OOM eviction does to the
-  victim's KV: ``recompute`` (free + re-prefill) or ``swap`` (host
-  offload over a modeled interconnect).
+  victim's KV: ``recompute`` (free + re-prefill), ``swap`` (host
+  offload over a modeled interconnect), demotion into ``memory_tiers``
+  — one policy owning every off-device KV byte, disaggregated
+  migration included.
 - :mod:`repro.serve.memtier`    — tiered KV memory: host DRAM / CXL /
   NVMe offload targets below HBM (``memory-tier`` components), the
   hierarchy cold KV demotes into and promotes back from on first
-  touch; swap preemption is its degenerate two-tier case.
+  touch.
 - :mod:`repro.serve.autoscale`  — replica-count policies for the
   multi-replica front-end (``none`` / ``queue-depth``).
 - :mod:`repro.serve.interconnect` — modeled links (``pcie`` /
@@ -74,7 +76,6 @@ Quick start
 """
 
 from repro.serve.arrivals import (
-    ArrivalLike,
     ArrivalProcess,
     ArrivalSpec,
     ClosedLoopArrivals,
@@ -83,9 +84,7 @@ from repro.serve.arrivals import (
     MultiTenantArrivals,
     PoissonArrivals,
     ReplayArrivals,
-    arrival_names,
     load_arrival_log,
-    resolve_arrivals,
 )
 from repro.serve.autoscale import (
     Autoscaler,
@@ -93,7 +92,6 @@ from repro.serve.autoscale import (
     AutoscalerSpec,
     NoAutoscaler,
     QueueDepthAutoscaler,
-    autoscaler_names,
     resolve_autoscaler,
 )
 from repro.serve.cluster import (
@@ -118,10 +116,8 @@ from repro.serve.faults import (
     RetryPolicy,
     RetrySpec,
     StragglerFaults,
-    faults_names,
     resolve_faults,
     resolve_retry,
-    retry_names,
 )
 from repro.serve.interconnect import (
     Interconnect,
@@ -129,7 +125,6 @@ from repro.serve.interconnect import (
     InterconnectSpec,
     NvlinkInterconnect,
     PcieInterconnect,
-    interconnect_names,
     resolve_interconnect,
 )
 from repro.serve.kvcache import (
@@ -138,7 +133,6 @@ from repro.serve.kvcache import (
     KVCacheModel,
     KVCacheSpec,
     PagedKVCache,
-    kv_cache_names,
     resolve_kv_cache,
 )
 from repro.serve.memtier import (
@@ -151,7 +145,6 @@ from repro.serve.memtier import (
     MemoryTiersLike,
     NvmeTier,
     TierHierarchy,
-    memory_tier_names,
     parse_memory_tiers,
     resolve_memory_tiers,
 )
@@ -163,13 +156,10 @@ from repro.serve.metrics import (
     percentile,
 )
 from repro.serve.preemption import (
+    OffloadPreemption,
     PreemptionLike,
     PreemptionPolicy,
     PreemptionSpec,
-    RecomputePreemption,
-    SwapPreemption,
-    TieredPreemption,
-    preemption_names,
     resolve_preemption,
 )
 from repro.serve.request import RequestState, ServeRequest
@@ -184,7 +174,6 @@ from repro.serve.scheduler import (
     WeightedFairScheduler,
     parse_tenant_weights,
     resolve_scheduler,
-    scheduler_names,
 )
 from repro.serve.simulator import (
     ServingConfig,
@@ -194,7 +183,6 @@ from repro.serve.simulator import (
 )
 
 __all__ = [
-    "ArrivalLike",
     "ArrivalProcess",
     "ArrivalSpec",
     "ClosedLoopArrivals",
@@ -203,15 +191,12 @@ __all__ = [
     "MMPPArrivals",
     "MultiTenantArrivals",
     "ReplayArrivals",
-    "arrival_names",
     "load_arrival_log",
-    "resolve_arrivals",
     "Autoscaler",
     "AutoscalerLike",
     "AutoscalerSpec",
     "NoAutoscaler",
     "QueueDepthAutoscaler",
-    "autoscaler_names",
     "resolve_autoscaler",
     "RequestState",
     "ServeRequest",
@@ -222,15 +207,11 @@ __all__ = [
     "PagedKVCache",
     "SharedPagedKVCache",
     "PrefixTrie",
-    "kv_cache_names",
     "resolve_kv_cache",
+    "OffloadPreemption",
     "PreemptionLike",
     "PreemptionPolicy",
     "PreemptionSpec",
-    "RecomputePreemption",
-    "SwapPreemption",
-    "TieredPreemption",
-    "preemption_names",
     "resolve_preemption",
     "MEMORY_TIERS",
     "MemoryTier",
@@ -241,7 +222,6 @@ __all__ = [
     "CxlTier",
     "NvmeTier",
     "TierHierarchy",
-    "memory_tier_names",
     "parse_memory_tiers",
     "resolve_memory_tiers",
     "Scheduler",
@@ -254,7 +234,6 @@ __all__ = [
     "WeightedFairScheduler",
     "parse_tenant_weights",
     "resolve_scheduler",
-    "scheduler_names",
     "ServingConfig",
     "ServingSimulator",
     "ServingResult",
@@ -271,7 +250,6 @@ __all__ = [
     "InterconnectSpec",
     "PcieInterconnect",
     "NvlinkInterconnect",
-    "interconnect_names",
     "resolve_interconnect",
     "DisaggServingResult",
     "run_serving_disagg",
@@ -290,8 +268,6 @@ __all__ = [
     "NoRetry",
     "BudgetRetry",
     "HedgeRetry",
-    "faults_names",
-    "retry_names",
     "resolve_faults",
     "resolve_retry",
 ]

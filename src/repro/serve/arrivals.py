@@ -39,7 +39,6 @@ from typing import Any, ClassVar, Dict, List, Sequence, Union
 from repro.api.registry import (
     Param,
     SpecError,
-    component_names,
     register_component,
     register_kind,
 )
@@ -459,22 +458,6 @@ class ArrivalSpec(ComponentSpec):
     def build(self) -> ArrivalProcess:
         """Instantiate the configured arrival process."""
         return super().build()
-
-
-#: Anything the serving stack accepts where an arrival process is named.
-ArrivalLike = Union[str, ArrivalSpec, ArrivalProcess]
-
-
-def arrival_names(include_aliases: bool = False):
-    """Registered arrival-process names, optionally with aliases."""
-    return component_names("arrivals", include_aliases)
-
-
-def resolve_arrivals(kind: ArrivalLike) -> ArrivalProcess:
-    """Build an arrival process from a spec string, spec, or instance."""
-    if isinstance(kind, ArrivalProcess):
-        return kind
-    return ArrivalSpec.parse(kind).build()
 
 
 def load_arrival_log(path: Union[str, Path]) -> List[float]:

@@ -35,7 +35,6 @@ from typing import Any, ClassVar, Dict, Sequence, Union
 from repro.api.registry import (
     Param,
     SpecError,
-    component_names,
     register_component,
     register_kind,
 )
@@ -162,11 +161,6 @@ class AutoscalerSpec(ComponentSpec):
 
 #: Anything the serving stack accepts where an autoscaler is named.
 AutoscalerLike = Union[str, AutoscalerSpec, Autoscaler]
-
-
-def autoscaler_names(include_aliases: bool = False):
-    """Registered autoscaler names, optionally with aliases."""
-    return component_names("autoscaler", include_aliases)
 
 
 def resolve_autoscaler(kind: AutoscalerLike) -> Autoscaler:

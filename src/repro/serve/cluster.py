@@ -27,10 +27,11 @@ from repro.serve.autoscale import Autoscaler, AutoscalerLike, resolve_autoscaler
 from repro.serve.faults import (FaultModel, FaultsLike, RetryLike,
                                 resolve_faults, resolve_retry)
 from repro.serve.kvcache import KVCacheLike, KVCacheMetrics, KVCacheModel
+from repro.serve.memtier import MemoryTiersLike, TierHierarchy
 from repro.serve.metrics import ServingReport, ServingReportAccumulator, SloConfig
 from repro.serve.preemption import PreemptionLike, PreemptionPolicy
 from repro.serve.request import ServeRequest
-from repro.serve.scheduler import SchedulerLike
+from repro.serve.scheduler import Scheduler, SchedulerLike
 from repro.serve.simulator import ServingConfig, ServingResult, ServingSimulator
 from repro.sim.engine import AllocatorFactory
 from repro.units import A100_80GB
@@ -269,19 +270,7 @@ class FleetResult(WorstMemberRunResult):
             out["failed"] = failed
         merged = self.kv_metrics
         if merged is not None:
-            # No prefix-sharing keys here (the replica leaf has them):
-            # the benchmark digest pins this key set.
-            out["kv_internal_frag"] = round(merged.internal_frag_ratio, 3)
-            if merged.swapped_bytes:
-                out["swapped_mb"] = round(merged.swapped_bytes / (1 << 20), 1)
-            if merged.migrated_bytes:
-                out["migrated_mb"] = round(
-                    merged.migrated_bytes / (1 << 20), 1)
-            if merged.demoted_bytes:
-                out["demoted_mb"] = round(
-                    sum(merged.demoted_bytes.values()) / (1 << 20), 1)
-                out["promoted_mb"] = round(
-                    sum(merged.promoted_bytes.values()) / (1 << 20), 1)
+            out.update(merged.extras(per_replica=False))
         return out
 
     def _sketch_populations(self) -> List[List[ServeRequest]]:
@@ -488,21 +477,25 @@ def _co_simulate(
 
 
 def check_per_replica_specs(kv_cache: KVCacheLike,
-                            preemption: PreemptionLike) -> None:
-    """Fleets build one KV model and one preemption policy per replica,
-    so both must arrive as specs, never as live instances."""
-    if isinstance(kv_cache, KVCacheModel):
-        raise ValueError(
-            "pass kv_cache as a spec string or KVCacheSpec so each "
-            "replica builds its own model (a shared instance would mix "
-            "block tables across replicas)"
-        )
-    if isinstance(preemption, PreemptionPolicy):
-        raise ValueError(
-            "pass preemption as a spec string or PreemptionSpec so each "
-            "replica builds its own policy (a shared instance would mix "
-            "swap ledgers across replicas)"
-        )
+                            preemption: PreemptionLike,
+                            scheduler: SchedulerLike,
+                            memory_tiers: MemoryTiersLike) -> None:
+    """Fleets build one KV model, preemption policy, scheduler and tier
+    hierarchy per replica, so each must arrive as a spec, never as a
+    live instance."""
+    for what, value, live, noun, mixes in (
+        ("kv_cache", kv_cache, KVCacheModel, "model", "block tables"),
+        ("preemption", preemption, PreemptionPolicy, "policy",
+         "parked-KV tables"),
+        ("scheduler", scheduler, Scheduler, "scheduler", "virtual times"),
+        ("memory_tiers", memory_tiers, TierHierarchy, "hierarchy",
+         "residency ledgers and clocks"),
+    ):
+        if isinstance(value, live):
+            raise ValueError(
+                f"pass {what} as a spec string or spec object so each "
+                f"replica builds its own {noun} (a shared instance would "
+                f"mix {mixes} across replicas)")
 
 
 def run_fleet(
@@ -571,7 +564,7 @@ def run_serving_cluster(
     fleets whose replicas are co-simulated on interleaved clocks; every
     other fleet is drained replica by replica (see :func:`run_fleet`).
     """
-    check_per_replica_specs(kv_cache, preemption)
+    check_per_replica_specs(kv_cache, preemption, scheduler, memory_tiers)
     model = get_model(model) if isinstance(model, str) else model
     config = config if config is not None else ServingConfig()
     scaler = resolve_autoscaler(autoscaler)

@@ -35,7 +35,7 @@ replicas ``P..P+D-1``, so one trace shows the whole topology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.spec import AllocatorLike
 from repro.obs.gauges import GaugeSampler
@@ -53,17 +53,9 @@ from repro.serve.faults import (
     resolve_faults,
     resolve_retry,
 )
-from repro.serve.interconnect import (
-    Interconnect,
-    InterconnectLike,
-    resolve_interconnect,
-)
+from repro.serve.interconnect import InterconnectLike, resolve_interconnect
 from repro.serve.kvcache import KVCacheLike
-from repro.serve.preemption import (
-    PreemptionLike,
-    PreemptionPolicy,
-    resolve_preemption,
-)
+from repro.serve.preemption import PreemptionLike
 from repro.serve.request import ServeRequest
 from repro.serve.scheduler import SchedulerLike
 from repro.serve.simulator import (
@@ -76,97 +68,6 @@ from repro.units import A100_80GB
 from repro.workloads.models import ModelSpec, get_model
 
 __all__ = ["DisaggServingResult", "run_serving_disagg"]
-
-
-class _PrefillSimulator(ServingSimulator):
-    """A prefill-fleet replica: one-token clones, KV exported at finish.
-
-    A prefill clone (``output_tokens == 1``) completes entirely inside
-    admission — it is never decoded and never preempted — so the only
-    hook this subclass needs is the finish transition, where the KV it
-    just built leaves for the decode fleet instead of simply being
-    freed.
-    """
-
-    def __init__(self, *args, interconnect: Interconnect,
-                 needs_decode: Set[int], exported: Dict[int, int],
-                 **kwargs):
-        super().__init__(*args, **kwargs)
-        self._interconnect = interconnect
-        self._needs_decode = needs_decode
-        self._exported = exported
-
-    def _finish(self, request: ServeRequest,
-                running: List[ServeRequest]) -> None:
-        if request.req_id in self._needs_decode:
-            held = self.kv.held_bytes(request)
-            transfer_us = self._interconnect.transfer_us(
-                held, self.device.latency)
-            if self.trace is not None:
-                self.trace.request_event(
-                    "migrate_out", request, self._now(),
-                    us=transfer_us, bytes=held)
-            # The export reads the device copy, so the clock charge
-            # precedes the release in super()._finish — and the finish
-            # timestamp (the decode clone's arrival) lands after it.
-            self.session.advance(transfer_us)
-            self.kv.metrics.migrated_bytes += held
-            self._exported[request.req_id] = held
-        super()._finish(request, running)
-
-
-class _DecodeImportPolicy(PreemptionPolicy):
-    """Per-replica preemption wrapper that imports migrated KV.
-
-    The decode replica's first admission of a request must land its
-    migrated KV bytes instead of running a prefill — which is exactly
-    the :meth:`restore_us` hook.  Every other decision (victim choice,
-    eviction cost, re-admission after a *local* preemption) delegates
-    to a fresh instance of the user's configured policy, so decode
-    replicas preempt exactly like colocated ones once the KV is home.
-    """
-
-    def __init__(self, inner: PreemptionPolicy,
-                 interconnect: Interconnect, imports: Dict[int, int]):
-        super().__init__()
-        self.inner = inner
-        self.name = inner.name
-        self._interconnect = interconnect
-        self._imports = imports
-
-    def bind(self, simulator) -> None:
-        super().bind(simulator)
-        self.inner.bind(simulator)
-
-    def select_victim(self, running: List[ServeRequest],
-                      request: ServeRequest) -> Optional[ServeRequest]:
-        return self.inner.select_victim(running, request)
-
-    def evict(self, request: ServeRequest, requeue: bool = True) -> None:
-        self.inner.evict(request, requeue=requeue)
-
-    def restore_us(self, request: ServeRequest, context: int) -> float:
-        held = self._imports.pop(request.req_id, None)
-        if held is None:
-            # Already imported once: this is a local re-admission
-            # (post-preemption), the inner policy's business.
-            return self.inner.restore_us(request, context)
-        sim = self._sim
-        transfer_us = self._interconnect.transfer_us(
-            held, sim.device.latency)
-        if sim.trace is not None:
-            sim.trace.request_event(
-                "migrate_in", request, sim.session.elapsed_s,
-                us=transfer_us, bytes=held)
-        sim.kv.metrics.migrated_bytes += held
-        return transfer_us
-
-    def forget(self, request: ServeRequest) -> None:
-        # Rejection before (or between) admissions rolls the parked
-        # bytes back: whatever is still on the wire's far side is
-        # dropped with the request, never leaked into a later run.
-        self._imports.pop(request.req_id, None)
-        self.inner.forget(request)
 
 
 @dataclass
@@ -301,7 +202,7 @@ def run_serving_disagg(
         raise ValueError(
             f"need at least one replica per fleet, got "
             f"{prefill_replicas} prefill / {decode_replicas} decode")
-    check_per_replica_specs(kv_cache, preemption)
+    check_per_replica_specs(kv_cache, preemption, scheduler, memory_tiers)
     model = get_model(model) if isinstance(model, str) else model
     config = config if config is not None else ServingConfig()
     fault_model = resolve_faults(faults)
@@ -311,8 +212,21 @@ def run_serving_disagg(
     originals = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
     by_id = {r.req_id: r for r in originals}
     needs_decode = {r.req_id for r in originals if r.output_tokens > 1}
-    #: req_id -> KV bytes in flight between the fleets.
-    in_flight: Dict[int, int] = {}
+    #: req_id -> KV bytes the prefill fleet shipped to the decode fleet.
+    exported: Dict[int, int] = {}
+
+    def fleet(first_id: int, size: int) -> List[ServingSimulator]:
+        return [
+            ServingSimulator(
+                model, allocator=allocator, capacity=capacity,
+                scheduler=scheduler, config=config,
+                replica_id=first_id + offset, kv_cache=kv_cache,
+                preemption=preemption, trace=trace, gauges=gauges,
+                faults=fault_model, retry=retry_policy,
+                memory_tiers=memory_tiers,
+            )
+            for offset in range(size)
+        ]
 
     # ---- phase 1: the prefill fleet ----------------------------------
     prefill_clones = [
@@ -330,21 +244,15 @@ def run_serving_disagg(
         interconnect_name=link.name,
         autoscaler_name=prefill_scaler.name,
     )
+    # A prefill clone (one output token) finishes inside admission, and
+    # the replica's preemption policy exports its KV at that moment.
     # Recovery is local on both fleets, so their replicas are
     # uncoupled: run_fleet drains each in replica order.
-    result.prefill_results = run_fleet([
-        _PrefillSimulator(
-            model, allocator=allocator, capacity=capacity,
-            scheduler=scheduler, config=config, replica_id=replica_id,
-            kv_cache=kv_cache, preemption=preemption, trace=trace,
-            gauges=gauges, faults=fault_model, retry=retry_policy,
-            memory_tiers=memory_tiers,
-            interconnect=link,
-            needs_decode=needs_decode, exported=in_flight,
-        )
-        for replica_id in range(prefill_replicas)
-    ], prefill_shards)
-    result.migrations = len(in_flight)
+    prefill_sims = fleet(0, prefill_replicas)
+    for sim in prefill_sims:
+        sim.preemption.export_on_finish(link, needs_decode, exported)
+    result.prefill_results = run_fleet(prefill_sims, prefill_shards)
+    result.migrations = len(exported)
 
     # ---- phase 2: the decode fleet -----------------------------------
     decode_clones = []
@@ -364,21 +272,16 @@ def run_serving_disagg(
         drain_tokens_per_s=config.decode_tokens_per_s,
         autoscaler=decode_scaler, gauges=gauges, trace=trace,
         fleet="decode")
-    result.decode_results = run_fleet([
-        ServingSimulator(
-            model, allocator=allocator, capacity=capacity,
-            scheduler=scheduler, config=config,
-            replica_id=prefill_replicas + offset,
-            kv_cache=kv_cache,
-            preemption=_DecodeImportPolicy(
-                resolve_preemption(preemption), link, in_flight),
-            trace=trace,
-            gauges=gauges, faults=fault_model, retry=retry_policy,
-            memory_tiers=memory_tiers,
-        )
-        for offset in range(decode_replicas)
-    ], decode_shards)
-    result.pending_imports = len(in_flight)
+    # Each decode replica's policy starts with its shard's migrated KV
+    # parked on the wire: first admission imports it, after which the
+    # replica preempts exactly like a colocated one.
+    decode_sims = fleet(prefill_replicas, decode_replicas)
+    for sim, shard in zip(decode_sims, decode_shards):
+        sim.preemption.expect_imports(
+            link, {clone.req_id: exported[clone.req_id] for clone in shard})
+    result.decode_results = run_fleet(decode_sims, decode_shards)
+    result.pending_imports = sum(sim.preemption.pending_imports
+                                 for sim in decode_sims)
 
     # ---- merge both phases back onto the originals -------------------
     prefill_by_id = {c.req_id: c for c in prefill_clones}

@@ -62,12 +62,11 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Iterator, Optional, Tuple, Union
 
 from repro.api.registry import (
     Param,
     SpecError,
-    component_names,
     register_component,
     register_kind,
 )
@@ -504,16 +503,6 @@ FaultsLike = Union[str, FaultsSpec, FaultModel]
 
 #: Anything the serving stack accepts where a retry policy is named.
 RetryLike = Union[str, RetrySpec, RetryPolicy]
-
-
-def faults_names(include_aliases: bool = False) -> List[str]:
-    """Registered fault-model names, optionally with aliases."""
-    return component_names("faults", include_aliases)
-
-
-def retry_names(include_aliases: bool = False) -> List[str]:
-    """Registered retry-policy names, optionally with aliases."""
-    return component_names("retry", include_aliases)
 
 
 def resolve_faults(kind: FaultsLike) -> FaultModel:

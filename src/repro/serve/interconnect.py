@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Union
+from typing import Any, ClassVar, Dict, Union
 
 from repro.api.registry import (
     Param,
     SpecError,
-    component_names,
     register_component,
     register_kind,
 )
@@ -174,11 +173,6 @@ class InterconnectSpec(ComponentSpec):
 
 #: Anything the serving stack accepts where an interconnect is named.
 InterconnectLike = Union[str, InterconnectSpec, Interconnect]
-
-
-def interconnect_names(include_aliases: bool = False) -> List[str]:
-    """Registered interconnect names, optionally with aliases."""
-    return component_names("interconnect", include_aliases)
 
 
 def resolve_interconnect(kind: InterconnectLike) -> Interconnect:

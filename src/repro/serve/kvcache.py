@@ -44,14 +44,12 @@ from repro.api.registry import (
     ComponentInfo,
     Param,
     SpecError,
-    component_names,
-    get_component_info,
     register_component,
     register_kind,
 )
 from repro.api.spec import ComponentSpec
 from repro.serve.request import ServeRequest
-from repro.units import align_up
+from repro.units import MB, align_up
 from repro.workloads.inference import kv_bytes
 from repro.workloads.models import ModelSpec
 
@@ -161,6 +159,36 @@ class KVCacheMetrics:
                     mine[key] = mine.get(key, 0) + value
             else:
                 setattr(self, spec.name, mine + theirs)
+
+    def extras(self, per_replica: bool) -> Dict[str, object]:
+        """The ledgers as result ``extras()`` keys (MB, rounded); the
+        byte ledgers appear only when something moved.
+
+        A fleet's merged metrics report without the prefix-sharing
+        keys and the per-tier split (``per_replica=False``): the
+        benchmark digest pins that key set.
+        """
+        def mb(size: float) -> float:
+            return round(size / MB, 1)
+
+        out: Dict[str, object] = {
+            "kv_internal_frag": round(self.internal_frag_ratio, 3)}
+        if self.swapped_bytes:
+            out["swapped_mb"] = mb(self.swapped_bytes)
+        if self.migrated_bytes:
+            out["migrated_mb"] = mb(self.migrated_bytes)
+        if per_replica and self.prefix_lookups:
+            out["prefix_hit_rate"] = round(self.prefix_hit_rate, 3)
+            out["shared_mb"] = mb(self.shared_bytes)
+            out["cow_copy_mb"] = mb(self.cow_copy_bytes)
+        if self.demoted_bytes:
+            out["demoted_mb"] = mb(sum(self.demoted_bytes.values()))
+            out["promoted_mb"] = mb(sum(self.promoted_bytes.values()))
+            if per_replica:
+                out["demoted_by_tier"] = {
+                    tier: mb(size)
+                    for tier, size in sorted(self.demoted_bytes.items())}
+        return out
 
     @property
     def block_utilization(self) -> float:
@@ -588,16 +616,6 @@ register_component(
     description="fixed-size blocks + per-request block tables "
                 "(cache-level defragmentation)",
 )(PagedKVCache)
-
-
-def kv_cache_names() -> List[str]:
-    """Registered KV-cache model names."""
-    return component_names("kv-cache")
-
-
-def get_kv_cache_info(name: str) -> ComponentInfo:
-    """Look up KV-cache registry metadata; raises :class:`SpecError`."""
-    return get_component_info("kv-cache", name)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ spec, or a :class:`~repro.serve.interconnect.PcieInterconnect` built
 from the tier's own ``gb_per_s`` / ``latency_us``) and charged to the
 simulated clock.  Swap preemption is the degenerate two-tier case: one
 unbounded DRAM tier over the host link (see
-:class:`repro.serve.preemption.SwapPreemption`).
+:mod:`repro.serve.preemption`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple, Union
 from repro.api.registry import (
     Param,
     SpecError,
-    component_names,
     register_component,
     register_kind,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "MemoryTierLike",
     "MemoryTiersLike",
     "MEMORY_TIERS",
-    "memory_tier_names",
     "parse_memory_tiers",
     "resolve_memory_tiers",
 ]
@@ -79,7 +77,7 @@ MEMORY_TIERS = register_kind("memory-tier", label="memory tier")
 class MemoryTier:
     """One slow-memory level below the device's HBM.
 
-    ``gb == 0`` means unbounded capacity (the sentinel the swap shim's
+    ``gb == 0`` means unbounded capacity (the sentinel swap preemption's
     host tier uses — host memory is not modeled as scarce).  The tier's
     transfer pricing comes from an explicit ``link`` interconnect spec,
     or — when ``link`` is empty — a :class:`PcieInterconnect` built
@@ -387,11 +385,6 @@ class TierHierarchy:
             "kv_tier", t_s, replica=self._replica,
             **{label: round(used / (1 << 20), 3)
                for label, used in self.used_bytes.items()})
-
-
-def memory_tier_names(include_aliases: bool = False) -> List[str]:
-    """Registered memory-tier names, optionally with aliases."""
-    return component_names("memory-tier", include_aliases)
 
 
 def parse_memory_tiers(text: str) -> List[MemoryTierSpec]:

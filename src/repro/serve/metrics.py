@@ -28,13 +28,13 @@ an aborted stream delivered nothing the client could finish reading.
 
 Streaming aggregation
 ---------------------
-``from_requests(streaming=True)`` (and
-:class:`ServingReportAccumulator` directly) replaces the
-store-everything percentile lists with mergeable
-:class:`~repro.obs.sketch.QuantileSketch` t-digests: constant memory
-per replica, and fleet-level reports merge sketches instead of
-concatenating sample lists.  The default (non-streaming) path is
-byte-identical to the historical implementation.
+Every report is materialized by one :class:`ServingReportAccumulator`;
+what differs is where it keeps the latency samples.  The default keeps
+them all (exact means and interpolated percentiles — the tests'
+reference).  ``from_requests(streaming=True)`` keeps running sums and
+mergeable :class:`~repro.obs.sketch.QuantileSketch` t-digests instead:
+constant memory per replica, and fleet-level reports merge sketches
+instead of concatenating sample lists.
 """
 
 from __future__ import annotations
@@ -197,81 +197,18 @@ class ServingReport:
     ) -> "ServingReport":
         """Aggregate a request population into one report.
 
-        ``streaming=True`` routes through
-        :class:`ServingReportAccumulator`: percentiles come from
-        constant-memory t-digest sketches instead of sorted sample
-        lists (within the sketch's rank tolerance of exact; every
-        counter and mean is exact either way).
+        Both answers come from one :class:`ServingReportAccumulator`:
+        by default it keeps every sample (exact means and percentiles,
+        the reference); ``streaming=True`` keeps running sums and
+        constant-memory t-digest sketches instead (percentiles within
+        the sketch's rank tolerance of exact, every counter exact).
         """
-        slo = slo if slo is not None else SloConfig()
-        if streaming:
-            acc = ServingReportAccumulator(slo)
-            for request in requests:
-                acc.observe(request)
-            return acc.report(makespan_s, utilization=utilization,
-                              peak_reserved_gb=peak_reserved_gb,
-                              migrated_mb=migrated_mb)
-        population: List[ServeRequest] = list(requests)
-        done = [r for r in population if r.finished]
-        failed = sum(1 for r in population
-                     if r.rejected and r.reject_reason == "failed")
-        ttfts = [r.ttft_s for r in done if r.ttft_s is not None]
-        tpots = [r.tpot_s for r in done if r.tpot_s is not None]
-        latencies = [r.latency_s for r in done if r.latency_s is not None]
-        slo_met = sum(1 for r in done if slo.met_by(r))
-        span = max(makespan_s, 1e-9)
-        tokens_out = sum(r.tokens_done for r in done)
-        output_tokens = sum(r.tokens_done for r in population)
-        on_time = sum(slo.tokens_on_time(r) for r in done)
-        # Means before sorting: the in-place sort below would reorder
-        # the float sums and drift the historical (golden) values.
-        mean_ttft = sum(ttfts) / len(ttfts) if ttfts else 0.0
-        mean_tpot = sum(tpots) / len(tpots) if tpots else 0.0
-        prefill_waits = [r.prefill_wait_s for r in population
-                         if r.prefill_wait_s is not None]
-        decode_waits = [r.decode_wait_s for r in population
-                        if r.decode_wait_s is not None]
-        mean_prefill_wait = (sum(prefill_waits) / len(prefill_waits)
-                             if prefill_waits else 0.0)
-        mean_decode_wait = (sum(decode_waits) / len(decode_waits)
-                            if decode_waits else 0.0)
-        ttfts.sort()
-        latencies.sort()
-        return cls(
-            n_requests=len(population),
-            completed=len(done),
-            rejected=sum(1 for r in population if r.rejected),
-            timed_out=sum(1 for r in population
-                          if r.rejected and r.reject_reason == "timeout"),
-            preemptions=sum(r.preemptions for r in population),
-            makespan_s=makespan_s,
-            mean_ttft_s=mean_ttft,
-            p50_ttft_s=percentile(ttfts, 50, presorted=True),
-            p99_ttft_s=percentile(ttfts, 99, presorted=True),
-            mean_tpot_s=mean_tpot,
-            p50_latency_s=percentile(latencies, 50, presorted=True),
-            p95_latency_s=percentile(latencies, 95, presorted=True),
-            p99_latency_s=percentile(latencies, 99, presorted=True),
-            throughput_req_s=len(done) / span,
-            goodput_req_s=slo_met / span,
-            slo_attainment=slo_met / len(population) if population else 0.0,
-            tokens_per_s=tokens_out / span,
-            utilization=utilization,
-            peak_reserved_gb=peak_reserved_gb,
-            output_tokens=output_tokens,
-            on_time_tokens=on_time,
-            token_slo_attainment=(on_time / output_tokens
-                                  if output_tokens else 0.0),
-            token_goodput_tok_s=on_time / span,
-            migrated_mb=migrated_mb,
-            prefill_wait_s=mean_prefill_wait,
-            decode_wait_s=mean_decode_wait,
-            retries=sum(r.retries for r in population),
-            failed=failed,
-            availability=((len(population) - failed) / len(population)
-                          if population else 1.0),
-            failed_req_s=failed / span,
-        )
+        acc = ServingReportAccumulator(slo, exact=not streaming)
+        for request in requests:
+            acc.observe(request)
+        return acc.report(makespan_s, utilization=utilization,
+                          peak_reserved_gb=peak_reserved_gb,
+                          migrated_mb=migrated_mb)
 
     # ------------------------------------------------------------------
     def as_row(self) -> dict:
@@ -312,20 +249,75 @@ class ServingReport:
         )
 
 
+class _ExactSamples:
+    """Every sample kept, in arrival order: the reference answers."""
+
+    def __init__(self):
+        self.values: List[float] = []
+
+    def add(self, value: float) -> None:
+        self.values.append(value)
+
+    def merge(self, other: "_ExactSamples") -> None:
+        self.values.extend(other.values)
+
+    def mean(self) -> float:
+        # One sum() over the kept samples, not a running ``+=``: on
+        # Python >= 3.12 sum() is compensated and the two differ.
+        return sum(self.values) / len(self.values) if self.values else 0.0
+
+    def quantiles(self, *qs: float) -> List[float]:
+        ordered = sorted(self.values)
+        return [percentile(ordered, q, presorted=True) for q in qs]
+
+
+class _StreamedSamples:
+    """Running sum and count, plus a t-digest when percentiles are
+    wanted (``compression > 0``): constant memory, mergeable."""
+
+    def __init__(self, compression: int = 0):
+        self.total = 0.0
+        self.count = 0
+        self.sketch = QuantileSketch(compression) if compression else None
+
+    def add(self, value: float) -> None:
+        self.total += value
+        self.count += 1
+        if self.sketch is not None:
+            self.sketch.add(value)
+
+    def merge(self, other: "_StreamedSamples") -> None:
+        self.total += other.total
+        self.count += other.count
+        if self.sketch is not None:
+            self.sketch.merge(other.sketch)
+
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def quantiles(self, *qs: float) -> List[float]:
+        return [self.sketch.quantile(q) for q in qs]
+
+
 class ServingReportAccumulator:
-    """Constant-memory, mergeable aggregation of request lifecycles.
+    """Mergeable aggregation of request lifecycles into a report.
 
     Feed finished populations through :meth:`observe`, combine
-    replicas with :meth:`merge` (sketches merge, counters add — no raw
-    sample ever crosses the replica boundary), and materialize a
-    :class:`ServingReport` with :meth:`report`.  Counters and means
-    are exact (the same left-to-right float sums the list path
-    computes); percentiles carry the t-digest's rank tolerance.
+    replicas with :meth:`merge` and materialize a
+    :class:`ServingReport` with :meth:`report`.  Counters are exact.
+    The latency samples go to one of two stores: by default running
+    sums and t-digest sketches (constant memory; sketches merge, no
+    raw sample crosses the replica boundary; percentiles carry the
+    t-digest's rank tolerance), with ``exact=True`` the samples
+    themselves (exact means and interpolated percentiles — what
+    :meth:`ServingReport.from_requests` reports unless asked to
+    stream).
     """
 
     def __init__(self, slo: Optional[SloConfig] = None,
-                 compression: int = 200):
+                 compression: int = 200, exact: bool = False):
         self.slo = slo if slo is not None else SloConfig()
+        self.exact = exact
         self.n = 0
         self.completed = 0
         self.rejected = 0
@@ -337,16 +329,17 @@ class ServingReportAccumulator:
         self.tokens_out = 0
         self.output_tokens = 0
         self.on_time_tokens = 0
-        self._ttft_sum = 0.0
-        self._ttft_n = 0
-        self._tpot_sum = 0.0
-        self._tpot_n = 0
-        self._prefill_wait_sum = 0.0
-        self._prefill_wait_n = 0
-        self._decode_wait_sum = 0.0
-        self._decode_wait_n = 0
-        self.ttft_sketch = QuantileSketch(compression)
-        self.latency_sketch = QuantileSketch(compression)
+
+        def store(percentiles: bool = False):
+            if exact:
+                return _ExactSamples()
+            return _StreamedSamples(compression if percentiles else 0)
+
+        self.ttft = store(percentiles=True)
+        self.latency = store(percentiles=True)
+        self.tpot = store()
+        self.prefill_wait = store()
+        self.decode_wait = store()
 
     # ------------------------------------------------------------------
     def observe(self, request: ServeRequest) -> None:
@@ -356,11 +349,9 @@ class ServingReportAccumulator:
         self.retries += request.retries
         self.output_tokens += request.tokens_done
         if request.prefill_wait_s is not None:
-            self._prefill_wait_sum += request.prefill_wait_s
-            self._prefill_wait_n += 1
+            self.prefill_wait.add(request.prefill_wait_s)
         if request.decode_wait_s is not None:
-            self._decode_wait_sum += request.decode_wait_s
-            self._decode_wait_n += 1
+            self.decode_wait.add(request.decode_wait_s)
         if request.rejected:
             self.rejected += 1
             if request.reject_reason == "timeout":
@@ -376,23 +367,22 @@ class ServingReportAccumulator:
         self.on_time_tokens += self.slo.tokens_on_time(request)
         ttft = request.ttft_s
         if ttft is not None:
-            self._ttft_sum += ttft
-            self._ttft_n += 1
-            self.ttft_sketch.add(ttft)
+            self.ttft.add(ttft)
         tpot = request.tpot_s
         if tpot is not None:
-            self._tpot_sum += tpot
-            self._tpot_n += 1
+            self.tpot.add(tpot)
         latency = request.latency_s
         if latency is not None:
-            self.latency_sketch.add(latency)
+            self.latency.add(latency)
 
     def merge(self, other: "ServingReportAccumulator") -> "ServingReportAccumulator":
-        """Fold ``other`` (same SLO) into this accumulator in place."""
-        if other.slo != self.slo:
+        """Fold ``other`` (same SLO, same sample store) into this
+        accumulator in place."""
+        if other.slo != self.slo or other.exact != self.exact:
             raise ValueError(
-                f"cannot merge accumulators with different SLOs "
-                f"({self.slo} vs {other.slo})")
+                f"cannot merge accumulators with different SLOs or "
+                f"sample stores ({self.slo}, exact={self.exact} vs "
+                f"{other.slo}, exact={other.exact})")
         self.n += other.n
         self.completed += other.completed
         self.rejected += other.rejected
@@ -404,16 +394,9 @@ class ServingReportAccumulator:
         self.tokens_out += other.tokens_out
         self.output_tokens += other.output_tokens
         self.on_time_tokens += other.on_time_tokens
-        self._ttft_sum += other._ttft_sum
-        self._ttft_n += other._ttft_n
-        self._tpot_sum += other._tpot_sum
-        self._tpot_n += other._tpot_n
-        self._prefill_wait_sum += other._prefill_wait_sum
-        self._prefill_wait_n += other._prefill_wait_n
-        self._decode_wait_sum += other._decode_wait_sum
-        self._decode_wait_n += other._decode_wait_n
-        self.ttft_sketch.merge(other.ttft_sketch)
-        self.latency_sketch.merge(other.latency_sketch)
+        for name in ("ttft", "latency", "tpot", "prefill_wait",
+                     "decode_wait"):
+            getattr(self, name).merge(getattr(other, name))
         return self
 
     # ------------------------------------------------------------------
@@ -422,6 +405,9 @@ class ServingReportAccumulator:
                migrated_mb: float = 0.0) -> ServingReport:
         """Materialize the accumulated state as a report."""
         span = max(makespan_s, 1e-9)
+        p50_ttft, p99_ttft = self.ttft.quantiles(50, 99)
+        p50_latency, p95_latency, p99_latency = self.latency.quantiles(
+            50, 95, 99)
         return ServingReport(
             n_requests=self.n,
             completed=self.completed,
@@ -429,15 +415,13 @@ class ServingReportAccumulator:
             timed_out=self.timed_out,
             preemptions=self.preemptions,
             makespan_s=makespan_s,
-            mean_ttft_s=(self._ttft_sum / self._ttft_n
-                         if self._ttft_n else 0.0),
-            p50_ttft_s=self.ttft_sketch.quantile(50),
-            p99_ttft_s=self.ttft_sketch.quantile(99),
-            mean_tpot_s=(self._tpot_sum / self._tpot_n
-                         if self._tpot_n else 0.0),
-            p50_latency_s=self.latency_sketch.quantile(50),
-            p95_latency_s=self.latency_sketch.quantile(95),
-            p99_latency_s=self.latency_sketch.quantile(99),
+            mean_ttft_s=self.ttft.mean(),
+            p50_ttft_s=p50_ttft,
+            p99_ttft_s=p99_ttft,
+            mean_tpot_s=self.tpot.mean(),
+            p50_latency_s=p50_latency,
+            p95_latency_s=p95_latency,
+            p99_latency_s=p99_latency,
             throughput_req_s=self.completed / span,
             goodput_req_s=self.slo_met / span,
             slo_attainment=self.slo_met / self.n if self.n else 0.0,
@@ -450,14 +434,12 @@ class ServingReportAccumulator:
                                   if self.output_tokens else 0.0),
             token_goodput_tok_s=self.on_time_tokens / span,
             migrated_mb=migrated_mb,
-            prefill_wait_s=(self._prefill_wait_sum / self._prefill_wait_n
-                            if self._prefill_wait_n else 0.0),
-            decode_wait_s=(self._decode_wait_sum / self._decode_wait_n
-                           if self._decode_wait_n else 0.0),
+            prefill_wait_s=self.prefill_wait.mean(),
+            decode_wait_s=self.decode_wait.mean(),
             retries=self.retries,
             failed=self.failed,
             availability=((self.n - self.failed) / self.n
                           if self.n else 1.0),
             failed_req_s=self.failed / span,
-            streaming=True,
+            streaming=not self.exact,
         )

@@ -1,33 +1,37 @@
 """Preemption policies: what happens when the KV cache cannot grow.
 
 When a decode step needs KV memory the allocator cannot provide, the
-simulator evicts a victim request.  *How* the victim's KV is handled —
-and what it costs to bring the request back — is the preemption
-policy, registered under the ``preemption`` component kind and named
-by the same ``"name?key=value"`` mini-DSL as allocators:
+simulator evicts a victim request.  *How* the victim's KV leaves the
+device — and what it costs to bring the request back — is the
+preemption policy, registered under the ``preemption`` component kind
+and named by the same ``"name?key=value"`` mini-DSL as allocators.
+
+There is one concrete policy, :class:`OffloadPreemption`, which owns
+the single table of off-device KV (``req_id -> where the bytes are,
+how many``).  The configurations the serving stack offers are four
+constructions of it (the table in ``docs/memory_tiers.md`` spells out
+where evicted KV goes, what restore costs and which
+:class:`~repro.serve.kvcache.KVCacheMetrics` ledger is written):
 
 ``recompute``
-    vLLM-style recompute preemption (the default, and the behaviour
-    the serving simulator always had): the victim's KV is freed
-    outright and rebuilt on re-admission by re-running prefill over
-    the full context (prompt plus already-generated tokens).  Cheap to
-    evict, pays GPU compute to restore.
-
+    No tiers (the default): the victim's KV is freed outright and
+    rebuilt on re-admission by re-running prefill over the full
+    context, vLLM-style.
 ``swap``
-    Host-offload preemption: the victim's KV is copied to host memory
-    before the device copy is freed, and copied back on re-admission
-    instead of being recomputed.  Both transfers are priced by an
-    :class:`~repro.serve.interconnect.Interconnect` (the ``pcie``
-    link by default, which defers to the device's
-    :class:`~repro.gpu.latency.LatencyModel`) and accounted as
-    ``swapped_bytes`` in
-    :class:`~repro.serve.kvcache.KVCacheMetrics`.  Eviction costs
-    link time up front, but restoration is bandwidth-bound instead of
-    compute-bound — the classic trade serving stacks tune.  The
-    legacy ``pcie_gb_per_s`` / ``pcie_latency_us`` parameters still
-    work behind a :class:`DeprecationWarning` shim; new configs name
-    the link via ``interconnect`` (e.g.
-    ``"swap?interconnect=pcie?gb_per_s=12"``).
+    One private, unbounded host-DRAM tier priced by the ``interconnect``
+    parameter (``pcie`` by default, e.g.
+    ``"swap?interconnect=pcie?gb_per_s=12"``), ledger ``swapped_bytes``.
+``tiered``
+    ``recompute`` on a replica that has a ``memory_tiers`` hierarchy:
+    victims demote into it, per-tier ``demoted_bytes`` /
+    ``promoted_bytes`` ledgers.  A full hierarchy degrades to
+    ``recompute`` victim by victim.
+disaggregated import / export
+    Any of the above on a prefill replica exports finished KV over the
+    fleet's link (:meth:`OffloadPreemption.export_on_finish`); on a
+    decode replica the migrated bytes start parked *on the wire*
+    (:meth:`OffloadPreemption.expect_imports`), ledger
+    ``migrated_bytes`` on both ends.
 
 The *victim selection* (youngest other running request loses its slot
 first) and the queue bookkeeping (requeue, ``max_preemptions``,
@@ -37,26 +41,24 @@ KV bytes and the restore cost.
 
 from __future__ import annotations
 
-import warnings
-from abc import ABC
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Union
+from typing import Any, ClassVar, Dict, List, Optional, Set, Tuple, Union
 
 from repro.api.registry import (
     Param,
     SpecError,
-    component_names,
     register_component,
     register_kind,
 )
 from repro.api.spec import ComponentSpec
 from repro.serve.interconnect import (
+    Interconnect,
     InterconnectLike,
     InterconnectSpec,
-    PcieInterconnect,
     resolve_interconnect,
 )
-from repro.serve.memtier import DramTier, TierHierarchy
+from repro.serve.memtier import DramTier, MemoryTiersLike, TierHierarchy
 from repro.serve.request import ServeRequest
 
 register_kind("preemption", label="preemption policy")
@@ -65,10 +67,9 @@ register_kind("preemption", label="preemption policy")
 class PreemptionPolicy(ABC):
     """How a preempted request's KV leaves the device and comes back.
 
-    A policy instance carries per-run state (e.g. the swap policy's
-    host-side ledger), so — like a
-    :class:`~repro.serve.kvcache.KVCacheModel` — it binds to exactly
-    one simulator.
+    A policy instance carries per-run state (the off-device KV table),
+    so — like a :class:`~repro.serve.kvcache.KVCacheModel` — it binds
+    to exactly one simulator.
     """
 
     name: str = "preemption"
@@ -101,19 +102,17 @@ class PreemptionPolicy(ABC):
                 return candidate
         return None
 
+    @abstractmethod
     def evict(self, request: ServeRequest, requeue: bool = True) -> None:
         """Release the victim's KV (charging any offload cost).
 
         ``requeue`` is ``False`` when the simulator already knows the
         victim will be rejected (preemption budget exhausted) — an
         offloading policy must not pay to preserve KV that can never
-        be restored.  The recompute default ignores it: the discarded
-        KV is noted either way, matching the simulator's original
-        (golden-pinned) accounting.
+        be restored.
         """
-        del requeue
-        self._sim.kv.release(request, preempted=True)
 
+    @abstractmethod
     def restore_us(self, request: ServeRequest, context: int) -> float:
         """Microseconds to make an admitted request decode-ready.
 
@@ -122,71 +121,114 @@ class PreemptionPolicy(ABC):
         preempted one it is whatever the policy needs to rebuild the
         KV contents (recompute prefill, swap-in transfer, ...).
         """
-        return context / self._sim.config.prefill_tokens_per_s * 1e6
 
     def forget(self, request: ServeRequest) -> None:
         """Drop any off-device state held for ``request`` (rejection)."""
 
+    def on_finish(self, request: ServeRequest) -> None:
+        """``request`` emitted its last token; its device KV is released
+        right after this returns (a disaggregated prefill replica
+        exports it first)."""
 
-@register_component(
-    "preemption", "recompute",
-    description="free the victim's KV and re-run prefill over the full "
-                "context on re-admission (vLLM-style recompute)",
-)
-class RecomputePreemption(PreemptionPolicy):
-    """Recompute preemption — the simulator's original behaviour.
 
-    Eviction frees the KV and charges nothing extra; re-admission
-    re-runs prefill over the full context (prompt plus generated
-    tokens), exactly like a fresh admission of that context.  All
-    methods are the :class:`PreemptionPolicy` defaults — this class
-    exists so ``"recompute"`` is an addressable registry entry.
+#: Parked-table location of KV that is between a prefill and a decode
+#: replica (every other location is a tier-hierarchy item name).
+_ON_WIRE = "wire"
+
+
+class OffloadPreemption(PreemptionPolicy):
+    """The one preemption policy: owner of every off-device KV byte.
+
+    A victim's KV demotes to the shallowest ``hierarchy`` tier with
+    room (device→tier transfer charged to the clock) and promotes back
+    on re-admission instead of being recomputed.  When there is no
+    hierarchy, every tier is full, or the victim will never requeue,
+    the KV is dropped and re-admission re-runs prefill over the full
+    context — so the policy over no tiers *is* recompute preemption.
+
+    ``scalar_ledger`` selects where moved bytes are counted: per tier
+    in ``KVCacheMetrics.demoted_bytes`` / ``promoted_bytes``, or (swap,
+    whose one tier is private to the policy) both directions in the
+    scalar ``swapped_bytes``.
     """
 
-    name = "recompute"
-
-
-class TieredPreemption(PreemptionPolicy):
-    """Offload preemption over a memory-tier hierarchy.
-
-    The generalization of swap preemption: a victim's KV demotes to
-    the shallowest :class:`~repro.serve.memtier.TierHierarchy` tier
-    with room (device→tier transfer charged to the clock) and promotes
-    back on re-admission instead of being recomputed.  When every tier
-    is full — or the victim will never requeue — the policy falls back
-    to recompute semantics (drop the KV, note the discard).  Bytes
-    moved land per tier in ``KVCacheMetrics.demoted_bytes`` /
-    ``promoted_bytes``.
-
-    Not a registered component: the simulator builds one automatically
-    whenever ``memory_tiers`` names a hierarchy, so the hierarchy spec
-    stays the single configuration surface.
-    """
-
-    name = "tiered"
-
-    def __init__(self, hierarchy: TierHierarchy):
+    def __init__(self, name: str = "recompute",
+                 hierarchy: Optional[TierHierarchy] = None,
+                 scalar_ledger: bool = False):
         super().__init__()
+        self.name = name
         self.hierarchy = hierarchy
-        #: req_id -> (residency ledger name, KV bytes parked).
-        self._parked: Dict[int, tuple] = {}
+        self._scalar_ledger = scalar_ledger
+        #: req_id -> (where the KV is, bytes): a hierarchy item name,
+        #: or ``_ON_WIRE`` for a migration not yet imported.
+        self._parked: Dict[int, Tuple[str, int]] = {}
+        #: The disaggregated fleet's link (None on a colocated replica)
+        #: and, on the prefill side, who exports and the shared
+        #: ``req_id -> bytes`` record of what left.
+        self._link: Optional[Interconnect] = None
+        self._export_ids: Set[int] = set()
+        self._exported: Dict[int, int] = {}
 
     def bind(self, simulator) -> None:
         super().bind(simulator)
-        self.hierarchy.bind(simulator.session, simulator.device)
+        if self.hierarchy is not None:
+            self.hierarchy.bind(simulator.session, simulator.device)
 
-    def _account(self, kv, label: str, size: int, restore: bool) -> None:
-        """Record ``size`` moved to/from tier ``label`` (subclass
-        hook — the swap shim redirects this into its legacy
-        ``swapped_bytes`` ledger)."""
-        ledger = (kv.metrics.promoted_bytes if restore
-                  else kv.metrics.demoted_bytes)
+    # -- disaggregated serving -----------------------------------------
+    def export_on_finish(self, link: Interconnect, req_ids: Set[int],
+                         exported: Dict[int, int]) -> None:
+        """Prefill replica: ship the KV of ``req_ids`` over ``link``
+        when they finish, recording ``req_id -> bytes`` in
+        ``exported``."""
+        self._link = link
+        self._export_ids = req_ids
+        self._exported = exported
+
+    def expect_imports(self, link: Interconnect,
+                       parcels: Dict[int, int]) -> None:
+        """Decode replica: ``parcels`` (``req_id -> bytes``) arrive
+        parked on the wire; first admission lands them over ``link``
+        instead of running a prefill."""
+        self._link = link
+        for req_id, size in parcels.items():
+            self._parked[req_id] = (_ON_WIRE, size)
+
+    @property
+    def pending_imports(self) -> int:
+        """Migrated parcels neither imported nor rolled back."""
+        return sum(1 for where, _ in self._parked.values()
+                   if where == _ON_WIRE)
+
+    def on_finish(self, request: ServeRequest) -> None:
+        if request.req_id not in self._export_ids:
+            return
+        sim = self._sim
+        held = sim.kv.held_bytes(request)
+        transfer_us = self._link.transfer_us(held, sim.device.latency)
+        if sim.trace is not None:
+            sim.trace.request_event(
+                "migrate_out", request, sim.session.elapsed_s,
+                us=transfer_us, bytes=held)
+        # The export reads the device copy, so the clock charge
+        # precedes the release — and the finish timestamp (the decode
+        # clone's arrival) lands after it.
+        sim.session.advance(transfer_us)
+        sim.kv.metrics.migrated_bytes += held
+        self._exported[request.req_id] = held
+
+    # -- preemption ----------------------------------------------------
+    def _account(self, label: str, size: int, restore: bool) -> None:
+        metrics = self._sim.kv.metrics
+        if self._scalar_ledger:
+            metrics.swapped_bytes += size
+            return
+        ledger = metrics.promoted_bytes if restore else metrics.demoted_bytes
         ledger[label] = ledger.get(label, 0) + size
 
     def evict(self, request: ServeRequest, requeue: bool = True) -> None:
         kv = self._sim.kv
         held = kv.held_bytes(request)
-        if held > 0 and requeue:
+        if self.hierarchy is not None and held > 0 and requeue:
             name = f"kvreq{request.req_id}"
             placed = self.hierarchy.demote(name, held)
             if placed is not None:
@@ -195,53 +237,75 @@ class TieredPreemption(PreemptionPolicy):
                 # charge precedes the release.
                 label, us = placed
                 self._sim.session.advance(us)
-                self._account(kv, label, held, restore=False)
+                self._account(label, held, restore=False)
                 self._parked[request.req_id] = (name, held)
                 kv.release(request)
                 return
-        # No tier has room (or the victim can never come back): drop
-        # the KV outright, landing it in the same discard ledger
-        # (``preempt_copy_bytes``) a recompute eviction uses.
+        # Nowhere to park it (or the victim can never come back): drop
+        # the KV outright and note the discard (``preempt_copy_bytes``).
         kv.release(request, preempted=True)
 
     def restore_us(self, request: ServeRequest, context: int) -> float:
-        parked = self._parked.pop(request.req_id, None)
-        if parked is None:
-            # Fresh admission, or a victim that fell back to recompute:
-            # normal prefill.
-            return super().restore_us(request, context)
-        name, _held = parked
-        promoted = self.hierarchy.promote(name)
-        if promoted is None:
-            return super().restore_us(request, context)
-        label, size, us = promoted
-        self._account(self._sim.kv, label, size, restore=True)
-        return us
+        where, held = self._parked.pop(request.req_id, (None, 0))
+        sim = self._sim
+        if where == _ON_WIRE:
+            transfer_us = self._link.transfer_us(held, sim.device.latency)
+            if sim.trace is not None:
+                sim.trace.request_event(
+                    "migrate_in", request, sim.session.elapsed_s,
+                    us=transfer_us, bytes=held)
+            sim.kv.metrics.migrated_bytes += held
+            return transfer_us
+        if where is not None:
+            label, size, us = self.hierarchy.promote(where)
+            self._account(label, size, restore=True)
+            return us
+        # Fresh admission, or a victim whose KV was dropped: prefill
+        # over the full context.
+        return context / sim.config.prefill_tokens_per_s * 1e6
 
     def forget(self, request: ServeRequest) -> None:
-        parked = self._parked.pop(request.req_id, None)
-        if parked is not None:
-            self.hierarchy.discard(parked[0])
+        where, _ = self._parked.pop(request.req_id, (None, 0))
+        if where is not None and where != _ON_WIRE:
+            self.hierarchy.discard(where)
 
     @property
     def parked_requests(self) -> int:
-        """Requests currently parked in some slow-memory tier."""
+        """Requests whose KV is currently off the device."""
         return len(self._parked)
 
 
+def check_tiers_exclude_swap(preemption: "PreemptionLike",
+                             memory_tiers: MemoryTiersLike) -> None:
+    """Reject ``swap`` preemption on a replica with ``memory_tiers``
+    (a spec string or built hierarchy; empty / ``None`` = no tiers):
+    both would claim the victim's KV."""
+    name = (preemption.name if isinstance(preemption, PreemptionPolicy)
+            else PreemptionSpec.parse(preemption).name)
+    if memory_tiers and name == "swap":
+        raise SpecError(
+            "memory_tiers generalizes swap preemption's single host "
+            "hop; pass preemption 'recompute' (the default) with a "
+            "tier hierarchy, or drop memory_tiers to keep swap")
+
+
+def _recompute(hierarchy: Optional[TierHierarchy]) -> OffloadPreemption:
+    if hierarchy is None:
+        return OffloadPreemption()
+    return OffloadPreemption("tiered", hierarchy)
+
+
+def _swap(hierarchy: Optional[TierHierarchy],
+          interconnect: InterconnectLike = "pcie") -> OffloadPreemption:
+    del hierarchy  # None: PreemptionSpec.build rejected anything else
+    # gb=0 = unbounded: host memory is not modeled as scarce.
+    host = DramTier(gb=0.0)
+    host.interconnect = resolve_interconnect(interconnect)
+    return OffloadPreemption("swap", TierHierarchy([host]),
+                             scalar_ledger=True)
+
+
 def _check_swap(params: Dict[str, Any]) -> None:
-    bandwidth = params.get("pcie_gb_per_s")
-    # 0 is the documented sentinel for "use the device latency model's
-    # default bandwidth"; only genuinely negative values are malformed.
-    if bandwidth is not None and bandwidth < 0:
-        raise SpecError(
-            f"swap preemption pcie_gb_per_s must be >= 0 "
-            f"(0 = device default), got {bandwidth}")
-    setup = params.get("pcie_latency_us")
-    if setup is not None and setup < 0:
-        raise SpecError(
-            f"swap preemption pcie_latency_us must be >= 0 "
-            f"(0 = device default), got {setup}")
     link = params.get("interconnect")
     if link is not None:
         try:
@@ -251,107 +315,26 @@ def _check_swap(params: Dict[str, Any]) -> None:
                 f"swap preemption interconnect: {exc}") from None
 
 
-@register_component(
+register_component(
+    "preemption", "recompute", params=(), factory=_recompute,
+    description="free the victim's KV and re-run prefill over the full "
+                "context on re-admission (vLLM-style recompute); with "
+                "memory_tiers the victim demotes into the hierarchy "
+                "instead",
+)(OffloadPreemption)
+register_component(
     "preemption", "swap",
     params=(
         Param("interconnect", str, "pcie", kind="str",
               doc="interconnect spec pricing the host offload "
                   "(an 'interconnect' component, e.g. "
                   "'pcie?gb_per_s=12')"),
-        Param("pcie_gb_per_s", float, 0.0, kind="float",
-              aliases=("gb_per_s",),
-              doc="deprecated: host<->device bandwidth override, GB/s "
-                  "(0 = the device latency model's default); use "
-                  "interconnect=pcie?gb_per_s=... instead"),
-        Param("pcie_latency_us", float, 0.0, kind="float",
-              doc="deprecated: per-transfer setup latency override, us "
-                  "(0 = the device latency model's default); use "
-                  "interconnect=pcie?latency_us=... instead"),
     ),
-    check=_check_swap,
+    check=_check_swap, factory=_swap,
     description="offload the victim's KV to host memory over the "
                 "configured interconnect (PCIe by default) and swap it "
                 "back on re-admission",
-)
-class SwapPreemption(TieredPreemption):
-    """Host-offload (swap) preemption with interconnect transfer costs.
-
-    Eviction copies the victim's live KV bytes to host memory
-    (device→host over the configured
-    :class:`~repro.serve.interconnect.Interconnect`, charged to the
-    simulated clock) before freeing the device copy; re-admission
-    allocates fresh device KV and copies the bytes back (host→device)
-    instead of recomputing prefill.  Every byte moved in either
-    direction lands in ``KVCacheMetrics.swapped_bytes``.
-
-    Since the memory-tier subsystem landed, ``swap`` is the degenerate
-    two-tier hierarchy: HBM over one *unbounded* host-DRAM tier priced
-    by the policy's interconnect.  The byte ledger deliberately stays
-    the legacy one — ``swapped_bytes``, not the per-tier
-    ``demoted_bytes`` / ``promoted_bytes`` dicts — so existing swap
-    configurations stay byte-identical; new configs that want real
-    capacities or deeper hierarchies pass ``memory_tiers`` instead.
-
-    The default ``pcie`` link with no overrides defers to the device's
-    latency model, so a bare ``swap`` prices exactly as it always has.
-    The legacy ``pcie_gb_per_s`` / ``pcie_latency_us`` parameters are
-    folded into a :class:`~repro.serve.interconnect.PcieInterconnect`
-    behind a :class:`DeprecationWarning`.
-    """
-
-    name = "swap"
-
-    def __init__(
-        self,
-        pcie_gb_per_s: float = 0.0,
-        pcie_latency_us: float = 0.0,
-        interconnect: InterconnectLike = "pcie",
-    ):
-        if pcie_gb_per_s < 0:
-            raise ValueError(
-                f"pcie_gb_per_s must be >= 0, got {pcie_gb_per_s}")
-        if pcie_latency_us < 0:
-            raise ValueError(
-                f"pcie_latency_us must be >= 0, got {pcie_latency_us}")
-        link = resolve_interconnect(interconnect)
-        if pcie_gb_per_s or pcie_latency_us:
-            warnings.warn(
-                "SwapPreemption's pcie_gb_per_s/pcie_latency_us are "
-                "deprecated; configure the link through the "
-                "'interconnect' component kind instead (e.g. "
-                "\"swap?interconnect=pcie?gb_per_s=12\")",
-                DeprecationWarning, stacklevel=2)
-            if not isinstance(link, PcieInterconnect) or \
-                    link.gb_per_s or link.latency_us:
-                raise ValueError(
-                    "pass either the deprecated pcie_* parameters or an "
-                    "explicit interconnect, not both")
-            link = PcieInterconnect(
-                gb_per_s=pcie_gb_per_s, latency_us=pcie_latency_us)
-        # The two-tier special case: one unbounded host tier over the
-        # resolved link (gb=0 = unbounded — host memory is not modeled
-        # as scarce, exactly the legacy behaviour).
-        host = DramTier(gb=0.0)
-        host.interconnect = link
-        super().__init__(TierHierarchy([host]))
-        self.interconnect = link
-        self.pcie_gb_per_s = pcie_gb_per_s
-        self.pcie_latency_us = pcie_latency_us
-
-    def _transfer_us(self, size: int) -> float:
-        return self.interconnect.transfer_us(
-            size, self._sim.device.latency)
-
-    def _account(self, kv, label: str, size: int, restore: bool) -> None:
-        # The legacy ledger: every byte moved in either direction is a
-        # swapped byte; the per-tier dicts stay empty.
-        del label, restore
-        kv.metrics.swapped_bytes += size
-
-    @property
-    def swapped_out_requests(self) -> int:
-        """Requests currently parked in host memory."""
-        return len(self._parked)
+)(OffloadPreemption)
 
 
 @dataclass(frozen=True)
@@ -367,22 +350,25 @@ class PreemptionSpec(ComponentSpec):
 
     kind: ClassVar[str] = "preemption"
 
-    def build(self) -> PreemptionPolicy:
-        """Instantiate the configured preemption policy."""
-        return super().build()
+    def build(self, hierarchy: Optional[TierHierarchy] = None
+              ) -> PreemptionPolicy:
+        """Instantiate the configured policy for a replica whose
+        ``memory_tiers`` hierarchy is ``hierarchy`` (None = no tiers)."""
+        check_tiers_exclude_swap(self, hierarchy)
+        return super().build(hierarchy)
 
 
 #: Anything the serving stack accepts where a preemption policy is named.
 PreemptionLike = Union[str, PreemptionSpec, PreemptionPolicy]
 
 
-def preemption_names(include_aliases: bool = False):
-    """Registered preemption-policy names, optionally with aliases."""
-    return component_names("preemption", include_aliases)
-
-
-def resolve_preemption(kind: PreemptionLike) -> PreemptionPolicy:
-    """Build a preemption policy from a spec string, spec, or instance."""
+def resolve_preemption(
+    kind: PreemptionLike, hierarchy: Optional[TierHierarchy] = None,
+) -> PreemptionPolicy:
+    """Build the policy for a replica with ``hierarchy`` from a spec
+    string or spec.  An instance is the caller's own construction and
+    is returned as is."""
     if isinstance(kind, PreemptionPolicy):
+        check_tiers_exclude_swap(kind, hierarchy)
         return kind
-    return PreemptionSpec.parse(kind).build()
+    return PreemptionSpec.parse(kind).build(hierarchy)

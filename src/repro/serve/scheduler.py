@@ -35,7 +35,6 @@ from repro.allocators.base import BaseAllocator
 from repro.api.registry import (
     Param,
     SpecError,
-    component_names,
     register_component,
     register_kind,
 )
@@ -322,11 +321,6 @@ class SchedulerSpec(ComponentSpec):
 
 #: Anything the serving stack accepts where a scheduler is named.
 SchedulerLike = Union[str, SchedulerSpec, Scheduler]
-
-
-def scheduler_names(include_aliases: bool = False):
-    """Registered scheduler names, optionally with aliases."""
-    return component_names("scheduler", include_aliases)
 
 
 def resolve_scheduler(kind: SchedulerLike) -> Scheduler:

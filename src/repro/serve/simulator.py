@@ -53,13 +53,7 @@ from repro.serve.kvcache import (
     resolve_kv_cache,
 )
 from repro.serve.memtier import MemoryTiersLike, resolve_memory_tiers
-from repro.serve.preemption import (
-    PreemptionLike,
-    RecomputePreemption,
-    SwapPreemption,
-    TieredPreemption,
-    resolve_preemption,
-)
+from repro.serve.preemption import PreemptionLike, resolve_preemption
 from repro.serve.request import REJECT_REASONS, RequestState, ServeRequest
 from repro.serve.metrics import ServingReport, SloConfig
 from repro.serve.scheduler import (
@@ -245,30 +239,7 @@ class ServingResult:
         if self.failed:
             out["failed"] = self.failed
         if self.kv_metrics is not None:
-            out["kv_internal_frag"] = round(
-                self.kv_metrics.internal_frag_ratio, 3)
-            if self.kv_metrics.swapped_bytes:
-                out["swapped_mb"] = round(
-                    self.kv_metrics.swapped_bytes / (1 << 20), 1)
-            if self.kv_metrics.migrated_bytes:
-                out["migrated_mb"] = round(
-                    self.kv_metrics.migrated_bytes / (1 << 20), 1)
-            if self.kv_metrics.prefix_lookups:
-                out["prefix_hit_rate"] = round(
-                    self.kv_metrics.prefix_hit_rate, 3)
-                out["shared_mb"] = round(
-                    self.kv_metrics.shared_bytes / (1 << 20), 1)
-                out["cow_copy_mb"] = round(
-                    self.kv_metrics.cow_copy_bytes / (1 << 20), 1)
-            if self.kv_metrics.demoted_bytes:
-                out["demoted_mb"] = round(sum(
-                    self.kv_metrics.demoted_bytes.values()) / (1 << 20), 1)
-                out["promoted_mb"] = round(sum(
-                    self.kv_metrics.promoted_bytes.values()) / (1 << 20), 1)
-                out["demoted_by_tier"] = {
-                    tier: round(size / (1 << 20), 1)
-                    for tier, size in sorted(
-                        self.kv_metrics.demoted_bytes.items())}
+            out.update(self.kv_metrics.extras(per_replica=True))
         if self.memory_tiers:
             out["memory_tiers"] = self.memory_tiers
         return out
@@ -343,19 +314,10 @@ class ServingSimulator:
                 self.hierarchy.attach_trace(trace, replica_id)
             if hasattr(self.kv, "attach_hierarchy"):
                 self.kv.attach_hierarchy(self.hierarchy)
-        self.preemption = resolve_preemption(preemption)
-        if self.hierarchy is not None:
-            if isinstance(self.preemption, SwapPreemption):
-                raise ValueError(
-                    "memory_tiers generalizes swap preemption's single "
-                    "host hop; pass preemption='recompute' (the default) "
-                    "with a tier hierarchy, or drop memory_tiers to keep "
-                    "legacy swap")
-            if isinstance(self.preemption, RecomputePreemption):
-                # The hierarchy *is* the offload policy: preempted KV
-                # demotes to the shallowest tier with room instead of
-                # being dropped and recomputed.
-                self.preemption = TieredPreemption(self.hierarchy)
+        # The hierarchy *is* the offload target: on a tiered replica
+        # the default policy demotes preempted KV into it instead of
+        # dropping it.
+        self.preemption = resolve_preemption(preemption, self.hierarchy)
         self.preemption.bind(self)
         self._step_count = 0
         # decode_workspace_bytes is a pure function of (model, batch),
@@ -414,6 +376,7 @@ class ServingSimulator:
     # ------------------------------------------------------------------
     def _finish(self, request: ServeRequest,
                 running: List[ServeRequest]) -> None:
+        self.preemption.on_finish(request)
         self.kv.release(request)
         running.remove(request)
         request.state = RequestState.FINISHED

@@ -93,7 +93,7 @@ class ServingWorkload:
             raise ValueError("max_batch must be >= 1")
         # Validate and canonicalize the KV layout spec up front (lazy
         # import: repro.serve pulls in this module for kv_bytes).
-        from repro.serve.kvcache import KVCacheSpec, get_kv_cache_info
+        from repro.serve.kvcache import KVCacheSpec
 
         spec = KVCacheSpec.parse(self.kv_cache)
         if spec.name == "paged-shared":
@@ -107,8 +107,7 @@ class ServingWorkload:
         self.kv_cache = spec.spec_string()
         self._block_tokens = 0
         if spec.name == "paged":
-            default = next(p.default
-                           for p in get_kv_cache_info("paged").params
+            default = next(p.default for p in spec.info.params
                            if p.name == "block_tokens")
             self._block_tokens = spec.params.get("block_tokens", default)
 

@@ -61,3 +61,39 @@ def native(device) -> NativeAllocator:
 @pytest.fixture
 def vmm_naive(device) -> VmmNaiveAllocator:
     return VmmNaiveAllocator(device)
+
+
+@pytest.fixture
+def assert_offload_drained(monkeypatch):
+    """``assert_offload_drained()``: no simulator this test built still
+    holds KV off its device.
+
+    Per simulator: the preemption policy's parked table is empty (no
+    migrated parcel left on the wire either) and every tier hierarchy
+    it can park into — the replica's ``memory_tiers`` one and a swap
+    policy's private host tier — is drained.  A completed run that
+    fails this has stranded bytes in a tier.
+    """
+    from repro.serve import ServingSimulator
+
+    sims = []
+    init = ServingSimulator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
+
+    monkeypatch.setattr(ServingSimulator, "__init__", recording_init)
+
+    def check():
+        assert sims, "the test built no ServingSimulator"
+        for sim in sims:
+            policy = sim.preemption
+            where = f"replica {sim.replica_id}"
+            assert policy.parked_requests == 0, where
+            assert policy.pending_imports == 0, where
+            for hierarchy in (sim.hierarchy, policy.hierarchy):
+                if hierarchy is not None:
+                    assert hierarchy.drained, (where, hierarchy.used_bytes)
+
+    return check

@@ -31,7 +31,7 @@ from repro.serve import (
 SPEC_VIEWS = {
     "scheduler": (SchedulerSpec, "memory-aware?margin=1.5"),
     "arrivals": (ArrivalSpec, "closed-loop?clients=8&think_s=0.5"),
-    "preemption": (PreemptionSpec, "swap?pcie_gb_per_s=12"),
+    "preemption": (PreemptionSpec, "swap?interconnect=pcie?gb_per_s=12"),
     "autoscaler": (AutoscalerSpec, "queue-depth?high=6000&low=800"),
     "interconnect": (InterconnectSpec, "nvlink?gb_per_s=300&latency_us=1.5"),
 }
@@ -156,7 +156,8 @@ class TestSpecRoundTripProperties:
     @settings(max_examples=50)
     @given(bandwidth=_floats)
     def test_preemption_swap(self, bandwidth):
-        _round_trip(PreemptionSpec, "swap", {"pcie_gb_per_s": bandwidth})
+        _round_trip(PreemptionSpec, "swap",
+                    {"interconnect": f"pcie?gb_per_s={bandwidth!r}"})
 
     @settings(max_examples=50)
     @given(low=st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
@@ -214,10 +215,14 @@ class TestParseTimeValidation:
 
     def test_swap_bandwidth(self):
         with pytest.raises(SpecError, match=">= 0"):
-            PreemptionSpec.parse("swap?pcie_gb_per_s=-4")
+            PreemptionSpec.parse("swap?interconnect=pcie?gb_per_s=-4")
         # 0 is the documented "device default" sentinel, not an error.
-        assert PreemptionSpec.parse(
-            "swap?pcie_gb_per_s=0").build().pcie_gb_per_s == 0.0
+        host = PreemptionSpec.parse(
+            "swap?interconnect=pcie?gb_per_s=0").build().hierarchy.tiers[0]
+        assert host.interconnect.gb_per_s == 0.0
+        # The pre-interconnect spelling is gone, not silently accepted.
+        with pytest.raises(SpecError, match="no parameter"):
+            PreemptionSpec.parse("swap?pcie_gb_per_s=12")
 
     def test_interconnect_specs(self):
         with pytest.raises(SpecError, match=">= 0"):
@@ -313,7 +318,7 @@ class TestListComponentsCli:
             assert f"component kind {kind!r}" in text
         # Spot-check one name and one parameter per new kind.
         for needle in ("memory-aware", "margin", "closed-loop", "clients",
-                       "swap", "pcie_gb_per_s", "queue-depth", "high",
+                       "swap", "interconnect", "queue-depth", "high",
                        "nvlink", "gb_per_s"):
             assert needle in text
 

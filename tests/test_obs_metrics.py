@@ -196,9 +196,8 @@ class TestStreamingReport:
         acc = ServingReportAccumulator()
         for request in synthetic_population(10_000, seed=3):
             acc.observe(request)
-        assert acc.ttft_sketch.centroid_count <= 2 * acc.ttft_sketch.compression
-        assert (acc.latency_sketch.centroid_count
-                <= 2 * acc.latency_sketch.compression)
+        for sketch in (acc.ttft.sketch, acc.latency.sketch):
+            assert sketch.centroid_count <= 2 * sketch.compression
 
     def test_merge_matches_single_pass(self):
         requests = synthetic_population(3000, seed=5)

@@ -15,13 +15,13 @@ import json
 
 import pytest
 
+from repro.api import component_names
 from repro.cli import main
 from repro.obs import (
     FRONTEND_REPLICA,
     GaugeSampler,
     TraceRecorder,
     TraceSpec,
-    trace_sink_names,
     validate_chrome_trace,
 )
 from repro.serve import PoissonArrivals, run_serving, run_serving_cluster
@@ -198,7 +198,7 @@ class TestCluster:
 
 class TestTraceSpecs:
     def test_registered_sinks(self):
-        assert set(trace_sink_names()) == {"chrome", "jsonl"}
+        assert set(component_names("trace")) == {"chrome", "jsonl"}
 
     def test_spec_roundtrip(self):
         spec = TraceSpec.parse("chrome?path=/tmp/x.json")

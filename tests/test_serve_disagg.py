@@ -20,16 +20,19 @@ from repro.serve import (
     LengthSampler,
     PoissonArrivals,
     ServingConfig,
+    TierHierarchy,
+    WeightedFairScheduler,
     run_serving,
+    run_serving_cluster,
     run_serving_disagg,
 )
 from repro.serve.disagg import DisaggServingResult
 from repro.serve.kvcache import ChunkedKVCache
-from repro.serve.preemption import RecomputePreemption
+from repro.serve.preemption import resolve_preemption
 from repro.units import GB
 from repro.workloads.models import get_model
 
-from tests.test_equivalence_goldens import serving_digest
+from tests.test_equivalence_goldens import _request_digest, serving_digest
 
 MODEL = "opt-1.3b"
 
@@ -140,10 +143,12 @@ class TestNoKvLeak:
         for request in result.requests:
             assert request.finished or request.rejected
 
-    def test_clean_run_leaks_nothing(self):
+    def test_clean_run_leaks_nothing(self, assert_offload_drained):
         self._assert_no_leak(_run(prefill_replicas=2, decode_replicas=2))
+        assert_offload_drained()
 
-    def test_preemption_during_decode_rolls_back_cleanly(self):
+    def test_preemption_during_decode_rolls_back_cleanly(
+            self, assert_offload_drained):
         """A tight decode fleet preempts mid-stream; every exported KV
         parcel is still either imported or dropped with its request."""
         result = run_serving_disagg(
@@ -154,8 +159,9 @@ class TestNoKvLeak:
         )
         assert result.preemptions > 0 or result.rejected > 0
         self._assert_no_leak(result)
+        assert_offload_drained()
 
-    def test_rejection_regime_leaks_nothing(self):
+    def test_rejection_regime_leaks_nothing(self, assert_offload_drained):
         """Timeouts at both fleets: rejected requests' in-flight KV is
         forgotten, not stranded."""
         result = run_serving_disagg(
@@ -166,6 +172,78 @@ class TestNoKvLeak:
         )
         assert result.rejected > 0
         self._assert_no_leak(result)
+        assert_offload_drained()
+
+
+class TestDisaggComposesWithOffload:
+    """A decode replica under memory pressure: KV arrives over the
+    wire, then the replica's own offload construction (swap, tiers)
+    takes over.  The constants are this 2P+2D run's observables at the
+    commit before the import wrapper and the prefill subclass were
+    folded into the one preemption policy."""
+
+    RECOMPUTE_DIGEST = "af6c1c37f20a9f16dc6c24e2fb081f7f"
+    SWAP_DIGEST = "072c2a23e81caa3d09d0e96667bfc9dd"
+    MIGRATED_BYTES = 14193524736  # 24 parcels, billed once per direction
+
+    def _pressured(self, **kw):
+        trace = TraceRecorder()
+        result = run_serving_disagg(
+            _stream(n=24, rate=6.0, mean_prompt=1500, mean_output=900),
+            MODEL, prefill_replicas=2, decode_replicas=2,
+            allocator="caching", capacity=4 * GB, trace=trace,
+            config=ServingConfig(max_batch=8, queue_timeout_s=30.0), **kw)
+        assert sum(r.preemptions for r in result.prefill_results) == 0
+        assert result.migrations == 24
+        assert result.pending_imports == 0
+        assert result.migrated_bytes == self.MIGRATED_BYTES
+        # One crossing per request: a preempted decode request comes
+        # back from wherever its replica parked it, never from the wire.
+        for kind in ("migrate_out", "migrate_in"):
+            crossed = [e.req_id for e in trace.events if e.kind == kind]
+            assert len(crossed) == len(set(crossed)) == 24
+        return result
+
+    def test_swap_after_import(self, assert_offload_drained):
+        result = self._pressured(preemption="swap")
+        assert result.preemption_name == "swap"
+        assert sum(r.preemptions for r in result.decode_results) == 54
+        assert _request_digest(result.requests) == self.SWAP_DIGEST
+        metrics = result.kv_metrics
+        assert metrics.swapped_bytes == 43184553984
+        assert metrics.preempt_copy_bytes == 365494272
+        assert not metrics.demoted_bytes and not metrics.promoted_bytes
+        assert_offload_drained()
+
+    def test_tiers_too_small_to_park_degrade_to_recompute(
+            self, assert_offload_drained):
+        """``dram?gb=0.05`` holds no victim of this stream, so every
+        eviction falls back to drop-and-re-prefill."""
+        result = self._pressured(memory_tiers="dram?gb=0.05")
+        assert result.preemption_name == "tiered"
+        assert sum(r.preemptions for r in result.decode_results) == 57
+        assert _request_digest(result.requests) == self.RECOMPUTE_DIGEST
+        metrics = result.kv_metrics
+        assert metrics.preempt_copy_bytes == 21946761216
+        assert metrics.swapped_bytes == 0
+        assert not metrics.demoted_bytes and not metrics.promoted_bytes
+        assert_offload_drained()
+
+    def test_unbounded_dram_after_import_matches_swap(
+            self, assert_offload_drained):
+        """The composed form of ``test_unbounded_dram_hierarchy_matches_
+        legacy_swap``.  Before the fold the import wrapper hid the
+        policy from the simulator's type test, so a decode replica
+        ignored ``memory_tiers`` when preempting (this run digested as
+        ``RECOMPUTE_DIGEST`` with an empty tier ledger)."""
+        result = self._pressured(memory_tiers="dram?gb=0")
+        assert result.preemption_name == "tiered"
+        assert _request_digest(result.requests) == self.SWAP_DIGEST
+        metrics = result.kv_metrics
+        assert metrics.demoted_bytes == metrics.promoted_bytes \
+            == {"dram": 43184553984 // 2}
+        assert metrics.swapped_bytes == 0
+        assert_offload_drained()
 
 
 class TestColocatedByteIdentity:
@@ -269,7 +347,24 @@ class TestRunnerValidation:
         with pytest.raises(ValueError, match="spec string"):
             _run(kv_cache=ChunkedKVCache(get_model(MODEL)))
         with pytest.raises(ValueError, match="spec string"):
-            _run(preemption=RecomputePreemption())
+            _run(preemption=resolve_preemption("recompute"))
+
+    @pytest.mark.parametrize("runner", [run_serving_cluster,
+                                        run_serving_disagg])
+    def test_shared_scheduler_instance_rejected(self, runner):
+        """A ``wfq`` instance carries virtual times: replica 1 would
+        inherit replica 0's."""
+        with pytest.raises(ValueError, match="own scheduler"):
+            runner(_stream(4), MODEL,
+                   scheduler=WeightedFairScheduler("t0:2,t1:1"))
+
+    @pytest.mark.parametrize("runner", [run_serving_cluster,
+                                        run_serving_disagg])
+    def test_shared_tier_hierarchy_rejected(self, runner):
+        """A built hierarchy binds to one replica's clock."""
+        with pytest.raises(ValueError, match="own hierarchy"):
+            runner(_stream(4), MODEL,
+                   memory_tiers=TierHierarchy(["dram?gb=1"]))
 
 
 class TestServingSpecDisagg:

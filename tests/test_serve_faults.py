@@ -28,7 +28,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.api.registry import SpecError
+from repro.api.registry import SpecError, component_names
 from repro.obs import GaugeSampler, TraceRecorder
 from repro.obs.trace import validate_chrome_trace
 from repro.serve import (
@@ -46,10 +46,8 @@ from repro.serve import (
     ServeRequest,
     ServingSimulator,
     StragglerFaults,
-    faults_names,
     resolve_faults,
     resolve_retry,
-    retry_names,
     run_serving_cluster,
 )
 from repro.serve.cluster import DownCalendar
@@ -73,9 +71,9 @@ def run_fleet(faults="none", retry="none", n=400, **kwargs):
 
 class TestRegistries:
     def test_registered_names(self):
-        assert set(faults_names()) == {
+        assert set(component_names("faults")) == {
             "none", "replica-crash", "straggler", "link-degrade"}
-        assert set(retry_names()) == {"none", "budget", "hedge"}
+        assert set(component_names("retry")) == {"none", "budget", "hedge"}
 
     def test_crash_alias(self):
         model = FaultsSpec.parse("crash?mtbf_s=15&mttr_s=5").build()

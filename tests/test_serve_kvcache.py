@@ -14,6 +14,7 @@ from repro.api import (
     ExperimentSpec,
     ServingSpec,
     SpecError,
+    component_names,
     iter_components,
     run,
 )
@@ -22,7 +23,6 @@ from repro.serve import (
     PoissonArrivals,
     ServingConfig,
     ServingSimulator,
-    kv_cache_names,
     resolve_kv_cache,
     run_serving,
 )
@@ -43,9 +43,9 @@ def churn_stream(n=40, rate=2.0, seed=1):
 
 class TestKVCacheSpec:
     def test_registry_names(self):
-        assert kv_cache_names() == ["chunked", "paged", "paged-shared"]
+        assert component_names("kv-cache") == ["chunked", "paged", "paged-shared"]
         for info in iter_components("kv-cache"):
-            assert info.name in kv_cache_names()
+            assert info.name in component_names("kv-cache")
             assert info.params
 
     def test_parse_round_trip(self):

@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+from repro.api import SpecError
 from repro.gpu.device import GpuDevice
 from repro.gpu.latency import LatencyModel
 from repro.serve import (
@@ -18,10 +19,8 @@ from repro.serve import (
     PcieInterconnect,
     PoissonArrivals,
     PreemptionSpec,
-    RecomputePreemption,
     ServingConfig,
     ServingSimulator,
-    SwapPreemption,
     resolve_preemption,
     run_serving,
 )
@@ -39,6 +38,12 @@ def _run(preemption, *, allocator="caching", capacity=6 * GB, n=100,
         allocator=allocator, capacity=capacity, scheduler=scheduler,
         kv_cache=kv_cache, preemption=preemption,
         config=ServingConfig(max_batch=16, queue_timeout_s=30.0))
+
+
+def _swap_link(policy):
+    """The interconnect pricing a swap policy's (private) host tier."""
+    (host,) = policy.hierarchy.tiers
+    return host.interconnect
 
 
 def _digest(result):
@@ -65,17 +70,22 @@ class TestResolve:
         assert resolve_preemption("swap").name == "swap"
 
     def test_instance_passes_through(self):
-        policy = SwapPreemption()
+        policy = resolve_preemption("swap")
         assert resolve_preemption(policy) is policy
 
     def test_spec_params(self):
-        with pytest.warns(DeprecationWarning, match="interconnect"):
-            policy = PreemptionSpec.parse("swap?gb_per_s=12").build()
-        assert policy.pcie_gb_per_s == 12.0
+        policy = PreemptionSpec.parse(
+            "swap?interconnect=pcie?gb_per_s=12").build()
+        assert _swap_link(policy).gb_per_s == 12.0
+        # The pre-interconnect spelling fails at parse time.
+        for legacy in ("swap?gb_per_s=12", "swap?pcie_gb_per_s=12",
+                       "swap?pcie_latency_us=5"):
+            with pytest.raises(SpecError, match="no parameter"):
+                PreemptionSpec.parse(legacy)
 
     def test_rebind_rejected(self):
         """A policy carries per-run state, so one simulator only."""
-        policy = SwapPreemption()
+        policy = resolve_preemption("swap")
         ServingSimulator("opt-1.3b", allocator="caching",
                          preemption=policy)
         with pytest.raises(ValueError, match="already bound"):
@@ -97,8 +107,9 @@ class TestRecomputeIsByteIdentical:
                                                capacity):
         default = _run("recompute", allocator=allocator, kv_cache=kv_cache,
                        capacity=capacity)
-        explicit = _run(RecomputePreemption(), allocator=allocator,
-                        kv_cache=kv_cache, capacity=capacity)
+        explicit = _run(resolve_preemption("recompute", hierarchy=None),
+                        allocator=allocator, kv_cache=kv_cache,
+                        capacity=capacity)
         assert default.preemptions > 0  # the regime actually preempts
         assert _digest(default) == _digest(explicit)
 
@@ -109,8 +120,9 @@ class TestRecomputeIsByteIdentical:
 
 
 class TestSwap:
-    def test_swap_moves_bytes_both_ways(self):
+    def test_swap_moves_bytes_both_ways(self, assert_offload_drained):
         result = _run("swap")
+        assert_offload_drained()
         assert result.preemptions > 0
         assert result.preemption_name == "swap"
         swapped = result.kv_metrics.swapped_bytes
@@ -130,16 +142,17 @@ class TestSwap:
         assert recompute.preemptions > 0 and swap.preemptions > 0
         assert recompute.makespan_s != swap.makespan_s
 
-    def test_no_leaked_ledger_entries(self):
+    def test_no_leaked_ledger_entries(self, assert_offload_drained):
         simulator = ServingSimulator(
             "opt-1.3b", allocator="caching", capacity=6 * GB,
             scheduler="fcfs", preemption="swap",
             config=ServingConfig(max_batch=16, queue_timeout_s=30.0))
         simulator.run(_pressure_stream())
-        assert simulator.preemption.swapped_out_requests == 0
+        assert_offload_drained()
         assert simulator.kv.live_requests == 0
 
-    def test_rejected_request_forgets_host_copy(self):
+    def test_rejected_request_forgets_host_copy(self,
+                                                assert_offload_drained):
         """A swapped-out request that is rejected from the queue
         (timeout or preempted-out) must drop its host-side ledger
         entry."""
@@ -153,7 +166,7 @@ class TestSwap:
             config=ServingConfig(max_batch=8, queue_timeout_s=3.0,
                                  max_preemptions=2))
         result = simulator.run(stream)
-        assert simulator.preemption.swapped_out_requests == 0
+        assert_offload_drained()
         assert any(r.rejected for r in result.requests)
 
     def test_doomed_victim_pays_no_pcie(self):
@@ -198,50 +211,31 @@ class TestSwap:
 
 
 class TestSwapPcieParamShim:
-    """Swap's legacy ``pcie_*`` knobs fold into the interconnect kind."""
-
-    def test_legacy_params_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="interconnect"):
-            policy = SwapPreemption(pcie_gb_per_s=12.0, pcie_latency_us=5.0)
-        assert isinstance(policy.interconnect, PcieInterconnect)
-        assert policy.interconnect.gb_per_s == 12.0
-        assert policy.interconnect.latency_us == 5.0
-        # The legacy attributes survive for legacy readers.
-        assert policy.pcie_gb_per_s == 12.0
-        assert policy.pcie_latency_us == 5.0
-
-    def test_legacy_spec_string_warns_on_build(self):
-        with pytest.warns(DeprecationWarning, match="interconnect"):
-            policy = resolve_preemption("swap?pcie_gb_per_s=12")
-        assert policy.interconnect.gb_per_s == 12.0
+    """Swap's link is an ``interconnect`` component (the ``pcie_*``
+    parameters it replaced are gone: ``TestResolve.test_spec_params``)."""
 
     def test_new_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             policy = resolve_preemption("swap?interconnect=pcie?gb_per_s=12")
-        assert isinstance(policy.interconnect, PcieInterconnect)
-        assert policy.interconnect.gb_per_s == 12.0
-
-    def test_legacy_and_explicit_link_conflict(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                SwapPreemption(pcie_gb_per_s=12.0,
-                               interconnect=NvlinkInterconnect())
+        assert isinstance(_swap_link(policy), PcieInterconnect)
+        assert _swap_link(policy).gb_per_s == 12.0
 
     def test_legacy_pricing_is_byte_identical(self):
-        """The folded link prices exactly like the old inline formula
-        (and the bare default exactly like the device latency model)."""
+        """An explicit link prices exactly like the inline formula the
+        ``pcie_*`` parameters used (and the bare default exactly like
+        the device latency model)."""
         latency = LatencyModel()
         size = 1 << 30
-        with pytest.warns(DeprecationWarning):
-            policy = SwapPreemption(pcie_gb_per_s=12.0, pcie_latency_us=5.0)
-        assert policy.interconnect.transfer_us(size, latency) \
+        policy = PreemptionSpec(
+            "swap", {"interconnect": "pcie?gb_per_s=12&latency_us=5"}).build()
+        assert _swap_link(policy).transfer_us(size, latency) \
             == 5.0 + size / (12.0 * (1 << 30)) * 1e6
-        bare = SwapPreemption()
-        assert bare.interconnect.transfer_us(size, latency) \
+        bare = resolve_preemption("swap")
+        assert _swap_link(bare).transfer_us(size, latency) \
             == latency.pcie_transfer(size)
 
     def test_other_interconnects_plug_in(self):
         policy = resolve_preemption("swap?interconnect=nvlink?gb_per_s=300")
-        assert isinstance(policy.interconnect, NvlinkInterconnect)
-        assert policy.interconnect.gb_per_s == 300.0
+        assert isinstance(_swap_link(policy), NvlinkInterconnect)
+        assert _swap_link(policy).gb_per_s == 300.0

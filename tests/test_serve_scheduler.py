@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import resolve_allocator
+from repro.api import component_names, resolve_allocator
 from repro.gpu.device import GpuDevice
 from repro.serve import (
     FcfsScheduler,
@@ -14,7 +14,6 @@ from repro.serve import (
     parse_tenant_weights,
     resolve_kv_cache,
     resolve_scheduler,
-    scheduler_names,
 )
 from repro.serve.request import RequestState, ServeRequest
 from repro.units import GB
@@ -40,7 +39,7 @@ def view_on(capacity=4 * GB, model="opt-1.3b", kv_cache="chunked"):
 
 class TestResolve:
     def test_known_names(self):
-        for name in scheduler_names(include_aliases=True):
+        for name in component_names("scheduler", include_aliases=True):
             assert resolve_scheduler(name).name in (
                 "fcfs", "shortest-prompt", "memory-aware", "wfq")
 
