@@ -51,6 +51,29 @@ def test_gmlake_exact_match_cycle(benchmark, warm_gmlake):
     assert allocator.counters.alloc_pblocks == allocs_before
 
 
+def test_gmlake_shared_member_exact_match_cycle(benchmark):
+    """Exact-match cycle where every pBlock sits under 4-5 sBlocks —
+    the ``train_replay`` regime (there an assigned sBlock has 19 members
+    and each member sits under 29 sBlocks).  ``warm_gmlake`` has four
+    sizes and no sharing, so it cannot show a cost that grows with
+    holders per member."""
+    allocator = GMLakeAllocator(GpuDevice(capacity=8 * GB))
+    for held in [allocator.malloc(6 * MB) for _ in range(9)]:
+        allocator.free(held)
+    sizes = [k * 6 * MB for k in range(2, 10)]
+    for size in sizes:  # stitch 2, 3, ... 9 of the nine pBlocks
+        allocator.free(allocator.malloc(size))
+    assert min(len(allocator.spool.referencing(p)) for p in allocator.ppool) >= 4
+    stitches_before = allocator.counters.stitches
+
+    def one_by_one():
+        for size in sizes:
+            allocator.free(allocator.malloc(size))
+
+    benchmark(one_by_one)
+    assert allocator.counters.stitches == stitches_before
+
+
 def test_caching_cache_hit_cycle(benchmark, warm_caching):
     allocator, sizes = warm_caching
     benchmark(cycle, allocator, sizes)

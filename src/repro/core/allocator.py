@@ -115,27 +115,22 @@ class GMLakeAllocator(BaseAllocator):
 
         result = self._run_best_fit(rounded)
         self.counters.record_state(result.state)
-        if result.state is FitState.EXACT_MATCH:
-            return self._assign(result.candidates[0], rounded)
         if result.state is FitState.SINGLE_BLOCK:
             return self._handle_single_block(result.candidates[0], rounded)
         if result.state is FitState.MULTIPLE_BLOCKS:
-            return self._handle_multiple_blocks(list(result.candidates), rounded)
-        return self._handle_insufficient(list(result.candidates), rounded)
+            return self._handle_multiple_blocks(result.candidates, rounded)
+        return self._handle_insufficient(result.candidates, rounded)
 
     def _run_best_fit(self, rounded: int) -> BestFitResult:
-        inactive_s: List[SBlock] = []
-        if self.config.enable_stitch:
-            inactive_s = sorted(
-                self.spool.inactive_blocks(), key=lambda b: b.size, reverse=True
-            )
-        inactive_p = self.ppool.inactive_descending()
+        """S2-S4 only: both exact look-ups have just missed ``rounded``,
+        so S1 cannot match and BestFit needs no sBlocks."""
         min_stitch = (
             self.config.fragmentation_limit
             if self.config.enable_stitch
             else 1 << 62  # no block qualifies: stitching disabled
         )
-        return best_fit(rounded, inactive_s, inactive_p, min_stitch_size=min_stitch)
+        return best_fit(rounded, (), self.ppool.inactive_descending(),
+                        min_stitch_size=min_stitch)
 
     # ------------------------------------------------------------------
     def _handle_single_block(self, block: PBlock, rounded: int) -> "tuple[int, int]":
@@ -261,26 +256,14 @@ class GMLakeAllocator(BaseAllocator):
     # ------------------------------------------------------------------
     # Assignment and deallocation module
     # ------------------------------------------------------------------
-    def _activate(self, pblock: PBlock) -> None:
-        """Flip one pBlock active, notifying both pool indexes."""
-        if not pblock.active:
-            self.ppool.mark_active(pblock)
-            self.spool.member_activated(pblock)
-
-    def _deactivate(self, pblock: PBlock) -> None:
-        """Flip one pBlock inactive, notifying both pool indexes."""
-        if pblock.active:
-            self.ppool.mark_inactive(pblock)
-            self.spool.member_deactivated(pblock)
-
     def _assign(self, block: Block, rounded: int) -> "tuple[int, int]":
         block.last_used = self._tick
         block.owner_id = self._next_id  # the Allocation id BaseAllocator will use
         if isinstance(block, PBlock):
-            self._activate(block)
+            self.ppool.mark_active(block)
         else:
             for member in block.members:
-                self._activate(member)
+                self.ppool.mark_active(member)
                 member.last_used = self._tick
         self._assigned[block.va] = block
         return block.va, rounded
@@ -297,10 +280,10 @@ class GMLakeAllocator(BaseAllocator):
         block.owner_id = None
         block.last_used = self._tick
         if isinstance(block, PBlock):
-            self._deactivate(block)
+            self.ppool.mark_inactive(block)
         else:
             for member in block.members:
-                self._deactivate(member)
+                self.ppool.mark_inactive(member)
                 member.last_used = self._tick
 
     # ------------------------------------------------------------------
@@ -327,13 +310,6 @@ class GMLakeAllocator(BaseAllocator):
     # ------------------------------------------------------------------
     # Introspection & invariants
     # ------------------------------------------------------------------
-    @property
-    def converged(self) -> bool:
-        """True once the last allocations all hit S1 (the §4.2.2 claim
-        that after a few iterations only exact matches occur) — defined
-        here as: the pools can serve every currently-freed size."""
-        return self.counters.state_hits[FitState.EXACT_MATCH.value] > 0
-
     def state_histogram(self) -> Dict[str, int]:
         """BestFit state counts keyed by state name."""
         return {FitState(v).name: n for v, n in self.counters.state_hits.items()}

@@ -18,6 +18,7 @@ post-process:
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Union
 
@@ -78,7 +79,7 @@ def best_fit(
         State S1–S4 and the candidate block list.
     """
     # S1: exact match over the union of both pools (lines 2-4).
-    for block in list(inactive_sblocks) + list(inactive_pblocks):
+    for block in itertools.chain(inactive_sblocks, inactive_pblocks):
         if block.size == bsize:
             return BestFitResult(FitState.EXACT_MATCH, [block])
 
@@ -100,7 +101,7 @@ def best_fit(
             break
 
     if len(cb) == 1 and cb_size > bsize:
-        return BestFitResult(FitState.SINGLE_BLOCK, list(cb))
+        return BestFitResult(FitState.SINGLE_BLOCK, cb)
     if cb_size >= bsize:
-        return BestFitResult(FitState.MULTIPLE_BLOCKS, list(cb))
-    return BestFitResult(FitState.INSUFFICIENT_BLOCKS, list(cb))
+        return BestFitResult(FitState.MULTIPLE_BLOCKS, cb)
+    return BestFitResult(FitState.INSUFFICIENT_BLOCKS, cb)

@@ -1,23 +1,24 @@
 """The primitive and stitched memory pools (§3.2, Figure 8).
 
-Both pools are ordered sets sorted by block size — the paper sorts
-descending; the pPool's *inactive index* is stored descending outright
-so BestFit's scan order is a straight copy.  The pools hold *all*
-blocks (active and inactive) plus live **indexes** maintained
-incrementally so the per-malloc hot path never re-filters or re-sorts:
+Both pools are ordered sets sorted by block size and hold *all* blocks,
+active and inactive.  ``PBlock.active`` is the single source of truth
+for activity: nothing else stores it, so an assign or a free is a flag
+flip per member pBlock however many sBlocks stitch over it, and every
+look-up derives activity when it reads:
 
-* ``PPool`` keeps an inactive view keyed ``(-size, sblock_refs, id)``
-  (BestFit's exact scan order) and running ``total_bytes`` /
-  ``inactive_bytes`` counters;
+* ``PPool`` keeps every block a second time in BestFit's scan order,
+  keyed ``(-size, sblock_refs, id)`` (the paper sorts descending), and
+  running ``total_bytes`` / ``inactive_bytes`` counters.  The inactive
+  look-ups walk that order and skip active blocks.
 * ``SPool`` keeps a pBlock→sBlocks back-index (``referencing`` without
-  scanning every sBlock), a per-sBlock active-member count, and an
-  inactive view keyed ``(size, id)``.
+  scanning every sBlock); an sBlock is inactive iff none of its members
+  is active (``SBlock.active``), evaluated at look-up.
 
-State changes must flow through the pool API (``mark_active`` /
-``mark_inactive`` / ``adjust_refs`` on the pPool, ``member_activated``
-/ ``member_deactivated`` / ``replace_member`` on the sPool) so the
-indexes can never drift from the block flags — ``check_invariants``
-re-derives everything from scratch and asserts agreement.
+Only what a sort key is made of must change through the pool API:
+``adjust_refs`` for ``sblock_refs``, ``replace_member`` for an sBlock's
+members.  ``mark_active`` / ``mark_inactive`` exist for the
+``inactive_bytes`` counter.  ``check_invariants`` re-derives every
+ordering, counter and back-index from scratch and asserts agreement.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ class PPool:
         self._blocks: ChunkedSortedKeyList[PBlock] = ChunkedSortedKeyList(
             key=lambda b: (b.size, b.id)
         )
-        # Live inactive view in BestFit scan order: largest first, then
+        # Every block again, in BestFit scan order: largest first, then
         # fewest sBlock references, then id.  ``sblock_refs`` is part of
         # the key, so every refs change must go through ``adjust_refs``.
-        self._inactive: ChunkedSortedKeyList[PBlock] = ChunkedSortedKeyList(
+        self._scan: ChunkedSortedKeyList[PBlock] = ChunkedSortedKeyList(
             key=lambda b: (-b.size, b.sblock_refs, b.id)
         )
         self._total_bytes = 0
@@ -59,46 +60,39 @@ class PPool:
     def add(self, block: PBlock) -> None:
         """Insert a pBlock (after Alloc or Split)."""
         self._blocks.add(block)
+        self._scan.add(block)
         self._total_bytes += block.size
         if not block.active:
-            self._inactive.add(block)
             self._inactive_bytes += block.size
 
     def remove(self, block: PBlock) -> None:
         """Remove a pBlock (before Split rebuilds it, or on release)."""
         self._blocks.remove(block)
+        self._scan.remove(block)
         self._total_bytes -= block.size
         if not block.active:
-            self._inactive.remove(block)
             self._inactive_bytes -= block.size
 
     # ------------------------------------------------------------------
     # State transitions — the only way flags may change while pooled
     # ------------------------------------------------------------------
     def mark_active(self, block: PBlock) -> None:
-        """Flip ``block`` to active, maintaining the inactive index."""
-        if block.active:
-            return
-        self._inactive.remove(block)
-        self._inactive_bytes -= block.size
-        block.active = True
+        """Flip ``block`` to active."""
+        if not block.active:
+            block.active = True
+            self._inactive_bytes -= block.size
 
     def mark_inactive(self, block: PBlock) -> None:
-        """Flip ``block`` to inactive, maintaining the inactive index."""
-        if not block.active:
-            return
-        block.active = False
-        self._inactive.add(block)
-        self._inactive_bytes += block.size
+        """Flip ``block`` to inactive."""
+        if block.active:
+            block.active = False
+            self._inactive_bytes += block.size
 
     def adjust_refs(self, block: PBlock, delta: int) -> None:
-        """Change ``block.sblock_refs`` (part of the inactive key)."""
-        if not block.active:
-            self._inactive.remove(block)
-            block.sblock_refs += delta
-            self._inactive.add(block)
-        else:
-            block.sblock_refs += delta
+        """Change ``block.sblock_refs`` (part of the scan-order key)."""
+        self._scan.remove(block)
+        block.sblock_refs += delta
+        self._scan.add(block)
 
     # ------------------------------------------------------------------
     def inactive_descending(self) -> List[PBlock]:
@@ -106,10 +100,9 @@ class PPool:
 
         Equal-size blocks are ordered unreferenced-first so stitching
         and splitting consume blocks that no existing sBlock depends on
-        before cannibalizing converged stitch compositions.  A straight
-        copy of the live index — no filtering, no sorting.
+        before cannibalizing converged stitch compositions.
         """
-        return self._inactive.as_list()
+        return [b for b in self._scan if not b.active]
 
     def exact_inactive(self, size: int) -> Optional[PBlock]:
         """An inactive pBlock of exactly ``size`` bytes, if any.
@@ -121,9 +114,11 @@ class PPool:
         Falls back to the lowest-id candidate, like the pre-index scan.
         """
         fallback: Optional[PBlock] = None
-        for block in self._inactive.iter_from((-size,)):
+        for block in self._scan.iter_from((-size,)):
             if block.size != size:
                 break
+            if block.active:
+                continue
             if block.sblock_refs == 0:
                 return block
             if fallback is None or block.id < fallback.id:
@@ -141,17 +136,18 @@ class PPool:
         return self._inactive_bytes
 
     def check_invariants(self) -> None:
-        """pPool holds no duplicates, stays sorted, and every index and
-        counter matches a from-scratch recomputation."""
+        """pPool holds no duplicates, stays sorted, and the scan order
+        and counters match a from-scratch recomputation."""
         ids = [b.id for b in self._blocks]
         assert len(ids) == len(set(ids)), "duplicate pBlock in pPool"
         assert self._blocks.check_sorted(), "pPool not sorted"
-        assert self._inactive.check_sorted(), "pPool inactive index not sorted"
-        inactive_ids = {b.id for b in self._inactive}
-        expected = {b.id for b in self._blocks if not b.active}
-        assert inactive_ids == expected, (
-            "pPool inactive index out of sync with block flags"
-        )
+        assert self._scan.check_sorted(), "pPool scan order not sorted"
+        # ``in`` looks a block up under its *current* key, so it also
+        # fails for a key left stale by a refs change that bypassed
+        # ``adjust_refs``.
+        assert len(self._scan) == len(ids) and all(
+            b in self._scan for b in self._blocks
+        ), "pPool scan order out of sync with the pool's blocks or their keys"
         assert self._total_bytes == sum(b.size for b in self._blocks), (
             "pPool total_bytes counter drifted"
         )
@@ -171,13 +167,8 @@ class SPool:
         self._blocks: ChunkedSortedKeyList[SBlock] = ChunkedSortedKeyList(
             key=lambda b: (b.size, b.id)
         )
-        self._inactive: ChunkedSortedKeyList[SBlock] = ChunkedSortedKeyList(
-            key=lambda b: (b.size, b.id)
-        )
         # pBlock id -> sBlocks stitched over it (the back-index behind
-        # ``referencing``).  Per-sBlock active-member counts live on
-        # ``SBlock.pool_active_members`` (O(1) activity instead of an
-        # any() chain per query).
+        # ``referencing``).
         self._by_member: Dict[int, List[SBlock]] = {}
         self._va_bytes = 0
 
@@ -193,10 +184,6 @@ class SPool:
         self._va_bytes += block.size
         for member in block.members:
             self._by_member.setdefault(member.id, []).append(block)
-        active = sum(1 for m in block.members if m.active)
-        block.pool_active_members = active
-        if active == 0:
-            self._inactive.add(block)
 
     def remove(self, block: SBlock) -> None:
         """Remove an sBlock (StitchFree)."""
@@ -207,39 +194,11 @@ class SPool:
             holders.remove(block)
             if not holders:
                 del self._by_member[member.id]
-        if block.pool_active_members == 0:
-            self._inactive.remove(block)
-
-    # ------------------------------------------------------------------
-    # Member-state notifications (fired by the allocator's Update path)
-    # ------------------------------------------------------------------
-    def member_activated(self, pblock: PBlock) -> None:
-        """A member pBlock went active: update every referencing sBlock."""
-        holders = self._by_member.get(pblock.id)
-        if holders is None:
-            return
-        for sblock in holders:
-            count = sblock.pool_active_members
-            if count == 0:
-                self._inactive.remove(sblock)
-            sblock.pool_active_members = count + 1
-
-    def member_deactivated(self, pblock: PBlock) -> None:
-        """A member pBlock went inactive: update referencing sBlocks."""
-        holders = self._by_member.get(pblock.id)
-        if holders is None:
-            return
-        for sblock in holders:
-            count = sblock.pool_active_members - 1
-            sblock.pool_active_members = count
-            if count == 0:
-                self._inactive.add(sblock)
 
     def replace_member(self, sblock: SBlock, old: PBlock,
                        new_parts: List[PBlock]) -> None:
         """Swap ``old`` for the pBlocks it was split into, keeping the
-        back-index current.  Split requires ``old`` inactive and the
-        parts inherit that state, so activity counts are unchanged."""
+        back-index current."""
         sblock.replace_member(old, new_parts)
         holders = self._by_member[old.id]
         holders.remove(sblock)
@@ -255,14 +214,21 @@ class SPool:
         This is the only way an sBlock is ever handed to a tensor (S1:
         "This is the sole situation where an sBlock can be assigned").
         """
-        block = self._inactive.first_at_least((size, 0))
-        if block is not None and block.size == size:
-            return block
+        for block in self._blocks.iter_from((size, 0)):
+            if block.size != size:
+                break
+            # ``not block.active``, spelled out: this loop is the
+            # converged malloc's whole cost.
+            for member in block.members:
+                if member.active:
+                    break
+            else:
+                return block
         return None
 
     def inactive_blocks(self) -> List[SBlock]:
         """All inactive sBlocks (StitchFree candidates)."""
-        return self._inactive.as_list()
+        return [b for b in self._blocks if not b.active]
 
     def referencing(self, pblock: PBlock) -> List[SBlock]:
         """Every sBlock that stitches over ``pblock``, in (size, id)
@@ -275,7 +241,9 @@ class SPool:
     def lru_inactive(self) -> Optional[SBlock]:
         """Least-recently-used inactive sBlock (StitchFree victim)."""
         victim: Optional[SBlock] = None
-        for block in self._inactive:
+        for block in self._blocks:
+            if block.active:
+                continue
             if victim is None or block.last_used < victim.last_used:
                 victim = block
         return victim
@@ -286,8 +254,8 @@ class SPool:
         return self._va_bytes
 
     def check_invariants(self, ppool: PPool) -> None:
-        """Every sBlock member is a live pPool block; every index and
-        count matches a from-scratch recomputation."""
+        """Every sBlock member is a live pPool block; the back-index and
+        counter match a from-scratch recomputation."""
         live = {id(b) for b in ppool}
         for sblock in self._blocks:
             assert len(sblock.members) >= 2, f"sBlock {sblock.id} has <2 members"
@@ -296,16 +264,7 @@ class SPool:
                     f"sBlock {sblock.id} references pBlock {member.id} "
                     "that is not in the pPool"
                 )
-            assert sblock.pool_active_members == sum(
-                1 for m in sblock.members if m.active
-            ), f"sBlock {sblock.id} active-member count drifted"
         assert self._blocks.check_sorted(), "sPool not sorted"
-        assert self._inactive.check_sorted(), "sPool inactive index not sorted"
-        inactive_ids = {b.id for b in self._inactive}
-        expected = {b.id for b in self._blocks if not b.active}
-        assert inactive_ids == expected, (
-            "sPool inactive index out of sync with member activity"
-        )
         edges = {(pid, id(s)) for pid, holders in self._by_member.items()
                  for s in holders}
         expected_edges = {(m.id, id(s)) for s in self._blocks

@@ -4,9 +4,10 @@ An sBlock fuses several non-contiguous pBlocks behind one contiguous
 virtual address range.  It never creates physical chunks: ``cuMemMap``
 simply points its VA at the member pBlocks' existing chunks (the same
 physical chunk may be mapped by many sBlocks simultaneously).  Whether
-an sBlock is usable is derived from its members: if any member pBlock is
-active the sBlock is active too, which guarantees each physical chunk is
-used by at most one tensor.
+an sBlock is usable is derived from its members each time it is asked
+(``SBlock.active`` stores nothing): if any member pBlock is active the
+sBlock is active too, which guarantees each physical chunk is used by at
+most one tensor.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ class SBlock:
         ``alloc_id`` of the tensor occupying this sBlock, or None.
     """
 
-    __slots__ = ("id", "va", "size", "members", "last_used", "owner_id",
-                 "pool_active_members")
+    __slots__ = ("id", "va", "size", "members", "last_used", "owner_id")
 
     def __init__(self, va: int, size: int, members: List[PBlock]):
         self.id = next(_sblock_ids)
@@ -52,10 +52,6 @@ class SBlock:
         self.members = members
         self.last_used = 0
         self.owner_id: "int | None" = None
-        # Maintained by the owning SPool: count of currently-active
-        # members, so pool activity checks are O(1) instead of an
-        # any() chain over the members (see SPool.member_activated).
-        self.pool_active_members = 0
 
     # ------------------------------------------------------------------
     @classmethod

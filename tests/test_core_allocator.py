@@ -318,3 +318,80 @@ class TestAccountingInvariants:
         gml.malloc(160 * MB)  # peak: stitches a's block + new memory
         stats = gml.stats()
         assert stats.utilization_ratio > 0.95
+
+
+class TestInvariantsCatchCorruption:
+    """Activity is derived on read, but what a sort key, a counter or
+    the back-index stores can still drift if a write bypasses the pool
+    API: ``check_invariants`` must catch each, one seeded corruption per
+    test."""
+
+    @pytest.fixture
+    def stitched(self, gml):
+        """One free sBlock over two 6 MB pBlocks, both in the pPool."""
+        a = gml.malloc(6 * MB)
+        b = gml.malloc(6 * MB)
+        gml.free(a)
+        gml.free(b)
+        gml.free(gml.malloc(12 * MB))
+        (sblock,) = gml.spool
+        gml.check_invariants()
+        return gml, sblock
+
+    def test_stale_sblock_refs_key(self, stitched):
+        gml, sblock = stitched
+        sblock.members[0].sblock_refs += 1  # bypasses PPool.adjust_refs
+        with pytest.raises(AssertionError, match="scan order"):
+            gml.check_invariants()
+
+    def test_drifted_inactive_bytes(self, stitched):
+        gml, sblock = stitched
+        sblock.members[0].active = True  # bypasses PPool.mark_active
+        with pytest.raises(AssertionError, match="inactive_bytes"):
+            gml.check_invariants()
+
+    def test_missing_by_member_edge(self, stitched):
+        gml, sblock = stitched
+        del gml.spool._by_member[sblock.members[0].id]
+        with pytest.raises(AssertionError, match="back-index"):
+            gml.check_invariants()
+
+    def test_member_absent_from_ppool(self, stitched):
+        gml, sblock = stitched
+        gml.ppool.remove(sblock.members[1])
+        with pytest.raises(AssertionError, match="not in the pPool"):
+            gml.check_invariants()
+
+
+class TestExactMatchTouchesNoPoolOrder:
+    """A count, not a timing: activity is no sort key, so the converged
+    malloc/free cycle must not re-key anything — even when every pBlock
+    sits under several sBlocks (the ``train_replay`` regime, where an
+    eager per-holder index cost O(members x holders) per call)."""
+
+    def test_warm_cycle_does_no_sorted_list_updates(self, gml, monkeypatch):
+        from repro.sortedlist import ChunkedSortedKeyList
+
+        for held in [gml.malloc(6 * MB) for _ in range(9)]:
+            gml.free(held)
+        sizes = [k * 6 * MB for k in range(2, 10)]
+        for size in sizes:  # each stitches a prefix of the nine pBlocks
+            gml.free(gml.malloc(size))
+        assert len(gml.spool) >= 8
+        assert min(len(gml.spool.referencing(p)) for p in gml.ppool) >= 4
+
+        calls = []
+        for name in ("add", "remove"):
+            original = getattr(ChunkedSortedKeyList, name)
+
+            def counted(self, item, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, item)
+
+            monkeypatch.setattr(ChunkedSortedKeyList, name, counted)
+        exact_before = hits(gml, FitState.EXACT_MATCH)
+        for size in sizes:
+            gml.free(gml.malloc(size))
+        assert hits(gml, FitState.EXACT_MATCH) == exact_before + len(sizes)
+        assert calls == []
+        gml.check_invariants()

@@ -245,18 +245,34 @@ class TestPools:
         assert pool.inactive_bytes == 4 * MB
 
     def test_spool_exact_inactive_only(self, device):
-        spool = SPool()
+        ppool, spool = PPool(), SPool()
         a = make_pblock(device, 4 * MB)
         b = make_pblock(device, 4 * MB)
+        ppool.add(a)
+        ppool.add(b)
         sblock = SBlock.stitch(device, [a, b])
         spool.add(sblock)
         assert spool.exact_inactive(8 * MB) is sblock
-        a.active = True
-        spool.member_activated(a)
+        # The sPool is told nothing: it reads the member flags.
+        ppool.mark_active(b)
         assert spool.exact_inactive(8 * MB) is None
-        a.active = False
-        spool.member_deactivated(a)
+        assert spool.inactive_blocks() == [] and spool.lru_inactive() is None
+        ppool.mark_inactive(b)
         assert spool.exact_inactive(8 * MB) is sblock
+        assert ppool.inactive_bytes == 8 * MB
+
+    def test_spool_exact_inactive_skips_active_same_size(self, device):
+        ppool, spool = PPool(), SPool()
+        blocks = [make_pblock(device, 4 * MB) for _ in range(4)]
+        for block in blocks:
+            ppool.add(block)
+        first = SBlock.stitch(device, blocks[:2])
+        second = SBlock.stitch(device, blocks[2:])
+        spool.add(first)
+        spool.add(second)
+        assert spool.exact_inactive(8 * MB) is first  # lowest id wins
+        ppool.mark_active(blocks[1])
+        assert spool.exact_inactive(8 * MB) is second
 
     def test_spool_lru_inactive(self, device):
         spool = SPool()
@@ -298,5 +314,5 @@ class TestPools:
         b = make_pblock(device, 4 * MB)
         ppool.add(a)  # b deliberately missing
         spool.add(SBlock.stitch(device, [a, b]))
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="not in the pPool"):
             spool.check_invariants(ppool)

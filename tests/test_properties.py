@@ -4,7 +4,7 @@ sequences (hypothesis drives alloc/free interleavings)."""
 from hypothesis import given, settings, strategies as st
 
 from repro.allocators import CachingAllocator, VmmNaiveAllocator
-from repro.core import GMLakeAllocator
+from repro.core import GMLakeAllocator, GMLakeConfig
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.units import GB, MB
@@ -95,11 +95,12 @@ class TestGMLakeProperties:
 
 
 class TestIndexedPoolFuzz:
-    """The PR-4 indexed pools maintain live inactive views, back-indexes
-    and running byte counters; ``check_invariants`` re-derives all of
-    them from scratch.  Checking *mid-sequence* (not just at the end)
-    catches transient drift that a final check could miss after
-    compensating operations."""
+    """The pools store scan orders, back-indexes and running byte
+    counters (activity is not among them: it is read off
+    ``PBlock.active``); ``check_invariants`` re-derives all of them
+    from scratch.  Checking *mid-sequence* (not just at the end) catches
+    transient drift that a final check could miss after compensating
+    operations."""
 
     @COMMON_SETTINGS
     @given(st.lists(STEP, max_size=60))
@@ -143,6 +144,65 @@ class TestIndexedPoolFuzz:
             b.size for b in allocator._blocks_by_ptr.values() if b.allocated)
         assert (allocator.cached_bytes() + live_block_bytes
                 == allocator.reserved_bytes)
+
+
+def _no_active_member(sblock):
+    return not any(member.active for member in sblock.members)
+
+
+def assert_inactive_lookups_match_brute_force(allocator):
+    """Every activity-filtered pool look-up against its definition,
+    written out over ``iter(pool)`` with no help from the pools' own
+    orderings, for every block size present and one that is not."""
+    ppool, spool = allocator.ppool, allocator.spool
+    free_p = [p for p in ppool if not p.active]
+    free_s = [s for s in spool if _no_active_member(s)]
+
+    assert ppool.inactive_descending() == sorted(
+        free_p, key=lambda p: (-p.size, p.sblock_refs, p.id))
+    assert spool.inactive_blocks() == sorted(
+        free_s, key=lambda s: (s.size, s.id))
+    assert spool.lru_inactive() is min(
+        free_s, key=lambda s: (s.last_used, s.size, s.id), default=None)
+
+    sizes = {b.size for pool in (ppool, spool) for b in pool}
+    for size in sizes | {max(sizes, default=0) + 2 * MB}:
+        fitting = [p for p in free_p if p.size == size]
+        unreferenced = [p for p in fitting if p.sblock_refs == 0]
+        assert ppool.exact_inactive(size) is min(
+            unreferenced or fitting, key=lambda p: p.id, default=None)
+        assert spool.exact_inactive(size) is min(
+            (s for s in free_s if s.size == size),
+            key=lambda s: s.id, default=None)
+
+
+class TestInactiveLookupOracle:
+    """Differential oracle for derive-on-read activity: the pools keep
+    no inactive view, so nothing but these look-ups can disagree with
+    the member flags.  A few chunk-multiple sizes make requests collide
+    (exact matches, shared members); the sPool cap of 3 makes StitchFree
+    evict by LRU in most sequences; the 192 MB device reaches reclaim."""
+
+    SIZES = st.integers(min_value=1, max_value=24).map(lambda n: n * 2 * MB)
+
+    @COMMON_SETTINGS
+    @given(st.lists(st.tuples(st.booleans(), SIZES,
+                              st.integers(min_value=0, max_value=10_000)),
+                    max_size=60))
+    def test_lookups_match_brute_force_after_every_step(self, steps):
+        allocator = GMLakeAllocator(GpuDevice(capacity=192 * MB),
+                                    GMLakeConfig(max_spool_blocks=3))
+        live = []
+        for is_alloc, size, free_index in steps:
+            if is_alloc or not live:
+                try:
+                    live.append(allocator.malloc(size))
+                except OutOfMemoryError:
+                    pass
+            else:
+                allocator.free(live.pop(free_index % len(live)))
+            assert_inactive_lookups_match_brute_force(allocator)
+        allocator.check_invariants()
 
 
 class TestCachingProperties:
