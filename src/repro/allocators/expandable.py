@@ -28,7 +28,7 @@ from repro.allocators.base import Allocation, BaseAllocator
 from repro.allocators.caching import MIN_BLOCK_SIZE, SMALL_SIZE, round_size
 from repro.errors import CudaOutOfMemoryError, OutOfMemoryError
 from repro.gpu.device import GpuDevice
-from repro.sortedlist import SortedKeyList
+from repro.sortedlist import ChunkedSortedKeyList
 from repro.units import CHUNK_SIZE, align_up
 
 
@@ -53,7 +53,7 @@ class _Arena:
         self.va_size = va_size
         self.mapped = 0
         self.handles: List[int] = []  # one per mapped chunk, in order
-        self.free_blocks: SortedKeyList[_ArenaBlock] = SortedKeyList(
+        self.free_blocks: ChunkedSortedKeyList[_ArenaBlock] = ChunkedSortedKeyList(
             key=lambda b: (b.size, b.offset)
         )
         self.tail: Optional[_ArenaBlock] = None  # last block (by offset)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-from repro.api.spec import AllocatorLike
+from repro.api.spec import SpecLike
 from repro.sim.engine import AllocatorFactory, EngineResult, run_workload
 from repro.sim.metrics import ComparisonRow, compare_results
 from repro.units import A100_80GB
@@ -25,8 +25,8 @@ DEFAULT_ITERATIONS = 8
 
 def _compare(
     workload: TrainingWorkload,
-    baseline: Union[AllocatorLike, AllocatorFactory] = "caching",
-    gmlake: Union[AllocatorLike, AllocatorFactory] = "gmlake",
+    baseline: Union[SpecLike, AllocatorFactory] = "caching",
+    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
     capacity: int = A100_80GB,
 ) -> ComparisonRow:
     base = run_workload(workload, baseline, capacity=capacity)
@@ -40,7 +40,7 @@ def strategy_sweep(
     combos: Sequence[str] = ("N", "R", "LR", "RO", "LRO"),
     n_gpus: int = 4,
     iterations: int = DEFAULT_ITERATIONS,
-    gmlake: Union[AllocatorLike, AllocatorFactory] = "gmlake",
+    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
 ) -> List[ComparisonRow]:
     """Figure 3 / Figure 10: memory-efficient strategy combinations."""
     rows = []
@@ -59,7 +59,7 @@ def scaleout_sweep(
     gpu_counts: Sequence[int] = (1, 2, 4, 8, 16),
     strategies: str = "LR",
     iterations: int = DEFAULT_ITERATIONS,
-    gmlake: Union[AllocatorLike, AllocatorFactory] = "gmlake",
+    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
 ) -> List[ComparisonRow]:
     """Figure 4 / Figure 11: GPU scale-out."""
     rows = []
@@ -81,7 +81,7 @@ def platform_sweep(
     n_gpus: int = 4,
     strategies: str = "LR",
     iterations: int = DEFAULT_ITERATIONS,
-    gmlake: Union[AllocatorLike, AllocatorFactory] = "gmlake",
+    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
 ) -> List[ComparisonRow]:
     """Figure 12: platforms (FSDP-GLM-10B, DS-OPT-13B, CAI-GPT-2)."""
     rows = []
@@ -100,7 +100,7 @@ def batch_sweep(
     n_gpus: int = 4,
     strategies: str = "LR",
     iterations: int = DEFAULT_ITERATIONS,
-    gmlake: Union[AllocatorLike, AllocatorFactory] = "gmlake",
+    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
     capacity: int = A100_80GB,
 ) -> List[ComparisonRow]:
     """Figure 13: end-to-end batch-size sweep with OOM detection."""

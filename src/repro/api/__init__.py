@@ -2,14 +2,17 @@
 
 Three layers, each usable alone:
 
-* **Registry** (:mod:`repro.api.registry`) — every allocator registers
-  once with :func:`register_allocator` (canonical name, aliases, paper
+* **Registry** (:mod:`repro.api.registry`) — every component (an
+  allocator, a scheduler, a KV-cache model, ...) registers once with
+  :func:`register_component` (kind, canonical name, aliases, paper
   section, tunable parameters).  The CLI, benchmarks and simulators all
-  resolve allocators here; plugging in a new allocator is one decorator.
-* **Specs** (:mod:`repro.api.spec`) — :class:`AllocatorSpec` parses the
+  resolve components here; plugging in a new one is one decorator.
+* **Specs** (:mod:`repro.api.spec`) — :class:`ComponentSpec` (alias
+  :class:`AllocatorSpec` for its default kind) parses the
   ``"gmlake?chunk_mb=512&stitching=off"`` mini-DSL into a validated,
-  JSON-round-trippable configuration; :class:`ExperimentSpec` does the
-  same for a whole experiment (mode + workload + allocators).
+  JSON-round-trippable configuration, and :func:`resolve` builds the
+  component; :class:`ExperimentSpec` does the same for a whole
+  experiment (mode + workload + allocators).
 * **Runner** (:mod:`repro.api.experiment`) — :func:`run` dispatches
   offline replay, multi-rank cluster runs and online serving through
   one code path, returning :class:`ExperimentResult` adapters that all
@@ -41,24 +44,16 @@ from repro.api.experiment import (
     run,
 )
 from repro.api.registry import (
-    AllocatorInfo,
     ComponentInfo,
     Param,
     SpecError,
-    UnknownAllocatorError,
     UnknownComponentError,
-    allocator_names,
-    allocator_registry,
-    canonical_name,
     component_kinds,
     component_names,
     component_registry,
-    get_allocator_info,
     get_component_info,
-    iter_allocators,
     iter_components,
     kind_label,
-    register_allocator,
     register_component,
     register_kind,
 )
@@ -69,9 +64,10 @@ from repro.api.result import (
     run_result_row,
 )
 from repro.api.spec import (
-    AllocatorLike,
     AllocatorSpec,
     ComponentSpec,
+    SpecLike,
+    resolve,
     resolve_allocator,
     spec_label,
 )
@@ -83,8 +79,6 @@ from repro.api.sweep import (
 )
 
 __all__ = [
-    "AllocatorInfo",
-    "AllocatorLike",
     "AllocatorSpec",
     "ComponentInfo",
     "ComponentSpec",
@@ -96,25 +90,20 @@ __all__ = [
     "RunResult",
     "ServingSpec",
     "SpecError",
-    "UnknownAllocatorError",
+    "SpecLike",
     "UnknownComponentError",
     "WorkloadSpec",
     "WorstMemberRunResult",
-    "allocator_names",
-    "allocator_registry",
-    "canonical_name",
     "component_kinds",
     "component_names",
     "component_registry",
     "expand_spec_points",
-    "get_allocator_info",
     "get_component_info",
-    "iter_allocators",
     "iter_components",
     "kind_label",
-    "register_allocator",
     "register_component",
     "register_kind",
+    "resolve",
     "resolve_allocator",
     "run",
     "run_result_row",

@@ -3,8 +3,8 @@
 An experiment is: a **mode** (``replay`` — offline trace replay on one
 device; ``cluster`` — every training rank simulated; ``serve`` — the
 online serving simulator, multi-replica when ``serving.replicas > 1``),
-a **workload**, a device **capacity**, and one or more
-:class:`~repro.api.spec.AllocatorSpec`.  :func:`run` dispatches all
+a **workload**, a device **capacity**, and one or more allocator
+:class:`~repro.api.spec.ComponentSpec`.  :func:`run` dispatches all
 modes through one code path and returns one
 :class:`~repro.api.result.ExperimentResult` per allocator, so tables
 and scripts consume every mode uniformly::
@@ -32,10 +32,26 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.registry import SpecError
 from repro.api.result import ExperimentResult
-from repro.api.spec import AllocatorSpec
+from repro.api.spec import AllocatorSpec, ComponentSpec, resolve
 from repro.units import A100_80GB, parse_size
 
 MODES = ("replay", "cluster", "serve")
+
+
+def _canonicalize(spec: Any, fields: Dict[str, str],
+                  optional: Sequence[str] = ()) -> None:
+    """Validate and canonicalize ``spec``'s component fields
+    (``field -> kind``) eagerly, so a bad string fails at
+    spec-construction time, like a bad allocator spec — not mid-run.
+    ``optional`` fields may be ``""`` (feature off)."""
+    import repro.obs  # noqa: F401  (registers the trace kind)
+    import repro.serve  # noqa: F401  (registers the serving kinds)
+
+    for attr, kind in fields.items():
+        text = getattr(spec, attr)
+        if text or attr not in optional:
+            object.__setattr__(
+                spec, attr, ComponentSpec.parse(text, kind).spec_string())
 
 
 @dataclass(frozen=True)
@@ -80,8 +96,6 @@ class DisaggSpec:
     interconnect: str = "pcie"
 
     def __post_init__(self):
-        from repro.serve.interconnect import InterconnectSpec
-
         if self.prefill_replicas < 1:
             raise SpecError(
                 f"prefill_replicas must be >= 1, got "
@@ -90,9 +104,7 @@ class DisaggSpec:
             raise SpecError(
                 f"decode_replicas must be >= 1, got "
                 f"{self.decode_replicas}")
-        object.__setattr__(
-            self, "interconnect",
-            InterconnectSpec.parse(self.interconnect).spec_string())
+        _canonicalize(self, {"interconnect": "interconnect"})
 
 
 @dataclass(frozen=True)
@@ -185,61 +197,39 @@ class ServingSpec:
     seed: int = 0
 
     def __post_init__(self):
-        from repro.obs.trace import TraceSpec
-        from repro.serve.arrivals import ArrivalSpec
-        from repro.serve.autoscale import AutoscalerSpec
-        from repro.serve.faults import FaultsSpec, RetrySpec
-        from repro.serve.kvcache import KVCacheSpec
-        from repro.serve.preemption import (
-            PreemptionSpec,
-            check_tiers_exclude_swap,
-        )
-        from repro.serve.scheduler import SchedulerSpec
-
-        # Validate (and canonicalize) every component spec eagerly so a
-        # bad string fails at spec-construction time, like a bad
-        # allocator spec — not mid-run.
-        for attr, spec_cls in (("kv_cache", KVCacheSpec),
-                               ("scheduler", SchedulerSpec),
-                               ("preemption", PreemptionSpec),
-                               ("autoscaler", AutoscalerSpec),
-                               ("faults", FaultsSpec),
-                               ("retry", RetrySpec)):
-            object.__setattr__(
-                self, attr, spec_cls.parse(getattr(self, attr)).spec_string())
+        _canonicalize(
+            self,
+            {"kv_cache": "kv-cache", "scheduler": "scheduler",
+             "preemption": "preemption", "autoscaler": "autoscaler",
+             "faults": "faults", "retry": "retry", "trace": "trace",
+             "arrivals": "arrivals"},
+            optional=("trace", "arrivals"))
         if self.prefix_sharing:
             # Sugar over naming "paged-shared" directly: rewrite the
             # paged model (or the untouched chunked default) to the
             # prefix-sharing variant, preserving any block size.
-            kv = KVCacheSpec.parse(self.kv_cache)
+            kv = ComponentSpec.parse(self.kv_cache, "kv-cache")
             if kv.name == "paged" or self.kv_cache == "chunked":
-                object.__setattr__(
-                    self, "kv_cache",
-                    KVCacheSpec("paged-shared", kv.params).spec_string())
+                shared = ComponentSpec("paged-shared", kv.params, "kv-cache")
+                object.__setattr__(self, "kv_cache", shared.spec_string())
             elif kv.name != "paged-shared":
                 raise SpecError(
                     f"prefix_sharing needs a paged KV cache, got "
                     f"{self.kv_cache!r} (use kv_cache: \"paged\" or "
                     f"\"paged-shared\")")
-        if self.trace:
-            object.__setattr__(
-                self, "trace", TraceSpec.parse(self.trace).spec_string())
-        if self.memory_tiers:
-            from repro.serve.memtier import parse_memory_tiers
+        from repro.serve.memtier import TierHierarchy, parse_memory_tiers
 
-            tiers = parse_memory_tiers(self.memory_tiers)
-            object.__setattr__(
-                self, "memory_tiers",
-                ",".join(t.spec_string() for t in tiers))
-            check_tiers_exclude_swap(self.preemption, self.memory_tiers)
+        tiers = parse_memory_tiers(self.memory_tiers)
+        object.__setattr__(
+            self, "memory_tiers", ",".join(t.spec_string() for t in tiers))
+        if tiers:
+            # A trial build: the policy's factory says whether it can
+            # run over a hierarchy (swap cannot).
+            resolve("preemption", self.preemption, TierHierarchy(tiers))
         if self.gauge_every_s < 0:
             raise SpecError(
                 f"gauge_every_s must be >= 0, got {self.gauge_every_s}")
-        if self.arrivals:
-            object.__setattr__(
-                self, "arrivals",
-                ArrivalSpec.parse(self.arrivals).spec_string())
-        else:
+        if not self.arrivals:
             # The legacy arrival fields get the same parse-time
             # validation the spec-string path enjoys.
             if self.arrival not in ("poisson", "mmpp"):
@@ -296,14 +286,10 @@ class ServingSpec:
 
     def build_arrivals(self):
         """The configured arrival process (spec string or legacy fields)."""
-        from repro.serve.arrivals import (
-            ArrivalSpec,
-            MMPPArrivals,
-            PoissonArrivals,
-        )
+        from repro.serve.arrivals import MMPPArrivals, PoissonArrivals
 
         if self.arrivals:
-            return ArrivalSpec.parse(self.arrivals).build()
+            return resolve("arrivals", self.arrivals)
         if self.arrival == "poisson":
             return PoissonArrivals(rate_per_s=self.rate_per_s)
         burst = self.burst_rate_per_s or 4.0 * self.rate_per_s
@@ -485,7 +471,7 @@ def _labelled_trace_path(path: str, label: str) -> str:
 
 def _run_serve(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResult:
     from repro.obs.gauges import GaugeSampler
-    from repro.obs.trace import TraceRecorder, TraceSpec
+    from repro.obs.trace import TraceRecorder
     from repro.serve.cluster import run_serving_cluster
     from repro.serve.disagg import run_serving_disagg
     from repro.serve.simulator import ServingConfig, run_serving
@@ -527,7 +513,7 @@ def _run_serve(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResu
     outcome = adapt(result, slo=serving.slo(), label=allocator.label,
                     streaming=serving.streaming)
     if recorder is not None:
-        sink = TraceSpec.parse(serving.trace).build()
+        sink = resolve("trace", serving.trace)
         if len(spec.allocators) > 1:
             # One trace file per allocator, or the sweep's runs would
             # silently overwrite each other.

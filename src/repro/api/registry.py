@@ -19,31 +19,33 @@ Registering a new component::
     )
     class PriorityScheduler(Scheduler): ...
 
-Allocators keep their dedicated decorator (:func:`register_allocator`,
-a thin wrapper fixing ``kind="allocator"``).  Parameters may be
-declared explicitly, pulled from a config dataclass
+Registration is the only place a component is described.  Parameters
+may be declared explicitly, pulled from a config dataclass
 (``config_cls=GMLakeConfig`` — construction then passes one config
 object), or introspected from the constructor signature when omitted.
-:class:`~repro.api.spec.ComponentSpec` (and its typed views like
-:class:`~repro.api.spec.AllocatorSpec`) consume this metadata to parse
-and validate ``"name?key=value&..."`` spec strings.
+:class:`~repro.api.spec.ComponentSpec` consumes this metadata to parse
+``"name?key=value&..."`` spec strings, and validates the values by
+constructing the component (:meth:`ComponentInfo.validate`), so the
+constructor's own range checks are the only ones written.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
-    Type,
 )
 
 from repro.errors import ReproError
@@ -63,10 +65,6 @@ class UnknownComponentError(SpecError, KeyError):
 
     def __str__(self) -> str:  # KeyError.__str__ repr()s the message
         return self.args[0] if self.args else ""
-
-
-class UnknownAllocatorError(UnknownComponentError):
-    """The spec names an allocator the registry does not know."""
 
 
 #: Value kinds a parameter can declare.  ``size`` parameters accept byte
@@ -205,6 +203,11 @@ def parse_param_value(owner: str, param: Param, raw: Any, scale: float = 1.0) ->
         ) from exc
 
 
+#: ``inspect.signature`` costs ~50 µs and every spec parse asks for its
+#: component's; the registered classes are few and never change.
+_signature = functools.lru_cache(maxsize=None)(inspect.signature)
+
+
 @dataclass(frozen=True)
 class ComponentInfo:
     """Registry metadata for one component of one kind."""
@@ -221,9 +224,10 @@ class ComponentInfo:
     #: defaults for params the user left unset (e.g. GMLake raises its
     #: fragmentation limit to a non-default chunk size).
     derive: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
-    #: Optional hook: validate the explicitly-set params as a group at
-    #: spec-parse time (raise :class:`SpecError` on bad combinations —
-    #: e.g. a non-positive arrival rate) instead of failing mid-run.
+    #: Optional hook: validate the explicitly-set params at spec-parse
+    #: time — only for what :meth:`validate`'s trial construction
+    #: cannot see: explicit-vs-default, or a component whose
+    #: construction needs a runtime argument or I/O.
     check: Optional[Callable[[Dict[str, Any]], None]] = None
     #: Optional construction override: ``factory(*args, **params)``
     #: instead of ``cls(*args, **params)`` (e.g. replay arrivals load
@@ -250,26 +254,51 @@ class ComponentInfo:
                 resolved.setdefault(key, value)
         return resolved
 
+    def validate(self, explicit: Dict[str, Any]) -> None:
+        """Reject bad ``explicit`` params at spec-parse time.
+
+        Runs the ``check`` hook, then constructs the component's
+        ``config_cls`` (else ``cls``) when the params alone suffice —
+        so the constructor is the validator.  Entries with a
+        ``factory``, or whose constructor needs a runtime argument
+        (an allocator's device, a KV cache's model), are validated by
+        :meth:`build`.
+        """
+        if self.check is not None:
+            self.check(explicit)
+        if self.factory is not None:
+            return
+        target = self.config_cls or self.cls
+        resolved = self.resolve_params(explicit)
+        try:
+            _signature(target).bind(**resolved)
+        except TypeError:
+            return
+        with self._construction_errors(resolved):
+            target(**resolved)
+
     def build(self, *args: Any, params: Optional[Dict[str, Any]] = None) -> Any:
         """Instantiate the component with ``params`` (plus positional
         ``args`` the kind requires — e.g. the device for allocators)."""
         resolved = self.resolve_params(params or {})
-        try:
+        with self._construction_errors(resolved):
             if self.factory is not None:
                 return self.factory(*args, **resolved)
             if self.config_cls is not None:
                 return self.cls(*args, self.config_cls(**resolved))
             return self.cls(*args, **resolved)
+
+    @contextmanager
+    def _construction_errors(self, resolved: Dict[str, Any]) -> Iterator[None]:
+        """Report a constructor's ``TypeError`` / ``ValueError`` as a
+        :class:`SpecError` naming the component and its params."""
+        try:
+            yield
         except (TypeError, ValueError) as exc:
             raise SpecError(
                 f"cannot construct {self.owner} "
                 f"with params {resolved!r}: {exc}"
             ) from exc
-
-
-#: Backwards-compatible name — allocator registry entries are plain
-#: :class:`ComponentInfo` records with ``kind="allocator"``.
-AllocatorInfo = ComponentInfo
 
 
 #: kind -> canonical name -> info, in registration order per kind.
@@ -278,9 +307,6 @@ _COMPONENTS: Dict[str, Dict[str, ComponentInfo]] = {}
 _COMPONENT_ALIASES: Dict[str, Dict[str, str]] = {}
 #: kind -> display label used in error messages and listings.
 _KIND_LABELS: Dict[str, str] = {}
-#: kind -> unknown-name error class (kind-specific subclasses keep
-#: legacy ``except`` clauses working).
-_KIND_ERRORS: Dict[str, Type[UnknownComponentError]] = {}
 
 
 def _kind_registry(kind: str) -> Dict[str, ComponentInfo]:
@@ -333,25 +359,19 @@ def _params_from_init(cls: type) -> Tuple[Param, ...]:
 
 
 def register_kind(
-    kind: str,
-    label: Optional[str] = None,
-    error: Optional[Type[UnknownComponentError]] = None,
+    kind: str, label: Optional[str] = None,
 ) -> Dict[str, ComponentInfo]:
     """Declare a component kind (idempotent).
 
-    ``label`` is the display name used in error messages and listings;
-    ``error`` is the unknown-name exception class (defaults to
-    :class:`UnknownComponentError`).  Returns the kind's **live**
-    catalogue dict (canonical name → :class:`ComponentInfo`) — the
-    same object later registrations fill in, so a kind's home module
-    can expose it (the allocator kind's ``_REGISTRY``).
+    ``label`` is the display name used in error messages and listings.
+    Returns the kind's **live** catalogue dict (canonical name →
+    :class:`ComponentInfo`) — the same object later registrations fill
+    in, so a kind's home module can expose it (``MEMORY_TIERS``).
     """
     registry = _COMPONENTS.setdefault(kind, {})
     _COMPONENT_ALIASES.setdefault(kind, {})
     if label is not None:
         _KIND_LABELS.setdefault(kind, label)
-    if error is not None:
-        _KIND_ERRORS.setdefault(kind, error)
     return registry
 
 
@@ -376,8 +396,9 @@ def register_component(
     tunables explicitly; when omitted they are derived from
     ``config_cls``'s dataclass fields (construction then passes a
     single config object) or, failing that, introspected from the
-    constructor signature.  ``check`` validates explicitly-set params
-    at spec-parse time; ``factory`` overrides construction.
+    constructor signature.  ``check`` is a parse-time hook for what
+    constructing the class cannot validate (see
+    :meth:`ComponentInfo.validate`); ``factory`` overrides construction.
     """
     register_kind(kind)
     registry = _COMPONENTS[kind]
@@ -417,8 +438,8 @@ def component_canonical_name(kind: str, name: str) -> str:
     key = _COMPONENT_ALIASES[kind].get(key, key)
     if key not in registry:
         known = ", ".join(sorted(set(registry) | set(_COMPONENT_ALIASES[kind])))
-        error = _KIND_ERRORS.get(kind, UnknownComponentError)
-        raise error(f"unknown {kind_label(kind)} {name!r}; known: {known}")
+        raise UnknownComponentError(
+            f"unknown {kind_label(kind)} {name!r}; known: {known}")
     return key
 
 
@@ -451,64 +472,6 @@ def iter_components(kind: str) -> Iterable[ComponentInfo]:
 
 
 # ----------------------------------------------------------------------
-# The allocator kind (the original registry, now a thin view)
-# ----------------------------------------------------------------------
-#: The allocator catalogue — shared storage with the kind-aware
-#: registry (``_COMPONENTS["allocator"]`` is this very dict).
-_REGISTRY: Dict[str, ComponentInfo] = register_kind(
-    "allocator", label="allocator", error=UnknownAllocatorError)
-_ALIASES: Dict[str, str] = _COMPONENT_ALIASES["allocator"]
-
-
-def register_allocator(
-    name: str,
-    *,
-    aliases: Sequence[str] = (),
-    params: Optional[Sequence[Param]] = None,
-    config_cls: Optional[type] = None,
-    paper_section: str = "",
-    description: str = "",
-    derive: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
-) -> Callable[[type], type]:
-    """Class decorator registering an allocator under ``name``.
-
-    A thin wrapper over :func:`register_component` with
-    ``kind="allocator"`` — kept because allocators predate the
-    kind-aware registry and register from several modules.
-    """
-    return register_component(
-        "allocator", name, aliases=aliases, params=params,
-        config_cls=config_cls, paper_section=paper_section,
-        description=description, derive=derive,
-    )
-
-
-def canonical_name(name: str) -> str:
-    """Map an allocator name or alias to the canonical registry name."""
-    return component_canonical_name("allocator", name)
-
-
-def get_allocator_info(name: str) -> ComponentInfo:
-    """Look up allocator registry metadata by canonical name or alias."""
-    return get_component_info("allocator", name)
-
-
-def allocator_registry() -> Dict[str, ComponentInfo]:
-    """The canonical-name → :class:`AllocatorInfo` catalogue (a copy)."""
-    return component_registry("allocator")
-
-
-def allocator_names(include_aliases: bool = False) -> List[str]:
-    """Registered allocator names, optionally with aliases."""
-    return component_names("allocator", include_aliases)
-
-
-def iter_allocators() -> Iterable[ComponentInfo]:
-    """Iterate allocator registry entries in registration order."""
-    return iter_components("allocator")
-
-
-# ----------------------------------------------------------------------
 # Built-in allocator registrations
 # ----------------------------------------------------------------------
 def _register_builtins() -> None:
@@ -529,8 +492,8 @@ def _register_builtins() -> None:
             return {}
         return {"small_threshold": chunk, "fragmentation_limit": chunk}
 
-    register_allocator(
-        "gmlake",
+    register_component(
+        "allocator", "gmlake",
         params=(
             Param("chunk_size", int, 2 * MB, kind="size",
                   doc="uniform physical chunk size (§3.1)"),
@@ -554,15 +517,15 @@ def _register_builtins() -> None:
         derive=gmlake_derive,
     )(GMLakeAllocator)
 
-    register_allocator(
-        "caching",
+    register_component(
+        "allocator", "caching",
         aliases=("pytorch",),
         paper_section="§2.2",
         description="PyTorch best-fit caching allocator with split/coalesce (BFC)",
     )(CachingAllocator)
 
-    register_allocator(
-        "native",
+    register_component(
+        "allocator", "native",
         params=(
             Param("op_amplification", int, 40,
                   doc="CUDA calls one trace tensor stands for"),
@@ -571,8 +534,8 @@ def _register_builtins() -> None:
         description="one cudaMalloc/cudaFree per tensor (no pooling)",
     )(NativeAllocator)
 
-    register_allocator(
-        "vmm-naive",
+    register_component(
+        "allocator", "vmm-naive",
         params=(
             Param("chunk_size", int, 2 * MB, kind="size",
                   doc="physical chunk size backing each allocation"),
@@ -581,8 +544,8 @@ def _register_builtins() -> None:
         description="unpooled VMM: full reserve/map per malloc, teardown per free",
     )(VmmNaiveAllocator)
 
-    register_allocator(
-        "expandable",
+    register_component(
+        "allocator", "expandable",
         paper_section="extension",
         description="PyTorch expandable segments: growable VMM arenas, no stitching",
     )(ExpandableSegmentsAllocator)

@@ -14,17 +14,17 @@ simulator all speak this one language, so a configured component needs
 no Python-side factory code anywhere.  Specs round-trip losslessly
 through ``to_dict``/``from_dict`` (JSON-safe) and :meth:`spec_string`.
 
-:class:`ComponentSpec` is the generic parser; each component kind
-exposes a typed view fixing the ``kind`` (``AllocatorSpec`` here,
-``KVCacheSpec`` / ``SchedulerSpec`` / ``ArrivalSpec`` /
-``PreemptionSpec`` / ``AutoscalerSpec`` next to their registries in
-:mod:`repro.serve`).
+:class:`ComponentSpec` is the one spec class: its ``kind`` field says
+which registry the name belongs to (``"allocator"`` by default, hence
+the alias :data:`AllocatorSpec`), and :func:`resolve` is the one way a
+consumer turns "a spec string, a spec, or my own instance" into a
+component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.allocators.base import BaseAllocator
 from repro.api.registry import (
@@ -42,8 +42,7 @@ def parse_query(text: str) -> Tuple[str, Dict[str, Any]]:
     """Split a ``"name?key=value&key=value"`` mini-DSL string.
 
     Returns ``(name, raw_params)`` without validating either — the
-    caller's registry does that.  Shared by every :class:`ComponentSpec`
-    view so every spec string in the toolkit has one grammar.
+    kind's registry does that.
     """
     text = text.strip()
     if not text:
@@ -72,19 +71,18 @@ class ComponentSpec:
 
     ``params`` holds only *explicitly set* parameters, keyed by their
     canonical names — defaults are left to the component so a spec
-    stays minimal and stable under serialization.  Subclasses pin
-    ``kind`` to a registry kind; parsing validates the name against
-    that kind's registry and every value against its declared
-    :class:`~repro.api.registry.Param` metadata, then runs the
-    component's ``check`` hook (group validation — e.g. a non-positive
-    rate) so bad specs fail at parse time, not mid-run.
+    stays minimal and stable under serialization.  Construction
+    validates the name against the ``kind``'s registry, every value
+    against its declared :class:`~repro.api.registry.Param` metadata,
+    and the values as a group by constructing the component
+    (:meth:`~repro.api.registry.ComponentInfo.validate`), so bad specs
+    fail at parse time, in the constructor's words, not mid-run.
     """
 
     name: str
     params: Dict[str, Any] = field(default_factory=dict)
-
-    #: The registry kind this spec class addresses.
-    kind: ClassVar[str] = "allocator"
+    #: The registry kind the name belongs to.
+    kind: str = "allocator"
 
     def __post_init__(self):
         info = get_component_info(self.kind, self.name)  # raises on unknown
@@ -99,31 +97,36 @@ class ComponentSpec:
                 )
             validated[param.name] = parse_param_value(
                 info.owner, param, raw, scale)
-        if info.check is not None:
-            info.check(validated)
+        info.validate(validated)
         object.__setattr__(self, "params", validated)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def parse(cls, text):
-        """Parse ``"name"`` or ``"name?key=value&key=value"``."""
+    def parse(cls, text: "SpecLike", kind: str = "allocator") -> "ComponentSpec":
+        """Parse ``"name"`` or ``"name?key=value&key=value"`` as a
+        ``kind`` component (a spec of that kind passes through)."""
         if isinstance(text, cls):
+            if text.kind != kind:
+                raise SpecError(
+                    f"expected a {kind_label(kind)} spec, got "
+                    f"{kind_label(text.kind)} {text.spec_string()!r}")
             return text
         name, params = parse_query(text)
-        return cls(name, params)
+        return cls(name, params, kind)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ComponentSpec":
-        """Inverse of :meth:`to_dict`."""
-        label = kind_label(cls.kind)
+    def from_dict(cls, data: Dict[str, Any],
+                  kind: str = "allocator") -> "ComponentSpec":
+        """Inverse of :meth:`to_dict` (which does not record the kind)."""
+        label = kind_label(kind)
         if "name" not in data:
             raise SpecError(f"{label} spec dict needs a 'name': {data!r}")
         unknown = set(data) - {"name", "params"}
         if unknown:
             raise SpecError(f"unknown {label} spec keys {sorted(unknown)}")
-        return cls(str(data["name"]), dict(data.get("params") or {}))
+        return cls(str(data["name"]), dict(data.get("params") or {}), kind)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -181,43 +184,39 @@ class ComponentSpec:
         return self.spec_string()
 
 
-@dataclass(frozen=True)
-class AllocatorSpec(ComponentSpec):
-    """A validated, immutable (allocator, parameters) pair.
+#: The allocator-kind spec — ``ComponentSpec``'s default ``kind``.
+AllocatorSpec = ComponentSpec
 
-    The typed allocator view of :class:`ComponentSpec`::
+#: Anything accepted where a component is named by spec.
+SpecLike = Union[str, ComponentSpec]
 
-        caching
-        gmlake?chunk_mb=512&stitching=off
-        vmm-naive?chunk_size=64MB
-        native?op_amplification=1
+
+def resolve(kind: str, value: Any, *args: Any) -> Any:
+    """The ``kind`` component ``value`` names.
+
+    A spec string or a :class:`ComponentSpec` of that kind is built
+    (``args`` are what the kind's constructors need up front — the
+    device, the model); anything else is the caller's own instance and
+    is returned as is.
     """
-
-    kind: ClassVar[str] = "allocator"
-
-    def build(self, device: GpuDevice) -> BaseAllocator:
-        """Instantiate the configured allocator on ``device``."""
-        return self.info.build(device, params=self.params)
+    if isinstance(value, (str, ComponentSpec)):
+        return ComponentSpec.parse(value, kind).build(*args)
+    return value
 
 
-#: Anything the toolkit accepts where an allocator is named: a spec
-#: string, a parsed spec, or a bare ``device -> allocator`` callable.
-AllocatorLike = Union[str, AllocatorSpec, Callable[[GpuDevice], BaseAllocator]]
-
-
-def resolve_allocator(kind: AllocatorLike, device: GpuDevice) -> BaseAllocator:
-    """Build an allocator from a spec string, spec, or factory callable."""
-    if isinstance(kind, AllocatorSpec):
-        return kind.build(device)
+def resolve_allocator(
+    kind: Union[SpecLike, Callable[[GpuDevice], BaseAllocator]],
+    device: GpuDevice,
+) -> BaseAllocator:
+    """Build an allocator from a spec string, spec, or bare
+    ``device -> allocator`` factory callable."""
     if callable(kind):
         return kind(device)
-    return AllocatorSpec.parse(kind).build(device)
+    return resolve("allocator", kind, device)
 
 
-def spec_label(kind: AllocatorLike) -> Optional[str]:
-    """Display label for ``kind`` when derivable (None for callables)."""
-    if isinstance(kind, AllocatorSpec):
-        return kind.label
-    if isinstance(kind, str):
-        return AllocatorSpec.parse(kind).label
+def spec_label(kind: Any) -> Optional[str]:
+    """Display label for an allocator named by spec (None for callables)."""
+    if isinstance(kind, (str, ComponentSpec)):
+        return ComponentSpec.parse(kind).label
     return None

@@ -66,7 +66,6 @@ from repro.api import (
     ExperimentSpec,
     ServingSpec,
     SpecError,
-    allocator_names,
     component_kinds,
     component_names,
     expand_spec_points,
@@ -79,7 +78,7 @@ from repro.api import (
 from repro.api import run as run_experiment
 from repro.errors import AllocatorError
 from repro.gpu.device import GpuDevice
-from repro.obs import TraceSpec
+from repro.obs import sink_spec_for_path
 import repro.serve  # noqa: F401  (registers the serving component kinds)
 from repro.sim.engine import run_trace, run_workload
 from repro.units import GB, MB, parse_size
@@ -311,7 +310,7 @@ def _serve_spec_from(args: argparse.Namespace) -> ExperimentSpec:
         slo_tpot_s=args.slo_tpot, kv_cache=args.kv_cache,
         arrivals=arrivals, preemption=args.preemption,
         autoscaler=args.autoscaler, faults=args.faults, retry=args.retry,
-        trace=(TraceSpec.for_path(args.trace).spec_string()
+        trace=(sink_spec_for_path(args.trace).spec_string()
                if args.trace else ""),
         gauge_every_s=args.gauge_every if args.gauges else 0.0,
         streaming=args.streaming, disagg=disagg,
@@ -528,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allocators", default="caching,gmlake",
                    help="comma list of allocator specs, e.g. "
                         "'caching,gmlake?chunk_mb=512&stitching=off' "
-                        f"(names: {allocator_names()})")
+                        f"(names: {component_names('allocator')})")
     p.add_argument("--capacity", type=parse_size, default=80 * GB,
                    help="device memory, e.g. 80GB")
     p.add_argument("--spec", default="",
@@ -564,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay a JSONL trace")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--allocator", default="gmlake",
-                   help=f"allocator spec (names: {allocator_names()})")
+                   help=f"allocator spec (names: {component_names('allocator')})")
     p.add_argument("--capacity", type=parse_size, default=80 * GB)
     p.set_defaults(func=cmd_replay)
 
@@ -590,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of requests to serve")
     p.add_argument("--allocator", default="gmlake",
                    help="comma list of allocator specs "
-                        f"(names: {allocator_names()})")
+                        f"(names: {component_names('allocator')})")
     p.add_argument("--scheduler", default="memory-aware",
                    help="admission scheduler spec, e.g. 'fcfs', "
                         "'memory-aware?margin=1.5' "

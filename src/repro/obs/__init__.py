@@ -39,7 +39,7 @@ from repro.obs.trace import (
     JsonlTraceSink,
     TraceEvent,
     TraceRecorder,
-    TraceSpec,
+    sink_spec_for_path,
     validate_chrome_trace,
 )
 
@@ -56,6 +56,6 @@ __all__ = [
     "TRACE_SINKS",
     "TraceEvent",
     "TraceRecorder",
-    "TraceSpec",
+    "sink_spec_for_path",
     "validate_chrome_trace",
 ]

@@ -25,8 +25,8 @@ Two export formats:
     One JSON object per recorded event — the compact, greppable form
     for downstream analysis.
 
-Sinks are registered components of the new ``trace`` kind
-(:class:`TraceSpec`, ``repro list-components --kind trace``), so
+Sinks are registered components of the ``trace`` kind
+(``repro list-components --kind trace``), so
 ``ServingSpec`` JSON and the CLI address them with the same
 ``"name?key=value"`` mini-DSL as every other policy.
 """
@@ -35,15 +35,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.allocators.base import Allocation, AllocatorObserver, BaseAllocator
-from repro.api.registry import (
-    Param,
-    SpecError,
-    register_component,
-    register_kind,
-)
+from repro.api.registry import Param, register_component, register_kind
 from repro.api.spec import ComponentSpec
 
 __all__ = [
@@ -52,7 +47,7 @@ __all__ = [
     "AllocatorTraceObserver",
     "ChromeTraceSink",
     "JsonlTraceSink",
-    "TraceSpec",
+    "sink_spec_for_path",
     "validate_chrome_trace",
 ]
 
@@ -462,10 +457,10 @@ def validate_chrome_trace(data: Any) -> int:
 # ----------------------------------------------------------------------
 # Sinks: the registered ``trace`` component kind
 # ----------------------------------------------------------------------
-def _check_sink(params: Dict[str, Any]) -> None:
-    path = params.get("path")
-    if path is not None and not str(path).strip():
-        raise SpecError("trace sink needs a non-empty path")
+def _checked_path(path: str) -> str:
+    if not str(path).strip():
+        raise ValueError("trace sink needs a non-empty path")
+    return path
 
 
 @register_component(
@@ -475,7 +470,6 @@ def _check_sink(params: Dict[str, Any]) -> None:
         Param("path", str, "trace.json", kind="str",
               doc="output file for the Chrome trace-event JSON"),
     ),
-    check=_check_sink,
     description="Chrome trace-event JSON (load in Perfetto or "
                 "chrome://tracing)",
 )
@@ -485,7 +479,7 @@ class ChromeTraceSink:
     name = "chrome"
 
     def __init__(self, path: str = "trace.json"):
-        self.path = path
+        self.path = _checked_path(path)
 
     def write(self, recorder: TraceRecorder) -> str:
         """Export ``recorder`` to :attr:`path`; returns the path."""
@@ -499,7 +493,6 @@ class ChromeTraceSink:
         Param("path", str, "trace.jsonl", kind="str",
               doc="output file for the JSONL event log"),
     ),
-    check=_check_sink,
     description="compact JSONL event log (one JSON object per event)",
 )
 class JsonlTraceSink:
@@ -508,7 +501,7 @@ class JsonlTraceSink:
     name = "jsonl"
 
     def __init__(self, path: str = "trace.jsonl"):
-        self.path = path
+        self.path = _checked_path(path)
 
     def write(self, recorder: TraceRecorder) -> str:
         """Export ``recorder`` to :attr:`path`; returns the path."""
@@ -516,19 +509,8 @@ class JsonlTraceSink:
         return self.path
 
 
-@dataclass(frozen=True)
-class TraceSpec(ComponentSpec):
-    """The typed ``trace``-kind view of :class:`ComponentSpec`::
-
-        chrome?path=out.json
-        jsonl?path=events.jsonl
-    """
-
-    kind: ClassVar[str] = "trace"
-
-    @classmethod
-    def for_path(cls, path: str) -> "TraceSpec":
-        """A sink spec inferred from a path's suffix (``.jsonl`` →
-        ``jsonl``, anything else → ``chrome``)."""
-        name = "jsonl" if str(path).endswith(".jsonl") else "chrome"
-        return cls(name, {"path": path})
+def sink_spec_for_path(path: str) -> ComponentSpec:
+    """A ``trace`` sink spec inferred from a path's suffix (``.jsonl``
+    → ``jsonl``, anything else → ``chrome``)."""
+    name = "jsonl" if str(path).endswith(".jsonl") else "chrome"
+    return ComponentSpec(name, {"path": path}, "trace")

@@ -13,7 +13,10 @@ allocator metrics.
 
 Every pluggable policy here is a **registered component** addressable
 by the same ``"name?key=value"`` mini-DSL as allocators (see
-``repro list-components``): KV-cache models (``kv-cache``), admission
+``repro list-components``) — a spec string, a
+``repro.api.ComponentSpec(name, params, kind)`` or your own instance
+wherever one is accepted, built by ``repro.api.resolve(kind, value)``:
+KV-cache models (``kv-cache``), admission
 schedulers (``scheduler``), arrival processes (``arrivals``),
 preemption policies (``preemption``), autoscalers (``autoscaler``),
 fault models (``faults``), retry policies (``retry``) and
@@ -77,7 +80,6 @@ Quick start
 
 from repro.serve.arrivals import (
     ArrivalProcess,
-    ArrivalSpec,
     ClosedLoopArrivals,
     LengthSampler,
     MMPPArrivals,
@@ -88,11 +90,8 @@ from repro.serve.arrivals import (
 )
 from repro.serve.autoscale import (
     Autoscaler,
-    AutoscalerLike,
-    AutoscalerSpec,
     NoAutoscaler,
     QueueDepthAutoscaler,
-    resolve_autoscaler,
 )
 from repro.serve.cluster import (
     ServeClusterResult,
@@ -105,43 +104,30 @@ from repro.serve.faults import (
     CrashSchedule,
     DegradedInterconnect,
     FaultModel,
-    FaultsLike,
-    FaultsSpec,
     HedgeRetry,
     LinkDegradeFaults,
     NoFaults,
     NoRetry,
     ReplicaCrashFaults,
-    RetryLike,
     RetryPolicy,
-    RetrySpec,
     StragglerFaults,
-    resolve_faults,
-    resolve_retry,
 )
 from repro.serve.interconnect import (
     Interconnect,
-    InterconnectLike,
-    InterconnectSpec,
     NvlinkInterconnect,
     PcieInterconnect,
-    resolve_interconnect,
 )
 from repro.serve.kvcache import (
     ChunkedKVCache,
     KVCacheMetrics,
     KVCacheModel,
-    KVCacheSpec,
     PagedKVCache,
-    resolve_kv_cache,
 )
 from repro.serve.memtier import (
     MEMORY_TIERS,
     CxlTier,
     DramTier,
     MemoryTier,
-    MemoryTierLike,
-    MemoryTierSpec,
     MemoryTiersLike,
     NvmeTier,
     TierHierarchy,
@@ -157,23 +143,17 @@ from repro.serve.metrics import (
 )
 from repro.serve.preemption import (
     OffloadPreemption,
-    PreemptionLike,
     PreemptionPolicy,
-    PreemptionSpec,
-    resolve_preemption,
 )
 from repro.serve.request import RequestState, ServeRequest
 from repro.serve.scheduler import (
     FcfsScheduler,
     MemoryAwareScheduler,
     Scheduler,
-    SchedulerLike,
-    SchedulerSpec,
     SchedulerView,
     ShortestPromptScheduler,
     WeightedFairScheduler,
     parse_tenant_weights,
-    resolve_scheduler,
 )
 from repro.serve.simulator import (
     ServingConfig,
@@ -184,7 +164,6 @@ from repro.serve.simulator import (
 
 __all__ = [
     "ArrivalProcess",
-    "ArrivalSpec",
     "ClosedLoopArrivals",
     "LengthSampler",
     "PoissonArrivals",
@@ -193,30 +172,20 @@ __all__ = [
     "ReplayArrivals",
     "load_arrival_log",
     "Autoscaler",
-    "AutoscalerLike",
-    "AutoscalerSpec",
     "NoAutoscaler",
     "QueueDepthAutoscaler",
-    "resolve_autoscaler",
     "RequestState",
     "ServeRequest",
     "KVCacheModel",
     "KVCacheMetrics",
-    "KVCacheSpec",
     "ChunkedKVCache",
     "PagedKVCache",
     "SharedPagedKVCache",
     "PrefixTrie",
-    "resolve_kv_cache",
     "OffloadPreemption",
-    "PreemptionLike",
     "PreemptionPolicy",
-    "PreemptionSpec",
-    "resolve_preemption",
     "MEMORY_TIERS",
     "MemoryTier",
-    "MemoryTierLike",
-    "MemoryTierSpec",
     "MemoryTiersLike",
     "DramTier",
     "CxlTier",
@@ -225,15 +194,12 @@ __all__ = [
     "parse_memory_tiers",
     "resolve_memory_tiers",
     "Scheduler",
-    "SchedulerLike",
-    "SchedulerSpec",
     "SchedulerView",
     "FcfsScheduler",
     "ShortestPromptScheduler",
     "MemoryAwareScheduler",
     "WeightedFairScheduler",
     "parse_tenant_weights",
-    "resolve_scheduler",
     "ServingConfig",
     "ServingSimulator",
     "ServingResult",
@@ -246,16 +212,11 @@ __all__ = [
     "dispatch_requests",
     "run_serving_cluster",
     "Interconnect",
-    "InterconnectLike",
-    "InterconnectSpec",
     "PcieInterconnect",
     "NvlinkInterconnect",
-    "resolve_interconnect",
     "DisaggServingResult",
     "run_serving_disagg",
     "FaultModel",
-    "FaultsLike",
-    "FaultsSpec",
     "NoFaults",
     "ReplicaCrashFaults",
     "StragglerFaults",
@@ -263,11 +224,7 @@ __all__ = [
     "CrashSchedule",
     "DegradedInterconnect",
     "RetryPolicy",
-    "RetryLike",
-    "RetrySpec",
     "NoRetry",
     "BudgetRetry",
     "HedgeRetry",
-    "resolve_faults",
-    "resolve_retry",
 ]

@@ -34,7 +34,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar, Dict, List, Sequence, Union
+from typing import Any, Dict, List, Sequence, Union
 
 from repro.api.registry import (
     Param,
@@ -42,7 +42,6 @@ from repro.api.registry import (
     register_component,
     register_kind,
 )
-from repro.api.spec import ComponentSpec
 from repro.serve.request import ServeRequest
 from repro.units import align_up
 
@@ -109,27 +108,12 @@ class ArrivalProcess(ABC):
         return requests
 
 
-def _check_positive(*names: str):
-    """A ``check`` hook rejecting non-positive values for ``names``."""
-
-    def check(params: Dict[str, Any]) -> None:
-        for name in names:
-            value = params.get(name)
-            if value is not None and value <= 0:
-                raise SpecError(
-                    f"arrival parameter {name!r} must be positive, "
-                    f"got {value}")
-
-    return check
-
-
 @register_component(
     "arrivals", "poisson",
     params=(
         Param("rate_per_s", float, 1.0, kind="float", aliases=("rate",),
               doc="mean arrival rate, requests/second"),
     ),
-    check=_check_positive("rate_per_s"),
     description="open-loop Poisson traffic at a fixed mean rate",
 )
 @dataclass
@@ -164,8 +148,6 @@ class PoissonArrivals(ArrivalProcess):
         Param("mean_dwell_s", float, 10.0, kind="float", aliases=("dwell",),
               doc="mean exponential dwell time per state, seconds"),
     ),
-    check=_check_positive("rate_calm_per_s", "rate_burst_per_s",
-                          "mean_dwell_s"),
     description="two-state Markov-modulated Poisson process (calm/burst)",
 )
 @dataclass
@@ -254,17 +236,6 @@ class ReplayArrivals(ArrivalProcess):
         return list(self.times[:n_requests])
 
 
-def _check_closed_loop(params: Dict[str, Any]) -> None:
-    clients = params.get("clients")
-    if clients is not None and clients < 1:
-        raise SpecError(f"closed-loop clients must be >= 1, got {clients}")
-    for name in ("think_s", "service_s"):
-        value = params.get(name)
-        if value is not None and value <= 0:
-            raise SpecError(
-                f"closed-loop {name} must be positive, got {value}")
-
-
 @register_component(
     "arrivals", "closed-loop",
     params=(
@@ -275,7 +246,6 @@ def _check_closed_loop(params: Dict[str, Any]) -> None:
         Param("service_s", float, 2.0, kind="float", aliases=("service",),
               doc="a-priori estimate of one request's service time"),
     ),
-    check=_check_closed_loop,
     description="N closed-loop clients with exponential think times",
 )
 @dataclass
@@ -322,25 +292,6 @@ class ClosedLoopArrivals(ArrivalProcess):
         return times[:n_requests]
 
 
-def _check_multi_tenant(params: Dict[str, Any]) -> None:
-    tenants = params.get("tenants")
-    if tenants is not None and tenants < 1:
-        raise SpecError(
-            f"multi-tenant tenants must be >= 1, got {tenants}")
-    rate = params.get("rate_per_s")
-    if rate is not None and rate <= 0:
-        raise SpecError(
-            f"multi-tenant rate_per_s must be positive, got {rate}")
-    zipf = params.get("zipf")
-    if zipf is not None and zipf < 0:
-        raise SpecError(
-            f"multi-tenant zipf must be >= 0, got {zipf}")
-    prefix = params.get("shared_prefix_tokens")
-    if prefix is not None and prefix < 0:
-        raise SpecError(
-            f"multi-tenant shared_prefix_tokens must be >= 0, got {prefix}")
-
-
 @register_component(
     "arrivals", "multi-tenant",
     params=(
@@ -355,7 +306,6 @@ def _check_multi_tenant(params: Dict[str, Any]) -> None:
               doc="tokens of each tenant's shared prompt prefix "
                   "(system prompt); 0 disables prefix declarations"),
     ),
-    check=_check_multi_tenant,
     description="Poisson traffic from N tenants with Zipf popularity; "
                 "each request carries its tenant id and declares the "
                 "tenant's shared prompt prefix",
@@ -439,25 +389,6 @@ class MultiTenantArrivals(ArrivalProcess):
                 prefix_tokens=prefix,
             ))
         return requests
-
-
-@dataclass(frozen=True)
-class ArrivalSpec(ComponentSpec):
-    """A validated (arrival process, parameters) pair.
-
-    Speaks the same mini-DSL as :class:`repro.api.AllocatorSpec`::
-
-        poisson?rate=4.0
-        mmpp?rate=1&burst=6&dwell=5
-        replay?path=arrivals.txt
-        closed-loop?clients=8&think_s=0.5
-    """
-
-    kind: ClassVar[str] = "arrivals"
-
-    def build(self) -> ArrivalProcess:
-        """Instantiate the configured arrival process."""
-        return super().build()
 
 
 def load_arrival_log(path: Union[str, Path]) -> List[float]:

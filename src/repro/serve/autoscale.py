@@ -29,16 +29,9 @@ online, with no peeking at simulation results.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Sequence, Union
+from typing import Sequence
 
-from repro.api.registry import (
-    Param,
-    SpecError,
-    register_component,
-    register_kind,
-)
-from repro.api.spec import ComponentSpec
+from repro.api.registry import Param, register_component, register_kind
 
 register_kind("autoscaler", label="autoscaler")
 
@@ -77,22 +70,6 @@ class NoAutoscaler(Autoscaler):
         return max_replicas
 
 
-def _check_queue_depth(params: Dict[str, Any]) -> None:
-    high = params.get("high", 4000.0)
-    low = params.get("low", 500.0)
-    if high <= 0 or low < 0:
-        raise SpecError(
-            f"queue-depth thresholds must be positive (high={high}, low={low})")
-    if low >= high:
-        raise SpecError(
-            f"queue-depth needs low < high for hysteresis, "
-            f"got low={low}, high={high}")
-    min_replicas = params.get("min_replicas")
-    if min_replicas is not None and min_replicas < 1:
-        raise SpecError(
-            f"queue-depth min_replicas must be >= 1, got {min_replicas}")
-
-
 @register_component(
     "autoscaler", "queue-depth",
     params=(
@@ -103,7 +80,6 @@ def _check_queue_depth(params: Dict[str, Any]) -> None:
         Param("min_replicas", int, 1, aliases=("min",),
               doc="never retire below this many replicas"),
     ),
-    check=_check_queue_depth,
     description="hysteresis on per-replica token backlog "
                 "(scale up past `high`, down below `low`)",
 )
@@ -140,31 +116,3 @@ class QueueDepthAutoscaler(Autoscaler):
             if backlogs[active - 1] <= 0.0:
                 return active - 1
         return active
-
-
-@dataclass(frozen=True)
-class AutoscalerSpec(ComponentSpec):
-    """A validated (autoscaler, parameters) pair.
-
-    Speaks the same mini-DSL as :class:`repro.api.AllocatorSpec`::
-
-        none
-        queue-depth?high=6000&low=800
-    """
-
-    kind: ClassVar[str] = "autoscaler"
-
-    def build(self) -> Autoscaler:
-        """Instantiate the configured autoscaler."""
-        return super().build()
-
-
-#: Anything the serving stack accepts where an autoscaler is named.
-AutoscalerLike = Union[str, AutoscalerSpec, Autoscaler]
-
-
-def resolve_autoscaler(kind: AutoscalerLike) -> Autoscaler:
-    """Build an autoscaler from a spec string, spec, or instance."""
-    if isinstance(kind, Autoscaler):
-        return kind
-    return AutoscalerSpec.parse(kind).build()

@@ -20,18 +20,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.result import WorstMemberRunResult
-from repro.api.spec import AllocatorLike
+from repro.api.spec import SpecLike, resolve
 from repro.obs.gauges import GaugePoint, GaugeSampler
 from repro.obs.trace import FRONTEND_REPLICA, TraceRecorder
-from repro.serve.autoscale import Autoscaler, AutoscalerLike, resolve_autoscaler
-from repro.serve.faults import (FaultModel, FaultsLike, RetryLike,
-                                resolve_faults, resolve_retry)
-from repro.serve.kvcache import KVCacheLike, KVCacheMetrics, KVCacheModel
+from repro.serve.autoscale import Autoscaler
+from repro.serve.faults import FaultModel, RetryPolicy
+from repro.serve.kvcache import KVCacheMetrics, KVCacheModel
 from repro.serve.memtier import MemoryTiersLike, TierHierarchy
 from repro.serve.metrics import ServingReport, ServingReportAccumulator, SloConfig
-from repro.serve.preemption import PreemptionLike, PreemptionPolicy
+from repro.serve.preemption import PreemptionPolicy
 from repro.serve.request import ServeRequest
-from repro.serve.scheduler import Scheduler, SchedulerLike
+from repro.serve.scheduler import Scheduler
 from repro.serve.simulator import ServingConfig, ServingResult, ServingSimulator
 from repro.sim.engine import AllocatorFactory
 from repro.units import A100_80GB
@@ -476,9 +475,9 @@ def _co_simulate(
             settle_hedges()
 
 
-def check_per_replica_specs(kv_cache: KVCacheLike,
-                            preemption: PreemptionLike,
-                            scheduler: SchedulerLike,
+def check_per_replica_specs(kv_cache: Union[SpecLike, KVCacheModel],
+                            preemption: Union[SpecLike, PreemptionPolicy],
+                            scheduler: Union[SpecLike, Scheduler],
                             memory_tiers: MemoryTiersLike) -> None:
     """Fleets build one KV model, preemption policy, scheduler and tier
     hierarchy per replica, so each must arrive as a spec, never as a
@@ -530,17 +529,17 @@ def run_serving_cluster(
     requests: Iterable[ServeRequest],
     model: Union[ModelSpec, str],
     n_replicas: int = 2,
-    allocator: Union[AllocatorLike, AllocatorFactory] = "gmlake",
+    allocator: Union[SpecLike, AllocatorFactory] = "gmlake",
     capacity: int = A100_80GB,
-    scheduler: SchedulerLike = "fcfs",
+    scheduler: Union[SpecLike, Scheduler] = "fcfs",
     config: Optional[ServingConfig] = None,
-    kv_cache: KVCacheLike = "chunked",
-    preemption: PreemptionLike = "recompute",
-    autoscaler: AutoscalerLike = "none",
+    kv_cache: Union[SpecLike, KVCacheModel] = "chunked",
+    preemption: Union[SpecLike, PreemptionPolicy] = "recompute",
+    autoscaler: Union[SpecLike, Autoscaler] = "none",
     trace: Optional[TraceRecorder] = None,
     gauges: Optional[GaugeSampler] = None,
-    faults: FaultsLike = "none",
-    retry: RetryLike = "none",
+    faults: Union[SpecLike, FaultModel] = "none",
+    retry: Union[SpecLike, RetryPolicy] = "none",
     memory_tiers: str = "",
 ) -> ServeClusterResult:
     """Load-balance ``requests`` over ``n_replicas`` single-GPU replicas.
@@ -567,9 +566,9 @@ def run_serving_cluster(
     check_per_replica_specs(kv_cache, preemption, scheduler, memory_tiers)
     model = get_model(model) if isinstance(model, str) else model
     config = config if config is not None else ServingConfig()
-    scaler = resolve_autoscaler(autoscaler)
-    fault_model = resolve_faults(faults)
-    retry_policy = resolve_retry(retry)
+    scaler = resolve("autoscaler", autoscaler)
+    fault_model = resolve("faults", faults)
+    retry_policy = resolve("retry", retry)
     calendar = (DownCalendar(fault_model, n_replicas)
                 if fault_model.has_crashes else None)
     shards = dispatch_requests(requests, n_replicas,

@@ -37,27 +37,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.api.spec import AllocatorLike
+from repro.api.spec import SpecLike, resolve
 from repro.obs.gauges import GaugeSampler
 from repro.obs.trace import TraceRecorder
-from repro.serve.autoscale import AutoscalerLike, resolve_autoscaler
+from repro.serve.autoscale import Autoscaler
 from repro.serve.cluster import (
     FleetResult,
     check_per_replica_specs,
     dispatch_requests,
     run_fleet,
 )
-from repro.serve.faults import (
-    FaultsLike,
-    RetryLike,
-    resolve_faults,
-    resolve_retry,
-)
-from repro.serve.interconnect import InterconnectLike, resolve_interconnect
-from repro.serve.kvcache import KVCacheLike
-from repro.serve.preemption import PreemptionLike
+from repro.serve.faults import FaultModel, RetryPolicy
+from repro.serve.interconnect import Interconnect
+from repro.serve.kvcache import KVCacheModel
+from repro.serve.preemption import PreemptionPolicy
 from repro.serve.request import ServeRequest
-from repro.serve.scheduler import SchedulerLike
+from repro.serve.scheduler import Scheduler
 from repro.serve.simulator import (
     ServingConfig,
     ServingResult,
@@ -160,18 +155,18 @@ def run_serving_disagg(
     model: Union[ModelSpec, str],
     prefill_replicas: int = 1,
     decode_replicas: int = 1,
-    allocator: Union[AllocatorLike, AllocatorFactory] = "gmlake",
+    allocator: Union[SpecLike, AllocatorFactory] = "gmlake",
     capacity: int = A100_80GB,
-    scheduler: SchedulerLike = "fcfs",
+    scheduler: Union[SpecLike, Scheduler] = "fcfs",
     config: Optional[ServingConfig] = None,
-    kv_cache: KVCacheLike = "chunked",
-    preemption: PreemptionLike = "recompute",
-    autoscaler: AutoscalerLike = "none",
-    interconnect: InterconnectLike = "pcie",
+    kv_cache: Union[SpecLike, KVCacheModel] = "chunked",
+    preemption: Union[SpecLike, PreemptionPolicy] = "recompute",
+    autoscaler: Union[SpecLike, Autoscaler] = "none",
+    interconnect: Union[SpecLike, Interconnect] = "pcie",
     trace: Optional[TraceRecorder] = None,
     gauges: Optional[GaugeSampler] = None,
-    faults: FaultsLike = "none",
-    retry: RetryLike = "none",
+    faults: Union[SpecLike, FaultModel] = "none",
+    retry: Union[SpecLike, RetryPolicy] = "none",
     memory_tiers: str = "",
 ) -> DisaggServingResult:
     """Serve ``requests`` on a disaggregated prefill/decode topology.
@@ -205,9 +200,9 @@ def run_serving_disagg(
     check_per_replica_specs(kv_cache, preemption, scheduler, memory_tiers)
     model = get_model(model) if isinstance(model, str) else model
     config = config if config is not None else ServingConfig()
-    fault_model = resolve_faults(faults)
-    retry_policy = resolve_retry(retry)
-    link = fault_model.wrap_interconnect(resolve_interconnect(interconnect))
+    fault_model = resolve("faults", faults)
+    retry_policy = resolve("retry", retry)
+    link = fault_model.wrap_interconnect(resolve("interconnect", interconnect))
 
     originals = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
     by_id = {r.req_id: r for r in originals}
@@ -234,7 +229,7 @@ def run_serving_disagg(
                      prompt_tokens=r.prompt_tokens, output_tokens=1)
         for r in originals
     ]
-    prefill_scaler = resolve_autoscaler(autoscaler)
+    prefill_scaler = resolve("autoscaler", autoscaler)
     prefill_shards = dispatch_requests(
         prefill_clones, prefill_replicas,
         drain_tokens_per_s=config.prefill_tokens_per_s,
@@ -266,7 +261,7 @@ def run_serving_disagg(
             output_tokens=original.output_tokens,
             tokens_done=1,
         ))
-    decode_scaler = resolve_autoscaler(autoscaler)
+    decode_scaler = resolve("autoscaler", autoscaler)
     decode_shards = dispatch_requests(
         decode_clones, decode_replicas,
         drain_tokens_per_s=config.decode_tokens_per_s,

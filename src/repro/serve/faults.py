@@ -61,16 +61,9 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Iterator, Optional, Tuple, Union
+from typing import ClassVar, Iterator, Optional, Tuple, Union
 
-from repro.api.registry import (
-    Param,
-    SpecError,
-    register_component,
-    register_kind,
-)
-from repro.api.spec import ComponentSpec
+from repro.api.registry import Param, register_component, register_kind
 from repro.serve.interconnect import Interconnect
 from repro.serve.request import ServeRequest
 
@@ -196,15 +189,6 @@ class NoFaults(FaultModel):
     name = "none"
 
 
-def _check_replica_crash(params: Dict[str, Any]) -> None:
-    mtbf_s = params.get("mtbf_s", 120.0)
-    mttr_s = params.get("mttr_s", 10.0)
-    if mtbf_s <= 0 or mttr_s <= 0:
-        raise SpecError(
-            f"replica-crash needs positive mtbf_s and mttr_s "
-            f"(got mtbf_s={mtbf_s}, mttr_s={mttr_s})")
-
-
 @register_component(
     "faults", "replica-crash",
     aliases=("crash",),
@@ -219,7 +203,6 @@ def _check_replica_crash(params: Dict[str, Any]) -> None:
               doc="crash-schedule seed (windows are a pure function "
                   "of seed and replica id)"),
     ),
-    check=_check_replica_crash,
     description="seeded per-replica crash/recover schedules: crashes "
                 "evict in-flight requests (KV freed, text kept) and "
                 "hand them to the retry policy",
@@ -248,17 +231,6 @@ class ReplicaCrashFaults(FaultModel):
                                     self.mtbf_s, self.mttr_s)
 
 
-def _check_straggler(params: Dict[str, Any]) -> None:
-    slowdown = params.get("slowdown", 4.0)
-    prob = params.get("prob", 0.1)
-    if slowdown < 1:
-        raise SpecError(
-            f"straggler slowdown must be >= 1, got {slowdown}")
-    if not 0.0 <= prob <= 1.0:
-        raise SpecError(
-            f"straggler prob must be in [0, 1], got {prob}")
-
-
 @register_component(
     "faults", "straggler",
     params=(
@@ -269,7 +241,6 @@ def _check_straggler(params: Dict[str, Any]) -> None:
         Param("seed", int, 0,
               doc="coin-flip seed (per-replica deterministic)"),
     ),
-    check=_check_straggler,
     description="transient per-replica throughput degradation: each "
                 "decode step runs `slowdown`x slower with "
                 "probability `prob`",
@@ -294,13 +265,6 @@ class StragglerFaults(FaultModel):
                               self.slowdown, self.prob)
 
 
-def _check_link_degrade(params: Dict[str, Any]) -> None:
-    factor = params.get("factor", 4.0)
-    if factor < 1:
-        raise SpecError(
-            f"link-degrade factor must be >= 1, got {factor}")
-
-
 @register_component(
     "faults", "link-degrade",
     aliases=("degrade",),
@@ -309,7 +273,6 @@ def _check_link_degrade(params: Dict[str, Any]) -> None:
               doc="every interconnect transfer takes this many times "
                   "longer"),
     ),
-    check=_check_link_degrade,
     description="interconnect bandwidth collapse: transfers over the "
                 "wrapped link take `factor`x longer (disagg "
                 "migrations stall realistically)",
@@ -366,18 +329,6 @@ class NoRetry(RetryPolicy):
         return None
 
 
-def _check_budget(params: Dict[str, Any]) -> None:
-    max_retries = params.get("max", 3)
-    if max_retries < 1:
-        raise SpecError(f"budget max must be >= 1, got {max_retries}")
-    backoff_s = params.get("backoff_s", 0.25)
-    if backoff_s < 0:
-        raise SpecError(f"budget backoff_s must be >= 0, got {backoff_s}")
-    jitter = params.get("jitter", 0.1)
-    if jitter < 0:
-        raise SpecError(f"budget jitter must be >= 0, got {jitter}")
-
-
 @register_component(
     "retry", "budget",
     params=(
@@ -393,7 +344,6 @@ def _check_budget(params: Dict[str, Any]) -> None:
               doc="jitter seed (a pure function of seed, request id "
                   "and attempt)"),
     ),
-    check=_check_budget,
     description="per-request retry budget with exponential backoff "
                 "and deterministic seeded jitter",
 )
@@ -425,12 +375,6 @@ class BudgetRetry(RetryPolicy):
                                                           + self.jitter * u)
 
 
-def _check_hedge(params: Dict[str, Any]) -> None:
-    after_s = params.get("after_s", 2.0)
-    if after_s <= 0:
-        raise SpecError(f"hedge after_s must be > 0, got {after_s}")
-
-
 @register_component(
     "retry", "hedge",
     params=(
@@ -438,7 +382,6 @@ def _check_hedge(params: Dict[str, Any]) -> None:
               doc="un-admitted queue wait before the front-end "
                   "dispatches a duplicate to another healthy replica"),
     ),
-    check=_check_hedge,
     description="tail-latency hedging: duplicate a stuck request to "
                 "a healthy replica, first finisher wins, loser "
                 "cancelled (KV freed); crash victims re-dispatch "
@@ -458,62 +401,3 @@ class HedgeRetry(RetryPolicy):
     def next_delay_s(self, request: ServeRequest) -> Optional[float]:
         del request
         return 0.0  # crash victims re-dispatch immediately
-
-
-# ----------------------------------------------------------------------
-# Specs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FaultsSpec(ComponentSpec):
-    """A validated (fault model, parameters) pair.
-
-    Speaks the same mini-DSL as :class:`repro.api.AllocatorSpec`::
-
-        none
-        replica-crash?mtbf_s=60&mttr_s=5
-        straggler?slowdown=8&prob=0.02
-        link-degrade?factor=10
-    """
-
-    kind: ClassVar[str] = "faults"
-
-    def build(self) -> FaultModel:
-        """Instantiate the configured fault model."""
-        return super().build()
-
-
-@dataclass(frozen=True)
-class RetrySpec(ComponentSpec):
-    """A validated (retry policy, parameters) pair::
-
-        none
-        budget?max=5&backoff_s=0.5&jitter=0.2
-        hedge?after_s=1.5
-    """
-
-    kind: ClassVar[str] = "retry"
-
-    def build(self) -> RetryPolicy:
-        """Instantiate the configured retry policy."""
-        return super().build()
-
-
-#: Anything the serving stack accepts where a fault model is named.
-FaultsLike = Union[str, FaultsSpec, FaultModel]
-
-#: Anything the serving stack accepts where a retry policy is named.
-RetryLike = Union[str, RetrySpec, RetryPolicy]
-
-
-def resolve_faults(kind: FaultsLike) -> FaultModel:
-    """Build a fault model from a spec string, spec, or instance."""
-    if isinstance(kind, FaultModel):
-        return kind
-    return FaultsSpec.parse(kind).build()
-
-
-def resolve_retry(kind: RetryLike) -> RetryPolicy:
-    """Build a retry policy from a spec string, spec, or instance."""
-    if isinstance(kind, RetryPolicy):
-        return kind
-    return RetrySpec.parse(kind).build()

@@ -28,16 +28,8 @@ replica performs it.
 from __future__ import annotations
 
 from abc import ABC
-from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Union
 
-from repro.api.registry import (
-    Param,
-    SpecError,
-    register_component,
-    register_kind,
-)
-from repro.api.spec import ComponentSpec
+from repro.api.registry import Param, register_component, register_kind
 from repro.units import GB
 
 register_kind("interconnect", label="interconnect")
@@ -85,27 +77,6 @@ class Interconnect(ABC):
         return setup + size / (bandwidth * GB) * 1e6
 
 
-def _check_link(params: Dict[str, Any]) -> None:
-    bandwidth = params.get("gb_per_s")
-    if bandwidth is not None and bandwidth < 0:
-        raise SpecError(
-            f"interconnect gb_per_s must be >= 0, got {bandwidth}")
-    latency = params.get("latency_us")
-    if latency is not None and latency < 0:
-        raise SpecError(
-            f"interconnect latency_us must be >= 0, got {latency}")
-
-
-def _check_nvlink(params: Dict[str, Any]) -> None:
-    _check_link(params)
-    bandwidth = params.get("gb_per_s")
-    # nvlink has no device fallback, so the 0 sentinel is meaningless.
-    if bandwidth is not None and bandwidth == 0:
-        raise SpecError(
-            "nvlink gb_per_s must be > 0 (only pcie falls back to the "
-            "device latency model)")
-
-
 @register_component(
     "interconnect", "pcie",
     params=(
@@ -116,7 +87,6 @@ def _check_nvlink(params: Dict[str, Any]) -> None:
               doc="per-transfer setup latency, µs (0 = the device "
                   "latency model's PCIe latency)"),
     ),
-    check=_check_link,
     description="host link: defaults to the device latency model's "
                 "PCIe bandwidth/latency (swap preemption's pricing)",
 )
@@ -134,7 +104,6 @@ class PcieInterconnect(Interconnect):
         Param("latency_us", float, 2.0, kind="float",
               doc="per-transfer setup latency, µs"),
     ),
-    check=_check_nvlink,
     description="direct GPU-to-GPU link: high bandwidth, low setup "
                 "latency, no device fallback",
 )
@@ -151,32 +120,3 @@ class NvlinkInterconnect(Interconnect):
     def _resolve(self, latency) -> tuple:
         del latency  # fully self-described, no device fallback
         return self.gb_per_s, self.latency_us
-
-
-@dataclass(frozen=True)
-class InterconnectSpec(ComponentSpec):
-    """A validated (interconnect, parameters) pair.
-
-    Speaks the same mini-DSL as :class:`repro.api.AllocatorSpec`::
-
-        pcie
-        pcie?gb_per_s=12
-        nvlink?gb_per_s=300&latency_us=1.5
-    """
-
-    kind: ClassVar[str] = "interconnect"
-
-    def build(self) -> Interconnect:
-        """Instantiate the configured interconnect."""
-        return super().build()
-
-
-#: Anything the serving stack accepts where an interconnect is named.
-InterconnectLike = Union[str, InterconnectSpec, Interconnect]
-
-
-def resolve_interconnect(kind: InterconnectLike) -> Interconnect:
-    """Build an interconnect from a spec string, spec, or instance."""
-    if isinstance(kind, Interconnect):
-        return kind
-    return InterconnectSpec.parse(kind).build()

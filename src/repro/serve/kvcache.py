@@ -26,7 +26,7 @@ compared head to head on identical arrival streams:
     waste in each request's last partially-filled block.
 
 A model is named by the same ``"name?key=value"`` mini-DSL as
-allocators (:class:`KVCacheSpec`, e.g. ``"paged?block_tokens=16"``),
+allocators (the ``kv-cache`` kind, e.g. ``"paged?block_tokens=16"``),
 with parameters validated against a registry, and reports
 :class:`KVCacheMetrics` (block utilization, internal fragmentation,
 copy costs) next to the allocator's pool metrics.
@@ -36,18 +36,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.allocators.base import BaseAllocator
 from repro.allocators.stats import AllocatorStats
 from repro.api.registry import (
-    ComponentInfo,
     Param,
     SpecError,
     register_component,
     register_kind,
 )
-from repro.api.spec import ComponentSpec
 from repro.serve.request import ServeRequest
 from repro.units import MB, align_up
 from repro.workloads.inference import kv_bytes
@@ -590,16 +588,11 @@ def _check_token_granularity(params: Dict[str, Any]) -> None:
                 f"KV cache parameter {name!r} must be >= 1, got {value}")
 
 
-#: Backwards-compatible name — KV-cache registry entries are plain
-#: :class:`~repro.api.registry.ComponentInfo` records.
-KVCacheInfo = ComponentInfo
-
 register_component(
     "kv-cache", "chunked",
     params=(
         Param("chunk_tokens", int, 256,
-              doc="KV growth granularity in tokens "
-                  "(default: ServingConfig.kv_chunk_tokens)"),
+              doc="KV growth granularity in tokens"),
     ),
     check=_check_token_granularity,
     description="contiguous per-request KV tensors grown by chunks "
@@ -616,47 +609,3 @@ register_component(
     description="fixed-size blocks + per-request block tables "
                 "(cache-level defragmentation)",
 )(PagedKVCache)
-
-
-@dataclass(frozen=True)
-class KVCacheSpec(ComponentSpec):
-    """A validated (KV-cache model, parameters) pair.
-
-    Speaks the same mini-DSL as :class:`repro.api.AllocatorSpec`::
-
-        chunked
-        chunked?chunk_tokens=128
-        paged?block_tokens=16
-
-    ``params`` holds only explicitly-set values, validated against the
-    registry, so specs stay minimal and JSON-stable.
-    """
-
-    kind: ClassVar[str] = "kv-cache"
-
-    def build(self, model: ModelSpec,
-              default_chunk_tokens: int = 256) -> KVCacheModel:
-        """Instantiate the configured model for ``model``.
-
-        ``default_chunk_tokens`` backs the chunked model's granularity
-        when the spec does not pin ``chunk_tokens`` (the simulator
-        passes its ``ServingConfig.kv_chunk_tokens``).
-        """
-        info = self.info
-        params = dict(self.params)
-        if info.name == "chunked":
-            params.setdefault("chunk_tokens", default_chunk_tokens)
-        return info.build(model, params=params)
-
-
-#: Anything the serving stack accepts where a KV-cache model is named.
-KVCacheLike = Union[str, KVCacheSpec, KVCacheModel]
-
-
-def resolve_kv_cache(kind: KVCacheLike, model: ModelSpec,
-                     default_chunk_tokens: int = 256) -> KVCacheModel:
-    """Build a KV-cache model from a spec string, spec, or instance."""
-    if isinstance(kind, KVCacheModel):
-        return kind
-    return KVCacheSpec.parse(kind).build(
-        model, default_chunk_tokens=default_chunk_tokens)

@@ -38,8 +38,7 @@ unbounded DRAM tier over the host link (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.registry import (
     Param,
@@ -47,13 +46,8 @@ from repro.api.registry import (
     register_component,
     register_kind,
 )
-from repro.api.spec import ComponentSpec
-from repro.serve.interconnect import (
-    Interconnect,
-    InterconnectSpec,
-    PcieInterconnect,
-    resolve_interconnect,
-)
+from repro.api.spec import ComponentSpec, SpecLike, resolve
+from repro.serve.interconnect import Interconnect, PcieInterconnect
 from repro.units import GB
 
 __all__ = [
@@ -62,8 +56,6 @@ __all__ = [
     "CxlTier",
     "NvmeTier",
     "TierHierarchy",
-    "MemoryTierSpec",
-    "MemoryTierLike",
     "MemoryTiersLike",
     "MEMORY_TIERS",
     "parse_memory_tiers",
@@ -98,7 +90,7 @@ class MemoryTier:
         self.gb = gb
         self.capacity_bytes = float("inf") if gb == 0 else int(gb * GB)
         self.interconnect: Interconnect = (
-            resolve_interconnect(link) if link
+            resolve("interconnect", link) if link
             else PcieInterconnect(gb_per_s=gb_per_s, latency_us=latency_us))
         self.gb_per_s = gb_per_s
         self.latency_us = latency_us
@@ -112,21 +104,14 @@ class MemoryTier:
 
 
 def _check_tier(params: Dict[str, Any]) -> None:
-    for key in ("gb", "gb_per_s", "latency_us"):
-        value = params.get(key)
-        if value is not None and value < 0:
-            raise SpecError(
-                f"memory tier {key} must be >= 0, got {value}")
-    link = params.get("link")
-    if link:
-        if "gb_per_s" in params or "latency_us" in params:
-            raise SpecError(
-                "pass either a link interconnect spec or explicit "
-                "gb_per_s/latency_us, not both")
-        try:
-            InterconnectSpec.parse(link)
-        except SpecError as exc:
-            raise SpecError(f"memory tier link: {exc}") from None
+    # Only the spec knows which values were *given*: the constructor
+    # receives gb_per_s/latency_us either way (cxl and nvme default
+    # them non-zero), so it cannot tell a conflict from a default.
+    if params.get("link") and (
+            "gb_per_s" in params or "latency_us" in params):
+        raise SpecError(
+            "pass either a link interconnect spec or explicit "
+            "gb_per_s/latency_us, not both")
 
 
 def _tier_params(gb: float, gb_per_s: float, latency_us: float,
@@ -200,35 +185,6 @@ class NvmeTier(MemoryTier):
         super().__init__(gb, gb_per_s, latency_us, link)
 
 
-@dataclass(frozen=True)
-class MemoryTierSpec(ComponentSpec):
-    """A validated (memory tier, parameters) pair.
-
-    Speaks the same mini-DSL as :class:`repro.api.AllocatorSpec`::
-
-        dram
-        dram?gb=64
-        cxl?gb=256&gb_per_s=40&latency_us=1
-        nvme?gb=2048&link=pcie?gb_per_s=6
-    """
-
-    kind: ClassVar[str] = "memory-tier"
-
-    def build(self) -> MemoryTier:
-        """Instantiate the configured tier."""
-        return super().build()
-
-
-#: Anything accepted where one memory tier is named.
-MemoryTierLike = Union[str, MemoryTierSpec, MemoryTier]
-
-#: Anything accepted where a whole hierarchy is named: a comma-
-#: separated spec string, a list of tier specs/instances, a built
-#: :class:`TierHierarchy`, or ``None`` / ``""`` for no tiering.
-MemoryTiersLike = Union[str, Iterable[MemoryTierLike], "TierHierarchy",
-                        None]
-
-
 class TierHierarchy:
     """An ordered stack of slow-memory tiers below the device's HBM.
 
@@ -245,13 +201,9 @@ class TierHierarchy:
     to one replica's session + device.
     """
 
-    def __init__(self, tiers: Iterable[MemoryTierLike]):
+    def __init__(self, tiers: Iterable[Union[SpecLike, MemoryTier]]):
         self.tiers: List[MemoryTier] = [
-            tier if isinstance(tier, MemoryTier)
-            else tier.build() if isinstance(tier, MemoryTierSpec)
-            else MemoryTierSpec.parse(tier).build()
-            for tier in tiers
-        ]
+            resolve("memory-tier", tier) for tier in tiers]
         if not self.tiers:
             raise ValueError("a tier hierarchy needs at least one tier")
         labels: List[str] = []
@@ -387,7 +339,7 @@ class TierHierarchy:
                for label, used in self.used_bytes.items()})
 
 
-def parse_memory_tiers(text: str) -> List[MemoryTierSpec]:
+def parse_memory_tiers(text: str) -> List[ComponentSpec]:
     """Parse a comma-separated hierarchy string into tier specs.
 
     ``""`` (or whitespace) means no tiering and yields an empty list.
@@ -395,8 +347,15 @@ def parse_memory_tiers(text: str) -> List[MemoryTierSpec]:
     """
     if not text or not text.strip():
         return []
-    return [MemoryTierSpec.parse(part.strip())
+    return [ComponentSpec.parse(part.strip(), "memory-tier")
             for part in text.split(",") if part.strip()]
+
+
+#: Anything accepted where a whole hierarchy is named: a comma-
+#: separated spec string, a list of tier specs/instances, a built
+#: :class:`TierHierarchy`, or ``None`` / ``""`` for no tiering.
+MemoryTiersLike = Union[str, Iterable[Union[SpecLike, MemoryTier]],
+                        TierHierarchy, None]
 
 
 def resolve_memory_tiers(tiers: MemoryTiersLike) -> Optional[TierHierarchy]:

@@ -42,8 +42,7 @@ KV bytes and the restore cost.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.api.registry import (
     Param,
@@ -51,14 +50,9 @@ from repro.api.registry import (
     register_component,
     register_kind,
 )
-from repro.api.spec import ComponentSpec
-from repro.serve.interconnect import (
-    Interconnect,
-    InterconnectLike,
-    InterconnectSpec,
-    resolve_interconnect,
-)
-from repro.serve.memtier import DramTier, MemoryTiersLike, TierHierarchy
+from repro.api.spec import ComponentSpec, SpecLike, resolve
+from repro.serve.interconnect import Interconnect
+from repro.serve.memtier import DramTier, TierHierarchy
 from repro.serve.request import ServeRequest
 
 register_kind("preemption", label="preemption policy")
@@ -275,41 +269,35 @@ class OffloadPreemption(PreemptionPolicy):
         return len(self._parked)
 
 
-def check_tiers_exclude_swap(preemption: "PreemptionLike",
-                             memory_tiers: MemoryTiersLike) -> None:
-    """Reject ``swap`` preemption on a replica with ``memory_tiers``
-    (a spec string or built hierarchy; empty / ``None`` = no tiers):
-    both would claim the victim's KV."""
-    name = (preemption.name if isinstance(preemption, PreemptionPolicy)
-            else PreemptionSpec.parse(preemption).name)
-    if memory_tiers and name == "swap":
-        raise SpecError(
-            "memory_tiers generalizes swap preemption's single host "
-            "hop; pass preemption 'recompute' (the default) with a "
-            "tier hierarchy, or drop memory_tiers to keep swap")
-
-
-def _recompute(hierarchy: Optional[TierHierarchy]) -> OffloadPreemption:
+def _recompute(
+        hierarchy: Optional[TierHierarchy] = None) -> OffloadPreemption:
     if hierarchy is None:
         return OffloadPreemption()
     return OffloadPreemption("tiered", hierarchy)
 
 
-def _swap(hierarchy: Optional[TierHierarchy],
-          interconnect: InterconnectLike = "pcie") -> OffloadPreemption:
-    del hierarchy  # None: PreemptionSpec.build rejected anything else
+def _swap(hierarchy: Optional[TierHierarchy] = None,
+          interconnect: Union[SpecLike, Interconnect] = "pcie",
+          ) -> OffloadPreemption:
+    if hierarchy is not None:
+        # Both would claim the victim's KV.
+        raise SpecError(
+            "memory_tiers generalizes swap preemption's single host "
+            "hop; pass preemption 'recompute' (the default) with a "
+            "tier hierarchy, or drop memory_tiers to keep swap")
     # gb=0 = unbounded: host memory is not modeled as scarce.
     host = DramTier(gb=0.0)
-    host.interconnect = resolve_interconnect(interconnect)
+    host.interconnect = resolve("interconnect", interconnect)
     return OffloadPreemption("swap", TierHierarchy([host]),
                              scalar_ledger=True)
 
 
 def _check_swap(params: Dict[str, Any]) -> None:
+    # Building swap needs the replica's hierarchy; its link does not.
     link = params.get("interconnect")
     if link is not None:
         try:
-            InterconnectSpec.parse(link)
+            ComponentSpec.parse(link, "interconnect")
         except SpecError as exc:
             raise SpecError(
                 f"swap preemption interconnect: {exc}") from None
@@ -335,40 +323,3 @@ register_component(
                 "configured interconnect (PCIe by default) and swap it "
                 "back on re-admission",
 )(OffloadPreemption)
-
-
-@dataclass(frozen=True)
-class PreemptionSpec(ComponentSpec):
-    """A validated (preemption policy, parameters) pair.
-
-    Speaks the same mini-DSL as :class:`repro.api.AllocatorSpec`::
-
-        recompute
-        swap
-        swap?interconnect=pcie?gb_per_s=12
-    """
-
-    kind: ClassVar[str] = "preemption"
-
-    def build(self, hierarchy: Optional[TierHierarchy] = None
-              ) -> PreemptionPolicy:
-        """Instantiate the configured policy for a replica whose
-        ``memory_tiers`` hierarchy is ``hierarchy`` (None = no tiers)."""
-        check_tiers_exclude_swap(self, hierarchy)
-        return super().build(hierarchy)
-
-
-#: Anything the serving stack accepts where a preemption policy is named.
-PreemptionLike = Union[str, PreemptionSpec, PreemptionPolicy]
-
-
-def resolve_preemption(
-    kind: PreemptionLike, hierarchy: Optional[TierHierarchy] = None,
-) -> PreemptionPolicy:
-    """Build the policy for a replica with ``hierarchy`` from a spec
-    string or spec.  An instance is the caller's own construction and
-    is returned as is."""
-    if isinstance(kind, PreemptionPolicy):
-        check_tiers_exclude_swap(kind, hierarchy)
-        return kind
-    return PreemptionSpec.parse(kind).build(hierarchy)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from repro.allocators.base import BaseAllocator
 from repro.api.registry import (
@@ -38,7 +38,6 @@ from repro.api.registry import (
     register_component,
     register_kind,
 )
-from repro.api.spec import ComponentSpec
 from repro.serve.kvcache import KVCacheModel
 from repro.serve.request import RequestState, ServeRequest
 from repro.workloads.models import ModelSpec
@@ -134,20 +133,12 @@ class ShortestPromptScheduler(Scheduler):
         return min(queue, key=lambda r: (r.context_tokens, r.req_id))
 
 
-def _check_margin(params: Dict[str, Any]) -> None:
-    margin = params.get("margin")
-    if margin is not None and margin < 1.0:
-        raise SpecError(
-            f"memory-aware scheduler margin must be >= 1.0, got {margin}")
-
-
 @register_component(
     "scheduler", "memory-aware",
     params=(
         Param("margin", float, 1.25, kind="float",
               doc="safety factor on the projected KV footprint"),
     ),
-    check=_check_margin,
     description="FCFS, but only admit what the allocator can hold "
                 "(skips requests whose projected KV exceeds headroom)",
 )
@@ -214,12 +205,6 @@ def parse_tenant_weights(weights: str) -> Dict[str, float]:
     return parsed
 
 
-def _check_weights(params: Dict[str, Any]) -> None:
-    weights = params.get("weights")
-    if weights is not None:
-        parse_tenant_weights(weights)
-
-
 @register_component(
     "scheduler", "wfq",
     aliases=("weighted-fair",),
@@ -230,7 +215,6 @@ def _check_weights(params: Dict[str, Any]) -> None:
                   "(e.g. 't0:2,t1:1' or '2,1'); unlisted tenants "
                   "weigh 1"),
     ),
-    check=_check_weights,
     description="weighted fair queueing across tenants: admit the "
                 "head request of the tenant with the lowest "
                 "service-per-weight virtual time",
@@ -299,32 +283,3 @@ class WeightedFairScheduler(Scheduler):
             request.context_tokens
             + (request.output_tokens - request.tokens_done))
         return request
-
-
-@dataclass(frozen=True)
-class SchedulerSpec(ComponentSpec):
-    """A validated (scheduler, parameters) pair.
-
-    Speaks the same mini-DSL as :class:`repro.api.AllocatorSpec`::
-
-        fcfs
-        sjf                           # alias of shortest-prompt
-        memory-aware?margin=1.5
-    """
-
-    kind: ClassVar[str] = "scheduler"
-
-    def build(self) -> Scheduler:
-        """Instantiate the configured scheduler."""
-        return super().build()
-
-
-#: Anything the serving stack accepts where a scheduler is named.
-SchedulerLike = Union[str, SchedulerSpec, Scheduler]
-
-
-def resolve_scheduler(kind: SchedulerLike) -> Scheduler:
-    """Build a scheduler from a spec string, spec, or instance."""
-    if isinstance(kind, Scheduler):
-        return kind
-    return SchedulerSpec.parse(kind).build()

@@ -35,32 +35,22 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.allocators.stats import AllocatorStats
-from repro.api.spec import AllocatorLike, resolve_allocator
+from repro.api.spec import SpecLike, resolve, resolve_allocator
 from repro.gpu.device import GpuDevice
 from repro.obs.gauges import GaugePoint, GaugeSampler
 from repro.obs.trace import TraceRecorder
 from repro.serve.faults import (
     CrashSchedule,
-    FaultsLike,
-    RetryLike,
+    FaultModel,
+    RetryPolicy,
     StragglerState,
-    resolve_faults,
-    resolve_retry,
 )
-from repro.serve.kvcache import (
-    KVCacheLike,
-    KVCacheMetrics,
-    resolve_kv_cache,
-)
+from repro.serve.kvcache import KVCacheMetrics, KVCacheModel
 from repro.serve.memtier import MemoryTiersLike, resolve_memory_tiers
-from repro.serve.preemption import PreemptionLike, resolve_preemption
+from repro.serve.preemption import PreemptionPolicy
 from repro.serve.request import REJECT_REASONS, RequestState, ServeRequest
 from repro.serve.metrics import ServingReport, SloConfig
-from repro.serve.scheduler import (
-    SchedulerLike,
-    SchedulerView,
-    resolve_scheduler,
-)
+from repro.serve.scheduler import Scheduler, SchedulerView
 from repro.sim.engine import AllocatorFactory, ReplaySession
 from repro.sim.timeline import TimelinePoint
 from repro.units import A100_80GB, GB
@@ -85,10 +75,6 @@ class ServingConfig:
     ----------
     max_batch:
         Cap on concurrently running (decoding) requests.
-    kv_chunk_tokens:
-        Default KV growth granularity in tokens for the ``chunked``
-        KV-cache model (a ``chunked?chunk_tokens=...`` spec overrides
-        it; the ``paged`` model uses ``block_tokens`` instead).
     queue_timeout_s:
         A request waiting longer than this is rejected (timeout SLO).
     max_preemptions:
@@ -103,7 +89,6 @@ class ServingConfig:
     """
 
     max_batch: int = 16
-    kv_chunk_tokens: int = 256
     queue_timeout_s: float = 60.0
     max_preemptions: int = 8
     prefill_tokens_per_s: float = 25_000.0
@@ -114,8 +99,6 @@ class ServingConfig:
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.kv_chunk_tokens < 1:
-            raise ValueError("kv_chunk_tokens must be >= 1")
         if not (self.queue_timeout_s > 0 and math.isfinite(self.queue_timeout_s)):
             raise ValueError("queue_timeout_s must be positive and finite")
         if self.max_preemptions < 0:
@@ -269,17 +252,17 @@ class ServingSimulator:
     def __init__(
         self,
         model: Union[ModelSpec, str],
-        allocator: Union[AllocatorLike, AllocatorFactory] = "gmlake",
+        allocator: Union[SpecLike, AllocatorFactory] = "gmlake",
         capacity: int = A100_80GB,
-        scheduler: SchedulerLike = "fcfs",
+        scheduler: Union[SpecLike, Scheduler] = "fcfs",
         config: Optional[ServingConfig] = None,
         replica_id: int = 0,
-        kv_cache: KVCacheLike = "chunked",
-        preemption: PreemptionLike = "recompute",
+        kv_cache: Union[SpecLike, KVCacheModel] = "chunked",
+        preemption: Union[SpecLike, PreemptionPolicy] = "recompute",
         trace: Optional[TraceRecorder] = None,
         gauges: Optional[GaugeSampler] = None,
-        faults: FaultsLike = "none",
-        retry: RetryLike = "none",
+        faults: Union[SpecLike, FaultModel] = "none",
+        retry: Union[SpecLike, RetryPolicy] = "none",
         memory_tiers: MemoryTiersLike = "",
     ):
         self.model = get_model(model) if isinstance(model, str) else model
@@ -288,7 +271,7 @@ class ServingSimulator:
         self.replica_id = replica_id
         self.device = GpuDevice(capacity=capacity)
         self.allocator = resolve_allocator(allocator, self.device)
-        self.scheduler = resolve_scheduler(scheduler)
+        self.scheduler = resolve("scheduler", scheduler)
         self.session = ReplaySession(self.allocator)
         # Telemetry is strictly passive: recording/sampling never
         # advances the clock or changes a decision, so a traced run is
@@ -298,9 +281,7 @@ class ServingSimulator:
         if trace is not None:
             trace.attach_allocator(self.allocator, self.session,
                                    replica=replica_id)
-        self.kv = resolve_kv_cache(
-            kv_cache, self.model,
-            default_chunk_tokens=self.config.kv_chunk_tokens)
+        self.kv = resolve("kv-cache", kv_cache, self.model)
         self.kv.bind(self.session, self.allocator)
         if trace is not None:
             self.kv.attach_trace(trace, replica_id)
@@ -317,7 +298,7 @@ class ServingSimulator:
         # The hierarchy *is* the offload target: on a tiered replica
         # the default policy demotes preempted KV into it instead of
         # dropping it.
-        self.preemption = resolve_preemption(preemption, self.hierarchy)
+        self.preemption = resolve("preemption", preemption, self.hierarchy)
         self.preemption.bind(self)
         self._step_count = 0
         # decode_workspace_bytes is a pure function of (model, batch),
@@ -330,8 +311,8 @@ class ServingSimulator:
         # None, so the loop body's fault branches never fire and the
         # run stays byte-identical to the pre-fault simulator (the
         # committed hotpath goldens enforce this).
-        self.faults = resolve_faults(faults)
-        self.retry = resolve_retry(retry)
+        self.faults = resolve("faults", faults)
+        self.retry = resolve("retry", retry)
         context = self.faults.replica_context(replica_id)
         self._crash = context if isinstance(context, CrashSchedule) else None
         self._straggler = (context if isinstance(context, StragglerState)
@@ -889,16 +870,16 @@ class ServingSimulator:
 def run_serving(
     requests: Iterable[ServeRequest],
     model: Union[ModelSpec, str],
-    allocator: Union[AllocatorLike, AllocatorFactory] = "gmlake",
+    allocator: Union[SpecLike, AllocatorFactory] = "gmlake",
     capacity: int = A100_80GB,
-    scheduler: SchedulerLike = "fcfs",
+    scheduler: Union[SpecLike, Scheduler] = "fcfs",
     config: Optional[ServingConfig] = None,
-    kv_cache: KVCacheLike = "chunked",
-    preemption: PreemptionLike = "recompute",
+    kv_cache: Union[SpecLike, KVCacheModel] = "chunked",
+    preemption: Union[SpecLike, PreemptionPolicy] = "recompute",
     trace: Optional[TraceRecorder] = None,
     gauges: Optional[GaugeSampler] = None,
-    faults: FaultsLike = "none",
-    retry: RetryLike = "none",
+    faults: Union[SpecLike, FaultModel] = "none",
+    retry: Union[SpecLike, RetryPolicy] = "none",
     memory_tiers: MemoryTiersLike = "",
 ) -> ServingResult:
     """Convenience wrapper: build one replica and serve ``requests``.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Union
 
 from repro.api.result import WorstMemberRunResult
-from repro.api.spec import AllocatorLike, resolve_allocator
+from repro.api.spec import SpecLike, resolve_allocator
 from repro.sim.engine import AllocatorFactory, EngineResult, run_trace
 from repro.gpu.device import GpuDevice
 from repro.units import A100_80GB
@@ -89,7 +89,7 @@ class ClusterResult(WorstMemberRunResult):
 
 def run_cluster(
     workload: TrainingWorkload,
-    allocator: Union[AllocatorLike, AllocatorFactory] = "caching",
+    allocator: Union[SpecLike, AllocatorFactory] = "caching",
     capacity: int = A100_80GB,
     record_timeline: bool = False,
 ) -> ClusterResult:

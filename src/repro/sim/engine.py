@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.allocators.base import Allocation, BaseAllocator
-from repro.api.spec import AllocatorLike, resolve_allocator
+from repro.api.spec import SpecLike, resolve_allocator
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.sim.timeline import TimelinePoint, TimelineRecorder
@@ -264,7 +264,7 @@ def run_trace(
 
 def run_workload(
     workload: TrainingWorkload,
-    allocator: Union[AllocatorLike, AllocatorFactory] = "caching",
+    allocator: Union[SpecLike, AllocatorFactory] = "caching",
     capacity: int = A100_80GB,
     record_timeline: bool = False,
 ) -> EngineResult:

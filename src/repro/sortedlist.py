@@ -8,7 +8,9 @@ cheap insert/remove/lookup.  Two implementations share one API:
 * :class:`SortedKeyList` — a flat parallel key/item list.  ``bisect``
   makes lookups O(log n), but every insert/delete pays an O(n)
   ``list.insert`` memmove, which dominates once a free pool holds
-  thousands of blocks.
+  thousands of blocks.  No allocator uses it any more; it remains as
+  the reference ``tests/test_sortedlist.py`` compares the chunked
+  list against.
 * :class:`ChunkedSortedKeyList` — the same contract over fixed-load
   chunks (the ``sortedcontainers`` design): inserts and deletes touch
   one bounded chunk, so the memmove cost stays O(load) however large
@@ -18,8 +20,8 @@ A large-pool microbench (~50k cached free blocks) measured the
 chunked list against size-bucketed bins for the allocator free pools;
 the chunked list won (bins degrade to per-bin linear scans under the
 allocators' long-tailed size distributions) and is what
-:class:`~repro.allocators.caching.CachingAllocator` and the GMLake
-pools use.
+:class:`~repro.allocators.caching.CachingAllocator`, the expandable-
+segments arenas and the GMLake pools use.
 """
 
 from __future__ import annotations
@@ -366,8 +368,3 @@ class ChunkedSortedKeyList(Generic[T]):
         if len(flat) != self._len:
             return False
         return all(a <= b for a, b in zip(flat, flat[1:]))
-
-
-def sorted_pairs(items: Iterable[Tuple[K, T]]) -> List[T]:
-    """Sort ``(key, item)`` pairs by key and return the items."""
-    return [item for _, item in sorted(items, key=lambda kv: kv[0])]

@@ -65,8 +65,8 @@ class ServingWorkload:
     mean_prompt / mean_output:
         Means of the sampled prompt and output token counts.
     kv_cache:
-        KV-cache layout spec (:class:`repro.serve.kvcache.KVCacheSpec`
-        mini-DSL).  ``"chunked"`` (default) allocates one contiguous KV
+        KV-cache layout spec (a ``kv-cache`` component in the
+        ``name?key=value`` mini-DSL).  ``"chunked"`` (default) allocates one contiguous KV
         tensor per request — sizes never repeat, the pool-fragmentation
         stress case.  ``"paged?block_tokens=16"`` allocates fixed-size
         blocks per request instead — every allocation is the same size,
@@ -92,14 +92,15 @@ class ServingWorkload:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         # Validate and canonicalize the KV layout spec up front (lazy
-        # import: repro.serve pulls in this module for kv_bytes).
-        from repro.serve.kvcache import KVCacheSpec
+        # imports: repro.serve, which registers the kv-cache kind,
+        # pulls in this module for kv_bytes).
+        import repro.serve  # noqa: F401
+        from repro.api.spec import ComponentSpec, SpecError
 
-        spec = KVCacheSpec.parse(self.kv_cache)
+        spec = ComponentSpec.parse(self.kv_cache, "kv-cache")
         if spec.name == "paged-shared":
             # Prefix sharing needs request identity (who shares what),
             # which a pre-built offline trace doesn't carry.
-            from repro.api.registry import SpecError
             raise SpecError(
                 "paged-shared is an online-serving KV model; offline "
                 "traces use 'chunked' or 'paged' (run mode=serve for "
@@ -107,9 +108,7 @@ class ServingWorkload:
         self.kv_cache = spec.spec_string()
         self._block_tokens = 0
         if spec.name == "paged":
-            default = next(p.default for p in spec.info.params
-                           if p.name == "block_tokens")
-            self._block_tokens = spec.params.get("block_tokens", default)
+            self._block_tokens = spec.resolved_params()["block_tokens"]
 
     def _sample_len(self, rng: random.Random, mean: int) -> int:
         """Heavy-tailed length sample, clamped to the model context."""

@@ -1,11 +1,9 @@
-"""The kind-aware component registry and the generic spec mini-DSL.
+"""The kind-aware component registry and the one spec class.
 
-Covers the four serving-side component kinds introduced alongside the
-allocator and KV-cache kinds: schedulers, arrival processes,
-preemption policies and autoscalers — registry metadata, spec
-round-trips (property-tested: parse → JSON → parse is lossless for
-arbitrary valid parameter values), parse-time validation, and the
-``repro list-components`` CLI.
+Registry metadata, spec round-trips for every registered component of
+every kind (property-tested for the serving kinds: parse → JSON →
+parse is lossless for arbitrary valid parameter values), parse-time
+validation by construction, and the ``repro list-components`` CLI.
 """
 
 import io
@@ -14,27 +12,23 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.obs  # noqa: F401  (registers the trace kind)
+import repro.serve  # noqa: F401  (registers the serving kinds)
 from repro import api
-from repro.api import SpecError, UnknownComponentError
+from repro.api import ComponentSpec, SpecError, UnknownComponentError
 from repro.cli import main as cli_main
-from repro.serve import (
-    ArrivalSpec,
-    AutoscalerSpec,
-    InterconnectSpec,
-    KVCacheSpec,
-    PreemptionSpec,
-    SchedulerSpec,
-)
 
-#: Every spec view the serving stack registers, with one
-#: representative parameterized string each.
+#: One representative parameterized string per serving kind.
 SPEC_VIEWS = {
-    "scheduler": (SchedulerSpec, "memory-aware?margin=1.5"),
-    "arrivals": (ArrivalSpec, "closed-loop?clients=8&think_s=0.5"),
-    "preemption": (PreemptionSpec, "swap?interconnect=pcie?gb_per_s=12"),
-    "autoscaler": (AutoscalerSpec, "queue-depth?high=6000&low=800"),
-    "interconnect": (InterconnectSpec, "nvlink?gb_per_s=300&latency_us=1.5"),
+    "scheduler": "memory-aware?margin=1.5",
+    "arrivals": "closed-loop?clients=8&think_s=0.5",
+    "preemption": "swap?interconnect=pcie?gb_per_s=12",
+    "autoscaler": "queue-depth?high=6000&low=800",
+    "interconnect": "nvlink?gb_per_s=300&latency_us=1.5",
 }
+
+#: Kinds whose components build from their params alone.
+_SELF_CONTAINED = sorted(set(api.component_kinds()) - {"allocator", "kv-cache"})
 
 
 class TestKindRegistry:
@@ -60,10 +54,11 @@ class TestKindRegistry:
         assert api.get_component_info("scheduler", "sjf").name \
             == "shortest-prompt"
 
-    def test_allocator_kind_is_the_original_registry(self):
-        assert api.component_names("allocator") == api.allocator_names()
-        assert api.get_component_info("allocator", "gmlake") \
-            is api.get_allocator_info("gmlake")
+    def test_catalogue_size(self):
+        """11 kinds, 35 components — the CI smoke counts the same."""
+        kinds = api.component_kinds()
+        assert len(kinds) == 11
+        assert sum(len(api.component_names(kind)) for kind in kinds) == 35
 
     def test_unknown_kind(self):
         with pytest.raises(SpecError, match="unknown component kind"):
@@ -83,37 +78,59 @@ class TestKindRegistry:
 
 
 class TestSpecViews:
-    @pytest.mark.parametrize("kind", sorted(SPEC_VIEWS))
-    def test_parameterized_round_trip(self, kind):
-        spec_cls, text = SPEC_VIEWS[kind]
-        spec = spec_cls.parse(text)
-        assert spec_cls.parse(spec.spec_string()) == spec
-        assert spec_cls.from_dict(spec.to_dict()) == spec
-        assert spec_cls.parse(spec) is spec
+    def test_there_is_one_spec_class(self):
+        """The guard that keeps the hand-copied per-kind view from
+        coming back."""
+        assert ComponentSpec.__subclasses__() == []
+        assert api.AllocatorSpec is ComponentSpec
 
     @pytest.mark.parametrize("kind", sorted(SPEC_VIEWS))
+    def test_parameterized_round_trip(self, kind):
+        spec = ComponentSpec.parse(SPEC_VIEWS[kind], kind)
+        assert spec.kind == kind
+        assert ComponentSpec.parse(spec.spec_string(), kind) == spec
+        assert ComponentSpec.from_dict(spec.to_dict(), kind) == spec
+        assert ComponentSpec.parse(spec, kind) is spec
+
+    @pytest.mark.parametrize("kind", sorted(api.component_kinds()))
     def test_bare_names_round_trip(self, kind):
-        spec_cls, _ = SPEC_VIEWS[kind]
+        """Every registered component's default spec parses, and its
+        canonical string parses back to it."""
         for name in api.component_names(kind):
             if name == "replay":
                 continue  # replay requires a path (checked below)
-            spec = spec_cls.parse(name)
+            spec = ComponentSpec.parse(name, kind)
             assert spec.spec_string() == name
-            built = spec.build()
-            label = getattr(built, "name", None) or getattr(built, "kind", None)
-            assert label == name
+            assert ComponentSpec.parse(spec.spec_string(), kind) == spec
+            if kind in _SELF_CONTAINED:
+                built = spec.build()
+                label = (getattr(built, "name", None)
+                         or getattr(built, "kind", None))
+                assert label == name
+
+    def test_resolve_builds_specs_and_passes_instances_through(self):
+        built = api.resolve("scheduler", "sjf")
+        assert built.name == "shortest-prompt"
+        assert api.resolve("scheduler", built) is built
+        spec = ComponentSpec.parse("memory-aware?margin=2", "scheduler")
+        assert api.resolve("scheduler", spec).margin == 2.0
+
+    def test_a_spec_of_another_kind_is_rejected(self):
+        link = ComponentSpec.parse("pcie", kind="interconnect")
+        with pytest.raises(SpecError, match="expected a scheduler spec"):
+            api.resolve("scheduler", link)
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(SpecError, match="known"):
-            SchedulerSpec.parse("priority-lottery")
+            ComponentSpec.parse("priority-lottery", "scheduler")
 
     def test_unknown_param_rejected(self):
         with pytest.raises(SpecError, match="no parameter"):
-            PreemptionSpec.parse("swap?compression=lz4")
+            ComponentSpec.parse("swap?compression=lz4", "preemption")
 
     def test_ill_typed_value_rejected(self):
         with pytest.raises(SpecError, match="bad value"):
-            ArrivalSpec.parse("poisson?rate=fast")
+            ComponentSpec.parse("poisson?rate=fast", "arrivals")
 
 
 # ----------------------------------------------------------------------
@@ -124,12 +141,13 @@ _floats = st.floats(min_value=0.01, max_value=1e6, allow_nan=False,
                     allow_infinity=False)
 
 
-def _round_trip(spec_cls, name, params):
-    spec = spec_cls(name, params)
-    assert spec_cls.parse(spec.spec_string()) == spec, spec.spec_string()
-    assert spec_cls.from_dict(spec.to_dict()) == spec
+def _round_trip(kind, name, params):
+    spec = ComponentSpec(name, params, kind)
+    assert ComponentSpec.parse(spec.spec_string(), kind) == spec, \
+        spec.spec_string()
+    assert ComponentSpec.from_dict(spec.to_dict(), kind) == spec
     # The canonical string is stable (idempotent canonicalization).
-    assert spec_cls.parse(spec.spec_string()).spec_string() \
+    assert ComponentSpec.parse(spec.spec_string(), kind).spec_string() \
         == spec.spec_string()
 
 
@@ -138,25 +156,25 @@ class TestSpecRoundTripProperties:
     @given(margin=st.floats(min_value=1.0, max_value=16.0,
                             allow_nan=False))
     def test_scheduler(self, margin):
-        _round_trip(SchedulerSpec, "memory-aware", {"margin": margin})
+        _round_trip("scheduler", "memory-aware", {"margin": margin})
 
     @settings(max_examples=50)
     @given(rate=_floats)
     def test_arrivals_poisson(self, rate):
-        _round_trip(ArrivalSpec, "poisson", {"rate_per_s": rate})
+        _round_trip("arrivals", "poisson", {"rate_per_s": rate})
 
     @settings(max_examples=50)
     @given(clients=st.integers(min_value=1, max_value=512),
            think=_floats, service=_floats)
     def test_arrivals_closed_loop(self, clients, think, service):
-        _round_trip(ArrivalSpec, "closed-loop",
+        _round_trip("arrivals", "closed-loop",
                     {"clients": clients, "think_s": think,
                      "service_s": service})
 
     @settings(max_examples=50)
     @given(bandwidth=_floats)
     def test_preemption_swap(self, bandwidth):
-        _round_trip(PreemptionSpec, "swap",
+        _round_trip("preemption", "swap",
                     {"interconnect": f"pcie?gb_per_s={bandwidth!r}"})
 
     @settings(max_examples=50)
@@ -164,33 +182,74 @@ class TestSpecRoundTripProperties:
            delta=st.floats(min_value=0.1, max_value=1e5, allow_nan=False),
            floor=st.integers(min_value=1, max_value=64))
     def test_autoscaler_queue_depth(self, low, delta, floor):
-        _round_trip(AutoscalerSpec, "queue-depth",
+        _round_trip("autoscaler", "queue-depth",
                     {"high": low + delta, "low": low,
                      "min_replicas": floor})
 
     @settings(max_examples=50)
     @given(tokens=st.integers(min_value=1, max_value=4096))
     def test_kv_cache(self, tokens):
-        _round_trip(KVCacheSpec, "paged", {"block_tokens": tokens})
+        _round_trip("kv-cache", "paged", {"block_tokens": tokens})
 
     @settings(max_examples=50)
     @given(bandwidth=st.floats(min_value=0.0, max_value=1e4,
                                allow_nan=False),
            setup=st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
     def test_interconnect_pcie(self, bandwidth, setup):
-        _round_trip(InterconnectSpec, "pcie",
+        _round_trip("interconnect", "pcie",
                     {"gb_per_s": bandwidth, "latency_us": setup})
 
     @settings(max_examples=50)
     @given(bandwidth=_floats,
            setup=st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
     def test_interconnect_nvlink(self, bandwidth, setup):
-        _round_trip(InterconnectSpec, "nvlink",
+        _round_trip("interconnect", "nvlink",
                     {"gb_per_s": bandwidth, "latency_us": setup})
+
+
+#: One malformed spec per range-check hook the constructors made
+#: redundant: (kind, spec string, parameter at fault, constructor kwargs).
+_CONSTRUCTOR_REJECTS = [
+    ("autoscaler", "queue-depth?low=9&high=1", "low",
+     {"low": 9.0, "high": 1.0}),
+    ("arrivals", "poisson?rate=0", "rate_per_s", {"rate_per_s": 0.0}),
+    ("arrivals", "closed-loop?clients=0", "clients", {"clients": 0}),
+    ("arrivals", "multi-tenant?zipf=-1", "zipf", {"zipf": -1.0}),
+    ("faults", "replica-crash?mtbf_s=0", "mtbf_s", {"mtbf_s": 0.0}),
+    ("faults", "straggler?prob=2", "prob", {"prob": 2.0}),
+    ("faults", "link-degrade?factor=0.5", "factor", {"factor": 0.5}),
+    ("retry", "budget?max=0", "max", {"max": 0}),
+    ("retry", "hedge?after_s=0", "after_s", {"after_s": 0.0}),
+    ("interconnect", "pcie?gb_per_s=-1", "gb_per_s", {"gb_per_s": -1.0}),
+    ("interconnect", "nvlink?gb_per_s=0", "gb_per_s", {"gb_per_s": 0.0}),
+    ("scheduler", "memory-aware?margin=0.5", "margin", {"margin": 0.5}),
+    ("scheduler", "wfq?weights=t0:x", "weights", {"weights": "t0:x"}),
+]
 
 
 class TestParseTimeValidation:
     """Bad configurations fail when the spec is built, not mid-run."""
+
+    @pytest.mark.parametrize(
+        "kind,text,param,kwargs", _CONSTRUCTOR_REJECTS,
+        ids=[text for _, text, _, _ in _CONSTRUCTOR_REJECTS])
+    def test_one_rule_two_entry_points(self, kind, text, param, kwargs):
+        """The constructor's range check is the spec's: parsing reports
+        it naming the parameter, and the class itself raises it."""
+        with pytest.raises(SpecError, match="cannot construct") as caught:
+            ComponentSpec.parse(text, kind)
+        assert param in str(caught.value)
+        name = text.partition("?")[0]
+        with pytest.raises(ValueError):
+            api.get_component_info(kind, name).cls(**kwargs)
+
+    def test_trace_sink_needs_a_path(self):
+        """A rule that lived only in a hook moved into the constructors."""
+        from repro.obs import ChromeTraceSink, JsonlTraceSink
+
+        for sink in (ChromeTraceSink, JsonlTraceSink):
+            with pytest.raises(ValueError, match="non-empty path"):
+                sink(path=" ")
 
     @pytest.mark.parametrize("text,match", [
         ("poisson?rate=0", "positive"),
@@ -203,7 +262,7 @@ class TestParseTimeValidation:
     ])
     def test_arrival_specs(self, text, match):
         with pytest.raises(SpecError, match=match):
-            ArrivalSpec.parse(text)
+            ComponentSpec.parse(text, "arrivals")
 
     @pytest.mark.parametrize("text,match", [
         ("memory-aware?margin=0.5", ">= 1.0"),
@@ -211,40 +270,44 @@ class TestParseTimeValidation:
     ])
     def test_scheduler_specs(self, text, match):
         with pytest.raises(SpecError, match=match):
-            SchedulerSpec.parse(text)
+            ComponentSpec.parse(text, "scheduler")
 
     def test_swap_bandwidth(self):
         with pytest.raises(SpecError, match=">= 0"):
-            PreemptionSpec.parse("swap?interconnect=pcie?gb_per_s=-4")
+            ComponentSpec.parse(
+                "swap?interconnect=pcie?gb_per_s=-4", "preemption")
         # 0 is the documented "device default" sentinel, not an error.
-        host = PreemptionSpec.parse(
-            "swap?interconnect=pcie?gb_per_s=0").build().hierarchy.tiers[0]
+        host = api.resolve(
+            "preemption", "swap?interconnect=pcie?gb_per_s=0"
+        ).hierarchy.tiers[0]
         assert host.interconnect.gb_per_s == 0.0
         # The pre-interconnect spelling is gone, not silently accepted.
         with pytest.raises(SpecError, match="no parameter"):
-            PreemptionSpec.parse("swap?pcie_gb_per_s=12")
+            ComponentSpec.parse("swap?pcie_gb_per_s=12", "preemption")
 
     def test_interconnect_specs(self):
         with pytest.raises(SpecError, match=">= 0"):
-            InterconnectSpec.parse("pcie?gb_per_s=-1")
+            ComponentSpec.parse("pcie?gb_per_s=-1", "interconnect")
         with pytest.raises(SpecError, match=">= 0"):
-            InterconnectSpec.parse("nvlink?latency_us=-2")
+            ComponentSpec.parse("nvlink?latency_us=-2", "interconnect")
         # nvlink has no device fallback, so the 0 sentinel is an error
         # there but fine on pcie.
         with pytest.raises(SpecError, match="> 0"):
-            InterconnectSpec.parse("nvlink?gb_per_s=0")
-        assert InterconnectSpec.parse("pcie?gb_per_s=0").build().gb_per_s \
-            == 0.0
+            ComponentSpec.parse("nvlink?gb_per_s=0", "interconnect")
+        assert api.resolve("interconnect", "pcie?gb_per_s=0").gb_per_s == 0.0
 
     def test_swap_validates_nested_interconnect(self):
         """The swap policy's interconnect parameter is itself a spec,
         validated when the *preemption* spec parses."""
-        spec = PreemptionSpec.parse("swap?interconnect=nvlink?gb_per_s=300")
+        spec = ComponentSpec.parse(
+            "swap?interconnect=nvlink?gb_per_s=300", "preemption")
         assert spec.params["interconnect"] == "nvlink?gb_per_s=300"
         with pytest.raises(SpecError):
-            PreemptionSpec.parse("swap?interconnect=hypertransport")
+            ComponentSpec.parse(
+                "swap?interconnect=hypertransport", "preemption")
         with pytest.raises(SpecError):
-            PreemptionSpec.parse("swap?interconnect=nvlink?gb_per_s=0")
+            ComponentSpec.parse(
+                "swap?interconnect=nvlink?gb_per_s=0", "preemption")
 
     @pytest.mark.parametrize("text", [
         "queue-depth?high=0",
@@ -254,7 +317,7 @@ class TestParseTimeValidation:
     ])
     def test_autoscaler_specs(self, text):
         with pytest.raises(SpecError):
-            AutoscalerSpec.parse(text)
+            ComponentSpec.parse(text, "autoscaler")
 
     def test_serving_spec_rejects_bad_rate(self):
         with pytest.raises(SpecError, match="rate_per_s"):

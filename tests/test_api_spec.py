@@ -3,8 +3,18 @@
 import pytest
 
 from repro import api
-from repro.api import AllocatorSpec, Param, SpecError, UnknownAllocatorError
-from repro.api.registry import _ALIASES, _REGISTRY, register_allocator
+from repro.api import (
+    AllocatorSpec,
+    Param,
+    SpecError,
+    UnknownComponentError,
+    register_component,
+)
+from repro.api.registry import (
+    _COMPONENT_ALIASES,
+    _COMPONENTS,
+    component_canonical_name,
+)
 from repro.allocators.base import BaseAllocator
 from repro.gpu.device import GpuDevice
 from repro.units import GB, MB
@@ -12,25 +22,25 @@ from repro.units import GB, MB
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert api.allocator_names() == [
+        assert api.component_names("allocator") == [
             "caching", "expandable", "gmlake", "native", "vmm-naive",
         ]
 
     def test_aliases_resolve_to_canonical(self):
-        assert api.canonical_name("pytorch") == "caching"
-        assert api.get_allocator_info("pytorch").name == "caching"
+        assert component_canonical_name("allocator", "pytorch") == "caching"
+        assert api.get_component_info("allocator", "pytorch").name == "caching"
 
     def test_aliases_are_metadata_not_entries(self):
         # One canonical entry; "pytorch" must not be its own allocator.
-        assert "pytorch" not in api.allocator_registry()
-        assert "pytorch" in api.get_allocator_info("caching").aliases
+        assert "pytorch" not in api.component_registry("allocator")
+        assert "pytorch" in api.get_component_info("allocator", "caching").aliases
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownAllocatorError):
-            api.canonical_name("tcmalloc")
+        with pytest.raises(UnknownComponentError):
+            component_canonical_name("allocator", "tcmalloc")
 
     def test_param_metadata(self):
-        info = api.get_allocator_info("gmlake")
+        info = api.get_component_info("allocator", "gmlake")
         by_name = {p.name: p for p in info.params}
         assert by_name["chunk_size"].default == 2 * MB
         assert by_name["chunk_size"].type_name == "size"
@@ -38,14 +48,14 @@ class TestRegistry:
         assert by_name["max_spool_blocks"].default == 4096
 
     def test_size_param_unit_keys(self):
-        info = api.get_allocator_info("gmlake")
+        info = api.get_component_info("allocator", "gmlake")
         param, scale = info.find_param("chunk_mb")
         assert param.name == "chunk_size" and scale == MB
         param, scale = info.find_param("chunk_gb")
         assert scale == GB
 
     def test_introspected_params(self):
-        info = api.get_allocator_info("native")
+        info = api.get_component_info("allocator", "native")
         assert [p.name for p in info.params] == ["op_amplification"]
         assert info.params[0].default == 40
 
@@ -68,18 +78,19 @@ class TestRegistry:
                 pass
 
         try:
-            register_allocator("null-test", aliases=("nil",))(NullAllocator)
+            register_component(
+                "allocator", "null-test", aliases=("nil",))(NullAllocator)
             spec = AllocatorSpec.parse("null-test?burn_us=2.5")
             allocator = spec.build(GpuDevice(capacity=1 * GB))
             assert allocator.burn_us == 2.5
-            assert api.canonical_name("nil") == "null-test"
+            assert component_canonical_name("allocator", "nil") == "null-test"
         finally:
-            _REGISTRY.pop("null-test", None)
-            _ALIASES.pop("nil", None)
+            _COMPONENTS["allocator"].pop("null-test", None)
+            _COMPONENT_ALIASES["allocator"].pop("nil", None)
 
     def test_double_registration_rejected(self):
         with pytest.raises(ValueError):
-            register_allocator("gmlake")(BaseAllocator)
+            register_component("allocator", "gmlake")(BaseAllocator)
 
     def test_param_kind_validated(self):
         with pytest.raises(ValueError):
@@ -124,7 +135,7 @@ class TestSpecParsing:
 
 class TestSpecErrors:
     def test_unknown_allocator_is_keyerror_too(self):
-        with pytest.raises(UnknownAllocatorError):
+        with pytest.raises(UnknownComponentError):
             AllocatorSpec.parse("tcmalloc")
         with pytest.raises(KeyError):
             AllocatorSpec.parse("tcmalloc?x=1")
@@ -166,11 +177,25 @@ class TestSpecErrors:
             AllocatorSpec.parse("gmlake?chunk_mb=4&chunk_size=8MB")
 
     def test_invalid_config_combination(self):
-        # fragmentation_limit below chunk_size violates GMLakeConfig.
-        spec = AllocatorSpec.parse(
-            "gmlake?chunk_mb=64&fragmentation_limit=2MB")
-        with pytest.raises(SpecError, match="cannot construct"):
-            spec.build(GpuDevice(capacity=1 * GB))
+        # fragmentation_limit below chunk_size violates GMLakeConfig —
+        # reported when the spec is constructed, not when it is built.
+        with pytest.raises(SpecError, match="fragmentation_limit"):
+            AllocatorSpec.parse("gmlake?chunk_mb=64&fragmentation_limit=2MB")
+
+    @pytest.mark.parametrize("text,field", [
+        ("gmlake?max_spool_blocks=-1", "max_spool_blocks"),
+        ("gmlake?va_oversubscription=0.5", "va_oversubscription"),
+    ])
+    def test_config_values_rejected_at_parse(self, text, field):
+        with pytest.raises(SpecError, match=field):
+            AllocatorSpec.parse(text)
+
+    def test_experiment_rejects_a_bad_allocator_before_any_runs(self):
+        """Every allocator is validated at spec construction, so the
+        first one cannot run to completion before the second one dies."""
+        with pytest.raises(SpecError, match="max_spool_blocks"):
+            api.ExperimentSpec(
+                allocators=["caching", "gmlake?max_spool_blocks=-1"])
 
 
 class TestSpecRoundTrip:

@@ -135,7 +135,7 @@ KIND_DOC = {
 class TestCataloguesAreComplete:
     def test_every_allocator_documented(self):
         text = (DOCS / "allocators.md").read_text(encoding="utf-8")
-        for info in api.iter_allocators():
+        for info in api.iter_components("allocator"):
             assert f"`{info.name}`" in text, \
                 f"docs/allocators.md misses allocator {info.name!r}"
             for param in info.params:

@@ -15,13 +15,13 @@ import json
 
 import pytest
 
-from repro.api import component_names
+from repro.api import ComponentSpec, component_names
 from repro.cli import main
 from repro.obs import (
     FRONTEND_REPLICA,
     GaugeSampler,
     TraceRecorder,
-    TraceSpec,
+    sink_spec_for_path,
     validate_chrome_trace,
 )
 from repro.serve import PoissonArrivals, run_serving, run_serving_cluster
@@ -201,20 +201,20 @@ class TestTraceSpecs:
         assert set(component_names("trace")) == {"chrome", "jsonl"}
 
     def test_spec_roundtrip(self):
-        spec = TraceSpec.parse("chrome?path=/tmp/x.json")
+        spec = ComponentSpec.parse("chrome?path=/tmp/x.json", "trace")
         assert spec.name == "chrome"
         assert spec.params["path"] == "/tmp/x.json"
-        assert TraceSpec.parse("perfetto").name == "chrome"
+        assert ComponentSpec.parse("perfetto", "trace").name == "chrome"
 
     def test_for_path_picks_sink_by_suffix(self):
-        assert TraceSpec.for_path("out.jsonl").name == "jsonl"
-        assert TraceSpec.for_path("out.json").name == "chrome"
-        assert TraceSpec.for_path("anything.trace").name == "chrome"
+        assert sink_spec_for_path("out.jsonl").name == "jsonl"
+        assert sink_spec_for_path("out.json").name == "chrome"
+        assert sink_spec_for_path("anything.trace").name == "chrome"
 
     def test_empty_path_rejected(self):
         from repro.api.registry import SpecError
         with pytest.raises(SpecError):
-            TraceSpec.parse("chrome?path=")
+            ComponentSpec.parse("chrome?path=", "trace")
 
 
 class TestCli:

@@ -2,13 +2,12 @@
 
 import pytest
 
+from repro.api import ComponentSpec, resolve
 from repro.serve import (
-    AutoscalerSpec,
     NoAutoscaler,
     PoissonArrivals,
     QueueDepthAutoscaler,
     dispatch_requests,
-    resolve_autoscaler,
     run_serving_cluster,
 )
 from repro.units import GB
@@ -16,16 +15,16 @@ from repro.units import GB
 
 class TestResolve:
     def test_names(self):
-        assert resolve_autoscaler("none").name == "none"
-        assert resolve_autoscaler("queue-depth").name == "queue-depth"
+        assert resolve("autoscaler", "none").name == "none"
+        assert resolve("autoscaler", "queue-depth").name == "queue-depth"
 
     def test_instance_passes_through(self):
         scaler = QueueDepthAutoscaler(high=100.0, low=10.0)
-        assert resolve_autoscaler(scaler) is scaler
+        assert resolve("autoscaler", scaler) is scaler
 
     def test_spec_params(self):
-        scaler = AutoscalerSpec.parse(
-            "queue-depth?high=6000&low=800&min=2").build()
+        scaler = ComponentSpec.parse(
+            "queue-depth?high=6000&low=800&min=2", "autoscaler").build()
         assert scaler.high == 6000.0 and scaler.low == 800.0
         assert scaler.min_replicas == 2
 

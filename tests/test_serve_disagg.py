@@ -28,7 +28,6 @@ from repro.serve import (
 )
 from repro.serve.disagg import DisaggServingResult
 from repro.serve.kvcache import ChunkedKVCache
-from repro.serve.preemption import resolve_preemption
 from repro.units import GB
 from repro.workloads.models import get_model
 
@@ -347,7 +346,7 @@ class TestRunnerValidation:
         with pytest.raises(ValueError, match="spec string"):
             _run(kv_cache=ChunkedKVCache(get_model(MODEL)))
         with pytest.raises(ValueError, match="spec string"):
-            _run(preemption=resolve_preemption("recompute"))
+            _run(preemption=api.resolve("preemption", "recompute"))
 
     @pytest.mark.parametrize("runner", [run_serving_cluster,
                                         run_serving_disagg])

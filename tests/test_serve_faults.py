@@ -28,12 +28,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.api.registry import SpecError, component_names
+from repro.api import ComponentSpec, component_names, resolve
 from repro.obs import GaugeSampler, TraceRecorder
 from repro.obs.trace import validate_chrome_trace
 from repro.serve import (
     BudgetRetry,
-    FaultsSpec,
     HedgeRetry,
     LinkDegradeFaults,
     NoFaults,
@@ -42,12 +41,9 @@ from repro.serve import (
     PoissonArrivals,
     ReplicaCrashFaults,
     RequestState,
-    RetrySpec,
     ServeRequest,
     ServingSimulator,
     StragglerFaults,
-    resolve_faults,
-    resolve_retry,
     run_serving_cluster,
 )
 from repro.serve.cluster import DownCalendar
@@ -76,37 +72,27 @@ class TestRegistries:
         assert set(component_names("retry")) == {"none", "budget", "hedge"}
 
     def test_crash_alias(self):
-        model = FaultsSpec.parse("crash?mtbf_s=15&mttr_s=5").build()
+        model = resolve("faults", "crash?mtbf_s=15&mttr_s=5")
         assert isinstance(model, ReplicaCrashFaults)
         assert model.mtbf_s == 15.0 and model.mttr_s == 5.0
 
     def test_degrade_alias(self):
-        model = FaultsSpec.parse("degrade?factor=8").build()
+        model = resolve("faults", "degrade?factor=8")
         assert isinstance(model, LinkDegradeFaults)
         assert model.factor == 8.0
 
     def test_resolvers_accept_strings_specs_and_instances(self):
-        assert isinstance(resolve_faults("none"), NoFaults)
-        assert isinstance(resolve_faults("straggler?prob=0.2"),
+        assert isinstance(resolve("faults", "none"), NoFaults)
+        assert isinstance(resolve("faults", "straggler?prob=0.2"),
                           StragglerFaults)
         model = ReplicaCrashFaults(mtbf_s=9.0)
-        assert resolve_faults(model) is model
-        assert isinstance(resolve_retry("none"), NoRetry)
+        assert resolve("faults", model) is model
+        assert isinstance(resolve("retry", "none"), NoRetry)
         policy = HedgeRetry(after_s=1.0)
-        assert resolve_retry(RetrySpec.parse("hedge?after_s=1").build()
-                             ).after_s == 1.0
-        assert resolve_retry(policy) is policy
-
-    @pytest.mark.parametrize("spec_cls, spec", [
-        (FaultsSpec, "replica-crash?mtbf_s=0"),
-        (FaultsSpec, "straggler?prob=2"),
-        (FaultsSpec, "link-degrade?factor=0.5"),
-        (RetrySpec, "budget?max=0"),
-        (RetrySpec, "hedge?after_s=0"),
-    ])
-    def test_bad_params_raise(self, spec_cls, spec):
-        with pytest.raises((SpecError, ValueError)):
-            spec_cls.parse(spec)
+        assert resolve(
+            "retry", ComponentSpec.parse("hedge?after_s=1", "retry")
+        ).after_s == 1.0
+        assert resolve("retry", policy) is policy
 
 
 class TestCrashWindows:

@@ -11,19 +11,19 @@ import dataclasses
 import pytest
 
 from repro.api import (
+    ComponentSpec,
     ExperimentSpec,
     ServingSpec,
     SpecError,
     component_names,
     iter_components,
+    resolve,
     run,
 )
 from repro.serve import (
-    KVCacheSpec,
     PoissonArrivals,
     ServingConfig,
     ServingSimulator,
-    resolve_kv_cache,
     run_serving,
 )
 from repro.serve.request import ServeRequest
@@ -49,49 +49,47 @@ class TestKVCacheSpec:
             assert info.params
 
     def test_parse_round_trip(self):
-        spec = KVCacheSpec.parse("paged?block_tokens=32")
+        spec = ComponentSpec.parse("paged?block_tokens=32", "kv-cache")
         assert spec.name == "paged"
         assert spec.params == {"block_tokens": 32}
-        assert KVCacheSpec.parse(spec.spec_string()) == spec
-        assert KVCacheSpec.from_dict(spec.to_dict()) == spec
+        assert ComponentSpec.parse(spec.spec_string(), "kv-cache") == spec
+        assert ComponentSpec.from_dict(spec.to_dict(), "kv-cache") == spec
 
     def test_bare_name(self):
-        assert KVCacheSpec.parse("chunked").spec_string() == "chunked"
+        assert ComponentSpec.parse("chunked", "kv-cache").spec_string() == "chunked"
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SpecError, match="unknown KV-cache"):
-            KVCacheSpec.parse("slab?block_tokens=16")
+            ComponentSpec.parse("slab?block_tokens=16", "kv-cache")
 
     def test_unknown_param_rejected(self):
         with pytest.raises(SpecError, match="no parameter"):
-            KVCacheSpec.parse("paged?page_mb=2")
+            ComponentSpec.parse("paged?page_mb=2", "kv-cache")
 
     def test_ill_typed_param_rejected(self):
         with pytest.raises(SpecError, match="bad value"):
-            KVCacheSpec.parse("paged?block_tokens=tiny")
+            ComponentSpec.parse("paged?block_tokens=tiny", "kv-cache")
 
     def test_non_positive_param_rejected(self):
         with pytest.raises(SpecError, match=">= 1"):
-            KVCacheSpec.parse("paged?block_tokens=0")
+            ComponentSpec.parse("paged?block_tokens=0", "kv-cache")
 
-    def test_chunked_inherits_config_granularity(self):
+    def test_chunked_granularity_comes_from_the_spec(self):
         model = get_model("opt-1.3b")
-        kv = resolve_kv_cache("chunked", model, default_chunk_tokens=512)
-        assert kv.chunk_tokens == 512
-        pinned = resolve_kv_cache("chunked?chunk_tokens=64", model,
-                                  default_chunk_tokens=512)
+        assert resolve("kv-cache", "chunked", model).chunk_tokens == 256
+        pinned = resolve("kv-cache", "chunked?chunk_tokens=64", model)
         assert pinned.chunk_tokens == 64
 
     def test_model_instance_passes_through(self):
         model = get_model("opt-1.3b")
-        kv = resolve_kv_cache("paged", model)
-        assert resolve_kv_cache(kv, model) is kv
+        kv = resolve("kv-cache", "paged", model)
+        assert resolve("kv-cache", kv, model) is kv
 
     def test_model_instance_cannot_be_reused_across_runs(self):
         """A bound model carries per-run metrics; rebinding must fail
         loudly instead of leaking the first run's counters."""
         model = get_model("opt-1.3b")
-        kv = resolve_kv_cache("paged", model)
+        kv = resolve("kv-cache", "paged", model)
         ServingSimulator(model, allocator="caching", kv_cache=kv)
         with pytest.raises(ValueError, match="already bound"):
             ServingSimulator(model, allocator="gmlake", kv_cache=kv)
@@ -109,8 +107,7 @@ class TestPagedAccounting:
         # re-alloc transiently doubles a request's footprint; paged
         # never does, so the pool has to be genuinely full.)
         capacity = model.weight_bytes + 600 * MB
-        config = ServingConfig(max_batch=4, kv_chunk_tokens=256,
-                               queue_timeout_s=600.0)
+        config = ServingConfig(max_batch=4, queue_timeout_s=600.0)
         simulator = ServingSimulator(model, allocator="caching",
                                      capacity=capacity, config=config,
                                      scheduler="fcfs", kv_cache=kv_cache)
@@ -268,7 +265,7 @@ class TestClusterAggregation:
         model = get_model("opt-1.3b")
         with pytest.raises(ValueError, match="own model"):
             run_serving_cluster(churn_stream(n=4), model, n_replicas=2,
-                                kv_cache=resolve_kv_cache("paged", model))
+                                kv_cache=resolve("kv-cache", "paged", model))
 
 
 class TestExperimentSpecIntegration:

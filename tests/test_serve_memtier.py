@@ -26,13 +26,12 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.api.registry import SpecError, component_names
+from repro.api import ComponentSpec, SpecError, component_names, resolve
 from repro.gpu.device import GpuDevice
 from repro.gpu.latency import LatencyModel
 from repro.serve import (
     CxlTier,
     DramTier,
-    MemoryTierSpec,
     NvmeTier,
     PcieInterconnect,
     PoissonArrivals,
@@ -41,7 +40,6 @@ from repro.serve import (
     TierHierarchy,
     parse_memory_tiers,
     resolve_memory_tiers,
-    resolve_preemption,
     run_serving,
     run_serving_cluster,
 )
@@ -59,37 +57,37 @@ class TestTierRegistry:
             assert alias in names
 
     def test_aliases_resolve_to_canonical_classes(self):
-        assert isinstance(MemoryTierSpec.parse("host").build(), DramTier)
-        assert isinstance(MemoryTierSpec.parse("flash").build(), NvmeTier)
-        assert isinstance(MemoryTierSpec.parse("ssd").build(), NvmeTier)
+        assert isinstance(ComponentSpec.parse("host", "memory-tier").build(), DramTier)
+        assert isinstance(ComponentSpec.parse("flash", "memory-tier").build(), NvmeTier)
+        assert isinstance(ComponentSpec.parse("ssd", "memory-tier").build(), NvmeTier)
 
     def test_defaults_materialize(self):
-        dram = MemoryTierSpec.parse("dram").build()
+        dram = ComponentSpec.parse("dram", "memory-tier").build()
         assert dram.gb == 64.0
         assert dram.capacity_bytes == 64 * GB
-        cxl = MemoryTierSpec.parse("cxl").build()
+        cxl = ComponentSpec.parse("cxl", "memory-tier").build()
         assert (cxl.gb, cxl.gb_per_s, cxl.latency_us) == (256.0, 40.0, 1.0)
 
     def test_zero_gb_means_unbounded(self):
-        tier = MemoryTierSpec.parse("dram?gb=0").build()
+        tier = ComponentSpec.parse("dram?gb=0", "memory-tier").build()
         assert tier.capacity_bytes == float("inf")
 
     def test_negative_params_rejected(self):
         for bad in ("dram?gb=-1", "cxl?gb_per_s=-2", "nvme?latency_us=-3"):
             with pytest.raises(SpecError, match=">= 0"):
-                MemoryTierSpec.parse(bad)
+                ComponentSpec.parse(bad, "memory-tier")
 
     def test_link_conflicts_with_explicit_figures(self):
         with pytest.raises(SpecError, match="not both"):
-            MemoryTierSpec.parse("dram?link=pcie&gb_per_s=12")
+            ComponentSpec.parse("dram?link=pcie&gb_per_s=12", "memory-tier")
 
     def test_bad_link_spec_rejected(self):
         with pytest.raises(SpecError, match="link"):
-            MemoryTierSpec.parse("dram?link=warp-drive")
+            ComponentSpec.parse("dram?link=warp-drive", "memory-tier")
 
     def test_link_prices_transfers(self):
-        tier = MemoryTierSpec.parse(
-            "dram?gb=64&link=nvlink?gb_per_s=300").build()
+        tier = ComponentSpec.parse(
+            "dram?gb=64&link=nvlink?gb_per_s=300", "memory-tier").build()
         latency = LatencyModel()
         assert tier.transfer_us(GB, latency) \
             == tier.interconnect.transfer_us(GB, latency)
@@ -98,7 +96,7 @@ class TestTierRegistry:
         """gb_per_s/latency_us default to 0 — the device-latency
         sentinel — so a bare dram tier prices exactly as swap always
         has."""
-        tier = MemoryTierSpec.parse("dram").build()
+        tier = ComponentSpec.parse("dram", "memory-tier").build()
         latency = LatencyModel()
         assert tier.transfer_us(GB, latency) == latency.pcie_transfer(GB)
 
@@ -409,11 +407,11 @@ class TestServingEndToEnd:
 
 class TestTieredPreemptionUnit:
     def test_swap_is_a_single_unbounded_dram_tier(self):
-        policy = resolve_preemption("swap")
+        policy = resolve("preemption", "swap")
         # The same class as recompute and tiered: one policy, three
         # constructions.
         assert type(policy) is OffloadPreemption
-        assert type(resolve_preemption("recompute")) is OffloadPreemption
+        assert type(resolve("preemption", "recompute")) is OffloadPreemption
         assert len(policy.hierarchy.tiers) == 1
         host = policy.hierarchy.tiers[0]
         assert isinstance(host, DramTier)
@@ -421,7 +419,7 @@ class TestTieredPreemptionUnit:
 
     def test_policy_instance_binds_once(self):
         hierarchy = TierHierarchy(["dram?gb=64"])
-        policy = resolve_preemption("recompute", hierarchy)
+        policy = resolve("preemption", "recompute", hierarchy)
         assert type(policy) is OffloadPreemption and policy.name == "tiered"
         _serve(preemption=policy)
         with pytest.raises(ValueError, match="already bound"):

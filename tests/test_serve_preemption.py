@@ -11,17 +11,15 @@ import warnings
 
 import pytest
 
-from repro.api import SpecError
+from repro.api import ComponentSpec, SpecError, resolve
 from repro.gpu.device import GpuDevice
 from repro.gpu.latency import LatencyModel
 from repro.serve import (
     NvlinkInterconnect,
     PcieInterconnect,
     PoissonArrivals,
-    PreemptionSpec,
     ServingConfig,
     ServingSimulator,
-    resolve_preemption,
     run_serving,
 )
 from repro.units import GB, MB
@@ -66,26 +64,26 @@ def _digest(result):
 
 class TestResolve:
     def test_names(self):
-        assert resolve_preemption("recompute").name == "recompute"
-        assert resolve_preemption("swap").name == "swap"
+        assert resolve("preemption", "recompute").name == "recompute"
+        assert resolve("preemption", "swap").name == "swap"
 
     def test_instance_passes_through(self):
-        policy = resolve_preemption("swap")
-        assert resolve_preemption(policy) is policy
+        policy = resolve("preemption", "swap")
+        assert resolve("preemption", policy) is policy
 
     def test_spec_params(self):
-        policy = PreemptionSpec.parse(
-            "swap?interconnect=pcie?gb_per_s=12").build()
+        policy = ComponentSpec.parse(
+            "swap?interconnect=pcie?gb_per_s=12", "preemption").build()
         assert _swap_link(policy).gb_per_s == 12.0
         # The pre-interconnect spelling fails at parse time.
         for legacy in ("swap?gb_per_s=12", "swap?pcie_gb_per_s=12",
                        "swap?pcie_latency_us=5"):
             with pytest.raises(SpecError, match="no parameter"):
-                PreemptionSpec.parse(legacy)
+                ComponentSpec.parse(legacy, "preemption")
 
     def test_rebind_rejected(self):
         """A policy carries per-run state, so one simulator only."""
-        policy = resolve_preemption("swap")
+        policy = resolve("preemption", "swap")
         ServingSimulator("opt-1.3b", allocator="caching",
                          preemption=policy)
         with pytest.raises(ValueError, match="already bound"):
@@ -107,7 +105,7 @@ class TestRecomputeIsByteIdentical:
                                                capacity):
         default = _run("recompute", allocator=allocator, kv_cache=kv_cache,
                        capacity=capacity)
-        explicit = _run(resolve_preemption("recompute", hierarchy=None),
+        explicit = _run(resolve("preemption", "recompute", None),
                         allocator=allocator, kv_cache=kv_cache,
                         capacity=capacity)
         assert default.preemptions > 0  # the regime actually preempts
@@ -217,7 +215,7 @@ class TestSwapPcieParamShim:
     def test_new_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            policy = resolve_preemption("swap?interconnect=pcie?gb_per_s=12")
+            policy = resolve("preemption", "swap?interconnect=pcie?gb_per_s=12")
         assert isinstance(_swap_link(policy), PcieInterconnect)
         assert _swap_link(policy).gb_per_s == 12.0
 
@@ -227,15 +225,15 @@ class TestSwapPcieParamShim:
         the device latency model)."""
         latency = LatencyModel()
         size = 1 << 30
-        policy = PreemptionSpec(
-            "swap", {"interconnect": "pcie?gb_per_s=12&latency_us=5"}).build()
+        policy = ComponentSpec(
+            "swap", {"interconnect": "pcie?gb_per_s=12&latency_us=5"}, "preemption").build()
         assert _swap_link(policy).transfer_us(size, latency) \
             == 5.0 + size / (12.0 * (1 << 30)) * 1e6
-        bare = resolve_preemption("swap")
+        bare = resolve("preemption", "swap")
         assert _swap_link(bare).transfer_us(size, latency) \
             == latency.pcie_transfer(size)
 
     def test_other_interconnects_plug_in(self):
-        policy = resolve_preemption("swap?interconnect=nvlink?gb_per_s=300")
+        policy = resolve("preemption", "swap?interconnect=nvlink?gb_per_s=300")
         assert isinstance(_swap_link(policy), NvlinkInterconnect)
         assert _swap_link(policy).gb_per_s == 300.0

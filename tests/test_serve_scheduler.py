@@ -2,18 +2,20 @@
 
 import pytest
 
-from repro.api import component_names, resolve_allocator
+from repro.api import (
+    ComponentSpec,
+    component_names,
+    resolve,
+    resolve_allocator,
+)
 from repro.gpu.device import GpuDevice
 from repro.serve import (
     FcfsScheduler,
     MemoryAwareScheduler,
-    SchedulerSpec,
     SchedulerView,
     ShortestPromptScheduler,
     WeightedFairScheduler,
     parse_tenant_weights,
-    resolve_kv_cache,
-    resolve_scheduler,
 )
 from repro.serve.request import RequestState, ServeRequest
 from repro.units import GB
@@ -30,7 +32,7 @@ def view_on(capacity=4 * GB, model="opt-1.3b", kv_cache="chunked"):
     device = GpuDevice(capacity=capacity)
     allocator = resolve_allocator("caching", device)
     spec = get_model(model)
-    kv = resolve_kv_cache(kv_cache, spec, default_chunk_tokens=256)
+    kv = resolve("kv-cache", kv_cache, spec)
     return SchedulerView(
         allocator=allocator, model=spec, running=0,
         max_batch=16, capacity=capacity, kv=kv,
@@ -40,19 +42,19 @@ def view_on(capacity=4 * GB, model="opt-1.3b", kv_cache="chunked"):
 class TestResolve:
     def test_known_names(self):
         for name in component_names("scheduler", include_aliases=True):
-            assert resolve_scheduler(name).name in (
+            assert resolve("scheduler", name).name in (
                 "fcfs", "shortest-prompt", "memory-aware", "wfq")
 
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
-            resolve_scheduler("priority-lottery")
+            resolve("scheduler", "priority-lottery")
 
     def test_passthrough(self):
         scheduler = FcfsScheduler()
-        assert resolve_scheduler(scheduler) is scheduler
+        assert resolve("scheduler", scheduler) is scheduler
 
     def test_spec_carries_params(self):
-        scheduler = resolve_scheduler("memory-aware?margin=1.75")
+        scheduler = resolve("scheduler", "memory-aware?margin=1.75")
         assert isinstance(scheduler, MemoryAwareScheduler)
         assert scheduler.margin == 1.75
 
@@ -60,7 +62,7 @@ class TestResolve:
         from repro.api import SpecError
 
         with pytest.raises(SpecError, match="margin"):
-            SchedulerSpec.parse("memory-aware?margin=0.5")
+            ComponentSpec.parse("memory-aware?margin=0.5", "scheduler")
 
 
 class TestFcfs:
@@ -214,7 +216,7 @@ class TestParseTenantWeights:
             parse_tenant_weights("t0:0")
 
     def test_spec_roundtrip(self):
-        scheduler = resolve_scheduler("wfq?weights=t0:2,t1:1")
+        scheduler = resolve("scheduler", "wfq?weights=t0:2,t1:1")
         assert isinstance(scheduler, WeightedFairScheduler)
         assert scheduler.weights == {"t0": 2.0, "t1": 1.0}
 

@@ -3,7 +3,8 @@
 from types import SimpleNamespace
 
 from repro.gpu.latency import LatencyModel
-from repro.serve import KVCacheMetrics, resolve_preemption
+from repro.api import resolve
+from repro.serve import KVCacheMetrics
 
 
 class TestSwapIsTieredShim:
@@ -14,7 +15,7 @@ class TestSwapIsTieredShim:
     def test_hierarchy_is_one_unbounded_dram_tier(self):
         from repro.serve import DramTier, PcieInterconnect
 
-        policy = resolve_preemption("swap")
+        policy = resolve("preemption", "swap")
         assert len(policy.hierarchy.tiers) == 1
         host = policy.hierarchy.tiers[0]
         assert isinstance(host, DramTier)
@@ -24,7 +25,7 @@ class TestSwapIsTieredShim:
     def test_legacy_params_reach_the_tier_link(self):
         """The nested spec string's bandwidth prices the host tier; the
         latency it leaves unset stays the device's."""
-        policy = resolve_preemption("swap?interconnect=pcie?gb_per_s=12")
+        policy = resolve("preemption", "swap?interconnect=pcie?gb_per_s=12")
         latency = LatencyModel()
         size = 1 << 30
         assert policy.hierarchy.tiers[0].transfer_us(size, latency) \
@@ -35,7 +36,7 @@ class TestSwapIsTieredShim:
         per-tier demoted/promoted dicts stay empty, so pre-tier swap
         configurations read byte-identically."""
         metrics = KVCacheMetrics(kv_cache="paged")
-        policy = resolve_preemption("swap")
+        policy = resolve("preemption", "swap")
         policy._sim = SimpleNamespace(kv=SimpleNamespace(metrics=metrics))
         policy._account("dram", 1024, restore=False)
         policy._account("dram", 512, restore=True)

@@ -86,9 +86,9 @@ class TestBatchAndGrowth:
 
     def test_smaller_chunks_mean_more_reallocs(self):
         def mallocs(chunk_tokens):
-            config = ServingConfig(kv_chunk_tokens=chunk_tokens)
-            simulator = ServingSimulator("opt-1.3b", allocator="native",
-                                         config=config)
+            simulator = ServingSimulator(
+                "opt-1.3b", allocator="native",
+                kv_cache=f"chunked?chunk_tokens={chunk_tokens}")
             result = simulator.run(
                 [make_request(0, 0.0, 256, 512)])
             return result.stats.malloc_count
@@ -96,9 +96,8 @@ class TestBatchAndGrowth:
         assert mallocs(128) > mallocs(4096)
 
     def test_kv_capacity_covers_context(self):
-        config = ServingConfig(kv_chunk_tokens=128)
         simulator = ServingSimulator("opt-1.3b", allocator="gmlake",
-                                     config=config)
+                                     kv_cache="chunked?chunk_tokens=128")
         result = simulator.run([make_request(0, 0.0, 200, 300)])
         request = result.requests[0]
         assert request.finished
@@ -144,8 +143,7 @@ class TestPreemption:
         # Weights + ~870 MB of KV headroom: two growing requests
         # collide mid-decode and one must be preempted.
         capacity = model.weight_bytes + 900 * MB
-        config = ServingConfig(max_batch=4, kv_chunk_tokens=256,
-                               queue_timeout_s=600.0)
+        config = ServingConfig(max_batch=4, queue_timeout_s=600.0)
         simulator = ServingSimulator(model, allocator=allocator,
                                      capacity=capacity, config=config,
                                      scheduler="fcfs")
@@ -175,8 +173,8 @@ class TestPreemption:
         """max_preemptions bounds the retry storm."""
         model = get_model("opt-1.3b")
         capacity = model.weight_bytes + 900 * MB
-        config = ServingConfig(max_batch=4, kv_chunk_tokens=256,
-                               queue_timeout_s=600.0, max_preemptions=0)
+        config = ServingConfig(max_batch=4, queue_timeout_s=600.0,
+                               max_preemptions=0)
         simulator = ServingSimulator(model, allocator="gmlake",
                                      capacity=capacity, config=config,
                                      scheduler="fcfs")
@@ -193,7 +191,7 @@ class TestPreemption:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_batch": 0},
-        {"kv_chunk_tokens": 0},
+        {"prefill_tokens_per_s": 0.0},
         {"queue_timeout_s": 0.0},
         {"max_preemptions": -1},
         {"decode_tokens_per_s": 0.0},

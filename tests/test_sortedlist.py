@@ -10,7 +10,7 @@ exercised even by small inputs.
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sortedlist import ChunkedSortedKeyList, SortedKeyList, sorted_pairs
+from repro.sortedlist import ChunkedSortedKeyList, SortedKeyList
 
 
 class Item:
@@ -187,7 +187,3 @@ class TestProperties:
         assert flat.as_list() == chunked.as_list()
         assert chunked.check_sorted()
         assert len(flat) == len(chunked)
-
-
-def test_sorted_pairs():
-    assert sorted_pairs([(2, "b"), (1, "a")]) == ["a", "b"]

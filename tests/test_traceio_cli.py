@@ -169,6 +169,25 @@ class TestCli:
         assert code == 2
         assert "--arrival-log" in capsys.readouterr().err
 
+    def test_run_rejects_a_bad_allocator_before_any_runs(
+            self, tmp_path, monkeypatch, capsys):
+        """A malformed second allocator is a spec error: exit 2 with
+        nothing on stdout, and the first allocator never ran."""
+        monkeypatch.setattr(
+            "repro.cli.run_experiment",
+            lambda spec: pytest.fail("an allocator ran"))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "mode": "replay",
+            "allocators": ["caching", "gmlake?max_spool_blocks=-1"],
+            "workload": {"model": "opt-1.3b", "batch_size": 2, "n_gpus": 1,
+                         "iterations": 2},
+        }))
+        assert main(["run", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_spool_blocks" in captured.err
+
     @pytest.mark.parametrize("flags", [
         [],
         ["--gpus", "3"],
