@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.allocators.stats import AllocatorStats
 from repro.errors import (
@@ -116,20 +116,67 @@ class BaseAllocator(ABC):
             for observer in self._observers:
                 observer.on_oom(self, size, exc)
             raise
-        alloc = Allocation(ptr=ptr, size=size, rounded_size=rounded,
-                           alloc_id=self._next_id)
-        self._next_id += 1
-        self._live[alloc.alloc_id] = alloc
-        self._counters.malloc_count += 1
-        self.active_bytes += rounded
-        self.peak_active_bytes = max(self.peak_active_bytes, self.active_bytes)
-        self._update_reserved_peak()
+        alloc = self._issue(ptr, size, rounded)
         for observer in self._observers:
             observer.on_alloc(self, alloc)
         return alloc
 
     def free(self, allocation: Allocation) -> None:
         """Return an allocation to the allocator."""
+        self._claim(allocation)
+        self._free_impl(allocation)
+        self._counters.free_count += 1
+        self.active_bytes -= allocation.rounded_size
+        # No reserved-peak update here: freeing never commits new
+        # physical memory, so the peak (a ratchet over reserved_bytes,
+        # which only grows inside _malloc_impl) cannot move.
+        for observer in self._observers:
+            observer.on_free(self, allocation)
+
+    def malloc_run(self, size: int, n: int) -> List[Allocation]:
+        """``n`` back-to-back ``malloc(size)`` calls, stopping at the
+        first OOM.
+
+        Returns the allocations made, in order; fewer than ``n`` means
+        the next ``malloc`` raised :class:`~repro.errors.OutOfMemoryError`
+        (its reclaim fallback, clock time and ``on_oom`` hooks all
+        happened).  This loop *is* the definition: an allocator that
+        overrides it must leave exactly the state the loop leaves.
+        """
+        run: List[Allocation] = []
+        try:
+            for _ in range(n):
+                run.append(self.malloc(size))
+        except OutOfMemoryError:
+            pass
+        return run
+
+    def free_run(self, allocations: Iterable[Allocation]) -> None:
+        """Back-to-back ``free`` calls, in the order given (the
+        definition an overriding allocator must match, as for
+        :meth:`malloc_run`)."""
+        for allocation in allocations:
+            self.free(allocation)
+
+    # -- the live table's two transitions, shared by the single calls
+    # -- above and by subclasses that override the run operations.
+    def _issue(self, ptr: int, size: int, rounded: int) -> Allocation:
+        """Enter a successful malloc into the live table and counters."""
+        alloc = Allocation(ptr, size, rounded, self._next_id)
+        self._live[self._next_id] = alloc
+        self._next_id += 1
+        self._counters.malloc_count += 1
+        self.active_bytes = active = self.active_bytes + rounded
+        if active > self.peak_active_bytes:
+            self.peak_active_bytes = active
+        reserved = self.reserved_bytes
+        if reserved > self.peak_reserved_bytes:
+            self.peak_reserved_bytes = reserved
+        return alloc
+
+    def _claim(self, allocation: Allocation) -> None:
+        """Take ``allocation`` out of the live table, or raise the
+        double-free / foreign-pointer error."""
         live = self._live.get(allocation.alloc_id)
         if live is None:
             if allocation.alloc_id < self._next_id:
@@ -140,14 +187,6 @@ class BaseAllocator(ABC):
                 f"allocation #{allocation.alloc_id} was not issued by {self.name}"
             )
         del self._live[allocation.alloc_id]
-        self._free_impl(allocation)
-        self._counters.free_count += 1
-        self.active_bytes -= allocation.rounded_size
-        # No reserved-peak update here: freeing never commits new
-        # physical memory, so the peak (a ratchet over reserved_bytes,
-        # which only grows inside _malloc_impl) cannot move.
-        for observer in self._observers:
-            observer.on_free(self, allocation)
 
     def empty_cache(self) -> None:
         """Release every cached (unused) physical byte back to the device."""
@@ -210,9 +249,6 @@ class BaseAllocator(ABC):
         """Release the storage behind ``allocation``."""
 
     # ------------------------------------------------------------------
-    def _update_reserved_peak(self) -> None:
-        self.peak_reserved_bytes = max(self.peak_reserved_bytes, self.reserved_bytes)
-
     def _spend_host_time(self, us: float) -> None:
         """Account host-side bookkeeping time (advances the sim clock)."""
         self.device.clock.advance(us)

@@ -25,7 +25,7 @@ segment boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.allocators.base import Allocation, BaseAllocator
 from repro.errors import CudaOutOfMemoryError, OutOfMemoryError
@@ -110,6 +110,11 @@ class CachingAllocator(BaseAllocator):
             "small": ChunkedSortedKeyList(key=lambda b: (b.size, b.ptr)),
             "large": ChunkedSortedKeyList(key=lambda b: (b.size, b.ptr)),
         }
+        # Pooled blocks that span their whole segment, by pool and
+        # ptr: what ``_release_cached_segments`` gives back, found
+        # without walking the pools.
+        self._whole_free: Dict[str, Dict[int, Block]] = {
+            "small": {}, "large": {}}
         self._blocks_by_ptr: Dict[int, Block] = {}
         self._segments: Dict[int, Segment] = {}
         self._reserved = 0
@@ -140,30 +145,76 @@ class CachingAllocator(BaseAllocator):
         return self._cached_bytes
 
     # -- every pool entry/exit goes through these two, so the byte
-    # -- counter can never drift from the pool contents.
+    # -- counter and the whole-free index can never drift from the
+    # -- pool contents.  (A block as large as its segment has no
+    # -- neighbours: size alone says it is whole.)
     def _pool_add(self, pool: str, block: Block) -> None:
         self._free_pools[pool].add(block)
         self._cached_bytes += block.size
+        if block.size == block.segment.size:
+            self._whole_free[pool][block.ptr] = block
 
     def _pool_remove(self, pool: str, block: Block) -> None:
         self._free_pools[pool].remove(block)
         self._cached_bytes -= block.size
+        if block.size == block.segment.size:
+            del self._whole_free[pool][block.ptr]
 
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
     def _malloc_impl(self, size: int) -> "tuple[int, int]":
         rounded = round_size(size)
-        pool = pool_for(rounded)
-        self._spend_host_time(self.device.latency.cached_op_us)
+        (block,) = self._carve(pool_for(rounded), rounded, 1)
+        return block.ptr, rounded
 
+    def malloc_run(self, size: int, n: int) -> List[Allocation]:
+        """The base class's loop, minus its pool round trips: each
+        free block serves as many of the run's mallocs as it can in one
+        :meth:`_carve`.  Clock, ids, counters, ``cudaMalloc`` and
+        release-and-retry happen per block, in the loop's order."""
+        if self._observers or size <= 0:
+            return super().malloc_run(size, n)
+        rounded = round_size(size)
+        pool = pool_for(rounded)
+        run: List[Allocation] = []
+        try:
+            while len(run) < n:
+                for block in self._carve(pool, rounded, n - len(run)):
+                    run.append(self._issue(block.ptr, size, rounded))
+        except OutOfMemoryError:
+            pass
+        return run
+
+    def _carve(self, pool: str, rounded: int, want: int) -> List[Block]:
+        """Up to ``want`` back-to-back mallocs of ``rounded`` bytes, as
+        many as one free block serves.
+
+        The first takes the pool's best fit, or else a new segment
+        (which may raise OOM, before anything is carved).  After a
+        split the remainder ``r`` has ``r.size < chosen.size`` while
+        every other free block that fits is ``>= chosen.size`` (best
+        fit took the minimum ``(size, ptr)``), so while ``r.size >=
+        rounded`` it is exactly what the next malloc's best-fit search
+        would return: it is carved again without entering the pool.
+        """
+        us = self.device.latency.cached_op_us
+        self._spend_host_time(us)
         block = self._find_best_fit(pool, rounded)
         if block is None:
             block = self._alloc_new_segment(rounded, pool)
-        if should_split(block.size, rounded, pool):
-            block = self._split(block, rounded)
-        block.allocated = True
-        return block.ptr, rounded
+        carved: List[Block] = []
+        while True:
+            block.allocated = True
+            carved.append(block)
+            if not should_split(block.size, rounded, pool):
+                return carved
+            remainder = self._split(block, rounded)
+            if remainder.size < rounded or len(carved) == want:
+                self._pool_add(pool, remainder)
+                return carved
+            self._spend_host_time(us)  # the next malloc takes remainder
+            block = remainder
 
     def _find_best_fit(self, pool: str, rounded: int) -> Optional[Block]:
         """Step 1 of the BFC algorithm: smallest free block >= request."""
@@ -202,7 +253,8 @@ class CachingAllocator(BaseAllocator):
         )
 
     def _split(self, block: Block, rounded: int) -> Block:
-        """Step 2: split the best-fit block; remainder stays cached."""
+        """Step 2: cut ``block`` down to ``rounded``; returns the free
+        remainder, linked in but not yet pooled."""
         remainder = Block(
             ptr=block.ptr + rounded,
             size=block.size - rounded,
@@ -216,14 +268,48 @@ class CachingAllocator(BaseAllocator):
         block.size = rounded
         block.segment.n_blocks += 1
         self._blocks_by_ptr[remainder.ptr] = remainder
-        self._pool_add(block.segment.pool, remainder)
-        return block
+        return remainder
 
     # ------------------------------------------------------------------
     # Deallocation
     # ------------------------------------------------------------------
     def _free_impl(self, allocation: Allocation) -> None:
         """Steps 3-4: mark inactive, coalesce with free neighbours."""
+        block = self._free_block(allocation, None)
+        self._pool_add(block.segment.pool, block)
+
+    def free_run(self, allocations: Iterable[Allocation]) -> None:
+        """The base class's loop, without its pool round trips.
+
+        The block a free produces stays out of the pool while the next
+        free may still merge with it (a request's blocks are mostly
+        address-adjacent); it is pooled when a free does not touch it,
+        when the run ends, or when a free raises.
+        """
+        if self._observers:
+            return super().free_run(allocations)
+        held: Optional[Block] = None
+        freed = freed_bytes = 0
+        try:
+            for allocation in allocations:
+                self._claim(allocation)
+                held = self._free_block(allocation, held)
+                freed += 1
+                freed_bytes += allocation.rounded_size
+        finally:
+            if held is not None:
+                self._pool_add(held.segment.pool, held)
+            self._counters.free_count += freed
+            self.active_bytes -= freed_bytes
+
+    def _free_block(self, allocation: Allocation,
+                    held: Optional[Block]) -> Block:
+        """One free of the BFC algorithm.
+
+        ``held`` is a free block the caller keeps out of the pool (or
+        ``None``).  Returns the coalesced free block, not pooled; if
+        ``held`` was not merged into it, ``held`` is pooled here.
+        """
         self._spend_host_time(self.device.latency.cached_op_us)
         block = self._blocks_by_ptr.get(allocation.ptr)
         if block is None or not block.allocated:
@@ -231,15 +317,14 @@ class CachingAllocator(BaseAllocator):
                 f"internal error: freeing unknown block at {allocation.ptr:#x}"
             )
         block.allocated = False
-        block = self._coalesce(block)
-        self._pool_add(block.segment.pool, block)
-
-    def _coalesce(self, block: Block) -> Block:
-        """Merge ``block`` with free address-adjacent neighbours."""
         pool = block.segment.pool
+        merged_held = False
         nxt = block.next
         if nxt is not None and not nxt.allocated:
-            self._pool_remove(pool, nxt)
+            if nxt is held:
+                merged_held = True
+            else:
+                self._pool_remove(pool, nxt)
             del self._blocks_by_ptr[nxt.ptr]
             block.size += nxt.size
             block.next = nxt.next
@@ -248,7 +333,10 @@ class CachingAllocator(BaseAllocator):
             block.segment.n_blocks -= 1
         prv = block.prev
         if prv is not None and not prv.allocated:
-            self._pool_remove(pool, prv)
+            if prv is held:
+                merged_held = True
+            else:
+                self._pool_remove(pool, prv)
             del self._blocks_by_ptr[block.ptr]
             prv.size += block.size
             prv.next = block.next
@@ -256,6 +344,8 @@ class CachingAllocator(BaseAllocator):
                 block.next.prev = prv
             prv.segment.n_blocks -= 1
             block = prv
+        if held is not None and not merged_held:
+            self._pool_add(held.segment.pool, held)
         return block
 
     # ------------------------------------------------------------------
@@ -271,15 +361,19 @@ class CachingAllocator(BaseAllocator):
         Returns the number of bytes released.
         """
         released = 0
-        for pool_name, pool in self._free_pools.items():
-            for block in pool.as_list():
-                if block.is_whole_segment():
-                    self._pool_remove(pool_name, block)
-                    del self._blocks_by_ptr[block.ptr]
-                    del self._segments[block.segment.ptr]
-                    self.device.runtime.cuda_free(block.segment.ptr)
-                    self._reserved -= block.segment.size
-                    released += block.segment.size
+        for pool_name, whole in self._whole_free.items():
+            if not whole:
+                continue
+            # Pool by pool in (size, ptr) order — the order a walk of
+            # the pools meets them; ``cuda_free`` order is behaviour.
+            for block in sorted(whole.values(),
+                                key=lambda b: (b.size, b.ptr)):
+                self._pool_remove(pool_name, block)
+                del self._blocks_by_ptr[block.ptr]
+                del self._segments[block.segment.ptr]
+                self.device.runtime.cuda_free(block.segment.ptr)
+                self._reserved -= block.segment.size
+                released += block.segment.size
         return released
 
     # ------------------------------------------------------------------
@@ -309,5 +403,12 @@ class CachingAllocator(BaseAllocator):
         assert self._cached_bytes == sum(
             b.size for p in self._free_pools.values() for b in p
         ), "cached_bytes counter out of sync with the free pools"
-        for pool in self._free_pools.values():
+        for name, pool in self._free_pools.items():
             assert pool.check_sorted()
+            # The whole-free index is exactly the pooled blocks that
+            # span their segment.
+            whole = {b.ptr: b for b in pool if b.is_whole_segment()}
+            indexed = self._whole_free[name]
+            assert indexed.keys() == whole.keys() and all(
+                indexed[ptr] is block for ptr, block in whole.items()
+            ), f"whole-free index out of sync with the {name} pool"

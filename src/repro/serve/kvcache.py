@@ -20,8 +20,9 @@ compared head to head on identical arrival streams:
 ``paged``
     Fixed-size blocks of ``block_tokens`` tokens, tracked in a
     per-request block table and freed exactly at request completion.
-    Every allocation has the same size, so any allocator serves it
-    from an exact-fit free list and *pool* fragmentation vanishes —
+    Every allocation has the same size, so no hole is ever too small
+    for the next request and *pool* fragmentation shrinks to what the
+    allocator's own granularity strands (see :class:`PagedKVCache`) —
     fragmentation moves into the cache layer instead, as internal
     waste in each request's last partially-filled block.
 
@@ -76,9 +77,13 @@ class KVCacheMetrics:
     kv_allocs / kv_frees:
         KV tensor allocations and frees issued to the allocator.
     peak_kv_bytes:
-        Peak bytes held in live KV tensors.
+        Peak bytes held in live KV tensors, sampled at every
+        allocation — so it includes the blocks a failed paged
+        admission held before it rolled them back.
     peak_blocks:
-        Peak live fixed-size blocks (paged; 0 for chunked).
+        Peak live fixed-size blocks (paged; 0 for chunked), sampled
+        when an admission or growth *succeeds* — the transient blocks
+        of failed admissions are not in it, unlike ``peak_kv_bytes``.
     grow_copy_bytes:
         Bytes memcpy'd by growth re-allocs (chunked only — paged growth
         never copies; this is the cache-level cost chunked pays).
@@ -275,22 +280,35 @@ class KVCacheModel(ABC):
 
     # -- allocator access with shared accounting -----------------------
     def _try_alloc(self, name: str, size: int) -> bool:
-        """Allocate a KV tensor; retry once after ``empty_cache``."""
-        ok = self._session.try_alloc(name, size)
-        if not ok:
-            self._allocator.empty_cache()
-            ok = self._session.try_alloc(name, size)
+        """Allocate a KV tensor: one attempt, then :meth:`_recover_alloc`."""
+        ok = (self._session.try_alloc(name, size)
+              or self._recover_alloc(name, size))
         if ok:
-            self.metrics.kv_allocs += 1
-            self._live_kv_bytes += size
-            self.metrics.peak_kv_bytes = max(
-                self.metrics.peak_kv_bytes, self._live_kv_bytes)
+            self._note_allocs(1, size)
         return ok
+
+    def _recover_alloc(self, name: str, size: int) -> bool:
+        """What follows a failed attempt at ``name``: ``empty_cache``
+        and one retry.  (``paged-shared`` goes on to evict idle prefix
+        blocks and retry twice more — up to four attempts per block.)"""
+        self._allocator.empty_cache()
+        return self._session.try_alloc(name, size)
+
+    def _note_allocs(self, count: int, size: int) -> None:
+        """Account ``count`` allocations of ``size`` bytes each."""
+        self.metrics.kv_allocs += count
+        self._live_kv_bytes += count * size
+        self.metrics.peak_kv_bytes = max(
+            self.metrics.peak_kv_bytes, self._live_kv_bytes)
 
     def _free(self, name: str, size: int) -> None:
         self._session.free(name)
-        self.metrics.kv_frees += 1
-        self._live_kv_bytes -= size
+        self._note_frees(1, size)
+
+    def _note_frees(self, count: int, size: int) -> None:
+        """Account ``count`` frees of ``size`` bytes each."""
+        self.metrics.kv_frees += count
+        self._live_kv_bytes -= count * size
 
     # -- lifecycle (called by the simulator) ---------------------------
     @abstractmethod
@@ -446,11 +464,22 @@ class PagedKVCache(KVCacheModel):
     """vLLM-style paged KV: fixed-size blocks + per-request block tables.
 
     Every allocation is exactly ``block_tokens`` tokens of KV, so the
-    pool only ever sees one size and any allocator serves it from an
-    exact-fit free list — cache-level defragmentation makes the
-    allocator choice irrelevant.  The price moves into the cache layer:
-    each request wastes the tail of its last block (internal
-    fragmentation), and attention must gather through a block table.
+    pool only ever sees one size: a freed block always fits the next
+    request, and cache-level defragmentation leaves the allocator
+    little to decide.  Not nothing — a block is not served from an
+    exact-fit free list by every allocator.  ``caching`` carves 3 MB
+    blocks (opt-1.3b, 16 tokens) out of 20 MB segments: six blocks and
+    a 2 MB tail no block fits, so under pressure most mallocs *split*
+    a larger free block (59 % on the ``fleet_shared`` benchmark
+    workload) and a free runs through coalescing.  The price of paging
+    moves into the cache layer: each request wastes the tail of its
+    last block (internal fragmentation), and attention must gather
+    through a block table.
+
+    A request's missing blocks are allocated as one allocator run and
+    its ref-0 blocks freed as one run (:meth:`_ensure`,
+    :meth:`_drop_block_refs`), which is defined to be, and tested
+    against, the same blocks allocated and freed one call at a time.
 
     Every block carries a first-class **reference count**
     (:meth:`ref_count`): a block table entry is one reference, and a
@@ -486,34 +515,69 @@ class PagedKVCache(KVCacheModel):
 
     def _drop_block_ref(self, block: str) -> None:
         """Drop one reference; the block frees only at ref 0."""
-        refs = self._ref[block] - 1
-        if refs > 0:
-            self._ref[block] = refs
-            return
-        del self._ref[block]
-        self._free(block, self.block_bytes)
-        self._live_blocks -= 1
+        self._drop_block_refs((block,))
+
+    def _drop_block_refs(self, blocks: Iterable[str]) -> None:
+        """Drop one reference from each of ``blocks``, in order; those
+        that reach ref 0 return to the pool as one run of frees."""
+        dead: List[str] = []
+        for block in blocks:
+            refs = self._ref[block] - 1
+            if refs > 0:
+                self._ref[block] = refs
+            else:
+                del self._ref[block]
+                dead.append(block)
+        if dead:
+            self._session.free_run(dead)
+            self._note_frees(len(dead), self.block_bytes)
+            self._live_blocks -= len(dead)
+
+    def _adopt(self, table: List[str], names: List[str]) -> None:
+        """Enter freshly allocated blocks into ``table``, one reference
+        each."""
+        table += names
+        self._ref.update(dict.fromkeys(names, 1))
+        self._live_blocks += len(names)
 
     def _ensure(self, request: ServeRequest, tokens: int) -> bool:
-        """Grow the block table to cover ``tokens``; roll back on OOM."""
+        """Grow the block table to cover ``tokens``; roll back on OOM.
+
+        The missing blocks' first attempts are one run
+        (:meth:`ReplaySession.try_alloc_run`).  Where the run stops,
+        that block goes through the per-block :meth:`_recover_alloc`;
+        if it comes back the run resumes after it, if not every block
+        added here is freed again, newest first, as one run.
+        """
         table = self._tables.setdefault(request.req_id, [])
         need = self._blocks_for(tokens)
-        added: List[str] = []
+        start = len(table)
+        size = self.block_bytes
+        prefix = f"kvb{request.req_id}."
         while len(table) < need:
-            name = f"kvb{request.req_id}.{self._next_block}"
+            first = self._next_block
+            names = [f"{prefix}{number}"
+                     for number in range(first, first + need - len(table))]
+            got = self._session.try_alloc_run(names, size)
+            self._note_allocs(got, size)
+            self._adopt(table, names[:got])
+            self._next_block += got
+            if got == len(names):
+                break
+            # The run stopped at names[got], whose block number is
+            # consumed whether or not recovery brings it back.
             self._next_block += 1
-            if not self._try_alloc(name, self.block_bytes):
-                for block in reversed(added):
-                    table.remove(block)
-                    self._drop_block_ref(block)
-                if not table:
-                    del self._tables[request.req_id]
-                request.kv_capacity_tokens = len(table) * self.block_tokens
-                return False
-            table.append(name)
-            added.append(name)
-            self._add_block_ref(name)
-            self._live_blocks += 1
+            if self._recover_alloc(names[got], size):
+                self._note_allocs(1, size)
+                self._adopt(table, [names[got]])
+                continue
+            added = table[start:]
+            del table[start:]
+            self._drop_block_refs(reversed(added))
+            if not table:
+                del self._tables[request.req_id]
+            request.kv_capacity_tokens = len(table) * self.block_tokens
+            return False
         self.metrics.peak_blocks = max(self.metrics.peak_blocks,
                                        self._live_blocks)
         request.kv_capacity_tokens = len(table) * self.block_tokens
@@ -532,8 +596,7 @@ class PagedKVCache(KVCacheModel):
         if preempted:
             self._note_preempt(request)
         self._forget(request)
-        for block in table:
-            self._drop_block_ref(block)
+        self._drop_block_refs(table)
         request.kv_capacity_tokens = 0
 
     def _forget(self, request: ServeRequest) -> None:
@@ -552,9 +615,12 @@ class PagedKVCache(KVCacheModel):
         """Whole blocks the pool can still hand out right now.
 
         Because every block is the same size, reserved-but-inactive
-        pool memory is *fully* reusable (exact-fit hits, no stitching
-        or splitting needed) — the defining contrast with
+        pool memory counts in full — the defining contrast with
         :meth:`ChunkedKVCache.headroom_bytes`'s discounted pool reuse.
+        It is an upper bound, not a promise: the bytes are summed
+        before dividing, so segment tails smaller than a block (2 MB
+        of every 20 MB ``caching`` segment under 3 MB blocks) add up
+        to "blocks" no malloc can be served from.
         """
         unreserved = capacity - stats.reserved_bytes
         reusable = stats.reserved_bytes - stats.active_bytes

@@ -161,8 +161,7 @@ class SharedPagedKVCache(PagedKVCache):
             # resident as cache for whoever admits next.
             table = self._tables.pop(request.req_id, [])
             self._shared_len.pop(request.req_id, None)
-            for block in table:
-                self._drop_block_ref(block)
+            self._drop_block_refs(table)
             request.kv_capacity_tokens = 0
         return False
 
@@ -276,12 +275,15 @@ class SharedPagedKVCache(PagedKVCache):
         return super().free_blocks(stats, capacity) + self.idle_shared_blocks
 
     # -- pressure eviction ---------------------------------------------
-    def _try_alloc(self, name: str, size: int) -> bool:
-        if super()._try_alloc(name, size):
+    def _recover_alloc(self, name: str, size: int) -> bool:
+        """``empty_cache`` → retry → evict idle shared tails → retry →
+        ``empty_cache`` → retry."""
+        if super()._recover_alloc(name, size):
             return True
         if self._evict_idle(size) == 0:
             return False
-        ok = super()._try_alloc(name, size)
+        ok = (self._session.try_alloc(name, size)
+              or super()._recover_alloc(name, size))
         self._note_shared_blocks()
         return ok
 

@@ -18,7 +18,15 @@ so scheduler policy can react to live allocator state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.allocators.base import Allocation, BaseAllocator
 from repro.api.spec import SpecLike, resolve_allocator
@@ -164,6 +172,19 @@ class ReplaySession:
         except OutOfMemoryError:
             return False
 
+    def try_alloc_run(self, tensors: Sequence[str], size: int) -> int:
+        """:meth:`try_alloc` for each of ``tensors`` in turn, ``size``
+        bytes each, stopping at the first OOM; returns how many were
+        allocated.  One :meth:`BaseAllocator.malloc_run` call."""
+        live = self.live
+        if not live.keys().isdisjoint(tensors):
+            twice = next(t for t in tensors if t in live)
+            raise ValueError(f"tensor {twice!r} allocated twice")
+        run = self.allocator.malloc_run(size, len(tensors))
+        live.update(zip(tensors, run))
+        self._live_bytes += sum(a.rounded_size for a in run)
+        return len(run)
+
     def free(self, tensor: str) -> None:
         """Free the live tensor named ``tensor``."""
         allocation = self.live.pop(tensor, None)
@@ -171,6 +192,20 @@ class ReplaySession:
             raise ValueError(f"trace frees unknown tensor {tensor!r}")
         self._live_bytes -= allocation.rounded_size
         self.allocator.free(allocation)
+
+    def free_run(self, tensors: Iterable[str]) -> None:
+        """:meth:`free` for each of ``tensors`` in turn, as one
+        :meth:`BaseAllocator.free_run` call."""
+        run: List[Allocation] = []
+        try:
+            for tensor in tensors:
+                allocation = self.live.pop(tensor, None)
+                if allocation is None:
+                    raise ValueError(f"trace frees unknown tensor {tensor!r}")
+                self._live_bytes -= allocation.rounded_size
+                run.append(allocation)
+        finally:
+            self.allocator.free_run(run)
 
     def advance(self, duration_us: float) -> None:
         """Advance the simulated clock (compute time between events)."""

@@ -1,8 +1,11 @@
 """Behavioral tests for the BFC caching allocator."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.allocators import CachingAllocator
+from repro.allocators.base import BaseAllocator
 from repro.allocators.caching import (
     LARGE_BUFFER,
     MIN_BLOCK_SIZE,
@@ -15,8 +18,9 @@ from repro.allocators.caching import (
     segment_size_for,
     should_split,
 )
-from repro.errors import OutOfMemoryError
+from repro.errors import AllocatorError, DoubleFreeError, OutOfMemoryError
 from repro.gpu.device import GpuDevice
+from repro.sim.timeline import TimelineRecorder
 from repro.units import GB, KB, MB
 
 
@@ -189,3 +193,317 @@ class TestCachingBehavior:
         caching.empty_cache()
         assert caching.reserved_bytes == 0
         assert caching.peak_reserved_bytes >= 100 * MB
+
+
+# ----------------------------------------------------------------------
+# malloc_run / free_run: the batched override against the defining loop
+# ----------------------------------------------------------------------
+class LoopCaching(CachingAllocator):
+    """The oracle: a caching allocator whose run operations are
+    ``BaseAllocator``'s loops of single calls."""
+
+    malloc_run = BaseAllocator.malloc_run
+    free_run = BaseAllocator.free_run
+
+
+def snapshot(allocator):
+    """Everything the two allocators must agree on, compared by ``==``
+    (the clock and the host-time sum are floats: no tolerance)."""
+    runtime = allocator.device.runtime.counters
+    return {
+        "now_us": allocator.device.clock.now_us,
+        "stats": allocator.stats(),
+        "device": (allocator.device.used_memory, runtime.malloc_calls,
+                   runtime.free_calls, runtime.total_time_us),
+        "live": dict(allocator._live),
+        "next_id": allocator._next_id,
+        "segments": sorted((s.ptr, s.size, s.pool, s.n_blocks)
+                           for s in allocator._segments.values()),
+        "blocks": sorted((b.ptr, b.size, b.allocated)
+                         for b in allocator._blocks_by_ptr.values()),
+        "pools": {name: [(b.size, b.ptr) for b in pool]
+                  for name, pool in allocator._free_pools.items()},
+        "cached_bytes": allocator.cached_bytes(),
+    }
+
+
+class Twins:
+    """A batched allocator and its loop oracle on twin devices; every
+    operation goes to both and the states must match afterwards."""
+
+    def __init__(self, capacity, observed=False):
+        self.batched = CachingAllocator(GpuDevice(capacity=capacity))
+        self.oracle = LoopCaching(GpuDevice(capacity=capacity))
+        self.recorders = None
+        if observed:
+            self.recorders = [
+                a.add_observer(TimelineRecorder(a, every=1))
+                for a in (self.batched, self.oracle)]
+        self.live = []  # allocations, equal on both sides
+
+    def check(self):
+        assert snapshot(self.batched) == snapshot(self.oracle)
+        self.batched.check_invariants()
+        if self.recorders is not None:
+            assert self.recorders[0].points == self.recorders[1].points
+
+    def both(self, op):
+        results = []
+        for allocator in (self.batched, self.oracle):
+            try:
+                results.append(("ok", op(allocator)))
+            except (OutOfMemoryError, DoubleFreeError) as exc:
+                results.append((type(exc).__name__, str(exc)))
+        assert results[0] == results[1]
+        self.check()
+        return results[0]
+
+    def malloc_run(self, size, n):
+        kind, run = self.both(lambda a: a.malloc_run(size, n))
+        assert kind == "ok" and len(run) <= max(n, 0)
+        self.live.extend(run)
+        return run
+
+    def malloc(self, size):
+        kind, alloc = self.both(lambda a: a.malloc(size))
+        if kind == "ok":
+            self.live.append(alloc)
+        return kind
+
+    def free_run(self, allocations):
+        allocations = list(allocations)
+        for alloc in allocations:
+            if alloc in self.live:
+                self.live.remove(alloc)
+        return self.both(lambda a: a.free_run(allocations))[0]
+
+    def free(self, allocation):
+        return self.free_run([allocation])
+
+    def empty_cache(self):
+        self.both(lambda a: a.empty_cache())
+
+
+KV_BLOCK = 3 * MB  # fleet_shared's block: six per 20 MB segment + 2 MB tail
+
+
+class TestRunsMatchTheLoop:
+    def test_run_carves_a_segment_and_pools_only_the_tail(self):
+        twins = Twins(64 * MB)
+        run = twins.malloc_run(KV_BLOCK, 6)
+        assert [a.ptr - run[0].ptr for a in run] == [
+            i * KV_BLOCK for i in range(6)]
+        # 20 MB = 6 x 3 MB + a 2 MB tail no block fits: pooled, not carved.
+        assert twins.batched.free_block_count("large") == 1
+        assert twins.batched.cached_bytes() == 2 * MB
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_lengths(self, n):
+        twins = Twins(64 * MB)
+        assert len(twins.malloc_run(KV_BLOCK, n)) == n
+        twins.free_run(twins.live[:])
+        assert twins.batched.active_bytes == 0
+
+    def test_non_positive_size_is_rejected_like_malloc(self):
+        allocator = CachingAllocator(GpuDevice(capacity=64 * MB))
+        with pytest.raises(AllocatorError):
+            allocator.malloc_run(0, 3)
+        assert allocator.malloc_run(0, 0) == []
+
+    def test_oom_mid_run_returns_the_blocks_before_it(self):
+        twins = Twins(44 * MB)
+        run = twins.malloc_run(KV_BLOCK, 20)
+        assert len(run) == 12  # two 20 MB segments; the third cannot map
+        assert twins.batched.stats().malloc_count == 12
+
+    def test_oom_mid_run_release_and_retry_succeeds(self):
+        twins = Twins(50 * MB)
+        # Six wholly-free small segments are cached: 12 MB the large
+        # pool cannot use until they are released.
+        twins.free_run(twins.malloc_run(1 * MB, 12))
+        assert twins.batched.reserved_bytes == 12 * MB
+        run = twins.malloc_run(KV_BLOCK, 12)
+        assert len(run) == 12
+        assert twins.batched.reserved_bytes == 40 * MB  # small ones gone
+
+    def test_oom_mid_run_release_and_retry_fails(self):
+        twins = Twins(42 * MB)
+        twins.free(twins.malloc_run(1 * KB, 1)[0])  # one cached small segment
+        held = twins.malloc_run(12 * MB, 1)
+        run = twins.malloc_run(KV_BLOCK, 8)
+        # The retry released the small segment and still could not map.
+        assert len(run) == 6 and twins.batched.reserved_bytes == 32 * MB
+        twins.free_run(run + held)
+
+    def test_small_pool_split_rule(self):
+        twins = Twins(64 * MB)
+        # 2 MB = 3 x 698,880 B + 512 B: the third carve still splits
+        # (remainder >= 512 B) and pools a block no request of the run
+        # fits; the fourth needs a new segment.
+        twins.malloc_run(698_880, 4)
+        assert twins.batched.segment_count == 2
+        assert (512, 698_880 * 3) in [
+            (b.size, b.ptr - b.segment.ptr)
+            for b in twins.batched._free_pools["small"]]
+        # 2 MB = 2 x 1 MB exactly: the second carve leaves nothing to
+        # split off.
+        twins = Twins(64 * MB)
+        twins.malloc_run(SMALL_SIZE, 3)
+        assert twins.batched.segment_count == 2
+        assert twins.batched.cached_bytes() == SMALL_SIZE
+
+    def test_large_pool_no_split_tail(self):
+        twins = Twins(128 * MB)
+        # 20 MB - 9.5 MB = 10.5 MB remainder (carried); 10.5 - 9.5 = 1 MB
+        # is not > 1 MB, so the second block takes the whole 10.5 MB.
+        size = 9 * MB + 512 * KB
+        run = twins.malloc_run(size, 3)
+        assert twins.batched.segment_count == 2
+        blocks = twins.batched._blocks_by_ptr
+        assert blocks[run[1].ptr].size == 10 * MB + 512 * KB
+        # 11 MB takes a dedicated 12 MB segment whole.
+        twins.malloc_run(11 * MB, 2)
+
+    @pytest.mark.parametrize("order", ["table", "reverse", "alternate"])
+    def test_free_order(self, order):
+        twins = Twins(128 * MB)
+        run = twins.malloc_run(KV_BLOCK, 14)
+        keep = twins.malloc_run(KV_BLOCK, 2)
+        if order == "reverse":
+            run.reverse()
+        elif order == "alternate":
+            run = run[::2] + run[1::2]
+        twins.free_run(run)
+        assert twins.batched.live_allocation_count == 2
+        twins.free_run(keep)
+        twins.empty_cache()
+        assert twins.batched.reserved_bytes == 0
+
+    def test_free_run_across_pools_and_segments(self):
+        twins = Twins(128 * MB)
+        small = twins.malloc_run(100 * KB, 5)
+        large = twins.malloc_run(KV_BLOCK, 8)
+        mixed = [x for pair in zip(small, large) for x in pair] + large[5:]
+        twins.free_run(mixed)
+        assert twins.batched.active_bytes == 0
+
+    def test_double_free_inside_a_run(self):
+        twins = Twins(64 * MB)
+        run = twins.malloc_run(KV_BLOCK, 6)
+        kind = twins.free_run([run[0], run[1], run[0], run[2]])
+        assert kind == "DoubleFreeError"
+        # The two frees before the bad one happened, the one after did
+        # not; `Twins.both` has already checked pools and invariants.
+        assert twins.batched.live_allocation_count == 4
+        assert twins.batched.stats().free_count == 2
+        assert twins.free_run(run[2:]) == "ok"
+
+    def test_observers_see_the_loop(self):
+        twins = Twins(44 * MB, observed=True)
+        run = twins.malloc_run(KV_BLOCK, 20)  # ends in an on_oom
+        twins.free_run(reversed(run))
+        twins.empty_cache()
+        # alloc x 12, oom, free x 12, empty_cache
+        assert len(twins.recorders[0].points) == 26
+
+
+RUN_SIZES = st.sampled_from([
+    512, 100 * KB, 698_880, SMALL_SIZE - 512, SMALL_SIZE,    # small pool
+    SMALL_SIZE + 512, KV_BLOCK, 5 * MB, 9 * MB + 512 * KB,   # 20 MB segments
+    11 * MB, 12 * MB,                                        # dedicated
+])
+RUN_STEP = st.one_of(
+    st.tuples(st.just("malloc_run"), RUN_SIZES, st.integers(0, 24)),
+    st.tuples(st.just("malloc"), RUN_SIZES, st.just(0)),
+    st.tuples(st.just("free_run"), st.integers(0, 10 ** 6),
+              st.integers(0, 24)),
+    st.tuples(st.just("free_run_reversed"), st.integers(0, 10 ** 6),
+              st.integers(0, 24)),
+    st.tuples(st.just("free_scattered"), st.integers(0, 10 ** 6),
+              st.integers(1, 5)),
+    st.tuples(st.just("empty_cache"), st.just(0), st.just(0)),
+)
+
+
+class TestRunsMatchTheLoopFuzz:
+    """Random interleavings of runs, single operations and
+    ``empty_cache`` at a capacity tight enough that runs end in OOM,
+    with and without release-and-retry helping."""
+
+    @given(steps=st.lists(RUN_STEP, min_size=4, max_size=60),
+           capacity_mb=st.sampled_from([24, 44, 70]),
+           observed=st.booleans())
+    def test_same_state_after_every_step(self, steps, capacity_mb, observed):
+        twins = Twins(capacity_mb * MB, observed=observed)
+        for op, a, b in steps:
+            live = twins.live
+            if op == "malloc_run":
+                twins.malloc_run(a, b)
+            elif op == "malloc":
+                twins.malloc(a)
+            elif op == "empty_cache":
+                twins.empty_cache()
+            elif live:
+                start = a % len(live)
+                if op == "free_scattered":
+                    chosen = live[start::b]
+                else:
+                    chosen = live[start:start + b]
+                    if op == "free_run_reversed":
+                        chosen.reverse()
+                twins.free_run(chosen)
+        twins.free_run(twins.live[:])
+        twins.empty_cache()
+        assert twins.batched.reserved_bytes == 0
+
+
+class TestWholeFreeIndex:
+    """``check_invariants`` re-derives the index of wholly-free pooled
+    blocks from the block table; each way it can rot is caught."""
+
+    def _one_whole_one_partial(self, caching):
+        whole = caching.malloc(50 * MB)
+        partial = caching.malloc(KV_BLOCK)
+        caching.free(whole)
+        caching.check_invariants()
+        return partial
+
+    def test_index_holds_exactly_the_wholly_free_blocks(self, caching):
+        self._one_whole_one_partial(caching)
+        (block,) = caching._whole_free["large"].values()
+        assert block.is_whole_segment() and block.size == 50 * MB
+        caching.empty_cache()
+        assert caching._whole_free == {"small": {}, "large": {}}
+        caching.check_invariants()
+
+    def test_segments_are_released_in_pool_walk_order(self, caching, device,
+                                                      monkeypatch):
+        # cudaFree order is behaviour (clock, device free lists): it
+        # must be the order a walk over the pools meets the segments.
+        sizes = [30 * MB, 12 * MB, 50 * MB, 12 * MB, 100 * KB, 22 * MB]
+        caching.free_run([caching.malloc(size) for size in sizes])
+        walk = [block.segment.ptr
+                for pool in caching._free_pools.values()
+                for block in pool if block.is_whole_segment()]
+        assert len(walk) == len(sizes)
+        freed = []
+        cuda_free = device.runtime.cuda_free
+        monkeypatch.setattr(device.runtime, "cuda_free",
+                            lambda ptr: (freed.append(ptr), cuda_free(ptr)))
+        caching.empty_cache()
+        assert freed == walk
+
+    def test_missing_entry_is_caught(self, caching):
+        self._one_whole_one_partial(caching)
+        caching._whole_free["large"].clear()
+        with pytest.raises(AssertionError, match="whole-free index"):
+            caching.check_invariants()
+
+    def test_stale_entry_is_caught(self, caching):
+        partial = self._one_whole_one_partial(caching)
+        # The 17 MB remainder beside the live 3 MB block is pooled but
+        # does not span its segment.
+        remainder = caching._blocks_by_ptr[partial.ptr].next
+        caching._whole_free["large"][remainder.ptr] = remainder
+        with pytest.raises(AssertionError, match="whole-free index"):
+            caching.check_invariants()

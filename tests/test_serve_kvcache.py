@@ -9,7 +9,10 @@ exceeds the chunked layout's under the splitting caching allocator.
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.allocators import CachingAllocator
 from repro.api import (
     ComponentSpec,
     ExperimentSpec,
@@ -26,7 +29,11 @@ from repro.serve import (
     ServingSimulator,
     run_serving,
 )
+from repro.gpu.device import GpuDevice
+from repro.serve.kvcache import PagedKVCache
+from repro.serve.memtier import TierHierarchy
 from repro.serve.request import ServeRequest
+from repro.sim.engine import ReplaySession
 from repro.units import GB, MB
 from repro.workloads import get_model
 from repro.workloads.inference import ServingWorkload, kv_bytes
@@ -288,3 +295,243 @@ class TestExperimentSpecIntegration:
         assert len(results) == 1
         assert results[0].extras()["kv_cache"] == "paged"
         assert results[0].extras()["completed"] == 10
+
+
+# ----------------------------------------------------------------------
+# Paged blocks as one allocator run: differential against per-block
+# ----------------------------------------------------------------------
+class PerBlockOracle:
+    """Mixin carrying the per-block bodies paged KV had before a
+    request's blocks became one allocator run: every block is its own
+    ``try_alloc`` (with its own retry) and its own ``free``."""
+
+    def _try_alloc(self, name, size):
+        ok = self._session.try_alloc(name, size)
+        if not ok:
+            self._allocator.empty_cache()
+            ok = self._session.try_alloc(name, size)
+        if ok:
+            self.metrics.kv_allocs += 1
+            self._live_kv_bytes += size
+            self.metrics.peak_kv_bytes = max(
+                self.metrics.peak_kv_bytes, self._live_kv_bytes)
+        return ok
+
+    def _drop_block_ref(self, block):
+        refs = self._ref[block] - 1
+        if refs > 0:
+            self._ref[block] = refs
+            return
+        del self._ref[block]
+        self._free(block, self.block_bytes)
+        self._live_blocks -= 1
+
+    def _drop_block_refs(self, blocks):
+        for block in blocks:
+            self._drop_block_ref(block)
+
+    def _ensure(self, request, tokens):
+        table = self._tables.setdefault(request.req_id, [])
+        need = self._blocks_for(tokens)
+        added = []
+        while len(table) < need:
+            name = f"kvb{request.req_id}.{self._next_block}"
+            self._next_block += 1
+            if not self._try_alloc(name, self.block_bytes):
+                for block in reversed(added):
+                    table.remove(block)
+                    self._drop_block_ref(block)
+                if not table:
+                    del self._tables[request.req_id]
+                request.kv_capacity_tokens = len(table) * self.block_tokens
+                return False
+            table.append(name)
+            added.append(name)
+            self._add_block_ref(name)
+            self._live_blocks += 1
+        self.metrics.peak_blocks = max(self.metrics.peak_blocks,
+                                       self._live_blocks)
+        request.kv_capacity_tokens = len(table) * self.block_tokens
+        return True
+
+    def release(self, request, preempted=False):
+        table = self._tables.pop(request.req_id, None)
+        if table is None:
+            return
+        if preempted:
+            self._note_preempt(request)
+        self._forget(request)
+        for block in table:
+            self._drop_block_ref(block)
+        request.kv_capacity_tokens = 0
+
+
+class PerBlockPagedKVCache(PerBlockOracle, PagedKVCache):
+    pass
+
+
+class TwinKV:
+    """The same admit / grow / release / preempt traffic against a
+    batched KV model and its per-block oracle, each on its own device;
+    after every step everything either can observe must be equal."""
+
+    def __init__(self, batched, oracle, capacity, weights=0, tiers=None):
+        self.sides = []
+        for kv in (batched, oracle):
+            device = GpuDevice(capacity=capacity)
+            allocator = CachingAllocator(device)
+            session = ReplaySession(allocator)
+            if weights:
+                session.alloc("weights", weights)
+            kv.bind(session, allocator)
+            hierarchy = None
+            if tiers is not None:
+                hierarchy = TierHierarchy(list(tiers))
+                hierarchy.bind(session, device)
+                kv.attach_hierarchy(hierarchy)
+            self.sides.append((kv, session, hierarchy, {}))
+        self.live = []    # req_ids holding KV
+        self.parked = []  # preempted, may be re-admitted
+        self.next_id = 0
+
+    @staticmethod
+    def state(kv, session, hierarchy, requests):
+        state = {
+            "row": kv.metrics.as_row(),
+            "metrics": dataclasses.asdict(kv.metrics),
+            "tables": kv._tables,
+            "ref": kv._ref,
+            "next_block": kv._next_block,
+            "live": (kv.live_requests, kv.live_blocks, kv.live_kv_bytes),
+            "clock_us": session.clock.now_us,
+            "allocator": session.allocator.stats(),
+            "session": (list(session.live), session.live_bytes),
+            "capacity": {i: r.kv_capacity_tokens
+                         for i, r in requests.items()},
+        }
+        trie = getattr(kv, "trie", None)
+        if trie is not None:
+            state["trie"] = (trie._paths, trie._slots, trie._last_use,
+                             kv._shared_len)
+        if hierarchy is not None:
+            state["tiers"] = (hierarchy._resident, hierarchy.used_bytes)
+        return state
+
+    def step(self, op):
+        """Apply ``op(kv, requests) -> outcome`` to both sides."""
+        outcomes = [op(kv, requests) for kv, _, _, requests in self.sides]
+        assert outcomes[0] == outcomes[1]
+        states = [self.state(*side) for side in self.sides]
+        assert states[0] == states[1]
+        self.sides[0][1].allocator.check_invariants()
+        return outcomes[0]
+
+    def admit_new(self, **request_fields):
+        req_id = self.next_id
+        self.next_id += 1
+
+        def op(kv, requests):
+            requests[req_id] = ServeRequest(
+                req_id=req_id, arrival_s=0.0, **request_fields)
+            return kv.admit(requests[req_id])
+
+        if self.step(op):
+            self.live.append(req_id)
+
+    def grow(self, pick, tokens):
+        if not self.live:
+            return
+        req_id = self.live[pick % len(self.live)]
+
+        def op(kv, requests):
+            request = requests[req_id]
+            request.tokens_done += tokens  # decode past capacity
+            if kv.grow(request):
+                return True
+            kv.release(request, preempted=True)  # what the simulator does
+            return False
+
+        if not self.step(op):
+            self.live.remove(req_id)
+            self.parked.append(req_id)
+
+    def release(self, pick, preempted):
+        if not self.live:
+            return
+        req_id = self.live.pop(pick % len(self.live))
+        self.step(lambda kv, requests: kv.release(
+            requests[req_id], preempted=preempted))
+        if preempted:
+            self.parked.append(req_id)
+
+    def readmit(self):
+        if not self.parked:
+            return
+        req_id = self.parked.pop(0)
+        if self.step(lambda kv, requests: kv.admit(requests[req_id])):
+            self.live.append(req_id)
+        else:
+            self.parked.append(req_id)
+
+    def drain(self):
+        while self.live:
+            self.release(0, preempted=False)
+
+
+KV_STEP = st.one_of(
+    st.tuples(st.just("admit"), st.integers(1, 400), st.integers(1, 64)),
+    st.tuples(st.just("grow"), st.integers(0, 10 ** 6), st.integers(1, 48)),
+    st.tuples(st.just("finish"), st.integers(0, 10 ** 6), st.just(0)),
+    st.tuples(st.just("preempt"), st.integers(0, 10 ** 6), st.just(0)),
+    st.tuples(st.just("readmit"), st.just(0), st.just(0)),
+)
+
+
+class TestBlocksAsOneRunMatchPerBlock:
+    """`_ensure` / `release` allocate and free a request's blocks as
+    one allocator run; the per-block loop they replaced is the oracle.
+    Under pressure the two must agree on every metric, table, ref
+    count, block number (a failed attempt still consumes one) and on
+    the simulated clock."""
+
+    # 16-token blocks are 3 MB (large pool: six per 20 MB segment plus
+    # a 2 MB tail); 4-token blocks are 768 KB (small pool: two per 2 MB
+    # segment plus a 512 KB tail).
+    @pytest.mark.parametrize("block_tokens,capacity_blocks",
+                             [(16, 30), (4, 40)])
+    @given(steps=st.lists(KV_STEP, min_size=4, max_size=50))
+    def test_same_state_after_every_step(self, block_tokens,
+                                         capacity_blocks, steps):
+        model = get_model("opt-1.3b")
+        twins = TwinKV(
+            PagedKVCache(model, block_tokens=block_tokens),
+            PerBlockPagedKVCache(model, block_tokens=block_tokens),
+            capacity=capacity_blocks * kv_bytes(model, block_tokens),
+            weights=5 * MB)
+        for op, a, b in steps:
+            if op == "admit":
+                twins.admit_new(prompt_tokens=a, output_tokens=b)
+            elif op == "grow":
+                twins.grow(a, b)
+            elif op == "readmit":
+                twins.readmit()
+            else:
+                twins.release(a, preempted=(op == "preempt"))
+        twins.drain()
+        kv, session = twins.sides[0][:2]
+        assert kv.live_blocks == 0 and kv.metrics.kv_allocs == kv.metrics.kv_frees
+        assert set(session.live) == {"weights"}
+
+    def test_failed_admission_consumes_a_block_number(self):
+        model = get_model("opt-1.3b")
+        twins = TwinKV(PagedKVCache(model), PerBlockPagedKVCache(model),
+                       capacity=10 * kv_bytes(model, 16))
+        twins.admit_new(prompt_tokens=400, output_tokens=8)  # 26 blocks
+        kv = twins.sides[0][0]
+        assert not twins.live and kv.live_blocks == 0
+        # One 20 MB segment maps: six blocks allocated, the seventh
+        # attempted (twice) and numbered, all six rolled back.
+        assert kv._next_block == 7
+        assert kv.metrics.kv_allocs == kv.metrics.kv_frees == 6
+        assert kv.metrics.peak_kv_bytes == 6 * kv.block_bytes
+        assert kv.metrics.peak_blocks == 0

@@ -17,7 +17,8 @@ Three layers:
 
 from collections import Counter
 
-from hypothesis import settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -34,6 +35,7 @@ from repro.sim.engine import ReplaySession
 from repro.units import GB
 from repro.workloads import get_model
 from repro.workloads.inference import kv_bytes
+from tests.test_serve_kvcache import PerBlockOracle, TwinKV
 
 MODEL = get_model("opt-1.3b")
 BLOCK_TOKENS = 16
@@ -374,3 +376,87 @@ class TestAcceptancePhysics:
         assert plain.kv_metrics.prefix_lookups == 0
         assert plain.kv_metrics.shared_bytes == 0
         assert plain.kv_metrics.cow_copy_bytes == 0
+
+
+# ----------------------------------------------------------------------
+# Blocks as one allocator run: differential against the per-block path
+# ----------------------------------------------------------------------
+class PerBlockSharedPagedKVCache(PerBlockOracle, SharedPagedKVCache):
+    """``paged-shared`` on the per-block oracle: each block makes up to
+    four attempts of its own (``empty_cache`` and idle-prefix eviction
+    in between), as before the first attempts became one run."""
+
+    def _try_alloc(self, name, size):
+        if PerBlockOracle._try_alloc(self, name, size):
+            return True
+        if self._evict_idle(size) == 0:
+            return False
+        ok = PerBlockOracle._try_alloc(self, name, size)
+        self._note_shared_blocks()
+        return ok
+
+
+def shared_twins(capacity_blocks, tiers=None):
+    return TwinKV(SharedPagedKVCache(MODEL, block_tokens=BLOCK_TOKENS),
+                  PerBlockSharedPagedKVCache(MODEL, block_tokens=BLOCK_TOKENS),
+                  capacity=capacity_blocks * BLOCK_BYTES, tiers=tiers)
+
+
+SHARED_STEP = st.one_of(
+    st.tuples(st.just("admit"), st.integers(0, 3),        # prefix group
+              st.integers(1, 120), st.integers(1, 200)),  # prefix, prompt
+    st.tuples(st.just("grow"), st.integers(0, 10 ** 6),
+              st.integers(1, 48), st.just(0)),
+    st.tuples(st.just("finish"), st.integers(0, 10 ** 6),
+              st.just(0), st.just(0)),
+    st.tuples(st.just("preempt"), st.integers(0, 10 ** 6),
+              st.just(0), st.just(0)),
+    st.tuples(st.just("readmit"), st.just(0), st.just(0), st.just(0)),
+    st.tuples(st.just("reset_shared"), st.just(0), st.just(0), st.just(0)),
+)
+
+
+class TestSharedBlocksAsOneRunMatchPerBlock:
+    @pytest.mark.parametrize("tiers", [
+        None, ("dram?gb=0.01", "cxl?gb=16&gb_per_s=40&latency_us=1")],
+        ids=["no-tiers", "dram+cxl"])
+    @given(steps=st.lists(SHARED_STEP, min_size=4, max_size=50))
+    def test_same_state_after_every_step(self, tiers, steps):
+        twins = shared_twins(capacity_blocks=30, tiers=tiers)
+        prefixes = PrefixRefCountMachine.PREFIXES
+        for op, a, b, c in steps:
+            if op == "admit":
+                prefix_id = prefixes[a] if a < len(prefixes) else None
+                twins.admit_new(
+                    prompt_tokens=c, output_tokens=16, prefix_id=prefix_id,
+                    prefix_tokens=b if prefix_id else 0)
+            elif op == "grow":
+                twins.grow(a, b)
+            elif op == "readmit":
+                twins.readmit()
+            elif op == "reset_shared":
+                twins.step(lambda kv, requests: kv.reset_shared())
+            else:
+                twins.release(a, preempted=(op == "preempt"))
+            assert_ref_ledger(twins.sides[0][0])
+        twins.drain()
+        twins.step(lambda kv, requests: kv.reset_shared())
+        kv, session, hierarchy, _ = twins.sides[0]
+        assert kv.live_blocks == 0 and not session.live
+
+    def test_run_resumes_after_a_recovered_block(self):
+        twins = shared_twins(capacity_blocks=14)  # two 20 MB segments
+        # A six-block prefix stays resident, idle, after its request.
+        twins.admit_new(prompt_tokens=100, output_tokens=8,
+                        prefix_id="alpha", prefix_tokens=96)
+        twins.release(0, preempted=False)
+        kv = twins.sides[0][0]
+        assert kv.idle_shared_blocks == 6
+        # Eleven private blocks: the run takes the six that are free
+        # and stops; recovery evicts one idle prefix tail for the
+        # failing block, the run resumes with the next and stops again
+        # — five times over.  A recovered block keeps its number.
+        twins.admit_new(prompt_tokens=170, output_tokens=8)
+        assert twins.live == [1]
+        assert kv._tables[1] == [f"kvb1.{n}" for n in range(1, 12)]
+        assert kv.trie.resident_blocks == 1

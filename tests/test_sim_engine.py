@@ -10,6 +10,7 @@ from repro.sim import (
     run_trace,
     run_workload,
 )
+from repro.sim.engine import ReplaySession
 from repro.sim.metrics import compare_results
 from repro.sim.timeline import TimelinePoint, downsample
 from repro.units import GB, MB
@@ -92,6 +93,47 @@ class TestRunTrace:
         device = GpuDevice(capacity=1 * GB)
         result = run_trace(resolve_allocator("gmlake", device), tiny_trace())
         assert "gmlake" in result.summary()
+
+
+class TestSessionRuns:
+    """``try_alloc_run`` / ``free_run`` are ``try_alloc`` / ``free``
+    per name, for any allocator (gmlake inherits the loop)."""
+
+    @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
+    def test_run_equals_singles(self, allocator):
+        sessions = [ReplaySession(resolve_allocator(
+            allocator, GpuDevice(capacity=64 * MB))) for _ in range(2)]
+        names = [f"t{i}" for i in range(30)]
+        got = sessions[0].try_alloc_run(names, 3 * MB)
+        singles = 0
+        for name in names:
+            if not sessions[1].try_alloc(name, 3 * MB):
+                break
+            singles += 1
+        assert 0 < got == singles < len(names)
+        sessions[0].free_run(names[:got:2])
+        for name in names[:got:2]:
+            sessions[1].free(name)
+        a, b = sessions
+        assert list(a.live) == list(b.live)
+        assert a.live_bytes == b.live_bytes
+        assert a.clock.now_us == b.clock.now_us
+        assert a.allocator.stats() == b.allocator.stats()
+
+    def test_name_already_live_is_rejected_before_allocating(self):
+        session = ReplaySession(resolve_allocator("caching", GpuDevice()))
+        session.alloc("a", MB)
+        with pytest.raises(ValueError, match="'a' allocated twice"):
+            session.try_alloc_run(["b", "a"], MB)
+        assert list(session.live) == ["a"]
+
+    def test_unknown_name_stops_the_run_where_free_would(self):
+        session = ReplaySession(resolve_allocator("caching", GpuDevice()))
+        session.try_alloc_run(["a", "b", "c"], MB)
+        with pytest.raises(ValueError, match="unknown tensor 'ghost'"):
+            session.free_run(["a", "ghost", "c"])
+        assert list(session.live) == ["b", "c"]
+        assert session.allocator.live_allocation_count == 2
 
 
 class TestRunWorkload:
