@@ -157,6 +157,15 @@ SCENARIOS = {
     "replay/gpt-2-RO-gmlake": _replay(
         "gpt-2", "gmlake", batch_size=16, n_gpus=1, strategies="RO",
         iterations=4),
+    # The only replay pins of the two VMM-backed baselines: they hold
+    # the create -> map -> setAccess call order (the simulated clock)
+    # and the arena's grow / split / coalesce decisions.
+    "replay/opt-13b-LR-expandable": _replay(
+        "opt-13b", "expandable", batch_size=4, n_gpus=4, strategies="LR",
+        iterations=6),
+    "replay/gpt-2-RO-vmm-naive": _replay(
+        "gpt-2", "vmm-naive", batch_size=16, n_gpus=1, strategies="RO",
+        iterations=4),
     "replay/llama-7b-LRO-gmlake-chunk256": _replay(
         "llama-7b", "gmlake?chunk_mb=256", batch_size=8, n_gpus=2,
         strategies="LRO", iterations=4),
@@ -167,6 +176,10 @@ SCENARIOS = {
     "serve/caching-paged-memaware-mmpp": _serve(
         "caching", "paged?block_tokens=16", "memory-aware", arrival="mmpp",
         n=100),
+    # Ample capacity: the arenas only ever grow (no OOM, no trim), so
+    # this cell is independent of the release-and-retry path.
+    "serve/expandable-chunked-ample": _serve(
+        "expandable", "chunked", "memory-aware"),
     "serve/gmlake-chunked-pressure": _serve(
         "gmlake", "chunked", "memory-aware", rate=8.0, n=100,
         capacity=6 * GB),
