@@ -249,6 +249,30 @@ class BaseAllocator(ABC):
         """Release the storage behind ``allocation``."""
 
     # ------------------------------------------------------------------
+    def _oom(self, requested: int) -> OutOfMemoryError:
+        """The allocator-level OOM for a request of ``requested`` bytes,
+        carrying the allocator's state at the failure (to be raised)."""
+        return OutOfMemoryError(
+            requested=requested, reserved=self.reserved_bytes,
+            active=self.active_bytes, capacity=self.device.capacity)
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the laws every allocator owes
+        hold; subclasses add their own after calling this one."""
+        live = self._live.values()
+        held = sum(a.rounded_size for a in live)
+        assert self.active_bytes == held, (
+            f"active_bytes {self.active_bytes}, live allocations hold {held}"
+        )
+        # Nothing is handed out that is not reserved, nothing reserved
+        # that the device has not committed.
+        committed = self.device.used_memory
+        assert self.active_bytes <= self.reserved_bytes <= committed, (
+            f"active {self.active_bytes} <= reserved {self.reserved_bytes} "
+            f"<= committed {committed} does not hold"
+        )
+        assert len({a.ptr for a in live}) == len(live), "live pointers collide"
+
     def _spend_host_time(self, us: float) -> None:
         """Account host-side bookkeeping time (advances the sim clock)."""
         self.device.clock.advance(us)

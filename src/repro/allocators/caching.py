@@ -50,6 +50,8 @@ class Segment:
     size: int
     pool: str  # "small" | "large"
     n_blocks: int = 0
+    #: The highest-address block (None while the segment has none).
+    last: Optional["Block"] = field(default=None, repr=False)
 
 
 @dataclass
@@ -95,17 +97,25 @@ def pool_for(rounded: int) -> str:
 
 def should_split(block_size: int, rounded: int, pool: str) -> bool:
     """PyTorch's split policy: keep the remainder only if it is usable."""
-    remaining = block_size - rounded
-    if pool == "small":
-        return remaining >= MIN_BLOCK_SIZE
-    return remaining > SMALL_SIZE
+    return block_size - rounded >= CachingAllocator._split_floor[pool]
 
 
 class CachingAllocator(BaseAllocator):
-    """PyTorch-style BFC caching allocator (the paper's baseline)."""
+    """PyTorch-style BFC caching allocator (the paper's baseline).
+
+    A subclass changes where segment memory comes from and goes
+    (:meth:`_obtain`, :meth:`_release_cached_segments`,
+    :meth:`_backed_bytes`) and the split floor; the block list, best
+    fit, the batched runs and the invariants are this class's.
+    """
+
+    name = "caching"
+    #: Smallest remainder a split keeps as its own free block, by pool
+    #: (PyTorch: >= 512 B in the small pool, > 1 MB in the large pool).
+    _split_floor = {"small": MIN_BLOCK_SIZE, "large": SMALL_SIZE + 1}
 
     def __init__(self, device: GpuDevice):
-        super().__init__(device, name="caching")
+        super().__init__(device, name=self.name)
         self._free_pools: Dict[str, ChunkedSortedKeyList[Block]] = {
             "small": ChunkedSortedKeyList(key=lambda b: (b.size, b.ptr)),
             "large": ChunkedSortedKeyList(key=lambda b: (b.size, b.ptr)),
@@ -199,6 +209,7 @@ class CachingAllocator(BaseAllocator):
         would return: it is carved again without entering the pool.
         """
         us = self.device.latency.cached_op_us
+        floor = self._split_floor[pool]
         self._spend_host_time(us)
         block = self._find_best_fit(pool, rounded)
         if block is None:
@@ -207,7 +218,7 @@ class CachingAllocator(BaseAllocator):
         while True:
             block.allocated = True
             carved.append(block)
-            if not should_split(block.size, rounded, pool):
+            if block.size - rounded < floor:
                 return carved
             remainder = self._split(block, rounded)
             if remainder.size < rounded or len(carved) == want:
@@ -225,32 +236,35 @@ class CachingAllocator(BaseAllocator):
         return best
 
     def _alloc_new_segment(self, rounded: int, pool: str) -> Block:
-        """No cached candidate: ``cudaMalloc`` a fresh segment."""
-        seg_size = segment_size_for(rounded)
+        """No cached candidate: obtain device memory, releasing the
+        cache and trying once more if the device is full."""
         try:
-            ptr = self.device.runtime.cuda_malloc(seg_size)
+            return self._obtain(rounded, pool)
         except CudaOutOfMemoryError:
-            released = self._release_cached_segments()
-            if released == 0:
-                self._raise_oom(rounded)
+            if self._release_cached_segments() == 0:
+                raise self._oom(rounded)
             try:
-                ptr = self.device.runtime.cuda_malloc(seg_size)
+                return self._obtain(rounded, pool)
             except CudaOutOfMemoryError:
-                self._raise_oom(rounded)
+                raise self._oom(rounded)
+
+    def _obtain(self, rounded: int, pool: str) -> Block:
+        """``cudaMalloc`` a fresh segment; returns its one free block,
+        not pooled."""
+        seg_size = segment_size_for(rounded)
+        ptr = self.device.runtime.cuda_malloc(seg_size)
         segment = Segment(ptr=ptr, size=seg_size, pool=pool, n_blocks=1)
         self._segments[ptr] = segment
         self._reserved += seg_size
         block = Block(ptr=ptr, size=seg_size, segment=segment)
+        segment.last = block
         self._blocks_by_ptr[ptr] = block
         return block
 
-    def _raise_oom(self, rounded: int) -> None:
-        raise OutOfMemoryError(
-            requested=rounded,
-            reserved=self._reserved,
-            active=self.active_bytes,
-            capacity=self.device.capacity,
-        )
+    def _backed_bytes(self, segment: Segment) -> int:
+        """How many bytes of ``segment``, from its start, are physical
+        memory — what its blocks tile and ``reserved_bytes`` counts."""
+        return segment.size
 
     def _split(self, block: Block, rounded: int) -> Block:
         """Step 2: cut ``block`` down to ``rounded``; returns the free
@@ -264,6 +278,8 @@ class CachingAllocator(BaseAllocator):
         )
         if block.next is not None:
             block.next.prev = remainder
+        else:
+            block.segment.last = remainder
         block.next = remainder
         block.size = rounded
         block.segment.n_blocks += 1
@@ -330,6 +346,8 @@ class CachingAllocator(BaseAllocator):
             block.next = nxt.next
             if nxt.next is not None:
                 nxt.next.prev = block
+            else:
+                block.segment.last = block
             block.segment.n_blocks -= 1
         prv = block.prev
         if prv is not None and not prv.allocated:
@@ -342,6 +360,8 @@ class CachingAllocator(BaseAllocator):
             prv.next = block.next
             if block.next is not None:
                 block.next.prev = prv
+            else:
+                prv.segment.last = prv
             prv.segment.n_blocks -= 1
             block = prv
         if held is not None and not merged_held:
@@ -381,24 +401,46 @@ class CachingAllocator(BaseAllocator):
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Raise AssertionError if internal bookkeeping is inconsistent."""
-        # Every segment's blocks tile it exactly.
-        seg_bytes: Dict[int, int] = {ptr: 0 for ptr in self._segments}
-        for block in self._blocks_by_ptr.values():
-            seg_bytes[block.segment.ptr] += block.size
-        for ptr, seg in self._segments.items():
-            assert seg_bytes[ptr] == seg.size, (
-                f"segment {ptr:#x}: blocks cover {seg_bytes[ptr]} of {seg.size} bytes"
+        super().check_invariants()
+        # Every live allocation sits in an allocated block that holds it.
+        for alloc in self._live.values():
+            block = self._blocks_by_ptr.get(alloc.ptr)
+            assert (block is not None and block.allocated
+                    and block.size >= alloc.rounded_size), (
+                f"allocation #{alloc.alloc_id} of {alloc.rounded_size} bytes "
+                f"is not held by an allocated block: {block}"
             )
+        # Every segment's blocks, linked in address order from its
+        # start to ``last``, tile its physical bytes exactly, and no
+        # two free ones are adjacent (coalescing happened).
+        linked = 0
+        for ptr, seg in self._segments.items():
+            cursor, prev = ptr, None
+            block = self._blocks_by_ptr.get(ptr)
+            while block is not None:
+                assert block.ptr == cursor and block.segment is seg, (
+                    f"segment {ptr:#x}: gap or foreign block at {cursor:#x}"
+                )
+                assert block.prev is prev, f"broken prev link at {cursor:#x}"
+                assert block.allocated or prev is None or prev.allocated, (
+                    "adjacent free blocks not coalesced"
+                )
+                cursor += block.size
+                linked += 1
+                prev, block = block, block.next
+            assert cursor - ptr == self._backed_bytes(seg), (
+                f"segment {ptr:#x}: blocks cover {cursor - ptr} of "
+                f"{self._backed_bytes(seg)} bytes"
+            )
+            assert seg.last is prev, f"segment {ptr:#x}: stale last block"
+        assert linked == len(self._blocks_by_ptr), "blocks outside any segment"
         # Free pools contain exactly the non-allocated blocks.
         free_ptrs = {b.ptr for p in self._free_pools.values() for b in p}
         expected = {b.ptr for b in self._blocks_by_ptr.values() if not b.allocated}
         assert free_ptrs == expected, "free pools out of sync with block table"
-        # No two adjacent free blocks (coalescing happened).
-        for block in self._blocks_by_ptr.values():
-            if not block.allocated and block.next is not None:
-                assert block.next.allocated, "adjacent free blocks not coalesced"
-        # Reserved equals the sum of segment sizes.
-        assert self._reserved == sum(s.size for s in self._segments.values())
+        # Reserved equals the segments' physical bytes.
+        assert self._reserved == sum(
+            self._backed_bytes(s) for s in self._segments.values())
         # The incremental cached-bytes counter matches a full re-sum.
         assert self._cached_bytes == sum(
             b.size for p in self._free_pools.values() for b in p

@@ -10,7 +10,7 @@ always equal active bytes.
 from __future__ import annotations
 
 from repro.allocators.base import Allocation, BaseAllocator
-from repro.errors import CudaOutOfMemoryError, OutOfMemoryError
+from repro.errors import CudaOutOfMemoryError
 from repro.gpu.device import GpuDevice
 
 
@@ -55,12 +55,7 @@ class NativeAllocator(BaseAllocator):
         try:
             ptr = self.device.runtime.cuda_malloc(size)
         except CudaOutOfMemoryError as exc:
-            raise OutOfMemoryError(
-                requested=size,
-                reserved=self._reserved,
-                active=self.active_bytes,
-                capacity=self.device.capacity,
-            ) from exc
+            raise self._oom(size) from exc
         self._spend_host_time(latency.sync_stall_us)
         self._amplified_stall(latency.cuda_malloc_fixed_us)
         self._reserved += size

@@ -10,21 +10,12 @@ is what motivates GMLake's pooled design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.allocators.base import Allocation, BaseAllocator
-from repro.errors import CudaOutOfMemoryError, OutOfMemoryError
+from repro.errors import CudaOutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.units import CHUNK_SIZE, align_up
-
-
-@dataclass
-class _VmmRegion:
-    va: int
-    size: int
-    handles: List[int]
-    chunk_size: int
 
 
 class VmmNaiveAllocator(BaseAllocator):
@@ -47,7 +38,7 @@ class VmmNaiveAllocator(BaseAllocator):
                 f"got {chunk_size}"
             )
         self.chunk_size = chunk_size
-        self._regions: Dict[int, _VmmRegion] = {}
+        self._handles: Dict[int, List[int]] = {}  # ptr -> its chunks
         self._reserved = 0
 
     @property
@@ -58,38 +49,21 @@ class VmmNaiveAllocator(BaseAllocator):
         rounded = align_up(size, self.chunk_size)
         vmm = self.device.vmm
         va = vmm.mem_address_reserve(rounded)
-        handles: List[int] = []
         try:
-            for offset in range(0, rounded, self.chunk_size):
-                handle = vmm.mem_create(self.chunk_size)
-                handles.append(handle)
-                vmm.mem_map(va, offset, handle)
+            handles = vmm.back(va, 0, rounded, self.chunk_size)
         except CudaOutOfMemoryError as exc:
-            # Roll back partial work so the device is left consistent.
-            # Only mem_create can raise OOM, so every handle in the list
-            # completed its map in a previous iteration.
-            if handles:
-                vmm.mem_unmap(va, 0, len(handles) * self.chunk_size)
-                for handle in handles:
-                    vmm.mem_release(handle)
             vmm.mem_address_free(va)
-            raise OutOfMemoryError(
-                requested=size,
-                reserved=self._reserved,
-                active=self.active_bytes,
-                capacity=self.device.capacity,
-            ) from exc
-        vmm.mem_set_access(va, 0, rounded)
-        self._regions[va] = _VmmRegion(va=va, size=rounded, handles=handles,
-                                       chunk_size=self.chunk_size)
+            raise self._oom(size) from exc
+        self._handles[va] = handles
         self._reserved += rounded
         return va, rounded
 
     def _free_impl(self, allocation: Allocation) -> None:
-        region = self._regions.pop(allocation.ptr)
+        va, size = allocation.ptr, allocation.rounded_size
+        handles = self._handles.pop(va)
         vmm = self.device.vmm
-        vmm.mem_unmap(region.va, 0, region.size)
-        for handle in region.handles:
+        vmm.mem_unmap(va, 0, size)
+        for handle in handles:
             vmm.mem_release(handle)
-        vmm.mem_address_free(region.va)
-        self._reserved -= region.size
+        vmm.mem_address_free(va)
+        self._reserved -= size

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 from repro.allocators.base import AllocatorObserver, BaseAllocator
 from repro.allocators.caching import CachingAllocator
-from repro.allocators.expandable import ExpandableSegmentsAllocator
 from repro.core.allocator import GMLakeAllocator
 from repro.units import MB, fmt_bytes
 
@@ -69,8 +68,6 @@ def report_for(allocator: BaseAllocator) -> MemoryReport:
         return _report_gmlake(allocator)
     if isinstance(allocator, CachingAllocator):
         return _report_caching(allocator)
-    if isinstance(allocator, ExpandableSegmentsAllocator):
-        return _report_expandable(allocator)
     return _report_generic(allocator)
 
 
@@ -99,27 +96,8 @@ def _report_caching(allocator: CachingAllocator) -> MemoryReport:
         free_block_count=len(sizes),
         largest_free_block=largest,
         free_histogram=_histogram(sizes),
-        # BFC can serve at most its largest free block without a new
-        # cudaMalloc: holes cannot be combined.
-        max_servable=largest,
-    )
-
-
-def _report_expandable(allocator: ExpandableSegmentsAllocator) -> MemoryReport:
-    sizes = [block.size for arena in allocator._arenas.values()
-             for block in arena.free_blocks]
-    largest = max(sizes) if sizes else 0
-    return MemoryReport(
-        allocator=allocator.name,
-        reserved_bytes=allocator.reserved_bytes,
-        active_bytes=allocator.active_bytes,
-        free_bytes=sum(sizes),
-        free_block_count=len(sizes),
-        largest_free_block=largest,
-        free_histogram=_histogram(sizes),
-        # Like BFC, expandable segments cannot fuse disjoint holes —
-        # but it can always grow at the tail, so the largest hole is
-        # the most it serves without *new* physical memory.
+        # BFC serves at most its largest free block without new physical
+        # memory (cudaMalloc, or arena growth): holes cannot be combined.
         max_servable=largest,
     )
 

@@ -34,7 +34,7 @@ from repro.core.pblock import PBlock
 from repro.core.pools import PPool, SPool
 from repro.core.sblock import SBlock
 from repro.core.smallpool import SmallPool
-from repro.errors import CudaOutOfMemoryError, OutOfMemoryError
+from repro.errors import CudaOutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.units import align_up
 
@@ -94,12 +94,7 @@ class GMLakeAllocator(BaseAllocator):
                 return self._malloc_large(rounded)
             except CudaOutOfMemoryError:
                 self.counters.record_state(FitState.OOM)
-                raise OutOfMemoryError(
-                    requested=rounded,
-                    reserved=self.reserved_bytes,
-                    active=self.active_bytes,
-                    capacity=self.device.capacity,
-                ) from None
+                raise self._oom(rounded) from None
 
     def _malloc_large(self, rounded: int) -> "tuple[int, int]":
         # Fast path: exact match by sorted lookup — the converged steady
@@ -316,6 +311,7 @@ class GMLakeAllocator(BaseAllocator):
 
     def check_invariants(self) -> None:
         """Verify the §4.2.1 data-structure guarantees."""
+        super().check_invariants()
         self.ppool.check_invariants()
         self.spool.check_invariants(self.ppool)
         # Physical accounting matches the pool contents.
@@ -341,9 +337,5 @@ class GMLakeAllocator(BaseAllocator):
                 assert all(m.active for m in block.members), (
                     f"owned sBlock {block.id} has inactive members"
                 )
-        # Active memory can never exceed reserved memory.
-        assert self.active_bytes <= self.reserved_bytes, (
-            f"active {self.active_bytes} exceeds reserved {self.reserved_bytes}"
-        )
         # No reservation overlap at the VA layer.
         assert not self.device.vaspace.overlaps()

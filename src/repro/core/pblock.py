@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Tuple
 
-from repro.errors import CudaInvalidValueError
+from repro.errors import CudaInvalidValueError, CudaOutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.units import fmt_bytes, is_aligned
 
@@ -81,21 +81,12 @@ class PBlock:
             )
         vmm = device.vmm
         va = vmm.mem_address_reserve(size)
-        handles: List[int] = []
         try:
-            for offset in range(0, size, chunk_size):
-                handle = vmm.mem_create(chunk_size)
-                handles.append(handle)
-                vmm.mem_map(va, offset, handle)
-        except Exception:
-            # Roll back so a failed Alloc leaves the device unchanged.
-            if handles:
-                vmm.mem_unmap(va, 0, len(handles) * chunk_size)
-                for handle in handles:
-                    vmm.mem_release(handle)
+            handles = vmm.back(va, 0, size, chunk_size)
+        except CudaOutOfMemoryError:
+            # A failed Alloc leaves the device unchanged.
             vmm.mem_address_free(va)
             raise
-        vmm.mem_set_access(va, 0, size)
         return cls(va=va, size=size, chunk_size=chunk_size, handles=handles)
 
     # ------------------------------------------------------------------
@@ -132,13 +123,9 @@ class PBlock:
 
     def _remap(self, device: GpuDevice, handles: List[int]) -> "PBlock":
         """Build a new pBlock over existing chunks (helper for split)."""
-        vmm = device.vmm
-        size = len(handles) * self.chunk_size
-        va = vmm.mem_address_reserve(size)
-        for i, handle in enumerate(handles):
-            vmm.mem_map(va, i * self.chunk_size, handle)
-        vmm.mem_set_access(va, 0, size)
-        return PBlock(va=va, size=size, chunk_size=self.chunk_size, handles=handles)
+        va = device.vmm.alias(handles, self.chunk_size)
+        return PBlock(va=va, size=len(handles) * self.chunk_size,
+                      chunk_size=self.chunk_size, handles=handles)
 
     # ------------------------------------------------------------------
     def destroy(self, device: GpuDevice) -> None:

@@ -67,16 +67,10 @@ class SBlock:
             raise CudaInvalidValueError(
                 f"stitch needs at least 2 pBlocks, got {len(members)}"
             )
-        total = sum(p.size for p in members)
-        vmm = device.vmm
-        va = vmm.mem_address_reserve(total)
-        offset = 0
-        for pblock in members:
-            for handle in pblock.handles:
-                vmm.mem_map(va, offset, handle)
-                offset += pblock.chunk_size
-        vmm.mem_set_access(va, 0, total)
-        return cls(va=va, size=total, members=list(members))
+        handles = [handle for pblock in members for handle in pblock.handles]
+        va = device.vmm.alias(handles, members[0].chunk_size)
+        return cls(va=va, size=sum(p.size for p in members),
+                   members=list(members))
 
     # ------------------------------------------------------------------
     @property

@@ -29,9 +29,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import CudaInvalidAddressError, CudaInvalidValueError
+from repro.errors import (
+    CudaInvalidAddressError,
+    CudaInvalidValueError,
+    CudaOutOfMemoryError,
+)
 from repro.gpu.clock import SimClock
 from repro.gpu.latency import LatencyModel
 from repro.gpu.phys import PhysicalMemory
@@ -195,6 +199,49 @@ class CudaVmm:
             self._spend(self._latency.mem_set_access(m.size))
             self.counters.set_access_calls += 1
             m.accessible = True
+
+    # ------------------------------------------------------------------
+    # The two §2.5 sequences every VMM allocator is built from.  The
+    # order of the driver calls is the simulated clock: keep it.
+    # ------------------------------------------------------------------
+    def back(self, va: int, offset: int, size: int,
+             chunk_size: int) -> List[int]:
+        """Back ``[va+offset, va+offset+size)`` with new physical memory:
+        create and map one ``chunk_size`` chunk after another in address
+        order, then make the range accessible.  Returns the handles in
+        address order; the caller holds their creation references.
+
+        If the device cannot commit a chunk, those made so far are
+        unmapped and released before :class:`CudaOutOfMemoryError`
+        propagates: the reservation is left as it was found.
+        """
+        handles: List[int] = []
+        try:
+            for at in range(offset, offset + size, chunk_size):
+                handle = self.mem_create(chunk_size)
+                handles.append(handle)
+                self.mem_map(va, at, handle)
+        except CudaOutOfMemoryError:
+            # Only mem_create raises it, so every listed handle is mapped.
+            if handles:
+                self.mem_unmap(va, offset, len(handles) * chunk_size)
+                for handle in handles:
+                    self.mem_release(handle)
+            raise
+        self.mem_set_access(va, offset, size)
+        return handles
+
+    def alias(self, handles: Sequence[int], chunk_size: int) -> int:
+        """Reserve a fresh range and map the existing ``chunk_size``
+        chunks ``handles`` into it back to back, accessible; returns
+        its address.  No physical memory is created: each map adds a
+        reference, so a chunk outlives any single range over it."""
+        size = len(handles) * chunk_size
+        va = self.mem_address_reserve(size)
+        for i, handle in enumerate(handles):
+            self.mem_map(va, i * chunk_size, handle)
+        self.mem_set_access(va, 0, size)
+        return va
 
     # ------------------------------------------------------------------
     # Deallocation family

@@ -1,9 +1,11 @@
 """Contract tests shared by every allocator (via the native one) plus
 native-allocator specifics."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.allocators import NativeAllocator
+from repro.allocators import NativeAllocator, VmmNaiveAllocator
 from repro.errors import (
     AllocatorError,
     DoubleFreeError,
@@ -87,6 +89,49 @@ class TestAllocatorContract:
         assert stats.driver_time_us > 0
         native.free(alloc)
         assert native.stats().free_count == 1
+
+
+def _drift_active(allocator, live):
+    allocator.active_bytes += 512
+
+
+def _hand_out_unreserved(allocator, live):
+    allocator._reserved -= 2 * MB
+
+
+def _reserve_uncommitted(allocator, live):
+    allocator._reserved += 2 * MB
+
+
+def _alias_live_pointer(allocator, live):
+    other = next(a for a in allocator._live.values() if a is not live)
+    allocator._live[other.alloc_id] = replace(other, ptr=live.ptr)
+
+
+class TestBaseInvariants:
+    """``BaseAllocator.check_invariants`` holds the laws every allocator
+    owes whatever its internals; ``native`` and ``vmm-naive`` have no
+    others.  Each law is broken once and must be caught."""
+
+    @pytest.mark.parametrize("make", [
+        lambda device: NativeAllocator(device, op_amplification=1),
+        VmmNaiveAllocator], ids=["native", "vmm-naive"])
+    @pytest.mark.parametrize("corrupt, message", [
+        (_drift_active, "live allocations hold"),
+        (_hand_out_unreserved, "does not hold"),
+        (_reserve_uncommitted, "does not hold"),
+        (_alias_live_pointer, "live pointers collide"),
+    ])
+    def test_each_seeded_corruption_is_caught(self, device, make, corrupt,
+                                              message):
+        allocator = make(device)
+        allocator.malloc(6 * MB)
+        live = allocator.malloc(10 * MB)
+        allocator.free(allocator.malloc(4 * MB))
+        allocator.check_invariants()
+        corrupt(allocator, live)
+        with pytest.raises(AssertionError, match=message):
+            allocator.check_invariants()
 
 
 class TestNativeSpecifics:

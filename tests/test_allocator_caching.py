@@ -507,3 +507,38 @@ class TestWholeFreeIndex:
         caching._whole_free["large"][remainder.ptr] = remainder
         with pytest.raises(AssertionError, match="whole-free index"):
             caching.check_invariants()
+
+
+class TestBlockInvariants:
+    """``check_invariants`` ties every live allocation to the block
+    that backs it and walks each segment's block list from its start
+    to ``Segment.last``; each way those can rot is caught."""
+
+    def _block(self, caching):
+        caching.malloc(3 * MB)
+        live = caching.malloc(5 * MB)
+        caching.check_invariants()
+        return caching._blocks_by_ptr[live.ptr]
+
+    def test_block_shorter_than_its_allocation_is_caught(self, caching):
+        # What an allocator that gives away memory it does not have
+        # looks like from the inside.
+        self._block(caching).size -= MIN_BLOCK_SIZE
+        with pytest.raises(AssertionError, match="not held by an allocated"):
+            caching.check_invariants()
+
+    def test_live_allocation_in_a_free_block_is_caught(self, caching):
+        self._block(caching).allocated = False
+        with pytest.raises(AssertionError, match="not held by an allocated"):
+            caching.check_invariants()
+
+    def test_stale_last_block_is_caught(self, caching):
+        segment = self._block(caching).segment
+        segment.last = segment.last.prev
+        with pytest.raises(AssertionError, match="stale last block"):
+            caching.check_invariants()
+
+    def test_broken_back_link_is_caught(self, caching):
+        self._block(caching).prev = None
+        with pytest.raises(AssertionError, match="broken prev link"):
+            caching.check_invariants()

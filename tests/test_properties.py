@@ -1,13 +1,16 @@
 """Property-based tests: allocator correctness under arbitrary request
 sequences (hypothesis drives alloc/free interleavings)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.allocators import CachingAllocator, VmmNaiveAllocator
+from repro.allocators.base import BaseAllocator
+from repro.api import component_names, resolve
 from repro.core import GMLakeAllocator, GMLakeConfig
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
-from repro.units import GB, MB
+from repro.units import GB, KB, MB
 
 # Each step is (is_alloc, size_selector, free_index_selector).
 STEP = st.tuples(
@@ -259,3 +262,92 @@ class TestCrossAllocatorEquivalence:
         allocator = VmmNaiveAllocator(GpuDevice(capacity=2 * GB))
         replay(allocator, steps)
         assert allocator.reserved_bytes == allocator.active_bytes
+
+
+# ----------------------------------------------------------------------
+# One fuzz for every allocator the registry knows
+# ----------------------------------------------------------------------
+PICK = st.integers(min_value=0, max_value=10_000)
+RUN_LENGTH = st.integers(min_value=1, max_value=10)
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("malloc"),
+              st.one_of(st.integers(1, 1 * MB), st.integers(1, 64 * MB))),
+    # A request for the block just freed, all the device has left and a
+    # little more, which only a release of cached memory can supply:
+    # the size at which release-and-retry decides the outcome.
+    st.tuples(st.just("malloc_to_fill"), st.integers(1, 2 * MB)),
+    st.tuples(st.just("malloc_run"),
+              st.sampled_from([300, 64 * KB, 1 * MB, 3 * MB, 12 * MB]),
+              RUN_LENGTH),
+    st.tuples(st.just("free"), PICK),
+    st.tuples(st.just("free_run"), PICK, RUN_LENGTH),
+    st.tuples(st.just("empty_cache")),
+), min_size=8, max_size=20)
+
+
+def _apply(op, args, allocator, live, malloc_run, free_run):
+    """One fuzz step on one allocator; returns the bytes it freed."""
+    if op == "malloc":
+        try:
+            live.append(allocator.malloc(*args))
+        except OutOfMemoryError:
+            pass
+    elif op == "malloc_run":
+        live += malloc_run(allocator, *args)
+    elif op == "empty_cache":
+        allocator.empty_cache()
+    elif live:
+        # Counted from the newest: Hypothesis favours small picks, and
+        # freeing recent blocks is what leaves the free tails a release
+        # can give back.
+        start = (len(live) - 1 - args[0]) % len(live)
+        stop = start + (args[1] if op == "free_run" else 1)
+        batch = live[start:stop]
+        del live[start:stop]
+        if op == "free":
+            allocator.free(*batch)
+        else:
+            free_run(allocator, batch)
+        return sum(a.rounded_size for a in batch)
+    return 0
+
+
+class TestEveryRegisteredAllocator:
+    """Each ``allocator`` component at its defaults, on a device small
+    enough that OOM and release-and-retry are part of the sequence.
+    A new allocator joins by registering: nothing here names one."""
+
+    @pytest.mark.parametrize("name", component_names("allocator"))
+    @given(capacity_mb=st.sampled_from([64, 128, 256]), ops=OPS)
+    def test_invariants_and_runs_under_pressure(self, name, capacity_mb, ops):
+        def build():
+            return resolve("allocator", name,
+                           GpuDevice(capacity=capacity_mb * MB))
+
+        allocator, live = build(), []
+        cls = type(allocator)
+        # An allocator with run operations of its own gets a twin that
+        # is driven by the loops of single calls that *define* them.
+        twin, twin_live = None, []
+        if (cls.malloc_run, cls.free_run) != (BaseAllocator.malloc_run,
+                                              BaseAllocator.free_run):
+            twin = build()
+        freed = 0  # bytes the last free returned
+        for op, *args in ops:
+            if op == "malloc_to_fill":
+                op = "malloc"
+                args = [freed + allocator.device.free_memory + args[0]]
+            freed = _apply(op, args, allocator, live,
+                           cls.malloc_run, cls.free_run) or freed
+            allocator.check_invariants()
+            if twin is not None:
+                _apply(op, args, twin, twin_live,
+                       BaseAllocator.malloc_run, BaseAllocator.free_run)
+                assert live == twin_live  # pointers, sizes and ids
+                assert allocator.stats() == twin.stats()
+                assert (allocator.device.clock.now_us
+                        == twin.device.clock.now_us)
+        allocator.free_run(live)
+        allocator.empty_cache()
+        allocator.check_invariants()
+        assert allocator.device.used_memory == 0
