@@ -158,7 +158,19 @@ class BaseAllocator(ABC):
         for allocation in allocations:
             self.free(allocation)
 
-    # -- the live table's two transitions, shared by the single calls
+    def malloc_free(self, size: int) -> int:
+        """A ``malloc(size)`` whose ``free`` is the next call (a
+        transient workspace); returns the rounded size it held.
+
+        An OOM propagates from the malloc.  These two calls are the
+        definition, as the loops are for the run operations: an
+        overriding allocator must leave exactly the state they leave.
+        """
+        allocation = self.malloc(size)
+        self.free(allocation)
+        return allocation.rounded_size
+
+    # -- the live table's transitions, shared by the single calls
     # -- above and by subclasses that override the run operations.
     def _issue(self, ptr: int, size: int, rounded: int) -> Allocation:
         """Enter a successful malloc into the live table and counters."""
@@ -187,6 +199,22 @@ class BaseAllocator(ABC):
                 f"allocation #{allocation.alloc_id} was not issued by {self.name}"
             )
         del self._live[allocation.alloc_id]
+
+    def _issue_and_claim(self, rounded: int) -> None:
+        """What :meth:`_issue` and then ``free`` leave behind for an
+        allocation of ``rounded`` bytes nobody else saw: an id used,
+        both counters, both peaks — no :class:`Allocation` built, the
+        live table and ``active_bytes`` as they were."""
+        self._next_id += 1
+        counters = self._counters
+        counters.malloc_count += 1
+        counters.free_count += 1
+        active = self.active_bytes + rounded
+        if active > self.peak_active_bytes:
+            self.peak_active_bytes = active
+        reserved = self.reserved_bytes
+        if reserved > self.peak_reserved_bytes:
+            self.peak_reserved_bytes = reserved
 
     def empty_cache(self) -> None:
         """Release every cached (unused) physical byte back to the device."""

@@ -49,7 +49,6 @@ class Segment:
     ptr: int
     size: int
     pool: str  # "small" | "large"
-    n_blocks: int = 0
     #: The highest-address block (None while the segment has none).
     last: Optional["Block"] = field(default=None, repr=False)
 
@@ -196,6 +195,30 @@ class CachingAllocator(BaseAllocator):
             pass
         return run
 
+    def malloc_free(self, size: int) -> int:
+        """The base class's pair, minus its four pool updates, when the
+        pool's best fit serves it.
+
+        That block's neighbours are allocated (or it would have been
+        coalesced with them), so the malloc hands it out whole or
+        splits off a free remainder beside it, and the free merges
+        that remainder straight back: the same ``Block`` with the same
+        size and links, the pools and every index as they were.  What
+        the pair leaves is its two host-time spends and the counters.
+        With no cached fit (a new segment, OOM, release-and-retry) the
+        base class's two calls run.
+        """
+        if not self._observers and size > 0:
+            rounded = round_size(size)
+            pool = self._free_pools[pool_for(rounded)]
+            if pool.first_at_least((rounded, 0)) is not None:
+                us = self.device.latency.cached_op_us
+                self._spend_host_time(us)  # the malloc
+                self._spend_host_time(us)  # the free
+                self._issue_and_claim(rounded)
+                return rounded
+        return super().malloc_free(size)
+
     def _carve(self, pool: str, rounded: int, want: int) -> List[Block]:
         """Up to ``want`` back-to-back mallocs of ``rounded`` bytes, as
         many as one free block serves.
@@ -253,7 +276,7 @@ class CachingAllocator(BaseAllocator):
         not pooled."""
         seg_size = segment_size_for(rounded)
         ptr = self.device.runtime.cuda_malloc(seg_size)
-        segment = Segment(ptr=ptr, size=seg_size, pool=pool, n_blocks=1)
+        segment = Segment(ptr=ptr, size=seg_size, pool=pool)
         self._segments[ptr] = segment
         self._reserved += seg_size
         block = Block(ptr=ptr, size=seg_size, segment=segment)
@@ -282,7 +305,6 @@ class CachingAllocator(BaseAllocator):
             block.segment.last = remainder
         block.next = remainder
         block.size = rounded
-        block.segment.n_blocks += 1
         self._blocks_by_ptr[remainder.ptr] = remainder
         return remainder
 
@@ -348,7 +370,6 @@ class CachingAllocator(BaseAllocator):
                 nxt.next.prev = block
             else:
                 block.segment.last = block
-            block.segment.n_blocks -= 1
         prv = block.prev
         if prv is not None and not prv.allocated:
             if prv is held:
@@ -362,7 +383,6 @@ class CachingAllocator(BaseAllocator):
                 block.next.prev = prv
             else:
                 prv.segment.last = prv
-            prv.segment.n_blocks -= 1
             block = prv
         if held is not None and not merged_held:
             self._pool_add(held.segment.pool, held)

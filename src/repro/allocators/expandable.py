@@ -96,7 +96,6 @@ class ExpandableSegmentsAllocator(CachingAllocator):
             if arena.last is not None:
                 arena.last.next = tail
             arena.last = tail
-            arena.n_blocks += 1
             self._blocks_by_ptr[tail.ptr] = tail
         arena.mapped += grow
         self._reserved += grow
@@ -134,5 +133,4 @@ class ExpandableSegmentsAllocator(CachingAllocator):
                 arena.last = tail.prev
                 if tail.prev is not None:
                     tail.prev.next = None
-                arena.n_blocks -= 1
         return released

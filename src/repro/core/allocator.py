@@ -96,6 +96,17 @@ class GMLakeAllocator(BaseAllocator):
                 self.counters.record_state(FitState.OOM)
                 raise self._oom(rounded) from None
 
+    def malloc_free(self, size: int) -> int:
+        """The base class's pair; below the chunk size with nobody
+        observing, the small pool's own pair (its OOM propagates with
+        no reclaim, as from ``malloc``) and this allocator's counters.
+        A transient of a chunk or more keeps the two calls."""
+        if self._observers or not 0 < size < self.config.small_threshold:
+            return super().malloc_free(size)
+        rounded = self._small.malloc_free(size)
+        self._issue_and_claim(rounded)  # reads reserved_bytes afterwards
+        return rounded
+
     def _malloc_large(self, rounded: int) -> "tuple[int, int]":
         # Fast path: exact match by sorted lookup — the converged steady
         # state where GMLake behaves like a perfect cache (§4.2.2).

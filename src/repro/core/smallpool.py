@@ -36,6 +36,10 @@ class SmallPool:
         alloc = self._by_ptr.pop(ptr)
         self._inner.free(alloc)
 
+    def malloc_free(self, size: int) -> int:
+        """Allocate and free at once; returns the rounded size."""
+        return self._inner.malloc_free(size)
+
     def owns(self, ptr: int) -> bool:
         """True if ``ptr`` is a live small-pool allocation."""
         return ptr in self._by_ptr

@@ -300,7 +300,6 @@ class ServingSimulator:
         # dropping it.
         self.preemption = resolve("preemption", preemption, self.hierarchy)
         self.preemption.bind(self)
-        self._step_count = 0
         # decode_workspace_bytes is a pure function of (model, batch),
         # evaluated once per decode step — memoize per batch size.
         self._workspace_bytes: Dict[int, int] = {}
@@ -574,14 +573,11 @@ class ServingSimulator:
         # serving generator's ``ws`` tensors: small, short-lived churn
         # alongside the big KV blocks.  Best-effort — under pressure
         # the step runs from reserved slack rather than preempting.
-        self._step_count += 1
-        workspace = f"ws{self._step_count}"
         ws_bytes = self._workspace_bytes.get(batch)
         if ws_bytes is None:
             ws_bytes = self._workspace_bytes[batch] = decode_workspace_bytes(
                 self.model, batch)
-        if self.session.try_alloc(workspace, ws_bytes):
-            self.session.free(workspace)
+        self.session.try_malloc_free(ws_bytes)
         for request in list(running):
             if request.state is not RequestState.RUNNING:
                 continue  # preempted by an earlier request's growth

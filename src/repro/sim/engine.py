@@ -172,6 +172,16 @@ class ReplaySession:
         except OutOfMemoryError:
             return False
 
+    def try_malloc_free(self, size: int) -> bool:
+        """:meth:`try_alloc` then :meth:`free` of a tensor nobody else
+        names, as one :meth:`BaseAllocator.malloc_free` call; ``False``
+        on OOM (time spent, nothing held either way)."""
+        try:
+            self.allocator.malloc_free(size)
+            return True
+        except OutOfMemoryError:
+            return False
+
     def try_alloc_run(self, tensors: Sequence[str], size: int) -> int:
         """:meth:`try_alloc` for each of ``tensors`` in turn, ``size``
         bytes each, stopping at the first OOM; returns how many were

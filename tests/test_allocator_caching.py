@@ -196,7 +196,8 @@ class TestCachingBehavior:
 
 
 # ----------------------------------------------------------------------
-# malloc_run / free_run: the batched override against the defining loop
+# malloc_run / free_run / malloc_free: the overrides against the
+# defining loops
 # ----------------------------------------------------------------------
 class LoopCaching(CachingAllocator):
     """The oracle: a caching allocator whose run operations are
@@ -204,6 +205,17 @@ class LoopCaching(CachingAllocator):
 
     malloc_run = BaseAllocator.malloc_run
     free_run = BaseAllocator.free_run
+    malloc_free = BaseAllocator.malloc_free
+
+
+def chain(allocator, segment):
+    """The blocks linked from ``segment``'s start, in address order."""
+    blocks = []
+    block = allocator._blocks_by_ptr.get(segment.ptr)
+    while block is not None:
+        blocks.append((block.ptr, block.size, block.allocated))
+        block = block.next
+    return blocks
 
 
 def snapshot(allocator):
@@ -217,12 +229,14 @@ def snapshot(allocator):
                    runtime.free_calls, runtime.total_time_us),
         "live": dict(allocator._live),
         "next_id": allocator._next_id,
-        "segments": sorted((s.ptr, s.size, s.pool, s.n_blocks)
+        "segments": sorted((s.ptr, s.size, s.pool, chain(allocator, s))
                            for s in allocator._segments.values()),
         "blocks": sorted((b.ptr, b.size, b.allocated)
                          for b in allocator._blocks_by_ptr.values()),
         "pools": {name: [(b.size, b.ptr) for b in pool]
                   for name, pool in allocator._free_pools.items()},
+        "whole_free": {name: sorted(index)
+                       for name, index in allocator._whole_free.items()},
         "cached_bytes": allocator.cached_bytes(),
     }
 
@@ -231,8 +245,8 @@ class Twins:
     """A batched allocator and its loop oracle on twin devices; every
     operation goes to both and the states must match afterwards."""
 
-    def __init__(self, capacity, observed=False):
-        self.batched = CachingAllocator(GpuDevice(capacity=capacity))
+    def __init__(self, capacity, observed=False, batched=CachingAllocator):
+        self.batched = batched(GpuDevice(capacity=capacity))
         self.oracle = LoopCaching(GpuDevice(capacity=capacity))
         self.recorders = None
         if observed:
@@ -252,7 +266,7 @@ class Twins:
         for allocator in (self.batched, self.oracle):
             try:
                 results.append(("ok", op(allocator)))
-            except (OutOfMemoryError, DoubleFreeError) as exc:
+            except AllocatorError as exc:
                 results.append((type(exc).__name__, str(exc)))
         assert results[0] == results[1]
         self.check()
@@ -269,6 +283,17 @@ class Twins:
         if kind == "ok":
             self.live.append(alloc)
         return kind
+
+    def malloc_free(self, size):
+        """The kind of outcome, and whether the batched side took its
+        shortcut (it never entered ``_carve``)."""
+        carve, carves = self.batched._carve, []
+        self.batched._carve = lambda *args: carves.append(args) or carve(*args)
+        try:
+            kind, _rounded = self.both(lambda a: a.malloc_free(size))
+        finally:
+            del self.batched._carve
+        return kind, not carves
 
     def free_run(self, allocations):
         allocations = list(allocations)
@@ -407,6 +432,119 @@ class TestRunsMatchTheLoop:
         assert len(twins.recorders[0].points) == 26
 
 
+class TestTransientMatchesThePair:
+    """``malloc_free`` against ``free(malloc())`` on the loop oracle."""
+
+    def test_hit_that_splits(self):
+        twins = Twins(64 * MB)
+        twins.malloc(100 * KB)  # the rest of its 2 MB segment is cached
+        before = snapshot(twins.batched)
+        assert twins.malloc_free(64 * KB) == ("ok", True)
+        after = snapshot(twins.batched)
+        assert after["stats"].malloc_count == before["stats"].malloc_count + 1
+        assert after["stats"].peak_active_bytes == 164 * KB
+        for same in ("segments", "blocks", "pools", "whole_free", "live"):
+            assert after[same] == before[same]
+
+    def test_hit_handed_out_whole_small_pool(self):
+        twins = Twins(64 * MB)
+        twins.malloc(100 * KB)
+        twins.malloc(100 * KB)
+        twins.free(twins.live[0])  # a 100 KB hole, its neighbour live
+        # 102,400 - 101,888 = 512 B splits; 102,400 - 102,000 rounds to
+        # nothing: the hole goes out whole.
+        assert twins.malloc_free(100 * KB - 512) == ("ok", True)
+        assert twins.malloc_free(102_000) == ("ok", True)
+        assert twins.malloc_free(100 * KB) == ("ok", True)
+
+    def test_hit_handed_out_whole_large_pool_no_split_tail(self):
+        twins = Twins(128 * MB)
+        size = 9 * MB + 512 * KB
+        twins.malloc(size)  # leaves 10.5 MB; 10.5 - 9.5 = 1 MB does not split
+        assert twins.malloc_free(size) == ("ok", True)
+        assert twins.malloc_free(size - 512) == ("ok", True)  # 1 MB + 512: splits
+
+    @pytest.mark.parametrize("size", [1 * KB, KV_BLOCK, 12 * MB])
+    def test_whole_segment_block(self, size):
+        twins = Twins(64 * MB)
+        twins.malloc(size)
+        twins.free(twins.live[0])
+        (index,) = [i for i in twins.batched._whole_free.values() if i]
+        assert twins.malloc_free(size) == ("ok", True)
+        # Split or (12 MB: a dedicated segment) handed out whole, the
+        # block is still the one `empty_cache` will give back.
+        assert [i for i in twins.batched._whole_free.values() if i] == [index]
+        twins.empty_cache()
+        assert twins.batched.reserved_bytes == 0
+
+    def test_miss_that_maps_a_segment(self):
+        twins = Twins(64 * MB)
+        assert twins.malloc_free(100 * KB) == ("ok", False)
+        assert twins.batched.reserved_bytes == SMALL_BUFFER
+        twins.malloc(100 * KB)
+        # The small pool's cache does not serve the large pool.
+        assert twins.malloc_free(KV_BLOCK) == ("ok", False)
+        assert twins.malloc_free(KV_BLOCK) == ("ok", True)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_miss_that_ooms_then_succeeds_after_release(self, observed):
+        twins = Twins(30 * MB, observed=observed)
+        twins.free_run(twins.malloc_run(1 * MB, 12))  # 12 MB cached, small
+        assert twins.malloc_free(KV_BLOCK) == ("ok", False)
+        assert twins.batched.reserved_bytes == LARGE_BUFFER
+        assert twins.batched.peak_reserved_bytes == LARGE_BUFFER
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_miss_that_ooms_after_release_and_retry(self, observed):
+        twins = Twins(30 * MB, observed=observed)
+        twins.free(twins.malloc_run(1 * KB, 1)[0])  # one cached small segment
+        twins.malloc(12 * MB)
+        before = twins.batched.stats()
+        kind, fast = twins.malloc_free(KV_BLOCK)
+        assert (kind, fast) == ("OutOfMemoryError", False)
+        after = twins.batched.stats()
+        # The retry released the small segment; nothing was issued.
+        assert twins.batched.reserved_bytes == 12 * MB
+        assert (after.malloc_count, after.free_count, after.active_bytes) == (
+            before.malloc_count, before.free_count, 12 * MB)
+        assert twins.batched.live_allocation_count == 1
+        if observed:  # malloc, free, malloc, then the on_oom sample
+            assert len(twins.recorders[0].points) == 4
+
+    def test_observed_allocator_takes_the_loop(self):
+        twins = Twins(64 * MB, observed=True)
+        twins.malloc(100 * KB)
+        assert twins.malloc_free(64 * KB) == ("ok", False)
+        alloc, free = twins.recorders[0].points[-2:]
+        # on_alloc sees the workspace live, one cached op before on_free.
+        assert (alloc.active_bytes, free.active_bytes) == (164 * KB, 100 * KB)
+        assert alloc.time_s < free.time_s
+
+    @pytest.mark.parametrize("size", [0, -4096])
+    def test_non_positive_size_is_rejected_like_malloc(self, size):
+        twins = Twins(64 * MB)
+        twins.malloc(100 * KB)
+        assert twins.malloc_free(size)[0] == "AllocatorError"
+
+    def test_a_skipped_peak_ratchet_is_caught(self):
+        """The corruption the shortcut could cause, seeded."""
+        class Forgetful(CachingAllocator):
+            def _issue_and_claim(self, rounded):
+                peak = self.peak_active_bytes
+                super()._issue_and_claim(rounded)
+                self.peak_active_bytes = peak
+
+        twins = Twins(64 * MB, batched=Forgetful)
+        twins.malloc(100 * KB)
+        with pytest.raises(AssertionError):
+            twins.malloc_free(64 * KB)
+        # Below the peak the ratchet does not move: nothing to catch.
+        twins = Twins(64 * MB, batched=Forgetful)
+        twins.malloc_run(100 * KB, 2)
+        twins.free(twins.live[1])
+        assert twins.malloc_free(64 * KB) == ("ok", True)
+
+
 RUN_SIZES = st.sampled_from([
     512, 100 * KB, 698_880, SMALL_SIZE - 512, SMALL_SIZE,    # small pool
     SMALL_SIZE + 512, KV_BLOCK, 5 * MB, 9 * MB + 512 * KB,   # 20 MB segments
@@ -415,6 +553,7 @@ RUN_SIZES = st.sampled_from([
 RUN_STEP = st.one_of(
     st.tuples(st.just("malloc_run"), RUN_SIZES, st.integers(0, 24)),
     st.tuples(st.just("malloc"), RUN_SIZES, st.just(0)),
+    st.tuples(st.just("malloc_free"), RUN_SIZES, st.just(0)),
     st.tuples(st.just("free_run"), st.integers(0, 10 ** 6),
               st.integers(0, 24)),
     st.tuples(st.just("free_run_reversed"), st.integers(0, 10 ** 6),
@@ -441,6 +580,8 @@ class TestRunsMatchTheLoopFuzz:
                 twins.malloc_run(a, b)
             elif op == "malloc":
                 twins.malloc(a)
+            elif op == "malloc_free":
+                twins.malloc_free(a)
             elif op == "empty_cache":
                 twins.empty_cache()
             elif live:

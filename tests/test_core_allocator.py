@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.allocators.base import BaseAllocator
 from repro.core import GMLakeAllocator, GMLakeConfig
 from repro.core.bestfit import FitState
+from repro.core.smallpool import SmallPool
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
+from repro.sim.timeline import TimelineRecorder
 from repro.units import GB, KB, MB
 
 
@@ -394,4 +397,99 @@ class TestExactMatchTouchesNoPoolOrder:
             gml.free(gml.malloc(size))
         assert hits(gml, FitState.EXACT_MATCH) == exact_before + len(sizes)
         assert calls == []
+        gml.check_invariants()
+
+
+class TestTransient:
+    """``malloc_free``: below the chunk size the small pool's pair and
+    GMLake's counters, otherwise ``BaseAllocator``'s two calls — the
+    twin runs those two calls for every size."""
+
+    @pytest.fixture
+    def twins(self):
+        pair = [GMLakeAllocator(GpuDevice(capacity=1 * GB)) for _ in range(2)]
+        for allocator in pair:
+            allocator.malloc(100 * KB)
+            allocator.free(allocator.malloc(10 * MB))
+        return pair
+
+    @staticmethod
+    def ledger(allocator):
+        inner = allocator._small._inner
+        return (allocator.stats(), allocator._next_id, inner.stats(),
+                inner._next_id, allocator.device.clock.now_us,
+                allocator._tick, allocator.state_histogram())
+
+    @staticmethod
+    def small_pool_calls(monkeypatch):
+        calls = []
+        original = SmallPool.malloc_free
+        monkeypatch.setattr(
+            SmallPool, "malloc_free",
+            lambda self, size: calls.append(size) or original(self, size))
+        return calls
+
+    @pytest.mark.parametrize("size", [
+        300, 64 * KB, 1 * MB, 1 * MB + 1, 2 * MB - 1,  # the small pool's
+        2 * MB, 5 * MB])                               # a chunk or more
+    def test_same_ledger_as_the_two_calls(self, twins, size):
+        gml, loop = twins
+        rounded = gml.malloc_free(size)
+        assert rounded == BaseAllocator.malloc_free(loop, size)
+        assert self.ledger(gml) == self.ledger(loop)
+        assert gml.peak_active_bytes == 100 * KB + max(rounded, 10 * MB)
+        gml.check_invariants()
+
+    def test_small_transient_touches_no_gmlake_structure(self, gml,
+                                                         monkeypatch):
+        gml.malloc(100 * KB)
+        gml.free(gml.malloc(10 * MB))
+        calls = self.small_pool_calls(monkeypatch)
+
+        def structures():
+            return (dict(gml._small._by_ptr), list(gml.ppool),
+                    list(gml.spool), dict(gml._assigned), gml._tick,
+                    gml.state_histogram())
+
+        before = structures()
+        assert gml.malloc_free(64 * KB) == 64 * KB
+        assert calls == [64 * KB]
+        assert structures() == before
+        assert gml.stats().malloc_count == gml.stats().free_count + 1 == 3
+
+    def test_a_grown_small_segment_ratchets_the_reserved_peak(self, gml):
+        gml.malloc_free(64 * KB)  # no cached fit: the inner pair maps 2 MB
+        assert gml.peak_reserved_bytes == gml.reserved_bytes == 2 * MB
+        assert gml.peak_active_bytes == 64 * KB and gml.active_bytes == 0
+
+    def test_chunk_sized_transient_takes_the_two_calls(self, gml,
+                                                       monkeypatch):
+        calls = self.small_pool_calls(monkeypatch)
+        assert gml.malloc_free(2 * MB) == 2 * MB
+        assert calls == [] and gml._tick == 2
+        assert hits(gml, FitState.INSUFFICIENT_BLOCKS) == 1
+
+    def test_observed_transient_takes_the_two_calls(self, gml, monkeypatch):
+        calls = self.small_pool_calls(monkeypatch)
+        recorder = gml.add_observer(TimelineRecorder(gml, every=1))
+        gml.malloc_free(64 * KB)
+        assert calls == []
+        assert [p.active_bytes for p in recorder.points] == [64 * KB, 0]
+
+    def test_small_pool_oom_does_not_reclaim(self, monkeypatch):
+        pair = [GMLakeAllocator(GpuDevice(capacity=4 * MB)) for _ in range(2)]
+        reclaims = []
+        monkeypatch.setattr(GMLakeAllocator, "_reclaim",
+                            lambda self: reclaims.append(self))
+        for allocator in pair:
+            allocator.malloc(3 * MB)  # a 4 MB pBlock: the device is full
+        gml, loop = pair
+        with pytest.raises(OutOfMemoryError) as fast:
+            gml.malloc_free(100 * KB)
+        with pytest.raises(OutOfMemoryError) as slow:
+            BaseAllocator.malloc_free(loop, 100 * KB)
+        assert str(fast.value) == str(slow.value)
+        assert reclaims == []
+        assert self.ledger(gml) == self.ledger(loop)
+        assert gml.live_allocation_count == 1
         gml.check_invariants()

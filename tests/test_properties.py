@@ -279,21 +279,33 @@ OPS = st.lists(st.one_of(
     st.tuples(st.just("malloc_run"),
               st.sampled_from([300, 64 * KB, 1 * MB, 3 * MB, 12 * MB]),
               RUN_LENGTH),
+    # A transient on both sides of caching's 1 MB pool boundary and of
+    # gmlake's 2 MB chunk.
+    st.tuples(st.just("malloc_free"),
+              st.sampled_from([300, 64 * KB, 1 * MB, 1 * MB + 1,
+                               2 * MB - 1, 2 * MB, 3 * MB])),
     st.tuples(st.just("free"), PICK),
     st.tuples(st.just("free_run"), PICK, RUN_LENGTH),
     st.tuples(st.just("empty_cache")),
 ), min_size=8, max_size=20)
+RUN_OPS = ("malloc_run", "free_run", "malloc_free")
 
 
-def _apply(op, args, allocator, live, malloc_run, free_run):
-    """One fuzz step on one allocator; returns the bytes it freed."""
+def _apply(op, args, allocator, live, via):
+    """One fuzz step on one allocator, its run operations taken from
+    the class ``via``; returns the bytes it freed."""
     if op == "malloc":
         try:
             live.append(allocator.malloc(*args))
         except OutOfMemoryError:
             pass
     elif op == "malloc_run":
-        live += malloc_run(allocator, *args)
+        live += via.malloc_run(allocator, *args)
+    elif op == "malloc_free":
+        try:
+            via.malloc_free(allocator, *args)
+        except OutOfMemoryError:
+            pass
     elif op == "empty_cache":
         allocator.empty_cache()
     elif live:
@@ -307,7 +319,7 @@ def _apply(op, args, allocator, live, malloc_run, free_run):
         if op == "free":
             allocator.free(*batch)
         else:
-            free_run(allocator, batch)
+            via.free_run(allocator, batch)
         return sum(a.rounded_size for a in batch)
     return 0
 
@@ -329,21 +341,20 @@ class TestEveryRegisteredAllocator:
         # An allocator with run operations of its own gets a twin that
         # is driven by the loops of single calls that *define* them.
         twin, twin_live = None, []
-        if (cls.malloc_run, cls.free_run) != (BaseAllocator.malloc_run,
-                                              BaseAllocator.free_run):
+        if any(getattr(cls, op) is not getattr(BaseAllocator, op)
+               for op in RUN_OPS):
             twin = build()
         freed = 0  # bytes the last free returned
         for op, *args in ops:
             if op == "malloc_to_fill":
                 op = "malloc"
                 args = [freed + allocator.device.free_memory + args[0]]
-            freed = _apply(op, args, allocator, live,
-                           cls.malloc_run, cls.free_run) or freed
+            freed = _apply(op, args, allocator, live, cls) or freed
             allocator.check_invariants()
             if twin is not None:
-                _apply(op, args, twin, twin_live,
-                       BaseAllocator.malloc_run, BaseAllocator.free_run)
+                _apply(op, args, twin, twin_live, BaseAllocator)
                 assert live == twin_live  # pointers, sizes and ids
+                assert allocator._next_id == twin._next_id
                 assert allocator.stats() == twin.stats()
                 assert (allocator.device.clock.now_us
                         == twin.device.clock.now_us)

@@ -7,6 +7,9 @@ preemption + requeue + eventual completion instead of job failure.
 
 import pytest
 
+from repro.allocators import CachingAllocator
+from repro.allocators.base import BaseAllocator
+from repro.core import GMLakeAllocator
 from repro.serve import (
     PoissonArrivals,
     ReplayArrivals,
@@ -186,6 +189,38 @@ class TestPreemption:
         # The run still terminates, with every request resolved.
         for r in result.requests:
             assert r.finished or r.reject_reason == "preempted-out"
+
+
+class TestStepWorkspaceIsTheTwoCalls:
+    """The decode step's ``malloc_free`` against ``BaseAllocator``'s
+    malloc-then-free: same requests, same allocator, same clock."""
+
+    @staticmethod
+    def _serve(allocator, kv_cache, headroom):
+        model = get_model("opt-1.3b")
+        simulator = ServingSimulator(
+            model, allocator=allocator, kv_cache=kv_cache,
+            capacity=model.weight_bytes + headroom, scheduler="fcfs",
+            config=ServingConfig(max_batch=8, queue_timeout_s=600.0))
+        result = simulator.run(light_stream(n=30, rate=8.0, seed=5))
+        lifecycles = [
+            (r.req_id, r.state, r.tokens_done, r.preemptions, r.admitted_s,
+             r.first_token_s, r.finished_s) for r in result.requests]
+        return (lifecycles, result.stats, simulator.device.clock.now_us,
+                result.preemptions)
+
+    # Headroom tight enough to preempt (some workspaces find no cached
+    # fit), loose enough that a step's workspace sets the active peak.
+    @pytest.mark.parametrize("scenario", [
+        ("gmlake", "chunked", 700 * MB),
+        ("caching", "paged?block_tokens=16", 1500 * MB)],
+        ids=["gmlake-chunked", "caching-paged"])
+    def test_same_run_with_the_loop_patched_back(self, scenario, monkeypatch):
+        fast = self._serve(*scenario)
+        assert fast[-1] > 0
+        for cls in (GMLakeAllocator, CachingAllocator):
+            monkeypatch.setattr(cls, "malloc_free", BaseAllocator.malloc_free)
+        assert self._serve(*scenario) == fast
 
 
 class TestConfigValidation:

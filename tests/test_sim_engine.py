@@ -96,8 +96,9 @@ class TestRunTrace:
 
 
 class TestSessionRuns:
-    """``try_alloc_run`` / ``free_run`` are ``try_alloc`` / ``free``
-    per name, for any allocator (gmlake inherits the loop)."""
+    """``try_alloc_run`` / ``free_run`` / ``try_malloc_free`` are
+    ``try_alloc`` / ``free`` per name, for any allocator (gmlake
+    inherits the run loops)."""
 
     @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
     def test_run_equals_singles(self, allocator):
@@ -119,6 +120,26 @@ class TestSessionRuns:
         assert a.live_bytes == b.live_bytes
         assert a.clock.now_us == b.clock.now_us
         assert a.allocator.stats() == b.allocator.stats()
+
+    @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
+    def test_transient_equals_alloc_then_free(self, allocator):
+        a, b = [ReplaySession(resolve_allocator(
+            allocator, GpuDevice(capacity=64 * MB))) for _ in range(2)]
+        for session in (a, b):
+            session.alloc("kv", 50 * MB)
+        # A new segment, a cached fit, 10 MB that fits, 20 MB that cannot.
+        for size, fits in [(64_000, True), (300_000, True),
+                           (10 * MB, True), (20 * MB, False)]:
+            before = a.clock.now_us
+            assert a.try_malloc_free(size) is fits
+            assert b.try_alloc("ws", size) is fits
+            if fits:
+                b.free("ws")
+            assert a.clock.now_us == b.clock.now_us > before  # time is spent
+            assert a.allocator.stats() == b.allocator.stats()
+            assert list(a.live) == list(b.live) == ["kv"]
+            assert a.live_bytes == b.live_bytes
+        a.allocator.check_invariants()
 
     def test_name_already_live_is_rejected_before_allocating(self):
         session = ReplaySession(resolve_allocator("caching", GpuDevice()))
