@@ -5,23 +5,38 @@ captures stdout, so each bench registers its result tables through the
 ``report`` fixture; a terminal-summary hook prints every registered
 table after the benchmark timings, which is what lands in
 ``bench_output.txt``.
+
+With ``REPRO_REGEN_GOLDENS=1`` each bench's registered tables are also
+written to ``tests/golden/paper/<id>.txt`` (``<id>`` is the module name
+without ``bench_``, underscores as dashes), pinning today's output.
 """
 
+import os
+from pathlib import Path
 from typing import List
 
 import pytest
 
 _REPORTS: List[str] = []
+_REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
+_PINS = Path(__file__).resolve().parent.parent / "tests" / "golden" / "paper"
 
 
 @pytest.fixture
-def report():
+def report(request):
     """Register a formatted table for the end-of-run summary."""
+    texts: List[str] = []
 
     def _add(text: str) -> None:
         _REPORTS.append(text)
+        texts.append(text)
 
-    return _add
+    yield _add
+    if _REGEN and texts:
+        name = request.module.__name__.removeprefix("bench_")
+        _PINS.mkdir(parents=True, exist_ok=True)
+        (_PINS / f"{name.replace('_', '-')}.txt").write_text(
+            "\n\n".join(texts) + "\n", encoding="utf-8")
 
 
 def pytest_terminal_summary(terminalreporter):
