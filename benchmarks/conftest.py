@@ -1,42 +1,37 @@
 """Benchmark-suite plumbing.
 
-Benches run under ``pytest benchmarks/ --benchmark-only``.  pytest
-captures stdout, so each bench registers its result tables through the
-``report`` fixture; a terminal-summary hook prints every registered
-table after the benchmark timings, which is what lands in
-``bench_output.txt``.
+pytest only collects ``test_*.py`` on its own, so the benches are named
+on the command line.  The paper artefacts (``paper_artefacts.py``) run
+under::
 
-With ``REPRO_REGEN_GOLDENS=1`` each bench's registered tables are also
-written to ``tests/golden/paper/<id>.txt`` (``<id>`` is the module name
-without ``bench_``, underscores as dashes), pinning today's output.
+    PYTHONPATH=src python -m pytest benchmarks/bench_paper_artefacts.py --benchmark-only
+
+and the allocator micro-timings under the same command with
+``benchmarks/bench_allocator_ops.py``.  pytest captures stdout, so each
+artefact registers its table through the ``report`` fixture; a
+terminal-summary hook prints every registered table after the benchmark
+timings.
 """
 
-import os
-from pathlib import Path
 from typing import List
 
 import pytest
 
+# The artefacts' checks are plain asserts in a helper module; rewrite
+# them so a failing check shows its operands.
+pytest.register_assert_rewrite("paper_artefacts")
+
 _REPORTS: List[str] = []
-_REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
-_PINS = Path(__file__).resolve().parent.parent / "tests" / "golden" / "paper"
 
 
 @pytest.fixture
-def report(request):
+def report():
     """Register a formatted table for the end-of-run summary."""
-    texts: List[str] = []
 
     def _add(text: str) -> None:
         _REPORTS.append(text)
-        texts.append(text)
 
-    yield _add
-    if _REGEN and texts:
-        name = request.module.__name__.removeprefix("bench_")
-        _PINS.mkdir(parents=True, exist_ok=True)
-        (_PINS / f"{name.replace('_', '-')}.txt").write_text(
-            "\n\n".join(texts) + "\n", encoding="utf-8")
+    return _add
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,0 +1,53 @@
+"""The paper-artefact table is well formed, and its cheapest artefact
+matches its pin on every run (``bench_paper_artefacts.py`` runs them
+all)."""
+
+import ast
+import inspect
+import textwrap
+
+import pytest
+
+from paper_artefacts import ARTEFACTS, PINS, REGEN, Artefact, assert_pinned
+
+
+def check_count(artefact: Artefact) -> int:
+    """The ``assert`` statements in the artefact's checks."""
+    source = textwrap.dedent(inspect.getsource(type(artefact).check))
+    return sum(isinstance(node, ast.Assert)
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_ids_are_unique():
+    ids = [artefact.id for artefact in ARTEFACTS]
+    assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("artefact", ARTEFACTS, ids=lambda a: a.id)
+def test_artefact_is_declared_in_full(artefact):
+    assert artefact.section and type(artefact).__doc__
+    assert bool(artefact.grid) != (type(artefact).measure is not Artefact.measure)
+    assert (PINS / f"{artefact.id}.txt").is_file()
+    assert check_count(artefact) > 0
+
+
+def test_no_pin_is_orphaned():
+    assert ({pin.stem for pin in PINS.glob("*.txt")}
+            == {artefact.id for artefact in ARTEFACTS})
+
+
+def test_table1_matches_its_pin():
+    (table1,) = [a for a in ARTEFACTS if a.id == "table1-vmm-breakdown"]
+    measured = table1.measure()
+    assert_pinned(table1.id, table1.render(measured))
+    table1.check(measured)
+
+
+@pytest.mark.skipif(REGEN, reason="REPRO_REGEN_GOLDENS=1 rewrites pins")
+def test_a_drifted_or_unpinned_table_fails():
+    table = (PINS / "table1-vmm-breakdown.txt").read_text(encoding="utf-8")[:-1]
+    assert_pinned("table1-vmm-breakdown", table)
+    with pytest.raises(AssertionError):
+        assert_pinned("table1-vmm-breakdown", table.replace("115.603", "115.600"))
+    with pytest.raises(AssertionError, match="no pin"):
+        assert_pinned("no-such-artefact", table)

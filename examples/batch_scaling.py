@@ -9,8 +9,9 @@ Run:  python examples/batch_scaling.py [model]
 
 import sys
 
-from repro.analysis import format_table
-from repro.analysis.experiments import batch_sweep, first_oom_batch
+from repro.analysis import along, comparison, format_table, grid
+from repro.analysis.experiments import first_oom_batch
+from repro.api import ExperimentSpec, WorkloadSpec
 
 
 def main() -> None:
@@ -18,7 +19,9 @@ def main() -> None:
     batches = [1, 12, 24, 36, 48, 60, 72]
 
     print(f"batch scaling {model}, LoRA+recompute, 4 GPUs, ZeRO-3\n")
-    rows = batch_sweep(model, batches)
+    cells = grid(ExperimentSpec(workload=WorkloadSpec(model)),
+                 along("batch_size", batches))
+    rows = [comparison(results) for results in cells.values()]
     table = []
     for row in rows:
         def cell(result):

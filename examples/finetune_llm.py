@@ -12,7 +12,8 @@ Run:  python examples/finetune_llm.py [model] [batch]
 
 import sys
 
-from repro.analysis import format_table, strategy_sweep
+from repro.analysis import along, comparison, format_table, grid
+from repro.api import ExperimentSpec, WorkloadSpec
 
 
 def main() -> None:
@@ -22,10 +23,11 @@ def main() -> None:
     print(f"fine-tuning {model} (batch {batch}/GPU, 4 GPUs, ZeRO-3)")
     print("strategies: N=none R=recompute L=LoRA O=offload\n")
 
-    rows = strategy_sweep(model, batch_size=batch)
+    cells = grid(ExperimentSpec(workload=WorkloadSpec(model, batch)),
+                 along("strategies", ("N", "R", "LR", "RO", "LRO")))
     table = []
-    for row in rows:
-        combo = row.baseline.meta["strategies"]
+    for combo, results in cells.items():
+        row = comparison(results)
         table.append({
             "strategy": combo,
             "RM caching (GB)": round(row.baseline.peak_reserved_gb, 2),

@@ -1,10 +1,11 @@
 """Reporting layer: experiment runners and table rendering.
 
 - :mod:`repro.analysis.tables` — plain-text table formatting used by
-  every bench.
-- :mod:`repro.analysis.experiments` — the paper's experiment grids
-  (strategy combos, GPU scale-out, platform sweep, batch sweep) as
-  reusable functions returning comparison rows.
+  every paper artefact.
+- :mod:`repro.analysis.experiments` — :func:`grid`, the one helper
+  that runs a base experiment spec × ordered axes through
+  :func:`repro.api.run_sweep` (every paper figure's grid, ``repro
+  sweep``), and :func:`comparison` for baseline-vs-GMLake rows.
 - :mod:`repro.analysis.summary` — the §5 "76 workloads / 8 models"
   aggregate statistics.
 - :mod:`repro.analysis.serving` — serving-summary tables for the
@@ -13,12 +14,7 @@
   :mod:`repro.obs` telemetry.
 """
 
-from repro.analysis.experiments import (
-    batch_sweep,
-    platform_sweep,
-    scaleout_sweep,
-    strategy_sweep,
-)
+from repro.analysis.experiments import along, comparison, grid
 from repro.analysis.memory_report import (
     MemoryReport,
     PeakMemoryObserver,
@@ -44,10 +40,9 @@ __all__ = [
     "goodput_vs_rate_rows",
     "serving_summary_rows",
     "tenant_rows",
-    "strategy_sweep",
-    "scaleout_sweep",
-    "platform_sweep",
-    "batch_sweep",
+    "along",
+    "comparison",
+    "grid",
     "SummaryStats",
     "summarize",
     "format_table",

@@ -1,117 +1,83 @@
-"""The paper's experiment grids as reusable runners.
+"""The paper's experiment grids, built by one helper.
 
-Each function runs one sweep (the workload axis of a figure) under both
-the PyTorch-style caching allocator and GMLake on fresh simulated
-devices, returning :class:`~repro.sim.metrics.ComparisonRow` per cell.
-Benches print the rows; tests assert the shapes (who wins, direction of
-trends, OOM ordering).
+A *grid* is a base :class:`~repro.api.ExperimentSpec` crossed with
+ordered axes.  An axis maps each of its keys to the spec fields that
+key overrides (:func:`along` builds the common one-field axis); a field
+is an ``ExperimentSpec`` field (``allocators``, ``capacity``) or a
+field of its ``workload`` / ``serving`` block.  :func:`grid` runs every
+point through :func:`~repro.api.run_sweep` and returns the results
+keyed by axis values.  Benches render the results; tests assert their
+shapes (who wins, direction of trends, OOM ordering).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from dataclasses import fields, replace
+from itertools import product
+from typing import Any, Dict, Hashable, Iterable, Mapping, Optional, Sequence
 
-from repro.api.spec import SpecLike
-from repro.sim.engine import AllocatorFactory, EngineResult, run_workload
+from repro.api.experiment import ExperimentSpec
+from repro.api.result import ExperimentResult
+from repro.api.sweep import run_sweep
+from repro.sim.engine import EngineResult
 from repro.sim.metrics import ComparisonRow, compare_results
-from repro.units import A100_80GB
-from repro.workloads.platforms import Platform
-from repro.workloads.training import TrainingWorkload
 
-#: Default iteration count: enough to pass GMLake's ~4-iteration
-#: convergence (Fig. 14) with steady state left over.
-DEFAULT_ITERATIONS = 8
+#: Axis key -> the spec fields that key sets.
+Axis = Mapping[Hashable, Mapping[str, Any]]
+
+_SPEC_FIELDS = frozenset(f.name for f in fields(ExperimentSpec))
 
 
-def _compare(
-    workload: TrainingWorkload,
-    baseline: Union[SpecLike, AllocatorFactory] = "caching",
-    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
-    capacity: int = A100_80GB,
-) -> ComparisonRow:
-    base = run_workload(workload, baseline, capacity=capacity)
-    gml = run_workload(workload, gmlake, capacity=capacity)
-    return compare_results(workload.label, base, gml)
+def along(field: str, values: Iterable[Any]) -> Dict[Any, Dict[str, Any]]:
+    """The one-field axis: each value keys the point setting ``field``
+    to it."""
+    return {value: {field: value} for value in values}
 
 
-def strategy_sweep(
-    model: str,
-    batch_size: int,
-    combos: Sequence[str] = ("N", "R", "LR", "RO", "LRO"),
-    n_gpus: int = 4,
-    iterations: int = DEFAULT_ITERATIONS,
-    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
-) -> List[ComparisonRow]:
-    """Figure 3 / Figure 10: memory-efficient strategy combinations."""
-    rows = []
-    for combo in combos:
-        workload = TrainingWorkload(
-            model, batch_size=batch_size, n_gpus=n_gpus,
-            strategies=combo, iterations=iterations,
-        )
-        rows.append(_compare(workload, gmlake=gmlake))
-    return rows
+def point(base: ExperimentSpec, overrides: Mapping[str, Any]) -> ExperimentSpec:
+    """``base`` with ``overrides`` applied to the spec's own fields or,
+    for any other name, to its workload (replay / cluster) or serving
+    (serve) block."""
+    spec = replace(base, **{k: v for k, v in overrides.items()
+                            if k in _SPEC_FIELDS})
+    inner = {k: v for k, v in overrides.items() if k not in _SPEC_FIELDS}
+    if inner:
+        block = "serving" if spec.mode == "serve" else "workload"
+        spec = replace(spec, **{block: replace(getattr(spec, block), **inner)})
+    return spec
 
 
-def scaleout_sweep(
-    model: str,
-    batch_size: int,
-    gpu_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    strategies: str = "LR",
-    iterations: int = DEFAULT_ITERATIONS,
-    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
-) -> List[ComparisonRow]:
-    """Figure 4 / Figure 11: GPU scale-out."""
-    rows = []
-    for n in gpu_counts:
-        workload = TrainingWorkload(
-            model, batch_size=batch_size, n_gpus=n,
-            strategies=strategies, iterations=iterations,
-        )
-        rows.append(_compare(workload, gmlake=gmlake))
-    return rows
+def grid(base: ExperimentSpec, *axes: Axis, jobs: Optional[int] = None):
+    """Run ``base`` × ``axes`` through :func:`run_sweep` (``jobs`` as
+    there: results are identical at any value).
+
+    Returns nested dicts, one level per axis in axis order, keyed by
+    axis keys; each leaf is one point's results, one
+    :class:`~repro.api.ExperimentResult` per allocator.  With no axes
+    the base's own result list comes back.  Later axes override
+    earlier ones on a shared field.
+    """
+    cells = list(product(*(axis.items() for axis in axes)))
+    points = [point(base, {field: value
+                           for _, overrides in cell
+                           for field, value in overrides.items()})
+              for cell in cells]
+    results = run_sweep(points, jobs=jobs)
+    if not axes:
+        return results[0]
+    out: Dict[Hashable, Any] = {}
+    for cell, result in zip(cells, results):
+        node = out
+        for key, _ in cell[:-1]:
+            node = node.setdefault(key, {})
+        node[cell[-1][0]] = result
+    return out
 
 
-def platform_sweep(
-    cells: Sequence[tuple] = (
-        (Platform.FSDP, "glm-10b", 8),
-        (Platform.DEEPSPEED, "opt-13b", 8),
-        (Platform.COLOSSALAI, "gpt-2", 16),
-    ),
-    n_gpus: int = 4,
-    strategies: str = "LR",
-    iterations: int = DEFAULT_ITERATIONS,
-    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
-) -> List[ComparisonRow]:
-    """Figure 12: platforms (FSDP-GLM-10B, DS-OPT-13B, CAI-GPT-2)."""
-    rows = []
-    for platform, model, batch in cells:
-        workload = TrainingWorkload(
-            model, batch_size=batch, n_gpus=n_gpus,
-            strategies=strategies, platform=platform, iterations=iterations,
-        )
-        rows.append(_compare(workload, gmlake=gmlake))
-    return rows
-
-
-def batch_sweep(
-    model: str,
-    batch_sizes: Sequence[int],
-    n_gpus: int = 4,
-    strategies: str = "LR",
-    iterations: int = DEFAULT_ITERATIONS,
-    gmlake: Union[SpecLike, AllocatorFactory] = "gmlake",
-    capacity: int = A100_80GB,
-) -> List[ComparisonRow]:
-    """Figure 13: end-to-end batch-size sweep with OOM detection."""
-    rows = []
-    for batch in batch_sizes:
-        workload = TrainingWorkload(
-            model, batch_size=batch, n_gpus=n_gpus,
-            strategies=strategies, iterations=iterations,
-        )
-        rows.append(_compare(workload, capacity=capacity))
-    return rows
+def comparison(results: Sequence[ExperimentResult]) -> ComparisonRow:
+    """A replay point run under (baseline, GMLake), as one row."""
+    baseline, gmlake = (result.raw for result in results)
+    return compare_results(baseline.meta["label"], baseline, gmlake)
 
 
 def first_oom_batch(

@@ -1,9 +1,9 @@
 """Serving-summary tables for the online serving simulator.
 
 Renders :class:`~repro.serve.metrics.ServingReport` populations the
-same way the training benches render :class:`EngineResult` grids, so
-`python -m repro serve` output and ``bench_ext_online_serving``
-snippets look identical.
+same way the training artefacts render :class:`EngineResult` grids,
+so `python -m repro serve` output and the ``ext-online-serving``
+artefact's table look identical.
 """
 
 from __future__ import annotations

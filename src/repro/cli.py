@@ -52,12 +52,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis import format_table
-from repro.analysis.experiments import (
-    batch_sweep,
-    scaleout_sweep,
-    strategy_sweep,
-)
+from repro.analysis import along, comparison, format_table, grid
 from repro.analysis.observability import format_gauges
 from repro.analysis.serving import format_serving_summary, format_tenant_summary
 from repro.api import (
@@ -66,6 +61,7 @@ from repro.api import (
     ExperimentSpec,
     ServingSpec,
     SpecError,
+    WorkloadSpec,
     component_kinds,
     component_names,
     expand_spec_points,
@@ -82,7 +78,7 @@ from repro.obs import sink_spec_for_path
 import repro.serve  # noqa: F401  (registers the serving component kinds)
 from repro.sim.engine import run_trace, run_workload
 from repro.units import GB, MB, parse_size
-from repro.workloads import MODELS, TrainingWorkload
+from repro.workloads import MODELS
 from repro.workloads.traceio import load_trace, save_trace
 
 
@@ -101,9 +97,9 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _workload_from(args: argparse.Namespace) -> TrainingWorkload:
-    return TrainingWorkload(
-        args.model, batch_size=args.batch, n_gpus=args.gpus,
+def _workload_from(args: argparse.Namespace) -> WorkloadSpec:
+    return WorkloadSpec(
+        model=args.model, batch_size=args.batch, n_gpus=args.gpus,
         strategies=args.strategies, platform=args.platform,
         iterations=args.iterations, seed=args.seed,
     )
@@ -137,7 +133,7 @@ def _run_spec_file(path: str) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.spec:
         return _run_spec_file(args.spec)
-    workload = _workload_from(args)
+    workload = _workload_from(args).build()
     rows = []
     for spec in _parse_spec_list(args.allocators):
         result = run_workload(workload, spec, capacity=args.capacity)
@@ -197,35 +193,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _run_spec_file(args.spec)
 
 
+#: ``sweep --axis`` -> (workload field, default values, value parser).
+_SWEEP_AXES = {
+    "strategies": ("strategies", "N,R,LR,RO,LRO", str),
+    "gpus": ("n_gpus", "1,2,4,8,16", int),
+    "batch": ("batch_size", "4,8,16,32", int),
+}
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = None
-    if args.values and args.axis != "strategies":
-        values = [int(v) for v in args.values.split(",")]
-    if args.axis == "strategies":
-        combos = args.values.split(",") if args.values else (
-            "N", "R", "LR", "RO", "LRO")
-        rows = strategy_sweep(args.model, batch_size=args.batch,
-                              combos=combos, n_gpus=args.gpus,
-                              iterations=args.iterations)
-        key = "strategies"
-    elif args.axis == "gpus":
-        rows = scaleout_sweep(args.model, batch_size=args.batch,
-                              gpu_counts=values or (1, 2, 4, 8, 16),
-                              strategies=args.strategies,
-                              iterations=args.iterations)
-        key = "n_gpus"
-    elif args.axis == "batch":
-        rows = batch_sweep(args.model, batch_sizes=values or (4, 8, 16, 32),
-                           n_gpus=args.gpus, strategies=args.strategies,
-                           iterations=args.iterations)
-        key = "batch_size"
-    else:
-        print(f"unknown sweep axis {args.axis!r}", file=sys.stderr)
-        return 2
+    field, default, parse = _SWEEP_AXES[args.axis]
+    values = [parse(v) for v in (args.values or default).split(",")]
+    # Every point is the flags' workload with only the axis field
+    # replaced, so --platform / --seed reach every run.
+    cells = grid(ExperimentSpec(workload=_workload_from(args)),
+                 along(field, values))
     table = []
-    for row in rows:
+    for results in cells.values():
+        row = comparison(results)
         table.append({
-            args.axis: row.baseline.meta[key],
+            args.axis: row.baseline.meta[field],
             "UR caching": round(row.baseline.utilization_ratio, 3),
             "UR gmlake": round(row.gmlake.utilization_ratio, 3),
             "RM caching (GB)": round(row.baseline.peak_reserved_gb, 2),
@@ -238,8 +225,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    workload = _workload_from(args)
-    trace = workload.build_trace()
+    trace = _workload_from(args).build().build_trace()
     trace.validate()
     save_trace(trace, args.out)
     stats = trace.stats()
@@ -549,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one workload axis")
     _add_workload_args(p)
-    p.add_argument("--axis", choices=("strategies", "gpus", "batch"),
-                   required=True)
+    p.add_argument("--axis", choices=tuple(_SWEEP_AXES), required=True)
     p.add_argument("--values", default="",
                    help="comma list of axis values (defaults per axis)")
     p.set_defaults(func=cmd_sweep)

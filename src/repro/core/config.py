@@ -1,7 +1,7 @@
 """GMLake configuration knobs.
 
 Defaults follow §3–§4 of the paper; every knob is swept by an ablation
-bench (``benchmarks/bench_ablation_*.py``).
+artefact (the ``ablation-*`` ids in ``benchmarks/paper_artefacts.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class GMLakeConfig:
         only coalescing mechanism GMLake has: with a large limit, split
         remainders below the limit become permanently unusable and
         reserved memory leaks a little every iteration (demonstrated by
-        ``benchmarks/bench_ablation_fragmentation_limit.py``).  The
+        the ``ablation-fragmentation-limit`` paper artefact).  The
         paper can afford 128 MB because its real traces allocate
         multi-GB blocks; the knob is kept for the ablation.
     max_spool_blocks:

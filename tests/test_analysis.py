@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.analysis import format_table, summarize
-from repro.analysis.experiments import (
-    batch_sweep,
-    first_oom_batch,
-    scaleout_sweep,
-    strategy_sweep,
-)
+from repro.analysis import along, comparison, format_table, grid, summarize
+from repro.analysis.experiments import first_oom_batch, point
 from repro.analysis.tables import format_kv
+from repro.api import ExperimentSpec, ServingSpec, WorkloadSpec
 from repro.sim.engine import EngineResult
 from repro.sim.metrics import ComparisonRow
 from repro.units import GB
@@ -102,24 +98,64 @@ class TestFirstOom:
         assert first_oom_batch(rows, "gmlake") is None
 
 
+def small_replay(**workload) -> ExperimentSpec:
+    return ExperimentSpec(workload=WorkloadSpec("opt-1.3b", 2, **workload))
+
+
+class TestGrid:
+    """The one grid helper: points, keys and the merge order."""
+
+    def test_point_sets_spec_and_block_fields(self):
+        spec = point(small_replay(), {"capacity": "8GB", "n_gpus": 2})
+        assert spec.capacity == 8 << 30 and spec.workload.n_gpus == 2
+        serve = ExperimentSpec(mode="serve", serving=ServingSpec())
+        assert point(serve, {"rate_per_s": 4.0}).serving.rate_per_s == 4.0
+
+    def test_results_nest_one_level_per_axis_in_axis_order(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            "repro.analysis.experiments.run_sweep",
+            lambda points, jobs: seen.extend(points) or list(range(len(points))))
+        cells = grid(small_replay(), along("strategies", ("N", "LR")),
+                     {"one": {"n_gpus": 1}, "four": {"n_gpus": 4}})
+        assert cells == {"N": {"one": 0, "four": 1}, "LR": {"one": 2, "four": 3}}
+        assert [(p.workload.strategies, p.workload.n_gpus) for p in seen] == [
+            ("N", 1), ("N", 4), ("LR", 1), ("LR", 4)]
+        assert grid(small_replay(), jobs=1) == 0
+
+    def test_a_non_default_gmlake_spec_is_run(self):
+        """A grid runs the GMLake spec it names, not the default one."""
+        def gmlake_reserved(gmlake):
+            base = ExperimentSpec(allocators=("caching", gmlake),
+                                  workload=WorkloadSpec("opt-1.3b", 2,
+                                                        iterations=2))
+            cells = grid(base, along("batch_size", (1, 2)), jobs=1)
+            return [comparison(results).gmlake.peak_reserved_bytes
+                    for results in cells.values()]
+
+        assert gmlake_reserved("gmlake?chunk_mb=256") != gmlake_reserved("gmlake")
+
+
 class TestSweepsSmoke:
-    """Fast, small-model sweeps exercising the experiment runners."""
+    """Fast, small-model grids in the shape of the paper's sweeps."""
 
     def test_strategy_sweep_shapes(self):
-        rows = strategy_sweep("opt-1.3b", batch_size=2, combos=("N", "LR"),
-                              iterations=4)
-        assert len(rows) == 2
-        for row in rows:
+        cells = grid(small_replay(iterations=4),
+                     along("strategies", ("N", "LR")), jobs=1)
+        assert list(cells) == ["N", "LR"]
+        for results in cells.values():
+            row = comparison(results)
             assert row.gmlake.utilization_ratio >= row.baseline.utilization_ratio - 0.02
 
     def test_scaleout_sweep_runs(self):
-        rows = scaleout_sweep("opt-1.3b", batch_size=2, gpu_counts=(1, 4),
-                              iterations=4)
-        assert len(rows) == 2
-        assert rows[1].baseline.meta["n_gpus"] == 4
+        cells = grid(small_replay(iterations=4), along("n_gpus", (1, 4)),
+                     jobs=1)
+        assert len(cells) == 2
+        assert comparison(cells[4]).baseline.meta["n_gpus"] == 4
 
     def test_batch_sweep_detects_oom(self):
-        rows = batch_sweep("opt-1.3b", batch_sizes=(1, 4096), n_gpus=4,
-                           iterations=3)
-        assert not rows[0].baseline.oom
-        assert rows[1].baseline.oom and rows[1].gmlake.oom
+        cells = grid(small_replay(iterations=3),
+                     along("batch_size", (1, 4096)), jobs=1)
+        small, huge = (comparison(cells[b]) for b in (1, 4096))
+        assert not small.baseline.oom
+        assert huge.baseline.oom and huge.gmlake.oom

@@ -7,18 +7,22 @@ enough for CI.
 
 import pytest
 
-from repro.analysis.experiments import (
-    batch_sweep,
-    first_oom_batch,
-    scaleout_sweep,
-    strategy_sweep,
-)
+from repro.analysis import along, comparison, grid
+from repro.analysis.experiments import first_oom_batch
+from repro.api import ExperimentSpec, WorkloadSpec
 from repro.core import GMLakeAllocator
 from repro.core.bestfit import FitState
 from repro.gpu.device import GpuDevice
 from repro.sim import run_trace, run_workload
-from repro.units import GB, MB
+from repro.units import A100_80GB, GB, MB
 from repro.workloads import TrainingWorkload
+
+
+def sweep(*axes, capacity=A100_80GB, **workload):
+    """Baseline-vs-GMLake rows over an opt-1.3b grid, in axis order."""
+    base = ExperimentSpec(capacity=capacity,
+                          workload=WorkloadSpec("opt-1.3b", **workload))
+    return [comparison(results) for results in grid(base, *axes).values()]
 
 
 class TestObservation1Strategies:
@@ -27,7 +31,8 @@ class TestObservation1Strategies:
 
     @pytest.fixture(scope="class")
     def rows(self):
-        return strategy_sweep("opt-1.3b", batch_size=8, iterations=8)
+        return sweep(along("strategies", ("N", "R", "LR", "RO", "LRO")),
+                     batch_size=8)
 
     def test_plain_training_barely_fragments(self, rows):
         plain = rows[0]
@@ -60,8 +65,7 @@ class TestObservation2Scaleout:
 
     @pytest.fixture(scope="class")
     def rows(self):
-        return scaleout_sweep("opt-1.3b", batch_size=8,
-                              gpu_counts=(1, 4, 16), iterations=8)
+        return sweep(along("n_gpus", (1, 4, 16)), batch_size=8)
 
     def test_baseline_declines_with_gpus(self, rows):
         utils = [row.baseline.utilization_ratio for row in rows]
@@ -80,10 +84,8 @@ class TestFigure13BatchScaling:
     """GMLake sustains strictly larger batches before OOM."""
 
     def test_gmlake_survives_longer(self):
-        rows = batch_sweep(
-            "opt-1.3b", batch_sizes=(8, 16, 24, 32, 40), n_gpus=4,
-            iterations=5, capacity=8 * GB,
-        )
+        rows = sweep(along("batch_size", (8, 16, 24, 32, 40)),
+                     iterations=5, capacity=8 * GB)
         oom_base = first_oom_batch(rows, "baseline")
         oom_gml = first_oom_batch(rows, "gmlake")
         assert oom_base is not None

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+from repro.analysis import along, comparison, grid
+from repro.api import ExperimentSpec, WorkloadSpec
 from repro.cli import _serve_spec_from, build_parser, main
 from repro.units import MB
 from repro.workloads import TrainingWorkload
@@ -107,13 +109,44 @@ class TestCli:
         out = capsys.readouterr().out
         assert "gmlake" in out and "caching" in out
 
+    @staticmethod
+    def _sweep(capsys, *flags):
+        """`repro sweep` over ``flags`` as {axis value: (UR caching,
+        UR gmlake, RM caching, RM gmlake)} table cells."""
+        assert main(["sweep", "--model", "opt-1.3b", "--batch", "2",
+                     "--iterations", "2", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = [[c.strip() for c in line.split("|")] for line in lines[3:]]
+        return {row[0]: tuple(float(c) for c in row[1:5]) for row in cells}
+
+    @staticmethod
+    def _grid(field, values, **workload):
+        """The same cells from the grid helper run directly."""
+        base = ExperimentSpec(workload=WorkloadSpec(
+            "opt-1.3b", 2, iterations=2, **workload))
+        out = {}
+        for key, results in grid(base, along(field, values), jobs=1).items():
+            row = comparison(results)
+            out[str(key)] = (
+                round(row.baseline.utilization_ratio, 3),
+                round(row.gmlake.utilization_ratio, 3),
+                round(row.baseline.peak_reserved_gb, 2),
+                round(row.gmlake.peak_reserved_gb, 2))
+        return out
+
     def test_sweep_strategies(self, capsys):
-        code = main(["sweep", "--axis", "strategies", "--model", "opt-1.3b",
-                     "--batch", "2", "--gpus", "1", "--values", "N,R",
-                     "--iterations", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "UR gmlake" in out
+        table = self._sweep(capsys, "--axis", "strategies", "--gpus", "1",
+                            "--values", "N,R")
+        assert table == self._grid("strategies", ("N", "R"), n_gpus=1)
+
+    def test_sweep_honours_platform(self, capsys):
+        """Every point is the flags' workload with only the axis field
+        replaced: --platform reaches the runs."""
+        flags = ("--axis", "gpus", "--values", "1,2")
+        deepspeed = self._sweep(capsys, *flags)
+        fsdp = self._sweep(capsys, *flags, "--platform", "fsdp")
+        assert fsdp != deepspeed
+        assert fsdp == self._grid("n_gpus", (1, 2), platform="fsdp")
 
     def test_trace_and_replay(self, tmp_path, capsys):
         out_path = str(tmp_path / "t.jsonl")
