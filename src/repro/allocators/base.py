@@ -63,6 +63,18 @@ class AllocatorObserver:
     fire *after* the allocator's bookkeeping, so ``allocator.stats()``
     seen from a hook is consistent with the event.
 
+    Inside a run operation (``malloc_run``, ``free_run``,
+    ``malloc_free``) the hooks fire at the points the defining single
+    calls fire them, and see ``stats()``, ``live_allocation_count`` and
+    the clock exactly as those calls leave them.  The free pools may be
+    mid-shortcut: a ``malloc_free`` that the cache serves fires
+    ``on_alloc`` with its block still pooled and unsplit, so a report of
+    the free blocks (:func:`repro.analysis.report_for`) built inside one
+    is not the loop's.  :class:`repro.analysis.PeakMemoryObserver`
+    is still exact once it has seen an event: it builds a report only
+    when ``reserved_bytes`` passes its peak, and a cached hit never
+    grows ``reserved_bytes`` (attach it before the first malloc).
+
     In-tree subscribers: :class:`repro.sim.timeline.TimelineRecorder`
     (per-event memory timelines),
     :class:`repro.analysis.PeakMemoryObserver` (peak breakdowns) and
@@ -215,6 +227,37 @@ class BaseAllocator(ABC):
         reserved = self.reserved_bytes
         if reserved > self.peak_reserved_bytes:
             self.peak_reserved_bytes = reserved
+
+    def _transient_hit(self, cache: "BaseAllocator", ptr: int, size: int,
+                       rounded: int) -> None:
+        """What ``malloc(size)`` and then ``free`` leave when ``cache``'s
+        best-fit block at ``ptr`` serves the malloc and the free gives
+        it straight back, minus the free-pool updates that cancel.
+
+        ``cache`` is this allocator, or the caching allocator it
+        delegates to (which then spends the host time and counts its
+        own pair, as it does inside the two calls).  Observers see the
+        two calls' hooks at their points: clock, live table and stats
+        as the calls leave them; only the free pools are not.
+        """
+        us = self.device.latency.cached_op_us
+        if not self._observers:
+            cache._spend_host_time(us)  # the malloc
+            cache._spend_host_time(us)  # the free
+            self._issue_and_claim(rounded)
+        else:
+            cache._spend_host_time(us)
+            alloc = self._issue(ptr, size, rounded)
+            for observer in self._observers:
+                observer.on_alloc(self, alloc)
+            self._claim(alloc)
+            cache._spend_host_time(us)
+            self._counters.free_count += 1
+            self.active_bytes -= rounded
+            for observer in self._observers:
+                observer.on_free(self, alloc)
+        if cache is not self:
+            cache._issue_and_claim(rounded)
 
     def empty_cache(self) -> None:
         """Release every cached (unused) physical byte back to the device."""

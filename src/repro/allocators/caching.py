@@ -204,20 +204,30 @@ class CachingAllocator(BaseAllocator):
         splits off a free remainder beside it, and the free merges
         that remainder straight back: the same ``Block`` with the same
         size and links, the pools and every index as they were.  What
-        the pair leaves is its two host-time spends and the counters.
-        With no cached fit (a new segment, OOM, release-and-retry) the
-        base class's two calls run.
+        the pair leaves is :meth:`_transient_hit`'s: its two host-time
+        spends, the counters and, observed, both hooks.  With no cached
+        fit (a new segment, OOM, release-and-retry) the base class's
+        two calls run.
         """
-        if not self._observers and size > 0:
-            rounded = round_size(size)
-            pool = self._free_pools[pool_for(rounded)]
-            if pool.first_at_least((rounded, 0)) is not None:
-                us = self.device.latency.cached_op_us
-                self._spend_host_time(us)  # the malloc
-                self._spend_host_time(us)  # the free
-                self._issue_and_claim(rounded)
+        if size > 0:
+            rounded = self._cached_transient(self, size)
+            if rounded is not None:
                 return rounded
         return super().malloc_free(size)
+
+    def _cached_transient(self, owner: BaseAllocator,
+                          size: int) -> Optional[int]:
+        """``owner``'s ``malloc_free(size)`` (``size > 0``) when this
+        allocator's best fit serves it: the rounded size, or ``None``
+        with nothing done when no cached block fits.  ``owner`` is this
+        allocator or one that delegates its small requests here."""
+        rounded = round_size(size)
+        block = self._free_pools[pool_for(rounded)].first_at_least(
+            (rounded, 0))
+        if block is None:
+            return None
+        owner._transient_hit(self, block.ptr, size, rounded)
+        return rounded
 
     def _carve(self, pool: str, rounded: int, want: int) -> List[Block]:
         """Up to ``want`` back-to-back mallocs of ``rounded`` bytes, as

@@ -97,15 +97,16 @@ class GMLakeAllocator(BaseAllocator):
                 raise self._oom(rounded) from None
 
     def malloc_free(self, size: int) -> int:
-        """The base class's pair; below the chunk size with nobody
-        observing, the small pool's own pair (its OOM propagates with
-        no reclaim, as from ``malloc``) and this allocator's counters.
-        A transient of a chunk or more keeps the two calls."""
-        if self._observers or not 0 < size < self.config.small_threshold:
-            return super().malloc_free(size)
-        rounded = self._small.malloc_free(size)
-        self._issue_and_claim(rounded)  # reads reserved_bytes afterwards
-        return rounded
+        """The base class's pair; below the chunk size, when the small
+        pool's cache serves it, that pool's shortcut with this
+        allocator's hooks and counters.  A miss (its OOM propagates
+        with no reclaim, as from ``malloc``) or a transient of a chunk
+        or more keeps the two calls."""
+        if 0 < size < self.config.small_threshold:
+            rounded = self._small._inner._cached_transient(self, size)
+            if rounded is not None:
+                return rounded
+        return super().malloc_free(size)
 
     def _malloc_large(self, rounded: int) -> "tuple[int, int]":
         # Fast path: exact match by sorted lookup — the converged steady

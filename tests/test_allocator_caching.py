@@ -18,8 +18,11 @@ from repro.allocators.caching import (
     segment_size_for,
     should_split,
 )
+from repro.analysis import PeakMemoryObserver
 from repro.errors import AllocatorError, DoubleFreeError, OutOfMemoryError
 from repro.gpu.device import GpuDevice
+from repro.obs import AllocatorTraceObserver, TraceRecorder
+from repro.sim.engine import ReplaySession
 from repro.sim.timeline import TimelineRecorder
 from repro.units import GB, KB, MB
 
@@ -241,6 +244,24 @@ def snapshot(allocator):
     }
 
 
+class Watched:
+    """The three in-tree observers on one allocator, each at its finest
+    grain: every event sampled, every reserved-peak step reported."""
+
+    def __init__(self, allocator):
+        self.timeline = allocator.add_observer(
+            TimelineRecorder(allocator, every=1))
+        self.peak = allocator.add_observer(PeakMemoryObserver(min_growth=0))
+        self.trace = TraceRecorder()
+        allocator.add_observer(AllocatorTraceObserver(
+            self.trace, ReplaySession(allocator), every=1))
+
+    def seen(self):
+        """Everything the observers recorded, compared by ``==``."""
+        return (self.timeline.points, self.peak.at_peak, self.peak.at_oom,
+                self.trace.events)
+
+
 class Twins:
     """A batched allocator and its loop oracle on twin devices; every
     operation goes to both and the states must match afterwards."""
@@ -248,18 +269,16 @@ class Twins:
     def __init__(self, capacity, observed=False, batched=CachingAllocator):
         self.batched = batched(GpuDevice(capacity=capacity))
         self.oracle = LoopCaching(GpuDevice(capacity=capacity))
-        self.recorders = None
+        self.watchers = None
         if observed:
-            self.recorders = [
-                a.add_observer(TimelineRecorder(a, every=1))
-                for a in (self.batched, self.oracle)]
+            self.watchers = [Watched(a) for a in (self.batched, self.oracle)]
         self.live = []  # allocations, equal on both sides
 
     def check(self):
         assert snapshot(self.batched) == snapshot(self.oracle)
         self.batched.check_invariants()
-        if self.recorders is not None:
-            assert self.recorders[0].points == self.recorders[1].points
+        if self.watchers is not None:
+            assert self.watchers[0].seen() == self.watchers[1].seen()
 
     def both(self, op):
         results = []
@@ -429,7 +448,7 @@ class TestRunsMatchTheLoop:
         twins.free_run(reversed(run))
         twins.empty_cache()
         # alloc x 12, oom, free x 12, empty_cache
-        assert len(twins.recorders[0].points) == 26
+        assert len(twins.watchers[0].timeline.points) == 26
 
 
 class TestTransientMatchesThePair:
@@ -509,16 +528,18 @@ class TestTransientMatchesThePair:
             before.malloc_count, before.free_count, 12 * MB)
         assert twins.batched.live_allocation_count == 1
         if observed:  # malloc, free, malloc, then the on_oom sample
-            assert len(twins.recorders[0].points) == 4
+            assert len(twins.watchers[0].timeline.points) == 4
 
-    def test_observed_allocator_takes_the_loop(self):
+    def test_observed_allocator_takes_the_shortcut(self):
+        # `Twins.check` compares what the observers on each side saw.
         twins = Twins(64 * MB, observed=True)
         twins.malloc(100 * KB)
-        assert twins.malloc_free(64 * KB) == ("ok", False)
-        alloc, free = twins.recorders[0].points[-2:]
+        assert twins.malloc_free(64 * KB) == ("ok", True)
+        alloc, free = twins.watchers[0].timeline.points[-2:]
         # on_alloc sees the workspace live, one cached op before on_free.
         assert (alloc.active_bytes, free.active_bytes) == (164 * KB, 100 * KB)
         assert alloc.time_s < free.time_s
+        assert len(twins.watchers[0].trace.events) == 3
 
     @pytest.mark.parametrize("size", [0, -4096])
     def test_non_positive_size_is_rejected_like_malloc(self, size):

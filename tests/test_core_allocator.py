@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.allocators import CachingAllocator
 from repro.allocators.base import BaseAllocator
 from repro.core import GMLakeAllocator, GMLakeConfig
 from repro.core.bestfit import FitState
 from repro.core.smallpool import SmallPool
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
-from repro.sim.timeline import TimelineRecorder
 from repro.units import GB, KB, MB
+
+from test_allocator_caching import Watched
 
 
 @pytest.fixture
@@ -401,9 +403,9 @@ class TestExactMatchTouchesNoPoolOrder:
 
 
 class TestTransient:
-    """``malloc_free``: below the chunk size the small pool's pair and
-    GMLake's counters, otherwise ``BaseAllocator``'s two calls — the
-    twin runs those two calls for every size."""
+    """``malloc_free``: below the chunk size the small pool's shortcut
+    with GMLake's hooks and counters, otherwise ``BaseAllocator``'s two
+    calls — the twin runs those two calls for every size."""
 
     @pytest.fixture
     def twins(self):
@@ -421,13 +423,20 @@ class TestTransient:
                 allocator._tick, allocator.state_histogram())
 
     @staticmethod
-    def small_pool_calls(monkeypatch):
-        calls = []
-        original = SmallPool.malloc_free
-        monkeypatch.setattr(
-            SmallPool, "malloc_free",
-            lambda self, size: calls.append(size) or original(self, size))
-        return calls
+    def served_by_small_pool(monkeypatch):
+        """The sizes of the transients the small pool's cache serves."""
+        served = []
+        original = CachingAllocator._cached_transient
+
+        def cached_transient(self, owner, size):
+            rounded = original(self, owner, size)
+            if rounded is not None:
+                served.append(size)
+            return rounded
+
+        monkeypatch.setattr(CachingAllocator, "_cached_transient",
+                            cached_transient)
+        return served
 
     @pytest.mark.parametrize("size", [
         300, 64 * KB, 1 * MB, 1 * MB + 1, 2 * MB - 1,  # the small pool's
@@ -444,7 +453,7 @@ class TestTransient:
                                                          monkeypatch):
         gml.malloc(100 * KB)
         gml.free(gml.malloc(10 * MB))
-        calls = self.small_pool_calls(monkeypatch)
+        served = self.served_by_small_pool(monkeypatch)
 
         def structures():
             return (dict(gml._small._by_ptr), list(gml.ppool),
@@ -453,7 +462,7 @@ class TestTransient:
 
         before = structures()
         assert gml.malloc_free(64 * KB) == 64 * KB
-        assert calls == [64 * KB]
+        assert served == [64 * KB]
         assert structures() == before
         assert gml.stats().malloc_count == gml.stats().free_count + 1 == 3
 
@@ -464,17 +473,23 @@ class TestTransient:
 
     def test_chunk_sized_transient_takes_the_two_calls(self, gml,
                                                        monkeypatch):
-        calls = self.small_pool_calls(monkeypatch)
+        served = self.served_by_small_pool(monkeypatch)
         assert gml.malloc_free(2 * MB) == 2 * MB
-        assert calls == [] and gml._tick == 2
+        assert served == [] and gml._tick == 2
         assert hits(gml, FitState.INSUFFICIENT_BLOCKS) == 1
 
-    def test_observed_transient_takes_the_two_calls(self, gml, monkeypatch):
-        calls = self.small_pool_calls(monkeypatch)
-        recorder = gml.add_observer(TimelineRecorder(gml, every=1))
-        gml.malloc_free(64 * KB)
-        assert calls == []
-        assert [p.active_bytes for p in recorder.points] == [64 * KB, 0]
+    def test_observed_transient_takes_the_small_pool(self, twins,
+                                                     monkeypatch):
+        gml, loop = twins
+        watched = [Watched(allocator) for allocator in twins]
+        served = self.served_by_small_pool(monkeypatch)
+        rounded = gml.malloc_free(64 * KB)
+        assert rounded == BaseAllocator.malloc_free(loop, 64 * KB)
+        assert served == [64 * KB]
+        assert self.ledger(gml) == self.ledger(loop)
+        assert watched[0].seen() == watched[1].seen()
+        assert [p.active_bytes for p in watched[0].timeline.points] == [
+            164 * KB, 100 * KB]
 
     def test_small_pool_oom_does_not_reclaim(self, monkeypatch):
         pair = [GMLakeAllocator(GpuDevice(capacity=4 * MB)) for _ in range(2)]

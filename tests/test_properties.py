@@ -10,6 +10,7 @@ from repro.api import component_names, resolve
 from repro.core import GMLakeAllocator, GMLakeConfig
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
+from repro.sim.timeline import TimelineRecorder
 from repro.units import GB, KB, MB
 
 # Each step is (is_alloc, size_selector, free_index_selector).
@@ -332,33 +333,62 @@ class TestEveryRegisteredAllocator:
     @pytest.mark.parametrize("name", component_names("allocator"))
     @given(capacity_mb=st.sampled_from([64, 128, 256]), ops=OPS)
     def test_invariants_and_runs_under_pressure(self, name, capacity_mb, ops):
-        def build():
-            return resolve("allocator", name,
-                           GpuDevice(capacity=capacity_mb * MB))
+        _fuzz(name, capacity_mb, ops, observed=False)
 
-        allocator, live = build(), []
-        cls = type(allocator)
-        # An allocator with run operations of its own gets a twin that
-        # is driven by the loops of single calls that *define* them.
-        twin, twin_live = None, []
-        if any(getattr(cls, op) is not getattr(BaseAllocator, op)
-               for op in RUN_OPS):
-            twin = build()
-        freed = 0  # bytes the last free returned
-        for op, *args in ops:
-            if op == "malloc_to_fill":
-                op = "malloc"
-                args = [freed + allocator.device.free_memory + args[0]]
-            freed = _apply(op, args, allocator, live, cls) or freed
-            allocator.check_invariants()
-            if twin is not None:
-                _apply(op, args, twin, twin_live, BaseAllocator)
-                assert live == twin_live  # pointers, sizes and ids
-                assert allocator._next_id == twin._next_id
-                assert allocator.stats() == twin.stats()
-                assert (allocator.device.clock.now_us
-                        == twin.device.clock.now_us)
-        allocator.free_run(live)
-        allocator.empty_cache()
+    @pytest.mark.parametrize("name", component_names("allocator"))
+    @given(capacity_mb=st.sampled_from([64, 128, 256]), ops=OPS)
+    def test_observed_twin_sees_what_the_loop_shows(self, name, capacity_mb,
+                                                    ops):
+        """An observer does not send the run operations back to the
+        loop; it sees the loop's events, at the loop's state."""
+        _fuzz(name, capacity_mb, ops, observed=True)
+
+
+def _ledger(allocator):
+    """What a run operation and its loop must agree on, by ``==``: ids,
+    stats and clock of ``allocator`` and of every allocator it holds,
+    directly or one object down (a delegate's counters count too)."""
+    held = [allocator]
+    for value in vars(allocator).values():
+        for inner in (value, *getattr(value, "__dict__", {}).values()):
+            if isinstance(inner, BaseAllocator) and inner not in held:
+                held.append(inner)
+    return ([(a._next_id, a.stats()) for a in held],
+            allocator.device.clock.now_us)
+
+
+def _fuzz(name, capacity_mb, ops, observed):
+    """Drive ``ops`` on allocator ``name``, checking its invariants
+    after each, against a twin whose run operations are the loops of
+    single calls that *define* them.  Without observers the twin exists
+    only for an allocator with run operations of its own; observed,
+    both sides carry a ``TimelineRecorder`` sampling every event."""
+    def build():
+        return resolve("allocator", name, GpuDevice(capacity=capacity_mb * MB))
+
+    allocator, live = build(), []
+    cls = type(allocator)
+    twin, twin_live = None, []
+    if observed or any(getattr(cls, op) is not getattr(BaseAllocator, op)
+                       for op in RUN_OPS):
+        twin = build()
+    if observed:
+        recorders = [a.add_observer(TimelineRecorder(a, every=1))
+                     for a in (allocator, twin)]
+    freed = 0  # bytes the last free returned
+    for op, *args in ops:
+        if op == "malloc_to_fill":
+            op = "malloc"
+            args = [freed + allocator.device.free_memory + args[0]]
+        freed = _apply(op, args, allocator, live, cls) or freed
         allocator.check_invariants()
-        assert allocator.device.used_memory == 0
+        if twin is not None:
+            _apply(op, args, twin, twin_live, BaseAllocator)
+            assert live == twin_live  # pointers, sizes and ids
+            assert _ledger(allocator) == _ledger(twin)
+            if observed:
+                assert recorders[0].points == recorders[1].points
+    allocator.free_run(live)
+    allocator.empty_cache()
+    allocator.check_invariants()
+    assert allocator.device.used_memory == 0

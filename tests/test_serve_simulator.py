@@ -10,6 +10,7 @@ import pytest
 from repro.allocators import CachingAllocator
 from repro.allocators.base import BaseAllocator
 from repro.core import GMLakeAllocator
+from repro.obs import TraceRecorder
 from repro.serve import (
     PoissonArrivals,
     ReplayArrivals,
@@ -193,34 +194,52 @@ class TestPreemption:
 
 class TestStepWorkspaceIsTheTwoCalls:
     """The decode step's ``malloc_free`` against ``BaseAllocator``'s
-    malloc-then-free: same requests, same allocator, same clock."""
+    malloc-then-free: same requests, same allocator, same clock and,
+    traced, the same trace."""
 
     @staticmethod
-    def _serve(allocator, kv_cache, headroom):
+    def _serve(allocator, kv_cache, headroom, n, rate, trace=None):
         model = get_model("opt-1.3b")
         simulator = ServingSimulator(
             model, allocator=allocator, kv_cache=kv_cache,
             capacity=model.weight_bytes + headroom, scheduler="fcfs",
-            config=ServingConfig(max_batch=8, queue_timeout_s=600.0))
-        result = simulator.run(light_stream(n=30, rate=8.0, seed=5))
+            config=ServingConfig(max_batch=8, queue_timeout_s=600.0),
+            trace=trace)
+        result = simulator.run(light_stream(n=n, rate=rate, seed=5))
         lifecycles = [
             (r.req_id, r.state, r.tokens_done, r.preemptions, r.admitted_s,
              r.first_token_s, r.finished_s) for r in result.requests]
         return (lifecycles, result.stats, simulator.device.clock.now_us,
                 result.preemptions)
 
-    # Headroom tight enough to preempt (some workspaces find no cached
-    # fit), loose enough that a step's workspace sets the active peak.
+    @staticmethod
+    def _patch_back(monkeypatch):
+        for cls in (GMLakeAllocator, CachingAllocator):
+            monkeypatch.setattr(cls, "malloc_free", BaseAllocator.malloc_free)
+
+    # Each stream preempts (some workspaces find no cached fit), and a
+    # workspace the cache serves sets the active peak: a shortcut that
+    # skips the peak's ratchet changes `stats`.
+    GMLAKE = ("gmlake", "chunked", 700 * MB, 10, 4.0)
+
     @pytest.mark.parametrize("scenario", [
-        ("gmlake", "chunked", 700 * MB),
-        ("caching", "paged?block_tokens=16", 1500 * MB)],
+        GMLAKE, ("caching", "paged?block_tokens=16", 1500 * MB, 30, 8.0)],
         ids=["gmlake-chunked", "caching-paged"])
     def test_same_run_with_the_loop_patched_back(self, scenario, monkeypatch):
         fast = self._serve(*scenario)
         assert fast[-1] > 0
-        for cls in (GMLakeAllocator, CachingAllocator):
-            monkeypatch.setattr(cls, "malloc_free", BaseAllocator.malloc_free)
+        self._patch_back(monkeypatch)
         assert self._serve(*scenario) == fast
+
+    def test_same_trace_with_the_loop_patched_back(self, monkeypatch):
+        """An attached trace sees every workspace's alloc and free."""
+        def traced():
+            trace = TraceRecorder(memory_every=1)
+            return self._serve(*self.GMLAKE, trace=trace), trace.chrome_trace()
+
+        fast = traced()
+        self._patch_back(monkeypatch)
+        assert traced() == fast
 
 
 class TestConfigValidation:
