@@ -9,6 +9,15 @@ float microsecond count; experiments convert to seconds for reporting
 from __future__ import annotations
 
 
+def repeated_add(total: float, step: float, count: int) -> float:
+    """``total`` with ``step`` added ``count`` times, one float add at a
+    time: float addition is not associative, so this is not
+    ``total + count * step``."""
+    for _ in range(count):
+        total += step
+    return total
+
+
 class SimClock:
     """A monotonically advancing simulated clock.
 
@@ -43,6 +52,14 @@ class SimClock:
         if duration_us < 0:
             raise ValueError(f"cannot advance clock by {duration_us} us")
         self._now_us += duration_us
+        return self._now_us
+
+    def advance_many(self, duration_us: float, count: int) -> float:
+        """Advance the clock ``count`` times by ``duration_us`` and return
+        the new time, exactly as ``count`` calls of :meth:`advance`."""
+        if duration_us < 0:
+            raise ValueError(f"cannot advance clock by {duration_us} us")
+        self._now_us = repeated_add(self._now_us, duration_us, count)
         return self._now_us
 
     def reset(self) -> None:

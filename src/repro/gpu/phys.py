@@ -10,7 +10,7 @@ is what the paper's "reserved memory" metric measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import CudaInvalidValueError, CudaOutOfMemoryError
 from repro.units import fmt_bytes
@@ -101,9 +101,17 @@ class PhysicalMemory:
             raise CudaInvalidValueError(f"unknown or destroyed physical handle {handle}")
         return chunk
 
-    def retain(self, handle: int) -> None:
-        """Add a reference (called by the VMM layer on ``cuMemMap``)."""
-        self.get(handle).refcount += 1
+    def retain(self, *handles: int, size: Optional[int] = None) -> None:
+        """Add a reference to each of ``handles`` (called by the VMM layer
+        on ``cuMemMap``).  Either every handle is a live chunk, of
+        ``size`` bytes if given, and each gains one reference, or none
+        does."""
+        chunks = [self.get(handle) for handle in handles]
+        if size is not None and any(chunk.size != size for chunk in chunks):
+            raise CudaInvalidValueError(
+                f"expected {size}-byte chunks, got one of another size")
+        for chunk in chunks:
+            chunk.refcount += 1
 
     def release_ref(self, handle: int) -> None:
         """Drop one mapping reference; destroy the chunk at zero."""

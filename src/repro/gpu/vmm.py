@@ -18,25 +18,28 @@ Contracts enforced (matching the real driver):
   unmapped and the creation handle is released.
 * Mapped ranges must be made accessible with ``cuMemSetAccess`` before a
   tensor may use them.
+* An unmap takes whole mappings: a range whose ends cut one is refused.
 
 Every call advances the shared :class:`~repro.gpu.clock.SimClock` by the
 :class:`~repro.gpu.latency.LatencyModel` cost and bumps a counter, which
 is how end-to-end allocator overhead (Figures 11/13 throughput) and the
-Table 1 breakdown are measured.
+Table 1 breakdown are measured.  A run of calls over many chunks checks
+and prices them once, but still adds each call's latency on its own.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+import itertools
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import (
     CudaInvalidAddressError,
     CudaInvalidValueError,
     CudaOutOfMemoryError,
 )
-from repro.gpu.clock import SimClock
+from repro.gpu.clock import SimClock, repeated_add
 from repro.gpu.latency import LatencyModel
 from repro.gpu.phys import PhysicalMemory
 from repro.gpu.vaspace import VirtualAddressSpace
@@ -58,19 +61,10 @@ class VmmCounters:
 
     def snapshot(self) -> Dict[str, float]:
         """Plain-dict view for reporting."""
-        return {
-            "reserve_calls": self.reserve_calls,
-            "create_calls": self.create_calls,
-            "map_calls": self.map_calls,
-            "set_access_calls": self.set_access_calls,
-            "unmap_calls": self.unmap_calls,
-            "release_calls": self.release_calls,
-            "address_free_calls": self.address_free_calls,
-            "total_time_us": self.total_time_us,
-        }
+        return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Mapping:
     """One chunk mapped at ``offset`` within a reservation."""
 
@@ -97,9 +91,45 @@ class CudaVmm:
         self._mappings: Dict[int, List[_Mapping]] = {}
 
     # ------------------------------------------------------------------
-    def _spend(self, us: float) -> None:
-        self._clock.advance(us)
-        self.counters.total_time_us += us
+    def _spend(self, us: float, calls: int = 1) -> None:
+        # One float add per call on both accumulators, in call order.
+        self._clock.advance_many(us, calls)
+        self.counters.total_time_us = repeated_add(
+            self.counters.total_time_us, us, calls)
+
+    def _charge(self, cost: Callable[[int], float],
+                mappings: Sequence[_Mapping]) -> None:
+        """Spend ``cost(size)`` once per mapping, in table order."""
+        for size, run in itertools.groupby([m.size for m in mappings]):
+            self._spend(cost(size), len(list(run)))
+
+    def _table(self, va: int) -> List[_Mapping]:
+        maps = self._mappings.get(va)
+        if maps is None:
+            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        return maps
+
+    def _span(self, va: int, offset: int,
+              size: int) -> Tuple[List[_Mapping], int]:
+        """Check that ``[va+offset, va+offset+size)`` may be mapped;
+        returns the table and the index new mappings there go in."""
+        maps = self._table(va)
+        if size <= 0 or not self._va.contains(va, offset, size):
+            raise CudaInvalidAddressError(
+                f"map of {size} bytes at offset {offset} exceeds "
+                f"reservation at {va:#x}"
+            )
+        # The table is sorted by offset and overlap-free, so only the two
+        # neighbours of the insertion point can overlap; appending is the
+        # common case.
+        idx = len(maps)
+        if maps and maps[-1].offset + maps[-1].size > offset:
+            idx = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
+        if (idx and maps[idx - 1].offset + maps[idx - 1].size > offset) or (
+                idx < len(maps) and maps[idx].offset < offset + size):
+            raise CudaInvalidValueError(
+                f"overlapping map of {size} bytes at {va:#x}+{offset}")
+        return maps, idx
 
     # ------------------------------------------------------------------
     # Allocation family
@@ -133,71 +163,49 @@ class CudaVmm:
         reservation that starts at ``va`` and must not overlap an
         existing mapping in that reservation.
         """
-        chunk = self._phys.get(handle)
-        if va not in self._mappings:
-            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
-        if not self._va.contains(va, offset, chunk.size):
-            raise CudaInvalidAddressError(
-                f"map of {chunk.size} bytes at offset {offset} exceeds "
-                f"reservation at {va:#x}"
-            )
-        # The per-VA table is kept sorted by offset, so only the two
-        # neighbours of the insertion point can overlap — stitching a
-        # k-chunk sBlock is O(k) instead of O(k^2 log k): every caller
-        # maps chunks in ascending offset order, making the append
-        # fast path the common case.
-        maps = self._mappings[va]
-        last = maps[-1] if maps else None
-        if last is None or offset >= last.offset + last.size:
-            idx = len(maps)
-        else:
-            idx = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
-            for m in (maps[idx - 1] if idx else None,
-                      maps[idx] if idx < len(maps) else None):
-                if m is not None and (offset < m.offset + m.size
-                                      and m.offset < offset + chunk.size):
-                    raise CudaInvalidValueError(
-                        f"overlapping map at {va:#x}+{offset} "
-                        f"(existing mapping at +{m.offset})"
-                    )
-        self._spend(self._latency.mem_map(chunk.size))
-        self.counters.map_calls += 1
-        self._phys.retain(handle)
-        maps.insert(idx, _Mapping(offset=offset, size=chunk.size, handle=handle))
+        self._map(va, offset, (handle,), self._phys.get(handle).size)
+
+    def _map(self, va: int, offset: int, handles: Sequence[int],
+             chunk_size: int) -> List[_Mapping]:
+        """``cuMemMap`` each of ``handles`` (all ``chunk_size`` bytes) in
+        turn, back to back from ``va + offset``; returns the mappings."""
+        maps, idx = self._span(va, offset, len(handles) * chunk_size)
+        self._phys.retain(*handles, size=chunk_size)
+        self._spend(self._latency.mem_map(chunk_size), len(handles))
+        self.counters.map_calls += len(handles)
+        added = [_Mapping(offset + i * chunk_size, chunk_size, handle)
+                 for i, handle in enumerate(handles)]
+        maps[idx:idx] = added
+        return added
 
     def mem_set_access(self, va: int, offset: int, size: int) -> None:
         """Grant read/write access to ``[va+offset, va+offset+size)``.
 
         Every byte of the range must already be mapped.
         """
-        maps = self._mappings.get(va)
-        if maps is None:
-            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        maps = self._table(va)
         end = offset + size
-        cursor = offset
-        touched: List[_Mapping] = []
         # Binary-search the first mapping that can cover ``offset``; the
         # table is sorted by offset and overlap-free, so the covering
         # run (if any) is contiguous from there.
         idx = bisect.bisect_right(maps, offset, key=lambda m: m.offset)
         if idx and maps[idx - 1].offset + maps[idx - 1].size > offset:
             idx -= 1
-        while idx < len(maps) and maps[idx].offset < end:
-            m = maps[idx]
-            if m.offset > cursor:
-                break
-            touched.append(m)
-            cursor = m.offset + m.size
+        first, cursor = idx, offset
+        while idx < len(maps) and cursor >= maps[idx].offset < end:
+            cursor = maps[idx].offset + maps[idx].size
             idx += 1
-            if cursor >= end:
-                break
         if cursor < end:
             raise CudaInvalidAddressError(
                 f"setAccess range [{offset}, {end}) at {va:#x} is not fully mapped"
             )
-        for m in touched:
-            self._spend(self._latency.mem_set_access(m.size))
-            self.counters.set_access_calls += 1
+        self._grant(maps[first:idx])
+
+    def _grant(self, mappings: Sequence[_Mapping]) -> None:
+        """``cuMemSetAccess`` over each of ``mappings`` in turn."""
+        self._charge(self._latency.mem_set_access, mappings)
+        self.counters.set_access_calls += len(mappings)
+        for m in mappings:
             m.accessible = True
 
     # ------------------------------------------------------------------
@@ -211,63 +219,71 @@ class CudaVmm:
         order, then make the range accessible.  Returns the handles in
         address order; the caller holds their creation references.
 
-        If the device cannot commit a chunk, those made so far are
-        unmapped and released before :class:`CudaOutOfMemoryError`
-        propagates: the reservation is left as it was found.
+        A range the reservation refuses, outside it or over a mapping,
+        is refused before any chunk is created.  If the device cannot
+        commit a chunk, those made so far are unmapped and released
+        before :class:`CudaOutOfMemoryError` propagates: the reservation
+        is left as it was found.
         """
+        offsets = range(offset, offset + size, chunk_size)
+        if not offsets:  # no chunk to make: only the closing set-access
+            self.mem_set_access(va, offset, size)
+            return []
+        maps, idx = self._span(va, offset, len(offsets) * chunk_size)
+        map_us = self._latency.mem_map(chunk_size)
         handles: List[int] = []
         try:
-            for at in range(offset, offset + size, chunk_size):
-                handle = self.mem_create(chunk_size)
-                handles.append(handle)
-                self.mem_map(va, at, handle)
+            for i, at in enumerate(offsets):
+                handles.append(self.mem_create(chunk_size))
+                self._phys.retain(handles[-1])
+                self._spend(map_us)
+                self.counters.map_calls += 1
+                maps.insert(idx + i, _Mapping(at, chunk_size, handles[-1]))
         except CudaOutOfMemoryError:
-            # Only mem_create raises it, so every listed handle is mapped.
+            # Only creating a chunk raises it, so every listed handle is mapped.
             if handles:
                 self.mem_unmap(va, offset, len(handles) * chunk_size)
                 for handle in handles:
                     self.mem_release(handle)
             raise
-        self.mem_set_access(va, offset, size)
+        self._grant(maps[idx:idx + len(handles)])
         return handles
 
     def alias(self, handles: Sequence[int], chunk_size: int) -> int:
         """Reserve a fresh range and map the existing ``chunk_size``
         chunks ``handles`` into it back to back, accessible; returns
         its address.  No physical memory is created: each map adds a
-        reference, so a chunk outlives any single range over it."""
-        size = len(handles) * chunk_size
-        va = self.mem_address_reserve(size)
-        for i, handle in enumerate(handles):
-            self.mem_map(va, i * chunk_size, handle)
-        self.mem_set_access(va, 0, size)
+        reference, so a chunk outlives any single range over it.  A
+        handle that is not a live ``chunk_size`` chunk is refused before
+        any map."""
+        va = self.mem_address_reserve(len(handles) * chunk_size)
+        self._grant(self._map(va, 0, handles, chunk_size))
         return va
 
     # ------------------------------------------------------------------
     # Deallocation family
     # ------------------------------------------------------------------
     def mem_unmap(self, va: int, offset: int, size: int) -> None:
-        """Unmap every mapping fully contained in the given range."""
-        maps = self._mappings.get(va)
-        if maps is None:
-            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        """Unmap every mapping in the range, which must cut none."""
+        maps = self._table(va)
         end = offset + size
-        # Fully-contained mappings form one contiguous run in the
-        # sorted table: everything from the first mapping at or past
-        # ``offset`` while it still ends by ``end``.
+        # The mappings starting in the range are one run of the sorted
+        # table; only the one before it or its last can cross an end.
         lo = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
-        hi = lo
-        while hi < len(maps) and maps[hi].offset + maps[hi].size <= end:
-            hi += 1
+        hi = bisect.bisect_left(maps, end, lo=lo, key=lambda m: m.offset)
+        if (lo and maps[lo - 1].offset + maps[lo - 1].size > offset) or (
+                hi > lo and maps[hi - 1].offset + maps[hi - 1].size > end):
+            raise CudaInvalidValueError(
+                f"unmap range [{offset}, {end}) at {va:#x} cuts a mapping")
         removed = maps[lo:hi]
         if not removed:
             raise CudaInvalidValueError(
                 f"unmap range [{offset}, {end}) at {va:#x} contains no mapping"
             )
         del maps[lo:hi]
+        self._charge(self._latency.mem_unmap, removed)
+        self.counters.unmap_calls += len(removed)
         for m in removed:
-            self._spend(self._latency.mem_unmap(m.size))
-            self.counters.unmap_calls += 1
             self._phys.release_ref(m.handle)
 
     def mem_release(self, handle: int) -> None:
@@ -279,9 +295,7 @@ class CudaVmm:
 
     def mem_address_free(self, va: int) -> None:
         """Free a VA reservation.  All mappings must be unmapped first."""
-        maps = self._mappings.get(va)
-        if maps is None:
-            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        maps = self._table(va)
         if maps:
             raise CudaInvalidValueError(
                 f"cannot free reservation {va:#x}: {len(maps)} mappings remain"
@@ -296,10 +310,7 @@ class CudaVmm:
     # ------------------------------------------------------------------
     def mappings_at(self, va: int) -> List[Tuple[int, int, int]]:
         """Return ``(offset, size, handle)`` triples mapped at ``va``."""
-        maps = self._mappings.get(va)
-        if maps is None:
-            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
-        return [(m.offset, m.size, m.handle) for m in maps]
+        return [(m.offset, m.size, m.handle) for m in self._table(va)]
 
     def is_fully_mapped(self, va: int, size: int) -> bool:
         """True if ``[va, va+size)`` is covered by contiguous mappings."""

@@ -33,6 +33,16 @@ class TestSimClock:
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             SimClock().advance(-0.1)
+        with pytest.raises(ValueError):
+            SimClock().advance_many(-0.1, 3)
+
+    def test_advance_many_adds_one_step_at_a_time(self):
+        stepped, many = SimClock(), SimClock()
+        for _ in range(10):
+            stepped.advance(0.1)
+        assert many.advance_many(0.1, 10) == stepped.now_us
+        assert many.now_us != 1.0  # ten adds of 0.1 round below one add of 1.0
+        assert many.advance_many(5.0, 0) == stepped.now_us
 
     def test_unit_conversions(self):
         clock = SimClock()
@@ -59,6 +69,19 @@ class TestPhysicalMemory:
         h1 = phys.create(2 * MB)
         h2 = phys.create(2 * MB)
         assert h1 != h2
+
+    def test_retain_of_many_retains_all_or_none(self):
+        phys = PhysicalMemory(capacity=10 * MB)
+        h1, h2, h3 = (phys.create(size) for size in (2 * MB, 2 * MB, 4 * MB))
+        phys.retain(h2, h1, h2, size=2 * MB)
+        refcounts = [phys.get(h).refcount for h in (h1, h2, h3)]
+        assert refcounts == [2, 3, 1]
+        with pytest.raises(CudaInvalidValueError):
+            phys.retain(h1, h3, size=2 * MB)  # h3 is 4 MB
+        phys.release(h3)
+        with pytest.raises(CudaInvalidValueError, match=f"handle {h3}"):
+            phys.retain(h1, h3)
+        assert [phys.get(h).refcount for h in (h1, h2)] == refcounts[:2]
 
     def test_oom_raises_with_details(self):
         phys = PhysicalMemory(capacity=4 * MB)

@@ -1,13 +1,20 @@
 """Driver-contract tests for the simulated CUDA VMM API."""
 
+import bisect
+from typing import List, Sequence
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import (
+    CudaError,
     CudaInvalidAddressError,
     CudaInvalidValueError,
     CudaOutOfMemoryError,
 )
 from repro.gpu.device import GpuDevice
+from repro.gpu.vmm import CudaVmm, _Mapping
 from repro.units import GB, MB
 
 
@@ -151,6 +158,21 @@ class TestUnmapRelease:
         with pytest.raises(CudaInvalidValueError):
             vmm.mem_unmap(va, 0, 2 * MB)
 
+    @pytest.mark.parametrize("offset, size", [(0, 4 * MB), (4 * MB, 4 * MB)])
+    def test_unmap_refuses_a_range_that_cuts_a_mapping(self, vmm, offset,
+                                                       size):
+        # cuMemUnmap takes whole mappings: [0, 4 MB) ends inside the 4 MB
+        # chunk at 2 MB, [4 MB, 8 MB) starts inside it.  Nothing is
+        # unmapped, not even the mappings the range does contain.
+        va = vmm.mem_address_reserve(8 * MB)
+        for at, chunk in ((0, 2 * MB), (2 * MB, 4 * MB), (6 * MB, 2 * MB)):
+            vmm.mem_map(va, at, vmm.mem_create(chunk))
+        layout, clock = vmm.mappings_at(va), vmm._clock.now_us
+        with pytest.raises(CudaInvalidValueError):
+            vmm.mem_unmap(va, offset, size)
+        assert vmm.mappings_at(va) == layout
+        assert vmm._clock.now_us == clock and vmm.counters.unmap_calls == 0
+
     def test_aliased_chunk_survives_one_unmap(self, vmm, device):
         handle = vmm.mem_create(2 * MB)
         va1 = vmm.mem_address_reserve(2 * MB)
@@ -216,3 +238,430 @@ class TestRuntime:
         device.runtime.cuda_free(ptr)
         device.vmm.mem_create(2 * MB)
         assert device.driver_time_us() > 0
+
+
+# ----------------------------------------------------------------------
+# Sequence oracle: the one-pass sequences against one call at a time
+# ----------------------------------------------------------------------
+
+
+class PerCallVmm(CudaVmm):
+    """The reference: every sequence issued one driver call at a time,
+    each call checked, looked up and charged on its own.  A batched
+    sequence must leave the clock, the counters, every mapping and every
+    chunk exactly as these do (the clock is a float: no tolerance)."""
+
+    def _spend(self, us: float) -> None:
+        self._clock.advance(us)
+        self.counters.total_time_us += us
+
+    def mem_map(self, va: int, offset: int, handle: int) -> None:
+        """Map physical ``handle`` at ``va + offset``.
+
+        The full chunk is mapped; the target range must lie inside the
+        reservation that starts at ``va`` and must not overlap an
+        existing mapping in that reservation.
+        """
+        chunk = self._phys.get(handle)
+        if va not in self._mappings:
+            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        if not self._va.contains(va, offset, chunk.size):
+            raise CudaInvalidAddressError(
+                f"map of {chunk.size} bytes at offset {offset} exceeds "
+                f"reservation at {va:#x}"
+            )
+        # The per-VA table is kept sorted by offset, so only the two
+        # neighbours of the insertion point can overlap — stitching a
+        # k-chunk sBlock is O(k) instead of O(k^2 log k): every caller
+        # maps chunks in ascending offset order, making the append
+        # fast path the common case.
+        maps = self._mappings[va]
+        last = maps[-1] if maps else None
+        if last is None or offset >= last.offset + last.size:
+            idx = len(maps)
+        else:
+            idx = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
+            for m in (maps[idx - 1] if idx else None,
+                      maps[idx] if idx < len(maps) else None):
+                if m is not None and (offset < m.offset + m.size
+                                      and m.offset < offset + chunk.size):
+                    raise CudaInvalidValueError(
+                        f"overlapping map at {va:#x}+{offset} "
+                        f"(existing mapping at +{m.offset})"
+                    )
+        self._spend(self._latency.mem_map(chunk.size))
+        self.counters.map_calls += 1
+        self._phys.retain(handle)
+        maps.insert(idx, _Mapping(offset=offset, size=chunk.size, handle=handle))
+
+    def mem_set_access(self, va: int, offset: int, size: int) -> None:
+        """Grant read/write access to ``[va+offset, va+offset+size)``.
+
+        Every byte of the range must already be mapped.
+        """
+        maps = self._mappings.get(va)
+        if maps is None:
+            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        end = offset + size
+        cursor = offset
+        touched: List[_Mapping] = []
+        # Binary-search the first mapping that can cover ``offset``; the
+        # table is sorted by offset and overlap-free, so the covering
+        # run (if any) is contiguous from there.
+        idx = bisect.bisect_right(maps, offset, key=lambda m: m.offset)
+        if idx and maps[idx - 1].offset + maps[idx - 1].size > offset:
+            idx -= 1
+        while idx < len(maps) and maps[idx].offset < end:
+            m = maps[idx]
+            if m.offset > cursor:
+                break
+            touched.append(m)
+            cursor = m.offset + m.size
+            idx += 1
+            if cursor >= end:
+                break
+        if cursor < end:
+            raise CudaInvalidAddressError(
+                f"setAccess range [{offset}, {end}) at {va:#x} is not fully mapped"
+            )
+        for m in touched:
+            self._spend(self._latency.mem_set_access(m.size))
+            self.counters.set_access_calls += 1
+            m.accessible = True
+
+    def back(self, va: int, offset: int, size: int,
+             chunk_size: int) -> List[int]:
+        """Back ``[va+offset, va+offset+size)`` with new physical memory:
+        create and map one ``chunk_size`` chunk after another in address
+        order, then make the range accessible.  Returns the handles in
+        address order; the caller holds their creation references.
+
+        If the device cannot commit a chunk, those made so far are
+        unmapped and released before :class:`CudaOutOfMemoryError`
+        propagates: the reservation is left as it was found.
+        """
+        handles: List[int] = []
+        try:
+            for at in range(offset, offset + size, chunk_size):
+                handle = self.mem_create(chunk_size)
+                handles.append(handle)
+                self.mem_map(va, at, handle)
+        except CudaOutOfMemoryError:
+            # Only mem_create raises it, so every listed handle is mapped.
+            if handles:
+                self.mem_unmap(va, offset, len(handles) * chunk_size)
+                for handle in handles:
+                    self.mem_release(handle)
+            raise
+        self.mem_set_access(va, offset, size)
+        return handles
+
+    def alias(self, handles: Sequence[int], chunk_size: int) -> int:
+        """Reserve a fresh range and map the existing ``chunk_size``
+        chunks ``handles`` into it back to back, accessible; returns
+        its address.  No physical memory is created: each map adds a
+        reference, so a chunk outlives any single range over it."""
+        size = len(handles) * chunk_size
+        va = self.mem_address_reserve(size)
+        for i, handle in enumerate(handles):
+            self.mem_map(va, i * chunk_size, handle)
+        self.mem_set_access(va, 0, size)
+        return va
+
+    def mem_unmap(self, va: int, offset: int, size: int) -> None:
+        """Unmap every mapping fully contained in the given range."""
+        maps = self._mappings.get(va)
+        if maps is None:
+            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        end = offset + size
+        # Fully-contained mappings form one contiguous run in the
+        # sorted table: everything from the first mapping at or past
+        # ``offset`` while it still ends by ``end``.
+        lo = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
+        hi = lo
+        while hi < len(maps) and maps[hi].offset + maps[hi].size <= end:
+            hi += 1
+        removed = maps[lo:hi]
+        if not removed:
+            raise CudaInvalidValueError(
+                f"unmap range [{offset}, {end}) at {va:#x} contains no mapping"
+            )
+        del maps[lo:hi]
+        for m in removed:
+            self._spend(self._latency.mem_unmap(m.size))
+            self.counters.unmap_calls += 1
+            self._phys.release_ref(m.handle)
+
+
+def vmm_state(device):
+    """Everything the two VMMs must agree on, compared by ``==``."""
+    vmm, phys, vaspace = device.vmm, device.phys, device.vaspace
+    return {
+        "now_us": device.clock.now_us,
+        "counters": vmm.counters.snapshot(),
+        "mappings": {va: (vmm.mappings_at(va),
+                          [m.accessible for m in vmm._mappings[va]])
+                     for va in vmm._mappings},
+        "phys": (phys.committed, phys.peak_committed, phys._next_handle,
+                 {h: (c.size, c.refcount, c.released)
+                  for h, c in phys._chunks.items()}),
+        "vaspace": (vaspace._next, vaspace.total_reserved,
+                    vaspace.peak_reserved,
+                    {va: r.size for va, r in vaspace._reservations.items()}),
+    }
+
+
+class VmmTwins:
+    """Two devices, one on :class:`CudaVmm` and one on
+    :class:`PerCallVmm`; every call goes to both."""
+
+    def __init__(self, capacity):
+        self.fast = GpuDevice(capacity=capacity)
+        self.ref = GpuDevice(capacity=capacity)
+        ref = self.ref
+        ref.vmm = PerCallVmm(ref.phys, ref.vaspace, ref.clock, ref.latency)
+        self.vas = []  # every reserved address, live or freed
+        self.diverged = False
+
+    def call(self, name, *args):
+        """Run ``name(*args)`` on both sides: the same result or the
+        same exception class, then the same state; returns the outcome.
+
+        A refused ``back`` or ``alias`` checks its whole range or every
+        handle first and touches no chunk, where the reference fails at
+        the first bad call, after the calls before it.  On the way there
+        a ``back`` may run out of memory instead, or, if its range runs
+        past the reservation, be refused for an overlap first.  The
+        states differ from then on: :attr:`diverged` is set."""
+        before = vmm_state(self.fast)
+        outcomes = []
+        for device in (self.fast, self.ref):
+            try:
+                outcomes.append(("ok", getattr(device.vmm, name)(*args)))
+            except CudaError as exc:
+                outcomes.append((type(exc).__name__, None))
+        kind, result = outcomes[0]
+        if name in ("back", "alias") and kind not in (
+                "ok", "CudaOutOfMemoryError"):
+            allowed = {kind}
+            if name == "back":
+                allowed.add("CudaOutOfMemoryError")
+                if kind == "CudaInvalidAddressError":
+                    allowed.add("CudaInvalidValueError")
+            assert outcomes[1][0] in allowed, (name, args)
+            after = vmm_state(self.fast)
+            assert after["phys"] == before["phys"]  # none made or retained
+            if name == "back":
+                assert after == before
+            self.diverged = True
+            return kind
+        assert outcomes[0] == outcomes[1], (name, args)
+        if kind == "ok" and name in ("mem_address_reserve", "alias"):
+            self.vas.append(result)
+        assert vmm_state(self.fast) == vmm_state(self.ref)
+        return kind
+
+    def handles(self):
+        """Every handle issued so far, live or destroyed."""
+        return list(range(1, self.ref.phys._next_handle))
+
+    def va(self, i):
+        """For most ``i`` a live reservation, one with mappings if
+        ``i < 60``; otherwise a freed or a never-reserved address."""
+        tables = self.ref.vmm._mappings
+        live = [va for va in self.vas if va in tables]
+        mapped = [va for va in live if tables[va]]
+        for choice, below in ((mapped, 60), (live, 90), (self.vas, 95)):
+            if choice and i < below:
+                return choice[i % len(choice)]
+        return 0xBAD0
+
+    def frontier(self, va):
+        """Where the last mapping at ``va`` ends (0 if none)."""
+        maps = self.ref.vmm._mappings.get(va) or [_Mapping(0, 0, 0)]
+        return maps[-1].offset + maps[-1].size
+
+    def span(self, va, offset, units):
+        """``units`` granules, or up to the end of the reservation."""
+        reservation = self.ref.vaspace._reservations.get(va)
+        if units >= 0 or reservation is None:
+            return abs(units) * U
+        return reservation.size - offset
+
+    def cuts(self, va, offset, size):
+        """True if ``[offset, offset+size)`` cuts a mapping at ``va``."""
+        return any(m.offset < edge < m.offset + m.size
+                   for m in self.ref.vmm._mappings.get(va) or []
+                   for edge in (offset, offset + size))
+
+
+U = 2 * MB  # the granularity; fuzzed offsets and sizes are multiples
+VA = st.integers(0, 99)  # see VmmTwins.va
+AT = st.integers(-1, 7)  # granules; -1: back / map at the frontier, else 0
+BACK = st.tuples(st.just("back"), VA, AT, st.integers(-1, 5),
+                 st.sampled_from([U, 2 * U]))
+VMM_STEP = st.one_of(  # (op, va index, ...); back weighted up
+    BACK, BACK,
+    st.tuples(st.just("alias"), VA,
+              st.lists(st.integers(0, 99), min_size=1, max_size=16),
+              st.sampled_from([U, 2 * U]), st.integers(0, 4)),
+    st.tuples(st.just("unmap"), VA, AT, st.integers(-1, 6)),
+    st.tuples(st.just("unmap"), VA, st.just(0), st.just(-1)),
+    st.tuples(st.just("set_access"), VA, AT, st.integers(-1, 6)),
+    st.tuples(st.just("map"), VA, AT, st.integers(0, 99)),
+    st.tuples(st.just("release"), VA, st.integers(0, 99)),
+    st.tuples(st.just("create"), VA, st.sampled_from([U, 2 * U, 3 * MB])),
+    st.tuples(st.just("free"), VA),
+    st.tuples(st.just("reserve"), VA, st.integers(1, 8)),
+)
+
+
+def _pick(seq, i, default):
+    return seq[i % len(seq)] if seq else default
+
+
+class TestSequencesMatchOneCallAtATime:
+    """Random driver traffic on small devices, where ``back`` runs out
+    of memory mid-range, ``alias`` re-maps released and repeated
+    chunks and ranges are refused for every reason the driver has."""
+
+    @given(capacity_units=st.integers(3, 12),
+           reserved=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+           steps=st.lists(VMM_STEP, min_size=4, max_size=80))
+    def test_same_state_after_every_call(self, capacity_units, reserved,
+                                         steps):
+        twins = VmmTwins(capacity_units * U)
+        for units in reserved:
+            twins.call("mem_address_reserve", units * U)
+        for op, i, *args in steps:
+            if twins.diverged:
+                return
+            va = twins.va(i)
+            if op in ("back", "map"):
+                at = twins.frontier(va) if args[0] < 0 else args[0] * U
+            elif op in ("unmap", "set_access"):
+                at = max(args[0], 0) * U
+            if op == "reserve":
+                twins.call("mem_address_reserve", args[0] * U)
+            elif op == "create":
+                twins.call("mem_create", args[0])
+            elif op == "back":
+                units, chunk = args[1:]
+                twins.call("back", va, at, twins.span(va, at, units), chunk)
+            elif op == "alias":
+                picks, chunk, spoil = args
+                live = [h for h, c in twins.ref.phys._chunks.items()
+                        if c.size == chunk]
+                chosen = [_pick(live, p, None) for p in picks]
+                if spoil == 0:  # one handle becomes one no chunk has
+                    chosen[picks[0] % len(chosen)] = 10 ** 6
+                if None not in chosen:
+                    twins.call("alias", chosen, chunk)
+            elif op == "map":
+                twins.call("mem_map", va, at,
+                           _pick(twins.handles(), args[1], 10 ** 6))
+            elif op in ("unmap", "set_access"):
+                size = twins.span(va, at, args[1])
+                if op == "set_access":
+                    twins.call("mem_set_access", va, at, size)
+                elif twins.cuts(va, at, size):
+                    before = vmm_state(twins.fast)
+                    with pytest.raises(CudaInvalidValueError):
+                        twins.fast.vmm.mem_unmap(va, at, size)
+                    assert vmm_state(twins.fast) == before
+                else:
+                    twins.call("mem_unmap", va, at, size)
+            elif op == "release":
+                twins.call("mem_release",
+                           _pick(twins.handles(), args[0], 10 ** 6))
+            else:
+                twins.call("mem_address_free", va)
+
+
+class TestSequenceCases:
+    """Named cases of the oracle above."""
+
+    @pytest.mark.parametrize("fits", [0, 2, 3])
+    def test_back_runs_out_at_first_middle_and_last_chunk(self, fits):
+        twins = VmmTwins(8 * U)
+        for _ in range(8 - fits):
+            twins.call("mem_create", U)
+        twins.call("mem_address_reserve", 4 * U)
+        before = vmm_state(twins.fast)
+        assert twins.call("back", twins.vas[-1], 0, 4 * U, U) == (
+            "CudaOutOfMemoryError")
+        after = vmm_state(twins.fast)
+        assert after["mappings"] == before["mappings"]
+        assert after["phys"][0] == before["phys"][0] == (8 - fits) * U
+        assert after["counters"]["create_calls"] == 9  # the last one failed
+        assert after["counters"]["unmap_calls"] == fits
+
+    def test_back_grows_behind_existing_mappings(self):
+        # How an expandable arena grows: at its mapped frontier.
+        twins = VmmTwins(16 * U)
+        twins.call("mem_address_reserve", 8 * U)
+        va = twins.vas[-1]
+        assert twins.call("back", va, 0, 2 * U, U) == "ok"
+        assert twins.call("back", va, 2 * U, 3 * U, U) == "ok"
+        assert twins.fast.vmm.is_fully_mapped(va, 5 * U)
+
+    @pytest.mark.parametrize("capacity, at, units, error", [
+        (16, 4, 2, "CudaInvalidValueError"),  # over the mapping at 4U
+        (16, 5, 4, "CudaInvalidAddressError"),  # past the reservation
+        (6, 5, 4, "CudaInvalidAddressError"),  # ... with room for one chunk
+        (16, 4, 5, "CudaInvalidAddressError"),  # both
+    ], ids=["overlap", "past-end", "past-end-full", "overlap-past-end"])
+    def test_refused_back_creates_no_chunk(self, capacity, at, units,
+                                           error):
+        # The reference creates and maps the chunks before the refused
+        # one; on the full device it runs out of memory on the way, and
+        # over the mapping it is refused for the overlap.
+        twins = VmmTwins(capacity * U)
+        twins.call("mem_address_reserve", 8 * U)
+        va = twins.vas[-1]
+        assert twins.call("back", va, 0, 5 * U, U) == "ok"
+        assert twins.call("back", va, at * U, units * U, U) == error
+        assert twins.diverged
+        assert twins.ref.vmm.counters.create_calls > 5
+        assert twins.fast.vmm.counters.create_calls == 5
+
+    def test_alias_maps_a_repeated_handle_twice(self):
+        twins = VmmTwins(8 * U)
+        twins.call("mem_create", U)
+        twins.call("mem_create", U)
+        h1, h2 = twins.handles()
+        assert twins.call("alias", [h1, h2, h1], U) == "ok"
+        assert twins.fast.phys.get(h1).refcount == 3
+
+    def test_alias_charges_every_map_before_any_access(self):
+        # 4 MB latencies are not short binary fractions: the order of
+        # the adds shows in the clock's last bits from about ten chunks.
+        twins = VmmTwins(8 * U)
+        twins.call("mem_create", 2 * U)
+        twins.call("mem_create", 2 * U)
+        assert twins.call("alias", [1, 2] * 8, 2 * U) == "ok"
+
+    def test_alias_over_a_released_but_mapped_chunk(self):
+        twins = VmmTwins(8 * U)
+        twins.call("mem_address_reserve", 2 * U)
+        assert twins.call("back", twins.vas[-1], 0, 2 * U, U) == "ok"
+        h1, h2 = twins.handles()
+        twins.call("mem_release", h1)
+        assert twins.call("alias", [h2, h1], U) == "ok"
+        assert twins.fast.phys.get(h1).released
+        assert twins.call("mem_unmap", twins.vas[0], 0, 2 * U) == "ok"
+        assert twins.fast.phys.get(h1).refcount == 1
+
+    def test_alias_of_a_dead_handle_is_refused_by_both(self):
+        twins = VmmTwins(8 * U)
+        twins.call("mem_create", U)
+        h1 = twins.handles()[0]
+        twins.call("mem_release", h1)
+        assert twins.call("alias", [h1], U) == "CudaInvalidValueError"
+
+    def test_alias_refuses_a_chunk_of_another_size(self, vmm):
+        small, large = vmm.mem_create(2 * MB), vmm.mem_create(4 * MB)
+        with pytest.raises(CudaInvalidValueError):
+            vmm.alias([small, large], 2 * MB)
+        with pytest.raises(CudaInvalidValueError):
+            vmm.alias([small], 4 * MB)

@@ -225,14 +225,15 @@ class TestClusterFaultTolerance:
         """benchmarks/perf README finding 2: on a loaded crash fleet a
         failed-over original lands on its hedge clone's replica, where
         both carry the same (deadline, req_id) — the timeout heap must
-        order the tie itself, never compare the requests."""
+        order the tie itself, never compare the requests.  200 requests
+        tie (170 is the least that does at this seed)."""
         result = run_serving_cluster(
-            stream(n=600, rate=32.0, seed=0), "opt-1.3b", n_replicas=4,
+            stream(n=200, rate=32.0, seed=0), "opt-1.3b", n_replicas=4,
             allocator="caching", capacity=3 * GB,
             kv_cache="paged?block_tokens=16", scheduler="memory-aware",
             faults="replica-crash?mtbf_s=15&mttr_s=5",
             retry="hedge?after_s=1")
-        assert sorted(r.req_id for r in result.requests) == list(range(600))
+        assert sorted(r.req_id for r in result.requests) == list(range(200))
         assert all(r.finished or r.rejected for r in result.requests)
 
     def test_fault_none_paths_are_identical(self):

@@ -97,20 +97,21 @@ class TestResolve:
 class TestRecomputeIsByteIdentical:
     """`preemption="recompute"` reproduces the default path exactly."""
 
-    @pytest.mark.parametrize("allocator,kv_cache,capacity", [
-        ("caching", "chunked", 6 * GB),
-        ("gmlake", "chunked", 6 * GB),
+    @pytest.mark.parametrize("allocator,kv_cache,capacity,n", [
+        ("caching", "chunked", 6 * GB, 100),
+        ("gmlake", "chunked", 6 * GB, 100),
         # Paged KV needs a genuinely full pool to preempt (growth never
-        # transiently doubles), hence the tighter device.
-        ("caching", "paged?block_tokens=16", int(3.4 * GB)),
+        # transiently doubles), hence the tighter device; there 30
+        # requests preempt 12 times.
+        ("caching", "paged?block_tokens=16", int(3.4 * GB), 30),
     ])
     def test_explicit_recompute_equals_default(self, allocator, kv_cache,
-                                               capacity):
+                                               capacity, n):
         default = _run("recompute", allocator=allocator, kv_cache=kv_cache,
-                       capacity=capacity)
+                       capacity=capacity, n=n)
         explicit = _run(resolve("preemption", "recompute", None),
                         allocator=allocator, kv_cache=kv_cache,
-                        capacity=capacity)
+                        capacity=capacity, n=n)
         assert default.preemptions > 0  # the regime actually preempts
         assert _digest(default) == _digest(explicit)
 

@@ -225,8 +225,10 @@ class TestCli:
         [],
         ["--gpus", "3"],
         ["--disagg", "--prefill-replicas", "2", "--interconnect", "nvlink"],
+        # 16 requests still preempt under both allocators, at a quarter
+        # of the cost of 40.
         ["--kv-cache", "paged?block_tokens=16", "--prefix-sharing",
-         "--tenants", "8", "--scheduler", "wfq"],
+         "--tenants", "8", "--scheduler", "wfq", "--requests", "16"],
         ["--kv-cache", "paged?block_tokens=16", "--max-batch", "32",
          "--memory-tiers", "dram?gb=0.2,cxl?gb=16&gb_per_s=40"],
     ], ids=["single", "gpus", "disagg", "prefix-sharing", "memory-tiers"])
@@ -256,6 +258,8 @@ class TestCli:
             assert (row["done"], row["rej"], row["preempt"]) == (
                 ran["completed"], ran["rejected"], ran["preemptions"])
             assert float(row["goodput (req/s)"]) == float(ran["goodput_req_s"])
+            if "--prefix-sharing" in flags:
+                assert int(row["preempt"]) > 0
 
     @pytest.mark.parametrize("flags,field", [
         (["--memory-tiers", "dram?gb=1", "--preemption", "swap"],
