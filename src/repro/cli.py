@@ -311,7 +311,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _run_spec_file(args.spec)
     spec = _serve_spec_from(args)
     serving, slo = spec.serving, spec.serving.slo()
-    fleet = serving.disagg is not None or serving.replicas > 1
     reports = {}
     gauge_points = []
     phase_rows = []
@@ -321,9 +320,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raw, label = result.raw, result.allocator_name
         report = reports[label] = raw.report(slo,
                                              streaming=serving.streaming)
-        # The replica leaf calls its series `gauges`, a fleet merges
-        # its replicas' into `gauge_points`.
-        gauge_points.extend(raw.gauge_points if fleet else raw.gauges)
+        gauge_points.extend(raw.gauge_points)
         if any(r.tenant for r in raw.requests):
             tenant_tables.append(format_tenant_summary(
                 raw.requests, raw.makespan_s,

@@ -1,8 +1,9 @@
 """``repro.obs`` — structured serving telemetry.
 
 Three complementary instruments over the online serving simulator,
-all opt-in and all zero-cost when unused (a run without them is
-byte-identical to one before this package existed):
+all passive: a run without them is byte-identical to one before this
+package existed, and "without" means the do-nothing ``NO_TRACE`` /
+``NO_GAUGES`` instances, which the simulator calls unconditionally:
 
 * **Lifecycle tracing** (:mod:`repro.obs.trace`) —
   :class:`TraceRecorder` captures every request's arrival → queued →

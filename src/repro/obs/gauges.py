@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["GaugePoint", "GaugeSampler"]
+__all__ = ["GaugePoint", "GaugeSampler", "NoGauges", "NO_GAUGES"]
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,6 @@ class GaugeSampler:
         reserved = allocator.reserved_bytes
         kv = simulator.kv
         utilization = kv.utilization_snapshot(running)
-        hierarchy = getattr(simulator, "hierarchy", None)
         point = GaugePoint(
             t_s=simulator.session.elapsed_s,
             replica=simulator.replica_id,
@@ -138,8 +137,7 @@ class GaugeSampler:
             active_replicas=self._active_at(simulator.session.elapsed_s),
             kv_shared_blocks=getattr(kv, "shared_live_blocks", 0),
             replicas_down=len(self._down),
-            kv_tier_bytes=(hierarchy.resident_bytes
-                           if hierarchy is not None else 0),
+            kv_tier_bytes=simulator.hierarchy.resident_bytes,
         )
         self.points.append(point)
         return point
@@ -190,3 +188,20 @@ class GaugeSampler:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+class NoGauges(GaugeSampler):
+    """Gauges off: polls and notes nothing.  It never holds a point, so
+    one instance, :data:`NO_GAUGES`, serves every run."""
+
+    def poll(self, simulator, queue, running) -> None:
+        pass  # once per loop iteration: no argument packing
+
+    def note_crash(self, *args, **kwargs) -> None:
+        pass
+
+    note_recover = note_active_replicas = note_crash
+
+
+#: The sampler of every run without gauges.
+NO_GAUGES = NoGauges()

@@ -44,6 +44,8 @@ from repro.api.spec import ComponentSpec
 __all__ = [
     "TraceEvent",
     "TraceRecorder",
+    "NoTrace",
+    "NO_TRACE",
     "AllocatorTraceObserver",
     "ChromeTraceSink",
     "JsonlTraceSink",
@@ -356,6 +358,21 @@ class TraceRecorder:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+class NoTrace(TraceRecorder):
+    """Tracing off: records nothing and attaches no allocator observer,
+    so the allocator keeps its unobserved fast paths.  It never holds
+    an event, so one instance, :data:`NO_TRACE`, serves every run."""
+
+    def record(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    request_event = attach_allocator = record
+
+
+#: The recorder of every untraced run.
+NO_TRACE = NoTrace()
 
 
 class AllocatorTraceObserver(AllocatorObserver):

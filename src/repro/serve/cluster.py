@@ -21,9 +21,9 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.result import WorstMemberRunResult
 from repro.api.spec import SpecLike, resolve
-from repro.obs.gauges import GaugePoint, GaugeSampler
-from repro.obs.trace import FRONTEND_REPLICA, TraceRecorder
-from repro.serve.autoscale import Autoscaler
+from repro.obs.gauges import NO_GAUGES, GaugePoint, GaugeSampler
+from repro.obs.trace import FRONTEND_REPLICA, NO_TRACE, TraceRecorder
+from repro.serve.autoscale import Autoscaler, NoAutoscaler
 from repro.serve.faults import FaultModel, RetryPolicy
 from repro.serve.kvcache import KVCacheMetrics, KVCacheModel
 from repro.serve.memtier import MemoryTiersLike, TierHierarchy
@@ -115,10 +115,15 @@ def dispatch_requests(
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    if autoscaler is None:
+        autoscaler = NoAutoscaler()
+    if gauges is None:
+        gauges = NO_GAUGES
+    if trace is None:
+        trace = NO_TRACE
     backlog = [0.0] * n_replicas
     last_t = 0.0
-    active = (autoscaler.initial_replicas(n_replicas)
-              if autoscaler is not None else n_replicas)
+    active = autoscaler.initial_replicas(n_replicas)
     noted = None  # last active count reported to the telemetry hooks
     shards: List[List[ServeRequest]] = [[] for _ in range(n_replicas)]
     for request in sorted(requests, key=lambda r: (r.arrival_s, r.req_id)):
@@ -133,21 +138,18 @@ def dispatch_requests(
         for i in range(n_replicas):
             drained_backlog = backlog[i] - drained
             backlog[i] = drained_backlog if drained_backlog > 0.0 else 0.0
-        if autoscaler is not None:
-            active = min(max(autoscaler.decide(backlog, active, n_replicas), 1),
-                         n_replicas)
+        active = min(max(autoscaler.decide(backlog, active, n_replicas), 1),
+                     n_replicas)
         if active != noted:
-            if gauges is not None:
-                gauges.note_active_replicas(request.arrival_s, active,
-                                            fleet=fleet)
-            if trace is not None:
-                if fleet is None:
-                    trace.record("autoscale", request.arrival_s,
-                                 replica=FRONTEND_REPLICA, active=active)
-                else:
-                    trace.record("autoscale", request.arrival_s,
-                                 replica=FRONTEND_REPLICA, active=active,
-                                 fleet=fleet)
+            gauges.note_active_replicas(request.arrival_s, active,
+                                        fleet=fleet)
+            if fleet is None:
+                trace.record("autoscale", request.arrival_s,
+                             replica=FRONTEND_REPLICA, active=active)
+            else:
+                trace.record("autoscale", request.arrival_s,
+                             replica=FRONTEND_REPLICA, active=active,
+                             fleet=fleet)
             noted = active
         if down is None:
             candidates: Iterable[int] = range(active)
@@ -230,7 +232,7 @@ class FleetResult(WorstMemberRunResult):
         return self.replicas[0].kv_cache_name if self.replicas else "chunked"
 
     @property
-    def kv_metrics(self) -> Optional[KVCacheMetrics]:
+    def kv_metrics(self) -> KVCacheMetrics:
         """Fleet-wide KV-cache metrics, merged across replicas.
 
         Counters, copy bytes and utilization samples sum; the peak
@@ -241,22 +243,19 @@ class FleetResult(WorstMemberRunResult):
         later — per-tier demote/promote dicts, sharing ledgers — are
         merged by construction instead of silently dropped.
         """
-        merged: Optional[KVCacheMetrics] = None
-        for replica in self.replicas:
-            metrics = replica.kv_metrics
-            if metrics is None:
-                continue
-            if merged is None:
-                merged = KVCacheMetrics(kv_cache=metrics.kv_cache,
-                                        block_tokens=metrics.block_tokens)
-            merged.merge_from(metrics)
+        replicas = self.replicas
+        first = replicas[0].kv_metrics if replicas else KVCacheMetrics("chunked")
+        merged = KVCacheMetrics(kv_cache=first.kv_cache,
+                                block_tokens=first.block_tokens)
+        for replica in replicas:
+            merged.merge_from(replica.kv_metrics)
         return merged
 
     @property
     def gauge_points(self) -> List[GaugePoint]:
         """Every replica's gauge samples, merged in time order."""
         return sorted((point for replica in self.replicas
-                       for point in replica.gauges),
+                       for point in replica.gauge_points),
                       key=lambda p: (p.t_s, p.replica))
 
     def _extras_tail(self, out: Dict[str, object]) -> Dict[str, object]:
@@ -267,9 +266,7 @@ class FleetResult(WorstMemberRunResult):
             out["retries"] = retries
         if failed:
             out["failed"] = failed
-        merged = self.kv_metrics
-        if merged is not None:
-            out.update(merged.extras(per_replica=False))
+        out.update(self.kv_metrics.extras(per_replica=False))
         return out
 
     def _sketch_populations(self) -> List[List[ServeRequest]]:
@@ -287,12 +284,10 @@ class FleetResult(WorstMemberRunResult):
         the merged request list (percentiles come from merged t-digest
         sketches, within sketch tolerance of the exact path).
         """
-        metrics = self.kv_metrics
         headline = dict(
             utilization=self.min_utilization,
             peak_reserved_gb=self.max_peak_reserved_gb,
-            migrated_mb=((metrics.migrated_bytes / (1 << 20))
-                         if metrics is not None else 0.0))
+            migrated_mb=self.kv_metrics.migrated_bytes / (1 << 20))
         if not streaming:
             return ServingReport.from_requests(
                 self.requests, self.makespan_s, slo, **headline)
@@ -375,7 +370,7 @@ def _co_simulate(
     sims: List[ServingSimulator],
     calendar: Optional[DownCalendar],
     hedge_after_s: Optional[float],
-    trace: Optional[TraceRecorder],
+    trace: TraceRecorder,
 ) -> None:
     """Advance a fleet of *started* simulators on interleaved clocks.
 
@@ -444,9 +439,7 @@ def _co_simulate(
             clone.kv_generation = 0
             clone.replica = target
             hedged[request.req_id] = (request, clone)
-            if trace is not None:
-                trace.request_event("hedge", clone, now, source=i,
-                                    target=target)
+            trace.request_event("hedge", clone, now, source=i, target=target)
             sims[target].inject(clone, now)
 
     def settle_hedges() -> None:
@@ -519,6 +512,8 @@ def run_fleet(
     """
     if calendar is None and hedge_after_s is None:
         return [sim.run(shard) for sim, shard in zip(sims, shards)]
+    if trace is None:
+        trace = NO_TRACE
     for sim, shard in zip(sims, shards):
         sim.start(shard)
     _co_simulate(sims, calendar, hedge_after_s, trace)
@@ -564,6 +559,8 @@ def run_serving_cluster(
     other fleet is drained replica by replica (see :func:`run_fleet`).
     """
     check_per_replica_specs(kv_cache, preemption, scheduler, memory_tiers)
+    if gauges is None:
+        gauges = NO_GAUGES
     model = get_model(model) if isinstance(model, str) else model
     config = config if config is not None else ServingConfig()
     scaler = resolve("autoscaler", autoscaler)
@@ -575,9 +572,9 @@ def run_serving_cluster(
                                drain_tokens_per_s=config.decode_tokens_per_s,
                                autoscaler=scaler, gauges=gauges, trace=trace,
                                down=calendar)
-    result = ServeClusterResult(autoscaler_name=scaler.name)
-    if gauges is not None:
-        result.active_replica_points = list(gauges.active_points)
+    result = ServeClusterResult(
+        autoscaler_name=scaler.name,
+        active_replica_points=list(gauges.active_points))
     sims = [
         ServingSimulator(
             model, allocator=allocator, capacity=capacity,

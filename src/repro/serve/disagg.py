@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.spec import SpecLike, resolve
-from repro.obs.gauges import GaugeSampler
+from repro.obs.gauges import NO_GAUGES, GaugeSampler
 from repro.obs.trace import TraceRecorder
 from repro.serve.autoscale import Autoscaler
 from repro.serve.cluster import (
@@ -122,8 +122,7 @@ class DisaggServingResult(FleetResult):
     @property
     def migrated_bytes(self) -> int:
         """KV bytes moved over the interconnect (both directions)."""
-        metrics = self.kv_metrics
-        return metrics.migrated_bytes if metrics is not None else 0
+        return self.kv_metrics.migrated_bytes
 
     def extras(self) -> Dict[str, object]:
         """Disagg-specific metrics beyond the shared surface."""
@@ -198,6 +197,8 @@ def run_serving_disagg(
             f"need at least one replica per fleet, got "
             f"{prefill_replicas} prefill / {decode_replicas} decode")
     check_per_replica_specs(kv_cache, preemption, scheduler, memory_tiers)
+    if gauges is None:
+        gauges = NO_GAUGES
     model = get_model(model) if isinstance(model, str) else model
     config = config if config is not None else ServingConfig()
     fault_model = resolve("faults", faults)
@@ -315,7 +316,6 @@ def run_serving_disagg(
         original.reject_reason = decode.reject_reason
         original.failed_s = decode.failed_s
     result.requests = originals
-    if gauges is not None:
-        result.prefill_fleet_points = gauges.fleet_series("prefill")
-        result.decode_fleet_points = gauges.fleet_series("decode")
+    result.prefill_fleet_points = gauges.fleet_series("prefill")
+    result.decode_fleet_points = gauges.fleet_series("decode")
     return result

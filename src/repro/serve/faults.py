@@ -10,10 +10,10 @@ every other policy:
 
 ``faults`` — what breaks
     ``none``
-        Nothing ever fails (the default).  The simulator takes zero
-        fault hooks on this path, so a ``faults=none`` run is
-        byte-identical to the pre-fault simulator — enforced by the
-        committed hotpath goldens.
+        Nothing ever fails (the default).  Each replica's fault state
+        is never down and runs every step at full speed, so a
+        ``faults=none`` run is byte-identical to the pre-fault
+        simulator — enforced by the committed hotpath goldens.
     ``replica-crash?mtbf_s=…&mttr_s=…&seed=…``
         Seeded per-replica crash/recover schedules: up-times are
         exponential with mean ``mtbf_s``, down-times exponential with
@@ -59,9 +59,10 @@ simulated instants, regardless of what the workload does in between.
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
-from typing import ClassVar, Iterator, Optional, Tuple, Union
+from typing import ClassVar, Iterator, Optional, Tuple
 
 from repro.api.registry import Param, register_component, register_kind
 from repro.serve.interconnect import Interconnect
@@ -74,19 +75,34 @@ register_kind("retry", label="retry policy")
 # ----------------------------------------------------------------------
 # Per-replica fault state the simulator drives
 # ----------------------------------------------------------------------
-class CrashSchedule:
+class ReplicaFaults:
+    """One replica's fault state: its simulator reads :attr:`start_s`
+    every loop iteration and calls :meth:`step_factor` every decode step.
+
+    The base class injects nothing: its next down-window starts (and
+    ends) at infinity, so the replica is never down, and every decode
+    step runs at full speed.
+    """
+
+    start_s = end_s = math.inf
+    down = False
+
+    def step_factor(self) -> float:
+        """Multiplier for the next decode step's duration."""
+        return 1.0
+
+
+class CrashSchedule(ReplicaFaults):
     """One replica's crash/recover window state machine.
 
     Wraps an infinite iterator of ``(start_s, end_s)`` down-windows in
-    chronological order.  The simulator polls it once per loop
-    iteration: :attr:`start_s` / :attr:`end_s` describe the next (or,
-    while :attr:`down`, the current) window.
+    chronological order: :attr:`start_s` / :attr:`end_s` describe the
+    next (or, while :attr:`down`, the current) window.
     """
 
     def __init__(self, windows: Iterator[Tuple[float, float]]):
         self._windows = windows
         self.start_s, self.end_s = next(windows)
-        self.down = False
 
     def crash(self) -> None:
         """Enter the current window's downtime."""
@@ -98,7 +114,7 @@ class CrashSchedule:
         self.start_s, self.end_s = next(self._windows)
 
 
-class StragglerState:
+class StragglerState(ReplicaFaults):
     """One replica's per-decode-step slowdown coin."""
 
     def __init__(self, rng: random.Random, slowdown: float, prob: float):
@@ -107,8 +123,8 @@ class StragglerState:
         self.prob = prob
 
     def step_factor(self) -> float:
-        """Multiplier for the next decode step's duration (one draw
-        per step, so the sequence is deterministic per replica)."""
+        """One draw per step, so the sequence is deterministic per
+        replica."""
         return self.slowdown if self._rng.random() < self.prob else 1.0
 
 
@@ -149,9 +165,10 @@ class FaultModel(ABC):
     """What breaks, where, and when — a pure function of its seed.
 
     A fault model is stateless across replicas: per-replica mutable
-    state lives in the context object :meth:`replica_context` returns
-    (``None`` when the model injects nothing on that replica, so the
-    simulator's default path carries zero fault hooks).
+    state lives in the :class:`ReplicaFaults` :meth:`replica_context`
+    returns.  A model that injects nothing on a replica returns the
+    base state, which is never down and never slows a step, so the
+    simulator polls every replica the same way.
     """
 
     name: str = "faults"
@@ -159,12 +176,10 @@ class FaultModel(ABC):
     #: dispatcher must route around.
     has_crashes: ClassVar[bool] = False
 
-    def replica_context(
-            self, replica_id: int
-    ) -> Optional[Union[CrashSchedule, StragglerState]]:
-        """Fresh per-replica fault state (``None`` = no hooks)."""
+    def replica_context(self, replica_id: int) -> ReplicaFaults:
+        """Fresh per-replica fault state."""
         del replica_id
-        return None
+        return ReplicaFaults()
 
     def crash_windows(
             self, replica_id: int) -> Optional[Iterator[Tuple[float, float]]]:

@@ -47,6 +47,7 @@ from repro.api.registry import (
     register_component,
     register_kind,
 )
+from repro.obs.trace import NO_TRACE, TraceRecorder
 from repro.serve.request import ServeRequest
 from repro.units import MB, align_up
 from repro.workloads.inference import kv_bytes
@@ -255,14 +256,13 @@ class KVCacheModel(ABC):
         self._session = None  # ReplaySession, bound by the simulator
         self._allocator: Optional[BaseAllocator] = None
         self._live_kv_bytes = 0
-        self._trace = None  # obs.TraceRecorder, optional
+        self._trace: TraceRecorder = NO_TRACE
         self._replica = 0
 
-    def attach_trace(self, recorder, replica: int = 0) -> None:
-        """Attach an observability recorder (optional; the simulator
-        calls this when it was itself given a trace) so cache-level
-        events — copy-on-write instants, shared-block counters — land
-        in the same lifecycle stream as the request events."""
+    def attach_trace(self, recorder: TraceRecorder, replica: int = 0) -> None:
+        """Attach the replica's recorder so cache-level events —
+        copy-on-write instants, shared-block counters — land in the
+        same lifecycle stream as the request events."""
         self._trace = recorder
         self._replica = replica
 

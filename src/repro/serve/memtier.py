@@ -47,6 +47,7 @@ from repro.api.registry import (
     register_kind,
 )
 from repro.api.spec import ComponentSpec, SpecLike, resolve
+from repro.obs.trace import NO_TRACE
 from repro.serve.interconnect import Interconnect, PcieInterconnect
 from repro.units import GB
 
@@ -198,14 +199,14 @@ class TierHierarchy:
     ``tests/test_serve_memtier.py`` fuzzes.
 
     Like a KV-cache model, a hierarchy carries per-run state and binds
-    to one replica's session + device.
+    to one replica's session + device.  With no tiers it is the "no
+    tiering" hierarchy: every demote finds no room, and it never holds
+    a byte.
     """
 
     def __init__(self, tiers: Iterable[Union[SpecLike, MemoryTier]]):
         self.tiers: List[MemoryTier] = [
             resolve("memory-tier", tier) for tier in tiers]
-        if not self.tiers:
-            raise ValueError("a tier hierarchy needs at least one tier")
         labels: List[str] = []
         for index, tier in enumerate(self.tiers):
             label = tier.name
@@ -219,7 +220,7 @@ class TierHierarchy:
         self._resident: Dict[str, Tuple[int, int]] = {}
         self._session = None
         self._latency = None
-        self._trace = None
+        self._trace = NO_TRACE
         self._replica = 0
 
     # -- wiring --------------------------------------------------------
@@ -328,8 +329,6 @@ class TierHierarchy:
 
     # -- tracing -------------------------------------------------------
     def _note_transfer(self, kind: str, label: str, size: int) -> None:
-        if self._trace is None:
-            return
         t_s = self._session.elapsed_s if self._session is not None else 0.0
         self._trace.record(kind, t_s, replica=self._replica,
                            tier=label, mb=round(size / (1 << 20), 3))
@@ -353,24 +352,22 @@ def parse_memory_tiers(text: str) -> List[ComponentSpec]:
 
 #: Anything accepted where a whole hierarchy is named: a comma-
 #: separated spec string, a list of tier specs/instances, a built
-#: :class:`TierHierarchy`, or ``None`` / ``""`` for no tiering.
+#: :class:`TierHierarchy`; ``None`` / ``""`` / ``[]`` mean no tiering.
 MemoryTiersLike = Union[str, Iterable[Union[SpecLike, MemoryTier]],
                         TierHierarchy, None]
 
 
-def resolve_memory_tiers(tiers: MemoryTiersLike) -> Optional[TierHierarchy]:
+def resolve_memory_tiers(tiers: MemoryTiersLike) -> TierHierarchy:
     """Build a hierarchy from a spec string, tier list, or instance.
 
-    Returns ``None`` for ``None`` / ``""`` / an empty list — the
-    "no tiering" configurations, which must stay byte-identical to the
-    pre-tier simulator.
+    ``None`` / ``""`` / an empty list build the empty hierarchy: the
+    "no tiering" configuration, which demotes nothing and so stays
+    byte-identical to the pre-tier simulator.
     """
     if tiers is None:
-        return None
+        return TierHierarchy([])
     if isinstance(tiers, TierHierarchy):
         return tiers
     if isinstance(tiers, str):
-        specs = parse_memory_tiers(tiers)
-        return TierHierarchy(specs) if specs else None
-    tiers = list(tiers)
-    return TierHierarchy(tiers) if tiers else None
+        return TierHierarchy(parse_memory_tiers(tiers))
+    return TierHierarchy(tiers)

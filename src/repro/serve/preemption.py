@@ -52,7 +52,7 @@ from repro.api.registry import (
 )
 from repro.api.spec import ComponentSpec, SpecLike, resolve
 from repro.serve.interconnect import Interconnect
-from repro.serve.memtier import DramTier, TierHierarchy
+from repro.serve.memtier import DramTier, MemoryTiersLike, TierHierarchy, resolve_memory_tiers
 from repro.serve.request import ServeRequest
 
 register_kind("preemption", label="preemption policy")
@@ -135,10 +135,11 @@ class OffloadPreemption(PreemptionPolicy):
 
     A victim's KV demotes to the shallowest ``hierarchy`` tier with
     room (device→tier transfer charged to the clock) and promotes back
-    on re-admission instead of being recomputed.  When there is no
-    hierarchy, every tier is full, or the victim will never requeue,
-    the KV is dropped and re-admission re-runs prefill over the full
-    context — so the policy over no tiers *is* recompute preemption.
+    on re-admission instead of being recomputed.  When every tier is
+    full (the empty hierarchy's none always are) or the victim will
+    never requeue, the KV is dropped and re-admission re-runs prefill
+    over the full context — so the policy over no tiers *is* recompute
+    preemption.
 
     ``scalar_ledger`` selects where moved bytes are counted: per tier
     in ``KVCacheMetrics.demoted_bytes`` / ``promoted_bytes``, or (swap,
@@ -147,11 +148,11 @@ class OffloadPreemption(PreemptionPolicy):
     """
 
     def __init__(self, name: str = "recompute",
-                 hierarchy: Optional[TierHierarchy] = None,
+                 hierarchy: MemoryTiersLike = None,
                  scalar_ledger: bool = False):
         super().__init__()
         self.name = name
-        self.hierarchy = hierarchy
+        self.hierarchy = resolve_memory_tiers(hierarchy)
         self._scalar_ledger = scalar_ledger
         #: req_id -> (where the KV is, bytes): a hierarchy item name,
         #: or ``_ON_WIRE`` for a migration not yet imported.
@@ -165,8 +166,7 @@ class OffloadPreemption(PreemptionPolicy):
 
     def bind(self, simulator) -> None:
         super().bind(simulator)
-        if self.hierarchy is not None:
-            self.hierarchy.bind(simulator.session, simulator.device)
+        self.hierarchy.bind(simulator.session, simulator.device)
 
     # -- disaggregated serving -----------------------------------------
     def export_on_finish(self, link: Interconnect, req_ids: Set[int],
@@ -199,10 +199,8 @@ class OffloadPreemption(PreemptionPolicy):
         sim = self._sim
         held = sim.kv.held_bytes(request)
         transfer_us = self._link.transfer_us(held, sim.device.latency)
-        if sim.trace is not None:
-            sim.trace.request_event(
-                "migrate_out", request, sim.session.elapsed_s,
-                us=transfer_us, bytes=held)
+        sim.trace.request_event("migrate_out", request, sim.session.elapsed_s,
+                                us=transfer_us, bytes=held)
         # The export reads the device copy, so the clock charge
         # precedes the release — and the finish timestamp (the decode
         # clone's arrival) lands after it.
@@ -222,7 +220,7 @@ class OffloadPreemption(PreemptionPolicy):
     def evict(self, request: ServeRequest, requeue: bool = True) -> None:
         kv = self._sim.kv
         held = kv.held_bytes(request)
-        if self.hierarchy is not None and held > 0 and requeue:
+        if held > 0 and requeue:
             name = f"kvreq{request.req_id}"
             placed = self.hierarchy.demote(name, held)
             if placed is not None:
@@ -244,10 +242,9 @@ class OffloadPreemption(PreemptionPolicy):
         sim = self._sim
         if where == _ON_WIRE:
             transfer_us = self._link.transfer_us(held, sim.device.latency)
-            if sim.trace is not None:
-                sim.trace.request_event(
-                    "migrate_in", request, sim.session.elapsed_s,
-                    us=transfer_us, bytes=held)
+            sim.trace.request_event("migrate_in", request,
+                                    sim.session.elapsed_s,
+                                    us=transfer_us, bytes=held)
             sim.kv.metrics.migrated_bytes += held
             return transfer_us
         if where is not None:
@@ -269,17 +266,16 @@ class OffloadPreemption(PreemptionPolicy):
         return len(self._parked)
 
 
-def _recompute(
-        hierarchy: Optional[TierHierarchy] = None) -> OffloadPreemption:
-    if hierarchy is None:
-        return OffloadPreemption()
-    return OffloadPreemption("tiered", hierarchy)
+def _recompute(hierarchy: MemoryTiersLike = None) -> OffloadPreemption:
+    hierarchy = resolve_memory_tiers(hierarchy)
+    return OffloadPreemption("tiered" if hierarchy.tiers else "recompute",
+                             hierarchy)
 
 
-def _swap(hierarchy: Optional[TierHierarchy] = None,
+def _swap(hierarchy: MemoryTiersLike = None,
           interconnect: Union[SpecLike, Interconnect] = "pcie",
           ) -> OffloadPreemption:
-    if hierarchy is not None:
+    if resolve_memory_tiers(hierarchy).tiers:
         # Both would claim the victim's KV.
         raise SpecError(
             "memory_tiers generalizes swap preemption's single host "

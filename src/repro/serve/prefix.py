@@ -44,6 +44,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.allocators.stats import AllocatorStats
 from repro.api.registry import Param, register_component
 from repro.serve.kvcache import PagedKVCache, _check_token_granularity
+from repro.serve.memtier import TierHierarchy
 from repro.serve.request import ServeRequest
 from repro.units import MB
 from repro.workloads.inference import kv_bytes
@@ -70,6 +71,8 @@ class PrefixTrie:
         self._slots: Dict[str, int] = {}        # prefix_id -> stable slot
         self._last_use: Dict[str, int] = {}     # prefix_id -> LRU stamp
         self._clock = 0
+        #: Shared blocks currently held by the tree.
+        self.resident_blocks = 0
 
     def slot(self, prefix_id: str) -> int:
         """Stable small integer naming this prefix's blocks."""
@@ -87,6 +90,7 @@ class PrefixTrie:
     def extend(self, prefix_id: str, block: str) -> None:
         """Append a newly materialized shared block to the path."""
         self._paths.setdefault(prefix_id, []).append(block)
+        self.resident_blocks += 1
 
     def trim_tail(self, prefix_id: str) -> Optional[str]:
         """Pop the deepest block of the path (eviction works tail-first
@@ -95,6 +99,7 @@ class PrefixTrie:
         if not path:
             return None
         block = path.pop()
+        self.resident_blocks -= 1
         if not path:
             del self._paths[prefix_id]
             self._last_use.pop(prefix_id, None)
@@ -109,11 +114,6 @@ class PrefixTrie:
         for prefix_id, path in self._paths.items():
             for block in path:
                 yield prefix_id, block
-
-    @property
-    def resident_blocks(self) -> int:
-        """Shared blocks currently held by the tree."""
-        return sum(len(path) for path in self._paths.values())
 
 
 class SharedPagedKVCache(PagedKVCache):
@@ -135,9 +135,9 @@ class SharedPagedKVCache(PagedKVCache):
         super().__init__(model, block_tokens)
         self.trie = PrefixTrie()
         self._shared_len: Dict[int, int] = {}  # req_id -> shared head blocks
-        self._hierarchy = None  # optional memtier.TierHierarchy
+        self._hierarchy = TierHierarchy([])
 
-    def attach_hierarchy(self, hierarchy) -> None:
+    def attach_hierarchy(self, hierarchy: TierHierarchy) -> None:
         """Attach a :class:`~repro.serve.memtier.TierHierarchy` so
         pressure-evicted idle shared tails demote to slow memory
         instead of being dropped, and promote back (a priced transfer)
@@ -215,8 +215,7 @@ class SharedPagedKVCache(PagedKVCache):
             table.append(block)
             added.append(block)
             self._live_blocks += 1
-            if (self._hierarchy is not None
-                    and self._hierarchy.holds(block)):
+            if self._hierarchy.holds(block):
                 # First touch of a demoted tail: pay the tier transfer
                 # to bring its contents back instead of recomputing.
                 label, size, us = self._hierarchy.promote(block)
@@ -298,17 +297,15 @@ class SharedPagedKVCache(PagedKVCache):
                     break  # tail busy (or path gone): keep this prefix
                 block = self.trie.trim_tail(prefix_id)
                 self._drop_block_ref(block)  # owner ref was last -> frees
-                if self._hierarchy is not None:
-                    placed = self._hierarchy.demote(block, self.block_bytes)
-                    if placed is not None:
-                        # Demote-instead-of-drop: the cold tail's bytes
-                        # move down the hierarchy (clock charged) and
-                        # can be promoted back on the next touch.
-                        label, us = placed
-                        self._session.advance(us)
-                        ledger = self.metrics.demoted_bytes
-                        ledger[label] = ledger.get(label, 0) \
-                            + self.block_bytes
+                placed = self._hierarchy.demote(block, self.block_bytes)
+                if placed is not None:
+                    # Demote-instead-of-drop: the cold tail's bytes move
+                    # down the hierarchy (clock charged) and can be
+                    # promoted back on the next touch.
+                    label, us = placed
+                    self._session.advance(us)
+                    ledger = self.metrics.demoted_bytes
+                    ledger[label] = ledger.get(label, 0) + self.block_bytes
                 freed += self.block_bytes
             if freed >= need_bytes:
                 break
@@ -338,17 +335,14 @@ class SharedPagedKVCache(PagedKVCache):
     def _note_cow(self, request: ServeRequest, tokens: int) -> None:
         size = kv_bytes(self.model, tokens)
         self.metrics.cow_copy_bytes += size
-        if self._trace is not None:
-            self._trace.record(
-                "cow_copy", self._session.elapsed_s, replica=self._replica,
-                req_id=request.req_id, tokens=tokens,
-                mb=round(size / MB, 3))
+        self._trace.record(
+            "cow_copy", self._session.elapsed_s, replica=self._replica,
+            req_id=request.req_id, tokens=tokens, mb=round(size / MB, 3))
 
     def _note_shared_blocks(self) -> None:
-        if self._trace is not None:
-            self._trace.record(
-                "kv_shared", self._session.elapsed_s,
-                replica=self._replica, blocks=self.trie.resident_blocks)
+        self._trace.record(
+            "kv_shared", self._session.elapsed_s, replica=self._replica,
+            blocks=self.trie.resident_blocks)
 
 
 register_component(

@@ -37,14 +37,9 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 from repro.allocators.stats import AllocatorStats
 from repro.api.spec import SpecLike, resolve, resolve_allocator
 from repro.gpu.device import GpuDevice
-from repro.obs.gauges import GaugePoint, GaugeSampler
-from repro.obs.trace import TraceRecorder
-from repro.serve.faults import (
-    CrashSchedule,
-    FaultModel,
-    RetryPolicy,
-    StragglerState,
-)
+from repro.obs.gauges import NO_GAUGES, GaugePoint, GaugeSampler
+from repro.obs.trace import NO_TRACE, TraceRecorder
+from repro.serve.faults import FaultModel, RetryPolicy
 from repro.serve.kvcache import KVCacheMetrics, KVCacheModel
 from repro.serve.memtier import MemoryTiersLike, resolve_memory_tiers
 from repro.serve.preemption import PreemptionPolicy
@@ -122,9 +117,10 @@ class ServingResult:
     timeline: List[TimelinePoint] = field(default_factory=list)
     replica_id: int = 0
     kv_cache_name: str = "chunked"
-    kv_metrics: Optional[KVCacheMetrics] = None
+    kv_metrics: KVCacheMetrics = field(
+        default_factory=lambda: KVCacheMetrics("chunked"))
     preemption_name: str = "recompute"
-    gauges: List[GaugePoint] = field(default_factory=list)
+    gauge_points: List[GaugePoint] = field(default_factory=list)
     #: Canonical tier hierarchy this replica served with ("" = none).
     memory_tiers: str = ""
     _tallies: "Optional[tuple]" = field(default=None, init=False,
@@ -221,8 +217,7 @@ class ServingResult:
             out["retries"] = self.retries
         if self.failed:
             out["failed"] = self.failed
-        if self.kv_metrics is not None:
-            out.update(self.kv_metrics.extras(per_replica=True))
+        out.update(self.kv_metrics.extras(per_replica=True))
         if self.memory_tiers:
             out["memory_tiers"] = self.memory_tiers
         return out
@@ -235,14 +230,12 @@ class ServingResult:
         sketches (see :mod:`repro.obs.sketch`) instead of sorted
         sample lists.
         """
-        migrated = (self.kv_metrics.migrated_bytes
-                    if self.kv_metrics is not None else 0)
         return ServingReport.from_requests(
             self.requests, self.makespan_s, slo,
             utilization=self.utilization,
             peak_reserved_gb=self.peak_reserved_gb,
             streaming=streaming,
-            migrated_mb=migrated / (1 << 20),
+            migrated_mb=self.kv_metrics.migrated_bytes / (1 << 20),
         )
 
 
@@ -275,26 +268,25 @@ class ServingSimulator:
         self.session = ReplaySession(self.allocator)
         # Telemetry is strictly passive: recording/sampling never
         # advances the clock or changes a decision, so a traced run is
-        # byte-identical to an untraced one.
-        self.trace = trace
-        self.gauges = gauges
-        if trace is not None:
-            trace.attach_allocator(self.allocator, self.session,
-                                   replica=replica_id)
+        # byte-identical to an untraced one.  Without a trace or gauges
+        # the replica records into NO_TRACE and polls NO_GAUGES, which
+        # do nothing (NO_TRACE attaches no allocator observer).
+        self.trace = trace if trace is not None else NO_TRACE
+        self.gauges = gauges if gauges is not None else NO_GAUGES
+        self.trace.attach_allocator(self.allocator, self.session,
+                                    replica=replica_id)
         self.kv = resolve("kv-cache", kv_cache, self.model)
         self.kv.bind(self.session, self.allocator)
-        if trace is not None:
-            self.kv.attach_trace(trace, replica_id)
-        # Tiered slow memory (optional).  ``memory_tiers=""`` builds no
-        # hierarchy and leaves every code path byte-identical to the
-        # pre-tier simulator (the committed goldens enforce this).
+        self.kv.attach_trace(self.trace, replica_id)
+        # Tiered slow memory below HBM.  ``memory_tiers=""`` is the empty
+        # hierarchy, which never holds a byte, so every code path stays
+        # byte-identical to the pre-tier simulator (the committed goldens
+        # enforce this).
         self.hierarchy = resolve_memory_tiers(memory_tiers)
-        if self.hierarchy is not None:
-            self.hierarchy.bind(self.session, self.device)
-            if trace is not None:
-                self.hierarchy.attach_trace(trace, replica_id)
-            if hasattr(self.kv, "attach_hierarchy"):
-                self.kv.attach_hierarchy(self.hierarchy)
+        self.hierarchy.bind(self.session, self.device)
+        self.hierarchy.attach_trace(self.trace, replica_id)
+        if hasattr(self.kv, "attach_hierarchy"):
+            self.kv.attach_hierarchy(self.hierarchy)
         # The hierarchy *is* the offload target: on a tiered replica
         # the default policy demotes preempted KV into it instead of
         # dropping it.
@@ -306,16 +298,13 @@ class ServingSimulator:
         #: Min-heap of (deadline, req_id, seq, request) queue-timeout
         #: events, owned by :meth:`run`; filled by :meth:`_push_timeout`.
         self._timeouts: List[Tuple[float, int, int, ServeRequest]] = []
-        # Fault injection.  With faults="none" the replica context is
-        # None, so the loop body's fault branches never fire and the
-        # run stays byte-identical to the pre-fault simulator (the
-        # committed hotpath goldens enforce this).
+        # Fault injection.  With faults="none" the replica's fault state
+        # is never down and never slows a step, so the run stays
+        # byte-identical to the pre-fault simulator (the committed
+        # hotpath goldens enforce this).
         self.faults = resolve("faults", faults)
         self.retry = resolve("retry", retry)
-        context = self.faults.replica_context(replica_id)
-        self._crash = context if isinstance(context, CrashSchedule) else None
-        self._straggler = (context if isinstance(context, StragglerState)
-                           else None)
+        self._fault_state = self.faults.replica_context(replica_id)
         #: Min-heap of (ready_s, seq, request) re-entries: retries
         #: landing after backoff and hedge duplicates, drained into
         #: the admission queue alongside arrivals.
@@ -361,9 +350,8 @@ class ServingSimulator:
         running.remove(request)
         request.state = RequestState.FINISHED
         request.finished_s = self._now()
-        if self.trace is not None:
-            self.trace.request_event("finish", request, request.finished_s,
-                                     tokens=request.tokens_done)
+        self.trace.request_event("finish", request, request.finished_s,
+                                 tokens=request.tokens_done)
 
     def _reject(self, request: ServeRequest, reason: str) -> None:
         # The single reject path: the taxonomy is closed here, so every
@@ -376,9 +364,8 @@ class ServingSimulator:
         request.reject_reason = reason
         if reason == "failed":
             request.failed_s = request.rejected_s
-        if self.trace is not None:
-            self.trace.request_event("reject", request, request.rejected_s,
-                                     reason=reason)
+        self.trace.request_event("reject", request, request.rejected_s,
+                                 reason=reason)
 
     def _preempt(self, request: ServeRequest, running: List[ServeRequest],
                  queue: "Deque[ServeRequest]") -> None:
@@ -395,10 +382,9 @@ class ServingSimulator:
         if request in running:
             running.remove(request)
         request.preemptions += 1
-        if self.trace is not None:
-            self.trace.request_event("preempt", request, self._now(),
-                                     requeue=requeue,
-                                     preemptions=request.preemptions)
+        self.trace.request_event("preempt", request, self._now(),
+                                 requeue=requeue,
+                                 preemptions=request.preemptions)
         if not requeue:
             self._reject(request, "preempted-out")
             return
@@ -431,10 +417,9 @@ class ServingSimulator:
             return False
         if request.admitted_s is None:
             request.admitted_s = self._now()
-        if self.trace is not None:
-            self.trace.request_event("admit", request, self._now(),
-                                     resumed=request.preemptions > 0,
-                                     context=context)
+        self.trace.request_event("admit", request, self._now(),
+                                 resumed=request.preemptions > 0,
+                                 context=context)
         # Make the request decode-ready: prefill over the full context
         # for fresh (and recompute-restored) requests, a PCIe swap-in
         # for requests a swap policy parked in host memory.
@@ -444,9 +429,8 @@ class ServingSimulator:
         if request.tokens_done == 0:
             request.tokens_done = 1
             request.first_token_s = self._now()
-            if self.trace is not None:
-                self.trace.request_event("first_token", request,
-                                         request.first_token_s)
+            self.trace.request_event("first_token", request,
+                                     request.first_token_s)
             if request.tokens_done >= request.output_tokens:
                 self._finish(request, running)
         return True
@@ -566,9 +550,7 @@ class ServingSimulator:
         batch = len(running)
         step_us = (self.config.step_overhead_us
                    + batch * 1e6 / self.config.decode_tokens_per_s)
-        if self._straggler is not None:
-            step_us *= self._straggler.step_factor()
-        self.session.advance(step_us)
+        self.session.advance(step_us * self._fault_state.step_factor())
         # Transient per-step activation workspace, like the offline
         # serving generator's ``ws`` tensors: small, short-lived churn
         # alongside the big KV blocks.  Best-effort — under pressure
@@ -653,10 +635,8 @@ class ServingSimulator:
             return
         request.retries += 1
         request.state = RequestState.QUEUED
-        if self.trace is not None:
-            self.trace.request_event("retry", request, now,
-                                     attempt=request.retries,
-                                     delay_s=delay)
+        self.trace.request_event("retry", request, now,
+                                 attempt=request.retries, delay_s=delay)
         if self._fault_sink is not None:
             self._gone.add(id(request))
             self._fault_sink(request, now + delay)
@@ -676,30 +656,24 @@ class ServingSimulator:
         and decodes nothing; queued requests keep aging toward their
         timeout deadlines.
         """
-        crash = self._crash
+        crash = self._fault_state
         now = self._now()
         while True:
             if crash.down:
                 if now < crash.end_s:
                     return
-                recover_s = crash.end_s
+                recover_s = max(now, crash.end_s)
                 crash.recover()
-                if self.trace is not None:
-                    self.trace.record("recover", max(now, recover_s),
-                                      replica=self.replica_id)
-                if self.gauges is not None:
-                    self.gauges.note_recover(max(now, recover_s),
-                                             self.replica_id)
+                self.trace.record("recover", recover_s,
+                                  replica=self.replica_id)
+                self.gauges.note_recover(recover_s, self.replica_id)
             if now < crash.start_s:
                 return
             crash.crash()
-            if self.trace is not None:
-                self.trace.record("crash", max(now, crash.start_s),
-                                  replica=self.replica_id,
-                                  mttr_s=crash.end_s - crash.start_s)
-            if self.gauges is not None:
-                self.gauges.note_crash(max(now, crash.start_s),
-                                       self.replica_id)
+            crash_s = max(now, crash.start_s)
+            self.trace.record("crash", crash_s, replica=self.replica_id,
+                              mttr_s=crash.end_s - crash.start_s)
+            self.gauges.note_crash(crash_s, self.replica_id)
             for request in list(running):
                 self._crash_victim(request, running)
             if self._fault_sink is not None:
@@ -760,18 +734,16 @@ class ServingSimulator:
             return False
         timeouts = self._timeouts
         now = self._now()
-        if self._crash is not None:
+        if now >= self._fault_state.start_s:  # a window boundary is due
             self._crash_poll(queue, running)
         while (self._index < len(pending)
                and pending[self._index].arrival_s <= now + _EPS):
             request = pending[self._index]
             queue.append(request)
             self._push_timeout(request)
-            if self.trace is not None:
-                self.trace.request_event("arrival", request,
-                                         request.arrival_s,
-                                         prompt=request.prompt_tokens,
-                                         output=request.output_tokens)
+            self.trace.request_event("arrival", request, request.arrival_s,
+                                     prompt=request.prompt_tokens,
+                                     output=request.output_tokens)
             self._index += 1
         while self._injected and self._injected[0][0] <= now + _EPS:
             _, _, request = heapq.heappop(self._injected)
@@ -782,11 +754,10 @@ class ServingSimulator:
             queue.append(request)
             self._push_timeout(request)
         self._expire_timeouts(queue)
-        down = self._crash is not None and self._crash.down
+        down = self._fault_state.down
         if not down:
             self._run_admissions(queue, running)
-        if self.gauges is not None:
-            self.gauges.poll(self, queue, running)
+        self.gauges.poll(self, queue, running)
         if running:
             self._decode_step(queue, running)
             return True
@@ -806,7 +777,7 @@ class ServingSimulator:
         if self._injected:
             horizons.append(self._injected[0][0])
         if down:
-            horizons.append(self._crash.end_s)
+            horizons.append(self._fault_state.end_s)
         if not horizons:
             return False
         target = max(min(horizons), now)
@@ -843,10 +814,8 @@ class ServingSimulator:
             kv_cache_name=self.kv.name,
             kv_metrics=self.kv.metrics,
             preemption_name=self.preemption.name,
-            gauges=(self.gauges.series(self.replica_id)
-                    if self.gauges is not None else []),
-            memory_tiers=(",".join(self.hierarchy.spec_strings())
-                          if self.hierarchy is not None else ""),
+            gauge_points=self.gauges.series(self.replica_id),
+            memory_tiers=",".join(self.hierarchy.spec_strings()),
         )
 
     def run(self, requests: Iterable[ServeRequest]) -> ServingResult:

@@ -137,20 +137,22 @@ class TestTrimAndOom:
 
     def test_serving_under_pressure_never_over_commits(self):
         """Regression, API level: the 3 GB serve run that reported
-        ``util 1.173`` (3.74 GB of live tensors on 3.19 GB reserved)."""
+        ``util 1.173`` (3.74 GB of live tensors on 3.19 GB reserved).
+        Five requests are the fewest on which the hand-copied block
+        list over-committed (``util 1.031``); four did not."""
         from repro.api import run
 
         (result,) = run({
             "mode": "serve", "allocators": ["expandable"],
             "capacity": "3GB",
             "serving": {"model": "opt-1.3b", "rate_per_s": 12.0,
-                        "n_requests": 300, "scheduler": "fcfs",
+                        "n_requests": 5, "scheduler": "fcfs",
                         "max_batch": 32, "queue_timeout_s": 30.0,
                         "seed": 1}})
         assert result.utilization_ratio <= 1.0
         assert result.peak_active_bytes <= 3 * GB
         assert result.peak_reserved_bytes <= 3 * GB
-        assert result.extras()["preemptions"] == 381
+        assert result.extras()["preemptions"] == 6
 
     def test_oom_raises_when_pinned(self, expandable):
         expandable.malloc(600 * MB)

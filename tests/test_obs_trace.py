@@ -2,8 +2,9 @@
 
 The headline guarantees:
 
-* tracing and gauges are **passive** — a run with them enabled
-  produces the identical report to a run without;
+* tracing and gauges are **passive** — at every site that records or
+  samples, a run with them enabled produces the identical request
+  lifecycles, extras and report to a run without;
 * a swap-preemption run exports valid Chrome trace-event JSON with
   queued/running/preempted spans (the Perfetto acceptance criterion);
 * sinks are registered ``trace`` components, reachable from the spec
@@ -24,9 +25,18 @@ from repro.obs import (
     sink_spec_for_path,
     validate_chrome_trace,
 )
-from repro.serve import PoissonArrivals, run_serving, run_serving_cluster
+from repro.obs.gauges import NO_GAUGES
+from repro.obs.trace import NO_TRACE
+from repro.serve import (
+    MultiTenantArrivals,
+    PoissonArrivals,
+    run_serving,
+    run_serving_cluster,
+    run_serving_disagg,
+)
 from repro.serve.arrivals import LengthSampler
 from repro.serve.simulator import ServingConfig
+from test_equivalence_goldens import _request_digest
 
 GB = 1 << 30
 
@@ -46,16 +56,67 @@ def pressure_run(trace=None, gauges=None, preemption="swap"):
     )
 
 
+def _small_stream(n, rate, seed=0):
+    lengths = LengthSampler(mean_prompt=512, mean_output=256)
+    return PoissonArrivals(rate_per_s=rate).generate(n, lengths, seed=seed)
+
+
+#: One run per site that records or samples: name -> (the run, the
+#: event kinds a traced run must contain, so the site really fired).
+PASSIVITY_RUNS = {
+    "swap": (pressure_run, {"preempt"}),
+    "crash-fleet-tiers": (
+        lambda trace=None, gauges=None: run_serving_cluster(
+            PoissonArrivals(rate_per_s=16.0).generate(60, seed=0),
+            "opt-1.3b", n_replicas=2, allocator="caching",
+            capacity=3 * GB, scheduler="memory-aware",
+            kv_cache="paged?block_tokens=16",
+            config=ServingConfig(max_batch=32, queue_timeout_s=30.0),
+            memory_tiers="dram?gb=0.2", retry="budget?max=3",
+            faults="replica-crash?mtbf_s=3&mttr_s=1",
+            trace=trace, gauges=gauges),
+        {"crash", "recover", "retry", "kv_demote", "kv_promote"}),
+    "paged-shared": (
+        lambda trace=None, gauges=None: run_serving(
+            MultiTenantArrivals(tenants=4, rate_per_s=6.0,
+                                shared_prefix_tokens=250).generate(30, seed=3),
+            "opt-1.3b", allocator="caching", capacity=8 * GB,
+            kv_cache="paged-shared?block_tokens=16",
+            scheduler="memory-aware", trace=trace, gauges=gauges),
+        {"cow_copy", "kv_shared"}),
+    "straggler": (
+        lambda trace=None, gauges=None: run_serving(
+            _small_stream(30, 6.0), "opt-1.3b", capacity=8 * GB,
+            faults="straggler?slowdown=4&prob=0.2",
+            trace=trace, gauges=gauges),
+        {"finish"}),
+    "disagg": (
+        lambda trace=None, gauges=None: run_serving_disagg(
+            _small_stream(30, 8.0), "opt-1.3b", prefill_replicas=1,
+            decode_replicas=1, capacity=8 * GB,
+            autoscaler="queue-depth?high=2000&low=200",
+            trace=trace, gauges=gauges),
+        {"migrate_out", "migrate_in", "autoscale"}),
+}
+
+
 class TestPassivity:
-    def test_trace_and_gauges_change_nothing(self):
-        baseline = pressure_run()
-        traced = pressure_run(trace=TraceRecorder(),
-                              gauges=GaugeSampler(0.5))
-        plain = dataclasses.asdict(baseline.report())
-        observed = dataclasses.asdict(traced.report())
-        assert plain == observed
-        assert [r.finished_s for r in baseline.requests] == \
-               [r.finished_s for r in traced.requests]
+    @pytest.mark.parametrize("run", sorted(PASSIVITY_RUNS))
+    def test_trace_and_gauges_change_nothing(self, run):
+        serve, fired = PASSIVITY_RUNS[run]
+        recorder = TraceRecorder()
+        baseline = serve()
+        traced = serve(trace=recorder, gauges=GaugeSampler(0.5))
+        assert fired <= {event.kind for event in recorder.events}
+        assert _request_digest(baseline.requests) == \
+               _request_digest(traced.requests)
+        assert baseline.extras() == traced.extras()
+        assert dataclasses.asdict(baseline.report()) == \
+               dataclasses.asdict(traced.report())
+        # The untraced run recorded into the shared no-op instances.
+        assert len(NO_TRACE) == 0 and len(NO_GAUGES) == 0
+        assert not (NO_GAUGES.active_points or NO_GAUGES.down_points
+                    or NO_GAUGES.fleet_points)
 
 
 class TestRecorder:
@@ -137,13 +198,13 @@ class TestGauges:
     def test_sampler_records_series(self):
         gauges = GaugeSampler(every_s=0.5)
         result = pressure_run(gauges=gauges)
-        assert result.gauges, "simulator must return its gauge series"
-        times = [p.t_s for p in result.gauges]
+        assert result.gauge_points, "simulator must return its gauge series"
+        times = [p.t_s for p in result.gauge_points]
         assert times == sorted(times)
         # Stride respected: consecutive samples at least ~every_s apart.
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(gap >= 0.5 - 1e-9 for gap in gaps)
-        for point in result.gauges:
+        for point in result.gauge_points:
             assert point.reserved_bytes >= point.active_bytes >= 0
             assert 0.0 <= point.kv_utilization <= 1.0
             assert point.queue_depth >= 0 and point.running >= 0

@@ -105,9 +105,13 @@ class TestHierarchyParsing:
     def test_empty_string_is_no_tiering(self):
         assert parse_memory_tiers("") == []
         assert parse_memory_tiers("  ") == []
-        assert resolve_memory_tiers("") is None
-        assert resolve_memory_tiers(None) is None
-        assert resolve_memory_tiers([]) is None
+        for none in ("", "  ", None, []):
+            hierarchy = resolve_memory_tiers(none)
+            assert isinstance(hierarchy, TierHierarchy)
+            assert hierarchy.tiers == [] and hierarchy.spec_strings() == []
+            # Recompute over no tiers keeps its name.
+            assert resolve("preemption", "recompute", hierarchy).name \
+                == "recompute"
 
     def test_comma_list_parses_in_order(self):
         specs = parse_memory_tiers("dram?gb=64, cxl?gb=256 ,nvme")
@@ -123,9 +127,12 @@ class TestHierarchyParsing:
             assert hierarchy.labels == ["dram", "cxl"]
         assert resolve_memory_tiers(from_string) is from_string
 
-    def test_empty_hierarchy_rejected(self):
-        with pytest.raises(ValueError, match="at least one tier"):
-            TierHierarchy([])
+    def test_empty_hierarchy_holds_nothing(self):
+        hierarchy = bound_hierarchy()
+        assert hierarchy.demote("kvreq1", 1) is None  # no tier has room
+        assert hierarchy.promote("kvreq1") is None
+        assert not hierarchy.holds("kvreq1")
+        assert hierarchy.drained and hierarchy.resident_bytes == 0
 
     def test_duplicate_tier_labels_deduplicate(self):
         hierarchy = TierHierarchy(["dram?gb=1", "dram?gb=2"])
