@@ -40,10 +40,3 @@ class AllocatorStats:
     def fragmentation_ratio(self) -> float:
         """1 − utilization ratio, the paper's fragmentation metric."""
         return 1.0 - self.utilization_ratio
-
-    @property
-    def instantaneous_utilization(self) -> float:
-        """Current active / current reserved (for timeline plots)."""
-        if self.reserved_bytes == 0:
-            return 1.0
-        return self.active_bytes / self.reserved_bytes

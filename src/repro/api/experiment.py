@@ -57,7 +57,8 @@ def _canonicalize(spec: Any, fields: Dict[str, str],
 @dataclass(frozen=True)
 class WorkloadSpec:
     """A training workload, as :class:`repro.workloads.TrainingWorkload`
-    names it (used by the ``replay`` and ``cluster`` modes)."""
+    names it (used by the ``replay`` and ``cluster`` modes).  Validated
+    at spec-construction time by constructing that workload."""
 
     model: str = "opt-13b"
     batch_size: int = 4
@@ -66,6 +67,12 @@ class WorkloadSpec:
     platform: str = "deepspeed"
     iterations: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        try:
+            self.build()
+        except (KeyError, ValueError) as exc:
+            raise SpecError(exc.args[0]) from exc
 
     def build(self):
         from repro.workloads.training import TrainingWorkload
@@ -197,6 +204,12 @@ class ServingSpec:
     seed: int = 0
 
     def __post_init__(self):
+        from repro.workloads.models import get_model
+
+        try:
+            get_model(self.model)
+        except KeyError as exc:
+            raise SpecError(exc.args[0]) from exc
         _canonicalize(
             self,
             {"kv_cache": "kv-cache", "scheduler": "scheduler",

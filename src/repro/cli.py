@@ -11,7 +11,8 @@ replay           Replay a JSONL trace against an allocator spec.
 serve            Online serving simulation with live admission control.
 microbench       Print the Figure 6 / Table 1 VMM latency tables.
 models           List the model registry.
-list-allocators  List the allocator registry with tunable parameters.
+list-allocators  List the allocator and KV-cache registries with tunable
+                 parameters.
 list-components  List every registered component kind with tunable
                  parameters (``--kind`` narrows it; the command's help
                  names the kinds).
@@ -49,8 +50,10 @@ python -m repro list-components --kind preemption
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis import along, comparison, format_table, grid
 from repro.analysis.observability import format_gauges
@@ -76,42 +79,44 @@ from repro.errors import AllocatorError
 from repro.gpu.device import GpuDevice
 from repro.obs import sink_spec_for_path
 import repro.serve  # noqa: F401  (registers the serving component kinds)
-from repro.sim.engine import run_trace, run_workload
-from repro.units import GB, MB, parse_size
+from repro.sim.engine import run_trace
+from repro.units import A100_80GB, GB, MB, parse_size
 from repro.workloads import MODELS
 from repro.workloads.traceio import load_trace, save_trace
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", default="opt-13b",
-                        help="model registry name (see `models`)")
-    parser.add_argument("--batch", type=int, default=4,
-                        help="per-GPU micro-batch size")
-    parser.add_argument("--gpus", type=int, default=4,
+    parser.add_argument("--model", help="model registry name (see `models`)")
+    parser.add_argument("--batch", dest="batch_size", metavar="BATCH",
+                        type=int, help="per-GPU micro-batch size")
+    parser.add_argument("--gpus", dest="n_gpus", metavar="GPUS", type=int,
                         help="data-parallel world size")
-    parser.add_argument("--strategies", default="LR",
+    parser.add_argument("--strategies",
                         help="strategy label: N, R, LR, RO, LRO, ...")
-    parser.add_argument("--platform", default="deepspeed",
-                        help="deepspeed | fsdp | colossalai")
-    parser.add_argument("--iterations", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--platform", help="deepspeed | fsdp | colossalai")
+    parser.add_argument("--iterations", type=int)
+    parser.add_argument("--seed", type=int)
 
 
-def _workload_from(args: argparse.Namespace) -> WorkloadSpec:
-    return WorkloadSpec(
-        model=args.model, batch_size=args.batch, n_gpus=args.gpus,
-        strategies=args.strategies, platform=args.platform,
-        iterations=args.iterations, seed=args.seed,
-    )
+def _pick(cls, values: Dict[str, Any]):
+    """``cls`` built from the ``values`` named after its fields.
+
+    A flag's ``dest`` is the spec field it sets, and a flag left unset
+    is absent from the parsed arguments, so the spec holds every
+    default and every rule.
+    """
+    names = {field.name for field in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in values.items() if k in names})
 
 
-def _parse_spec_list(text: str) -> List[AllocatorSpec]:
-    """Parse a comma-separated list of allocator spec strings."""
-    specs = [AllocatorSpec.parse(item)
-             for item in text.split(",") if item.strip()]
-    if not specs:
-        raise SpecError(f"no allocator specs in {text!r}")
-    return specs
+def _experiment(values: Dict[str, Any], **blocks: Any) -> ExperimentSpec:
+    """The experiment around ``blocks`` (mode, workload or serving)
+    that the allocator-list and ``--capacity`` flags in ``values`` set."""
+    if "allocators" in values:
+        # A comma list; the spec parses (and so validates) each item.
+        blocks["allocators"] = [item for item in values["allocators"].split(",")
+                                if item.strip()]
+    return _pick(ExperimentSpec, {**values, **blocks})
 
 
 # ----------------------------------------------------------------------
@@ -131,16 +136,11 @@ def _run_spec_file(path: str) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.spec:
-        return _run_spec_file(args.spec)
-    workload = _workload_from(args).build()
-    rows = []
-    for spec in _parse_spec_list(args.allocators):
-        result = run_workload(workload, spec, capacity=args.capacity)
-        row = run_result_row(result)
-        row["allocator"] = spec.label
-        rows.append(row)
-    print(format_table(rows, title=f"workload: {workload.label}"))
+    values = vars(args)
+    spec = _experiment(values, mode="replay",
+                       workload=_pick(WorkloadSpec, values))
+    rows = [run_result_row(result) for result in run_experiment(spec)]
+    print(format_table(rows, title=f"workload: {spec.workload.build().label}"))
     return 0
 
 
@@ -203,11 +203,15 @@ _SWEEP_AXES = {
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     field, default, parse = _SWEEP_AXES[args.axis]
-    values = [parse(v) for v in (args.values or default).split(",")]
+    try:
+        values = [parse(v) for v in (args.values or default).split(",")]
+    except ValueError as exc:
+        raise SpecError(f"--values for --axis {args.axis}: {exc}") from exc
     # Every point is the flags' workload with only the axis field
-    # replaced, so --platform / --seed reach every run.
-    cells = grid(ExperimentSpec(workload=_workload_from(args)),
-                 along(field, values))
+    # replaced, so --platform / --seed reach every run; grid builds
+    # (and so validates) every point before any runs.
+    base = ExperimentSpec(workload=_pick(WorkloadSpec, vars(args)))
+    cells = grid(base, along(field, values))
     table = []
     for results in cells.values():
         row = comparison(results)
@@ -220,12 +224,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "caching OOM": row.baseline.oom,
             "gmlake OOM": row.gmlake.oom,
         })
-    print(format_table(table, title=f"sweep {args.axis}: {args.model}"))
+    print(format_table(table, title=f"sweep {args.axis}: {base.workload.model}"))
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    trace = _workload_from(args).build().build_trace()
+    trace = _pick(WorkloadSpec, vars(args)).build().build_trace()
     trace.validate()
     save_trace(trace, args.out)
     stats = trace.stats()
@@ -245,11 +249,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     try:
         return _cmd_serve(args)
-    except (KeyError, ValueError, AllocatorError) as exc:
-        # Config errors (unknown allocator/model, bad rates, weights
-        # that alone exceed --capacity) are user errors, not crashes.
-        message = exc.args[0] if exc.args else exc
-        print(f"serve: {message}", file=sys.stderr)
+    except AllocatorError as exc:
+        # Model weights that alone exceed --capacity are a user error,
+        # not a crash.
+        print(f"serve: {exc}", file=sys.stderr)
         return 2
 
 
@@ -258,57 +261,27 @@ def _serve_spec_from(args: argparse.Namespace) -> ExperimentSpec:
 
     Flags only *name* things; :class:`repro.api.ServingSpec` is the one
     validator, so a misuse fails here — before any simulation runs —
-    with the same message ``repro run --spec`` would give.
+    with the same message ``repro run --spec`` would give.  What is
+    left here translates a value rather than copying it.
     """
-    arrivals = args.arrivals
-    if args.tenants:
-        # --tenants is sugar over the multi-tenant arrivals component;
-        # a full --arrivals spec already says everything.
-        if arrivals:
-            raise SpecError(
-                "--tenants conflicts with --arrivals; encode the tenant "
-                "count in the spec, e.g. 'multi-tenant?tenants=8&rate=4'")
-        arrivals = (f"multi-tenant?tenants={args.tenants}"
-                    f"&rate={args.rate:g}"
-                    f"&shared_prefix_tokens={args.shared_prefix}")
-    elif args.arrival == "replay" and not arrivals:
-        if not args.arrival_log:
-            raise SpecError("--arrival replay requires --arrival-log")
-        arrivals = f"replay?path={args.arrival_log}"
-    allocators = _parse_spec_list(args.allocator)
-    if args.trace and len(allocators) > 1:
+    values = dict(vars(args))
+    if values.get("trace"):
+        values["trace"] = sink_spec_for_path(values["trace"]).spec_string()
+    if not values.pop("gauges", False):
+        del values["gauge_every_s"]  # the stride means nothing without --gauges
+    if values.pop("disagg", False):
+        values["disagg"] = _pick(DisaggSpec, values)
+    spec = _experiment(values, mode="serve",
+                       serving=_pick(ServingSpec, values))
+    if spec.serving.trace and len(spec.allocators) > 1:
         raise SpecError(
             "--trace records one run; pass a single allocator spec (or "
             "use an ExperimentSpec, which writes one trace file per "
             "allocator)")
-    disagg = None
-    if args.disagg:
-        disagg = DisaggSpec(prefill_replicas=args.prefill_replicas,
-                            decode_replicas=args.decode_replicas,
-                            interconnect=args.interconnect)
-    serving = ServingSpec(
-        model=args.model, arrival=args.arrival, rate_per_s=args.rate,
-        burst_rate_per_s=args.burst_rate, mean_dwell_s=args.dwell,
-        n_requests=args.requests, mean_prompt=args.mean_prompt,
-        mean_output=args.mean_output, scheduler=args.scheduler,
-        max_batch=args.max_batch, queue_timeout_s=args.timeout,
-        replicas=args.gpus, slo_ttft_s=args.slo_ttft,
-        slo_tpot_s=args.slo_tpot, kv_cache=args.kv_cache,
-        arrivals=arrivals, preemption=args.preemption,
-        autoscaler=args.autoscaler, faults=args.faults, retry=args.retry,
-        trace=(sink_spec_for_path(args.trace).spec_string()
-               if args.trace else ""),
-        gauge_every_s=args.gauge_every if args.gauges else 0.0,
-        streaming=args.streaming, disagg=disagg,
-        prefix_sharing=args.prefix_sharing,
-        memory_tiers=args.memory_tiers, seed=args.seed)
-    return ExperimentSpec(mode="serve", allocators=allocators,
-                          capacity=args.capacity, serving=serving)
+    return spec
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.spec:
-        return _run_spec_file(args.spec)
     spec = _serve_spec_from(args)
     serving, slo = spec.serving, spec.serving.slo()
     reports = {}
@@ -373,9 +346,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _catalogue_rows(kind: str, owner: str = "name"):
-    """(registry rows, parameter rows) of one component kind, by name;
-    ``owner`` titles the parameter table's component column."""
+def _catalogue_rows(kind: str):
+    """(registry rows, parameter rows) of one component kind, by name."""
     infos = sorted(iter_components(kind), key=lambda i: i.name)
     rows = [
         {
@@ -389,7 +361,7 @@ def _catalogue_rows(kind: str, owner: str = "name"):
     ]
     params = [
         {
-            owner: info.name,
+            "name": info.name,
             "parameter": param.name,
             "type": param.type_name,
             "default": param.default_str(),
@@ -400,35 +372,6 @@ def _catalogue_rows(kind: str, owner: str = "name"):
         for param in info.params
     ]
     return rows, params
-
-
-def cmd_list_allocators(args: argparse.Namespace) -> int:
-    del args
-    rows, params = _catalogue_rows("allocator", owner="allocator")
-    print(format_table(rows, title="allocator registry"))
-    if params:
-        print()
-        print(format_table(
-            params,
-            title='tunable parameters (spec syntax: "name?key=value&key=value")',
-        ))
-
-    kv_rows = [
-        {
-            "name": info.name,
-            "parameter": param.name,
-            "default": param.default_str(),
-            "description": info.description,
-        }
-        for info in iter_components("kv-cache")
-        for param in info.params
-    ]
-    print()
-    print(format_table(
-        kv_rows,
-        title="serving KV-cache models (serve --kv-cache \"name?key=value\")",
-    ))
-    return 0
 
 
 def cmd_list_components(args: argparse.Namespace) -> int:
@@ -505,17 +448,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="GMLake reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare", help="run one workload under allocators")
+    # The spec-backed commands: an unset flag is absent from the parsed
+    # arguments, so each spec's own default applies.
+    spec_parser = functools.partial(sub.add_parser,
+                                    argument_default=argparse.SUPPRESS)
+
+    p = spec_parser("compare", help="run one workload under allocators")
     _add_workload_args(p)
-    p.add_argument("--allocators", default="caching,gmlake",
+    p.add_argument("--allocators",
                    help="comma list of allocator specs, e.g. "
                         "'caching,gmlake?chunk_mb=512&stitching=off' "
                         f"(names: {component_names('allocator')})")
-    p.add_argument("--capacity", type=parse_size, default=80 * GB,
+    p.add_argument("--capacity", type=parse_size,
                    help="device memory, e.g. 80GB")
-    p.add_argument("--spec", default="",
-                   help="run a JSON ExperimentSpec file instead "
-                        "(all other flags ignored)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("run", help="run a JSON experiment file")
@@ -530,14 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep worker processes (default: cpu count)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help="sweep one workload axis")
+    p = spec_parser("sweep", help="sweep one workload axis")
     _add_workload_args(p)
     p.add_argument("--axis", choices=tuple(_SWEEP_AXES), required=True)
     p.add_argument("--values", default="",
                    help="comma list of axis values (defaults per axis)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("trace", help="write a workload trace to JSONL")
+    p = spec_parser("trace", help="write a workload trace to JSONL")
     _add_workload_args(p)
     p.add_argument("--out", required=True, help="output .jsonl path")
     p.set_defaults(func=cmd_trace)
@@ -546,41 +491,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--allocator", default="gmlake",
                    help=f"allocator spec (names: {component_names('allocator')})")
-    p.add_argument("--capacity", type=parse_size, default=80 * GB)
+    p.add_argument("--capacity", type=parse_size, default=A100_80GB)
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser(
+    p = spec_parser(
         "serve", help="online serving simulation",
         epilog="The flags only fill in a repro.api.ServingSpec (and its "
                "DisaggSpec block); that spec is the source of truth for "
                "which values and combinations are valid, and `repro run "
                "--spec` runs the same experiment from its JSON form.")
-    p.add_argument("--model", default="opt-13b",
-                   help="model registry name (see `models`)")
-    p.add_argument("--arrival", choices=("poisson", "mmpp", "replay"),
-                   default="poisson", help="arrival process")
-    p.add_argument("--rate", type=float, default=2.0,
+    p.add_argument("--model", help="model registry name (see `models`)")
+    p.add_argument("--arrival", choices=("poisson", "mmpp"),
+                   help="arrival process")
+    p.add_argument("--rate", dest="rate_per_s", metavar="RATE", type=float,
                    help="mean arrival rate, requests/s (calm rate for mmpp)")
-    p.add_argument("--burst-rate", type=float, default=0.0,
+    p.add_argument("--burst-rate", dest="burst_rate_per_s",
+                   metavar="BURST_RATE", type=float,
                    help="mmpp burst rate, requests/s (default 4x --rate)")
-    p.add_argument("--dwell", type=float, default=10.0,
-                   help="mmpp mean state dwell time, seconds")
-    p.add_argument("--arrival-log", default="",
-                   help="timestamp file for --arrival replay")
-    p.add_argument("--requests", type=int, default=100,
-                   help="number of requests to serve")
-    p.add_argument("--allocator", default="gmlake",
+    p.add_argument("--dwell", dest="mean_dwell_s", metavar="DWELL",
+                   type=float, help="mmpp mean state dwell time, seconds")
+    p.add_argument("--requests", dest="n_requests", metavar="REQUESTS",
+                   type=int, help="number of requests to serve")
+    p.add_argument("--allocator", dest="allocators", metavar="ALLOCATOR",
+                   default="gmlake",
                    help="comma list of allocator specs "
                         f"(names: {component_names('allocator')})")
-    p.add_argument("--scheduler", default="memory-aware",
+    p.add_argument("--scheduler",
                    help="admission scheduler spec, e.g. 'fcfs', "
                         "'memory-aware?margin=1.5' "
                         f"(names: {component_names('scheduler')})")
-    p.add_argument("--arrivals", default="",
+    p.add_argument("--arrivals",
                    help="arrival process spec overriding --arrival/--rate, "
                         "e.g. 'poisson?rate=4', 'closed-loop?clients=8', "
                         "'replay?path=log.txt'")
-    p.add_argument("--kv-cache", default="chunked",
+    p.add_argument("--kv-cache",
                    help="KV-cache memory model spec, e.g. 'chunked', "
                         "'paged?block_tokens=16' "
                         f"(names: {component_names('kv-cache')})")
@@ -588,81 +532,72 @@ def build_parser() -> argparse.ArgumentParser:
                    help="share common prompt prefixes across requests "
                         "copy-on-write (switches --kv-cache to "
                         "'paged-shared'; needs a paged model)")
-    p.add_argument("--tenants", type=int, default=0,
-                   help="multi-tenant workload: N tenants with "
-                        "Zipf-skewed traffic, each declaring a shared "
-                        "per-tenant prompt prefix (sugar for --arrivals "
-                        "'multi-tenant?tenants=N&...')")
-    p.add_argument("--shared-prefix", type=int, default=256,
-                   help="shared prompt-prefix length per tenant, tokens "
-                        "(with --tenants)")
-    p.add_argument("--preemption", default="recompute",
+    p.add_argument("--preemption",
                    help="preemption policy spec: 'recompute' (free + "
                         "re-prefill) or 'swap' (host offload priced by an "
                         "interconnect component, e.g. "
                         "'swap?interconnect=pcie?gb_per_s=12')")
-    p.add_argument("--memory-tiers", default="",
+    p.add_argument("--memory-tiers",
                    help="slow-memory hierarchy below HBM as a comma list "
                         "of memory-tier specs, e.g. 'dram?gb=64' or "
                         "'dram?gb=64,cxl?gb=256&gb_per_s=40,nvme' — cold "
                         "KV demotes down the hierarchy instead of being "
                         "recomputed "
                         f"(names: {component_names('memory-tier')})")
-    p.add_argument("--autoscaler", default="none",
+    p.add_argument("--autoscaler",
                    help="replica autoscaler spec (multi-GPU or disagg): "
                         "'none' or 'queue-depth?high=4000&low=500' "
                         "(under --disagg each fleet scales independently)")
-    p.add_argument("--gpus", type=int, default=1,
+    p.add_argument("--gpus", dest="replicas", metavar="GPUS", type=int,
                    help="number of serving replicas")
     p.add_argument("--disagg", action="store_true",
                    help="disaggregate prefill and decode onto separate "
                         "fleets with KV migration over --interconnect")
-    p.add_argument("--prefill-replicas", type=int, default=1,
+    p.add_argument("--prefill-replicas", type=int,
                    help="prefill fleet size (with --disagg)")
-    p.add_argument("--decode-replicas", type=int, default=1,
+    p.add_argument("--decode-replicas", type=int,
                    help="decode fleet size (with --disagg)")
-    p.add_argument("--faults", default="none",
+    p.add_argument("--faults",
                    help="replica fault model spec, e.g. "
                         "'replica-crash?mtbf_s=120&mttr_s=10', "
                         "'straggler?slowdown=4&prob=0.1', "
                         "'link-degrade?factor=4'")
-    p.add_argument("--retry", default="none",
+    p.add_argument("--retry",
                    help="retry policy spec, e.g. 'budget?max=3&"
                         "backoff_s=0.25' or 'hedge?after_s=2' "
                         "(hedging needs --gpus >= 2)")
-    p.add_argument("--interconnect", default="pcie",
+    p.add_argument("--interconnect",
                    help="interconnect spec pricing KV migration, e.g. "
                         "'pcie?gb_per_s=24' or 'nvlink?gb_per_s=300"
                         "&latency_us=1.5' "
                         f"(names: {component_names('interconnect')})")
-    p.add_argument("--capacity", type=parse_size, default=80 * GB,
+    p.add_argument("--capacity", type=parse_size,
                    help="device memory per replica, e.g. 80GB")
-    p.add_argument("--max-batch", type=int, default=16,
+    p.add_argument("--max-batch", type=int,
                    help="admission cap on running requests")
-    p.add_argument("--mean-prompt", type=int, default=512)
-    p.add_argument("--mean-output", type=int, default=256)
-    p.add_argument("--timeout", type=float, default=60.0,
+    p.add_argument("--mean-prompt", type=int)
+    p.add_argument("--mean-output", type=int)
+    p.add_argument("--timeout", dest="queue_timeout_s", metavar="TIMEOUT",
+                   type=float,
                    help="queueing timeout before rejection, seconds")
-    p.add_argument("--slo-ttft", type=float, default=2.0,
-                   help="TTFT SLO, seconds")
-    p.add_argument("--slo-tpot", type=float, default=0.05,
-                   help="time-per-output-token SLO, seconds")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", default="",
+    p.add_argument("--slo-ttft", dest="slo_ttft_s", metavar="SLO_TTFT",
+                   type=float, help="TTFT SLO, seconds")
+    p.add_argument("--slo-tpot", dest="slo_tpot_s", metavar="SLO_TPOT",
+                   type=float, help="time-per-output-token SLO, seconds")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trace",
                    help="write a request-lifecycle trace here; .jsonl "
                         "writes compact JSONL, anything else Chrome "
                         "trace-event JSON (open in Perfetto)")
     p.add_argument("--gauges", action="store_true",
                    help="sample time-series gauges (queue depth, memory, "
                         "KV utilization) and print them as a table")
-    p.add_argument("--gauge-every", type=float, default=1.0,
+    p.add_argument("--gauge-every", dest="gauge_every_s",
+                   metavar="GAUGE_EVERY", type=float, default=1.0,
                    help="gauge sampling stride, simulated seconds")
     p.add_argument("--streaming", action="store_true",
                    help="compute report percentiles from constant-memory "
                         "t-digest sketches instead of sorted sample lists")
-    p.add_argument("--spec", default="",
-                   help="run a JSON ExperimentSpec file instead "
-                        "(all other flags ignored)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("microbench", help="VMM latency tables")
@@ -673,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list-allocators",
                        help="list the allocator registry")
-    p.set_defaults(func=cmd_list_allocators)
+    p.set_defaults(func=cmd_list_components, kind=["allocator", "kv-cache"])
 
     p = sub.add_parser("list-components",
                        help="list every registered component kind "

@@ -48,11 +48,6 @@ class ComparisonRow:
         )
 
     @property
-    def utilization_gain(self) -> float:
-        """Utilization-ratio gain of GMLake over the baseline."""
-        return self.gmlake.utilization_ratio - self.baseline.utilization_ratio
-
-    @property
     def throughput_ratio(self) -> Optional[float]:
         """GMLake / baseline throughput (None if baseline OOMed)."""
         if self.baseline.throughput_samples_per_s == 0:

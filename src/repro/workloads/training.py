@@ -187,6 +187,8 @@ class TrainingWorkload:
             self.platform = Platform.from_name(self.platform)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.n_gpus < 1:
+            raise ValueError(f"n_gpus must be >= 1, got {self.n_gpus}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 

@@ -94,7 +94,3 @@ class ZeroConfig:
     def gather_bytes(self, layer_bytes: int) -> int:
         """Transient all-gather buffer: the full layer."""
         return layer_bytes
-
-    def reduce_bytes(self, layer_bytes: int) -> int:
-        """Transient gradient reduce-scatter buffer: the full layer."""
-        return layer_bytes

@@ -235,14 +235,6 @@ class TestCliSpecPaths:
         assert "caching" in out and "gmlake" in out
         assert "iterations_completed=2" in out
 
-    def test_compare_and_serve_accept_spec_file(self, tmp_path, capsys):
-        path = str(tmp_path / "experiment.json")
-        tiny_experiment().save(path)
-        assert main(["compare", "--spec", path]) == 0
-        assert "mode=replay" in capsys.readouterr().out
-        assert main(["serve", "--spec", path]) == 0
-        assert "mode=replay" in capsys.readouterr().out
-
     def test_run_missing_spec_file(self, capsys):
         assert main(["run", "--spec", "/nonexistent.json"]) == 2
         assert "nonexistent" in capsys.readouterr().err
@@ -270,6 +262,6 @@ class TestCliSpecPaths:
         assert out.count("CachingAllocator") == 1
         assert "pytorch" in out
         # The tunables table shows name/type/default from the registry.
-        assert "tunable parameters" in out
+        assert "allocator parameters" in out
         assert "chunk_size" in out and "max_spool_blocks" in out
         assert "stitching" in out  # alias spec key listed

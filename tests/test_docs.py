@@ -1,10 +1,12 @@
 """The docs stay true: links resolve, spec snippets execute.
 
-Three guarantees for the ``docs/`` tree (and README):
+Four guarantees for the ``docs/`` tree (and README):
 
 * every intra-repo markdown link points at a file that exists;
 * every fenced ``json`` snippet in the docs parses as an
   :class:`repro.api.ExperimentSpec` and actually **runs** end to end;
+* every documented ``python -m repro …`` command (README, docs, the
+  benchmark guide and CI) parses with today's flags;
 * the allocator/KV-cache catalogues in the docs cover every registered
   name and tunable parameter, so a new registration without docs (or
   docs for something renamed away) fails CI.
@@ -12,11 +14,14 @@ Three guarantees for the ``docs/`` tree (and README):
 
 import json
 import re
+import shlex
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
 from repro import api
+from repro.cli import build_parser
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
@@ -89,6 +94,43 @@ class TestIntraRepoLinks:
             if not (page.parent / path).exists():
                 broken.append(target)
         assert not broken, f"broken links in {page.name}: {broken}"
+
+
+#: Where ``python -m repro …`` commands are written down for a reader.
+COMMAND_PAGES = [REPO / "README.md", *sorted(DOCS.glob("*.md")),
+                 REPO / "benchmarks" / "perf" / "README.md",
+                 REPO / ".github" / "workflows" / "ci.yml"]
+#: A shell command ends at the first of these tokens.
+_SHELL_OPERATORS = {")", "|", "||", "&&", ";", ">", ">>", "<", "&"}
+_COMMAND = re.compile(r"python -m repro\b((?:[^`\n\\]|\\\n|\\(?!\n))*)")
+
+
+def _documented_commands():
+    """(page, line, argv) of every ``python -m repro`` command: the
+    rest of its line, continued over trailing backslashes, up to an
+    inline-code backtick, a shell operator or a comment."""
+    for page in COMMAND_PAGES:
+        text = page.read_text(encoding="utf-8")
+        for match in _COMMAND.finditer(text):
+            lexer = shlex.shlex(match.group(1).replace("\\\n", " "),
+                                posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            line = text.count("\n", 0, match.start()) + 1
+            yield (f"{page.relative_to(REPO)}:{line}",
+                   list(takewhile(lambda t: t not in _SHELL_OPERATORS, lexer)))
+
+
+class TestDocumentedCommandsParse:
+    COMMANDS = list(_documented_commands())
+
+    @pytest.mark.parametrize("where,argv", COMMANDS,
+                             ids=[where for where, _ in COMMANDS])
+    def test_command_parses(self, where, argv):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{where}: `python -m repro {shlex.join(argv)}` "
+                        "does not parse")
 
 
 class TestSpecSnippetsRun:

@@ -1,12 +1,14 @@
 """Tests for trace serialization and the command-line interface."""
 
+import argparse
+import dataclasses
 import json
 import re
 
 import pytest
 
 from repro.analysis import along, comparison, grid
-from repro.api import ExperimentSpec, WorkloadSpec
+from repro.api import DisaggSpec, ExperimentSpec, ServingSpec, WorkloadSpec
 from repro.cli import _serve_spec_from, build_parser, main
 from repro.units import MB
 from repro.workloads import TrainingWorkload
@@ -92,6 +94,35 @@ class TestTraceIO:
         save_trace(ServingWorkload("opt-1.3b", n_requests=60, max_batch=8,
                                    seed=10).build_trace(), path_c)
         assert path_a.read_bytes() != path_c.read_bytes()
+
+
+#: The commands whose flags fill in a spec.
+SPEC_COMMANDS = ("compare", "sweep", "trace", "serve")
+#: Their flags that set no spec field.
+CLI_ONLY_DESTS = {"help", "axis", "values", "out", "gauges"}
+#: Their flags with a default of their own: sweep's per-axis values,
+#: serve's allocator, and the stride --gauges samples at.
+CLI_DEFAULTS = {"values", "allocators", "gauge_every_s"}
+
+
+def _subparsers():
+    commands, = (action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    return commands
+
+
+def _forbid_simulation(monkeypatch):
+    """Fail the test if an experiment, a sweep or a trace runs."""
+    def ran(*args, **kwargs):
+        pytest.fail("a simulation ran")
+
+    monkeypatch.setattr("repro.cli.run_experiment", ran)
+    monkeypatch.setattr("repro.analysis.experiments.run_sweep", ran)
+    monkeypatch.setattr(TrainingWorkload, "build_trace", ran)
+
+
+class _Built(Exception):
+    """Carries what a command built to the test, in place of a run."""
 
 
 class TestCli:
@@ -191,16 +222,11 @@ class TestCli:
     def test_serve_replay_arrivals(self, tmp_path, capsys):
         log = tmp_path / "arrivals.txt"
         log.write_text("\n".join(str(0.25 * i) for i in range(10)))
-        code = main(["serve", "--model", "opt-1.3b", "--arrival", "replay",
-                     "--arrival-log", str(log), "--requests", "10",
+        code = main(["serve", "--model", "opt-1.3b",
+                     "--arrivals", f"replay?path={log}", "--requests", "10",
                      "--allocator", "gmlake", "--capacity", "8GB"])
         assert code == 0
         assert "10" in capsys.readouterr().out
-
-    def test_serve_replay_requires_log(self, capsys):
-        code = main(["serve", "--arrival", "replay"])
-        assert code == 2
-        assert "--arrival-log" in capsys.readouterr().err
 
     def test_run_rejects_a_bad_allocator_before_any_runs(
             self, tmp_path, monkeypatch, capsys):
@@ -228,7 +254,8 @@ class TestCli:
         # 16 requests still preempt under both allocators, at a quarter
         # of the cost of 40.
         ["--kv-cache", "paged?block_tokens=16", "--prefix-sharing",
-         "--tenants", "8", "--scheduler", "wfq", "--requests", "16"],
+         "--arrivals", "multi-tenant?tenants=8&rate=12&shared_prefix_tokens=256",
+         "--scheduler", "wfq", "--requests", "16"],
         ["--kv-cache", "paged?block_tokens=16", "--max-batch", "32",
          "--memory-tiers", "dram?gb=0.2,cxl?gb=16&gb_per_s=40"],
     ], ids=["single", "gpus", "disagg", "prefix-sharing", "memory-tiers"])
@@ -268,9 +295,8 @@ class TestCli:
         (["--autoscaler", "queue-depth?high=100&low=10"], "replicas"),
         (["--prefix-sharing", "--kv-cache", "chunked?chunk_tokens=128"],
          "prefix_sharing"),
-        (["--tenants", "4", "--arrivals", "poisson?rate=2"], "--tenants"),
     ], ids=["tiers+swap", "disagg+gpus", "autoscaler-one-gpu",
-            "prefix-sharing-unpaged", "tenants+arrivals"])
+            "prefix-sharing-unpaged"])
     def test_serve_misuse_exits_2_naming_the_field(
             self, flags, field, monkeypatch, capsys):
         """ServingSpec is the one validator: a flag combination it
@@ -280,6 +306,78 @@ class TestCli:
             lambda spec: pytest.fail("a simulation ran"))
         assert main(["serve", "--model", "opt-1.3b", *flags]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["compare", "--model", "nope"], "unknown model 'nope'"),
+        (["trace", "--model", "nope", "--out", "unused.jsonl"],
+         "unknown model 'nope'"),
+        (["compare", "--batch", "0"], "batch_size must be >= 1, got 0"),
+        (["compare", "--iterations", "0"], "iterations must be >= 1, got 0"),
+        (["compare", "--strategies", "XYZ"], "'XYZ'"),
+        (["compare", "--platform", "nope"], "unknown platform 'nope'"),
+        (["sweep", "--axis", "gpus", "--values", "a"], "'a'"),
+        (["sweep", "--axis", "gpus", "--values", "0"],
+         "n_gpus must be >= 1, got 0"),
+        (["serve", "--model", "nope"], "unknown model 'nope'"),
+    ])
+    def test_bad_value_exits_2_before_anything_runs(
+            self, argv, named, monkeypatch, capsys):
+        _forbid_simulation(monkeypatch)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
+    def test_run_rejects_a_bad_workload_before_anything_runs(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "mode": "replay",
+            "workload": {"model": "opt-1.3b", "n_gpus": 0}}))
+        _forbid_simulation(monkeypatch)
+        assert main(["run", "--spec", str(path)]) == 2
+        assert "n_gpus must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compare"], ["sweep", "--axis", "batch"],
+        ["trace", "--out", "unused.jsonl"]])
+    def test_no_workload_flags_build_the_default_workload(
+            self, argv, monkeypatch):
+        """The spec holds every default: a flag left unset reaches the
+        spec as nothing at all."""
+        def built(spec, *axes):
+            raise _Built(spec)
+
+        monkeypatch.setattr("repro.cli.run_experiment", built)
+        monkeypatch.setattr("repro.cli.grid", built)
+        monkeypatch.setattr(TrainingWorkload, "build_trace", built)
+        with pytest.raises(_Built) as caught:
+            main(argv)
+        spec, = caught.value.args
+        if argv[0] == "trace":
+            assert spec == WorkloadSpec().build()
+        else:
+            assert spec == ExperimentSpec(workload=WorkloadSpec())
+
+    def test_no_serve_flags_build_the_default_serving_spec(self):
+        spec = _serve_spec_from(build_parser().parse_args(["serve"]))
+        assert spec == ExperimentSpec(mode="serve", allocators=["gmlake"],
+                                      serving=ServingSpec())
+
+    def test_every_flag_names_a_spec_field(self):
+        """A flag's dest is the spec field it sets (a misspelt one
+        would be dropped without a word), and it declares no default."""
+        fields = {field.name
+                  for cls in (WorkloadSpec, ServingSpec, DisaggSpec,
+                              ExperimentSpec)
+                  for field in dataclasses.fields(cls)}
+        for command in SPEC_COMMANDS:
+            for action in _subparsers()[command]._actions:
+                assert action.dest in fields | CLI_ONLY_DESTS, \
+                    (command, action.option_strings)
+                assert (action.default is argparse.SUPPRESS
+                        or action.dest in CLI_DEFAULTS), \
+                    (command, action.option_strings)
 
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):
