@@ -328,6 +328,17 @@ class KVCacheModel(ABC):
     def projected_bytes(self, request: ServeRequest) -> int:
         """KV bytes the request will occupy at its full context."""
 
+    def projected_floor(self, request: ServeRequest) -> int:
+        """A lower bound of :meth:`projected_bytes` that cannot change
+        while ``request`` waits in the queue.
+
+        The replica keeps the least floor of what waits, so a
+        memory-aware scheduler can decline without scanning the queue.
+        Here it is :meth:`projected_bytes` itself, which depends only on
+        ``total_tokens`` (fixed for a request's whole life).
+        """
+        return self.projected_bytes(request)
+
     @abstractmethod
     def headroom_bytes(self, stats: AllocatorStats, capacity: int,
                        pool_reuse: float = 0.5) -> int:

@@ -268,6 +268,14 @@ class SharedPagedKVCache(PagedKVCache):
                        self._sharable_blocks(request))
         return max(0, blocks - resident) * self.block_bytes
 
+    def projected_floor(self, request: ServeRequest) -> int:
+        """The footprint with the whole sharable head resident: the
+        trie can never cover more, so this bounds
+        :meth:`projected_bytes` for any state of the trie."""
+        blocks = self._blocks_for(request.total_tokens)
+        return (max(0, blocks - self._sharable_blocks(request))
+                * self.block_bytes)
+
     def free_blocks(self, stats: AllocatorStats, capacity: int) -> int:
         """Pool free blocks plus idle shared blocks (owner-only refs)
         — the latter are one LRU eviction away from being free."""

@@ -27,6 +27,7 @@ the same ``"name?key=value"`` mini-DSL as allocators)
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
@@ -55,6 +56,11 @@ class SchedulerView:
     max_batch: int
     capacity: int
     kv: KVCacheModel
+    #: A lower bound of ``projected_kv_bytes`` over every queued
+    #: request (the replica keeps the least ``kv.projected_floor`` of
+    #: what waits).  0, the default, bounds nothing: a view built by
+    #: hand always scans.
+    queue_floor_bytes: int = 0
 
     def projected_kv_bytes(self, request: ServeRequest) -> int:
         """KV bytes the request occupies at its *full* context, as the
@@ -149,17 +155,25 @@ class MemoryAwareScheduler(Scheduler):
     ``margin``) exceeds the current headroom reported by
     ``allocator.stats()`` — trading a little head-of-line blocking for
     far fewer mid-flight OOM preemptions.
+
+    A decline costs O(1) when even the least projected footprint in the
+    queue (``view.queue_floor_bytes``) does not fit.  That answer is
+    exact: every queued footprint is at least the floor, and multiplying
+    by a positive finite ``margin`` is monotone in floats, so no queued
+    request could pass the scan's test either.
     """
 
     name = "memory-aware"
 
     def __init__(self, margin: float = 1.25):
-        if margin < 1.0:
-            raise ValueError(f"margin must be >= 1.0, got {margin}")
+        if not (math.isfinite(margin) and margin >= 1.0):
+            raise ValueError(f"margin must be finite and >= 1.0, got {margin}")
         self.margin = margin
 
     def select(self, queue, view):
         headroom = view.headroom_bytes()
+        if view.queue_floor_bytes * self.margin > headroom:
+            return None
         for request in queue:
             if view.projected_kv_bytes(request) * self.margin <= headroom:
                 return request

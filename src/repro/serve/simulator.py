@@ -296,8 +296,15 @@ class ServingSimulator:
         # evaluated once per decode step — memoize per batch size.
         self._workspace_bytes: Dict[int, int] = {}
         #: Min-heap of (deadline, req_id, seq, request) queue-timeout
-        #: events, owned by :meth:`run`; filled by :meth:`_push_timeout`.
+        #: events, owned by :meth:`run`; filled by :meth:`_note_queued`.
         self._timeouts: List[Tuple[float, int, int, ServeRequest]] = []
+        #: Lazy min-heap of (kv.projected_floor, seq, request), filled by
+        #: :meth:`_note_queued`: every queued request has an entry, and
+        #: entries of requests that left the queue are popped when they
+        #: reach the top.  A stale survivor can only lower the top, so
+        #: the top bounds every queued request's projected KV footprint
+        #: (``SchedulerView.queue_floor_bytes``).
+        self._floors: List[Tuple[int, int, ServeRequest]] = []
         # Fault injection.  With faults="none" the replica's fault state
         # is never down and never slows a step, so the run stays
         # byte-identical to the pre-fault simulator (the committed
@@ -309,7 +316,7 @@ class ServingSimulator:
         #: landing after backoff and hedge duplicates, drained into
         #: the admission queue alongside arrivals.
         self._injected: List[Tuple[float, int, ServeRequest]] = []
-        #: Push counter shared by both heaps: it orders full ties (a
+        #: Push counter shared by the heaps: it orders full ties (a
         #: hedge clone and its original share deadline *and* req_id),
         #: so a heap never falls through to comparing requests.
         self._heap_seq = 0
@@ -390,21 +397,41 @@ class ServingSimulator:
             return
         request.state = RequestState.PREEMPTED
         queue.appendleft(request)
-        # While the request was RUNNING its deadline entry may have
-        # been lazily dropped from the timeout heap as stale; re-push
-        # on every requeue so a preempted request can still time out.
-        # A surviving duplicate is harmless: the first expiry pop
-        # rejects, later pops see a non-queued state and skip.
-        self._push_timeout(request)
+        # While the request was RUNNING its heap entries may have been
+        # lazily dropped as stale; re-push on every requeue so a
+        # preempted request can still time out and still bounds the
+        # queue's KV floor.  A surviving duplicate is harmless: the
+        # first expiry pop rejects, later pops see a non-queued state
+        # and skip, and a duplicate floor is the same number.
+        self._note_queued(request)
 
-    def _push_timeout(self, request: ServeRequest) -> None:
-        """Arm ``request``'s queue-timeout deadline (end-to-end: its
-        original arrival plus the timeout, however often it requeues)."""
+    def _note_queued(self, request: ServeRequest) -> None:
+        """Push the heap entries of a request that just entered the
+        queue: its queue-timeout deadline (end-to-end: its original
+        arrival plus the timeout, however often it requeues) and its
+        projected KV floor."""
         self._heap_seq += 1
         heapq.heappush(
             self._timeouts,
             (request.arrival_s + self.config.queue_timeout_s,
              request.req_id, self._heap_seq, request))
+        heapq.heappush(
+            self._floors,
+            (self.kv.projected_floor(request), self._heap_seq, request))
+
+    def _pop_left(self, heap: list) -> None:
+        """Pop the entries at the top of ``heap`` (one whose last item
+        is the request) whose request already left the queue: admitted,
+        finished, rejected, or gone to another replica."""
+        while heap and (heap[0][-1].state not in _QUEUE_STATES
+                        or id(heap[0][-1]) in self._gone):
+            heapq.heappop(heap)
+
+    def _queue_floor(self) -> int:
+        """The least projected KV floor of what waits (0 if nothing
+        does)."""
+        self._pop_left(self._floors)
+        return self._floors[0][0] if self._floors else 0
 
     # ------------------------------------------------------------------
     # Admission
@@ -465,6 +492,7 @@ class ServingSimulator:
                 allocator=self.allocator, model=self.model,
                 running=len(running), max_batch=self.config.max_batch,
                 capacity=self.capacity, kv=self.kv,
+                queue_floor_bytes=self._queue_floor(),
             )
             request = self.scheduler.select(queue, view)
             if request is None:
@@ -711,6 +739,7 @@ class ServingSimulator:
         self._queue = deque()
         self._running = []
         self._timeouts.clear()
+        self._floors.clear()
         self._index = 0
 
     def tick(self) -> bool:
@@ -740,7 +769,7 @@ class ServingSimulator:
                and pending[self._index].arrival_s <= now + _EPS):
             request = pending[self._index]
             queue.append(request)
-            self._push_timeout(request)
+            self._note_queued(request)
             self.trace.request_event("arrival", request, request.arrival_s,
                                      prompt=request.prompt_tokens,
                                      output=request.output_tokens)
@@ -752,7 +781,7 @@ class ServingSimulator:
             request.replica = self.replica_id
             request.state = RequestState.QUEUED
             queue.append(request)
-            self._push_timeout(request)
+            self._note_queued(request)
         self._expire_timeouts(queue)
         down = self._fault_state.down
         if not down:
@@ -766,9 +795,7 @@ class ServingSimulator:
         # retry/hedge re-entry, or the crash window's end.  Stale heap
         # entries (requests that already left the queue) are discarded
         # first so they can never shorten the jump.
-        while timeouts and (timeouts[0][-1].state not in _QUEUE_STATES
-                            or id(timeouts[0][-1]) in self._gone):
-            heapq.heappop(timeouts)
+        self._pop_left(timeouts)
         horizons = []
         if self._index < len(pending):
             horizons.append(pending[self._index].arrival_s)

@@ -64,6 +64,31 @@ class TestResolve:
         with pytest.raises(SpecError, match="margin"):
             ComponentSpec.parse("memory-aware?margin=0.5", "scheduler")
 
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_margin_rejected_everywhere(
+            self, margin, monkeypatch, capsys):
+        """A ``nan`` margin would decline every select (every request
+        times out); the queue floor's exactness needs a finite one."""
+        from repro.api import ExperimentSpec, SpecError
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match="finite"):
+            MemoryAwareScheduler(margin=float(margin))
+        spec = f"memory-aware?margin={margin}"
+        with pytest.raises(SpecError, match="margin"):
+            ComponentSpec.parse(spec, "scheduler")
+        with pytest.raises(SpecError, match="margin"):
+            ExperimentSpec.from_dict(
+                {"mode": "serve", "serving": {"scheduler": spec}})
+        monkeypatch.setattr(
+            "repro.cli.run_experiment",
+            lambda *_: pytest.fail("a simulation ran"))
+        assert main(["serve", "--model", "opt-1.3b",
+                     "--scheduler", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "margin" in captured.err
+
 
 class TestFcfs:
     def test_takes_queue_head(self):
