@@ -12,6 +12,7 @@ advances the clock or changes a decision) and accumulates
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -116,6 +117,11 @@ class GaugeSampler:
         self.sample(simulator, queue, running)
         self._due[simulator.replica_id] = now + self.every_s
 
+    def next_due(self, replica: int) -> float:
+        """Simulated time from which :meth:`poll` samples ``replica``
+        (``-inf`` before its first poll)."""
+        return self._due.get(replica, -math.inf)
+
     def sample(self, simulator, queue, running) -> GaugePoint:
         """Record one point from the simulator's current state."""
         allocator = simulator.allocator
@@ -196,6 +202,9 @@ class NoGauges(GaugeSampler):
 
     def poll(self, simulator, queue, running) -> None:
         pass  # once per loop iteration: no argument packing
+
+    def next_due(self, replica: int) -> float:
+        return math.inf  # never
 
     def note_crash(self, *args, **kwargs) -> None:
         pass

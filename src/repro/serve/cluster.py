@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -457,15 +458,26 @@ def _co_simulate(
                     sims[clone.replica].cancel(clone)
                     del hedged[req_id]
 
+    def handoff_s(j: int) -> float:
+        # A crash fleet's replicas hand work over only on entering a
+        # crash window: the next window's start, or while down no
+        # earlier than the current window's end.
+        fault = sims[j]._fault_state
+        return fault.end_s if fault.down else fault.start_s
+
     while True:
         busy = [i for i in range(n) if sims[i].busy]
         if not busy:
             break
         i = min(busy, key=lambda j: (sims[j].session.elapsed_s, j))
-        sims[i].tick()
         if hedge_after_s is not None:
+            # Hedges are considered after every tick: no lookahead.
+            sims[i].tick(until_s=-math.inf)
             consider_hedges(i)
             settle_hedges()
+        else:
+            sims[i].tick(until_s=min(
+                (handoff_s(j) for j in busy if j != i), default=math.inf))
 
 
 def check_per_replica_specs(kv_cache: Union[SpecLike, KVCacheModel],

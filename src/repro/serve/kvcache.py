@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.allocators.base import BaseAllocator
 from repro.allocators.stats import AllocatorStats
@@ -369,20 +369,39 @@ class KVCacheModel(ABC):
         ``None`` when no request holds capacity (an empty batch has no
         meaningful utilization) — callers pick their own sentinel.
         """
-        capacity = used = 0
-        for request in running:
-            capacity += request.kv_capacity_tokens
-            used += min(request.context_tokens, request.kv_capacity_tokens)
+        used, capacity = self._token_totals(running)
         if capacity == 0:
             return None
         return used / capacity
 
-    def note_decode_step(self, running: Iterable[ServeRequest]) -> None:
-        """Sample cache-level utilization over the running batch."""
-        utilization = self.utilization_snapshot(running)
-        if utilization is not None:
-            self.metrics.util_sum += utilization
-            self.metrics.util_samples += 1
+    @staticmethod
+    def _token_totals(running: Iterable[ServeRequest]) -> Tuple[int, int]:
+        """(used, allocated) KV token capacity summed over ``running``."""
+        capacity = used = 0
+        for request in running:
+            capacity += request.kv_capacity_tokens
+            used += min(request.context_tokens, request.kv_capacity_tokens)
+        return used, capacity
+
+    def note_decode_step(self, running: Sequence[ServeRequest],
+                         steps: int = 1) -> None:
+        """Sample cache-level utilization over the running batch, once
+        for each of the last ``steps`` decode steps.
+
+        The batch as it stands is the last step's sample.  Each earlier
+        step's batch held one token per request fewer, in the same KV,
+        which holds when none of those steps finished or grew a
+        request.  The samples are added in step order, each as the
+        same integer division a per-step call makes.
+        """
+        used, capacity = self._token_totals(running)
+        if capacity == 0:
+            return
+        metrics = self.metrics
+        batch = len(running)
+        for back in range(steps - 1, -1, -1):
+            metrics.util_sum += (used - back * batch) / capacity
+        metrics.util_samples += steps
 
     def _note_preempt(self, request: ServeRequest) -> None:
         self.metrics.preempt_copy_bytes += kv_bytes(

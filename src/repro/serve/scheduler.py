@@ -101,6 +101,12 @@ class Scheduler(ABC):
 
         The simulator only calls this while the batch has a free slot;
         the policy never needs to re-check ``view.running``.
+
+        A ``None`` for an unchanged queue and view stays ``None``: asked
+        again before anything is admitted, with the same requests queued
+        and the same allocator, KV model and batch behind the view, the
+        policy declines again.  A replica's quiet decode run relies on
+        this to skip the repeated calls (``ServingSimulator._quiet_run``).
         """
 
 

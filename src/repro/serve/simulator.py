@@ -98,8 +98,18 @@ class ServingConfig:
             raise ValueError("queue_timeout_s must be positive and finite")
         if self.max_preemptions < 0:
             raise ValueError("max_preemptions must be >= 0")
-        if min(self.prefill_tokens_per_s, self.decode_tokens_per_s) <= 0:
-            raise ValueError("token rates must be positive")
+        # A NaN or infinite rate or overhead would poison the clock
+        # mid-run; reject it here.
+        for name in ("prefill_tokens_per_s", "decode_tokens_per_s"):
+            rate = getattr(self, name)
+            if not (rate > 0 and math.isfinite(rate)):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {rate}")
+        if not (self.step_overhead_us >= 0
+                and math.isfinite(self.step_overhead_us)):
+            raise ValueError(
+                "step_overhead_us must be non-negative and finite, "
+                f"got {self.step_overhead_us}")
 
 
 @dataclass
@@ -485,7 +495,14 @@ class ServingSimulator:
         )
 
     def _run_admissions(self, queue: "Deque[ServeRequest]",
-                        running: List[ServeRequest]) -> None:
+                        running: List[ServeRequest]) -> bool:
+        """Admit while the batch has a slot and the scheduler picks.
+
+        Returns ``True`` when admission settled: it ended because the
+        scheduler declined or no slot or request was left, so an
+        unchanged queue, batch and allocator would end it the same way
+        again.  ``False`` after an attempt that found memory full.
+        """
         flushed = False
         while queue and len(running) < self.config.max_batch:
             view = SchedulerView(
@@ -521,7 +538,8 @@ class ServingSimulator:
             # until a retirement (or timeout) changes the picture.
             request.state = RequestState.QUEUED
             queue.appendleft(request)
-            break
+            return False
+        return True
 
     def _expire_timeouts(self, queue: "Deque[ServeRequest]") -> None:
         """Reject queued requests that waited past the timeout SLO.
@@ -573,33 +591,125 @@ class ServingSimulator:
             # request, vLLM-style) and retry the growth.
             self._preempt(victim, running, queue)
 
-    def _decode_step(self, queue: "Deque[ServeRequest]",
-                     running: List[ServeRequest]) -> None:
-        batch = len(running)
-        step_us = (self.config.step_overhead_us
-                   + batch * 1e6 / self.config.decode_tokens_per_s)
-        self.session.advance(step_us * self._fault_state.step_factor())
-        # Transient per-step activation workspace, like the offline
-        # serving generator's ``ws`` tensors: small, short-lived churn
-        # alongside the big KV blocks.  Best-effort — under pressure
-        # the step runs from reserved slack rather than preempting.
+    def _step_us(self, batch: int) -> float:
+        """Compute time of one decode step over ``batch`` requests."""
+        return (self.config.step_overhead_us
+                + batch * 1e6 / self.config.decode_tokens_per_s)
+
+    def _workspace(self, batch: int) -> int:
+        """Bytes of one decode step's transient activation workspace.
+
+        Like the offline serving generator's ``ws`` tensors: small,
+        short-lived churn alongside the big KV blocks.
+        ``decode_workspace_bytes`` is a pure function of (model,
+        batch), so it is memoized per batch size.
+        """
         ws_bytes = self._workspace_bytes.get(batch)
         if ws_bytes is None:
             ws_bytes = self._workspace_bytes[batch] = decode_workspace_bytes(
                 self.model, batch)
-        self.session.try_malloc_free(ws_bytes)
+        return ws_bytes
+
+    def _decode_step(self, queue: "Deque[ServeRequest]",
+                     running: List[ServeRequest]) -> bool:
+        """Decode one token for every running request.
+
+        Returns ``True`` when the step was quiet: no request finished,
+        grew its KV or was preempted, and the allocator's reserved and
+        active bytes are where they were before the step.
+        """
+        allocator = self.allocator
+        reserved, active = allocator.reserved_bytes, allocator.active_bytes
+        batch = len(running)
+        self.session.advance(
+            self._step_us(batch) * self._fault_state.step_factor())
+        # Best-effort workspace: under pressure the step runs from
+        # reserved slack rather than preempting.
+        self.session.try_malloc_free(self._workspace(batch))
+        quiet = True
         for request in list(running):
             if request.state is not RequestState.RUNNING:
                 continue  # preempted by an earlier request's growth
             request.tokens_done += 1
             if request.tokens_done >= request.output_tokens:
                 self._finish(request, running)
-                continue
-            if request.context_tokens + 1 > request.kv_capacity_tokens:
+                quiet = False
+            elif request.context_tokens + 1 > request.kv_capacity_tokens:
                 self._grow_kv(request, running, queue)
+                quiet = False
         self.kv.note_decode_step(running)
         if self.config.record_timeline:
             self.session.sample()
+        return (quiet and allocator.reserved_bytes == reserved
+                and allocator.active_bytes == active)
+
+    def _quiet_run(self, running: List[ServeRequest], until_s: float) -> None:
+        """Decode the steps that follow a quiet one, up to the next event.
+
+        Called after a quiet step whose admission settled.  Each step
+        here stands for a whole :meth:`tick` of the one-step loop that
+        would have changed nothing but the clock and ``tokens_done``:
+
+        * no time event is due at the step's start.  These are a crash
+          window's start, an arrival or re-entry (``<= now + _EPS``),
+          the oldest queued request's timeout, a gauge poll, and
+          ``until_s``.  Each is tested with the float expression
+          :meth:`tick` uses;
+        * admission would settle again: the queue, the batch and the
+          allocator's reserved/active bytes are unchanged, and a
+          scheduler's ``None`` for an unchanged queue and view stays
+          ``None``;
+        * no request finishes or outgrows its KV.  ``steps`` is the
+          least, over the batch, of the tokens left before either, so
+          the per-request checks are not needed.
+
+        A step keeps every per-step effect, in order: the clock advance
+        (with its straggler draw), the workspace ``malloc_free`` and the
+        timeline sample.  The run stops after a step whose workspace op
+        moved ``reserved_bytes``, because the next admission would see
+        a different view.  ``tokens_done`` and the KV utilization
+        samples are brought up to date once at the end.
+        """
+        steps = min(min(request.output_tokens - request.tokens_done,
+                        request.kv_capacity_tokens - request.context_tokens)
+                    for request in running) - 1
+        if steps <= 0:
+            return
+        pending, injected, timeouts = (self._pending, self._injected,
+                                       self._timeouts)
+        self._pop_left(timeouts)  # the top is the next queued deadline
+        stop_at = min(self._fault_state.start_s,
+                      self.gauges.next_due(self.replica_id), until_s)
+        land_at = min(
+            pending[self._index].arrival_s if self._index < len(pending)
+            else math.inf,
+            injected[0][0] if injected else math.inf)
+        oldest = timeouts[0][-1].arrival_s if timeouts else math.inf
+        timeout_s = self.config.queue_timeout_s
+        batch = len(running)
+        step_us = self._step_us(batch)
+        ws_bytes = self._workspace(batch)
+        session, allocator = self.session, self.allocator
+        step_factor = self._fault_state.step_factor
+        sample = session.sample if self.config.record_timeline else None
+        reserved = allocator.reserved_bytes
+        done = 0
+        while done < steps:
+            now = session.elapsed_s
+            if (now >= stop_at or land_at <= now + _EPS
+                    or now - oldest > timeout_s):
+                break
+            session.advance(step_us * step_factor())
+            session.try_malloc_free(ws_bytes)
+            done += 1
+            if sample is not None:
+                sample()
+            if allocator.reserved_bytes != reserved:
+                break
+        if done:
+            for request in running:
+                request.tokens_done += done
+            self.kv.note_decode_step(running, done)
 
     # ------------------------------------------------------------------
     # Fault hooks (no-ops on the faults="none" default path)
@@ -742,12 +852,20 @@ class ServingSimulator:
         self._floors.clear()
         self._index = 0
 
-    def tick(self) -> bool:
+    def tick(self, until_s: float = math.inf) -> bool:
         """One serving-loop iteration; ``False`` once drained.
 
-        Every iteration either admits, decodes one step, rejects, or
-        jumps the clock to the next arrival/timeout/re-entry/recovery
-        event — so the loop terminates for any finite stream.
+        Every iteration either admits, decodes, rejects, or jumps the
+        clock to the next arrival/timeout/re-entry/recovery event — so
+        the loop terminates for any finite stream.
+
+        A busy iteration decodes one step, and when that step was quiet
+        and admission settled it goes on through the quiet steps that
+        follow (:meth:`_quiet_run`): the ticks the one-step loop would
+        have spent on them, with the same result.  No quiet step starts
+        at or after ``until_s``: a fleet orchestrator passes the
+        earliest simulated time at which a peer could hand this replica
+        work.
 
         Event plumbing is heap/deque-driven so each step is O(log n)
         bookkeeping: arrivals come off a presorted list by index, the
@@ -784,11 +902,11 @@ class ServingSimulator:
             self._note_queued(request)
         self._expire_timeouts(queue)
         down = self._fault_state.down
-        if not down:
-            self._run_admissions(queue, running)
+        settled = down or self._run_admissions(queue, running)
         self.gauges.poll(self, queue, running)
         if running:
-            self._decode_step(queue, running)
+            if self._decode_step(queue, running) and settled:
+                self._quiet_run(running, until_s)
             return True
         # Idle (or admission-blocked with an empty batch): jump to
         # whatever happens next — an arrival, a queue timeout, a

@@ -1,10 +1,13 @@
 """Tests for admission scheduling policies and the allocator loop."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     ComponentSpec,
     component_names,
+    iter_components,
     resolve,
     resolve_allocator,
 )
@@ -370,3 +373,30 @@ class TestWfqFairnessEndToEnd:
             return percentile(waits, 99.0)
 
         assert p99_ttft("wfq") < p99_ttft("fcfs")
+
+
+class TestDeclineIsStable:
+    """``Scheduler.select``'s contract: asked twice about an unchanged
+    queue and view, a policy gives the same answer — in particular a
+    ``None`` stays ``None``, which a replica's quiet decode run relies
+    on to skip the repeated calls."""
+
+    @settings(max_examples=40)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 4096),
+                                     st.integers(1, 2048),
+                                     st.sampled_from(["", "t0", "t1"])),
+                           min_size=1, max_size=8),
+           held_gb=st.integers(0, 3),
+           kv_cache=st.sampled_from(["chunked", "paged"]))
+    def test_select_repeats_its_answer(self, shapes, held_gb, kv_cache):
+        view, allocator = view_on(capacity=4 * GB, kv_cache=kv_cache)
+        if held_gb:
+            allocator.malloc(held_gb * GB)  # less headroom: declines
+        queue = [ServeRequest(req_id=i, arrival_s=float(i),
+                              prompt_tokens=prompt, output_tokens=output,
+                              tenant=tenant)
+                 for i, (prompt, output, tenant) in enumerate(shapes)]
+        for info in iter_components("scheduler"):
+            scheduler = resolve("scheduler", info.name)
+            first = scheduler.select(queue, view)
+            assert scheduler.select(queue, view) is first, info.name

@@ -5,6 +5,8 @@ chunked KV growth, and — the paper's serving argument — OOM leading to
 preemption + requeue + eventual completion instead of job failure.
 """
 
+import math
+
 import pytest
 
 from repro.allocators import CachingAllocator
@@ -249,9 +251,21 @@ class TestConfigValidation:
         {"queue_timeout_s": 0.0},
         {"max_preemptions": -1},
         {"decode_tokens_per_s": 0.0},
+        # Accepted, each would break a run midway: a NaN decode rate
+        # makes the clock NaN so the run never drains, an infinite
+        # overhead crashes the crash poll, a negative one runs the
+        # clock backwards.
+        {"decode_tokens_per_s": math.nan},
+        {"decode_tokens_per_s": math.inf},
+        {"prefill_tokens_per_s": math.nan},
+        {"prefill_tokens_per_s": math.inf},
+        {"step_overhead_us": math.nan},
+        {"step_overhead_us": math.inf},
+        {"step_overhead_us": -1e6},
     ])
     def test_bad_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             ServingConfig(**kwargs)
 
     def test_unknown_model_rejected(self):
