@@ -32,7 +32,12 @@ from repro.serve.metrics import ServingReport, ServingReportAccumulator, SloConf
 from repro.serve.preemption import PreemptionPolicy
 from repro.serve.request import ServeRequest
 from repro.serve.scheduler import Scheduler
-from repro.serve.simulator import ServingConfig, ServingResult, ServingSimulator
+from repro.serve.simulator import (
+    RequestTallies,
+    ServingConfig,
+    ServingResult,
+    ServingSimulator,
+)
 from repro.sim.engine import AllocatorFactory
 from repro.units import A100_80GB
 from repro.workloads.models import ModelSpec, get_model
@@ -164,7 +169,7 @@ def dispatch_requests(
     return shards
 
 
-class FleetResult(WorstMemberRunResult):
+class FleetResult(RequestTallies, WorstMemberRunResult):
     """What every multi-replica serving aggregate reports, defined once.
 
     A fleet is a list of per-replica :class:`ServingResult` leaves
@@ -195,37 +200,6 @@ class FleetResult(WorstMemberRunResult):
     def max_peak_reserved_gb(self) -> float:
         """The worst replica's reserved peak (capacity planning view)."""
         return max(r.peak_reserved_gb for r in self.replicas)
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for r in self.requests if r.finished)
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for r in self.requests if r.rejected)
-
-    @property
-    def preemptions(self) -> int:
-        return sum(r.preemptions for r in self.requests)
-
-    @property
-    def retries(self) -> int:
-        """Crash-forced re-dispatches summed over the population."""
-        return sum(r.retries for r in self.requests)
-
-    @property
-    def failed(self) -> int:
-        """Requests rejected permanently by replica faults."""
-        return sum(1 for r in self.requests if r.reject_reason == "failed")
-
-    @property
-    def throughput(self) -> float:
-        """Fleet-wide completed requests per second of makespan."""
-        return self.completed / max(self.makespan_s, 1e-9)
-
-    @property
-    def oom(self) -> bool:
-        return False
 
     @property
     def kv_cache_name(self) -> str:

@@ -32,6 +32,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.allocators.stats import AllocatorStats
@@ -112,8 +113,63 @@ class ServingConfig:
                 f"got {self.step_overhead_us}")
 
 
+class RequestTallies:
+    """Request counts over a result's final population (``requests``),
+    shared by the replica and fleet results.
+
+    The population is final when a run's result is read, and these
+    counts back several derived metrics (throughput, extras, reports) —
+    one cached pass instead of one scan per property access.
+    """
+
+    @cached_property
+    def _tallies(self) -> Tuple[int, int, int, int, int]:
+        """(completed, rejected, preemptions, retries, failed)."""
+        done = rejected = preempted = retried = failed = 0
+        for request in self.requests:
+            done += request.finished
+            rejected += request.rejected
+            preempted += request.preemptions
+            retried += request.retries
+            failed += request.reject_reason == "failed"
+        return done, rejected, preempted, retried, failed
+
+    @property
+    def completed(self) -> int:
+        return self._tallies[0]
+
+    @property
+    def rejected(self) -> int:
+        return self._tallies[1]
+
+    @property
+    def preemptions(self) -> int:
+        return self._tallies[2]
+
+    @property
+    def retries(self) -> int:
+        """Crash-forced re-dispatches summed over the population."""
+        return self._tallies[3]
+
+    @property
+    def failed(self) -> int:
+        """Requests rejected permanently by replica faults."""
+        return self._tallies[4]
+
+    @property
+    def throughput(self) -> float:
+        """Completed requests per second of makespan."""
+        return self.completed / max(self.makespan_s, 1e-9)
+
+    @property
+    def oom(self) -> bool:
+        """Serving preempts instead of crashing; an OOM surfaces as
+        preemptions and rejections, never as a failed run."""
+        return False
+
+
 @dataclass
-class ServingResult:
+class ServingResult(RequestTallies):
     """Everything one replica measured: per-request lifecycles plus the
     allocator-side statistics the offline engine also reports."""
 
@@ -133,49 +189,6 @@ class ServingResult:
     gauge_points: List[GaugePoint] = field(default_factory=list)
     #: Canonical tier hierarchy this replica served with ("" = none).
     memory_tiers: str = ""
-    _tallies: "Optional[tuple]" = field(default=None, init=False,
-                                        repr=False, compare=False)
-
-    def _request_tallies(self) -> "tuple":
-        """(completed, rejected, preemptions, retries, failed), once.
-
-        The request population is final when the simulator builds this
-        result, and these counts back several derived metrics
-        (throughput, extras, reports) — one pass instead of one scan
-        per property access.
-        """
-        if self._tallies is None:
-            done = rejected = preempted = retried = failed = 0
-            for request in self.requests:
-                done += request.finished
-                rejected += request.rejected
-                preempted += request.preemptions
-                retried += request.retries
-                failed += request.reject_reason == "failed"
-            self._tallies = (done, rejected, preempted, retried, failed)
-        return self._tallies
-
-    @property
-    def completed(self) -> int:
-        return self._request_tallies()[0]
-
-    @property
-    def rejected(self) -> int:
-        return self._request_tallies()[1]
-
-    @property
-    def preemptions(self) -> int:
-        return self._request_tallies()[2]
-
-    @property
-    def retries(self) -> int:
-        """Crash-forced re-dispatches summed over the population."""
-        return self._request_tallies()[3]
-
-    @property
-    def failed(self) -> int:
-        """Requests rejected permanently by replica faults."""
-        return self._request_tallies()[4]
 
     @property
     def utilization(self) -> float:
@@ -201,17 +214,6 @@ class ServingResult:
     @property
     def fragmentation_ratio(self) -> float:
         return self.stats.fragmentation_ratio
-
-    @property
-    def throughput(self) -> float:
-        """Completed requests per second of makespan."""
-        return self.completed / max(self.makespan_s, 1e-9)
-
-    @property
-    def oom(self) -> bool:
-        """Serving preempts instead of crashing; an OOM surfaces as
-        preemptions and rejections, never as a failed run."""
-        return False
 
     def extras(self) -> Dict[str, object]:
         """Serving-specific metrics beyond the shared surface."""
@@ -547,12 +549,12 @@ class ServingSimulator:
         ``self._timeouts`` is a min-heap of ``(deadline, req_id, seq,
         request)`` pushed at arrival and again on every requeue.
         Entries for requests that already left the queue (admitted,
-        finished, rejected) are skipped lazily.  The expiry test is the
-        same float expression the per-step queue scan used
-        (``now - arrival > timeout``), and subtraction's weak
-        monotonicity guarantees that if the earliest deadline has not
-        expired, no later one has — so popping in deadline order
-        rejects exactly the set the full scan would.
+        finished, rejected) or are in flight back to it are skipped
+        lazily.  The expiry test is the same float expression the
+        per-step queue scan used (``now - arrival > timeout``), and
+        subtraction's weak monotonicity guarantees that if the earliest
+        deadline has not expired, no later one has — so popping in
+        deadline order rejects exactly the set the full scan would.
         """
         now = self._now()
         timeout_s = self.config.queue_timeout_s
@@ -565,7 +567,12 @@ class ServingSimulator:
                 continue
             if now - request.arrival_s > timeout_s:
                 heapq.heappop(timeouts)
-                self._queue_discard(queue, request)
+                try:
+                    self._queue_discard(queue, request)
+                except ValueError:
+                    # A stale entry from an earlier stay: the request is
+                    # in flight back here, and times out when it lands.
+                    continue
                 self._reject(request, "timeout")
                 continue
             break

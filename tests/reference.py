@@ -1,0 +1,591 @@
+"""The slow definition of every fast path, and the one serving twin.
+
+:data:`REFERENCE` holds, one group per fast path in ``src/``, the
+``(owner, attribute, slow replacement)`` entries that put back the
+definition it replaced: a loop of single calls, one driver call at a
+time, a scan, one decode step per tick.  :func:`reference` swaps them
+in, :func:`definition` hands a twin one attribute's slow side, and
+:func:`observe` runs a serving scenario and records everything a
+serving twin compares.  A new fast path registers its definition
+here; it adds no harness.
+"""
+
+import bisect
+import contextlib
+import dataclasses
+import inspect
+from collections import Counter
+from typing import Any, List, NamedTuple, Sequence
+
+import pytest
+
+from repro.allocators import CachingAllocator
+from repro.allocators.base import BaseAllocator
+from repro.analysis import PeakMemoryObserver
+from repro.core import GMLakeAllocator
+from repro.errors import (
+    CudaInvalidAddressError,
+    CudaInvalidValueError,
+    CudaOutOfMemoryError,
+)
+from repro.gpu.device import GpuDevice
+from repro.gpu.vmm import CudaVmm, _Mapping
+from repro.obs import AllocatorTraceObserver, GaugeSampler, TraceRecorder
+from repro.obs.trace import NO_TRACE
+from repro.serve import (
+    MemoryAwareScheduler,
+    ServingSimulator,
+    SharedPagedKVCache,
+    cluster,
+    disagg,
+)
+from repro.serve.kvcache import PagedKVCache
+from repro.serve.memtier import TierHierarchy
+from repro.serve.request import ServeRequest
+from repro.sim.engine import ReplaySession
+from repro.sim.timeline import TimelineRecorder
+
+
+# -- Allocator run ops: BaseAllocator's loops of single calls ----------
+class LoopCaching(CachingAllocator):
+    """The oracle: a caching allocator whose run operations are
+    ``BaseAllocator``'s loops of single calls."""
+
+    malloc_run = BaseAllocator.malloc_run
+    free_run = BaseAllocator.free_run
+    malloc_free = BaseAllocator.malloc_free
+
+
+class Watched:
+    """The three in-tree observers on one allocator, each at its finest
+    grain: every event sampled, every reserved-peak step reported."""
+
+    def __init__(self, allocator):
+        self.timeline = allocator.add_observer(
+            TimelineRecorder(allocator, every=1))
+        self.peak = allocator.add_observer(PeakMemoryObserver(min_growth=0))
+        self.trace = TraceRecorder()
+        allocator.add_observer(AllocatorTraceObserver(
+            self.trace, ReplaySession(allocator), every=1))
+
+    def seen(self):
+        """Everything the observers recorded, compared by ``==``."""
+        return (self.timeline.points, self.peak.at_peak, self.peak.at_oom,
+                self.trace.events)
+
+
+# -- VMM sequences: one driver call at a time --------------------------
+class PerCallVmm(CudaVmm):
+    """The reference: every sequence issued one driver call at a time,
+    each call checked, looked up and charged on its own.  A batched
+    sequence must leave the clock, the counters, every mapping and every
+    chunk exactly as these do (the clock is a float: no tolerance)."""
+
+    def _spend(self, us: float) -> None:
+        self._clock.advance(us)
+        self.counters.total_time_us += us
+
+    def mem_map(self, va: int, offset: int, handle: int) -> None:
+        """Map physical ``handle`` at ``va + offset``.
+
+        The full chunk is mapped; the target range must lie inside the
+        reservation that starts at ``va`` and must not overlap an
+        existing mapping in that reservation.
+        """
+        chunk = self._phys.get(handle)
+        if va not in self._mappings:
+            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        if not self._va.contains(va, offset, chunk.size):
+            raise CudaInvalidAddressError(
+                f"map of {chunk.size} bytes at offset {offset} exceeds "
+                f"reservation at {va:#x}"
+            )
+        # The per-VA table is kept sorted by offset, so only the two
+        # neighbours of the insertion point can overlap — stitching a
+        # k-chunk sBlock is O(k) instead of O(k^2 log k): every caller
+        # maps chunks in ascending offset order, making the append
+        # fast path the common case.
+        maps = self._mappings[va]
+        last = maps[-1] if maps else None
+        if last is None or offset >= last.offset + last.size:
+            idx = len(maps)
+        else:
+            idx = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
+            for m in (maps[idx - 1] if idx else None,
+                      maps[idx] if idx < len(maps) else None):
+                if m is not None and (offset < m.offset + m.size
+                                      and m.offset < offset + chunk.size):
+                    raise CudaInvalidValueError(
+                        f"overlapping map at {va:#x}+{offset} "
+                        f"(existing mapping at +{m.offset})"
+                    )
+        self._spend(self._latency.mem_map(chunk.size))
+        self.counters.map_calls += 1
+        self._phys.retain(handle)
+        maps.insert(idx, _Mapping(offset=offset, size=chunk.size, handle=handle))
+
+    def mem_set_access(self, va: int, offset: int, size: int) -> None:
+        """Grant read/write access to ``[va+offset, va+offset+size)``.
+
+        Every byte of the range must already be mapped.
+        """
+        maps = self._mappings.get(va)
+        if maps is None:
+            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        end = offset + size
+        cursor = offset
+        touched: List[_Mapping] = []
+        # Binary-search the first mapping that can cover ``offset``; the
+        # table is sorted by offset and overlap-free, so the covering
+        # run (if any) is contiguous from there.
+        idx = bisect.bisect_right(maps, offset, key=lambda m: m.offset)
+        if idx and maps[idx - 1].offset + maps[idx - 1].size > offset:
+            idx -= 1
+        while idx < len(maps) and maps[idx].offset < end:
+            m = maps[idx]
+            if m.offset > cursor:
+                break
+            touched.append(m)
+            cursor = m.offset + m.size
+            idx += 1
+            if cursor >= end:
+                break
+        if cursor < end:
+            raise CudaInvalidAddressError(
+                f"setAccess range [{offset}, {end}) at {va:#x} is not fully mapped"
+            )
+        for m in touched:
+            self._spend(self._latency.mem_set_access(m.size))
+            self.counters.set_access_calls += 1
+            m.accessible = True
+
+    def back(self, va: int, offset: int, size: int,
+             chunk_size: int) -> List[int]:
+        """Back ``[va+offset, va+offset+size)`` with new physical memory:
+        create and map one ``chunk_size`` chunk after another in address
+        order, then make the range accessible.  Returns the handles in
+        address order; the caller holds their creation references.
+
+        If the device cannot commit a chunk, those made so far are
+        unmapped and released before :class:`CudaOutOfMemoryError`
+        propagates: the reservation is left as it was found.
+        """
+        handles: List[int] = []
+        try:
+            for at in range(offset, offset + size, chunk_size):
+                handle = self.mem_create(chunk_size)
+                handles.append(handle)
+                self.mem_map(va, at, handle)
+        except CudaOutOfMemoryError:
+            # Only mem_create raises it, so every listed handle is mapped.
+            if handles:
+                self.mem_unmap(va, offset, len(handles) * chunk_size)
+                for handle in handles:
+                    self.mem_release(handle)
+            raise
+        self.mem_set_access(va, offset, size)
+        return handles
+
+    def alias(self, handles: Sequence[int], chunk_size: int) -> int:
+        """Reserve a fresh range and map the existing ``chunk_size``
+        chunks ``handles`` into it back to back, accessible; returns
+        its address.  No physical memory is created: each map adds a
+        reference, so a chunk outlives any single range over it."""
+        size = len(handles) * chunk_size
+        va = self.mem_address_reserve(size)
+        for i, handle in enumerate(handles):
+            self.mem_map(va, i * chunk_size, handle)
+        self.mem_set_access(va, 0, size)
+        return va
+
+    def mem_unmap(self, va: int, offset: int, size: int) -> None:
+        """Unmap every mapping fully contained in the given range."""
+        maps = self._mappings.get(va)
+        if maps is None:
+            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        end = offset + size
+        # Fully-contained mappings form one contiguous run in the
+        # sorted table: everything from the first mapping at or past
+        # ``offset`` while it still ends by ``end``.
+        lo = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
+        hi = lo
+        while hi < len(maps) and maps[hi].offset + maps[hi].size <= end:
+            hi += 1
+        removed = maps[lo:hi]
+        if not removed:
+            raise CudaInvalidValueError(
+                f"unmap range [{offset}, {end}) at {va:#x} contains no mapping"
+            )
+        del maps[lo:hi]
+        for m in removed:
+            self._spend(self._latency.mem_unmap(m.size))
+            self.counters.unmap_calls += 1
+            self._phys.release_ref(m.handle)
+
+
+# -- Paged block runs: every block its own allocation and free ---------
+class PerBlockOracle:
+    """Mixin carrying the per-block bodies paged KV had before a
+    request's blocks became one allocator run: every block is its own
+    ``try_alloc`` (with its own retry) and its own ``free``."""
+
+    def _try_alloc(self, name, size):
+        ok = self._session.try_alloc(name, size)
+        if not ok:
+            self._allocator.empty_cache()
+            ok = self._session.try_alloc(name, size)
+        if ok:
+            self.metrics.kv_allocs += 1
+            self._live_kv_bytes += size
+            self.metrics.peak_kv_bytes = max(
+                self.metrics.peak_kv_bytes, self._live_kv_bytes)
+        return ok
+
+    def _drop_block_ref(self, block):
+        refs = self._ref[block] - 1
+        if refs > 0:
+            self._ref[block] = refs
+            return
+        del self._ref[block]
+        self._free(block, self.block_bytes)
+        self._live_blocks -= 1
+
+    def _drop_block_refs(self, blocks):
+        for block in blocks:
+            self._drop_block_ref(block)
+
+    def _ensure(self, request, tokens):
+        table = self._tables.setdefault(request.req_id, [])
+        need = self._blocks_for(tokens)
+        added = []
+        while len(table) < need:
+            name = f"kvb{request.req_id}.{self._next_block}"
+            self._next_block += 1
+            if not self._try_alloc(name, self.block_bytes):
+                for block in reversed(added):
+                    table.remove(block)
+                    self._drop_block_ref(block)
+                if not table:
+                    del self._tables[request.req_id]
+                request.kv_capacity_tokens = len(table) * self.block_tokens
+                return False
+            table.append(name)
+            added.append(name)
+            self._add_block_ref(name)
+            self._live_blocks += 1
+        self.metrics.peak_blocks = max(self.metrics.peak_blocks,
+                                       self._live_blocks)
+        request.kv_capacity_tokens = len(table) * self.block_tokens
+        return True
+
+    def release(self, request, preempted=False):
+        table = self._tables.pop(request.req_id, None)
+        if table is None:
+            return
+        if preempted:
+            self._note_preempt(request)
+        self._forget(request)
+        for block in table:
+            self._drop_block_ref(block)
+        request.kv_capacity_tokens = 0
+
+
+class PerBlockPagedKVCache(PerBlockOracle, PagedKVCache):
+    pass
+
+
+class PerBlockSharedPagedKVCache(PerBlockOracle, SharedPagedKVCache):
+    """``paged-shared`` on the per-block oracle: each block makes up to
+    four attempts of its own (``empty_cache`` and idle-prefix eviction
+    in between), as before the first attempts became one run."""
+
+    def _try_alloc(self, name, size):
+        if PerBlockOracle._try_alloc(self, name, size):
+            return True
+        if self._evict_idle(size) == 0:
+            return False
+        ok = PerBlockOracle._try_alloc(self, name, size)
+        self._note_shared_blocks()
+        return ok
+
+
+class TwinKV:
+    """The same admit / grow / release / preempt traffic against a
+    batched KV model and its per-block oracle, each on its own device;
+    after every step everything either can observe must be equal."""
+
+    def __init__(self, batched, oracle, capacity, weights=0, tiers=None):
+        self.sides = []
+        for kv in (batched, oracle):
+            device = GpuDevice(capacity=capacity)
+            allocator = CachingAllocator(device)
+            session = ReplaySession(allocator)
+            if weights:
+                session.alloc("weights", weights)
+            kv.bind(session, allocator)
+            hierarchy = None
+            if tiers is not None:
+                hierarchy = TierHierarchy(list(tiers))
+                hierarchy.bind(session, device)
+                kv.attach_hierarchy(hierarchy)
+            self.sides.append((kv, session, hierarchy, {}))
+        self.live = []    # req_ids holding KV
+        self.parked = []  # preempted, may be re-admitted
+        self.next_id = 0
+
+    @staticmethod
+    def state(kv, session, hierarchy, requests):
+        state = {
+            "row": kv.metrics.as_row(),
+            "metrics": dataclasses.asdict(kv.metrics),
+            "tables": kv._tables,
+            "ref": kv._ref,
+            "next_block": kv._next_block,
+            "live": (kv.live_requests, kv.live_blocks, kv.live_kv_bytes),
+            "clock_us": session.clock.now_us,
+            "allocator": session.allocator.stats(),
+            "session": (list(session.live), session.live_bytes),
+            "capacity": {i: r.kv_capacity_tokens
+                         for i, r in requests.items()},
+        }
+        trie = getattr(kv, "trie", None)
+        if trie is not None:
+            state["trie"] = (trie._paths, trie._slots, trie._last_use,
+                             kv._shared_len)
+        if hierarchy is not None:
+            state["tiers"] = (hierarchy._resident, hierarchy.used_bytes)
+        return state
+
+    def step(self, op):
+        """Apply ``op(kv, requests) -> outcome`` to both sides."""
+        outcomes = [op(kv, requests) for kv, _, _, requests in self.sides]
+        assert outcomes[0] == outcomes[1]
+        states = [self.state(*side) for side in self.sides]
+        assert states[0] == states[1]
+        self.sides[0][1].allocator.check_invariants()
+        return outcomes[0]
+
+    def admit_new(self, **request_fields):
+        req_id = self.next_id
+        self.next_id += 1
+
+        def op(kv, requests):
+            requests[req_id] = ServeRequest(
+                req_id=req_id, arrival_s=0.0, **request_fields)
+            return kv.admit(requests[req_id])
+
+        if self.step(op):
+            self.live.append(req_id)
+
+    def grow(self, pick, tokens):
+        if not self.live:
+            return
+        req_id = self.live[pick % len(self.live)]
+
+        def op(kv, requests):
+            request = requests[req_id]
+            request.tokens_done += tokens  # decode past capacity
+            if kv.grow(request):
+                return True
+            kv.release(request, preempted=True)  # what the simulator does
+            return False
+
+        if not self.step(op):
+            self.live.remove(req_id)
+            self.parked.append(req_id)
+
+    def release(self, pick, preempted):
+        if not self.live:
+            return
+        req_id = self.live.pop(pick % len(self.live))
+        self.step(lambda kv, requests: kv.release(
+            requests[req_id], preempted=preempted))
+        if preempted:
+            self.parked.append(req_id)
+
+    def readmit(self):
+        if not self.parked:
+            return
+        req_id = self.parked.pop(0)
+        if self.step(lambda kv, requests: kv.admit(requests[req_id])):
+            self.live.append(req_id)
+        else:
+            self.parked.append(req_id)
+
+    def drain(self):
+        while self.live:
+            self.release(0, preempted=False)
+
+
+# -- Session runs: try_alloc / free per name ---------------------------
+class PerNameSession(ReplaySession):
+    """A session whose run operations are its single calls, one name
+    at a time (the transient under a name no tensor has)."""
+
+    def try_alloc_run(self, tensors, size):
+        for got, tensor in enumerate(tensors):
+            if not self.try_alloc(tensor, size):
+                return got
+        return len(tensors)
+
+    def free_run(self, tensors):
+        for tensor in tensors:
+            self.free(tensor)
+
+    def try_malloc_free(self, size):
+        ok = self.try_alloc(None, size)
+        if ok:
+            self.free(None)
+        return ok
+
+
+# -- Queue floor: every select scans the queue -------------------------
+class ScanOnlyMemoryAware(MemoryAwareScheduler):
+    """``MemoryAwareScheduler.select`` before the queue floor, verbatim:
+    the reference the fast path must agree with."""
+
+    def select(self, queue, view):
+        headroom = view.headroom_bytes()
+        for request in queue:
+            if view.projected_kv_bytes(request) * self.margin <= headroom:
+                return request
+        return None
+
+
+def no_queue_floor(sim):
+    """Slow replacement of ``ServingSimulator._queue_floor``: a floor
+    of 0 bounds nothing, so every select scans."""
+    return 0
+
+
+# -- Quiet run and fleet loop ------------------------------------------
+def one_step_per_tick(self, running, until_s):
+    """Slow replacement of ``ServingSimulator._quiet_run``: no quiet
+    run, so every busy tick decodes exactly one step."""
+
+
+def co_simulated_fleet(sims, shards, calendar=None, hedge_after_s=None,
+                       trace=None):
+    """Slow replacement of ``run_fleet``: every fleet, coupled or not,
+    through the min-clock loop coupled fleets need."""
+    for sim, shard in zip(sims, shards):
+        sim.start(shard)
+    cluster._co_simulate(sims, calendar, hedge_after_s,
+                         NO_TRACE if trace is None else trace)
+    return [sim.finish() for sim in sims]
+
+
+def _entries(owner, slow):
+    """One entry per function the class ``slow`` defines itself."""
+    return tuple((owner, name, value) for name, value in vars(slow).items()
+                 if inspect.isfunction(value))
+
+
+#: Group -> ``(owner, attribute, slow replacement)`` entries; patching
+#: every entry of every group in gives the reference simulator.
+REFERENCE = {
+    "allocator-runs": (
+        *_entries(CachingAllocator, LoopCaching),
+        (GMLakeAllocator, "malloc_free", BaseAllocator.malloc_free)),
+    "vmm-sequences": _entries(CudaVmm, PerCallVmm),
+    "paged-block-runs": (
+        *_entries(PagedKVCache, PerBlockOracle),
+        *_entries(SharedPagedKVCache, PerBlockSharedPagedKVCache)),
+    "session-runs": _entries(ReplaySession, PerNameSession),
+    "queue-floor": (
+        (ServingSimulator, "_queue_floor", no_queue_floor),
+        *_entries(MemoryAwareScheduler, ScanOnlyMemoryAware)),
+    "quiet-run": ((ServingSimulator, "_quiet_run", one_step_per_tick),),
+    "fleet-loop": ((cluster, "run_fleet", co_simulated_fleet),
+                   (disagg, "run_fleet", co_simulated_fleet)),
+}
+GROUPS = tuple(REFERENCE)
+
+
+@contextlib.contextmanager
+def reference(*groups):
+    """Swap in the slow definitions of ``groups`` (every group when
+    none is named) for the duration of the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        for group in groups or GROUPS:
+            for owner, name, slow in REFERENCE[group]:
+                patch.setattr(owner, name, slow)
+        yield
+
+
+def definition(cls, name):
+    """``cls.name`` as its definition: the registered slow replacement
+    of the class in ``cls``'s MRO that supplies ``name``, or that
+    class's own attribute when no entry covers it."""
+    owner = next(klass for klass in cls.__mro__ if name in vars(klass))
+    for entries in REFERENCE.values():
+        for target, attribute, slow in entries:
+            if target is owner and attribute == name:
+                return slow
+    return vars(owner)[name]
+
+
+# -- The serving twin harness ------------------------------------------
+class Observed(NamedTuple):
+    seen: tuple    # what a twin compares by ``==``
+    ticks: int     # ``ServingSimulator.tick`` calls
+    hits: Counter  # per shipped group: how many of its entries ran
+    result: Any    # what the scenario returned
+
+
+def _hit(patch, owner, name, hits, group):
+    """Count the first call into ``owner.name`` for ``group``; the
+    shipped attribute takes every call after it, at full speed."""
+    shipped = getattr(owner, name)
+
+    def first_call(*args, **kwargs):
+        hits[group] += 1
+        setattr(owner, name, shipped)
+        return shipped(*args, **kwargs)
+
+    patch.setattr(owner, name, first_call)
+
+
+def observe(serve, slow=(), memory_every=16):
+    """Run the scenario ``serve(trace, gauges)`` with the groups
+    ``slow`` swapped in (none: as shipped).
+
+    ``seen`` holds every request's fields; each replica's allocator
+    ``stats()``, final clock, ``kv.metrics``, requests, timeline and
+    gauge points; each replica's trace events in order (the fleet's
+    recorder interleaves replicas by tick, which a quiet run reorders);
+    the gauge points and the Chrome trace.  A scenario that ignores
+    ``trace`` and ``gauges`` leaves those empty.
+    """
+    replicas, ticks, hits = [], [], Counter()
+    trace = TraceRecorder(memory_every=memory_every)
+    gauges = GaugeSampler(every_s=0.1)
+    finish, tick = ServingSimulator.finish, ServingSimulator.tick
+
+    def recording_finish(sim):
+        result = finish(sim)
+        replicas.append((
+            sim.replica_id, sim.allocator.stats(), sim.device.clock.now_us,
+            dataclasses.replace(sim.kv.metrics),
+            [dict(vars(r)) for r in result.requests],
+            result.timeline, result.gauge_points))
+        return result
+
+    def counting_tick(sim, *args, **kwargs):
+        ticks.append(sim.replica_id)
+        return tick(sim, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ServingSimulator, "finish", recording_finish)
+        patch.setattr(ServingSimulator, "tick", counting_tick)
+        for group in GROUPS:
+            if group not in slow:
+                for owner, name, _ in REFERENCE[group]:
+                    _hit(patch, owner, name, hits, group)
+        with reference(*slow) if slow else contextlib.nullcontext():
+            result = serve(trace, gauges)
+    events = [(e.replica, e.t_s, e.kind, e.req_id, e.args)
+              for e in sorted(trace.events, key=lambda e: (e.replica, e.seq))]
+    seen = ([dict(vars(r)) for r in result.requests], replicas, events,
+            list(gauges.points), trace.chrome_trace())
+    return Observed(seen, len(ticks), hits, result)

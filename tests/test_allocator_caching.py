@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import LoopCaching, Watched
 from repro.allocators import CachingAllocator
-from repro.allocators.base import BaseAllocator
 from repro.allocators.caching import (
     LARGE_BUFFER,
     MIN_BLOCK_SIZE,
@@ -18,12 +18,8 @@ from repro.allocators.caching import (
     segment_size_for,
     should_split,
 )
-from repro.analysis import PeakMemoryObserver
 from repro.errors import AllocatorError, DoubleFreeError, OutOfMemoryError
 from repro.gpu.device import GpuDevice
-from repro.obs import AllocatorTraceObserver, TraceRecorder
-from repro.sim.engine import ReplaySession
-from repro.sim.timeline import TimelineRecorder
 from repro.units import GB, KB, MB
 
 
@@ -202,15 +198,6 @@ class TestCachingBehavior:
 # malloc_run / free_run / malloc_free: the overrides against the
 # defining loops
 # ----------------------------------------------------------------------
-class LoopCaching(CachingAllocator):
-    """The oracle: a caching allocator whose run operations are
-    ``BaseAllocator``'s loops of single calls."""
-
-    malloc_run = BaseAllocator.malloc_run
-    free_run = BaseAllocator.free_run
-    malloc_free = BaseAllocator.malloc_free
-
-
 def chain(allocator, segment):
     """The blocks linked from ``segment``'s start, in address order."""
     blocks = []
@@ -242,24 +229,6 @@ def snapshot(allocator):
                        for name, index in allocator._whole_free.items()},
         "cached_bytes": allocator.cached_bytes(),
     }
-
-
-class Watched:
-    """The three in-tree observers on one allocator, each at its finest
-    grain: every event sampled, every reserved-peak step reported."""
-
-    def __init__(self, allocator):
-        self.timeline = allocator.add_observer(
-            TimelineRecorder(allocator, every=1))
-        self.peak = allocator.add_observer(PeakMemoryObserver(min_growth=0))
-        self.trace = TraceRecorder()
-        allocator.add_observer(AllocatorTraceObserver(
-            self.trace, ReplaySession(allocator), every=1))
-
-    def seen(self):
-        """Everything the observers recorded, compared by ``==``."""
-        return (self.timeline.points, self.peak.at_peak, self.peak.at_oom,
-                self.trace.events)
 
 
 class Twins:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import definition
 from repro.allocators import CachingAllocator, ExpandableSegmentsAllocator
 from repro.allocators import caching
 from repro.errors import OutOfMemoryError
@@ -192,8 +193,6 @@ class TestIsTheCachingAllocator:
 
     def test_batched_runs_equal_the_loop(self):
         """The inherited exact ``malloc_run`` / ``free_run``."""
-        from repro.allocators.base import BaseAllocator
-
         def drive(malloc_run, free_run):
             allocator = ExpandableSegmentsAllocator(
                 GpuDevice(capacity=64 * MB))
@@ -207,8 +206,9 @@ class TestIsTheCachingAllocator:
 
         batched = drive(ExpandableSegmentsAllocator.malloc_run,
                         ExpandableSegmentsAllocator.free_run)
-        assert batched == drive(BaseAllocator.malloc_run,
-                                BaseAllocator.free_run)
+        assert batched == drive(
+            definition(ExpandableSegmentsAllocator, "malloc_run"),
+            definition(ExpandableSegmentsAllocator, "free_run"))
 
 
 class TestInvariantsAndProperties:

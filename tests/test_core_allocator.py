@@ -3,7 +3,6 @@
 import pytest
 
 from repro.allocators import CachingAllocator
-from repro.allocators.base import BaseAllocator
 from repro.core import GMLakeAllocator, GMLakeConfig
 from repro.core.bestfit import FitState
 from repro.core.smallpool import SmallPool
@@ -11,7 +10,7 @@ from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.units import GB, KB, MB
 
-from test_allocator_caching import Watched
+from reference import Watched, definition
 
 
 @pytest.fixture
@@ -402,6 +401,10 @@ class TestExactMatchTouchesNoPoolOrder:
         gml.check_invariants()
 
 
+#: GMLake's ``malloc_free`` as its definition: ``BaseAllocator``'s two calls.
+TWO_CALLS = definition(GMLakeAllocator, "malloc_free")
+
+
 class TestTransient:
     """``malloc_free``: below the chunk size the small pool's shortcut
     with GMLake's hooks and counters, otherwise ``BaseAllocator``'s two
@@ -444,7 +447,7 @@ class TestTransient:
     def test_same_ledger_as_the_two_calls(self, twins, size):
         gml, loop = twins
         rounded = gml.malloc_free(size)
-        assert rounded == BaseAllocator.malloc_free(loop, size)
+        assert rounded == TWO_CALLS(loop, size)
         assert self.ledger(gml) == self.ledger(loop)
         assert gml.peak_active_bytes == 100 * KB + max(rounded, 10 * MB)
         gml.check_invariants()
@@ -484,7 +487,7 @@ class TestTransient:
         watched = [Watched(allocator) for allocator in twins]
         served = self.served_by_small_pool(monkeypatch)
         rounded = gml.malloc_free(64 * KB)
-        assert rounded == BaseAllocator.malloc_free(loop, 64 * KB)
+        assert rounded == TWO_CALLS(loop, 64 * KB)
         assert served == [64 * KB]
         assert self.ledger(gml) == self.ledger(loop)
         assert watched[0].seen() == watched[1].seen()
@@ -502,7 +505,7 @@ class TestTransient:
         with pytest.raises(OutOfMemoryError) as fast:
             gml.malloc_free(100 * KB)
         with pytest.raises(OutOfMemoryError) as slow:
-            BaseAllocator.malloc_free(loop, 100 * KB)
+            TWO_CALLS(loop, 100 * KB)
         assert str(fast.value) == str(slow.value)
         assert reclaims == []
         assert self.ledger(gml) == self.ledger(loop)

@@ -1,12 +1,10 @@
 """Driver-contract tests for the simulated CUDA VMM API."""
 
-import bisect
-from typing import List, Sequence
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import PerCallVmm
 from repro.errors import (
     CudaError,
     CudaInvalidAddressError,
@@ -14,7 +12,7 @@ from repro.errors import (
     CudaOutOfMemoryError,
 )
 from repro.gpu.device import GpuDevice
-from repro.gpu.vmm import CudaVmm, _Mapping
+from repro.gpu.vmm import _Mapping
 from repro.units import GB, MB
 
 
@@ -242,157 +240,8 @@ class TestRuntime:
 
 # ----------------------------------------------------------------------
 # Sequence oracle: the one-pass sequences against one call at a time
+# (reference.PerCallVmm)
 # ----------------------------------------------------------------------
-
-
-class PerCallVmm(CudaVmm):
-    """The reference: every sequence issued one driver call at a time,
-    each call checked, looked up and charged on its own.  A batched
-    sequence must leave the clock, the counters, every mapping and every
-    chunk exactly as these do (the clock is a float: no tolerance)."""
-
-    def _spend(self, us: float) -> None:
-        self._clock.advance(us)
-        self.counters.total_time_us += us
-
-    def mem_map(self, va: int, offset: int, handle: int) -> None:
-        """Map physical ``handle`` at ``va + offset``.
-
-        The full chunk is mapped; the target range must lie inside the
-        reservation that starts at ``va`` and must not overlap an
-        existing mapping in that reservation.
-        """
-        chunk = self._phys.get(handle)
-        if va not in self._mappings:
-            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
-        if not self._va.contains(va, offset, chunk.size):
-            raise CudaInvalidAddressError(
-                f"map of {chunk.size} bytes at offset {offset} exceeds "
-                f"reservation at {va:#x}"
-            )
-        # The per-VA table is kept sorted by offset, so only the two
-        # neighbours of the insertion point can overlap — stitching a
-        # k-chunk sBlock is O(k) instead of O(k^2 log k): every caller
-        # maps chunks in ascending offset order, making the append
-        # fast path the common case.
-        maps = self._mappings[va]
-        last = maps[-1] if maps else None
-        if last is None or offset >= last.offset + last.size:
-            idx = len(maps)
-        else:
-            idx = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
-            for m in (maps[idx - 1] if idx else None,
-                      maps[idx] if idx < len(maps) else None):
-                if m is not None and (offset < m.offset + m.size
-                                      and m.offset < offset + chunk.size):
-                    raise CudaInvalidValueError(
-                        f"overlapping map at {va:#x}+{offset} "
-                        f"(existing mapping at +{m.offset})"
-                    )
-        self._spend(self._latency.mem_map(chunk.size))
-        self.counters.map_calls += 1
-        self._phys.retain(handle)
-        maps.insert(idx, _Mapping(offset=offset, size=chunk.size, handle=handle))
-
-    def mem_set_access(self, va: int, offset: int, size: int) -> None:
-        """Grant read/write access to ``[va+offset, va+offset+size)``.
-
-        Every byte of the range must already be mapped.
-        """
-        maps = self._mappings.get(va)
-        if maps is None:
-            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
-        end = offset + size
-        cursor = offset
-        touched: List[_Mapping] = []
-        # Binary-search the first mapping that can cover ``offset``; the
-        # table is sorted by offset and overlap-free, so the covering
-        # run (if any) is contiguous from there.
-        idx = bisect.bisect_right(maps, offset, key=lambda m: m.offset)
-        if idx and maps[idx - 1].offset + maps[idx - 1].size > offset:
-            idx -= 1
-        while idx < len(maps) and maps[idx].offset < end:
-            m = maps[idx]
-            if m.offset > cursor:
-                break
-            touched.append(m)
-            cursor = m.offset + m.size
-            idx += 1
-            if cursor >= end:
-                break
-        if cursor < end:
-            raise CudaInvalidAddressError(
-                f"setAccess range [{offset}, {end}) at {va:#x} is not fully mapped"
-            )
-        for m in touched:
-            self._spend(self._latency.mem_set_access(m.size))
-            self.counters.set_access_calls += 1
-            m.accessible = True
-
-    def back(self, va: int, offset: int, size: int,
-             chunk_size: int) -> List[int]:
-        """Back ``[va+offset, va+offset+size)`` with new physical memory:
-        create and map one ``chunk_size`` chunk after another in address
-        order, then make the range accessible.  Returns the handles in
-        address order; the caller holds their creation references.
-
-        If the device cannot commit a chunk, those made so far are
-        unmapped and released before :class:`CudaOutOfMemoryError`
-        propagates: the reservation is left as it was found.
-        """
-        handles: List[int] = []
-        try:
-            for at in range(offset, offset + size, chunk_size):
-                handle = self.mem_create(chunk_size)
-                handles.append(handle)
-                self.mem_map(va, at, handle)
-        except CudaOutOfMemoryError:
-            # Only mem_create raises it, so every listed handle is mapped.
-            if handles:
-                self.mem_unmap(va, offset, len(handles) * chunk_size)
-                for handle in handles:
-                    self.mem_release(handle)
-            raise
-        self.mem_set_access(va, offset, size)
-        return handles
-
-    def alias(self, handles: Sequence[int], chunk_size: int) -> int:
-        """Reserve a fresh range and map the existing ``chunk_size``
-        chunks ``handles`` into it back to back, accessible; returns
-        its address.  No physical memory is created: each map adds a
-        reference, so a chunk outlives any single range over it."""
-        size = len(handles) * chunk_size
-        va = self.mem_address_reserve(size)
-        for i, handle in enumerate(handles):
-            self.mem_map(va, i * chunk_size, handle)
-        self.mem_set_access(va, 0, size)
-        return va
-
-    def mem_unmap(self, va: int, offset: int, size: int) -> None:
-        """Unmap every mapping fully contained in the given range."""
-        maps = self._mappings.get(va)
-        if maps is None:
-            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
-        end = offset + size
-        # Fully-contained mappings form one contiguous run in the
-        # sorted table: everything from the first mapping at or past
-        # ``offset`` while it still ends by ``end``.
-        lo = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
-        hi = lo
-        while hi < len(maps) and maps[hi].offset + maps[hi].size <= end:
-            hi += 1
-        removed = maps[lo:hi]
-        if not removed:
-            raise CudaInvalidValueError(
-                f"unmap range [{offset}, {end}) at {va:#x} contains no mapping"
-            )
-        del maps[lo:hi]
-        for m in removed:
-            self._spend(self._latency.mem_unmap(m.size))
-            self.counters.unmap_calls += 1
-            self._phys.release_ref(m.handle)
-
-
 def vmm_state(device):
     """Everything the two VMMs must agree on, compared by ``==``."""
     vmm, phys, vaspace = device.vmm, device.phys, device.vaspace

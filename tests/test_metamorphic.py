@@ -33,11 +33,13 @@ output moves the right way (or doesn't move at all):
   two fleet loops drives it.
 """
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
+from reference import observe
 from repro.serve import (
     LengthSampler,
     MMPPArrivals,
@@ -49,7 +51,6 @@ from repro.serve import (
     run_serving,
     run_serving_cluster,
 )
-from repro.serve.cluster import _co_simulate
 from repro.units import GB
 from test_equivalence_goldens import (
     SCENARIOS,
@@ -281,7 +282,8 @@ class TestUncoupledFleetIsItsShards:
                    scheduler="memory-aware",
                    kv_cache="paged?block_tokens=16")
 
-    def _stream(self):
+    @staticmethod
+    def _stream():
         return PoissonArrivals(rate_per_s=16.0).generate(120, seed=3)
 
     def _replicas(self, faults, retry):
@@ -294,27 +296,33 @@ class TestUncoupledFleetIsItsShards:
                 for i in range(self.N_REPLICAS)]
         return sims, shards
 
-    def _fleet_digest(self, faults, retry):
-        fleet = run_serving_cluster(
-            self._stream(), MODEL, n_replicas=self.N_REPLICAS,
-            faults=faults, retry=retry, **self.REPLICA)
-        assert fleet.preemptions > 0     # the fleet is under pressure
-        return _request_digest(fleet.requests)
+    @classmethod
+    def fleet(cls, faults, retry):
+        """The fleet, as a ``reference.observe`` scenario."""
+        def serve(trace, gauges):
+            fleet = run_serving_cluster(
+                cls._stream(), MODEL, n_replicas=cls.N_REPLICAS,
+                faults=faults, retry=retry, **cls.REPLICA)
+            assert fleet.preemptions > 0     # the fleet is under pressure
+            return fleet
+        return serve
 
     def test_fleet_equals_each_shard_served_alone(self, faults, retry):
         sims, shards = self._replicas(faults, retry)
         alone = [request for sim, shard in zip(sims, shards)
                  for request in sim.run(shard).requests]
-        assert _request_digest(alone) == self._fleet_digest(faults, retry)
+        assert (_request_digest(alone)
+                == _request_digest(_shipped(faults, retry).result.requests))
 
     def test_loop_choice_is_a_speed_choice_only(self, faults, retry):
-        """Forced through the min-clock loop that coupled fleets need,
-        an uncoupled fleet replays to the very same digest."""
-        sims, shards = self._replicas(faults, retry)
-        for sim, shard in zip(sims, shards):
-            sim.start(shard)
-        _co_simulate(sims, None, None, None)
-        interleaved = [request for sim in sims
-                       for request in sim.finish().requests]
-        assert (_request_digest(interleaved)
-                == self._fleet_digest(faults, retry))
+        """Forced through the min-clock loop that coupled fleets need
+        (the registry's fleet-loop group), an uncoupled fleet replays
+        to the very same run."""
+        assert (observe(self.fleet(faults, retry), slow=("fleet-loop",)).seen
+                == _shipped(faults, retry).seen)
+
+
+@functools.cache
+def _shipped(faults, retry):
+    """The fleet as shipped, observed once for both tests above."""
+    return observe(TestUncoupledFleetIsItsShards.fleet(faults, retry))

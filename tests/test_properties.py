@@ -4,6 +4,7 @@ sequences (hypothesis drives alloc/free interleavings)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import definition
 from repro.allocators import CachingAllocator, VmmNaiveAllocator
 from repro.allocators.base import BaseAllocator
 from repro.api import component_names, resolve
@@ -294,17 +295,17 @@ RUN_OPS = ("malloc_run", "free_run", "malloc_free")
 
 def _apply(op, args, allocator, live, via):
     """One fuzz step on one allocator, its run operations taken from
-    the class ``via``; returns the bytes it freed."""
+    ``via`` (run op name -> function); returns the bytes it freed."""
     if op == "malloc":
         try:
             live.append(allocator.malloc(*args))
         except OutOfMemoryError:
             pass
     elif op == "malloc_run":
-        live += via.malloc_run(allocator, *args)
+        live += via["malloc_run"](allocator, *args)
     elif op == "malloc_free":
         try:
-            via.malloc_free(allocator, *args)
+            via["malloc_free"](allocator, *args)
         except OutOfMemoryError:
             pass
     elif op == "empty_cache":
@@ -320,7 +321,7 @@ def _apply(op, args, allocator, live, via):
         if op == "free":
             allocator.free(*batch)
         else:
-            via.free_run(allocator, batch)
+            via["free_run"](allocator, batch)
         return sum(a.rounded_size for a in batch)
     return 0
 
@@ -368,9 +369,12 @@ def _fuzz(name, capacity_mb, ops, observed):
 
     allocator, live = build(), []
     cls = type(allocator)
+    shipped = {op: getattr(cls, op) for op in RUN_OPS}
+    loops = {op: definition(cls, op) for op in RUN_OPS}
+    assert loops == {op: getattr(BaseAllocator, op) for op in RUN_OPS}, (
+        f"{cls.__name__} has a run op with no entry in tests/reference.py")
     twin, twin_live = None, []
-    if observed or any(getattr(cls, op) is not getattr(BaseAllocator, op)
-                       for op in RUN_OPS):
+    if observed or shipped != loops:
         twin = build()
     if observed:
         recorders = [a.add_observer(TimelineRecorder(a, every=1))
@@ -380,10 +384,10 @@ def _fuzz(name, capacity_mb, ops, observed):
         if op == "malloc_to_fill":
             op = "malloc"
             args = [freed + allocator.device.free_memory + args[0]]
-        freed = _apply(op, args, allocator, live, cls) or freed
+        freed = _apply(op, args, allocator, live, shipped) or freed
         allocator.check_invariants()
         if twin is not None:
-            _apply(op, args, twin, twin_live, BaseAllocator)
+            _apply(op, args, twin, twin_live, loops)
             assert live == twin_live  # pointers, sizes and ids
             assert _ledger(allocator) == _ledger(twin)
             if observed:

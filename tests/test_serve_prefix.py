@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from reference import PerBlockSharedPagedKVCache, TwinKV
 from repro.api import resolve_allocator
 from repro.gpu.device import GpuDevice
 from repro.serve import (
@@ -35,7 +36,6 @@ from repro.sim.engine import ReplaySession
 from repro.units import GB
 from repro.workloads import get_model
 from repro.workloads.inference import kv_bytes
-from tests.test_serve_kvcache import PerBlockOracle, TwinKV
 
 MODEL = get_model("opt-1.3b")
 BLOCK_TOKENS = 16
@@ -381,21 +381,6 @@ class TestAcceptancePhysics:
 # ----------------------------------------------------------------------
 # Blocks as one allocator run: differential against the per-block path
 # ----------------------------------------------------------------------
-class PerBlockSharedPagedKVCache(PerBlockOracle, SharedPagedKVCache):
-    """``paged-shared`` on the per-block oracle: each block makes up to
-    four attempts of its own (``empty_cache`` and idle-prefix eviction
-    in between), as before the first attempts became one run."""
-
-    def _try_alloc(self, name, size):
-        if PerBlockOracle._try_alloc(self, name, size):
-            return True
-        if self._evict_idle(size) == 0:
-            return False
-        ok = PerBlockOracle._try_alloc(self, name, size)
-        self._note_shared_blocks()
-        return ok
-
-
 def shared_twins(capacity_blocks, tiers=None):
     return TwinKV(SharedPagedKVCache(MODEL, block_tokens=BLOCK_TOKENS),
                   PerBlockSharedPagedKVCache(MODEL, block_tokens=BLOCK_TOKENS),

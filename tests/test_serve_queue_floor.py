@@ -8,11 +8,11 @@ Three layers:
   prefix trie grows and is evicted;
 - an oracle: ``MemoryAwareScheduler.select`` given any floor that
   bounds the queue returns the same object as the scan-only select it
-  replaced (kept verbatim below as :class:`ScanOnlyMemoryAware`);
-- serving-level twins: a run whose floor is forced to 0 (so every
-  select scans) equals the fast run — every request's fields, every
-  replica's allocator stats and final clock — on one replica under each
-  KV model, a crash-faulted tiered fleet and a disaggregated run.
+  replaced (kept verbatim as ``reference.ScanOnlyMemoryAware``);
+- serving-level twins: a run with the registry's queue-floor group
+  swapped in (a floor of 0, so every select scans) equals the fast run
+  on everything ``reference.observe`` records, on one replica under
+  each KV model, a crash-faulted tiered fleet and a disaggregated run.
 """
 
 from dataclasses import dataclass
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import ScanOnlyMemoryAware, observe
 from repro.api import component_names, resolve
 from repro.serve import (
     LengthSampler,
@@ -29,7 +30,6 @@ from repro.serve import (
     PoissonArrivals,
     SchedulerView,
     ServingConfig,
-    ServingSimulator,
     run_serving,
     run_serving_cluster,
     run_serving_disagg,
@@ -42,18 +42,6 @@ from tests.test_serve_prefix import BLOCK_BYTES, harness, prefix_request
 MODEL = get_model("opt-1.3b")
 KV_NAMES = component_names("kv-cache")
 PREFIX_GROUPS = 3
-
-
-class ScanOnlyMemoryAware(MemoryAwareScheduler):
-    """``MemoryAwareScheduler.select`` before the queue floor, verbatim:
-    the reference the fast path must agree with."""
-
-    def select(self, queue, view):
-        headroom = view.headroom_bytes()
-        for request in queue:
-            if view.projected_kv_bytes(request) * self.margin <= headroom:
-                return request
-        return None
 
 
 @dataclass
@@ -221,29 +209,29 @@ def _config(**kwargs):
 #: declines, and replicas preempt (so requeued requests must re-enter
 #: the floor heap).
 TWIN_SCENARIOS = {
-    "chunked": lambda: run_serving(
+    "chunked": lambda trace, gauges: run_serving(
         _stream(120, 10.0, 1), MODEL, allocator="gmlake",
         capacity=MODEL.weight_bytes + 1200 * MB,
         scheduler="memory-aware", kv_cache="chunked", config=_config()),
-    "paged": lambda: run_serving(
+    "paged": lambda trace, gauges: run_serving(
         _stream(40, 12.0, 2), MODEL, allocator="caching",
         capacity=MODEL.weight_bytes + 900 * MB,
         scheduler="memory-aware?margin=1", kv_cache="paged?block_tokens=16",
         config=_config()),
-    "paged-shared": lambda: run_serving(
+    "paged-shared": lambda trace, gauges: run_serving(
         MultiTenantArrivals(tenants=4, rate_per_s=14.0,
                             shared_prefix_tokens=250).generate(40, seed=3),
         MODEL, allocator="caching", capacity=MODEL.weight_bytes + 900 * MB,
         scheduler="memory-aware", kv_cache="paged-shared?block_tokens=16",
         config=_config()),
-    "crash-tiers-fleet": lambda: run_serving_cluster(
+    "crash-tiers-fleet": lambda trace, gauges: run_serving_cluster(
         _stream(100, 24.0, 4), MODEL, n_replicas=3, allocator="caching",
         capacity=MODEL.weight_bytes + 900 * MB,
         scheduler="memory-aware", kv_cache="paged?block_tokens=16",
         config=_config(max_batch=32),
         faults="replica-crash?mtbf_s=4&mttr_s=1", retry="budget?max=3",
         memory_tiers="dram?gb=0.2,cxl?gb=16&gb_per_s=40&latency_us=1"),
-    "disagg": lambda: run_serving_disagg(
+    "disagg": lambda trace, gauges: run_serving_disagg(
         _stream(60, 12.0, 5, mean_prompt=1500, mean_output=600), MODEL,
         prefill_replicas=1, decode_replicas=2, allocator="caching",
         capacity=MODEL.weight_bytes + 1000 * MB,
@@ -253,44 +241,22 @@ TWIN_SCENARIOS = {
 
 
 class TestServingTwin:
-    """Forcing the floor to 0 makes every select scan, as before the
-    floor existed; the fast path must not change one bit of the run."""
-
-    @staticmethod
-    def _run(scenario, monkeypatch, scan_only):
-        replicas, projected = [], []
-        finish = ServingSimulator.finish
-        project = SchedulerView.projected_kv_bytes
-
-        def recording_finish(sim):
-            result = finish(sim)
-            replicas.append((sim.replica_id, sim.allocator.stats(),
-                             sim.device.clock.now_us))
-            return result
-
-        def counting_project(view, request):
-            projected.append(request.req_id)
-            return project(view, request)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(ServingSimulator, "finish", recording_finish)
-            patch.setattr(SchedulerView, "projected_kv_bytes",
-                          counting_project)
-            if scan_only:
-                patch.setattr(ServingSimulator, "_queue_floor",
-                              lambda sim: 0)
-            result = TWIN_SCENARIOS[scenario]()
-        lifecycles = [dict(vars(r)) for r in result.requests]
-        return (lifecycles, replicas), len(projected), result
+    """With the queue-floor group swapped in (a floor of 0 and the
+    scan-only select) every select scans, as before the floor existed;
+    the fast path must not change one bit of the run."""
 
     @pytest.mark.parametrize("scenario", sorted(TWIN_SCENARIOS))
     def test_fast_run_equals_the_scan_only_run(self, scenario, monkeypatch):
-        fast, fast_projected, result = self._run(scenario, monkeypatch,
-                                                 scan_only=False)
-        scan, scan_projected, _ = self._run(scenario, monkeypatch,
-                                            scan_only=True)
-        assert fast == scan
+        projected = []
+        project = SchedulerView.projected_kv_bytes
+        monkeypatch.setattr(SchedulerView, "projected_kv_bytes",
+                            lambda view, r: projected.append(r)
+                            or project(view, r))
+        fast = observe(TWIN_SCENARIOS[scenario])
+        fast_projected = len(projected)
+        scan = observe(TWIN_SCENARIOS[scenario], slow=("queue-floor",))
+        assert fast.seen == scan.seen
         # Not vacuous: the floor declined selects the scan walked, and
         # some replica requeued a preempted request.
-        assert fast_projected < scan_projected
-        assert result.preemptions > 0
+        assert fast_projected < len(projected) - fast_projected
+        assert fast.result.preemptions > 0

@@ -1,36 +1,31 @@
-"""Twin tests for the quiet run: a tick that decodes many steps.
+"""The registry-wide twin: every cell runs as shipped and with every
+group of ``tests/reference.py`` swapped in at once, and the two runs
+must agree exactly on everything ``reference.observe`` records.
 
-After a quiet decode step (nothing finished, grew or was preempted,
-admission settled, the allocator's reserved/active bytes unmoved) a
-tick goes on decoding until the next event (see
-``ServingSimulator._quiet_run``).  The slow replacement below patches
-that loop out, which leaves the one-step-per-tick loop it replaced.
-Every scenario runs both ways and must agree exactly: every request's
-fields; each replica's allocator stats, final clock and KV metrics;
-the memory timeline, the gauge points and the trace events.
-
-The matrix is every scheduler x {chunked, paged, paged-shared} x six
+The matrix is every scheduler x {chunked, paged, paged-shared} x seven
 topologies: one replica, a straggler, a traced replica with gauges
 and a timeline, a crash-faulted tiered 2-replica fleet (co-simulated
-with the crash-window lookahead), a hedged fleet (no lookahead) and a
-1P+1D disaggregated run.  Hypothesis draws each cell's seed: one
-example under the default profile (its simplest, seed 0, comes first)
-and four under the nightly one.
+with the crash-window lookahead), a hedged fleet (no lookahead), a
+1P+1D disaggregated run and an uncoupled 2-replica GMLake fleet.
+Hypothesis draws each cell's seed: one example under the default
+profile (its simplest, seed 0, comes first) and four under the
+nightly one.
 """
 
-import dataclasses
+import functools
+import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import GROUPS, REFERENCE, observe
 from repro.api import component_names
-from repro.obs import GaugeSampler, TraceRecorder
 from repro.serve import (
     LengthSampler,
     MultiTenantArrivals,
     ServingConfig,
-    ServingSimulator,
     run_serving,
     run_serving_cluster,
     run_serving_disagg,
@@ -39,16 +34,6 @@ from repro.units import MB
 from repro.workloads import get_model
 
 MODEL = get_model("opt-1.3b")
-
-
-def one_step_per_tick(self, running, until_s):
-    """Slow replacement of ``ServingSimulator._quiet_run``: no quiet
-    run, so every busy tick decodes exactly one step."""
-
-
-#: (owner, attribute, slow replacement) pairs: patching each attribute
-#: to its replacement gives the reference simulator.
-REFERENCE = ((ServingSimulator, "_quiet_run", one_step_per_tick),)
 
 SCHEDULERS = component_names("scheduler")
 KV_CACHES = {
@@ -71,88 +56,50 @@ def _config(**kwargs):
                             "max_preemptions": 3, **kwargs})
 
 
-def _serve(topology, scheduler, kv, seed):
-    """Run one cell; returns (result, trace recorder, gauge sampler)."""
-    trace, gauges = TraceRecorder(memory_every=16), GaugeSampler(every_s=0.1)
+def _serve(topology, scheduler, kv, seed, trace, gauges):
+    """Run one cell; returns its result."""
     common = dict(allocator="caching", scheduler=scheduler,
                   kv_cache=KV_CACHES[kv])
     tight = MODEL.weight_bytes + 100 * MB
     if topology == "single":
-        result = run_serving(_stream(seed), MODEL, capacity=tight,
-                             config=_config(), **common)
-    elif topology == "straggler":
-        result = run_serving(
+        return run_serving(_stream(seed), MODEL, capacity=tight,
+                           config=_config(), **common)
+    if topology == "straggler":
+        return run_serving(
             _stream(seed), MODEL, capacity=tight, config=_config(),
             faults=f"straggler?slowdown=3&prob=0.3&seed={seed}", **common)
-    elif topology == "observed":
-        result = run_serving(_stream(seed), MODEL, capacity=tight,
-                             config=_config(record_timeline=True),
-                             trace=trace, gauges=gauges, **common)
-    elif topology == "crash-tiers-fleet":
+    if topology == "observed":
+        return run_serving(_stream(seed), MODEL, capacity=tight,
+                           config=_config(record_timeline=True),
+                           trace=trace, gauges=gauges, **common)
+    if topology == "crash-tiers-fleet":
         # Crashes every ~0.1 s against long decodes: crash hand-offs
         # land on a peer in the middle of its quiet runs.
-        result = run_serving_cluster(
+        return run_serving_cluster(
             _stream(seed, n=10, rate=30.0, mean_output=96), MODEL,
             n_replicas=2, capacity=tight + 20 * MB, config=_config(),
             trace=trace, gauges=gauges,
             faults=f"replica-crash?mtbf_s=0.1&mttr_s=0.03&seed={seed}",
             retry="budget?max=2&backoff_s=0.02", memory_tiers=TIERS,
             **common)
-    elif topology == "hedged-fleet":
-        result = run_serving_cluster(
+    if topology == "hedged-fleet":
+        return run_serving_cluster(
             _stream(seed, n=10), MODEL, n_replicas=2, capacity=tight,
             config=_config(), retry="hedge?after_s=0.05", **common)
-    else:
-        assert topology == "disagg"
-        result = run_serving_disagg(
+    if topology == "disagg":
+        return run_serving_disagg(
             _stream(seed), MODEL, prefill_replicas=1, decode_replicas=1,
             capacity=tight, config=_config(), **common)
-    return result, trace, gauges
+    # The sequential drain, GMLake's transient and the VMM sequences.
+    assert topology == "gmlake-fleet"
+    return run_serving_cluster(
+        _stream(seed, n=10), MODEL, n_replicas=2, capacity=tight + 100 * MB,
+        config=_config(), faults=f"straggler?slowdown=3&prob=0.3&seed={seed}",
+        retry="budget?max=2", **{**common, "allocator": "gmlake"})
 
 
 TOPOLOGIES = ("single", "straggler", "observed", "crash-tiers-fleet",
-              "hedged-fleet", "disagg")
-
-
-def observe(topology, scheduler, kv, seed, reference):
-    """Everything the twins must agree on, plus the tick count."""
-    replicas, ticks = [], []
-    finish, tick = ServingSimulator.finish, ServingSimulator.tick
-
-    def recording_finish(sim):
-        result = finish(sim)
-        replicas.append((
-            sim.replica_id, sim.allocator.stats(), sim.device.clock.now_us,
-            dataclasses.replace(sim.kv.metrics),
-            [dict(vars(r)) for r in result.requests],
-            result.timeline, result.gauge_points))
-        return result
-
-    def counting_tick(sim, *args, **kwargs):
-        ticks.append(sim.replica_id)
-        return tick(sim, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ServingSimulator, "finish", recording_finish)
-        patch.setattr(ServingSimulator, "tick", counting_tick)
-        if reference:
-            for owner, name, slow in REFERENCE:
-                patch.setattr(owner, name, slow)
-        try:
-            result, trace, gauges = _serve(topology, scheduler, kv, seed)
-        except ValueError as error:
-            # A crash fleet can time out a request still in transit to
-            # a replica it left earlier, and the queue discard raises;
-            # the twins must then raise alike.
-            return ("raised", str(error)), len(ticks)
-    # A replica's own events keep their order; the fleet's recorder
-    # interleaves replicas by tick, which a quiet run reorders.
-    events = [(e.replica, e.t_s, e.kind, e.req_id, e.args)
-              for e in sorted(trace.events, key=lambda e: (e.replica, e.seq))]
-    observed = (
-        [dict(vars(r)) for r in result.requests], replicas, events,
-        list(gauges.points), trace.chrome_trace())
-    return observed, len(ticks)
+              "hedged-fleet", "disagg", "gmlake-fleet")
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -161,10 +108,49 @@ def observe(topology, scheduler, kv, seed, reference):
 @settings(max_examples=max(1, settings().max_examples // 100))
 @given(seed=st.integers(0, 2 ** 16))
 def test_quiet_runs_equal_one_step_ticks(scheduler, kv, topology, seed):
-    fast, fast_ticks = observe(topology, scheduler, kv, seed, reference=False)
-    slow, slow_ticks = observe(topology, scheduler, kv, seed, reference=True)
-    assert fast == slow
+    """The shipped run equals the run with every registered slow
+    definition swapped in.  The quiet run is one of them, so the
+    reference ticks one step at a time: it ticks more often, except in
+    the hedged fleet, which has no quiet runs."""
+    cell = functools.partial(_serve, topology, scheduler, kv, seed)
+    fast = observe(cell)
+    slow = observe(cell, slow=GROUPS)
+    assert fast.seen == slow.seen
     if topology == "hedged-fleet":
-        assert fast_ticks == slow_ticks  # hedging allows no lookahead
+        assert fast.ticks == slow.ticks  # hedging allows no lookahead
     else:
-        assert fast_ticks < slow_ticks  # not vacuous: quiet runs ran
+        assert fast.ticks < slow.ticks  # not vacuous: quiet runs ran
+
+
+def test_every_entry_replaces_a_shipped_attribute():
+    for group, entries in REFERENCE.items():
+        assert entries, group
+        for owner, name, slow in entries:
+            assert hasattr(owner, name), (group, owner, name)
+            assert getattr(owner, name) is not slow, (group, owner, name)
+
+
+def test_every_group_fires_in_the_shipped_runs():
+    """A fast path no shipped run calls would turn the twin into
+    shipped-vs-shipped for its group.  The twin's cells at seed 0 (its
+    first example), as shipped, until every group has fired."""
+    hits = Counter()
+    for scheduler, kv, topology in itertools.product(
+            SCHEDULERS, sorted(KV_CACHES), TOPOLOGIES):
+        hits.update(observe(functools.partial(
+            _serve, topology, scheduler, kv, 0)).hits)
+        if all(hits[group] for group in GROUPS):
+            return
+    pytest.fail(f"no shipped cell runs {set(GROUPS) - set(hits)}")
+
+
+def test_a_request_in_flight_back_times_out_when_it_lands():
+    """Request 6 fails over back to replica 1, which still holds its
+    timeout entry from an earlier stay, and its deadline passes while it
+    is in flight.  The stale entry is skipped: the request times out
+    once, when it lands, not before its deadline."""
+    result = _serve("crash-tiers-fleet", "fcfs", "paged", 2, None, None)
+    assert sorted(r.req_id for r in result.requests) == list(range(10))
+    (request,) = [r for r in result.requests if r.req_id == 6]
+    assert request.reject_reason == "timeout"
+    assert request.rejected_s >= request.arrival_s + _config().queue_timeout_s

@@ -9,10 +9,7 @@ import math
 
 import pytest
 
-from repro.allocators import CachingAllocator
-from repro.allocators.base import BaseAllocator
-from repro.core import GMLakeAllocator
-from repro.obs import TraceRecorder
+from reference import observe
 from repro.serve import (
     PoissonArrivals,
     ReplayArrivals,
@@ -196,28 +193,18 @@ class TestPreemption:
 
 class TestStepWorkspaceIsTheTwoCalls:
     """The decode step's ``malloc_free`` against ``BaseAllocator``'s
-    malloc-then-free: same requests, same allocator, same clock and,
-    traced, the same trace."""
+    malloc-then-free (the registry's allocator-runs group): same
+    requests, same allocator, same clock and, traced, the same trace."""
 
     @staticmethod
-    def _serve(allocator, kv_cache, headroom, n, rate, trace=None):
+    def _scenario(allocator, kv_cache, headroom, n, rate, traced=False):
         model = get_model("opt-1.3b")
-        simulator = ServingSimulator(
-            model, allocator=allocator, kv_cache=kv_cache,
-            capacity=model.weight_bytes + headroom, scheduler="fcfs",
+        return lambda trace, gauges: run_serving(
+            light_stream(n=n, rate=rate, seed=5), model, allocator=allocator,
+            kv_cache=kv_cache, capacity=model.weight_bytes + headroom,
+            scheduler="fcfs",
             config=ServingConfig(max_batch=8, queue_timeout_s=600.0),
-            trace=trace)
-        result = simulator.run(light_stream(n=n, rate=rate, seed=5))
-        lifecycles = [
-            (r.req_id, r.state, r.tokens_done, r.preemptions, r.admitted_s,
-             r.first_token_s, r.finished_s) for r in result.requests]
-        return (lifecycles, result.stats, simulator.device.clock.now_us,
-                result.preemptions)
-
-    @staticmethod
-    def _patch_back(monkeypatch):
-        for cls in (GMLakeAllocator, CachingAllocator):
-            monkeypatch.setattr(cls, "malloc_free", BaseAllocator.malloc_free)
+            trace=trace if traced else None)
 
     # Each stream preempts (some workspaces find no cached fit), and a
     # workspace the cache serves sets the active peak: a shortcut that
@@ -227,21 +214,18 @@ class TestStepWorkspaceIsTheTwoCalls:
     @pytest.mark.parametrize("scenario", [
         GMLAKE, ("caching", "paged?block_tokens=16", 1500 * MB, 30, 8.0)],
         ids=["gmlake-chunked", "caching-paged"])
-    def test_same_run_with_the_loop_patched_back(self, scenario, monkeypatch):
-        fast = self._serve(*scenario)
-        assert fast[-1] > 0
-        self._patch_back(monkeypatch)
-        assert self._serve(*scenario) == fast
+    def test_same_run_with_the_loop_patched_back(self, scenario):
+        fast = observe(self._scenario(*scenario))
+        assert fast.result.preemptions > 0
+        loop = observe(self._scenario(*scenario), slow=("allocator-runs",))
+        assert loop.seen == fast.seen
 
-    def test_same_trace_with_the_loop_patched_back(self, monkeypatch):
+    def test_same_trace_with_the_loop_patched_back(self):
         """An attached trace sees every workspace's alloc and free."""
-        def traced():
-            trace = TraceRecorder(memory_every=1)
-            return self._serve(*self.GMLAKE, trace=trace), trace.chrome_trace()
-
-        fast = traced()
-        self._patch_back(monkeypatch)
-        assert traced() == fast
+        serve = self._scenario(*self.GMLAKE, traced=True)
+        fast = observe(serve, memory_every=1)
+        loop = observe(serve, slow=("allocator-runs",), memory_every=1)
+        assert loop.seen == fast.seen
 
 
 class TestConfigValidation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference import PerNameSession
 from repro.api import resolve_allocator
 from repro.gpu.device import GpuDevice
 from repro.sim import (
@@ -97,24 +98,22 @@ class TestRunTrace:
 
 class TestSessionRuns:
     """``try_alloc_run`` / ``free_run`` / ``try_malloc_free`` are
-    ``try_alloc`` / ``free`` per name, for any allocator (gmlake
-    inherits the run loops)."""
+    ``try_alloc`` / ``free`` per name (``reference.PerNameSession``),
+    for any allocator (gmlake inherits the run loops)."""
+
+    @staticmethod
+    def _twins(allocator):
+        return [session(resolve_allocator(allocator, GpuDevice(
+            capacity=64 * MB))) for session in (ReplaySession, PerNameSession)]
 
     @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
     def test_run_equals_singles(self, allocator):
-        sessions = [ReplaySession(resolve_allocator(
-            allocator, GpuDevice(capacity=64 * MB))) for _ in range(2)]
+        sessions = self._twins(allocator)
         names = [f"t{i}" for i in range(30)]
-        got = sessions[0].try_alloc_run(names, 3 * MB)
-        singles = 0
-        for name in names:
-            if not sessions[1].try_alloc(name, 3 * MB):
-                break
-            singles += 1
+        got, singles = [s.try_alloc_run(names, 3 * MB) for s in sessions]
         assert 0 < got == singles < len(names)
-        sessions[0].free_run(names[:got:2])
-        for name in names[:got:2]:
-            sessions[1].free(name)
+        for session in sessions:
+            session.free_run(names[:got:2])
         a, b = sessions
         assert list(a.live) == list(b.live)
         assert a.live_bytes == b.live_bytes
@@ -123,8 +122,7 @@ class TestSessionRuns:
 
     @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
     def test_transient_equals_alloc_then_free(self, allocator):
-        a, b = [ReplaySession(resolve_allocator(
-            allocator, GpuDevice(capacity=64 * MB))) for _ in range(2)]
+        a, b = self._twins(allocator)
         for session in (a, b):
             session.alloc("kv", 50 * MB)
         # A new segment, a cached fit, 10 MB that fits, 20 MB that cannot.
@@ -132,9 +130,7 @@ class TestSessionRuns:
                            (10 * MB, True), (20 * MB, False)]:
             before = a.clock.now_us
             assert a.try_malloc_free(size) is fits
-            assert b.try_alloc("ws", size) is fits
-            if fits:
-                b.free("ws")
+            assert b.try_malloc_free(size) is fits
             assert a.clock.now_us == b.clock.now_us > before  # time is spent
             assert a.allocator.stats() == b.allocator.stats()
             assert list(a.live) == list(b.live) == ["kv"]
