@@ -20,6 +20,12 @@ Allocation follows Figure 9's strategy over the BestFit states:
 Deallocation is the Update function: flip active states, never touch
 physical memory.  StitchFree trims the sPool by LRU when it exceeds the
 configured capacity or the VA oversubscription cap (§4.3).
+
+Requests below the 2 MB chunk never reach VMM: "For memory allocation
+less than 2MB, we use the original PyTorch splitting method of the
+caching allocator" (§3.1).  GMLake holds a private BFC
+:class:`CachingAllocator` for them; its segments count toward GMLake's
+reserved bytes.
 """
 
 from __future__ import annotations
@@ -28,12 +34,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
 from repro.allocators.base import Allocation, BaseAllocator
+from repro.allocators.caching import CachingAllocator
 from repro.core.bestfit import BestFitResult, FitState, best_fit
 from repro.core.config import GMLakeConfig
 from repro.core.pblock import PBlock
 from repro.core.pools import PPool, SPool
 from repro.core.sblock import SBlock
-from repro.core.smallpool import SmallPool
 from repro.errors import CudaOutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.units import align_up
@@ -67,7 +73,9 @@ class GMLakeAllocator(BaseAllocator):
         self.ppool = PPool()
         self.spool = SPool()
         self.counters = GMLakeCounters()
-        self._small = SmallPool(device)
+        #: The §3.1 small pool and its live allocations by pointer.
+        self._small = CachingAllocator(device)
+        self._small_by_ptr: Dict[int, Allocation] = {}
         self._assigned: Dict[int, Block] = {}
         self._pblock_bytes = 0
         self._tick = 0
@@ -82,7 +90,9 @@ class GMLakeAllocator(BaseAllocator):
     # ------------------------------------------------------------------
     def _malloc_impl(self, size: int) -> "tuple[int, int]":
         if size < self.config.small_threshold:
-            return self._small.malloc(size)
+            alloc = self._small.malloc(size)
+            self._small_by_ptr[alloc.ptr] = alloc
+            return alloc.ptr, alloc.rounded_size
         rounded = align_up(size, self.config.chunk_size)
         self._tick += 1
         self._spend_host_time(self.device.latency.cached_op_us)
@@ -103,7 +113,7 @@ class GMLakeAllocator(BaseAllocator):
         with no reclaim, as from ``malloc``) or a transient of a chunk
         or more keeps the two calls."""
         if 0 < size < self.config.small_threshold:
-            rounded = self._small._inner._cached_transient(self, size)
+            rounded = self._small._cached_transient(self, size)
             if rounded is not None:
                 return rounded
         return super().malloc_free(size)
@@ -278,8 +288,9 @@ class GMLakeAllocator(BaseAllocator):
     def _free_impl(self, allocation: Allocation) -> None:
         """Update — release the tensor-block link; physical memory stays
         under the corresponding pBlocks."""
-        if self._small.owns(allocation.ptr):
-            self._small.free(allocation.ptr)
+        small = self._small_by_ptr.pop(allocation.ptr, None)
+        if small is not None:
+            self._small.free(small)
             return
         self._tick += 1
         self._spend_host_time(self.device.latency.cached_op_us)
@@ -324,6 +335,14 @@ class GMLakeAllocator(BaseAllocator):
     def check_invariants(self) -> None:
         """Verify the §4.2.1 data-structure guarantees."""
         super().check_invariants()
+        # The small pool keeps its own laws, and the pointer map is
+        # exactly its live allocations.
+        self._small.check_invariants()
+        small_live = {a.ptr: a for a in self._small._live.values()}
+        assert small_live == self._small_by_ptr, (
+            f"small-pool pointer map drifted: {len(self._small_by_ptr)} "
+            f"mapped, {len(small_live)} live"
+        )
         self.ppool.check_invariants()
         self.spool.check_invariants(self.ppool)
         # Physical accounting matches the pool contents.

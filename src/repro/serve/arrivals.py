@@ -98,14 +98,17 @@ class ArrivalProcess(ABC):
             raise ValueError(f"n_requests must be >= 1, got {n_requests}")
         rng = random.Random(seed * 9176 + 11)
         times = self.arrival_times(n_requests, rng)
-        requests = []
-        for i, t in enumerate(sorted(times)):
-            prompt, output = lengths.sample(rng)
-            requests.append(ServeRequest(
-                req_id=i, arrival_s=float(t),
-                prompt_tokens=prompt, output_tokens=output,
-            ))
-        return requests
+        return [self._request(i, float(t), lengths, rng)
+                for i, t in enumerate(sorted(times))]
+
+    def _request(self, req_id: int, arrival_s: float,
+                 lengths: LengthSampler,
+                 rng: random.Random) -> ServeRequest:
+        """One request of the stream, its sizes drawn from ``rng``
+        after every earlier request's draws."""
+        prompt, output = lengths.sample(rng)
+        return ServeRequest(req_id=req_id, arrival_s=arrival_s,
+                            prompt_tokens=prompt, output_tokens=output)
 
 
 @register_component(
@@ -347,13 +350,8 @@ class MultiTenantArrivals(ArrivalProcess):
                 f"shared_prefix_tokens must be >= 0, "
                 f"got {self.shared_prefix_tokens}")
 
-    def arrival_times(self, n_requests: int, rng: random.Random) -> List[float]:
-        now = 0.0
-        times = []
-        for _ in range(n_requests):
-            now += rng.expovariate(self.rate_per_s)
-            times.append(now)
-        return times
+    #: Aggregate traffic is Poisson at ``rate_per_s``.
+    arrival_times = PoissonArrivals.arrival_times
 
     def _sample_tenant(self, rng: random.Random) -> int:
         weights = [1.0 / (k + 1) ** self.zipf for k in range(self.tenants)]
@@ -365,30 +363,21 @@ class MultiTenantArrivals(ArrivalProcess):
                 return k
         return self.tenants - 1
 
-    def generate(
-        self,
-        n_requests: int,
-        lengths: LengthSampler = LengthSampler(),
-        seed: int = 0,
-    ) -> List[ServeRequest]:
-        """Materialize the stream with tenant + prefix annotations."""
-        if n_requests < 1:
-            raise ValueError(f"n_requests must be >= 1, got {n_requests}")
-        rng = random.Random(seed * 9176 + 11)
-        times = self.arrival_times(n_requests, rng)
+    def _request(self, req_id: int, arrival_s: float,
+                 lengths: LengthSampler,
+                 rng: random.Random) -> ServeRequest:
+        """A request with tenant + prefix annotations: the private
+        suffix and output lengths are drawn first, then the tenant."""
+        suffix, output = lengths.sample(rng)
+        tenant = f"t{self._sample_tenant(rng)}"
         prefix = self.shared_prefix_tokens
-        requests = []
-        for i, t in enumerate(sorted(times)):
-            suffix, output = lengths.sample(rng)
-            tenant = f"t{self._sample_tenant(rng)}"
-            requests.append(ServeRequest(
-                req_id=i, arrival_s=float(t),
-                prompt_tokens=prefix + suffix, output_tokens=output,
-                tenant=tenant,
-                prefix_id=tenant if prefix > 0 else None,
-                prefix_tokens=prefix,
-            ))
-        return requests
+        return ServeRequest(
+            req_id=req_id, arrival_s=arrival_s,
+            prompt_tokens=prefix + suffix, output_tokens=output,
+            tenant=tenant,
+            prefix_id=tenant if prefix > 0 else None,
+            prefix_tokens=prefix,
+        )
 
 
 def load_arrival_log(path: Union[str, Path]) -> List[float]:

@@ -18,14 +18,14 @@ import copy
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.api.result import WorstMemberRunResult
 from repro.api.spec import SpecLike, resolve
 from repro.obs.gauges import NO_GAUGES, GaugePoint, GaugeSampler
 from repro.obs.trace import FRONTEND_REPLICA, NO_TRACE, TraceRecorder
 from repro.serve.autoscale import Autoscaler, NoAutoscaler
-from repro.serve.faults import FaultModel, RetryPolicy
+from repro.serve.faults import FaultModel, ReplicaFaults, RetryPolicy
 from repro.serve.kvcache import KVCacheMetrics, KVCacheModel
 from repro.serve.memtier import MemoryTiersLike, TierHierarchy
 from repro.serve.metrics import ServingReport, ServingReportAccumulator, SloConfig
@@ -43,42 +43,6 @@ from repro.units import A100_80GB
 from repro.workloads.models import ModelSpec, get_model
 
 
-class DownCalendar:
-    """Materialized crash windows answering "is replica i down at t?".
-
-    The fault model's window streams are pure functions of (seed,
-    replica), so the front-end and each replica independently derive
-    the *same* schedule — the dispatcher can route around a crash it
-    has not "observed" yet without any causality violation, exactly as
-    a health-checking load balancer would after one probe interval.
-
-    Windows are materialized lazily per replica, but queries may go
-    *backwards* in time (the fleet orchestrator interleaves replicas
-    whose clocks drift apart), so materialized windows are kept and
-    scanned from the tail.
-    """
-
-    def __init__(self, faults: FaultModel, n_replicas: int):
-        self._streams = [faults.crash_windows(i) for i in range(n_replicas)]
-        self._windows: List[List[Tuple[float, float]]] = [
-            [] for _ in range(n_replicas)]
-
-    def down_at(self, replica: int, t_s: float) -> bool:
-        """True when ``replica`` is inside a crash window at ``t_s``."""
-        stream = self._streams[replica]
-        if stream is None:
-            return False
-        windows = self._windows[replica]
-        while not windows or windows[-1][1] <= t_s:
-            windows.append(next(stream))
-        for start_s, end_s in reversed(windows):
-            if end_s <= t_s:
-                return False
-            if start_s <= t_s:
-                return True
-        return False
-
-
 def dispatch_requests(
     requests: Iterable[ServeRequest],
     n_replicas: int,
@@ -87,7 +51,7 @@ def dispatch_requests(
     gauges: Optional[GaugeSampler] = None,
     trace: Optional[TraceRecorder] = None,
     fleet: Optional[str] = None,
-    down: Optional[DownCalendar] = None,
+    down: Optional[Sequence[ReplicaFaults]] = None,
 ) -> List[List[ServeRequest]]:
     """Split one arrival stream into per-replica streams.
 
@@ -113,11 +77,12 @@ def dispatch_requests(
     with the fleet so per-phase size series stay separable.  ``None``
     (colocated serving) is byte-identical to the original behaviour.
 
-    ``down`` makes dispatch health-aware: replicas inside a crash
-    window at the arrival instant are excluded from the candidate set
-    (falling back to every active replica when *all* are down, so no
-    arrival is ever dropped at the front door).  ``None`` keeps the
-    original dispatch, bit for bit.
+    ``down`` (each replica's fault state, indexed by replica) makes
+    dispatch health-aware: replicas inside a crash window at the
+    arrival instant are excluded from the candidate set (falling back
+    to every active replica when *all* are down, so no arrival is ever
+    dropped at the front door).  ``None`` keeps the original dispatch,
+    bit for bit.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
@@ -161,7 +126,7 @@ def dispatch_requests(
             candidates: Iterable[int] = range(active)
         else:
             healthy = [i for i in range(active)
-                       if not down.down_at(i, request.arrival_s)]
+                       if not down[i].down_at(request.arrival_s)]
             candidates = healthy if healthy else range(active)
         target = min(candidates, key=lambda i: (backlog[i], i))
         backlog[target] += float(request.total_tokens)
@@ -341,12 +306,7 @@ class ServeClusterResult(FleetResult):
         return f"{self.n_replicas} replicas: {report.summary()}"
 
 
-def _co_simulate(
-    sims: List[ServingSimulator],
-    calendar: Optional[DownCalendar],
-    hedge_after_s: Optional[float],
-    trace: TraceRecorder,
-) -> None:
+def _co_simulate(sims: List[ServingSimulator]) -> None:
     """Advance a fleet of *started* simulators on interleaved clocks.
 
     Replicas interact under crash faults — a crashed replica's work
@@ -357,12 +317,17 @@ def _co_simulate(
     request re-dispatched at ``ready_s`` is injected before any peer's
     clock passes ``ready_s``.
 
-    Fleet failover: each simulator's ``_fault_sink`` routes crash
+    Each replica owns what the orchestrator needs to know about it:
+    whether it is down at an instant (its ``fault_state``), its hedge
+    deadline (``retry.hedge_after_s``) and where hedge events go (its
+    ``trace``).
+
+    Fleet failover: each simulator's ``fault_sink`` routes crash
     victims (and a crashing replica's queued requests) to the healthy
     replica with the fewest outstanding requests at the hand-off
     instant, falling back to the full fleet when everything is down.
 
-    Hedging (``hedge_after_s``): after each tick, requests still
+    Hedging (``retry.hedge_after_s``): after each tick, requests still
     un-admitted past the hedge deadline are cloned onto the
     least-loaded healthy *other* replica; the first copy to finish wins
     and the loser is cancelled (its KV freed, the object withdrawn from
@@ -378,8 +343,7 @@ def _co_simulate(
 
     def healthy(t_s: float, exclude: Optional[int] = None) -> List[int]:
         return [j for j in range(n)
-                if j != exclude
-                and (calendar is None or not calendar.down_at(j, t_s))]
+                if j != exclude and not sims[j].fault_state.down_at(t_s)]
 
     def redispatch(request: ServeRequest, ready_s: float) -> None:
         # Crash victims and a crashing replica's queue route alike.
@@ -389,11 +353,11 @@ def _co_simulate(
         sims[target].inject(request, ready_s)
 
     for sim in sims:
-        sim._fault_sink = redispatch
+        sim.fault_sink = redispatch
 
     hedged: Dict[int, Tuple[ServeRequest, ServeRequest]] = {}
 
-    def consider_hedges(i: int) -> None:
+    def consider_hedges(i: int, hedge_after_s: float) -> None:
         sim = sims[i]
         now = sim.session.elapsed_s
         for request in list(sim._queue):
@@ -414,7 +378,8 @@ def _co_simulate(
             clone.kv_generation = 0
             clone.replica = target
             hedged[request.req_id] = (request, clone)
-            trace.request_event("hedge", clone, now, source=i, target=target)
+            sim.trace.request_event("hedge", clone, now, source=i,
+                                    target=target)
             sims[target].inject(clone, now)
 
     def settle_hedges() -> None:
@@ -436,7 +401,7 @@ def _co_simulate(
         # A crash fleet's replicas hand work over only on entering a
         # crash window: the next window's start, or while down no
         # earlier than the current window's end.
-        fault = sims[j]._fault_state
+        fault = sims[j].fault_state
         return fault.end_s if fault.down else fault.start_s
 
     while True:
@@ -444,10 +409,11 @@ def _co_simulate(
         if not busy:
             break
         i = min(busy, key=lambda j: (sims[j].session.elapsed_s, j))
+        hedge_after_s = sims[i].retry.hedge_after_s
         if hedge_after_s is not None:
             # Hedges are considered after every tick: no lookahead.
             sims[i].tick(until_s=-math.inf)
-            consider_hedges(i)
+            consider_hedges(i, hedge_after_s)
             settle_hedges()
         else:
             sims[i].tick(until_s=min(
@@ -479,30 +445,28 @@ def check_per_replica_specs(kv_cache: Union[SpecLike, KVCacheModel],
 def run_fleet(
     sims: List[ServingSimulator],
     shards: List[List[ServeRequest]],
-    calendar: Optional[DownCalendar] = None,
-    hedge_after_s: Optional[float] = None,
-    trace: Optional[TraceRecorder] = None,
+    coupled: bool = False,
 ) -> List[ServingResult]:
     """Serve ``shards[i]`` on ``sims[i]``; one result per replica.
 
     Which loop runs is decided by what can couple the replicas, not by
     how the fleet was configured.  Replicas exchange requests only
-    through crash failover (``calendar``) or hedging
-    (``hedge_after_s``); without either they are independent
-    partitions, so each is drained to completion in replica order —
-    no cross-replica scan per tick (3-11 % of ``fleet_shared``
-    throughput, see docs/architecture.md).  With either, the min-clock
-    :func:`_co_simulate` keeps every hand-off causal.  For an uncoupled
-    fleet the two loops give byte-identical results
-    (tests/test_metamorphic.py pins that), so the choice is speed only.
+    through crash failover or hedging; a caller whose fleet can do
+    either passes ``coupled=True``, and the min-clock
+    :func:`_co_simulate` keeps every hand-off causal.  Otherwise the
+    replicas are independent partitions, so each is drained to
+    completion in replica order — no cross-replica scan per tick
+    (forced through the min-clock loop, ``fleet_shared`` makes 2.6 %
+    more Python calls and ran slower in 4 of 6 alternating pairs, see
+    docs/architecture.md).  For an uncoupled fleet the two loops give
+    byte-identical results (tests/test_metamorphic.py pins that), so
+    the choice is speed only.
     """
-    if calendar is None and hedge_after_s is None:
+    if not coupled:
         return [sim.run(shard) for sim, shard in zip(sims, shards)]
-    if trace is None:
-        trace = NO_TRACE
     for sim, shard in zip(sims, shards):
         sim.start(shard)
-    _co_simulate(sims, calendar, hedge_after_s, trace)
+    _co_simulate(sims)
     return [sim.finish() for sim in sims]
 
 
@@ -552,15 +516,6 @@ def run_serving_cluster(
     scaler = resolve("autoscaler", autoscaler)
     fault_model = resolve("faults", faults)
     retry_policy = resolve("retry", retry)
-    calendar = (DownCalendar(fault_model, n_replicas)
-                if fault_model.has_crashes else None)
-    shards = dispatch_requests(requests, n_replicas,
-                               drain_tokens_per_s=config.decode_tokens_per_s,
-                               autoscaler=scaler, gauges=gauges, trace=trace,
-                               down=calendar)
-    result = ServeClusterResult(
-        autoscaler_name=scaler.name,
-        active_replica_points=list(gauges.active_points))
     sims = [
         ServingSimulator(
             model, allocator=allocator, capacity=capacity,
@@ -571,6 +526,16 @@ def run_serving_cluster(
         )
         for replica_id in range(n_replicas)
     ]
-    result.replicas = run_fleet(sims, shards, calendar,
-                                retry_policy.hedge_after_s, trace)
+    crashes = fault_model.has_crashes
+    shards = dispatch_requests(requests, n_replicas,
+                               drain_tokens_per_s=config.decode_tokens_per_s,
+                               autoscaler=scaler, gauges=gauges, trace=trace,
+                               down=([sim.fault_state for sim in sims]
+                                     if crashes else None))
+    result = ServeClusterResult(
+        autoscaler_name=scaler.name,
+        active_replica_points=list(gauges.active_points))
+    result.replicas = run_fleet(
+        sims, shards,
+        coupled=crashes or retry_policy.hedge_after_s is not None)
     return result

@@ -77,7 +77,8 @@ register_kind("retry", label="retry policy")
 # ----------------------------------------------------------------------
 class ReplicaFaults:
     """One replica's fault state: its simulator reads :attr:`start_s`
-    every loop iteration and calls :meth:`step_factor` every decode step.
+    every loop iteration and calls :meth:`step_factor` every decode step;
+    the fleet front-end asks :meth:`down_at` where to route.
 
     The base class injects nothing: its next down-window starts (and
     ends) at infinity, so the replica is never down, and every decode
@@ -91,6 +92,11 @@ class ReplicaFaults:
         """Multiplier for the next decode step's duration."""
         return 1.0
 
+    def down_at(self, t_s: float) -> bool:
+        """True when the replica is inside a crash window at ``t_s``."""
+        del t_s
+        return False
+
 
 class CrashSchedule(ReplicaFaults):
     """One replica's crash/recover window state machine.
@@ -98,11 +104,18 @@ class CrashSchedule(ReplicaFaults):
     Wraps an infinite iterator of ``(start_s, end_s)`` down-windows in
     chronological order: :attr:`start_s` / :attr:`end_s` describe the
     next (or, while :attr:`down`, the current) window.
+
+    The schedule is the one owner of its windows: every window drawn
+    from the stream is kept, so :meth:`down_at` answers for any time —
+    the dispatcher asks ahead of the replica's clock, and the fleet
+    orchestrator asks behind it, since peers' clocks drift apart.
     """
 
     def __init__(self, windows: Iterator[Tuple[float, float]]):
-        self._windows = windows
-        self.start_s, self.end_s = next(windows)
+        self._stream = windows
+        self._windows = [next(windows)]
+        self._current = 0
+        self.start_s, self.end_s = self._windows[0]
 
     def crash(self) -> None:
         """Enter the current window's downtime."""
@@ -111,7 +124,21 @@ class CrashSchedule(ReplicaFaults):
     def recover(self) -> None:
         """Leave the current window and line up the next one."""
         self.down = False
-        self.start_s, self.end_s = next(self._windows)
+        self._current += 1
+        if self._current == len(self._windows):
+            self._windows.append(next(self._stream))
+        self.start_s, self.end_s = self._windows[self._current]
+
+    def down_at(self, t_s: float) -> bool:
+        windows = self._windows
+        while windows[-1][1] <= t_s:
+            windows.append(next(self._stream))
+        for start_s, end_s in reversed(windows):
+            if end_s <= t_s:
+                return False
+            if start_s <= t_s:
+                return True
+        return False
 
 
 class StragglerState(ReplicaFaults):
@@ -132,8 +159,8 @@ def _crash_window_stream(seed: int, replica_id: int, mtbf_s: float,
                          mttr_s: float) -> Iterator[Tuple[float, float]]:
     """Deterministic per-replica (start_s, end_s) down-windows.
 
-    A pure function of ``(seed, replica_id)`` — the dispatcher and the
-    replica's own simulator derive the *same* schedule independently.
+    A pure function of ``(seed, replica_id)``, so a replica's crashes
+    do not depend on the load it serves.
     """
     # random.Random rejects tuple seeds; a formatted string is stable.
     rng = random.Random(f"{seed}:{replica_id}")
@@ -180,13 +207,6 @@ class FaultModel(ABC):
         """Fresh per-replica fault state."""
         del replica_id
         return ReplicaFaults()
-
-    def crash_windows(
-            self, replica_id: int) -> Optional[Iterator[Tuple[float, float]]]:
-        """The replica's deterministic down-window stream (``None``
-        when the model never takes a replica down)."""
-        del replica_id
-        return None
 
     def wrap_interconnect(self, link: Interconnect) -> Interconnect:
         """Apply link-level degradation (identity for other models)."""

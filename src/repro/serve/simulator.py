@@ -323,7 +323,7 @@ class ServingSimulator:
         # hotpath goldens enforce this).
         self.faults = resolve("faults", faults)
         self.retry = resolve("retry", retry)
-        self._fault_state = self.faults.replica_context(replica_id)
+        self.fault_state = self.faults.replica_context(replica_id)
         #: Min-heap of (ready_s, seq, request) re-entries: retries
         #: landing after backoff and hedge duplicates, drained into
         #: the admission queue alongside arrivals.
@@ -337,15 +337,15 @@ class ServingSimulator:
         #: timeout-heap entries are skipped and they are dropped from
         #: this replica's result population.
         self._gone: set = set()
-        #: Requests injected here that did not arrive with the shard.
-        self._adopted: List[ServeRequest] = []
-        self._adopted_ids: set = set()
-        self._home_ids: set = set()
+        #: ``id()`` -> request of every request that arrived with the
+        #: shard or was injected here, in that order (insertion-ordered):
+        #: the candidates for this replica's result population.
+        self._members: Dict[int, ServeRequest] = {}
         #: Orchestrator hook, (request, ready_s) -> None.
         #: When set (fleet co-simulation), crash victims and failover
         #: re-routes go fleet-wide; when None they re-enter *this*
         #: replica's queue after the retry delay.
-        self._fault_sink = None
+        self.fault_sink = None
         # Run state owned by start()/tick()/finish().
         self._pending: List[ServeRequest] = []
         self._queue: "Deque[ServeRequest]" = deque()
@@ -629,7 +629,7 @@ class ServingSimulator:
         reserved, active = allocator.reserved_bytes, allocator.active_bytes
         batch = len(running)
         self.session.advance(
-            self._step_us(batch) * self._fault_state.step_factor())
+            self._step_us(batch) * self.fault_state.step_factor())
         # Best-effort workspace: under pressure the step runs from
         # reserved slack rather than preempting.
         self.session.try_malloc_free(self._workspace(batch))
@@ -685,7 +685,7 @@ class ServingSimulator:
         pending, injected, timeouts = (self._pending, self._injected,
                                        self._timeouts)
         self._pop_left(timeouts)  # the top is the next queued deadline
-        stop_at = min(self._fault_state.start_s,
+        stop_at = min(self.fault_state.start_s,
                       self.gauges.next_due(self.replica_id), until_s)
         land_at = min(
             pending[self._index].arrival_s if self._index < len(pending)
@@ -697,7 +697,7 @@ class ServingSimulator:
         step_us = self._step_us(batch)
         ws_bytes = self._workspace(batch)
         session, allocator = self.session, self.allocator
-        step_factor = self._fault_state.step_factor
+        step_factor = self.fault_state.step_factor
         sample = session.sample if self.config.record_timeline else None
         reserved = allocator.reserved_bytes
         done = 0
@@ -733,9 +733,7 @@ class ServingSimulator:
         """
         rid = id(request)
         self._gone.discard(rid)
-        if rid not in self._home_ids and rid not in self._adopted_ids:
-            self._adopted_ids.add(rid)
-            self._adopted.append(request)
+        self._members.setdefault(rid, request)
         self._heap_seq += 1
         heapq.heappush(self._injected, (ready_s, self._heap_seq, request))
 
@@ -782,9 +780,9 @@ class ServingSimulator:
         request.state = RequestState.QUEUED
         self.trace.request_event("retry", request, now,
                                  attempt=request.retries, delay_s=delay)
-        if self._fault_sink is not None:
+        if self.fault_sink is not None:
             self._gone.add(id(request))
-            self._fault_sink(request, now + delay)
+            self.fault_sink(request, now + delay)
         else:
             self.inject(request, now + delay)
 
@@ -801,7 +799,7 @@ class ServingSimulator:
         and decodes nothing; queued requests keep aging toward their
         timeout deadlines.
         """
-        crash = self._fault_state
+        crash = self.fault_state
         now = self._now()
         while True:
             if crash.down:
@@ -821,11 +819,11 @@ class ServingSimulator:
             self.gauges.note_crash(crash_s, self.replica_id)
             for request in list(running):
                 self._crash_victim(request, running)
-            if self._fault_sink is not None:
+            if self.fault_sink is not None:
                 while queue:
                     request = queue.popleft()
                     self._gone.add(id(request))
-                    self._fault_sink(request, now)
+                    self.fault_sink(request, now)
 
     @property
     def busy(self) -> bool:
@@ -851,7 +849,7 @@ class ServingSimulator:
         self._pending = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
         for request in self._pending:
             request.replica = self.replica_id
-        self._home_ids = {id(r) for r in self._pending}
+        self._members = {id(r): r for r in self._pending}
         self.session.alloc("weights", self.model.weight_bytes)
         self._queue = deque()
         self._running = []
@@ -888,7 +886,7 @@ class ServingSimulator:
             return False
         timeouts = self._timeouts
         now = self._now()
-        if now >= self._fault_state.start_s:  # a window boundary is due
+        if now >= self.fault_state.start_s:  # a window boundary is due
             self._crash_poll(queue, running)
         while (self._index < len(pending)
                and pending[self._index].arrival_s <= now + _EPS):
@@ -908,7 +906,7 @@ class ServingSimulator:
             queue.append(request)
             self._note_queued(request)
         self._expire_timeouts(queue)
-        down = self._fault_state.down
+        down = self.fault_state.down
         settled = down or self._run_admissions(queue, running)
         self.gauges.poll(self, queue, running)
         if running:
@@ -929,7 +927,7 @@ class ServingSimulator:
         if self._injected:
             horizons.append(self._injected[0][0])
         if down:
-            horizons.append(self._fault_state.end_s)
+            horizons.append(self.fault_state.end_s)
         if not horizons:
             return False
         target = max(min(horizons), now)
@@ -948,10 +946,9 @@ class ServingSimulator:
         fault-free path that is exactly the shard, untouched.
         """
         requests = self._pending
-        if self._gone or self._adopted:
-            requests = [r for r in requests if id(r) not in self._gone]
-            requests.extend(r for r in self._adopted
-                            if id(r) not in self._gone)
+        if self._gone or len(self._members) > len(requests):
+            requests = [r for rid, r in self._members.items()
+                        if rid not in self._gone]
             requests.sort(key=lambda r: (r.arrival_s, r.req_id))
         return ServingResult(
             allocator_name=self.allocator.name,

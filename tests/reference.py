@@ -31,7 +31,6 @@ from repro.errors import (
 from repro.gpu.device import GpuDevice
 from repro.gpu.vmm import CudaVmm, _Mapping
 from repro.obs import AllocatorTraceObserver, GaugeSampler, TraceRecorder
-from repro.obs.trace import NO_TRACE
 from repro.serve import (
     MemoryAwareScheduler,
     ServingSimulator,
@@ -464,14 +463,12 @@ def one_step_per_tick(self, running, until_s):
     run, so every busy tick decodes exactly one step."""
 
 
-def co_simulated_fleet(sims, shards, calendar=None, hedge_after_s=None,
-                       trace=None):
+def co_simulated_fleet(sims, shards, coupled=False):
     """Slow replacement of ``run_fleet``: every fleet, coupled or not,
     through the min-clock loop coupled fleets need."""
     for sim, shard in zip(sims, shards):
         sim.start(shard)
-    cluster._co_simulate(sims, calendar, hedge_after_s,
-                         NO_TRACE if trace is None else trace)
+    cluster._co_simulate(sims)
     return [sim.finish() for sim in sims]
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.allocators import CachingAllocator
 from repro.core import GMLakeAllocator, GMLakeConfig
 from repro.core.bestfit import FitState
-from repro.core.smallpool import SmallPool
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.units import GB, KB, MB
@@ -366,6 +365,19 @@ class TestInvariantsCatchCorruption:
         with pytest.raises(AssertionError, match="not in the pPool"):
             gml.check_invariants()
 
+    def test_small_pointer_map_drift(self, gml):
+        alloc = gml.malloc(64 * KB)
+        gml.check_invariants()
+        del gml._small_by_ptr[alloc.ptr]  # bypasses GMLake's free
+        with pytest.raises(AssertionError, match="pointer map drifted"):
+            gml.check_invariants()
+
+    def test_small_pool_broken_law(self, gml):
+        gml.malloc(64 * KB)
+        gml._small.active_bytes += 1  # the small pool's own ledger
+        with pytest.raises(AssertionError, match="active_bytes"):
+            gml.check_invariants()
+
 
 class TestExactMatchTouchesNoPoolOrder:
     """A count, not a timing: activity is no sort key, so the converged
@@ -420,7 +432,7 @@ class TestTransient:
 
     @staticmethod
     def ledger(allocator):
-        inner = allocator._small._inner
+        inner = allocator._small
         return (allocator.stats(), allocator._next_id, inner.stats(),
                 inner._next_id, allocator.device.clock.now_us,
                 allocator._tick, allocator.state_histogram())
@@ -459,7 +471,7 @@ class TestTransient:
         served = self.served_by_small_pool(monkeypatch)
 
         def structures():
-            return (dict(gml._small._by_ptr), list(gml.ppool),
+            return (dict(gml._small_by_ptr), list(gml.ppool),
                     list(gml.spool), dict(gml._assigned), gml._tick,
                     gml.state_histogram())
 

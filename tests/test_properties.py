@@ -1,5 +1,9 @@
 """Property-based tests: allocator correctness under arbitrary request
-sequences (hypothesis drives alloc/free interleavings)."""
+sequences (hypothesis drives alloc/free interleavings), and a guard
+that the nightly CI job reruns every module using hypothesis."""
+
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -396,3 +400,23 @@ def _fuzz(name, capacity_mb, ops, observed):
     allocator.empty_cache()
     allocator.check_invariants()
     assert allocator.device.used_memory == 0
+
+
+class TestNightlyProfileCoversEveryPropertyModule:
+    """The nightly CI job reruns the Hypothesis suites with a deeper
+    example budget; a property module it does not name only ever gets
+    the per-PR budget."""
+
+    def test_every_hypothesis_module_runs_nightly(self):
+        tests = Path(__file__).resolve().parent
+        ci = (tests.parent / ".github" / "workflows" / "ci.yml").read_text(
+            encoding="utf-8")
+        job = ci[ci.index("\n  nightly-hypothesis:"):]
+        job = job[:re.search(r"\n  \S", job[1:]).start() + 1]
+        nightly = set(re.findall(r"tests/(test_\w+\.py)", job))
+        uses = {path.name for path in tests.glob("test_*.py")
+                if re.search(r"^\s*(from|import) hypothesis\b",
+                             path.read_text(encoding="utf-8"), re.M)}
+        assert uses, "no module imports hypothesis"
+        assert uses <= nightly, (
+            f"add {sorted(uses - nightly)} to the nightly-hypothesis job")

@@ -4,8 +4,8 @@ Four layers:
 
 - unit tests for the ``faults`` / ``retry`` component registries and
   their mechanics (alias resolution, seeded crash windows, the
-  ``DownCalendar`` the dispatcher consults, budget backoff, degraded
-  interconnects);
+  ``down_at`` answers the dispatcher asks each replica's crash
+  schedule, budget backoff, degraded interconnects);
 - end-to-end fleet physics through ``run_serving_cluster``: crashes
   without retries fail requests permanently (``reject_reason="failed"``,
   availability < 1), a retry budget recovers them, and hedging beats
@@ -24,7 +24,7 @@ Four layers:
 import itertools
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -46,7 +46,6 @@ from repro.serve import (
     StragglerFaults,
     run_serving_cluster,
 )
-from repro.serve.cluster import DownCalendar
 from repro.units import GB
 
 CLUSTER = dict(
@@ -116,18 +115,48 @@ class TestCrashWindows:
     def test_down_calendar_answers_backwards_queries(self):
         model = ReplicaCrashFaults(mtbf_s=10.0, mttr_s=3.0, seed=0)
         (start_s, end_s) = next(model.crash_windows(0))
-        calendar = DownCalendar(model, 1)
+        schedule = model.replica_context(0)
         mid = (start_s + end_s) / 2
         # Forward past the window, then back inside, then back before.
-        assert not calendar.down_at(0, end_s + 1.0)
-        assert calendar.down_at(0, mid)
-        assert not calendar.down_at(0, start_s - 0.5)
-        assert not calendar.down_at(0, end_s)       # recovery instant is up
+        assert not schedule.down_at(end_s + 1.0)
+        assert schedule.down_at(mid)
+        assert not schedule.down_at(start_s - 0.5)
+        assert not schedule.down_at(end_s)       # recovery instant is up
 
     def test_no_faults_is_never_down(self):
-        calendar = DownCalendar(NoFaults(), 2)
-        assert not calendar.down_at(0, 1e9)
-        assert not calendar.down_at(1, 0.0)
+        model = NoFaults()
+        assert not model.replica_context(0).down_at(1e9)
+        assert not model.replica_context(1).down_at(0.0)
+
+    @given(seed=st.integers(0, 2**16),
+           mtbf_s=st.floats(0.5, 50.0), mttr_s=st.floats(0.1, 20.0),
+           ops=st.lists(st.one_of(st.floats(0.0, 300.0),
+                                  st.sampled_from(["crash", "recover"])),
+                        max_size=40))
+    def test_down_at_is_membership_in_a_drawn_window(self, seed, mtbf_s,
+                                                     mttr_s, ops):
+        """Queries in any order, interleaved with the replica's own
+        crash/recover walk, answer "t lies in a window [start, end)" of
+        the stream, and each recover lines up the stream's next one."""
+        model = ReplicaCrashFaults(mtbf_s=mtbf_s, mttr_s=mttr_s, seed=seed)
+        stream = model.crash_windows(0)
+        windows = [next(stream)]
+        schedule = model.replica_context(0)
+        current = 0
+        for op in ops:
+            if op == "crash":
+                schedule.crash()
+            elif op == "recover":
+                schedule.recover()
+                current += 1
+                while len(windows) <= current:
+                    windows.append(next(stream))
+                assert (schedule.start_s, schedule.end_s) == windows[current]
+            else:
+                while windows[-1][1] <= op:
+                    windows.append(next(stream))
+                assert schedule.down_at(op) == any(
+                    start_s <= op < end_s for start_s, end_s in windows)
 
 
 class TestBudgetRetry:
@@ -275,8 +304,9 @@ class FaultFleetMachine(RuleBasedStateMachine):
     """Random inject/tick traffic over a crashing two-replica fleet.
 
     Failover is wired exactly the way ``_co_simulate`` wires it: each
-    replica's ``_fault_sink`` re-dispatches crash victims to the
-    least-loaded healthy peer per the shared ``DownCalendar``.  After
+    replica's ``fault_sink`` re-dispatches crash victims to the
+    least-loaded healthy peer, asking each peer's crash schedule
+    (``fault_state.down_at``) whether it is down.  After
     every rule, each tracked request must be terminal or resident on
     exactly one replica; teardown drains the fleet and asserts zero
     leaked KV and zero stranded requests.
@@ -288,7 +318,6 @@ class FaultFleetMachine(RuleBasedStateMachine):
         super().__init__()
         self.faults = ReplicaCrashFaults(mtbf_s=6.0, mttr_s=2.0, seed=3)
         self.retry = BudgetRetry(max=2, backoff_s=0.05, jitter=0.1)
-        self.calendar = DownCalendar(self.faults, self.N_REPLICAS)
         self.sims = [
             ServingSimulator(
                 "opt-1.3b", allocator="caching", capacity=4 * GB,
@@ -298,7 +327,7 @@ class FaultFleetMachine(RuleBasedStateMachine):
         ]
         for sim in self.sims:
             sim.start([])
-            sim._fault_sink = self._redispatch
+            sim.fault_sink = self._redispatch
         # Model weights stay resident for the lifetime of a replica;
         # "zero leaked KV" means active bytes return to this baseline.
         self.baseline = [sim.allocator.stats().active_bytes
@@ -308,7 +337,7 @@ class FaultFleetMachine(RuleBasedStateMachine):
 
     def _redispatch(self, request, ready_s):
         healthy = [i for i in range(self.N_REPLICAS)
-                   if not self.calendar.down_at(i, ready_s)]
+                   if not self.sims[i].fault_state.down_at(ready_s)]
         pool = healthy or list(range(self.N_REPLICAS))
         target = min(pool, key=lambda j: (self.sims[j].outstanding, j))
         request.replica = target
