@@ -20,6 +20,7 @@ from repro.errors import (
     OutOfMemoryError,
     UnknownAllocationError,
 )
+from repro.gpu.clock import repeated_add
 from repro.gpu.device import GpuDevice
 
 
@@ -169,6 +170,19 @@ class BaseAllocator(ABC):
         :meth:`malloc_run`)."""
         for allocation in allocations:
             self.free(allocation)
+
+    def refuse_run(self, size: int, n: int, retries: int) -> Optional[int]:
+        """A doomed block run, done in closed form when it can be.
+
+        The sequence is ``malloc_run(size, n)`` stopping short, then
+        ``retries`` rounds of ``empty_cache()`` and a ``malloc(size)``
+        that raises, then ``free_run`` of the run, newest first.  An
+        allocator that can tell the sequence ends so leaves exactly the
+        state it leaves and returns the run's length; otherwise it
+        returns ``None`` having done nothing, and the caller runs the
+        sequence.  This class always returns ``None``.
+        """
+        return None
 
     def malloc_free(self, size: int) -> int:
         """A ``malloc(size)`` whose ``free`` is the next call (a
@@ -348,6 +362,12 @@ class BaseAllocator(ABC):
         """Account host-side bookkeeping time (advances the sim clock)."""
         self.device.clock.advance(us)
         self._counters.host_time_us += us
+
+    def _spend_host_time_many(self, us: float, count: int) -> None:
+        """``count`` calls of :meth:`_spend_host_time`, float-exactly."""
+        self.device.clock.advance_many(us, count)
+        self._counters.host_time_us = repeated_add(
+            self._counters.host_time_us, us, count)
 
     def __repr__(self) -> str:
         return (

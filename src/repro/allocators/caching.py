@@ -260,6 +260,74 @@ class CachingAllocator(BaseAllocator):
             self._spend_host_time(us)  # the next malloc takes remainder
             block = remainder
 
+    def refuse_run(self, size: int, n: int, retries: int) -> Optional[int]:
+        """The base class's doomed run, counted instead of carved.
+
+        The run would take every pooled block ``>= rounded`` in its
+        pool, ``k`` blocks in all.  When ``k < n`` and a new segment
+        exceeds the device's free bytes even with every whole-free
+        segment the run does not carve released, the malloc after them
+        and every retry must fail, and the frees coalesce each carved
+        block back to what it was.  So only the effects that outlive
+        the sequence are made, in its order: the ids, counters and
+        peaks of ``k`` mallocs and frees, every host-time spend and
+        failed ``cudaMalloc``, and the release of those uncarved
+        segments.  ``None`` (nothing done) when observed, when another
+        condition fails, or when a subclass moves segment memory
+        itself.
+        """
+        cls = type(self)
+        if (self._observers or size <= 0 or n < 1
+                or cls._obtain is not CachingAllocator._obtain
+                or cls._release_cached_segments
+                is not CachingAllocator._release_cached_segments
+                or cls._backed_bytes is not CachingAllocator._backed_bytes):
+            return None
+        rounded = round_size(size)
+        pool = pool_for(rounded)
+        # _carve cuts pieces off a block until what is left is below
+        # the request or the split floor.
+        least = max(rounded, self._split_floor[pool])
+        k = 0
+        for block in self._free_pools[pool].iter_from((rounded, 0)):
+            k += max(1, (block.size - least) // rounded + 1)
+            if k >= n:
+                return None
+        spared = [block for block in self._whole_free_in_order()
+                  if block.segment.pool != pool or block.size < rounded]
+        seg_size = segment_size_for(rounded)
+        if seg_size <= self.device.phys.free + sum(b.size for b in spared):
+            return None
+        if k:
+            self._next_id += k
+            counters = self._counters
+            counters.malloc_count += k
+            counters.free_count += k
+            active = self.active_bytes + k * rounded
+            if active > self.peak_active_bytes:
+                self.peak_active_bytes = active
+            reserved = self.reserved_bytes
+            if reserved > self.peak_reserved_bytes:
+                self.peak_reserved_bytes = reserved
+        us = self.device.latency.cached_op_us
+        self._spend_host_time_many(us, k + 1)  # the run, the failing malloc
+        self._refused_cuda_malloc(seg_size)
+        if self._release(spared):
+            self._refused_cuda_malloc(seg_size)
+        for _ in range(retries):
+            self._spend_host_time(us)
+            self._refused_cuda_malloc(seg_size)
+        self._spend_host_time_many(us, k)  # the frees
+        return k
+
+    def _refused_cuda_malloc(self, seg_size: int) -> None:
+        """A ``cudaMalloc`` the device is known to refuse."""
+        try:
+            self.device.runtime.cuda_malloc(seg_size)
+        except CudaOutOfMemoryError:
+            return
+        raise AssertionError(f"cudaMalloc({seg_size}) was not refused")
+
     def _find_best_fit(self, pool: str, rounded: int) -> Optional[Block]:
         """Step 1 of the BFC algorithm: smallest free block >= request."""
         best = self._free_pools[pool].first_at_least((rounded, 0))
@@ -410,20 +478,28 @@ class CachingAllocator(BaseAllocator):
 
         Returns the number of bytes released.
         """
+        return self._release(self._whole_free_in_order())
+
+    def _whole_free_in_order(self) -> List[Block]:
+        """The pooled blocks that span their segment, pool by pool in
+        (size, ptr) order — the order a walk of the pools meets them;
+        ``cuda_free`` order is behaviour."""
+        return [block for whole in self._whole_free.values()
+                for block in sorted(whole.values(),
+                                    key=lambda b: (b.size, b.ptr))]
+
+    def _release(self, blocks: Iterable[Block]) -> int:
+        """``cudaFree`` the segments of ``blocks`` (whole and pooled),
+        in order; returns the bytes released."""
         released = 0
-        for pool_name, whole in self._whole_free.items():
-            if not whole:
-                continue
-            # Pool by pool in (size, ptr) order — the order a walk of
-            # the pools meets them; ``cuda_free`` order is behaviour.
-            for block in sorted(whole.values(),
-                                key=lambda b: (b.size, b.ptr)):
-                self._pool_remove(pool_name, block)
-                del self._blocks_by_ptr[block.ptr]
-                del self._segments[block.segment.ptr]
-                self.device.runtime.cuda_free(block.segment.ptr)
-                self._reserved -= block.segment.size
-                released += block.segment.size
+        for block in blocks:
+            segment = block.segment
+            self._pool_remove(segment.pool, block)
+            del self._blocks_by_ptr[block.ptr]
+            del self._segments[segment.ptr]
+            self.device.runtime.cuda_free(segment.ptr)
+            self._reserved -= segment.size
+            released += segment.size
         return released
 
     # ------------------------------------------------------------------

@@ -239,7 +239,8 @@ class ServingSpec:
             # A trial build: the policy's factory says whether it can
             # run over a hierarchy (swap cannot).
             resolve("preemption", self.preemption, TierHierarchy(tiers))
-        if self.gauge_every_s < 0:
+        # Each range check is written so that nan fails it too.
+        if not self.gauge_every_s >= 0:
             raise SpecError(
                 f"gauge_every_s must be >= 0, got {self.gauge_every_s}")
         if not self.arrivals:
@@ -251,14 +252,14 @@ class ServingSpec:
                     "(expected poisson or mmpp; use the 'arrivals' field "
                     "for replay/closed-loop spec strings)"
                 )
-            if self.rate_per_s <= 0:
+            if not self.rate_per_s > 0:
                 raise SpecError(
                     f"rate_per_s must be positive, got {self.rate_per_s}")
-            if self.burst_rate_per_s < 0:
+            if not self.burst_rate_per_s >= 0:
                 raise SpecError(
                     f"burst_rate_per_s must be >= 0, got "
                     f"{self.burst_rate_per_s}")
-            if self.mean_dwell_s <= 0:
+            if not self.mean_dwell_s > 0:
                 raise SpecError(
                     f"mean_dwell_s must be positive, got {self.mean_dwell_s}")
         if self.n_requests < 1:
@@ -268,7 +269,7 @@ class ServingSpec:
             raise SpecError("mean_prompt and mean_output must be >= 1")
         if self.max_batch < 1:
             raise SpecError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.queue_timeout_s <= 0:
+        if not self.queue_timeout_s > 0:
             raise SpecError(
                 f"queue_timeout_s must be positive, got "
                 f"{self.queue_timeout_s}")

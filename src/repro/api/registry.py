@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -194,7 +195,10 @@ def parse_param_value(owner: str, param: Param, raw: Any, scale: float = 1.0) ->
         if param.kind == "int":
             return int(str(raw), 0)
         if param.kind == "float":
-            return float(raw)
+            value = float(raw)
+            if math.isnan(value):
+                raise ValueError("not a number")
+            return value
         return str(raw)
     except (TypeError, ValueError) as exc:
         raise SpecError(

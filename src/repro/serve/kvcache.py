@@ -578,11 +578,28 @@ class PagedKVCache(KVCacheModel):
         that block goes through the per-block :meth:`_recover_alloc`;
         if it comes back the run resumes after it, if not every block
         added here is freed again, newest first, as one run.
+
+        When recovery is one ``empty_cache`` and one retry, the
+        allocator is first asked whether that whole sequence fails
+        (:meth:`BaseAllocator.refuse_run`); if so, it has made the
+        sequence's allocator effects and only the accounting is left.
         """
         table = self._tables.setdefault(request.req_id, [])
         need = self._blocks_for(tokens)
         start = len(table)
         size = self.block_bytes
+        if start < need and self._recovery_is_one_retry():
+            refused = self._allocator.refuse_run(size, need - start, 1)
+            if refused is not None:
+                # The run's names are never seen: only their numbers,
+                # and the stopping block's, are used up.
+                self._note_allocs(refused, size)
+                self._note_frees(refused, size)
+                self._next_block += refused + 1
+                if not table:
+                    del self._tables[request.req_id]
+                request.kv_capacity_tokens = start * self.block_tokens
+                return False
         prefix = f"kvb{request.req_id}."
         while len(table) < need:
             first = self._next_block
@@ -611,6 +628,11 @@ class PagedKVCache(KVCacheModel):
         self.metrics.peak_blocks = max(self.metrics.peak_blocks,
                                        self._live_blocks)
         request.kv_capacity_tokens = len(table) * self.block_tokens
+        return True
+
+    def _recovery_is_one_retry(self) -> bool:
+        """Whether :meth:`_recover_alloc` is ``empty_cache`` and one
+        retry, right now."""
         return True
 
     def admit(self, request: ServeRequest) -> bool:

@@ -105,6 +105,11 @@ class PrefixTrie:
             self._last_use.pop(prefix_id, None)
         return block
 
+    def tails(self) -> Iterator[str]:
+        """The deepest block of every resident path."""
+        for path in self._paths.values():
+            yield path[-1]
+
     def lru_ids(self) -> List[str]:
         """Prefix ids, least recently used first."""
         return sorted(self._paths, key=lambda p: self._last_use.get(p, 0))
@@ -293,6 +298,11 @@ class SharedPagedKVCache(PagedKVCache):
               or super()._recover_alloc(name, size))
         self._note_shared_blocks()
         return ok
+
+    def _recovery_is_one_retry(self) -> bool:
+        """True when no path's tail is idle: :meth:`_evict_idle` would
+        then free nothing, and recovery stops after its first retry."""
+        return all(self.ref_count(tail) != 1 for tail in self.trie.tails())
 
     def _evict_idle(self, need_bytes: int) -> int:
         """Drop owner references of idle shared tails, coldest path

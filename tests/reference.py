@@ -3,11 +3,11 @@
 :data:`REFERENCE` holds, one group per fast path in ``src/``, the
 ``(owner, attribute, slow replacement)`` entries that put back the
 definition it replaced: a loop of single calls, one driver call at a
-time, a scan, one decode step per tick.  :func:`reference` swaps them
-in, :func:`definition` hands a twin one attribute's slow side, and
-:func:`observe` runs a serving scenario and records everything a
-serving twin compares.  A new fast path registers its definition
-here; it adds no harness.
+time, a scan, one decode step per tick, a doomed run carved and rolled
+back.  :func:`reference` swaps them in, :func:`definition` hands a
+twin one attribute's slow side, and :func:`observe` runs a serving
+scenario and records everything a serving twin compares.  A new fast
+path registers its definition here; it adds no harness.
 """
 
 import bisect
@@ -489,6 +489,9 @@ REFERENCE = {
         *_entries(PagedKVCache, PerBlockOracle),
         *_entries(SharedPagedKVCache, PerBlockSharedPagedKVCache)),
     "session-runs": _entries(ReplaySession, PerNameSession),
+    # A refused run is never taken: paged KV carves and rolls back.
+    "refused-runs": ((CachingAllocator, "refuse_run",
+                      BaseAllocator.refuse_run),),
     "queue-floor": (
         (ServingSimulator, "_queue_floor", no_queue_floor),
         *_entries(MemoryAwareScheduler, ScanOnlyMemoryAware)),

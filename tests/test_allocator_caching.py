@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference import LoopCaching, Watched
-from repro.allocators import CachingAllocator
+from repro.allocators import CachingAllocator, ExpandableSegmentsAllocator
 from repro.allocators.caching import (
     LARGE_BUFFER,
     MIN_BLOCK_SIZE,
@@ -673,3 +673,107 @@ class TestBlockInvariants:
         self._block(caching).prev = None
         with pytest.raises(AssertionError, match="broken prev link"):
             caching.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# refuse_run: a doomed run in closed form, against its defining sequence
+# ----------------------------------------------------------------------
+def refused_sequence(allocator, size, n, retries):
+    """What ``refuse_run`` stands for: ``malloc_run`` stopping short,
+    ``retries`` rounds of ``empty_cache`` and a failing ``malloc``, the
+    run freed newest first.  Returns the run's length."""
+    run = allocator.malloc_run(size, n)
+    assert len(run) < n
+    for _ in range(retries):
+        allocator.empty_cache()
+        with pytest.raises(OutOfMemoryError):
+            allocator.malloc(size)
+    allocator.free_run(reversed(run))
+    return len(run)
+
+
+STREAM_STEP = st.tuples(
+    st.sampled_from(["malloc", "malloc_free", "free"]), RUN_SIZES,
+    st.integers(0, 10 ** 6))
+
+
+def play(allocator, steps):
+    """Apply a drawn stream to ``allocator``; OOMs are part of it."""
+    live = []
+    for op, size, pick in steps:
+        try:
+            if op == "malloc":
+                live.append(allocator.malloc(size))
+            elif op == "malloc_free":
+                allocator.malloc_free(size)
+            elif live:
+                allocator.free(live.pop(pick % len(live)))
+        except OutOfMemoryError:
+            pass
+
+
+class TestRefusedRunIsTheSequence:
+    """After a random stream on a tight device, ``refuse_run`` either
+    leaves exactly the state its sequence leaves (run on the loop
+    oracle) or returns ``None`` having touched nothing."""
+
+    def test_refusal_releases_only_what_the_run_does_not_carve(self):
+        # The 18 MB dedicated segment is whole and free, but the run
+        # carves it (six 3 MB blocks, five more from the 17 MB
+        # remainder); the small pool's whole 2 MB segment is spared
+        # and released, and the malloc is retried.
+        twins = Twins(44 * MB)
+        twins.malloc(KV_BLOCK)
+        for size in (100 * KB, 18 * MB):
+            twins.malloc(size)
+            twins.free(twins.live[-1])
+        assert twins.batched.refuse_run(KV_BLOCK, 12, 1) == 11
+        assert refused_sequence(twins.oracle, KV_BLOCK, 12, 1) == 11
+        twins.check()
+        assert twins.batched.segment_count == 2
+        assert twins.batched.device.runtime.counters.malloc_calls == 6
+
+    @pytest.mark.parametrize("capacity_mb,n,refused", [
+        (24, 5, None),  # the 17 MB remainder serves five blocks
+        (44, 6, None),  # the device still has a 20 MB segment
+        (24, 6, 5),
+    ])
+    def test_only_a_run_that_cannot_finish_is_refused(self, capacity_mb, n,
+                                                      refused):
+        twins = Twins(capacity_mb * MB)
+        twins.malloc(KV_BLOCK)
+        before = snapshot(twins.batched)
+        assert twins.batched.refuse_run(KV_BLOCK, n, 1) == refused
+        if refused is None:
+            assert snapshot(twins.batched) == before
+        else:
+            assert refused_sequence(twins.oracle, KV_BLOCK, n, 1) == refused
+            twins.check()
+
+    @given(steps=st.lists(STREAM_STEP, max_size=40),
+           capacity_mb=st.sampled_from([24, 30, 44]),
+           size=RUN_SIZES, n=st.integers(0, 40), retries=st.integers(0, 2),
+           observed=st.sampled_from([False, False, False, True]))
+    def test_answer_is_the_sequence_or_nothing(self, steps, capacity_mb,
+                                               size, n, retries, observed):
+        twins = Twins(capacity_mb * MB, observed=observed)
+        for allocator in (twins.batched, twins.oracle):
+            play(allocator, steps)
+        twins.check()
+        before = snapshot(twins.batched)
+        k = twins.batched.refuse_run(size, n, retries)
+        if k is None:
+            assert snapshot(twins.batched) == before
+        else:
+            assert not observed
+            assert refused_sequence(twins.oracle, size, n, retries) == k
+        twins.check()
+
+    @given(steps=st.lists(STREAM_STEP, max_size=30),
+           size=RUN_SIZES, n=st.integers(1, 40), retries=st.integers(0, 2))
+    def test_expandable_never_answers(self, steps, size, n, retries):
+        allocator = ExpandableSegmentsAllocator(GpuDevice(capacity=24 * MB))
+        play(allocator, steps)
+        before = snapshot(allocator)
+        assert allocator.refuse_run(size, n, retries) is None
+        assert snapshot(allocator) == before

@@ -7,7 +7,11 @@ validation by construction, and the ``repro list-components`` CLI.
 """
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,8 +231,48 @@ _CONSTRUCTOR_REJECTS = [
 ]
 
 
+#: Every float parameter of every registered component.
+_FLOAT_PARAMS = [(kind, info.name, param.name)
+                 for kind in api.component_kinds()
+                 for info in api.iter_components(kind)
+                 for param in info.params if param.kind == "float"]
+
+#: ``repro serve`` inputs that hung or ran wrong before NaN was
+#: rejected at parse time: a crash window that never ends, arrivals
+#: that never advance the clock, a hedge that never fires, a timeout
+#: that failed mid-run and a gauge stride that was accepted.
+_NAN_SERVE_ARGS = [
+    ["--arrivals", "multi-tenant?rate=nan"],
+    ["--faults", "replica-crash?mtbf_s=0.5&mttr_s=nan", "--gpus", "2"],
+    ["--retry", "hedge?after_s=nan", "--gpus", "2"],
+    ["--timeout", "nan"],
+    ["--gauges", "--gauge-every", "nan"],
+]
+
+
 class TestParseTimeValidation:
     """Bad configurations fail when the spec is built, not mid-run."""
+
+    @pytest.mark.parametrize("kind,name,param", _FLOAT_PARAMS,
+                             ids=[f"{kind}/{name}/{param}"
+                                  for kind, name, param in _FLOAT_PARAMS])
+    def test_nan_is_rejected_for_every_float_param(self, kind, name, param):
+        with pytest.raises(SpecError, match=f"{param}.*not a number"):
+            ComponentSpec(name, {param: "nan"}, kind)
+
+    @pytest.mark.parametrize("args", _NAN_SERVE_ARGS,
+                             ids=[" ".join(a) for a in _NAN_SERVE_ARGS])
+    def test_nan_serve_inputs_exit_2_before_running(self, args):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--model", "opt-1.3b",
+             "--requests", "8", *args],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert "nan" in done.stderr
 
     @pytest.mark.parametrize(
         "kind,text,param,kwargs", _CONSTRUCTOR_REJECTS,

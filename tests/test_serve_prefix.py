@@ -200,6 +200,26 @@ class TestSharingMechanics:
         assert allocator.stats().active_bytes == 0
         assert kv.metrics.kv_allocs == kv.metrics.kv_frees
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known issue (docs/robustness.md): a rolled-back admission "
+        "still counts its prefix lookup, hit, shared bytes and COW copy"))
+    def test_a_rolled_back_admission_counts_no_prefix_metrics(self):
+        kv, _ = harness(capacity_blocks=20)
+        ragged = 4 * BLOCK_TOKENS + 8           # 4 shared blocks + 8 tokens
+        assert kv.admit(prefix_request(0, "p", prefix_tokens=ragged,
+                                       prompt=ragged))
+
+        def ledger():
+            m = kv.metrics
+            return (m.prefix_lookups, m.prefix_hits, m.shared_bytes,
+                    m.cow_copy_bytes)
+
+        before = ledger()
+        # It hits the resident prefix, then its private blocks OOM.
+        assert not kv.admit(prefix_request(1, "p", prefix_tokens=ragged,
+                                           prompt=2000))
+        assert ledger() == before
+
     def test_pressure_evicts_idle_shared_lru_first(self):
         # This capacity fits 12 blocks after pool-segment rounding.
         kv, _ = harness(capacity_blocks=16)
