@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.allocators.stats import AllocatorStats
 from repro.errors import (
@@ -226,21 +226,49 @@ class BaseAllocator(ABC):
             )
         del self._live[allocation.alloc_id]
 
-    def _issue_and_claim(self, rounded: int) -> None:
-        """What :meth:`_issue` and then ``free`` leave behind for an
-        allocation of ``rounded`` bytes nobody else saw: an id used,
-        both counters, both peaks — no :class:`Allocation` built, the
-        live table and ``active_bytes`` as they were."""
-        self._next_id += 1
+    def _count_pairs(self, n: int, held: int) -> None:
+        """What ``n`` :meth:`_issue` calls and their frees leave behind
+        when nobody saw them and ``reserved_bytes`` did not move: ``n``
+        ids, both counters, the peaks of holding ``held`` more bytes —
+        no :class:`Allocation` built, the live table and
+        ``active_bytes`` as they were."""
+        self._next_id += n
         counters = self._counters
-        counters.malloc_count += 1
-        counters.free_count += 1
-        active = self.active_bytes + rounded
+        counters.malloc_count += n
+        counters.free_count += n
+        active = self.active_bytes + held
         if active > self.peak_active_bytes:
             self.peak_active_bytes = active
         reserved = self.reserved_bytes
         if reserved > self.peak_reserved_bytes:
             self.peak_reserved_bytes = reserved
+
+    def transient_repeat(self, size: int) -> Optional[Tuple[float, ...]]:
+        """The clock adds of ``malloc_free(size)``, in order, when it is
+        a cached hit that leaves every pool and index, ``reserved_bytes``
+        and ``active_bytes`` as they were: until the allocator is next
+        called, ``n`` such calls may be made as their clock adds and one
+        ``note_transients(size, n)``.  ``None`` (nothing done) here and
+        while an observer is attached."""
+        return None
+
+    def note_transients(self, size: int, n: int) -> None:
+        """What ``n`` pairs :meth:`transient_repeat` answered leave
+        apart from the clock."""
+        raise NotImplementedError(f"{self.name} has no repeated transient")
+
+    def _note_pairs(self, cache: "BaseAllocator", rounded: int,
+                    n: int) -> None:
+        """:meth:`note_transients` for ``n`` hits of ``rounded`` bytes
+        served by ``cache``: this allocator, or the caching allocator it
+        delegates to, which spends the host time and counts its own
+        pairs, as it does inside the calls."""
+        counters = cache._counters
+        counters.host_time_us = repeated_add(  # each malloc, each free
+            counters.host_time_us, self.device.latency.cached_op_us, 2 * n)
+        self._count_pairs(n, rounded)
+        if cache is not self:
+            cache._count_pairs(n, rounded)
 
     def _transient_hit(self, cache: "BaseAllocator", ptr: int, size: int,
                        rounded: int) -> None:
@@ -248,30 +276,29 @@ class BaseAllocator(ABC):
         best-fit block at ``ptr`` serves the malloc and the free gives
         it straight back, minus the free-pool updates that cancel.
 
-        ``cache`` is this allocator, or the caching allocator it
-        delegates to (which then spends the host time and counts its
-        own pair, as it does inside the two calls).  Observers see the
-        two calls' hooks at their points: clock, live table and stats
-        as the calls leave them; only the free pools are not.
+        ``cache`` is as for :meth:`_note_pairs`.  Observers see the two
+        calls' hooks at their points: clock, live table and stats as
+        the calls leave them; only the free pools are not.
         """
         us = self.device.latency.cached_op_us
         if not self._observers:
-            cache._spend_host_time(us)  # the malloc
-            cache._spend_host_time(us)  # the free
-            self._issue_and_claim(rounded)
-        else:
-            cache._spend_host_time(us)
-            alloc = self._issue(ptr, size, rounded)
-            for observer in self._observers:
-                observer.on_alloc(self, alloc)
-            self._claim(alloc)
-            cache._spend_host_time(us)
-            self._counters.free_count += 1
-            self.active_bytes -= rounded
-            for observer in self._observers:
-                observer.on_free(self, alloc)
+            clock = self.device.clock
+            clock.advance(us)  # the malloc
+            clock.advance(us)  # the free
+            self._note_pairs(cache, rounded, 1)
+            return
+        cache._spend_host_time(us)
+        alloc = self._issue(ptr, size, rounded)
+        for observer in self._observers:
+            observer.on_alloc(self, alloc)
+        self._claim(alloc)
+        cache._spend_host_time(us)
+        self._counters.free_count += 1
+        self.active_bytes -= rounded
+        for observer in self._observers:
+            observer.on_free(self, alloc)
         if cache is not self:
-            cache._issue_and_claim(rounded)
+            cache._count_pairs(1, rounded)
 
     def empty_cache(self) -> None:
         """Release every cached (unused) physical byte back to the device."""

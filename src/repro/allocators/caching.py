@@ -25,7 +25,7 @@ segment boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.allocators.base import Allocation, BaseAllocator
 from repro.errors import CudaOutOfMemoryError, OutOfMemoryError
@@ -215,15 +215,32 @@ class CachingAllocator(BaseAllocator):
                 return rounded
         return super().malloc_free(size)
 
+    def transient_repeat(self, size: int) -> Optional[Tuple[float, ...]]:
+        """A hit :meth:`malloc_free` serves from the cache: its two
+        host-time spends."""
+        if (self._observers or size <= 0
+                or self._best_transient_fit(size)[0] is None):
+            return None
+        us = self.device.latency.cached_op_us
+        return (us, us)
+
+    def note_transients(self, size: int, n: int) -> None:
+        self._note_pairs(self, round_size(size), n)
+
+    def _best_transient_fit(self, size: int) -> "tuple[Optional[Block], int]":
+        """The pooled best fit for ``malloc(size)`` (``size > 0``), or
+        ``None``, and the rounded size."""
+        rounded = round_size(size)
+        return (self._free_pools[pool_for(rounded)].first_at_least(
+            (rounded, 0)), rounded)
+
     def _cached_transient(self, owner: BaseAllocator,
                           size: int) -> Optional[int]:
         """``owner``'s ``malloc_free(size)`` (``size > 0``) when this
         allocator's best fit serves it: the rounded size, or ``None``
         with nothing done when no cached block fits.  ``owner`` is this
         allocator or one that delegates its small requests here."""
-        rounded = round_size(size)
-        block = self._free_pools[pool_for(rounded)].first_at_least(
-            (rounded, 0))
+        block, rounded = self._best_transient_fit(size)
         if block is None:
             return None
         owner._transient_hit(self, block.ptr, size, rounded)
@@ -299,16 +316,7 @@ class CachingAllocator(BaseAllocator):
         if seg_size <= self.device.phys.free + sum(b.size for b in spared):
             return None
         if k:
-            self._next_id += k
-            counters = self._counters
-            counters.malloc_count += k
-            counters.free_count += k
-            active = self.active_bytes + k * rounded
-            if active > self.peak_active_bytes:
-                self.peak_active_bytes = active
-            reserved = self.reserved_bytes
-            if reserved > self.peak_reserved_bytes:
-                self.peak_reserved_bytes = reserved
+            self._count_pairs(k, k * rounded)
         us = self.device.latency.cached_op_us
         self._spend_host_time_many(us, k + 1)  # the run, the failing malloc
         self._refused_cuda_malloc(seg_size)

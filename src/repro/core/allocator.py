@@ -31,10 +31,10 @@ reserved bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.allocators.base import Allocation, BaseAllocator
-from repro.allocators.caching import CachingAllocator
+from repro.allocators.caching import CachingAllocator, round_size
 from repro.core.bestfit import BestFitResult, FitState, best_fit
 from repro.core.config import GMLakeConfig
 from repro.core.pblock import PBlock
@@ -117,6 +117,17 @@ class GMLakeAllocator(BaseAllocator):
             if rounded is not None:
                 return rounded
         return super().malloc_free(size)
+
+    def transient_repeat(self, size: int) -> Optional[Tuple[float, ...]]:
+        """The small pool's answer below the chunk size, unobserved.  A
+        hit of a chunk or more moves ``_tick`` and ``last_used``, so it
+        never repeats."""
+        if self._observers or not 0 < size < self.config.small_threshold:
+            return None
+        return self._small.transient_repeat(size)
+
+    def note_transients(self, size: int, n: int) -> None:
+        self._note_pairs(self._small, round_size(size), n)
 
     def _malloc_large(self, rounded: int) -> "tuple[int, int]":
         # Fast path: exact match by sorted lookup — the converged steady

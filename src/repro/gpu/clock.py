@@ -62,6 +62,14 @@ class SimClock:
         self._now_us = repeated_add(self._now_us, duration_us, count)
         return self._now_us
 
+    def advance_to(self, now_us: float) -> float:
+        """Set the clock to ``now_us`` (not in the past): where a caller
+        that summed its advances on a copy of :attr:`now_us` got to."""
+        if now_us < self._now_us:
+            raise ValueError(f"cannot move clock back to {now_us} us")
+        self._now_us = now_us
+        return now_us
+
     def reset(self) -> None:
         """Reset the clock to zero (used between benchmark repetitions)."""
         self._now_us = 0.0

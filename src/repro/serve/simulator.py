@@ -674,8 +674,11 @@ class ServingSimulator:
         (with its straggler draw), the workspace ``malloc_free`` and the
         timeline sample.  The run stops after a step whose workspace op
         moved ``reserved_bytes``, because the next admission would see
-        a different view.  ``tokens_done`` and the KV utilization
-        samples are brought up to date once at the end.
+        a different view.  When ``allocator.transient_repeat`` vouches
+        that the workspace op is a cached hit that repeats, a step
+        makes only its clock adds.  The workspace counters,
+        ``tokens_done`` and the KV utilization samples are brought up
+        to date once at the end.
         """
         steps = min(min(request.output_tokens - request.tokens_done,
                         request.kv_capacity_tokens - request.context_tokens)
@@ -697,22 +700,44 @@ class ServingSimulator:
         step_us = self._step_us(batch)
         ws_bytes = self._workspace(batch)
         session, allocator = self.session, self.allocator
+        clock = session.clock
         step_factor = self.fault_state.step_factor
         sample = session.sample if self.config.record_timeline else None
         reserved = allocator.reserved_bytes
+        adds = allocator.transient_repeat(ws_bytes)
         done = 0
-        while done < steps:
-            now = session.elapsed_s
-            if (now >= stop_at or land_at <= now + _EPS
-                    or now - oldest > timeout_s):
-                break
-            session.advance(step_us * step_factor())
-            session.try_malloc_free(ws_bytes)
-            done += 1
-            if sample is not None:
-                sample()
-            if allocator.reserved_bytes != reserved:
-                break
+        if adds is not None:
+            # The clock's own float adds, in its order, on a copy that
+            # is stored back before anything reads the clock.
+            t_us, start_s = clock.now_us, session.start_s
+            while done < steps:
+                now = t_us / 1e6 - start_s  # session.elapsed_s
+                if (now >= stop_at or land_at <= now + _EPS
+                        or now - oldest > timeout_s):
+                    break
+                t_us += step_us * step_factor()
+                for us in adds:
+                    t_us += us
+                done += 1
+                if sample is not None:
+                    clock.advance_to(t_us)
+                    sample()
+            clock.advance_to(t_us)
+            if done:
+                allocator.note_transients(ws_bytes, done)
+        else:
+            while done < steps:
+                now = session.elapsed_s
+                if (now >= stop_at or land_at <= now + _EPS
+                        or now - oldest > timeout_s):
+                    break
+                clock.advance(step_us * step_factor())
+                session.try_malloc_free(ws_bytes)
+                done += 1
+                if sample is not None:
+                    sample()
+                if allocator.reserved_bytes != reserved:
+                    break
         if done:
             for request in running:
                 request.tokens_done += done

@@ -4,10 +4,11 @@
 ``(owner, attribute, slow replacement)`` entries that put back the
 definition it replaced: a loop of single calls, one driver call at a
 time, a scan, one decode step per tick, a doomed run carved and rolled
-back.  :func:`reference` swaps them in, :func:`definition` hands a
-twin one attribute's slow side, and :func:`observe` runs a serving
-scenario and records everything a serving twin compares.  A new fast
-path registers its definition here; it adds no harness.
+back, a workspace op made every step.  :func:`reference` swaps them
+in, :func:`definition` hands a twin one attribute's slow side, and
+:func:`observe` runs a serving scenario and records everything a
+serving twin compares.  A new fast path registers its definition
+here; it adds no harness.
 """
 
 import bisect
@@ -492,6 +493,12 @@ REFERENCE = {
     # A refused run is never taken: paged KV carves and rolls back.
     "refused-runs": ((CachingAllocator, "refuse_run",
                       BaseAllocator.refuse_run),),
+    # No transient repeats: a quiet run calls malloc_free every step.
+    "transient-repeats": (
+        (CachingAllocator, "transient_repeat",
+         BaseAllocator.transient_repeat),
+        (GMLakeAllocator, "transient_repeat",
+         BaseAllocator.transient_repeat)),
     "queue-floor": (
         (ServingSimulator, "_queue_floor", no_queue_floor),
         *_entries(MemoryAwareScheduler, ScanOnlyMemoryAware)),

@@ -519,9 +519,9 @@ class TestTransientMatchesThePair:
     def test_a_skipped_peak_ratchet_is_caught(self):
         """The corruption the shortcut could cause, seeded."""
         class Forgetful(CachingAllocator):
-            def _issue_and_claim(self, rounded):
+            def _count_pairs(self, n, held):
                 peak = self.peak_active_bytes
-                super()._issue_and_claim(rounded)
+                super()._count_pairs(n, held)
                 self.peak_active_bytes = peak
 
         twins = Twins(64 * MB, batched=Forgetful)

@@ -35,6 +35,17 @@ class TestSimClock:
             SimClock().advance(-0.1)
         with pytest.raises(ValueError):
             SimClock().advance_many(-0.1, 3)
+        with pytest.raises(ValueError):
+            SimClock(start_us=1.0).advance_to(0.5)
+
+    def test_advance_to_stores_a_copy_advanced_elsewhere(self):
+        stepped, copied = SimClock(start_us=3.0), SimClock(start_us=3.0)
+        t_us = copied.now_us
+        for duration in (0.1, 1.5, 0.1, 1.5):
+            stepped.advance(duration)
+            t_us += duration
+        assert copied.advance_to(t_us) == stepped.now_us
+        assert copied.advance_to(t_us) == t_us  # staying put is allowed
 
     def test_advance_many_adds_one_step_at_a_time(self):
         stepped, many = SimClock(), SimClock()

@@ -275,6 +275,11 @@ class TestCrossAllocatorEquivalence:
 # ----------------------------------------------------------------------
 PICK = st.integers(min_value=0, max_value=10_000)
 RUN_LENGTH = st.integers(min_value=1, max_value=10)
+TRANSIENT_SIZES = st.sampled_from([300, 64 * KB, 1 * MB, 1 * MB + 1,
+                                   2 * MB - 1, 2 * MB, 3 * MB])
+#: The clock time of a decode step between two workspace ops; not a
+#: binary fraction, so adds made out of order round differently.
+STEP_US = 0.1
 OPS = st.lists(st.one_of(
     st.tuples(st.just("malloc"),
               st.one_of(st.integers(1, 1 * MB), st.integers(1, 64 * MB))),
@@ -287,14 +292,14 @@ OPS = st.lists(st.one_of(
               RUN_LENGTH),
     # A transient on both sides of caching's 1 MB pool boundary and of
     # gmlake's 2 MB chunk.
-    st.tuples(st.just("malloc_free"),
-              st.sampled_from([300, 64 * KB, 1 * MB, 1 * MB + 1,
-                               2 * MB - 1, 2 * MB, 3 * MB])),
+    st.tuples(st.just("malloc_free"), TRANSIENT_SIZES),
+    # A quiet decode run's workspace: n of them, each after a step.
+    st.tuples(st.just("malloc_free_repeat"), TRANSIENT_SIZES, RUN_LENGTH),
     st.tuples(st.just("free"), PICK),
     st.tuples(st.just("free_run"), PICK, RUN_LENGTH),
     st.tuples(st.just("empty_cache")),
 ), min_size=8, max_size=20)
-RUN_OPS = ("malloc_run", "free_run", "malloc_free")
+RUN_OPS = ("malloc_run", "free_run", "malloc_free", "transient_repeat")
 
 
 def _apply(op, args, allocator, live, via):
@@ -312,6 +317,8 @@ def _apply(op, args, allocator, live, via):
             via["malloc_free"](allocator, *args)
         except OutOfMemoryError:
             pass
+    elif op == "malloc_free_repeat":
+        _malloc_free_repeat(allocator, *args, via)
     elif op == "empty_cache":
         allocator.empty_cache()
     elif live:
@@ -328,6 +335,30 @@ def _apply(op, args, allocator, live, via):
             via["free_run"](allocator, batch)
         return sum(a.rounded_size for a in batch)
     return 0
+
+
+def _malloc_free_repeat(allocator, size, n, via):
+    """``n`` rounds of a step on the clock and ``malloc_free(size)``, as
+    a quiet decode run makes them: one ``transient_repeat`` question,
+    and on an answer only the clock adds and one ``note_transients``.
+    A ``None`` answer must have changed nothing."""
+    clock = allocator.device.clock
+    before = _ledger(allocator), _free_blocks(allocator)
+    adds = via["transient_repeat"](allocator, size)
+    if adds is not None:
+        for _ in range(n):
+            clock.advance(STEP_US)
+            for us in adds:
+                clock.advance(us)
+        allocator.note_transients(size, n)
+        return
+    assert (_ledger(allocator), _free_blocks(allocator)) == before
+    for _ in range(n):
+        clock.advance(STEP_US)
+        try:
+            via["malloc_free"](allocator, size)
+        except OutOfMemoryError:
+            pass
 
 
 class TestEveryRegisteredAllocator:
@@ -349,17 +380,29 @@ class TestEveryRegisteredAllocator:
         _fuzz(name, capacity_mb, ops, observed=True)
 
 
-def _ledger(allocator):
-    """What a run operation and its loop must agree on, by ``==``: ids,
-    stats and clock of ``allocator`` and of every allocator it holds,
-    directly or one object down (a delegate's counters count too)."""
+def _held(allocator):
+    """``allocator`` and every allocator it holds, directly or one
+    object down."""
     held = [allocator]
     for value in vars(allocator).values():
         for inner in (value, *getattr(value, "__dict__", {}).values()):
             if isinstance(inner, BaseAllocator) and inner not in held:
                 held.append(inner)
-    return ([(a._next_id, a.stats()) for a in held],
+    return held
+
+
+def _ledger(allocator):
+    """What a run operation and its loop must agree on, by ``==``: ids,
+    stats and clock of ``allocator`` and of every allocator it holds (a
+    delegate's counters count too)."""
+    return ([(a._next_id, a.stats()) for a in _held(allocator)],
             allocator.device.clock.now_us)
+
+
+def _free_blocks(allocator):
+    """The cached free-block counts of the allocators that keep them."""
+    return [a.free_block_count() for a in _held(allocator)
+            if hasattr(a, "free_block_count")]
 
 
 def _fuzz(name, capacity_mb, ops, observed):

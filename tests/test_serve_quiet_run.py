@@ -3,33 +3,40 @@ group of ``tests/reference.py`` swapped in at once, and the two runs
 must agree exactly on everything ``reference.observe`` records.
 
 The matrix is every scheduler x {chunked, paged, paged-shared} x seven
-topologies: one replica, a straggler, a traced replica with gauges
-and a timeline, a crash-faulted tiered 2-replica fleet (co-simulated
-with the crash-window lookahead), a hedged fleet (no lookahead), a
-1P+1D disaggregated run and an uncoupled 2-replica GMLake fleet.
+topologies: one replica, a straggler with a timeline, a traced
+replica with gauges and a timeline, a crash-faulted tiered 2-replica
+fleet (co-simulated with the crash-window lookahead), a hedged fleet
+(no lookahead), a 1P+1D disaggregated run and an uncoupled 2-replica
+GMLake fleet.
 Hypothesis draws each cell's seed: one example under the default
 profile (its simplest, seed 0, comes first) and four under the
 nightly one.
 """
 
+import contextlib
 import functools
 import itertools
+import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import GROUPS, REFERENCE, observe
+from reference import GROUPS, REFERENCE, observe, reference
 from repro.api import component_names
+from repro.core import GMLakeAllocator
+from repro.obs import TraceRecorder
 from repro.serve import (
     LengthSampler,
     MultiTenantArrivals,
     ServingConfig,
+    ServingSimulator,
     run_serving,
     run_serving_cluster,
     run_serving_disagg,
 )
+from repro.serve.request import ServeRequest
 from repro.units import MB
 from repro.workloads import get_model
 
@@ -65,8 +72,11 @@ def _serve(topology, scheduler, kv, seed, trace, gauges):
         return run_serving(_stream(seed), MODEL, capacity=tight,
                            config=_config(), **common)
     if topology == "straggler":
+        # A timeline without a trace: samples inside the repeated
+        # workspace's quiet runs.
         return run_serving(
-            _stream(seed), MODEL, capacity=tight, config=_config(),
+            _stream(seed), MODEL, capacity=tight,
+            config=_config(record_timeline=True),
             faults=f"straggler?slowdown=3&prob=0.3&seed={seed}", **common)
     if topology == "observed":
         return run_serving(_stream(seed), MODEL, capacity=tight,
@@ -154,3 +164,49 @@ def test_a_request_in_flight_back_times_out_when_it_lands():
     (request,) = [r for r in result.requests if r.req_id == 6]
     assert request.reject_reason == "timeout"
     assert request.rejected_s >= request.arrival_s + _config().queue_timeout_s
+
+
+def _calls(output_tokens, trace=None, slow=()):
+    """Serve four requests that arrive together on one GMLake replica
+    whose 512-token chunks never grow (after admission, one quiet run
+    to the last step), with the groups ``slow`` swapped in; returns how
+    often ``malloc_free`` and ``_decode_step`` ran."""
+    counts = Counter()
+    requests = [ServeRequest(req_id=i, arrival_s=0.0, prompt_tokens=64,
+                             output_tokens=output_tokens) for i in range(4)]
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in ((GMLakeAllocator, "malloc_free"),
+                            (ServingSimulator, "_decode_step")):
+            def counting(*args, _shipped=getattr(owner, name), _name=name):
+                counts[_name] += 1
+                return _shipped(*args)
+            patch.setattr(owner, name, counting)
+        with reference(*slow) if slow else contextlib.nullcontext():
+            run_serving(requests, MODEL, allocator="gmlake",
+                        kv_cache="chunked?chunk_tokens=512",
+                        config=_config(), trace=trace)
+    return counts
+
+
+class TestQuietRunWorkspaceCalls:
+    """A quiet run asks the allocator once whether its workspace hit
+    repeats; unobserved, it then makes no workspace call at all."""
+
+    def test_one_workspace_call_per_full_step(self):
+        short, long = _calls(40), _calls(160)
+        assert short["malloc_free"] == short["_decode_step"]
+        assert long == short  # the quiet run's length costs no call
+        # Made every step, as before, the workspace calls grow with it.
+        slow = _calls(160, slow=("transient-repeats",))
+        assert slow["_decode_step"] == long["_decode_step"]
+        assert slow["malloc_free"] >= long["malloc_free"] + 120
+
+    def test_an_observed_run_calls_every_step_and_traces_the_same(self):
+        traces, counts = [], []
+        for slow in ((), ("transient-repeats",)):
+            trace = TraceRecorder(memory_every=1)
+            counts.append(_calls(160, trace=trace, slow=slow))
+            traces.append(json.dumps(trace.chrome_trace()))
+        assert counts[0] == counts[1]
+        assert counts[0]["malloc_free"] >= counts[0]["_decode_step"] + 120
+        assert traces[0] == traces[1]
