@@ -10,7 +10,7 @@ is what the paper's "reserved memory" metric measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.errors import CudaInvalidValueError, CudaOutOfMemoryError
 from repro.units import fmt_bytes
@@ -106,7 +106,9 @@ class PhysicalMemory:
         on ``cuMemMap``).  Either every handle is a live chunk, of
         ``size`` bytes if given, and each gains one reference, or none
         does."""
-        chunks = [self.get(handle) for handle in handles]
+        # ``get`` only runs, and raises, for a dead handle.
+        chunks = [self._chunks.get(handle) or self.get(handle)
+                  for handle in handles]
         if size is not None and any(chunk.size != size for chunk in chunks):
             raise CudaInvalidValueError(
                 f"expected {size}-byte chunks, got one of another size")
@@ -115,10 +117,17 @@ class PhysicalMemory:
 
     def release_ref(self, handle: int) -> None:
         """Drop one mapping reference; destroy the chunk at zero."""
-        chunk = self.get(handle)
-        chunk.refcount -= 1
-        if chunk.refcount == 0:
-            self._destroy(chunk)
+        self.release_refs((handle,))
+
+    def release_refs(self, handles: Iterable[int]) -> None:
+        """:meth:`release_ref` each of ``handles`` in turn; a dead
+        handle raises after the references before it are dropped."""
+        chunks = self._chunks
+        for handle in handles:
+            chunk = chunks.get(handle) or self.get(handle)
+            chunk.refcount -= 1
+            if chunk.refcount == 0:
+                self._destroy(chunk)
 
     def release(self, handle: int) -> None:
         """``cuMemRelease``: drop the creation reference.
@@ -134,6 +143,18 @@ class PhysicalMemory:
     def _destroy(self, chunk: PhysicalChunk) -> None:
         del self._chunks[chunk.handle]
         self.committed -= chunk.size
+
+    def refuse_creates(self, size: int, n: int) -> Optional[int]:
+        """``n`` creates of ``size`` bytes in a row, one failing, then the
+        destruction of those made: spends their handles, ratchets the peak
+        and returns how many were made.  ``None``, doing nothing, if a fault
+        injector (:class:`repro.testing.FlakyDevice`) replaced ``create``."""
+        if "create" in vars(self):
+            return None
+        made = self.free // size
+        self._next_handle += made
+        self.peak_committed = max(self.peak_committed, self.committed + made * size)
+        return made
 
     def reset_peak(self) -> None:
         """Reset peak tracking to the current commit level."""

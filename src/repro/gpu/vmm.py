@@ -25,6 +25,7 @@ Every call advances the shared :class:`~repro.gpu.clock.SimClock` by the
 is how end-to-end allocator overhead (Figures 11/13 throughput) and the
 Table 1 breakdown are measured.  A run of calls over many chunks checks
 and prices them once, but still adds each call's latency on its own.
+A ``back`` doomed to run out of memory charges its calls but makes no chunk.
 """
 
 from __future__ import annotations
@@ -223,13 +224,18 @@ class CudaVmm:
         is refused before any chunk is created.  If the device cannot
         commit a chunk, those made so far are unmapped and released
         before :class:`CudaOutOfMemoryError` propagates: the reservation
-        is left as it was found.
+        is left as it was found; a doomed range is counted, not carved.
         """
         offsets = range(offset, offset + size, chunk_size)
         if not offsets:  # no chunk to make: only the closing set-access
             self.mem_set_access(va, offset, size)
             return []
-        maps, idx = self._span(va, offset, len(offsets) * chunk_size)
+        need = len(offsets) * chunk_size
+        maps, idx = self._span(va, offset, need)
+        if need > self._phys.free and is_aligned(chunk_size, self.GRANULARITY):
+            made = self._phys.refuse_creates(chunk_size, len(offsets))
+            if made is not None:
+                raise self._refuse_back(made, chunk_size)
         map_us = self._latency.mem_map(chunk_size)
         handles: List[int] = []
         try:
@@ -248,6 +254,25 @@ class CudaVmm:
             raise
         self._grant(maps[idx:idx + len(handles)])
         return handles
+
+    def _refuse_back(self, made: int, chunk_size: int) -> CudaOutOfMemoryError:
+        """Charge and count a ``back`` whose create after ``made``
+        chunks fails, without making or mapping any; returns its error."""
+        latency, counters = self._latency, self.counters
+        create_us, map_us = latency.mem_create(chunk_size), latency.mem_map(chunk_size)
+        now, total = self._clock.now_us, counters.total_time_us
+        for _ in range(made):  # one add per call, in call order
+            now, total = now + create_us + map_us, total + create_us + map_us
+        self._clock.advance_to(now + create_us)
+        counters.total_time_us = total + create_us
+        self._spend(latency.mem_unmap(chunk_size), made)
+        self._spend(latency.mem_release(chunk_size), made)
+        counters.create_calls += made + 1
+        counters.map_calls += made
+        counters.unmap_calls += made
+        counters.release_calls += made
+        free = self._phys.free - made * chunk_size  # at the failing create
+        return CudaOutOfMemoryError(chunk_size, free, self._phys.capacity)
 
     def alias(self, handles: Sequence[int], chunk_size: int) -> int:
         """Reserve a fresh range and map the existing ``chunk_size``
@@ -283,8 +308,7 @@ class CudaVmm:
         del maps[lo:hi]
         self._charge(self._latency.mem_unmap, removed)
         self.counters.unmap_calls += len(removed)
-        for m in removed:
-            self._phys.release_ref(m.handle)
+        self._phys.release_refs([m.handle for m in removed])
 
     def mem_release(self, handle: int) -> None:
         """Release the creation reference of a physical chunk."""

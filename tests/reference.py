@@ -3,12 +3,12 @@
 :data:`REFERENCE` holds, one group per fast path in ``src/``, the
 ``(owner, attribute, slow replacement)`` entries that put back the
 definition it replaced: a loop of single calls, one driver call at a
-time, a scan, one decode step per tick, a doomed run carved and rolled
-back, a workspace op made every step.  :func:`reference` swaps them
-in, :func:`definition` hands a twin one attribute's slow side, and
-:func:`observe` runs a serving scenario and records everything a
-serving twin compares.  A new fast path registers its definition
-here; it adds no harness.
+time, a scan, one decode step per tick, a doomed run or back carved
+and rolled back, a workspace op made every step.  :func:`reference`
+swaps them in, :func:`definition` hands a twin one attribute's slow
+side, and :func:`observe` runs a serving scenario and records
+everything a serving twin compares.  A new fast path registers its
+definition here; it adds no harness.
 """
 
 import bisect
@@ -30,6 +30,7 @@ from repro.errors import (
     CudaOutOfMemoryError,
 )
 from repro.gpu.device import GpuDevice
+from repro.gpu.phys import PhysicalMemory
 from repro.gpu.vmm import CudaVmm, _Mapping
 from repro.obs import AllocatorTraceObserver, GaugeSampler, TraceRecorder
 from repro.serve import (
@@ -473,6 +474,14 @@ def co_simulated_fleet(sims, shards, coupled=False):
     return [sim.finish() for sim in sims]
 
 
+# -- Doomed backs: every chunk created, mapped and rolled back ---------
+def cannot_say(phys, size, n):
+    """Slow replacement of ``PhysicalMemory.refuse_creates``: it never
+    answers, so ``CudaVmm.back`` creates, maps and rolls back each
+    chunk of a back that cannot fit."""
+    return None
+
+
 def _entries(owner, slow):
     """One entry per function the class ``slow`` defines itself."""
     return tuple((owner, name, value) for name, value in vars(slow).items()
@@ -486,6 +495,8 @@ REFERENCE = {
         *_entries(CachingAllocator, LoopCaching),
         (GMLakeAllocator, "malloc_free", BaseAllocator.malloc_free)),
     "vmm-sequences": _entries(CudaVmm, PerCallVmm),
+    # No back is refused up front: a doomed back carves and rolls back.
+    "doomed-backs": ((PhysicalMemory, "refuse_creates", cannot_say),),
     "paged-block-runs": (
         *_entries(PagedKVCache, PerBlockOracle),
         *_entries(SharedPagedKVCache, PerBlockSharedPagedKVCache)),
@@ -558,9 +569,11 @@ def observe(serve, slow=(), memory_every=16):
     ``slow`` swapped in (none: as shipped).
 
     ``seen`` holds every request's fields; each replica's allocator
-    ``stats()``, final clock, ``kv.metrics``, requests, timeline and
-    gauge points; each replica's trace events in order (the fleet's
-    recorder interleaves replicas by tick, which a quiet run reorders);
+    ``stats()``, final clock, driver state (VMM and runtime counters,
+    committed and peak bytes, next chunk handle), ``kv.metrics``,
+    requests, timeline and gauge points; each replica's trace events
+    in order (the fleet's recorder interleaves replicas by tick, which
+    a quiet run reorders);
     the gauge points and the Chrome trace.  A scenario that ignores
     ``trace`` and ``gauges`` leaves those empty.
     """
@@ -571,8 +584,13 @@ def observe(serve, slow=(), memory_every=16):
 
     def recording_finish(sim):
         result = finish(sim)
+        device = sim.device
         replicas.append((
-            sim.replica_id, sim.allocator.stats(), sim.device.clock.now_us,
+            sim.replica_id, sim.allocator.stats(), device.clock.now_us,
+            device.vmm.counters.snapshot(),
+            dataclasses.asdict(device.runtime.counters),
+            (device.phys.committed, device.phys.peak_committed,
+             device.phys._next_handle),
             dataclasses.replace(sim.kv.metrics),
             [dict(vars(r)) for r in result.requests],
             result.timeline, result.gauge_points))

@@ -1,5 +1,7 @@
 """Driver-contract tests for the simulated CUDA VMM API."""
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from repro.errors import (
     CudaOutOfMemoryError,
 )
 from repro.gpu.device import GpuDevice
+from repro.gpu.phys import PhysicalMemory
 from repro.gpu.vmm import _Mapping
+from repro.testing import FlakyDevice
 from repro.units import GB, MB
 
 
@@ -264,9 +268,9 @@ class VmmTwins:
     """Two devices, one on :class:`CudaVmm` and one on
     :class:`PerCallVmm`; every call goes to both."""
 
-    def __init__(self, capacity):
-        self.fast = GpuDevice(capacity=capacity)
-        self.ref = GpuDevice(capacity=capacity)
+    def __init__(self, capacity, make=GpuDevice):
+        self.fast = make(capacity=capacity)
+        self.ref = make(capacity=capacity)
         ref = self.ref
         ref.vmm = PerCallVmm(ref.phys, ref.vaspace, ref.clock, ref.latency)
         self.vas = []  # every reserved address, live or freed
@@ -514,3 +518,112 @@ class TestSequenceCases:
             vmm.alias([small, large], 2 * MB)
         with pytest.raises(CudaInvalidValueError):
             vmm.alias([small], 4 * MB)
+
+
+class TestDoomedBacks:
+    """A ``back`` whose range exceeds the free memory is answered by
+    counting, not carving: the same clock, counters, handles, peak and
+    error as the reference's create, map and roll back of each chunk."""
+
+    @staticmethod
+    def doomed(twins, va, offset, units, chunk):
+        """``back`` on both sides, which both refuse with the same
+        out-of-memory error and leave in the same state."""
+        errors = []
+        for device in (twins.fast, twins.ref):
+            with pytest.raises(CudaOutOfMemoryError) as exc:
+                device.vmm.back(va, offset, units * U, chunk)
+            errors.append((exc.value.requested, exc.value.free,
+                           exc.value.total))
+        assert errors[0] == errors[1]
+        assert vmm_state(twins.fast) == vmm_state(twins.ref)
+        return errors[0]
+
+    def test_no_chunk_fits(self):
+        # One granule free, two-granule chunks: the first create fails,
+        # so nothing is unmapped or released.
+        twins = VmmTwins(8 * U)
+        twins.call("mem_create", 7 * U)
+        twins.call("mem_address_reserve", 8 * U)
+        assert self.doomed(twins, twins.vas[-1], 0, 4, 2 * U) == (
+            2 * U, U, 8 * U)
+        counters = twins.fast.vmm.counters
+        assert (counters.create_calls, counters.map_calls,
+                counters.unmap_calls, counters.release_calls) == (2, 0, 0, 0)
+
+    def test_all_but_the_last_chunk_fit(self):
+        # 4 MB latencies are not short binary fractions: here, adding
+        # the four creates before the four maps shows in the clock's
+        # last bits.
+        twins = VmmTwins(8 * U)
+        twins.call("mem_address_reserve", 10 * U)
+        assert self.doomed(twins, twins.vas[-1], 0, 10, 2 * U) == (
+            2 * U, 0, 8 * U)
+        phys = twins.fast.phys
+        assert phys.peak_committed == 8 * U  # the four chunks at once
+        assert phys._next_handle == 5 and phys.live_chunk_count == 0
+
+    def test_after_a_partial_back_at_another_offset(self):
+        twins = VmmTwins(12 * U)
+        twins.call("mem_address_reserve", 16 * U)
+        va = twins.vas[-1]
+        assert twins.call("back", va, 8 * U, 3 * U, U) == "ok"
+        assert twins.call("back", va, 12 * U, 4 * U, U) == "ok"
+        # Five granules are free for eight: the five mapped and rolled
+        # back would sit ahead of every mapping already in the table.
+        assert self.doomed(twins, va, 0, 8, U) == (U, 0, 12 * U)
+        assert twins.fast.vmm.mappings_at(va)[0][0] == 8 * U
+
+    def test_a_misaligned_chunk_is_refused_before_any_spend(self):
+        twins = VmmTwins(4 * U)
+        twins.call("mem_address_reserve", 8 * U)
+        before = vmm_state(twins.fast)
+        for device in (twins.fast, twins.ref):
+            with pytest.raises(CudaInvalidValueError):
+                device.vmm.back(twins.vas[-1], 0, 6 * MB, 3 * MB)
+            assert vmm_state(device) == before
+
+    def test_makes_no_chunk(self, monkeypatch):
+        calls = []
+        create = PhysicalMemory.create
+        monkeypatch.setattr(PhysicalMemory, "create",
+                            lambda phys, size: calls.append(size)
+                            or create(phys, size))
+        device = GpuDevice(capacity=4 * U)
+        va = device.vmm.mem_address_reserve(8 * U)
+        with pytest.raises(CudaOutOfMemoryError):
+            device.vmm.back(va, 0, 8 * U, U)
+        assert calls == [] and device.vmm.counters.create_calls == 5
+
+    def test_a_flaky_device_fails_its_listed_create(self):
+        # The back is doomed (ten chunks, four fit) but the second
+        # create is the one that fails: both sides carve to it.
+        twins = VmmTwins(8 * MB, make=functools.partial(FlakyDevice,
+                                                        fail_on=[2]))
+        twins.call("mem_address_reserve", 20 * MB)
+        assert self.doomed(twins, twins.vas[-1], 0, 10, U) == (
+            U, 6 * MB, 8 * MB)
+        assert twins.fast.vmm.counters.create_calls == 2
+        # Nothing was kept: a back of the whole device fits.
+        assert twins.call("back", twins.vas[-1], 0, 8 * MB, U) == "ok"
+
+
+def test_release_refs_is_a_loop_of_release_ref():
+    sides = [PhysicalMemory(capacity=8 * U) for _ in range(2)]
+    for phys in sides:
+        h1, h2, h3 = (phys.create(U) for _ in range(3))
+        phys.retain(h1, h2, h3, h1)
+        phys.release(h2)
+        phys.release_refs([h1])
+    dead = 10 ** 6
+    batch, loop = sides
+    with pytest.raises(CudaInvalidValueError) as batched:
+        batch.release_refs([h2, h1, dead, h3])
+    with pytest.raises(CudaInvalidValueError) as looped:
+        for handle in (h2, h1, dead, h3):
+            loop.release_ref(handle)
+    assert str(batched.value) == str(looped.value)
+    assert {h: (c.refcount, c.released) for h, c in batch._chunks.items()} == {
+        h: (c.refcount, c.released) for h, c in loop._chunks.items()} == {
+        h1: (1, False), h3: (2, False)}
+    assert batch.committed == loop.committed == 2 * U
