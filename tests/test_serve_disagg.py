@@ -3,7 +3,8 @@
 Covers the ``repro.serve.disagg`` subsystem end to end: phase-split
 correctness (per-phase waits, merged lifecycles), the migration ledger
 (``migrated_bytes`` billed on both ends, no KV parcel leaked or
-stranded mid-flight, rollback on rejection), per-fleet autoscaling and
+stranded mid-flight, rollback on rejection), local recovery (a crash
+victim stays on its replica, hedging is inert), per-fleet autoscaling and
 observability (fleet gauges, ``migrate_out``/``migrate_in`` trace
 spans that survive Chrome-trace validation), the ``ServingSpec.disagg``
 JSON surface, and — the load-bearing invariant — that a colocated run
@@ -22,6 +23,8 @@ from repro.serve import (
     ServingConfig,
     TierHierarchy,
     WeightedFairScheduler,
+    disagg,
+    dispatch_requests,
     run_serving,
     run_serving_cluster,
     run_serving_disagg,
@@ -269,6 +272,43 @@ class TestColocatedByteIdentity:
         assert report.prefill_wait_s == 0.0
         assert report.decode_wait_s == 0.0
         assert "migrated_mb" not in result.extras()
+
+
+class TestRecoveryIsLocal:
+    """A disaggregated topology recovers on the replica: a crash victim
+    never fails over to a peer, and hedging is inert."""
+
+    @staticmethod
+    def _run(**kw):
+        return run_serving_disagg(
+            _stream(n=200, rate=20.0, seed=1), MODEL, prefill_replicas=2,
+            decode_replicas=2, allocator="caching", capacity=4 * GB, **kw)
+
+    def test_each_replica_serves_the_shard_it_was_dealt(self, monkeypatch):
+        dealt = []
+
+        def dealing(*args, **kwargs):
+            shards = dispatch_requests(*args, **kwargs)
+            dealt.extend([r.req_id for r in shard] for shard in shards)
+            return shards
+
+        monkeypatch.setattr(disagg, "dispatch_requests", dealing)
+        result = self._run(faults="replica-crash?mtbf_s=2&mttr_s=1",
+                           retry="budget?max=3")
+        replicas = result.prefill_results + result.decode_results
+        # Crashes hit running decodes, which retried.
+        assert any(r.retries for r in result.decode_results[0].requests)
+        assert [[r.req_id for r in replica.requests]
+                for replica in replicas] == dealt
+
+    def test_hedging_equals_no_retry(self):
+        trace = TraceRecorder()
+        hedged = self._run(retry="hedge?after_s=0.05", trace=trace)
+        # Requests queue past the hedge deadline, yet none is hedged.
+        assert max(r.prefill_wait_s for r in hedged.requests) > 0.05
+        assert not [e for e in trace.events if e.kind == "hedge"]
+        assert serving_digest(hedged) == serving_digest(
+            self._run(retry="none"))
 
 
 class TestAutoscalingAndGauges:
