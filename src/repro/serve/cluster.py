@@ -306,21 +306,56 @@ class ServeClusterResult(FleetResult):
         return f"{self.n_replicas} replicas: {report.summary()}"
 
 
-def _co_simulate(sims: List[ServingSimulator]) -> None:
-    """Advance a fleet of *started* simulators on interleaved clocks.
+def check_per_replica_specs(kv_cache: Union[SpecLike, KVCacheModel],
+                            preemption: Union[SpecLike, PreemptionPolicy],
+                            scheduler: Union[SpecLike, Scheduler],
+                            memory_tiers: MemoryTiersLike) -> None:
+    """Fleets build one KV model, preemption policy, scheduler and tier
+    hierarchy per replica, so each must arrive as a spec, never as a
+    live instance."""
+    for what, value, live, noun, mixes in (
+        ("kv_cache", kv_cache, KVCacheModel, "model", "block tables"),
+        ("preemption", preemption, PreemptionPolicy, "policy",
+         "parked-KV tables"),
+        ("scheduler", scheduler, Scheduler, "scheduler", "virtual times"),
+        ("memory_tiers", memory_tiers, TierHierarchy, "hierarchy",
+         "residency ledgers and clocks"),
+    ):
+        if isinstance(value, live):
+            raise ValueError(
+                f"pass {what} as a spec string or spec object so each "
+                f"replica builds its own {noun} (a shared instance would "
+                f"mix {mixes} across replicas)")
 
-    Replicas interact under crash faults — a crashed replica's work
-    re-enters the dispatcher and lands elsewhere — and under a hedging
-    front-end, which duplicates stragglers onto healthy peers.  So
-    this orchestrator single-steps whichever busy replica's clock is
-    furthest behind, keeping every cross-replica hand-off causal: a
-    request re-dispatched at ``ready_s`` is injected before any peer's
-    clock passes ``ready_s``.
 
-    Each replica owns what the orchestrator needs to know about it:
-    whether it is down at an instant (its ``fault_state``), its hedge
-    deadline (``retry.hedge_after_s``) and where hedge events go (its
-    ``trace``).
+def _run_ahead(sim: ServingSimulator, until_s: float, own_s: float) -> None:
+    """Tick ``sim`` until it is drained or its clock reaches the earlier
+    of ``until_s`` (the first instant a peer could hand it work) and
+    ``own_s`` (its own next hand-off).  No quiet step starts at or after
+    ``until_s``."""
+    horizon = min(until_s, own_s)
+    while sim.tick(until_s=until_s) and sim.session.elapsed_s < horizon:
+        pass
+
+
+def run_fleet(
+    sims: List[ServingSimulator],
+    shards: List[List[ServeRequest]],
+) -> List[ServingResult]:
+    """Serve ``shards[i]`` on ``sims[i]``; one result per replica.
+
+    Replicas interact only through crash failover and hedging, which
+    move requests between them.  The loop picks whichever busy
+    replica's clock is furthest behind, so a request re-dispatched at
+    ``ready_s`` is injected before any peer's clock passes ``ready_s``.
+    A replica hands work over only on entering a crash window, so the
+    picked replica runs ahead (:func:`_run_ahead`) to the earliest
+    ``handoff_s`` of any busy replica, its own included: a fleet
+    without crash windows drains each replica in one pick.  Hedges are
+    considered after every tick, so a hedged fleet ticks once per pick.
+    Each replica's ``fault_state``, ``retry.hedge_after_s`` and
+    ``trace`` tell the loop whether it is down, when to hedge and where
+    hedge events go.
 
     Fleet failover: each simulator's ``fault_sink`` routes crash
     victims (and a crashing replica's queued requests) to the healthy
@@ -352,7 +387,8 @@ def _co_simulate(sims: List[ServingSimulator]) -> None:
         request.replica = target
         sims[target].inject(request, ready_s)
 
-    for sim in sims:
+    for sim, shard in zip(sims, shards):
+        sim.start(shard)
         sim.fault_sink = redispatch
 
     hedged: Dict[int, Tuple[ServeRequest, ServeRequest]] = {}
@@ -416,57 +452,10 @@ def _co_simulate(sims: List[ServingSimulator]) -> None:
             consider_hedges(i, hedge_after_s)
             settle_hedges()
         else:
-            sims[i].tick(until_s=min(
-                (handoff_s(j) for j in busy if j != i), default=math.inf))
-
-
-def check_per_replica_specs(kv_cache: Union[SpecLike, KVCacheModel],
-                            preemption: Union[SpecLike, PreemptionPolicy],
-                            scheduler: Union[SpecLike, Scheduler],
-                            memory_tiers: MemoryTiersLike) -> None:
-    """Fleets build one KV model, preemption policy, scheduler and tier
-    hierarchy per replica, so each must arrive as a spec, never as a
-    live instance."""
-    for what, value, live, noun, mixes in (
-        ("kv_cache", kv_cache, KVCacheModel, "model", "block tables"),
-        ("preemption", preemption, PreemptionPolicy, "policy",
-         "parked-KV tables"),
-        ("scheduler", scheduler, Scheduler, "scheduler", "virtual times"),
-        ("memory_tiers", memory_tiers, TierHierarchy, "hierarchy",
-         "residency ledgers and clocks"),
-    ):
-        if isinstance(value, live):
-            raise ValueError(
-                f"pass {what} as a spec string or spec object so each "
-                f"replica builds its own {noun} (a shared instance would "
-                f"mix {mixes} across replicas)")
-
-
-def run_fleet(
-    sims: List[ServingSimulator],
-    shards: List[List[ServeRequest]],
-    coupled: bool = False,
-) -> List[ServingResult]:
-    """Serve ``shards[i]`` on ``sims[i]``; one result per replica.
-
-    Which loop runs is decided by what can couple the replicas, not by
-    how the fleet was configured.  Replicas exchange requests only
-    through crash failover or hedging; a caller whose fleet can do
-    either passes ``coupled=True``, and the min-clock
-    :func:`_co_simulate` keeps every hand-off causal.  Otherwise the
-    replicas are independent partitions, so each is drained to
-    completion in replica order — no cross-replica scan per tick
-    (forced through the min-clock loop, ``fleet_shared`` makes 2.6 %
-    more Python calls and ran slower in 4 of 6 alternating pairs, see
-    docs/architecture.md).  For an uncoupled fleet the two loops give
-    byte-identical results (tests/test_metamorphic.py pins that), so
-    the choice is speed only.
-    """
-    if not coupled:
-        return [sim.run(shard) for sim, shard in zip(sims, shards)]
-    for sim, shard in zip(sims, shards):
-        sim.start(shard)
-    _co_simulate(sims)
+            _run_ahead(sims[i],
+                       min((handoff_s(j) for j in busy if j != i),
+                           default=math.inf),
+                       handoff_s(i))
     return [sim.finish() for sim in sims]
 
 
@@ -504,9 +493,8 @@ def run_serving_cluster(
     replica failures and drive the recovery policy.  Crash faults make
     dispatch health-aware (crashed replicas are routed around) and
     fail crash victims over to healthy peers through the front-end;
-    ``hedge`` duplicates stragglers across replicas.  Those are the
-    fleets whose replicas are co-simulated on interleaved clocks; every
-    other fleet is drained replica by replica (see :func:`run_fleet`).
+    ``hedge`` duplicates stragglers across replicas.  Every fleet is
+    co-simulated by :func:`run_fleet`.
     """
     check_per_replica_specs(kv_cache, preemption, scheduler, memory_tiers)
     if gauges is None:
@@ -526,16 +514,13 @@ def run_serving_cluster(
         )
         for replica_id in range(n_replicas)
     ]
-    crashes = fault_model.has_crashes
     shards = dispatch_requests(requests, n_replicas,
                                drain_tokens_per_s=config.decode_tokens_per_s,
                                autoscaler=scaler, gauges=gauges, trace=trace,
                                down=([sim.fault_state for sim in sims]
-                                     if crashes else None))
+                                     if fault_model.has_crashes else None))
     result = ServeClusterResult(
         autoscaler_name=scaler.name,
         active_replica_points=list(gauges.active_points))
-    result.replicas = run_fleet(
-        sims, shards,
-        coupled=crashes or retry_policy.hedge_after_s is not None)
+    result.replicas = run_fleet(sims, shards)
     return result

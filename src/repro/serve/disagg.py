@@ -45,7 +45,6 @@ from repro.serve.cluster import (
     FleetResult,
     check_per_replica_specs,
     dispatch_requests,
-    run_fleet,
 )
 from repro.serve.faults import FaultModel, RetryPolicy
 from repro.serve.interconnect import Interconnect
@@ -242,12 +241,13 @@ def run_serving_disagg(
     )
     # A prefill clone (one output token) finishes inside admission, and
     # the replica's preemption policy exports its KV at that moment.
-    # Recovery is local on both fleets, so their replicas are
-    # uncoupled: run_fleet drains each in replica order.
+    # Recovery is local on both fleets (no failover, no hedging), so
+    # each replica serves its own shard.
     prefill_sims = fleet(0, prefill_replicas)
     for sim in prefill_sims:
         sim.preemption.export_on_finish(link, needs_decode, exported)
-    result.prefill_results = run_fleet(prefill_sims, prefill_shards)
+    result.prefill_results = [
+        sim.run(shard) for sim, shard in zip(prefill_sims, prefill_shards)]
     result.migrations = len(exported)
 
     # ---- phase 2: the decode fleet -----------------------------------
@@ -275,7 +275,8 @@ def run_serving_disagg(
     for sim, shard in zip(decode_sims, decode_shards):
         sim.preemption.expect_imports(
             link, {clone.req_id: exported[clone.req_id] for clone in shard})
-    result.decode_results = run_fleet(decode_sims, decode_shards)
+    result.decode_results = [
+        sim.run(shard) for sim, shard in zip(decode_sims, decode_shards)]
     result.pending_imports = sum(sim.preemption.pending_imports
                                  for sim in decode_sims)
 

@@ -38,7 +38,6 @@ from repro.serve import (
     ServingSimulator,
     SharedPagedKVCache,
     cluster,
-    disagg,
 )
 from repro.serve.kvcache import PagedKVCache
 from repro.serve.memtier import TierHierarchy
@@ -465,13 +464,11 @@ def one_step_per_tick(self, running, until_s):
     run, so every busy tick decodes exactly one step."""
 
 
-def co_simulated_fleet(sims, shards, coupled=False):
-    """Slow replacement of ``run_fleet``: every fleet, coupled or not,
-    through the min-clock loop coupled fleets need."""
-    for sim, shard in zip(sims, shards):
-        sim.start(shard)
-    cluster._co_simulate(sims)
-    return [sim.finish() for sim in sims]
+def one_tick_per_pick(sim, until_s, own_s):
+    """Slow replacement of ``cluster._run_ahead``: no run-ahead, so the
+    fleet loop picks the furthest-behind replica again after every
+    tick."""
+    sim.tick(until_s=until_s)
 
 
 # -- Doomed backs: every chunk created, mapped and rolled back ---------
@@ -514,8 +511,7 @@ REFERENCE = {
         (ServingSimulator, "_queue_floor", no_queue_floor),
         *_entries(MemoryAwareScheduler, ScanOnlyMemoryAware)),
     "quiet-run": ((ServingSimulator, "_quiet_run", one_step_per_tick),),
-    "fleet-loop": ((cluster, "run_fleet", co_simulated_fleet),
-                   (disagg, "run_fleet", co_simulated_fleet)),
+    "fleet-loop": ((cluster, "_run_ahead", one_tick_per_pick),),
 }
 GROUPS = tuple(REFERENCE)
 
@@ -573,9 +569,10 @@ def observe(serve, slow=(), memory_every=16):
     committed and peak bytes, next chunk handle), ``kv.metrics``,
     requests, timeline and gauge points; each replica's trace events
     in order (the fleet's recorder interleaves replicas by tick, which
-    a quiet run reorders);
-    the gauge points and the Chrome trace.  A scenario that ignores
-    ``trace`` and ``gauges`` leaves those empty.
+    a quiet run reorders); the gauge points, each replica's in order
+    (the shared sampler interleaves replicas by tick too, which a
+    fleet's run-ahead reorders); and the Chrome trace.  A scenario that
+    ignores ``trace`` and ``gauges`` leaves those empty.
     """
     replicas, ticks, hits = [], [], Counter()
     trace = TraceRecorder(memory_every=memory_every)
@@ -612,5 +609,6 @@ def observe(serve, slow=(), memory_every=16):
     events = [(e.replica, e.t_s, e.kind, e.req_id, e.args)
               for e in sorted(trace.events, key=lambda e: (e.replica, e.seq))]
     seen = ([dict(vars(r)) for r in result.requests], replicas, events,
-            list(gauges.points), trace.chrome_trace())
+            sorted(gauges.points, key=lambda p: p.replica),
+            trace.chrome_trace())
     return Observed(seen, len(ticks), hits, result)

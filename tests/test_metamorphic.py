@@ -29,8 +29,8 @@ output moves the right way (or doesn't move at all):
   completes fewer requests;
 - **uncoupled fleet ≡ its shards**: without crash windows or hedging
   no request can cross replicas, so a fleet's per-request digest is
-  the digest of each dispatched shard served alone — whichever of the
-  two fleet loops drives it.
+  the digest of each dispatched shard served alone — whether the fleet
+  loop drains each replica in one pick or ticks once per pick.
 """
 
 import functools
@@ -315,9 +315,9 @@ class TestUncoupledFleetIsItsShards:
                 == _request_digest(_shipped(faults, retry).result.requests))
 
     def test_loop_choice_is_a_speed_choice_only(self, faults, retry):
-        """Forced through the min-clock loop that coupled fleets need
-        (the registry's fleet-loop group), an uncoupled fleet replays
-        to the very same run."""
+        """Ticked once per pick (the registry's fleet-loop group)
+        instead of drained in one pick per replica, an uncoupled fleet
+        replays to the very same run."""
         assert (observe(self.fleet(faults, retry), slow=("fleet-loop",)).seen
                 == _shipped(faults, retry).seen)
 

@@ -303,7 +303,7 @@ class TestFaultObservability:
 class FaultFleetMachine(RuleBasedStateMachine):
     """Random inject/tick traffic over a crashing two-replica fleet.
 
-    Failover is wired exactly the way ``_co_simulate`` wires it: each
+    Failover is wired exactly the way ``run_fleet`` wires it: each
     replica's ``fault_sink`` re-dispatches crash victims to the
     least-loaded healthy peer, asking each peer's crash schedule
     (``fault_state.down_at``) whether it is down.  After

@@ -5,9 +5,9 @@ must agree exactly on everything ``reference.observe`` records.
 The matrix is every scheduler x {chunked, paged, paged-shared} x seven
 topologies: one replica, a straggler with a timeline, a traced
 replica with gauges and a timeline, a crash-faulted tiered 2-replica
-fleet (co-simulated with the crash-window lookahead), a hedged fleet
-(no lookahead), a 1P+1D disaggregated run and an uncoupled 2-replica
-GMLake fleet.
+fleet (each pick runs ahead to the next crash hand-off), a hedged
+fleet (one tick per pick), a 1P+1D disaggregated run and an uncoupled
+2-replica GMLake fleet.
 Hypothesis draws each cell's seed: one example under the default
 profile (its simplest, seed 0, comes first) and four under the
 nightly one.
@@ -100,7 +100,7 @@ def _serve(topology, scheduler, kv, seed, trace, gauges):
         return run_serving_disagg(
             _stream(seed), MODEL, prefill_replicas=1, decode_replicas=1,
             capacity=tight, config=_config(), **common)
-    # The sequential drain, GMLake's transient and the VMM sequences.
+    # One pick per replica, GMLake's transient and the VMM sequences.
     assert topology == "gmlake-fleet"
     return run_serving_cluster(
         _stream(seed, n=10), MODEL, n_replicas=2, capacity=tight + 100 * MB,
