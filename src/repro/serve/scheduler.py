@@ -253,7 +253,11 @@ class WeightedFairScheduler(Scheduler):
 
     The charge is applied lazily on the next ``select`` call, and only
     if the previously returned request actually entered the batch — a
-    request bounced by an allocator OOM costs its tenant nothing.
+    request bounced by an allocator OOM costs its tenant nothing.  A
+    request that a crash moved to another replica in between is not
+    charged either: its state is then that replica's to change, so
+    reading it would make this replica's schedule depend on how far
+    its peer has run.
     Scaling all weights by a constant leaves the schedule unchanged
     (only ``work/weight`` ratios are compared).
     """
@@ -266,6 +270,7 @@ class WeightedFairScheduler(Scheduler):
         self._vtime: Dict[str, float] = {}
         self._pending: Optional[ServeRequest] = None
         self._pending_work: float = 0.0
+        self._pending_replica: Optional[int] = None
 
     def _weight(self, tenant: str) -> float:
         return self.weights.get(tenant, 1.0)
@@ -275,7 +280,9 @@ class WeightedFairScheduler(Scheduler):
         request, self._pending = self._pending, None
         if request is None:
             return
-        if request.state in (RequestState.RUNNING, RequestState.FINISHED):
+        if (request.replica == self._pending_replica
+                and request.state in (RequestState.RUNNING,
+                                      RequestState.FINISHED)):
             tenant = request.tenant
             self._vtime[tenant] = (self._vtime.get(tenant, 0.0)
                                    + self._pending_work
@@ -299,6 +306,7 @@ class WeightedFairScheduler(Scheduler):
             key=lambda r: (self._vtime[r.tenant], r.arrival_s, r.req_id))
         # Expected service: tokens still to prefill + decode.
         self._pending = request
+        self._pending_replica = request.replica
         self._pending_work = float(
             request.context_tokens
             + (request.output_tokens - request.tokens_done))

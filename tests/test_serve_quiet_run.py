@@ -166,6 +166,15 @@ def test_a_request_in_flight_back_times_out_when_it_lands():
     assert request.rejected_s >= request.arrival_s + _config().queue_timeout_s
 
 
+def test_a_failed_over_wfq_selection_leaves_its_replica_alone():
+    """Replica 1's wfq selected request 1, which a crash then failed
+    over to replica 0.  Replica 1 does not read what replica 0 made of
+    it, so running ahead keeps the one-tick-per-pick schedule."""
+    cell = functools.partial(_serve, "crash-tiers-fleet", "wfq", "chunked",
+                             2991)
+    assert observe(cell).seen == observe(cell, slow=("fleet-loop",)).seen
+
+
 def _calls(output_tokens, trace=None, slow=()):
     """Serve four requests that arrive together on one GMLake replica
     whose 512-token chunks never grow (after admission, one quiet run

@@ -290,6 +290,20 @@ class TestWeightedFair:
         assert again is first             # uncharged, "a" still cheapest
         assert scheduler._vtime.get("a", 0.0) == 0.0
 
+    def test_a_selection_a_crash_moved_costs_nothing(self):
+        """A selection that left for another replica before the next
+        select is not charged, whatever that replica made of it."""
+        view, _ = view_on()
+        scheduler = WeightedFairScheduler()
+        queue = [tenant_request(0, "a"), tenant_request(1, "b")]
+        first = scheduler.select(queue, view)
+        # A crash fails it over, and the peer admits it.
+        queue.remove(first)
+        first.replica = 1
+        first.state = RequestState.RUNNING
+        scheduler.select(queue, view)
+        assert scheduler._vtime.get("a", 0.0) == 0.0
+
     def test_new_tenant_joins_at_current_floor(self):
         """A tenant first seen mid-run gets no banked credit for the
         time before it existed."""
