@@ -345,9 +345,10 @@ def run_fleet(
     """Serve ``shards[i]`` on ``sims[i]``; one result per replica.
 
     Replicas interact only through crash failover and hedging, which
-    move requests between them.  The loop picks whichever busy
-    replica's clock is furthest behind, so a request re-dispatched at
-    ``ready_s`` is injected before any peer's clock passes ``ready_s``.
+    move requests between them; none reads a request a peer owns.  The
+    loop picks whichever busy replica's clock is furthest behind, so a
+    request re-dispatched at ``ready_s`` is injected before any peer's
+    clock passes ``ready_s``.
     A replica hands work over only on entering a crash window, so the
     picked replica runs ahead (:func:`_run_ahead`) to the earliest
     ``handoff_s`` of any busy replica, its own included: a fleet
