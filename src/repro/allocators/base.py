@@ -9,6 +9,7 @@ identically.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -76,12 +77,30 @@ class AllocatorObserver:
     when ``reserved_bytes`` passes its peak, and a cached hit never
     grows ``reserved_bytes`` (attach it before the first malloc).
 
+    An observer that acts on only some ``on_alloc`` / ``on_free`` hooks
+    says so through :meth:`idle_events`: the hooks it vouches for may
+    be skipped, together with the calls that would fire them, and
+    :meth:`skip_events` then stands for them.  Only the hooks of
+    repeated transient pairs are skipped
+    (:meth:`BaseAllocator.transient_repeat`), and ``note_transients``
+    settles what those pairs leave before the next hook fires, so a
+    hook an observer acts on sees the clock and state its call leaves.
+
     In-tree subscribers: :class:`repro.sim.timeline.TimelineRecorder`
     (per-event memory timelines),
     :class:`repro.analysis.PeakMemoryObserver` (peak breakdowns) and
     :class:`repro.obs.AllocatorTraceObserver` (allocator events inside
-    a serving lifecycle trace).
+    a serving lifecycle trace, which samples one hook in ``every``).
     """
+
+    def idle_events(self) -> int:
+        """How many of the coming ``on_alloc`` / ``on_free`` hooks would
+        do nothing but count; 0 (the default): it acts on every hook."""
+        return 0
+
+    def skip_events(self, n: int) -> None:
+        """``n`` of the hooks :meth:`idle_events` vouched for happened
+        unseen (never more than it vouched for)."""
 
     def on_alloc(self, allocator: "BaseAllocator", allocation: Allocation) -> None:
         """A malloc succeeded."""
@@ -243,14 +262,31 @@ class BaseAllocator(ABC):
         if reserved > self.peak_reserved_bytes:
             self.peak_reserved_bytes = reserved
 
-    def transient_repeat(self, size: int) -> Optional[Tuple[float, ...]]:
-        """The clock adds of ``malloc_free(size)``, in order, when it is
-        a cached hit that leaves every pool and index, ``reserved_bytes``
-        and ``active_bytes`` as they were: until the allocator is next
-        called, ``n`` such calls may be made as their clock adds and one
-        ``note_transients(size, n)``.  ``None`` (nothing done) here and
-        while an observer is attached."""
+    def transient_repeat(
+            self, size: int) -> Optional[Tuple[int, Tuple[float, ...]]]:
+        """``(pairs, adds)`` when ``malloc_free(size)`` is a cached hit
+        that leaves every pool and index, ``reserved_bytes`` and
+        ``active_bytes`` as they were: ``adds`` are its clock adds, in
+        order, and until the allocator is next called ``n <= pairs``
+        such calls may be made as their clock adds and one
+        ``note_transients(size, n)``.
+
+        ``pairs`` is at least 1 and at most half the least
+        :meth:`AllocatorObserver.idle_events` of the attached observers
+        (unbounded with none), so no skipped hook is one an observer
+        acts on.  ``None`` (nothing done) here."""
         return None
+
+    def _repeats(self, adds: Tuple[float, ...]
+                 ) -> Optional[Tuple[int, Tuple[float, ...]]]:
+        """:meth:`transient_repeat`'s answer for a repeating hit whose
+        clock adds are ``adds``: as many pairs as every observer
+        ignores, or ``None`` when some observer acts within one."""
+        observers = self._observers
+        if not observers:
+            return sys.maxsize, adds
+        pairs = min(observer.idle_events() for observer in observers) // 2
+        return (pairs, adds) if pairs else None
 
     def note_transients(self, size: int, n: int) -> None:
         """What ``n`` pairs :meth:`transient_repeat` answered leave
@@ -262,13 +298,16 @@ class BaseAllocator(ABC):
         """:meth:`note_transients` for ``n`` hits of ``rounded`` bytes
         served by ``cache``: this allocator, or the caching allocator it
         delegates to, which spends the host time and counts its own
-        pairs, as it does inside the calls."""
+        pairs, as it does inside the calls.  Each observer is told of
+        the ``2n`` hooks it did not see."""
         counters = cache._counters
         counters.host_time_us = repeated_add(  # each malloc, each free
             counters.host_time_us, self.device.latency.cached_op_us, 2 * n)
         self._count_pairs(n, rounded)
         if cache is not self:
             cache._count_pairs(n, rounded)
+        for observer in self._observers:
+            observer.skip_events(2 * n)
 
     def _transient_hit(self, cache: "BaseAllocator", ptr: int, size: int,
                        rounded: int) -> None:

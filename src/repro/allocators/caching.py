@@ -215,14 +215,14 @@ class CachingAllocator(BaseAllocator):
                 return rounded
         return super().malloc_free(size)
 
-    def transient_repeat(self, size: int) -> Optional[Tuple[float, ...]]:
+    def transient_repeat(
+            self, size: int) -> Optional[Tuple[int, Tuple[float, ...]]]:
         """A hit :meth:`malloc_free` serves from the cache: its two
-        host-time spends."""
-        if (self._observers or size <= 0
-                or self._best_transient_fit(size)[0] is None):
+        host-time spends, for as many pairs as the observers ignore."""
+        if size <= 0 or self._best_transient_fit(size)[0] is None:
             return None
         us = self.device.latency.cached_op_us
-        return (us, us)
+        return self._repeats((us, us))
 
     def note_transients(self, size: int, n: int) -> None:
         self._note_pairs(self, round_size(size), n)

@@ -118,13 +118,16 @@ class GMLakeAllocator(BaseAllocator):
                 return rounded
         return super().malloc_free(size)
 
-    def transient_repeat(self, size: int) -> Optional[Tuple[float, ...]]:
-        """The small pool's answer below the chunk size, unobserved.  A
-        hit of a chunk or more moves ``_tick`` and ``last_used``, so it
-        never repeats."""
-        if self._observers or not 0 < size < self.config.small_threshold:
+    def transient_repeat(
+            self, size: int) -> Optional[Tuple[int, Tuple[float, ...]]]:
+        """The small pool's hit below the chunk size, bounded by this
+        allocator's observers (the pool has none).  A hit of a chunk or
+        more moves ``_tick`` and ``last_used``, so it never repeats."""
+        if (not 0 < size < self.config.small_threshold
+                or self._small._best_transient_fit(size)[0] is None):
             return None
-        return self._small.transient_repeat(size)
+        us = self.device.latency.cached_op_us
+        return self._repeats((us, us))
 
     def note_transients(self, size: int, n: int) -> None:
         self._note_pairs(self._small, round_size(size), n)

@@ -336,12 +336,23 @@ class TraceRecorder:
         return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
     def to_chrome(self, path: str) -> int:
-        """Write the Chrome trace JSON; returns the event count."""
+        """Write the Chrome trace JSON; returns the event count.
+
+        The bytes ``json.dump(data, separators=(",", ":"))`` writes,
+        one event at a time through the C encoder (``json.dump`` runs
+        the pure-Python one), never holding the encoded document."""
         data = self.chrome_trace()
+        events = data["traceEvents"]
+        encode = json.JSONEncoder(separators=(",", ":")).encode
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, separators=(",", ":"))
-            handle.write("\n")
-        return len(data["traceEvents"])
+            handle.write('{"traceEvents":[')
+            sep = ""
+            for event in events:
+                handle.write(sep + encode(event))
+                sep = ","
+            handle.write('],"displayTimeUnit":'
+                         + encode(data["displayTimeUnit"]) + "}\n")
+        return len(events)
 
     def to_jsonl(self, path: str) -> int:
         """Write one compact JSON object per event; returns the count."""
@@ -382,7 +393,8 @@ class AllocatorTraceObserver(AllocatorObserver):
     alloc/free events records a ``memory`` counter sample (plus the
     very first, so the trace shows the weights' baseline).  Time is
     the owning session's ``elapsed_s`` — the same clock the simulator
-    stamps lifecycle events with.
+    stamps lifecycle events with.  The events between two samples
+    only count, so :meth:`idle_events` vouches for them.
     """
 
     def __init__(self, recorder: TraceRecorder, session,
@@ -407,6 +419,16 @@ class AllocatorTraceObserver(AllocatorObserver):
             self._sample(allocator)
 
     # -- AllocatorObserver hooks ---------------------------------------
+    def idle_events(self) -> int:
+        """The events before the next one :meth:`_tick` samples."""
+        events = self._events
+        if not events:
+            return 0  # the first is sampled
+        return self.every - 1 - events % self.every
+
+    def skip_events(self, n: int) -> None:
+        self._events += n
+
     def on_alloc(self, allocator: BaseAllocator,
                  allocation: Allocation) -> None:
         self._tick(allocator)

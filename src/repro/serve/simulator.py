@@ -675,10 +675,13 @@ class ServingSimulator:
         timeline sample.  The run stops after a step whose workspace op
         moved ``reserved_bytes``, because the next admission would see
         a different view.  When ``allocator.transient_repeat`` vouches
-        that the workspace op is a cached hit that repeats, a step
-        makes only its clock adds.  The workspace counters,
-        ``tokens_done`` and the KV utilization samples are brought up
-        to date once at the end.
+        that the workspace op is a cached hit that repeats, for up to
+        ``pairs`` steps, those steps make only their clock adds and one
+        ``note_transients`` settles the workspace counters.  The step
+        after them makes the op, firing the hooks an observer samples,
+        and the allocator is asked again; unobserved, ``pairs`` is
+        unbounded, so the run is one pass.  ``tokens_done`` and the KV
+        utilization samples are brought up to date once at the end.
         """
         steps = min(min(request.output_tokens - request.tokens_done,
                         request.kv_capacity_tokens - request.context_tokens)
@@ -704,40 +707,45 @@ class ServingSimulator:
         step_factor = self.fault_state.step_factor
         sample = session.sample if self.config.record_timeline else None
         reserved = allocator.reserved_bytes
-        adds = allocator.transient_repeat(ws_bytes)
+        answer = allocator.transient_repeat(ws_bytes)
         done = 0
-        if adds is not None:
-            # The clock's own float adds, in its order, on a copy that
-            # is stored back before anything reads the clock.
-            t_us, start_s = clock.now_us, session.start_s
-            while done < steps:
-                now = t_us / 1e6 - start_s  # session.elapsed_s
-                if (now >= stop_at or land_at <= now + _EPS
-                        or now - oldest > timeout_s):
+        while done < steps:
+            if answer is not None:
+                # The clock's own float adds, in its order, on a copy
+                # that is stored back before anything reads the clock.
+                pairs, adds = answer
+                t_us, start_s, first = clock.now_us, session.start_s, done
+                bound = min(steps, done + pairs)
+                while done < bound:
+                    now = t_us / 1e6 - start_s  # session.elapsed_s
+                    if (now >= stop_at or land_at <= now + _EPS
+                            or now - oldest > timeout_s):
+                        break
+                    t_us += step_us * step_factor()
+                    for us in adds:
+                        t_us += us
+                    done += 1
+                    if sample is not None:
+                        clock.advance_to(t_us)
+                        sample()
+                clock.advance_to(t_us)
+                if done > first:
+                    allocator.note_transients(ws_bytes, done - first)
+                if done < bound or bound == steps:
                     break
-                t_us += step_us * step_factor()
-                for us in adds:
-                    t_us += us
-                done += 1
-                if sample is not None:
-                    clock.advance_to(t_us)
-                    sample()
-            clock.advance_to(t_us)
-            if done:
-                allocator.note_transients(ws_bytes, done)
-        else:
-            while done < steps:
-                now = session.elapsed_s
-                if (now >= stop_at or land_at <= now + _EPS
-                        or now - oldest > timeout_s):
-                    break
-                clock.advance(step_us * step_factor())
-                session.try_malloc_free(ws_bytes)
-                done += 1
-                if sample is not None:
-                    sample()
-                if allocator.reserved_bytes != reserved:
-                    break
+            now = session.elapsed_s
+            if (now >= stop_at or land_at <= now + _EPS
+                    or now - oldest > timeout_s):
+                break
+            clock.advance(step_us * step_factor())
+            session.try_malloc_free(ws_bytes)
+            done += 1
+            if sample is not None:
+                sample()
+            if allocator.reserved_bytes != reserved:
+                break
+            if answer is not None:  # at the bound: ask again
+                answer = allocator.transient_repeat(ws_bytes)
         if done:
             for request in running:
                 request.tokens_done += done

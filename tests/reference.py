@@ -21,7 +21,7 @@ from typing import Any, List, NamedTuple, Sequence
 import pytest
 
 from repro.allocators import CachingAllocator
-from repro.allocators.base import BaseAllocator
+from repro.allocators.base import AllocatorObserver, BaseAllocator
 from repro.analysis import PeakMemoryObserver
 from repro.core import GMLakeAllocator
 from repro.errors import (
@@ -507,6 +507,10 @@ REFERENCE = {
          BaseAllocator.transient_repeat),
         (GMLakeAllocator, "transient_repeat",
          BaseAllocator.transient_repeat)),
+    # No observer vouches for a hook: an observed quiet run calls
+    # malloc_free every step.
+    "observed-repeats": ((AllocatorTraceObserver, "idle_events",
+                          AllocatorObserver.idle_events),),
     "queue-floor": (
         (ServingSimulator, "_queue_floor", no_queue_floor),
         *_entries(MemoryAwareScheduler, ScanOnlyMemoryAware)),

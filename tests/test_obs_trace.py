@@ -16,10 +16,13 @@ import json
 
 import pytest
 
+from repro.allocators import CachingAllocator
 from repro.api import ComponentSpec, component_names
 from repro.cli import main
+from repro.gpu.device import GpuDevice
 from repro.obs import (
     FRONTEND_REPLICA,
+    AllocatorTraceObserver,
     GaugeSampler,
     TraceRecorder,
     sink_spec_for_path,
@@ -36,6 +39,7 @@ from repro.serve import (
 )
 from repro.serve.arrivals import LengthSampler
 from repro.serve.simulator import ServingConfig
+from repro.sim.engine import ReplaySession
 from test_equivalence_goldens import _request_digest
 
 GB = 1 << 30
@@ -168,6 +172,49 @@ class TestRecorder:
         recorder.to_chrome(path)
         data = json.loads(path.read_text(encoding="utf-8"))
         assert validate_chrome_trace(data) > 0
+
+    def test_chrome_export_is_json_dump_byte_for_byte(self, tmp_path):
+        for recorder in (TraceRecorder(), TraceRecorder(memory_every=1)):
+            pressure_run(trace=recorder)
+            path = tmp_path / "trace.json"
+            assert recorder.to_chrome(path) == len(
+                recorder.chrome_trace()["traceEvents"])
+            assert path.read_text(encoding="utf-8") == json.dumps(
+                recorder.chrome_trace(), separators=(",", ":")) + "\n"
+        TraceRecorder().to_chrome(path)
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "traceEvents": [], "displayTimeUnit": "ms"}
+
+    @pytest.mark.parametrize("every", [1, 2, 3, 5, 64])
+    def test_allocator_observer_vouches_for_the_hooks_it_ignores(self,
+                                                                 every):
+        """After any number of hooks, ``idle_events()`` is how many of
+        the next hooks record nothing, the very first hook included;
+        ``skip_events`` of them leaves the next hook sampled."""
+        allocator = CachingAllocator(GpuDevice(capacity=GB))
+        session = ReplaySession(allocator)
+
+        def after(fired):
+            recorder = TraceRecorder()
+            observer = AllocatorTraceObserver(recorder, session, every=every)
+            for _ in range(fired):
+                observer.on_free(allocator, None)
+            return recorder, observer
+
+        for fired in range(3 * every + 2):
+            recorder, observer = after(fired)
+            idle, recorded, quiet = observer.idle_events(), len(recorder), 0
+            while True:
+                observer.on_alloc(allocator, None)
+                if len(recorder) > recorded:
+                    break
+                quiet += 1
+            assert quiet == idle, fired
+            recorder, observer = after(fired)
+            recorded = len(recorder)
+            observer.skip_events(observer.idle_events())
+            observer.on_alloc(allocator, None)
+            assert len(recorder) == recorded + 1, fired
 
     def test_jsonl_export(self, tmp_path):
         recorder = TraceRecorder()

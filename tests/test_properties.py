@@ -15,6 +15,8 @@ from repro.api import component_names, resolve
 from repro.core import GMLakeAllocator, GMLakeConfig
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
+from repro.obs import AllocatorTraceObserver, TraceRecorder
+from repro.sim.engine import ReplaySession
 from repro.sim.timeline import TimelineRecorder
 from repro.units import GB, KB, MB
 
@@ -339,26 +341,41 @@ def _apply(op, args, allocator, live, via):
 
 def _malloc_free_repeat(allocator, size, n, via):
     """``n`` rounds of a step on the clock and ``malloc_free(size)``, as
-    a quiet decode run makes them: one ``transient_repeat`` question,
-    and on an answer only the clock adds and one ``note_transients``.
-    A ``None`` answer must have changed nothing."""
+    a quiet decode run makes them.  A ``transient_repeat`` answer
+    ``(pairs, adds)`` stands for up to ``pairs`` rounds, made as their
+    clock adds and one ``note_transients``; the round after them makes
+    the call, and the allocator is asked again.  A ``None`` answer must
+    have changed nothing, and every round after it makes the call."""
     clock = allocator.device.clock
-    before = _ledger(allocator), _free_blocks(allocator)
-    adds = via["transient_repeat"](allocator, size)
-    if adds is not None:
-        for _ in range(n):
-            clock.advance(STEP_US)
-            for us in adds:
-                clock.advance(us)
-        allocator.note_transients(size, n)
-        return
-    assert (_ledger(allocator), _free_blocks(allocator)) == before
-    for _ in range(n):
+
+    def call():
         clock.advance(STEP_US)
         try:
             via["malloc_free"](allocator, size)
         except OutOfMemoryError:
             pass
+
+    done = 0
+    while done < n:
+        before = _ledger(allocator), _free_blocks(allocator)
+        answer = via["transient_repeat"](allocator, size)
+        if answer is None:
+            assert (_ledger(allocator), _free_blocks(allocator)) == before
+            break
+        pairs, adds = answer
+        assert pairs >= 1
+        repeats = min(pairs, n - done)
+        for _ in range(repeats):
+            clock.advance(STEP_US)
+            for us in adds:
+                clock.advance(us)
+        allocator.note_transients(size, repeats)
+        done += repeats
+        if done < n:
+            call()
+            done += 1
+    for _ in range(n - done):
+        call()
 
 
 class TestEveryRegisteredAllocator:
@@ -372,12 +389,16 @@ class TestEveryRegisteredAllocator:
         _fuzz(name, capacity_mb, ops, observed=False)
 
     @pytest.mark.parametrize("name", component_names("allocator"))
-    @given(capacity_mb=st.sampled_from([64, 128, 256]), ops=OPS)
+    @given(capacity_mb=st.sampled_from([64, 128, 256]), ops=OPS,
+           every=st.integers(1, 5), timeline=st.booleans())
     def test_observed_twin_sees_what_the_loop_shows(self, name, capacity_mb,
-                                                    ops):
+                                                    ops, every, timeline):
         """An observer does not send the run operations back to the
-        loop; it sees the loop's events, at the loop's state."""
-        _fuzz(name, capacity_mb, ops, observed=True)
+        loop; it sees the loop's events, at the loop's state.  A trace
+        observer sampling one hook in ``every`` lets repeated
+        transients skip the hooks between its samples; a timeline
+        beside it acts on every hook, so then none is skipped."""
+        _fuzz(name, capacity_mb, ops, observed=(every, timeline))
 
 
 def _held(allocator):
@@ -409,8 +430,10 @@ def _fuzz(name, capacity_mb, ops, observed):
     """Drive ``ops`` on allocator ``name``, checking its invariants
     after each, against a twin whose run operations are the loops of
     single calls that *define* them.  Without observers the twin exists
-    only for an allocator with run operations of its own; observed,
-    both sides carry a ``TimelineRecorder`` sampling every event."""
+    only for an allocator with run operations of its own; ``observed``
+    is ``(every, timeline)``: both sides carry an
+    ``AllocatorTraceObserver`` sampling one event in ``every`` and,
+    with ``timeline``, a ``TimelineRecorder`` sampling every event."""
     def build():
         return resolve("allocator", name, GpuDevice(capacity=capacity_mb * MB))
 
@@ -424,8 +447,18 @@ def _fuzz(name, capacity_mb, ops, observed):
     if observed or shipped != loops:
         twin = build()
     if observed:
-        recorders = [a.add_observer(TimelineRecorder(a, every=1))
-                     for a in (allocator, twin)]
+        every, timeline = observed
+
+        def watch(a):
+            trace = TraceRecorder()
+            a.add_observer(AllocatorTraceObserver(
+                trace, ReplaySession(a), every=every))
+            if not timeline:
+                return trace.events, []
+            return trace.events, a.add_observer(
+                TimelineRecorder(a, every=1)).points
+
+        seen = [watch(a) for a in (allocator, twin)]
     freed = 0  # bytes the last free returned
     for op, *args in ops:
         if op == "malloc_to_fill":
@@ -438,7 +471,7 @@ def _fuzz(name, capacity_mb, ops, observed):
             assert live == twin_live  # pointers, sizes and ids
             assert _ledger(allocator) == _ledger(twin)
             if observed:
-                assert recorders[0].points == recorders[1].points
+                assert seen[0] == seen[1]
     allocator.free_run(live)
     allocator.empty_cache()
     allocator.check_invariants()

@@ -17,6 +17,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -198,8 +199,9 @@ def _calls(output_tokens, trace=None, slow=()):
 
 
 class TestQuietRunWorkspaceCalls:
-    """A quiet run asks the allocator once whether its workspace hit
-    repeats; unobserved, it then makes no workspace call at all."""
+    """A quiet run asks the allocator whether its workspace hit repeats;
+    unobserved, it then makes no workspace call at all, and traced, it
+    makes one at each hook the trace samples."""
 
     def test_one_workspace_call_per_full_step(self):
         short, long = _calls(40), _calls(160)
@@ -219,3 +221,28 @@ class TestQuietRunWorkspaceCalls:
         assert counts[0] == counts[1]
         assert counts[0]["malloc_free"] >= counts[0]["_decode_step"] + 120
         assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("every", [1, 3, 64])
+    def test_a_traced_run_samples_what_every_call_samples(self, every):
+        """The trace equals the one whose quiet runs call ``malloc_free``
+        every step.  At an odd stride samples land on ``on_alloc``
+        hooks too, where ``active_mb`` includes the workspace."""
+        traces = []
+        for slow in ((), ("observed-repeats",)):
+            trace = TraceRecorder(memory_every=every)
+            _calls(160, trace=trace, slow=slow)
+            traces.append(trace.chrome_trace()["traceEvents"])
+        assert json.dumps(traces[0]) == json.dumps(traces[1])
+        samples = [e for e in traces[0] if e["name"] == "memory (MB)"]
+        assert len(samples) > 160 // every  # not vacuous
+
+    def test_a_traced_run_calls_once_per_sample(self):
+        """At the default stride of 64 a trace samples one hook in 64,
+        so a quiet run calls ``malloc_free`` once in 32 steps, plus one
+        for where between two samples the run starts."""
+        every_step = _calls(160, slow=("transient-repeats",))
+        steps = every_step["malloc_free"] - every_step["_decode_step"]
+        traced = _calls(160, trace=TraceRecorder(memory_every=64))
+        assert traced["_decode_step"] == every_step["_decode_step"]
+        calls = traced["malloc_free"] - traced["_decode_step"]
+        assert 0 < calls <= math.ceil(steps / 32) + 1
