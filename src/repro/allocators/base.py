@@ -271,22 +271,21 @@ class BaseAllocator(ABC):
         such calls may be made as their clock adds and one
         ``note_transients(size, n)``.
 
-        ``pairs`` is at least 1 and at most half the least
-        :meth:`AllocatorObserver.idle_events` of the attached observers
-        (unbounded with none), so no skipped hook is one an observer
-        acts on.  ``None`` (nothing done) here."""
+        ``pairs`` is half the least :meth:`AllocatorObserver.idle_events`
+        of the attached observers (unbounded with none), so no skipped
+        hook is one an observer acts on.  It may be 0: the next call is
+        made, and the caller asks again after it.  ``None`` (nothing
+        done) here: not a repeating hit."""
         return None
 
-    def _repeats(self, adds: Tuple[float, ...]
-                 ) -> Optional[Tuple[int, Tuple[float, ...]]]:
+    def _repeats(self, adds: Tuple[float, ...]) -> Tuple[int, Tuple[float, ...]]:
         """:meth:`transient_repeat`'s answer for a repeating hit whose
         clock adds are ``adds``: as many pairs as every observer
-        ignores, or ``None`` when some observer acts within one."""
+        ignores, 0 when some observer acts within one."""
         observers = self._observers
         if not observers:
             return sys.maxsize, adds
-        pairs = min(observer.idle_events() for observer in observers) // 2
-        return (pairs, adds) if pairs else None
+        return min(observer.idle_events() for observer in observers) // 2, adds
 
     def note_transients(self, size: int, n: int) -> None:
         """What ``n`` pairs :meth:`transient_repeat` answered leave

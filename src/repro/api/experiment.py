@@ -28,12 +28,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from repro.api.registry import SpecError
 from repro.api.result import ExperimentResult
-from repro.api.spec import AllocatorSpec, ComponentSpec, resolve
+from repro.api.spec import AllocatorSpec, ComponentSpec, resolve, resolve_allocator
 from repro.units import A100_80GB, parse_size
+
+if TYPE_CHECKING:
+    from repro.workloads.request import Trace
 
 MODES = ("replay", "cluster", "serve")
 
@@ -446,24 +449,31 @@ def run(
     path to a JSON experiment file.  Each allocator runs on a fresh
     simulated device, exactly as the mode's native runner would — a
     ``replay`` run of a workload is byte-for-byte identical to calling
-    :func:`repro.sim.engine.run_workload` directly.
+    :func:`repro.sim.engine.run_workload` directly.  A ``replay`` run
+    builds its trace once: ``build_trace`` draws from a fresh
+    ``random.Random``, so every allocator would get the same one.
     """
     if isinstance(spec, str):
         spec = ExperimentSpec.load(spec)
     elif isinstance(spec, dict):
         spec = ExperimentSpec.from_dict(spec)
-    runner = {"replay": _run_replay, "cluster": _run_cluster,
-              "serve": _run_serve}[spec.mode]
+    if spec.mode == "replay":
+        trace = spec.workload.build().build_trace()
+        return [_run_replay(spec, allocator, trace)
+                for allocator in spec.allocators]
+    runner = {"cluster": _run_cluster, "serve": _run_serve}[spec.mode]
     return [runner(spec, allocator) for allocator in spec.allocators]
 
 
-def _run_replay(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResult:
-    from repro.sim.engine import run_workload
+def _run_replay(spec: ExperimentSpec, allocator: AllocatorSpec,
+                trace: Trace) -> ExperimentResult:
+    """:func:`repro.sim.engine.run_workload`'s replay of ``trace``."""
+    from repro.gpu.device import GpuDevice
+    from repro.sim.engine import run_trace
 
-    result = run_workload(
-        spec.workload.build(), allocator, capacity=spec.capacity,
-        record_timeline=spec.record_timeline,
-    )
+    device = GpuDevice(capacity=spec.capacity)
+    result = run_trace(resolve_allocator(allocator, device), trace,
+                       record_timeline=spec.record_timeline)
     return ExperimentResult.from_engine(result, label=allocator.label)
 
 

@@ -234,12 +234,13 @@ class GMLakeAllocator(BaseAllocator):
         self.ppool.remove(block)
         left, right = block.split(self.device, left_size)
         left.last_used = right.last_used = self._tick
+        # Each half is stitched into every sBlock the block was: pooled
+        # under its final scan key, not re-keyed once per sBlock.
+        left.sblock_refs = right.sblock_refs = len(referencing)
         self.ppool.add(left)
         self.ppool.add(right)
         for sblock in referencing:
             self.spool.replace_member(sblock, block, [left, right])
-            self.ppool.adjust_refs(left, +1)
-            self.ppool.adjust_refs(right, +1)
         self.counters.splits += 1
         return left, right
 
@@ -359,6 +360,9 @@ class GMLakeAllocator(BaseAllocator):
         )
         self.ppool.check_invariants()
         self.spool.check_invariants(self.ppool)
+        for pblock in self.ppool:  # every sBlock over it, counted once
+            assert pblock.sblock_refs == len(self.spool.referencing(pblock)), (
+                f"pBlock {pblock.id} sblock_refs drifted")
         # Physical accounting matches the pool contents.
         assert self._pblock_bytes == self.ppool.total_bytes, (
             f"pblock byte accounting drifted: {self._pblock_bytes} != "

@@ -14,7 +14,8 @@ look-up derives activity when it reads:
   scanning every sBlock); an sBlock is inactive iff none of its members
   is active (``SBlock.active``), evaluated at look-up.
 
-Only what a sort key is made of must change through the pool API:
+Only what a sort key is made of must change through the pool API
+while its block is pooled:
 ``adjust_refs`` for ``sblock_refs``, ``replace_member`` for an sBlock's
 members.  ``mark_active`` / ``mark_inactive`` exist for the
 ``inactive_bytes`` counter.  ``check_invariants`` re-derives every

@@ -31,7 +31,7 @@ from repro.errors import (
 )
 from repro.gpu.device import GpuDevice
 from repro.gpu.phys import PhysicalMemory
-from repro.gpu.vmm import CudaVmm, _Mapping
+from repro.gpu.vmm import CudaVmm, _Extent
 from repro.obs import AllocatorTraceObserver, GaugeSampler, TraceRecorder
 from repro.serve import (
     MemoryAwareScheduler,
@@ -77,8 +77,9 @@ class Watched:
 # -- VMM sequences: one driver call at a time --------------------------
 class PerCallVmm(CudaVmm):
     """The reference: every sequence issued one driver call at a time,
-    each call checked, looked up and charged on its own.  A batched
-    sequence must leave the clock, the counters, every mapping and every
+    each call checked, looked up and charged on its own, each map one
+    one-chunk record in the table.  A batched sequence must leave the
+    clock, the counters, every mapping (:func:`chunk_view`) and every
     chunk exactly as these do (the clock is a float: no tolerance)."""
 
     def _spend(self, us: float) -> None:
@@ -107,13 +108,13 @@ class PerCallVmm(CudaVmm):
         # fast path the common case.
         maps = self._mappings[va]
         last = maps[-1] if maps else None
-        if last is None or offset >= last.offset + last.size:
+        if last is None or offset >= last.end:
             idx = len(maps)
         else:
             idx = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
             for m in (maps[idx - 1] if idx else None,
                       maps[idx] if idx < len(maps) else None):
-                if m is not None and (offset < m.offset + m.size
+                if m is not None and (offset < m.end
                                       and m.offset < offset + chunk.size):
                     raise CudaInvalidValueError(
                         f"overlapping map at {va:#x}+{offset} "
@@ -122,7 +123,7 @@ class PerCallVmm(CudaVmm):
         self._spend(self._latency.mem_map(chunk.size))
         self.counters.map_calls += 1
         self._phys.retain(handle)
-        maps.insert(idx, _Mapping(offset=offset, size=chunk.size, handle=handle))
+        maps.insert(idx, _Extent(offset, chunk.size, [handle]))
 
     def mem_set_access(self, va: int, offset: int, size: int) -> None:
         """Grant read/write access to ``[va+offset, va+offset+size)``.
@@ -134,19 +135,19 @@ class PerCallVmm(CudaVmm):
             raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
         end = offset + size
         cursor = offset
-        touched: List[_Mapping] = []
+        touched: List[_Extent] = []
         # Binary-search the first mapping that can cover ``offset``; the
         # table is sorted by offset and overlap-free, so the covering
         # run (if any) is contiguous from there.
         idx = bisect.bisect_right(maps, offset, key=lambda m: m.offset)
-        if idx and maps[idx - 1].offset + maps[idx - 1].size > offset:
+        if idx and maps[idx - 1].end > offset:
             idx -= 1
         while idx < len(maps) and maps[idx].offset < end:
             m = maps[idx]
             if m.offset > cursor:
                 break
             touched.append(m)
-            cursor = m.offset + m.size
+            cursor = m.end
             idx += 1
             if cursor >= end:
                 break
@@ -155,7 +156,7 @@ class PerCallVmm(CudaVmm):
                 f"setAccess range [{offset}, {end}) at {va:#x} is not fully mapped"
             )
         for m in touched:
-            self._spend(self._latency.mem_set_access(m.size))
+            self._spend(self._latency.mem_set_access(m.chunk))
             self.counters.set_access_calls += 1
             m.accessible = True
 
@@ -209,7 +210,7 @@ class PerCallVmm(CudaVmm):
         # ``offset`` while it still ends by ``end``.
         lo = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
         hi = lo
-        while hi < len(maps) and maps[hi].offset + maps[hi].size <= end:
+        while hi < len(maps) and maps[hi].end <= end:
             hi += 1
         removed = maps[lo:hi]
         if not removed:
@@ -218,9 +219,18 @@ class PerCallVmm(CudaVmm):
             )
         del maps[lo:hi]
         for m in removed:
-            self._spend(self._latency.mem_unmap(m.size))
+            self._spend(self._latency.mem_unmap(m.chunk))
             self.counters.unmap_calls += 1
-            self._phys.release_ref(m.handle)
+            self._phys.release_ref(m.handles[0])
+
+
+def chunk_view(vmm):
+    """Every reservation's mappings as ``(offset, size, handle,
+    accessible)``, one per chunk: what a VMM twin compares, whatever
+    records the table keeps them in."""
+    return {va: [(m.offset + i * m.chunk, m.chunk, handle, m.accessible)
+                 for m in maps for i, handle in enumerate(m.handles)]
+            for va, maps in vmm._mappings.items()}
 
 
 # -- Paged block runs: every block its own allocation and free ---------
@@ -471,11 +481,31 @@ def one_tick_per_pick(sim, until_s, own_s):
     sim.tick(until_s=until_s)
 
 
-# -- Doomed backs: every chunk created, mapped and rolled back ---------
+# -- Split re-keying: each half re-keyed once per referencing sBlock --
+def rekey_per_sblock(self, block, left_size):
+    """Slow replacement of ``GMLakeAllocator._split``: both halves are
+    pooled unreferenced, then gain their references one ``adjust_refs``
+    per referencing sBlock."""
+    referencing = self.spool.referencing(block)
+    self.ppool.remove(block)
+    left, right = block.split(self.device, left_size)
+    left.last_used = right.last_used = self._tick
+    self.ppool.add(left)
+    self.ppool.add(right)
+    for sblock in referencing:
+        self.spool.replace_member(sblock, block, [left, right])
+        self.ppool.adjust_refs(left, +1)
+        self.ppool.adjust_refs(right, +1)
+    self.counters.splits += 1
+    return left, right
+
+
+# -- Doomed backs: every chunk that fits created and rolled back ------
 def cannot_say(phys, size, n):
     """Slow replacement of ``PhysicalMemory.refuse_creates``: it never
-    answers, so ``CudaVmm.back`` creates, maps and rolls back each
-    chunk of a back that cannot fit."""
+    answers, so ``CudaVmm.back`` creates each chunk of a back that
+    cannot fit, up to the one that fails, and rolls them back (with
+    ``vmm-sequences`` also swapped in, mapping each on the way)."""
     return None
 
 
@@ -494,6 +524,7 @@ REFERENCE = {
     "vmm-sequences": _entries(CudaVmm, PerCallVmm),
     # No back is refused up front: a doomed back carves and rolls back.
     "doomed-backs": ((PhysicalMemory, "refuse_creates", cannot_say),),
+    "split-refs": ((GMLakeAllocator, "_split", rekey_per_sblock),),
     "paged-block-runs": (
         *_entries(PagedKVCache, PerBlockOracle),
         *_entries(SharedPagedKVCache, PerBlockSharedPagedKVCache)),

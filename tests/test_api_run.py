@@ -45,6 +45,22 @@ class TestRunReplay:
         assert via_api.raw == direct
         assert via_api.allocator_name == "gmlake?chunk_size=4MB"
 
+    def test_builds_one_trace_for_every_allocator(self, monkeypatch):
+        built = []
+        build = TrainingWorkload.build_trace
+        monkeypatch.setattr(TrainingWorkload, "build_trace",
+                            lambda workload: built.append(1) or build(workload))
+        names = ["caching", "gmlake", "caching"]
+        results = api.run(tiny_experiment(allocators=names))
+        assert len(built) == 1
+        monkeypatch.undo()
+        workload = TrainingWorkload(
+            TINY["model"], batch_size=TINY["batch_size"],
+            n_gpus=TINY["n_gpus"], strategies=TINY["strategies"],
+            iterations=TINY["iterations"], seed=0)
+        assert [r.raw for r in results] == [run_workload(workload, name)
+                                            for name in names]
+
     def test_one_result_per_allocator(self):
         results = api.run(tiny_experiment(allocators=["caching", "gmlake"]))
         assert [r.allocator_name for r in results] == ["caching", "gmlake"]

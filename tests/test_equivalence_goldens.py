@@ -18,6 +18,7 @@ behaviour) with::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,9 +26,12 @@ from pathlib import Path
 
 import pytest
 
+from reference import reference
+from repro.gpu.device import GpuDevice
 from repro.serve import LengthSampler, MMPPArrivals, PoissonArrivals
 from repro.serve.cluster import run_serving_cluster
 from repro.serve.simulator import run_serving
+from repro.sim import engine
 from repro.sim.engine import run_workload
 from repro.units import GB
 from repro.workloads import TrainingWorkload
@@ -218,3 +222,40 @@ def test_regenerate_goldens():
     goldens = {name: fn() for name, fn in sorted(SCENARIOS.items())}
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True)
                            + "\n", encoding="utf-8")
+
+
+# ----------------------------------------------------------------------
+# GMLake's stitches and splits, one driver call and one re-key at a time
+# ----------------------------------------------------------------------
+def _replayed(name):
+    """Replay cell ``name``; returns its digest and the driver state of
+    its device: clock, VMM and runtime counters, committed and peak
+    bytes, next chunk handle."""
+    devices = []
+
+    class Kept(GpuDevice):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            devices.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "GpuDevice", Kept)
+        digest = SCENARIOS[name]()
+    (device,) = devices
+    phys = device.phys
+    return (digest, device.clock.now_us, device.vmm.counters.snapshot(),
+            dataclasses.asdict(device.runtime.counters),
+            (phys.committed, phys.peak_committed, phys._next_handle))
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SCENARIOS
+                                        if n.startswith("replay/")
+                                        and "gmlake" in n))
+def test_gmlake_replay_equals_per_call_maps_and_per_sblock_rekeys(name):
+    """A stitch or split maps its chunks as one record, and a split
+    pools its halves under their final references: the same run as
+    every map its own call and each half re-keyed once per sBlock."""
+    shipped = _replayed(name)
+    with reference("vmm-sequences", "split-refs"):
+        assert _replayed(name) == shipped
+    assert shipped[2]["map_calls"] > 0  # not vacuous

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import PerCallVmm
+from reference import PerCallVmm, chunk_view
 from repro.errors import (
     CudaError,
     CudaInvalidAddressError,
@@ -15,7 +15,6 @@ from repro.errors import (
 )
 from repro.gpu.device import GpuDevice
 from repro.gpu.phys import PhysicalMemory
-from repro.gpu.vmm import _Mapping
 from repro.testing import FlakyDevice
 from repro.units import GB, MB
 
@@ -252,9 +251,7 @@ def vmm_state(device):
     return {
         "now_us": device.clock.now_us,
         "counters": vmm.counters.snapshot(),
-        "mappings": {va: (vmm.mappings_at(va),
-                          [m.accessible for m in vmm._mappings[va]])
-                     for va in vmm._mappings},
+        "mappings": chunk_view(vmm),
         "phys": (phys.committed, phys.peak_committed, phys._next_handle,
                  {h: (c.size, c.refcount, c.released)
                   for h, c in phys._chunks.items()}),
@@ -264,17 +261,32 @@ def vmm_state(device):
     }
 
 
+def _outcome(device, name, args):
+    """``device.vmm.name(*args)``: ``("ok", result)`` or the exception's
+    class name and ``None``."""
+    try:
+        return "ok", getattr(device.vmm, name)(*args)
+    except CudaError as exc:
+        return type(exc).__name__, None
+
+
 class VmmTwins:
     """Two devices, one on :class:`CudaVmm` and one on
     :class:`PerCallVmm`; every call goes to both."""
 
     def __init__(self, capacity, make=GpuDevice):
-        self.fast = make(capacity=capacity)
-        self.ref = make(capacity=capacity)
-        ref = self.ref
-        ref.vmm = PerCallVmm(ref.phys, ref.vaspace, ref.clock, ref.latency)
+        self.make = functools.partial(make, capacity=capacity)
+        self.fast = self.make()
+        self.ref = self.reference()
+        self.log = []  # every call the reference was made
+        self.refused = None  # the last refusal, on a replay of the log
         self.vas = []  # every reserved address, live or freed
-        self.diverged = False
+
+    def reference(self):
+        device = self.make()
+        device.vmm = PerCallVmm(device.phys, device.vaspace, device.clock,
+                                device.latency)
+        return device
 
     def call(self, name, *args):
         """Run ``name(*args)`` on both sides: the same result or the
@@ -284,16 +296,12 @@ class VmmTwins:
         handle first and touches no chunk, where the reference fails at
         the first bad call, after the calls before it.  On the way there
         a ``back`` may run out of memory instead, or, if its range runs
-        past the reservation, be refused for an overlap first.  The
-        states differ from then on: :attr:`diverged` is set."""
+        past the reservation, be refused for an overlap first.  So the
+        reference meets such a call on a replay of the log
+        (:attr:`refused`), and is then made what the refusal leaves: a
+        ``back`` nothing, an ``alias`` its reservation."""
         before = vmm_state(self.fast)
-        outcomes = []
-        for device in (self.fast, self.ref):
-            try:
-                outcomes.append(("ok", getattr(device.vmm, name)(*args)))
-            except CudaError as exc:
-                outcomes.append((type(exc).__name__, None))
-        kind, result = outcomes[0]
+        kind, result = _outcome(self.fast, name, args)
         if name in ("back", "alias") and kind not in (
                 "ok", "CudaOutOfMemoryError"):
             allowed = {kind}
@@ -301,16 +309,24 @@ class VmmTwins:
                 allowed.add("CudaOutOfMemoryError")
                 if kind == "CudaInvalidAddressError":
                     allowed.add("CudaInvalidValueError")
-            assert outcomes[1][0] in allowed, (name, args)
+            self.refused = self.reference()
+            for logged in self.log:
+                _outcome(self.refused, *logged)
+            assert _outcome(self.refused, name, args)[0] in allowed, (
+                name, args)
             after = vmm_state(self.fast)
             assert after["phys"] == before["phys"]  # none made or retained
             if name == "back":
                 assert after == before
-            self.diverged = True
-            return kind
-        assert outcomes[0] == outcomes[1], (name, args)
-        if kind == "ok" and name in ("mem_address_reserve", "alias"):
-            self.vas.append(result)
+                return kind
+            self.log.append(("mem_address_reserve", (len(args[0]) * args[1],)))
+            self.vas.append(_outcome(self.ref, *self.log[-1])[1])
+        else:
+            self.log.append((name, args))
+            assert (kind, result) == _outcome(self.ref, name, args), (
+                name, args)
+            if kind == "ok" and name in ("mem_address_reserve", "alias"):
+                self.vas.append(result)
         assert vmm_state(self.fast) == vmm_state(self.ref)
         return kind
 
@@ -331,8 +347,8 @@ class VmmTwins:
 
     def frontier(self, va):
         """Where the last mapping at ``va`` ends (0 if none)."""
-        maps = self.ref.vmm._mappings.get(va) or [_Mapping(0, 0, 0)]
-        return maps[-1].offset + maps[-1].size
+        maps = self.ref.vmm._mappings.get(va)
+        return maps[-1].end if maps else 0
 
     def span(self, va, offset, units):
         """``units`` granules, or up to the end of the reservation."""
@@ -343,7 +359,7 @@ class VmmTwins:
 
     def cuts(self, va, offset, size):
         """True if ``[offset, offset+size)`` cuts a mapping at ``va``."""
-        return any(m.offset < edge < m.offset + m.size
+        return any(m.offset < edge < m.end
                    for m in self.ref.vmm._mappings.get(va) or []
                    for edge in (offset, offset + size))
 
@@ -351,16 +367,28 @@ class VmmTwins:
 U = 2 * MB  # the granularity; fuzzed offsets and sizes are multiples
 VA = st.integers(0, 99)  # see VmmTwins.va
 AT = st.integers(-1, 7)  # granules; -1: back / map at the frontier, else 0
+RANGE_OP = st.sampled_from(["mem_unmap", "mem_set_access"])
 BACK = st.tuples(st.just("back"), VA, AT, st.integers(-1, 5),
                  st.sampled_from([U, 2 * U]))
+# From the frontier to the end of the reservation: a back that fits.
+GROW = st.tuples(st.just("back"), VA, st.just(-1), st.just(-1),
+                 st.sampled_from([U, 2 * U]))
+# From one mapped chunk to the end of another: a range that ends
+# inside a record, as an arena's trim does.
+CHUNKS = st.tuples(st.just("chunks"), VA, st.integers(0, 99),
+                   st.integers(0, 99), RANGE_OP)
 VMM_STEP = st.one_of(  # (op, va index, ...); back weighted up
-    BACK, BACK,
+    BACK, GROW, GROW,
     st.tuples(st.just("alias"), VA,
               st.lists(st.integers(0, 99), min_size=1, max_size=16),
-              st.sampled_from([U, 2 * U]), st.integers(0, 4)),
+              st.sampled_from([U, 2 * U]), st.integers(0, 4),
+              st.booleans()),
     st.tuples(st.just("unmap"), VA, AT, st.integers(-1, 6)),
     st.tuples(st.just("unmap"), VA, st.just(0), st.just(-1)),
     st.tuples(st.just("set_access"), VA, AT, st.integers(-1, 6)),
+    CHUNKS, CHUNKS,
+    # Half a granule off: a range that cuts a chunk.
+    st.tuples(st.just("cut"), VA, AT, st.integers(0, 6), RANGE_OP),
     st.tuples(st.just("map"), VA, AT, st.integers(0, 99)),
     st.tuples(st.just("release"), VA, st.integers(0, 99)),
     st.tuples(st.just("create"), VA, st.sampled_from([U, 2 * U, 3 * MB])),
@@ -375,24 +403,25 @@ def _pick(seq, i, default):
 
 class TestSequencesMatchOneCallAtATime:
     """Random driver traffic on small devices, where ``back`` runs out
-    of memory mid-range, ``alias`` re-maps released and repeated
-    chunks and ranges are refused for every reason the driver has."""
+    of memory mid-range or on a create a fault injector fails, ``alias``
+    re-maps released and repeated chunks and ranges are refused for
+    every reason the driver has."""
 
     @given(capacity_units=st.integers(3, 12),
            reserved=st.lists(st.integers(1, 8), min_size=1, max_size=3),
-           steps=st.lists(VMM_STEP, min_size=4, max_size=80))
+           steps=st.lists(VMM_STEP, min_size=12, max_size=40),
+           fail_on=st.lists(st.integers(1, 24), max_size=3))
     def test_same_state_after_every_call(self, capacity_units, reserved,
-                                         steps):
-        twins = VmmTwins(capacity_units * U)
+                                         steps, fail_on):
+        twins = VmmTwins(capacity_units * U, make=functools.partial(
+            FlakyDevice, fail_on=fail_on))
         for units in reserved:
             twins.call("mem_address_reserve", units * U)
         for op, i, *args in steps:
-            if twins.diverged:
-                return
             va = twins.va(i)
             if op in ("back", "map"):
                 at = twins.frontier(va) if args[0] < 0 else args[0] * U
-            elif op in ("unmap", "set_access"):
+            elif op in ("unmap", "set_access", "cut"):
                 at = max(args[0], 0) * U
             if op == "reserve":
                 twins.call("mem_address_reserve", args[0] * U)
@@ -402,10 +431,12 @@ class TestSequencesMatchOneCallAtATime:
                 units, chunk = args[1:]
                 twins.call("back", va, at, twins.span(va, at, units), chunk)
             elif op == "alias":
-                picks, chunk, spoil = args
+                picks, chunk, spoil, repeat = args
                 live = [h for h, c in twins.ref.phys._chunks.items()
                         if c.size == chunk]
                 chosen = [_pick(live, p, None) for p in picks]
+                if repeat:  # the first handle again, next to itself
+                    chosen.insert(1, chosen[0])
                 if spoil == 0:  # one handle becomes one no chunk has
                     chosen[picks[0] % len(chosen)] = 10 ** 6
                 if None not in chosen:
@@ -413,17 +444,28 @@ class TestSequencesMatchOneCallAtATime:
             elif op == "map":
                 twins.call("mem_map", va, at,
                            _pick(twins.handles(), args[1], 10 ** 6))
-            elif op in ("unmap", "set_access"):
-                size = twins.span(va, at, args[1])
-                if op == "set_access":
-                    twins.call("mem_set_access", va, at, size)
-                elif twins.cuts(va, at, size):
+            elif op in ("unmap", "set_access", "chunks", "cut"):
+                if op == "chunks":
+                    mapped = (twins.ref.vmm.mappings_at(va)
+                              if va in twins.ref.vmm._mappings else [])
+                    if not mapped:
+                        continue
+                    first, last = sorted(_pick(mapped, p, None)
+                                         for p in args[:2])
+                    at, size = first[0], last[0] + last[1] - first[0]
+                    name = args[2]
+                elif op == "cut":
+                    at, size, name = at + MB, args[1] * U, args[2]
+                else:
+                    size = twins.span(va, at, args[1])
+                    name = f"mem_{op}"
+                if name == "mem_unmap" and twins.cuts(va, at, size):
                     before = vmm_state(twins.fast)
                     with pytest.raises(CudaInvalidValueError):
                         twins.fast.vmm.mem_unmap(va, at, size)
                     assert vmm_state(twins.fast) == before
                 else:
-                    twins.call("mem_unmap", va, at, size)
+                    twins.call(name, va, at, size)
             elif op == "release":
                 twins.call("mem_release",
                            _pick(twins.handles(), args[0], 10 ** 6))
@@ -474,9 +516,34 @@ class TestSequenceCases:
         va = twins.vas[-1]
         assert twins.call("back", va, 0, 5 * U, U) == "ok"
         assert twins.call("back", va, at * U, units * U, U) == error
-        assert twins.diverged
-        assert twins.ref.vmm.counters.create_calls > 5
+        assert twins.refused.vmm.counters.create_calls > 5
         assert twins.fast.vmm.counters.create_calls == 5
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (2, 6), (1, 4), (3, 4)])
+    def test_a_range_inside_one_back_splits_its_record(self, lo, hi):
+        # One record of six chunks; an arena's trim is (2, 6).
+        twins = VmmTwins(16 * U)
+        twins.call("mem_address_reserve", 6 * U)
+        va = twins.vas[-1]
+        assert twins.call("back", va, 0, 6 * U, U) == "ok"
+        assert twins.call("mem_set_access", va, lo * U + MB,
+                          (hi - lo) * U - 2 * MB) == "ok"
+        assert twins.call("mem_unmap", va, lo * U, (hi - lo) * U) == "ok"
+        assert twins.call("back", va, lo * U, (hi - lo) * U, U) == "ok"
+        assert twins.call("mem_unmap", va, 0, hi * U) == "ok"
+        assert len(twins.fast.vmm.mappings_at(va)) == 6 - hi
+
+    def test_an_unmap_that_cuts_a_chunk_of_a_record_is_refused(self):
+        twins = VmmTwins(16 * U)
+        twins.call("mem_address_reserve", 6 * U)
+        va = twins.vas[-1]
+        assert twins.call("back", va, 0, 6 * U, 2 * U) == "ok"
+        before = vmm_state(twins.fast)
+        for offset, size in ((U, 2 * U), (2 * U, 3 * U), (U, 4 * U)):
+            with pytest.raises(CudaInvalidValueError):
+                twins.fast.vmm.mem_unmap(va, offset, size)
+            assert vmm_state(twins.fast) == before
+        assert twins.call("mem_unmap", va, 2 * U, 2 * U) == "ok"
 
     def test_alias_maps_a_repeated_handle_twice(self):
         twins = VmmTwins(8 * U)

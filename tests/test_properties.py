@@ -3,6 +3,7 @@ sequences (hypothesis drives alloc/free interleavings), and a guard
 that the nightly CI job reruns every module using hypothesis."""
 
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -344,8 +345,10 @@ def _malloc_free_repeat(allocator, size, n, via):
     a quiet decode run makes them.  A ``transient_repeat`` answer
     ``(pairs, adds)`` stands for up to ``pairs`` rounds, made as their
     clock adds and one ``note_transients``; the round after them makes
-    the call, and the allocator is asked again.  A ``None`` answer must
-    have changed nothing, and every round after it makes the call."""
+    the call, and the allocator is asked again.  ``pairs`` is exactly
+    half the hooks every observer ignores (0 with one to go: the round
+    makes the call).  A ``None`` answer must have changed nothing, and
+    every round after it makes the call."""
     clock = allocator.device.clock
 
     def call():
@@ -363,13 +366,16 @@ def _malloc_free_repeat(allocator, size, n, via):
             assert (_ledger(allocator), _free_blocks(allocator)) == before
             break
         pairs, adds = answer
-        assert pairs >= 1
+        observers = allocator._observers
+        assert pairs == (min(o.idle_events() for o in observers) // 2
+                         if observers else sys.maxsize)
         repeats = min(pairs, n - done)
         for _ in range(repeats):
             clock.advance(STEP_US)
             for us in adds:
                 clock.advance(us)
-        allocator.note_transients(size, repeats)
+        if repeats:
+            allocator.note_transients(size, repeats)
         done += repeats
         if done < n:
             call()

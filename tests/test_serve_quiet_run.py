@@ -222,7 +222,7 @@ class TestQuietRunWorkspaceCalls:
         assert counts[0]["malloc_free"] >= counts[0]["_decode_step"] + 120
         assert traces[0] == traces[1]
 
-    @pytest.mark.parametrize("every", [1, 3, 64])
+    @pytest.mark.parametrize("every", [1, 3, 5, 64])
     def test_a_traced_run_samples_what_every_call_samples(self, every):
         """The trace equals the one whose quiet runs call ``malloc_free``
         every step.  At an odd stride samples land on ``on_alloc``
@@ -235,6 +235,15 @@ class TestQuietRunWorkspaceCalls:
         assert json.dumps(traces[0]) == json.dumps(traces[1])
         samples = [e for e in traces[0] if e["name"] == "memory (MB)"]
         assert len(samples) > 160 // every  # not vacuous
+
+    @pytest.mark.parametrize("every, calls", [(3, 104), (5, 63), (64, 5)])
+    def test_a_traced_run_asks_again_after_every_call(self, every, calls):
+        """Of 156 quiet steps, a step whose trace ignores fewer than two
+        hooks makes its call and asks again (an answer of zero pairs),
+        so an odd stride still repeats between its samples: every
+        step would make 156 calls, a stride of 3 makes 104."""
+        traced = _calls(160, trace=TraceRecorder(memory_every=every))
+        assert traced["malloc_free"] - traced["_decode_step"] == calls
 
     def test_a_traced_run_calls_once_per_sample(self):
         """At the default stride of 64 a trace samples one hook in 64,
