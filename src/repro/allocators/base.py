@@ -93,6 +93,10 @@ class AllocatorObserver:
     a serving lifecycle trace, which samples one hook in ``every``).
     """
 
+    #: The most :meth:`idle_events` ever answers.  Below 2 no pair of
+    #: hooks is ever skipped, so no repeat is asked for.
+    idle_span = 0
+
     def idle_events(self) -> int:
         """How many of the coming ``on_alloc`` / ``on_free`` hooks would
         do nothing but count; 0 (the default): it acts on every hook."""
@@ -275,17 +279,22 @@ class BaseAllocator(ABC):
         of the attached observers (unbounded with none), so no skipped
         hook is one an observer acts on.  It may be 0: the next call is
         made, and the caller asks again after it.  ``None`` (nothing
-        done) here: not a repeating hit."""
+        done) here: not a repeating hit, or one no pair of which an
+        observer ever ignores (:attr:`AllocatorObserver.idle_span`)."""
         return None
 
-    def _repeats(self, adds: Tuple[float, ...]) -> Tuple[int, Tuple[float, ...]]:
+    def _repeats(self, adds: Tuple[float, ...]
+                 ) -> Optional[Tuple[int, Tuple[float, ...]]]:
         """:meth:`transient_repeat`'s answer for a repeating hit whose
         clock adds are ``adds``: as many pairs as every observer
-        ignores, 0 when some observer acts within one."""
-        observers = self._observers
-        if not observers:
-            return sys.maxsize, adds
-        return min(observer.idle_events() for observer in observers) // 2, adds
+        ignores, 0 when some observer acts within one, ``None`` when
+        some observer acts within every one."""
+        pairs = sys.maxsize
+        for observer in self._observers:
+            if observer.idle_span < 2:
+                return None
+            pairs = min(pairs, observer.idle_events() // 2)
+        return pairs, adds
 
     def note_transients(self, size: int, n: int) -> None:
         """What ``n`` pairs :meth:`transient_repeat` answered leave

@@ -10,7 +10,7 @@ is what the paper's "reserved memory" metric measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.errors import CudaInvalidValueError, CudaOutOfMemoryError
 from repro.units import fmt_bytes
@@ -93,30 +93,6 @@ class PhysicalMemory:
         self.committed += size
         self.peak_committed = max(self.peak_committed, self.committed)
         return handle
-
-    def create_run(self, size: int, n: int, made: List[int]) -> None:
-        """``n`` :meth:`create` calls of ``size`` bytes in a row, made in
-        one pass: each new handle is appended to ``made``, so when a
-        create raises, ``made`` holds the handles made before it.  A
-        fault injector (:class:`repro.testing.FlakyDevice`) that replaced
-        ``create`` is called once per chunk."""
-        if "create" in vars(self):
-            for _ in range(n):
-                made.append(self.create(size))
-            return
-        if size <= 0:
-            raise CudaInvalidValueError(f"cuMemCreate size must be positive, got {size}")
-        fit = min(n, self.free // size)
-        first = self._next_handle
-        self._next_handle = first + fit
-        chunks = self._chunks
-        for handle in range(first, first + fit):
-            chunks[handle] = PhysicalChunk(handle=handle, size=size)
-        made.extend(range(first, first + fit))
-        self.committed += fit * size
-        self.peak_committed = max(self.peak_committed, self.committed)
-        if fit < n:
-            raise CudaOutOfMemoryError(size, self.free, self.capacity)
 
     def get(self, handle: int) -> PhysicalChunk:
         """Look up a live chunk by handle."""

@@ -255,7 +255,8 @@ class CudaVmm:
                 raise CudaOutOfMemoryError(chunk_size, free, phys.capacity)
         handles: List[int] = []
         try:
-            phys.create_run(chunk_size, n, handles)
+            for _ in range(n):
+                handles.append(phys.create(chunk_size))
         except CudaOutOfMemoryError:
             phys.release_refs(handles)  # their creation references
             self._fail_back(len(handles), chunk_size)

@@ -405,6 +405,7 @@ class AllocatorTraceObserver(AllocatorObserver):
         self.session = session
         self.replica = replica
         self.every = every
+        self.idle_span = every - 1
         self._events = 0
 
     def _sample(self, allocator: BaseAllocator) -> None:

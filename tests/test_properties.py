@@ -347,7 +347,8 @@ def _malloc_free_repeat(allocator, size, n, via):
     clock adds and one ``note_transients``; the round after them makes
     the call, and the allocator is asked again.  ``pairs`` is exactly
     half the hooks every observer ignores (0 with one to go: the round
-    makes the call).  A ``None`` answer must have changed nothing, and
+    makes the call).  A ``None`` answer (not a repeating hit, or an
+    observer that ignores no pair) must have changed nothing, and
     every round after it makes the call."""
     clock = allocator.device.clock
 

@@ -180,21 +180,23 @@ def _calls(output_tokens, trace=None, slow=()):
     """Serve four requests that arrive together on one GMLake replica
     whose 512-token chunks never grow (after admission, one quiet run
     to the last step), with the groups ``slow`` swapped in; returns how
-    often ``malloc_free`` and ``_decode_step`` ran."""
+    often ``malloc_free``, ``transient_repeat`` and ``_decode_step``
+    ran."""
     counts = Counter()
     requests = [ServeRequest(req_id=i, arrival_s=0.0, prompt_tokens=64,
                              output_tokens=output_tokens) for i in range(4)]
-    with pytest.MonkeyPatch.context() as patch:
+    with reference(*slow) if slow else contextlib.nullcontext(), \
+            pytest.MonkeyPatch.context() as patch:
         for owner, name in ((GMLakeAllocator, "malloc_free"),
+                            (GMLakeAllocator, "transient_repeat"),
                             (ServingSimulator, "_decode_step")):
-            def counting(*args, _shipped=getattr(owner, name), _name=name):
+            def counting(*args, _called=getattr(owner, name), _name=name):
                 counts[_name] += 1
-                return _shipped(*args)
+                return _called(*args)
             patch.setattr(owner, name, counting)
-        with reference(*slow) if slow else contextlib.nullcontext():
-            run_serving(requests, MODEL, allocator="gmlake",
-                        kv_cache="chunked?chunk_tokens=512",
-                        config=_config(), trace=trace)
+        run_serving(requests, MODEL, allocator="gmlake",
+                    kv_cache="chunked?chunk_tokens=512",
+                    config=_config(), trace=trace)
     return counts
 
 
@@ -244,6 +246,15 @@ class TestQuietRunWorkspaceCalls:
         step would make 156 calls, a stride of 3 makes 104."""
         traced = _calls(160, trace=TraceRecorder(memory_every=every))
         assert traced["malloc_free"] - traced["_decode_step"] == calls
+
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_a_trace_that_samples_every_pair_is_asked_once(self, every):
+        """A stride of 1 or 2 never leaves a pair of hooks unsampled,
+        so the allocator answers ``None`` once and every step makes
+        its call, with no question before each."""
+        traced = _calls(160, trace=TraceRecorder(memory_every=every))
+        assert traced["malloc_free"] - traced["_decode_step"] == 156
+        assert traced["transient_repeat"] == 1
 
     def test_a_traced_run_calls_once_per_sample(self):
         """At the default stride of 64 a trace samples one hook in 64,
