@@ -212,12 +212,27 @@ class BaseAllocator(ABC):
         transient workspace); returns the rounded size it held.
 
         An OOM propagates from the malloc.  These two calls are the
-        definition, as the loops are for the run operations: an
-        overriding allocator must leave exactly the state they leave.
+        definition, as the loops are for the run operations; a hit
+        :meth:`_transient_fit` names is :meth:`_transient_hit` instead.
         """
+        if size > 0:
+            fit = self._transient_fit(size)
+            if fit is not None:
+                cache, ptr, rounded = fit
+                self._transient_hit(cache, ptr, size, rounded)
+                return rounded
         allocation = self.malloc(size)
         self.free(allocation)
         return allocation.rounded_size
+
+    def _transient_fit(self, size: int) -> Optional[Tuple["BaseAllocator", int, int]]:
+        """``(cache, ptr, rounded)`` when ``cache``'s pooled best fit at
+        ``ptr`` serves ``malloc(size)`` (``size > 0``) and the ``free``
+        merges any split-off remainder straight back (the block's
+        neighbours are allocated, or it would have been coalesced), so
+        every pool and index is left as it was; ``cache`` is as for
+        :meth:`_note_pairs`.  ``None`` here: this class caches nothing."""
+        return None
 
     # -- the live table's transitions, shared by the single calls
     # -- above and by subclasses that override the run operations.
@@ -278,10 +293,15 @@ class BaseAllocator(ABC):
         ``pairs`` is half the least :meth:`AllocatorObserver.idle_events`
         of the attached observers (unbounded with none), so no skipped
         hook is one an observer acts on.  It may be 0: the next call is
-        made, and the caller asks again after it.  ``None`` (nothing
-        done) here: not a repeating hit, or one no pair of which an
-        observer ever ignores (:attr:`AllocatorObserver.idle_span`)."""
-        return None
+        made, and the caller asks again after it.  Every hit
+        :meth:`_transient_fit` names repeats, its adds the two host-time
+        spends; ``None`` (nothing done): no such hit, or one no pair of
+        which an observer ever ignores
+        (:attr:`AllocatorObserver.idle_span`)."""
+        if size <= 0 or self._transient_fit(size) is None:
+            return None
+        us = self.device.latency.cached_op_us
+        return self._repeats((us, us))
 
     def _repeats(self, adds: Tuple[float, ...]
                  ) -> Optional[Tuple[int, Tuple[float, ...]]]:

@@ -195,56 +195,17 @@ class CachingAllocator(BaseAllocator):
             pass
         return run
 
-    def malloc_free(self, size: int) -> int:
-        """The base class's pair, minus its four pool updates, when the
-        pool's best fit serves it.
-
-        That block's neighbours are allocated (or it would have been
-        coalesced with them), so the malloc hands it out whole or
-        splits off a free remainder beside it, and the free merges
-        that remainder straight back: the same ``Block`` with the same
-        size and links, the pools and every index as they were.  What
-        the pair leaves is :meth:`_transient_hit`'s: its two host-time
-        spends, the counters and, observed, both hooks.  With no cached
-        fit (a new segment, OOM, release-and-retry) the base class's
-        two calls run.
-        """
-        if size > 0:
-            rounded = self._cached_transient(self, size)
-            if rounded is not None:
-                return rounded
-        return super().malloc_free(size)
-
-    def transient_repeat(
-            self, size: int) -> Optional[Tuple[int, Tuple[float, ...]]]:
-        """A hit :meth:`malloc_free` serves from the cache: its two
-        host-time spends, for as many pairs as the observers ignore."""
-        if size <= 0 or self._best_transient_fit(size)[0] is None:
-            return None
-        us = self.device.latency.cached_op_us
-        return self._repeats((us, us))
+    def _transient_fit(self, size: int) -> Optional[Tuple[BaseAllocator, int, int]]:
+        """The pool's best fit for ``malloc(size)``, served by this
+        allocator; with none (a new segment, OOM, release-and-retry)
+        ``malloc_free`` makes its two calls."""
+        rounded = round_size(size)
+        block = self._free_pools[pool_for(rounded)].first_at_least(
+            (rounded, 0))
+        return None if block is None else (self, block.ptr, rounded)
 
     def note_transients(self, size: int, n: int) -> None:
         self._note_pairs(self, round_size(size), n)
-
-    def _best_transient_fit(self, size: int) -> "tuple[Optional[Block], int]":
-        """The pooled best fit for ``malloc(size)`` (``size > 0``), or
-        ``None``, and the rounded size."""
-        rounded = round_size(size)
-        return (self._free_pools[pool_for(rounded)].first_at_least(
-            (rounded, 0)), rounded)
-
-    def _cached_transient(self, owner: BaseAllocator,
-                          size: int) -> Optional[int]:
-        """``owner``'s ``malloc_free(size)`` (``size > 0``) when this
-        allocator's best fit serves it: the rounded size, or ``None``
-        with nothing done when no cached block fits.  ``owner`` is this
-        allocator or one that delegates its small requests here."""
-        block, rounded = self._best_transient_fit(size)
-        if block is None:
-            return None
-        owner._transient_hit(self, block.ptr, size, rounded)
-        return rounded
 
     def _carve(self, pool: str, rounded: int, want: int) -> List[Block]:
         """Up to ``want`` back-to-back mallocs of ``rounded`` bytes, as

@@ -450,8 +450,9 @@ def run(
     simulated device, exactly as the mode's native runner would — a
     ``replay`` run of a workload is byte-for-byte identical to calling
     :func:`repro.sim.engine.run_workload` directly.  A ``replay`` run
-    builds its trace once: ``build_trace`` draws from a fresh
-    ``random.Random``, so every allocator would get the same one.
+    builds its trace once, and a ``cluster`` run each rank's trace
+    once: ``build_trace`` draws from a fresh ``random.Random``, so
+    every allocator would get the same one.
     """
     if isinstance(spec, str):
         spec = ExperimentSpec.load(spec)
@@ -461,8 +462,13 @@ def run(
         trace = spec.workload.build().build_trace()
         return [_run_replay(spec, allocator, trace)
                 for allocator in spec.allocators]
-    runner = {"cluster": _run_cluster, "serve": _run_serve}[spec.mode]
-    return [runner(spec, allocator) for allocator in spec.allocators]
+    if spec.mode == "cluster":
+        from repro.sim.cluster import _rank_traces
+
+        traces = _rank_traces(spec.workload.build())
+        return [_run_cluster(spec, allocator, traces)
+                for allocator in spec.allocators]
+    return [_run_serve(spec, allocator) for allocator in spec.allocators]
 
 
 def _run_replay(spec: ExperimentSpec, allocator: AllocatorSpec,
@@ -477,12 +483,13 @@ def _run_replay(spec: ExperimentSpec, allocator: AllocatorSpec,
     return ExperimentResult.from_engine(result, label=allocator.label)
 
 
-def _run_cluster(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResult:
-    from repro.sim.cluster import run_cluster
+def _run_cluster(spec: ExperimentSpec, allocator: AllocatorSpec,
+                 traces: List[Trace]) -> ExperimentResult:
+    """:func:`repro.sim.cluster.run_cluster` over the ranks' ``traces``."""
+    from repro.sim.cluster import _replay_ranks
 
-    result = run_cluster(spec.workload.build(), allocator,
-                         capacity=spec.capacity,
-                         record_timeline=spec.record_timeline)
+    result = _replay_ranks(traces, allocator, spec.capacity,
+                           spec.record_timeline)
     return ExperimentResult.from_cluster(result, label=allocator.label)
 
 

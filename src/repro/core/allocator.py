@@ -106,28 +106,15 @@ class GMLakeAllocator(BaseAllocator):
                 self.counters.record_state(FitState.OOM)
                 raise self._oom(rounded) from None
 
-    def malloc_free(self, size: int) -> int:
-        """The base class's pair; below the chunk size, when the small
-        pool's cache serves it, that pool's shortcut with this
-        allocator's hooks and counters.  A miss (its OOM propagates
-        with no reclaim, as from ``malloc``) or a transient of a chunk
-        or more keeps the two calls."""
-        if 0 < size < self.config.small_threshold:
-            rounded = self._small._cached_transient(self, size)
-            if rounded is not None:
-                return rounded
-        return super().malloc_free(size)
-
-    def transient_repeat(
-            self, size: int) -> Optional[Tuple[int, Tuple[float, ...]]]:
-        """The small pool's hit below the chunk size, bounded by this
-        allocator's observers (the pool has none).  A hit of a chunk or
-        more moves ``_tick`` and ``last_used``, so it never repeats."""
-        if (not 0 < size < self.config.small_threshold
-                or self._small._best_transient_fit(size)[0] is None):
-            return None
-        us = self.device.latency.cached_op_us
-        return self._repeats((us, us))
+    def _transient_fit(self, size: int) -> Optional[Tuple[BaseAllocator, int, int]]:
+        """The small pool's fit below the chunk size, served with this
+        allocator's hooks and counters.  A transient of a chunk or more
+        moves ``_tick`` and ``last_used``, so it is never a hit: it
+        makes the two calls, as does a small miss (whose OOM propagates
+        with no reclaim, as from ``malloc``)."""
+        if size < self.config.small_threshold:
+            return self._small._transient_fit(size)
+        return None
 
     def note_transients(self, size: int, n: int) -> None:
         self._note_pairs(self._small, round_size(size), n)

@@ -249,11 +249,6 @@ class SPool:
                 victim = block
         return victim
 
-    @property
-    def total_va_bytes(self) -> int:
-        """Virtual address bytes consumed by all sBlocks (counter)."""
-        return self._va_bytes
-
     def check_invariants(self, ppool: PPool) -> None:
         """Every sBlock member is a live pPool block; the back-index and
         counter match a from-scratch recomputation."""
@@ -272,5 +267,5 @@ class SPool:
                           for m in s.members}
         assert edges == expected_edges, "sPool member back-index drifted"
         assert self._va_bytes == sum(b.size for b in self._blocks), (
-            "sPool total_va_bytes counter drifted"
+            "sPool VA byte counter drifted"
         )

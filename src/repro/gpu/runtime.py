@@ -81,8 +81,3 @@ class CudaRuntime:
         if entry is None:
             raise CudaInvalidAddressError(f"unknown pointer {ptr:#x}")
         return entry[1]
-
-    @property
-    def live_allocation_count(self) -> int:
-        """Number of live ``cudaMalloc`` allocations."""
-        return len(self._allocations)

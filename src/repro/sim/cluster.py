@@ -21,6 +21,7 @@ from repro.api.spec import SpecLike, resolve_allocator
 from repro.sim.engine import AllocatorFactory, EngineResult, run_trace
 from repro.gpu.device import GpuDevice
 from repro.units import A100_80GB
+from repro.workloads.request import Trace
 from repro.workloads.training import TrainingWorkload
 
 
@@ -100,12 +101,23 @@ def run_cluster(
     enabled) diverges slightly across ranks, as on a real cluster.
     With ``record_timeline`` every rank carries its own memory timeline.
     """
-    result = ClusterResult()
-    for rank in range(workload.n_gpus):
-        rank_workload = replace(workload, seed=workload.seed + 1009 * rank)
-        trace = rank_workload.build_trace()
-        device = GpuDevice(capacity=capacity)
-        rank_result = run_trace(resolve_allocator(allocator, device), trace,
-                                record_timeline=record_timeline)
-        result.ranks.append(rank_result)
-    return result
+    return _replay_ranks(_rank_traces(workload), allocator, capacity,
+                         record_timeline)
+
+
+def _rank_traces(workload: TrainingWorkload) -> List[Trace]:
+    """Every rank's trace, built from its rank-salted seed.  Each draws
+    from a fresh ``random.Random``, so a trace serves every allocator."""
+    return [replace(workload, seed=workload.seed + 1009 * rank).build_trace()
+            for rank in range(workload.n_gpus)]
+
+
+def _replay_ranks(traces: List[Trace],
+                  allocator: Union[SpecLike, AllocatorFactory],
+                  capacity: int, record_timeline: bool) -> ClusterResult:
+    """:func:`run_cluster` over the ranks' ``traces``, each replayed on
+    a fresh device."""
+    return ClusterResult(ranks=[
+        run_trace(resolve_allocator(allocator, GpuDevice(capacity=capacity)),
+                  trace, record_timeline=record_timeline)
+        for trace in traces])

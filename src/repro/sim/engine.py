@@ -145,10 +145,6 @@ class ReplaySession:
         """
         return self._live_bytes
 
-    def holds(self, tensor: str) -> bool:
-        """True if ``tensor`` is currently live in this session."""
-        return tensor in self.live
-
     # ------------------------------------------------------------------
     def alloc(self, tensor: str, size: int) -> Allocation:
         """Allocate ``size`` bytes for ``tensor``; OOM propagates."""

@@ -157,10 +157,6 @@ class Trace:
             peak_live_bytes=peak,
         )
 
-    def peak_live_bytes(self) -> int:
-        """Peak of the sum of live tensor sizes (ideal reserved memory)."""
-        return self.stats().peak_live_bytes
-
     def subset_iterations(self, n: int) -> "Trace":
         """A copy of this trace truncated after ``n`` iterations
         (setup events included)."""

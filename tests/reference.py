@@ -47,13 +47,27 @@ from repro.sim.timeline import TimelineRecorder
 
 
 # -- Allocator run ops: BaseAllocator's loops of single calls ----------
+def two_calls(self, size):
+    """Slow replacement of ``BaseAllocator.malloc_free``: the ``malloc``
+    and the ``free`` that define it, whatever the cache holds."""
+    allocation = self.malloc(size)
+    self.free(allocation)
+    return allocation.rounded_size
+
+
+def never_repeats(self, size):
+    """Slow replacement of ``BaseAllocator.transient_repeat``: no hit
+    repeats, so a quiet run calls ``malloc_free`` every step."""
+    return None
+
+
 class LoopCaching(CachingAllocator):
     """The oracle: a caching allocator whose run operations are
     ``BaseAllocator``'s loops of single calls."""
 
     malloc_run = BaseAllocator.malloc_run
     free_run = BaseAllocator.free_run
-    malloc_free = BaseAllocator.malloc_free
+    malloc_free = two_calls
 
 
 class Watched:
@@ -519,8 +533,9 @@ def _entries(owner, slow):
 #: every entry of every group in gives the reference simulator.
 REFERENCE = {
     "allocator-runs": (
-        *_entries(CachingAllocator, LoopCaching),
-        (GMLakeAllocator, "malloc_free", BaseAllocator.malloc_free)),
+        (CachingAllocator, "malloc_run", LoopCaching.malloc_run),
+        (CachingAllocator, "free_run", LoopCaching.free_run),
+        (BaseAllocator, "malloc_free", two_calls)),
     "vmm-sequences": _entries(CudaVmm, PerCallVmm),
     # No back is refused up front: a doomed back carves and rolls back.
     "doomed-backs": ((PhysicalMemory, "refuse_creates", cannot_say),),
@@ -532,12 +547,8 @@ REFERENCE = {
     # A refused run is never taken: paged KV carves and rolls back.
     "refused-runs": ((CachingAllocator, "refuse_run",
                       BaseAllocator.refuse_run),),
-    # No transient repeats: a quiet run calls malloc_free every step.
-    "transient-repeats": (
-        (CachingAllocator, "transient_repeat",
-         BaseAllocator.transient_repeat),
-        (GMLakeAllocator, "transient_repeat",
-         BaseAllocator.transient_repeat)),
+    "transient-repeats": ((BaseAllocator, "transient_repeat",
+                           never_repeats),),
     # No observer vouches for a hook: an observed quiet run calls
     # malloc_free every step.
     "observed-repeats": ((AllocatorTraceObserver, "idle_events",

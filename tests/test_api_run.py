@@ -1,12 +1,15 @@
 """Tests for ``ExperimentSpec`` / ``repro.api.run`` and the RunResult
 protocol, plus the CLI paths that ride on them."""
 
+import json
+
 import pytest
 
 from repro import api
 from repro.api import ExperimentSpec, ServingSpec, SpecError, WorkloadSpec
 from repro.api.result import ExperimentResult, RunResult, run_result_row
 from repro.cli import main
+from repro.sim import run_cluster
 from repro.sim.engine import run_workload
 from repro.units import GB
 from repro.workloads import TrainingWorkload
@@ -86,6 +89,23 @@ class TestRunClusterAndServe:
         assert isinstance(result, RunResult)
         assert isinstance(result.raw, RunResult)  # ClusterResult too
 
+    def test_cluster_builds_each_rank_trace_once(self, monkeypatch):
+        """Every allocator replays the same rank traces, so ``run``
+        builds them once: ``n_gpus`` builds, equal results."""
+        built = []
+        build = TrainingWorkload.build_trace
+        monkeypatch.setattr(
+            TrainingWorkload, "build_trace",
+            lambda workload: built.append(workload.seed) or build(workload))
+        names = ["caching", "gmlake", "caching"]
+        workload = WorkloadSpec(**{**TINY, "n_gpus": 3, "strategies": "RO"})
+        results = api.run(tiny_experiment(mode="cluster", allocators=names,
+                                          workload=workload))
+        assert built == [0, 1009, 2018]
+        monkeypatch.undo()
+        assert [r.raw.ranks for r in results] == [
+            run_cluster(workload.build(), name).ranks for name in names]
+
     def test_serve_mode(self):
         spec = ExperimentSpec(
             mode="serve", allocators=["gmlake"], capacity=8 * GB,
@@ -108,6 +128,21 @@ class TestRunClusterAndServe:
         assert result.mode == "serve-cluster"
         assert result.extras()["n_replicas"] == 2
         assert isinstance(result.raw, RunResult)  # ServeClusterResult too
+
+    def test_two_allocator_serve_writes_one_jsonl_trace_each(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        spec = ExperimentSpec(
+            mode="serve", allocators=["caching", "gmlake?chunk_mb=4"],
+            capacity=8 * GB,
+            serving=ServingSpec(model="opt-1.3b", n_requests=5,
+                                rate_per_s=4.0, trace=f"jsonl?path={path}"))
+        api.run(spec)
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["t.caching.jsonl", "t.gmlake_chunk_size_4MB.jsonl"]
+        for name in written:
+            rows = [json.loads(line) for line in
+                    (tmp_path / name).read_text(encoding="utf-8").splitlines()]
+            assert {"admit", "finish"} <= {row["kind"] for row in rows}
 
     def test_serve_capacity_string(self):
         spec = ExperimentSpec(
@@ -281,3 +316,47 @@ class TestCliSpecPaths:
         assert "allocator parameters" in out
         assert "chunk_size" in out and "max_spool_blocks" in out
         assert "stitching" in out  # alias spec key listed
+
+
+class TestRunSweepFile:
+    """``repro run --spec F --sweep``: a list of experiments, or one
+    experiment expanded into a point per allocator."""
+
+    POINT = tiny_experiment(allocators=["caching", "gmlake"]).to_dict()
+
+    @staticmethod
+    def sweep(tmp_path, data, *flags):
+        path = tmp_path / "sweep.json"
+        path.write_text(data if isinstance(data, str) else json.dumps(data),
+                        encoding="utf-8")
+        return main(["run", "--spec", str(path), "--sweep", *flags])
+
+    def test_list_file_runs_each_point(self, tmp_path, capsys):
+        points = [tiny_experiment(allocators=[name]).to_dict()
+                  for name in ("caching", "gmlake")]
+        assert self.sweep(tmp_path, points, "--jobs", "1") == 0
+        out = capsys.readouterr().out
+        assert "sweep: 2 points (jobs=1)" in out
+        assert "caching" in out and "gmlake" in out
+
+    def test_dict_file_expands_per_allocator(self, tmp_path, capsys):
+        assert self.sweep(tmp_path, self.POINT, "--jobs", "1") == 0
+        out = capsys.readouterr().out
+        assert "sweep: 2 points (jobs=1)" in out
+        assert "caching" in out and "gmlake" in out
+
+    def test_jobs_zero_is_auto(self, tmp_path, capsys, monkeypatch):
+        # One CPU: the auto worker count runs the points in-process.
+        monkeypatch.setattr("repro.api.sweep.os.cpu_count", lambda: 1)
+        assert self.sweep(tmp_path, self.POINT, "--jobs", "0") == 0
+        assert "sweep: 2 points (jobs=auto)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("data, flags, message", [
+        (POINT, ("--jobs", "-1"), "--jobs must be >= 1 (or 0 for auto), got -1"),
+        ("{ not json", (), "invalid JSON in sweep spec"),
+        ([POINT, 3], (), "sweep point #1 must be a JSON object, got int"),
+        ("7", (), "sweep spec must be a JSON object or list, got int"),
+    ], ids=["negative-jobs", "invalid-json", "non-object-point", "scalar"])
+    def test_rejections_exit_2(self, tmp_path, capsys, data, flags, message):
+        assert self.sweep(tmp_path, data, *flags) == 2
+        assert f"run: {message}" in capsys.readouterr().err

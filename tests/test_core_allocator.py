@@ -441,16 +441,15 @@ class TestTransient:
     def served_by_small_pool(monkeypatch):
         """The sizes of the transients the small pool's cache serves."""
         served = []
-        original = CachingAllocator._cached_transient
+        original = CachingAllocator._transient_fit
 
-        def cached_transient(self, owner, size):
-            rounded = original(self, owner, size)
-            if rounded is not None:
+        def transient_fit(self, size):
+            fit = original(self, size)
+            if fit is not None:
                 served.append(size)
-            return rounded
+            return fit
 
-        monkeypatch.setattr(CachingAllocator, "_cached_transient",
-                            cached_transient)
+        monkeypatch.setattr(CachingAllocator, "_transient_fit", transient_fit)
         return served
 
     @pytest.mark.parametrize("size", [
@@ -488,7 +487,11 @@ class TestTransient:
 
     def test_chunk_sized_transient_takes_the_two_calls(self, gml,
                                                        monkeypatch):
+        # The small pool's free 20 MB segment would fit 2 MB; a chunk
+        # or more is still GMLake's own, and never repeats.
+        gml.free(gml.malloc(1 * MB + 512))
         served = self.served_by_small_pool(monkeypatch)
+        assert gml.transient_repeat(2 * MB) is None
         assert gml.malloc_free(2 * MB) == 2 * MB
         assert served == [] and gml._tick == 2
         assert hits(gml, FitState.INSUFFICIENT_BLOCKS) == 1

@@ -436,8 +436,8 @@ def _free_blocks(allocator):
 def _fuzz(name, capacity_mb, ops, observed):
     """Drive ``ops`` on allocator ``name``, checking its invariants
     after each, against a twin whose run operations are the loops of
-    single calls that *define* them.  Without observers the twin exists
-    only for an allocator with run operations of its own; ``observed``
+    single calls that *define* them (every allocator has one: the
+    shipped ``malloc_free`` asks for a cached fit).  ``observed``
     is ``(every, timeline)``: both sides carry an
     ``AllocatorTraceObserver`` sampling one event in ``every`` and,
     with ``timeline``, a ``TimelineRecorder`` sampling every event."""
@@ -448,11 +448,9 @@ def _fuzz(name, capacity_mb, ops, observed):
     cls = type(allocator)
     shipped = {op: getattr(cls, op) for op in RUN_OPS}
     loops = {op: definition(cls, op) for op in RUN_OPS}
-    assert loops == {op: getattr(BaseAllocator, op) for op in RUN_OPS}, (
+    assert loops == {op: definition(BaseAllocator, op) for op in RUN_OPS}, (
         f"{cls.__name__} has a run op with no entry in tests/reference.py")
-    twin, twin_live = None, []
-    if observed or shipped != loops:
-        twin = build()
+    twin, twin_live = build(), []
     if observed:
         every, timeline = observed
 
@@ -473,12 +471,11 @@ def _fuzz(name, capacity_mb, ops, observed):
             args = [freed + allocator.device.free_memory + args[0]]
         freed = _apply(op, args, allocator, live, shipped) or freed
         allocator.check_invariants()
-        if twin is not None:
-            _apply(op, args, twin, twin_live, loops)
-            assert live == twin_live  # pointers, sizes and ids
-            assert _ledger(allocator) == _ledger(twin)
-            if observed:
-                assert seen[0] == seen[1]
+        _apply(op, args, twin, twin_live, loops)
+        assert live == twin_live  # pointers, sizes and ids
+        assert _ledger(allocator) == _ledger(twin)
+        if observed:
+            assert seen[0] == seen[1]
     allocator.free_run(live)
     allocator.empty_cache()
     allocator.check_invariants()
