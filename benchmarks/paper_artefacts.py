@@ -36,12 +36,11 @@ from repro.api import (
 from repro.core.bestfit import FitState
 from repro.gpu.device import GpuDevice
 from repro.gpu.latency import LatencyModel
-from repro.serve import SloConfig
+from repro.serve import PoissonArrivals, ServingConfig, ServingSimulator, SloConfig
 from repro.sim import render_timeline
-from repro.sim.engine import run_trace
+from repro.sim.engine import AllocationRecorder, run_trace
 from repro.units import GB, MB
 from repro.workloads import MODELS, get_model
-from repro.workloads.inference import ServingWorkload
 
 PINS = Path(__file__).resolve().parent.parent / "tests" / "golden" / "paper"
 REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
@@ -1007,9 +1006,11 @@ class ExtInferenceServing(Artefact):
     GMLake's stitching must still keep reserved memory near active memory
     where the splitting allocator shreds its pool.
 
-    Offline replay: one fixed admission schedule (``ServingWorkload``'s
-    trace) is replayed under each allocator, so the allocator moves only
-    memory numbers; ``ext-online-serving`` closes the loop instead.
+    Offline replay: one allocator stream, recorded from the serving
+    simulator (FCFS, every request arriving at once, ample memory, so
+    no allocator decision shapes it), is replayed under each allocator,
+    so the allocator moves only memory numbers; ``ext-online-serving``
+    closes the loop instead.
     """
 
     id, section = "ext-inference-serving", "§6 (extension)"
@@ -1019,8 +1020,11 @@ class ExtInferenceServing(Artefact):
         """{(model, max batch): {allocator: replay of the same trace}}."""
         out = {}
         for model, max_batch in self.CELLS:
-            trace = ServingWorkload(model, n_requests=150, max_batch=max_batch,
-                                    seed=7).build_trace()
+            config = ServingConfig(max_batch=max_batch, queue_timeout_s=1e6)
+            sim = ServingSimulator(model, allocator="caching", config=config)
+            recorder = sim.allocator.add_observer(AllocationRecorder())
+            sim.run(PoissonArrivals(rate_per_s=1000).generate(150, seed=7))
+            trace = recorder.trace
             out[(model, max_batch)] = {
                 name: run_trace(resolve_allocator(name, GpuDevice()), trace)
                 for name in ("caching", "expandable", "gmlake")

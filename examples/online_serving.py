@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Online inference serving with the allocator in the admission loop.
 
-Unlike examples/serving_inference.py — which replays a *fixed*
-admission schedule — this drives the discrete-event simulator of
-``repro.serve``: requests arrive on a Poisson clock, a memory-aware
-scheduler checks live allocator headroom before admitting, KV caches
-grow chunk by chunk, and an OOM preempts and requeues a request
-instead of failing the run.  The printed table shows the serving SLO
-metrics (TTFT, tail latency, goodput) next to the memory metrics.
+Unlike examples/serving_inference.py — which records one run's
+allocator stream and replays it, open-loop, under each allocator —
+this keeps the allocator in the loop of ``repro.serve``'s
+discrete-event simulator: requests arrive on a Poisson clock, a
+memory-aware scheduler checks live allocator headroom before
+admitting, KV caches grow chunk by chunk, and an OOM preempts and
+requeues a request instead of failing the run.  The printed table
+shows the serving SLO metrics (TTFT, tail latency, goodput) next to
+the memory metrics.
 
 Run:  python examples/online_serving.py [model] [rate] [requests]
 """

@@ -4,8 +4,9 @@ training focus (its §6 positions GMLake as orthogonal to vLLM).
 
 A continuous-batching server admits requests with heavy-tailed
 prompt/output lengths, so KV-cache tensors of ever-new sizes churn the
-pool continuously.  This example serves 150 requests of OPT-13B under
-the caching allocator, expandable segments and GMLake.
+pool continuously.  This example serves 150 requests of OPT-13B once,
+records the allocator stream, and replays that one stream under the
+caching allocator, expandable segments and GMLake.
 
 Run:  python examples/serving_inference.py [model] [requests]
 """
@@ -15,20 +16,25 @@ import sys
 from repro.analysis import format_table
 from repro.api import resolve_allocator
 from repro.gpu.device import GpuDevice
-from repro.sim.engine import run_trace
-from repro.workloads.inference import ServingWorkload
+from repro.serve import PoissonArrivals, ServingConfig, ServingSimulator
+from repro.sim.engine import AllocationRecorder, run_trace
 
 
 def main() -> None:
     model = sys.argv[1] if len(sys.argv) > 1 else "opt-13b"
     n_requests = int(sys.argv[2]) if len(sys.argv) > 2 else 150
 
-    workload = ServingWorkload(model, n_requests=n_requests, max_batch=16)
-    trace = workload.build_trace()
-    stats = trace.stats()
+    # Every request arrives at once and memory is ample, so the stream
+    # is the scheduler's alone: no allocator decision shapes it.
+    simulator = ServingSimulator(model, allocator="caching",
+                                 config=ServingConfig(queue_timeout_s=1e6))
+    recorder = simulator.allocator.add_observer(AllocationRecorder())
+    served = simulator.run(
+        PoissonArrivals(rate_per_s=1000).generate(n_requests, seed=0))
+    trace = recorder.trace
     print(f"serving {n_requests} requests of {model}: "
-          f"{stats.n_allocs} allocations, {trace.meta['decode_steps']} "
-          f"decode steps\n")
+          f"{trace.stats().n_allocs} allocations over "
+          f"{served.makespan_s:.1f} simulated s\n")
 
     rows = []
     for name in ("caching", "expandable", "gmlake"):

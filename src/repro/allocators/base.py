@@ -88,6 +88,8 @@ class AllocatorObserver:
 
     In-tree subscribers: :class:`repro.sim.timeline.TimelineRecorder`
     (per-event memory timelines),
+    :class:`repro.sim.engine.AllocationRecorder` (the call stream as a
+    replayable trace, which needs every hook),
     :class:`repro.analysis.PeakMemoryObserver` (peak breakdowns) and
     :class:`repro.obs.AllocatorTraceObserver` (allocator events inside
     a serving lifecycle trace, which samples one hook in ``every``).

@@ -363,6 +363,11 @@ class ExperimentSpec:
             object.__setattr__(self, "workload", WorkloadSpec())
         if self.mode == "serve" and self.serving is None:
             object.__setattr__(self, "serving", ServingSpec())
+        if self.mode == "serve" and self.record_timeline:
+            raise SpecError(
+                "record_timeline is a replay/cluster option; a serving "
+                "replica records its memory curve through its gauges "
+                "(set serving.gauge_every_s)")
 
     # ------------------------------------------------------------------
     # Serialization
@@ -516,8 +521,7 @@ def _run_serve(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResu
         allocator=allocator, capacity=spec.capacity,
         scheduler=serving.scheduler,
         config=ServingConfig(max_batch=serving.max_batch,
-                             queue_timeout_s=serving.queue_timeout_s,
-                             record_timeline=spec.record_timeline),
+                             queue_timeout_s=serving.queue_timeout_s),
         kv_cache=serving.kv_cache, preemption=serving.preemption,
         trace=recorder,
         gauges=(GaugeSampler(serving.gauge_every_s)

@@ -20,9 +20,9 @@ Registering a new component::
     class PriorityScheduler(Scheduler): ...
 
 Registration is the only place a component is described.  Parameters
-may be declared explicitly, pulled from a config dataclass
-(``config_cls=GMLakeConfig`` — construction then passes one config
-object), or introspected from the constructor signature when omitted.
+may be declared explicitly, or are introspected from the constructor
+signature when omitted; with ``config_cls=GMLakeConfig`` construction
+passes one config object.
 :class:`~repro.api.spec.ComponentSpec` consumes this metadata to parse
 ``"name?key=value&..."`` spec strings, and validates the values by
 constructing the component (:meth:`ComponentInfo.validate`), so the
@@ -31,7 +31,6 @@ constructor's own range checks are the only ones written.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import inspect
 import math
@@ -326,16 +325,6 @@ def kind_label(kind: str) -> str:
     return _KIND_LABELS.get(kind, kind)
 
 
-def _params_from_config(config_cls: type) -> Tuple[Param, ...]:
-    """Derive :class:`Param` metadata from a config dataclass."""
-    params = []
-    for field in dataclasses.fields(config_cls):
-        default = field.default
-        kind = {bool: "bool", float: "float", str: "str"}.get(type(default), "int")
-        params.append(Param(field.name, type(default), default, kind=kind))
-    return tuple(params)
-
-
 def _params_from_init(cls: type) -> Tuple[Param, ...]:
     """Derive :class:`Param` metadata from a constructor signature.
 
@@ -397,11 +386,10 @@ def register_component(
     ``aliases`` are alternative names resolving to the same entry (the
     registry keeps one canonical entry; listings print aliases as
     metadata, not as extra components).  ``params`` declares the
-    tunables explicitly; when omitted they are derived from
-    ``config_cls``'s dataclass fields (construction then passes a
-    single config object) or, failing that, introspected from the
-    constructor signature.  ``check`` is a parse-time hook for what
-    constructing the class cannot validate (see
+    tunables explicitly; when omitted they are introspected from the
+    constructor signature.  With ``config_cls`` construction passes a
+    single config object built from the params.  ``check`` is a
+    parse-time hook for what constructing the class cannot validate (see
     :meth:`ComponentInfo.validate`); ``factory`` overrides construction.
     """
     register_kind(kind)
@@ -413,8 +401,6 @@ def register_component(
             raise ValueError(f"{kind_label(kind)} {name!r} registered twice")
         if params is not None:
             tunables = tuple(params)
-        elif config_cls is not None:
-            tunables = _params_from_config(config_cls)
         else:
             tunables = _params_from_init(cls)
         doc = description or (cls.__doc__ or "").strip().splitlines()[0]

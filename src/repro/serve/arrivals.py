@@ -21,11 +21,12 @@ same ``"name?key=value"`` mini-DSL as allocators:
   prefix (feeding the ``wfq`` scheduler and prefix-sharing KV cache).
 
 Every process emits :class:`~repro.serve.request.ServeRequest` objects
-with prompt/output lengths drawn from the same heavy-tailed log-normal
-mixture as the offline :class:`~repro.workloads.inference.ServingWorkload`,
-so offline-replay and online-serving experiments stress the allocator
-with the same size distribution.  Generation is a pure function of the
-seed: the same (process, sampler, seed) always yields the same stream.
+with prompt/output lengths drawn from one heavy-tailed log-normal
+mixture (:class:`LengthSampler`); an offline serving trace is a
+recording of the simulator serving such a stream, so offline-replay
+and online-serving experiments stress the allocator with the same size
+distribution.  Generation is a pure function of the seed: the same
+(process, sampler, seed) always yields the same stream.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def _heavy_tail_tokens(rng: random.Random, mean: int, sigma: float,
 class LengthSampler:
     """Heavy-tailed prompt/output length distribution.
 
-    ``sigma`` is the log-normal shape parameter; 0.6 matches the
-    offline serving workload generator.
+    ``sigma`` is the log-normal shape parameter (0.6 by default).
     """
 
     mean_prompt: int = 512

@@ -40,6 +40,7 @@ from repro.serve.simulator import (
 )
 from repro.sim.engine import AllocatorFactory
 from repro.units import A100_80GB
+from repro.workloads.inference import DECODE_TOKENS_PER_S
 from repro.workloads.models import ModelSpec, get_model
 
 
@@ -516,7 +517,7 @@ def run_serving_cluster(
         for replica_id in range(n_replicas)
     ]
     shards = dispatch_requests(requests, n_replicas,
-                               drain_tokens_per_s=config.decode_tokens_per_s,
+                               drain_tokens_per_s=DECODE_TOKENS_PER_S,
                                autoscaler=scaler, gauges=gauges, trace=trace,
                                down=([sim.fault_state for sim in sims]
                                      if fault_model.has_crashes else None))

@@ -49,7 +49,7 @@ from repro.serve.cluster import (
 from repro.serve.faults import FaultModel, RetryPolicy
 from repro.serve.interconnect import Interconnect
 from repro.serve.kvcache import KVCacheModel
-from repro.serve.preemption import PreemptionPolicy
+from repro.serve.preemption import PREFILL_TOKENS_PER_S, PreemptionPolicy
 from repro.serve.request import ServeRequest
 from repro.serve.scheduler import Scheduler
 from repro.serve.simulator import (
@@ -59,6 +59,7 @@ from repro.serve.simulator import (
 )
 from repro.sim.engine import AllocatorFactory
 from repro.units import A100_80GB
+from repro.workloads.inference import DECODE_TOKENS_PER_S
 from repro.workloads.models import ModelSpec, get_model
 
 __all__ = ["DisaggServingResult", "run_serving_disagg"]
@@ -232,7 +233,7 @@ def run_serving_disagg(
     prefill_scaler = resolve("autoscaler", autoscaler)
     prefill_shards = dispatch_requests(
         prefill_clones, prefill_replicas,
-        drain_tokens_per_s=config.prefill_tokens_per_s,
+        drain_tokens_per_s=PREFILL_TOKENS_PER_S,
         autoscaler=prefill_scaler, gauges=gauges, trace=trace,
         fleet="prefill")
     result = DisaggServingResult(
@@ -265,7 +266,7 @@ def run_serving_disagg(
     decode_scaler = resolve("autoscaler", autoscaler)
     decode_shards = dispatch_requests(
         decode_clones, decode_replicas,
-        drain_tokens_per_s=config.decode_tokens_per_s,
+        drain_tokens_per_s=DECODE_TOKENS_PER_S,
         autoscaler=decode_scaler, gauges=gauges, trace=trace,
         fleet="decode")
     # Each decode replica's policy starts with its shard's migrated KV

@@ -57,6 +57,11 @@ from repro.serve.request import ServeRequest
 
 register_kind("preemption", label="preemption policy")
 
+#: Prefill throughput of the serving compute model (tokens/s/GPU): a
+#: fresh or recompute-restored request pays its whole context at this
+#: rate before its first (or next) token.
+PREFILL_TOKENS_PER_S = 25_000.0
+
 
 class PreemptionPolicy(ABC):
     """How a preempted request's KV leaves the device and comes back.
@@ -253,7 +258,7 @@ class OffloadPreemption(PreemptionPolicy):
             return us
         # Fresh admission, or a victim whose KV was dropped: prefill
         # over the full context.
-        return context / sim.config.prefill_tokens_per_s * 1e6
+        return context / PREFILL_TOKENS_PER_S * 1e6
 
     def forget(self, request: ServeRequest) -> None:
         where, _ = self._parked.pop(request.req_id, (None, 0))

@@ -48,7 +48,6 @@ from repro.serve.request import REJECT_REASONS, RequestState, ServeRequest
 from repro.serve.metrics import ServingReport, SloConfig
 from repro.serve.scheduler import Scheduler, SchedulerView
 from repro.sim.engine import AllocatorFactory, ReplaySession
-from repro.sim.timeline import TimelinePoint
 from repro.units import A100_80GB, GB
 from repro.workloads.inference import (
     DECODE_TOKENS_PER_S,
@@ -61,6 +60,10 @@ _EPS = 1e-9
 
 #: States a request can hold only while waiting in the admission queue.
 _QUEUE_STATES = (RequestState.QUEUED, RequestState.PREEMPTED)
+
+#: Fixed cost of one decode step, microseconds; with the per-token
+#: cost, per-GPU token throughput saturates at ``DECODE_TOKENS_PER_S``.
+STEP_OVERHEAD_US = 150.0
 
 
 @dataclass
@@ -76,21 +79,15 @@ class ServingConfig:
     max_preemptions:
         A request preempted more than this many times is rejected
         rather than thrashing forever.
-    prefill_tokens_per_s / decode_tokens_per_s / step_overhead_us:
-        The compute model: prefill is linear in context, one decode
-        step costs ``overhead + batch / decode_rate`` so per-GPU token
-        throughput saturates at ``decode_tokens_per_s``.
-    record_timeline:
-        Sample the memory timeline once per decode step.
+
+    The compute model is fixed: prefill runs at
+    :data:`~repro.serve.preemption.PREFILL_TOKENS_PER_S`, and one decode
+    step costs ``STEP_OVERHEAD_US + batch / DECODE_TOKENS_PER_S``.
     """
 
     max_batch: int = 16
     queue_timeout_s: float = 60.0
     max_preemptions: int = 8
-    prefill_tokens_per_s: float = 25_000.0
-    decode_tokens_per_s: float = DECODE_TOKENS_PER_S
-    step_overhead_us: float = 150.0
-    record_timeline: bool = False
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -99,18 +96,6 @@ class ServingConfig:
             raise ValueError("queue_timeout_s must be positive and finite")
         if self.max_preemptions < 0:
             raise ValueError("max_preemptions must be >= 0")
-        # A NaN or infinite rate or overhead would poison the clock
-        # mid-run; reject it here.
-        for name in ("prefill_tokens_per_s", "decode_tokens_per_s"):
-            rate = getattr(self, name)
-            if not (rate > 0 and math.isfinite(rate)):
-                raise ValueError(
-                    f"{name} must be positive and finite, got {rate}")
-        if not (self.step_overhead_us >= 0
-                and math.isfinite(self.step_overhead_us)):
-            raise ValueError(
-                "step_overhead_us must be non-negative and finite, "
-                f"got {self.step_overhead_us}")
 
 
 class RequestTallies:
@@ -180,7 +165,6 @@ class ServingResult(RequestTallies):
     requests: List[ServeRequest]
     makespan_s: float
     stats: AllocatorStats
-    timeline: List[TimelinePoint] = field(default_factory=list)
     replica_id: int = 0
     kv_cache_name: str = "chunked"
     kv_metrics: KVCacheMetrics = field(
@@ -600,14 +584,11 @@ class ServingSimulator:
 
     def _step_us(self, batch: int) -> float:
         """Compute time of one decode step over ``batch`` requests."""
-        return (self.config.step_overhead_us
-                + batch * 1e6 / self.config.decode_tokens_per_s)
+        return STEP_OVERHEAD_US + batch * 1e6 / DECODE_TOKENS_PER_S
 
     def _workspace(self, batch: int) -> int:
         """Bytes of one decode step's transient activation workspace.
 
-        Like the offline serving generator's ``ws`` tensors: small,
-        short-lived churn alongside the big KV blocks.
         ``decode_workspace_bytes`` is a pure function of (model,
         batch), so it is memoized per batch size.
         """
@@ -645,8 +626,6 @@ class ServingSimulator:
                 self._grow_kv(request, running, queue)
                 quiet = False
         self.kv.note_decode_step(running)
-        if self.config.record_timeline:
-            self.session.sample()
         return (quiet and allocator.reserved_bytes == reserved
                 and allocator.active_bytes == active)
 
@@ -671,10 +650,10 @@ class ServingSimulator:
           the per-request checks are not needed.
 
         A step keeps every per-step effect, in order: the clock advance
-        (with its straggler draw), the workspace ``malloc_free`` and the
-        timeline sample.  The run stops after a step whose workspace op
-        moved ``reserved_bytes``, because the next admission would see
-        a different view.  When ``allocator.transient_repeat`` vouches
+        (with its straggler draw) and the workspace ``malloc_free``.
+        The run stops after a step whose workspace op moved
+        ``reserved_bytes``, because the next admission would see a
+        different view.  When ``allocator.transient_repeat`` vouches
         that the workspace op is a cached hit that repeats, for up to
         ``pairs`` steps, those steps make only their clock adds and one
         ``note_transients`` settles the workspace counters.  The step
@@ -705,7 +684,6 @@ class ServingSimulator:
         session, allocator = self.session, self.allocator
         clock = session.clock
         step_factor = self.fault_state.step_factor
-        sample = session.sample if self.config.record_timeline else None
         reserved = allocator.reserved_bytes
         answer = allocator.transient_repeat(ws_bytes)
         done = 0
@@ -725,9 +703,6 @@ class ServingSimulator:
                     for us in adds:
                         t_us += us
                     done += 1
-                    if sample is not None:
-                        clock.advance_to(t_us)
-                        sample()
                 clock.advance_to(t_us)
                 if done > first:
                     allocator.note_transients(ws_bytes, done - first)
@@ -740,8 +715,6 @@ class ServingSimulator:
             clock.advance(step_us * step_factor())
             session.try_malloc_free(ws_bytes)
             done += 1
-            if sample is not None:
-                sample()
             if allocator.reserved_bytes != reserved:
                 break
             if answer is not None:  # at the bound: ask again
@@ -991,7 +964,6 @@ class ServingSimulator:
             requests=requests,
             makespan_s=self._now(),
             stats=self.allocator.stats(),
-            timeline=list(self.session.timeline),
             replica_id=self.replica_id,
             kv_cache_name=self.kv.name,
             kv_metrics=self.kv.metrics,

@@ -1,6 +1,7 @@
 """Simulation engine: replay allocation traces against allocators.
 
-- :mod:`repro.sim.engine` — the replay loop, OOM handling, clocking.
+- :mod:`repro.sim.engine` — the replay loop, OOM handling, clocking,
+  and the recorder that captures a live allocator stream as a trace.
 - :mod:`repro.sim.metrics` — the paper's evaluation metrics
   (utilization / fragmentation ratio, memory reduction ratio).
 - :mod:`repro.sim.timeline` — memory-over-time sampling and ASCII
@@ -9,6 +10,7 @@
 
 from repro.sim.cluster import ClusterResult, run_cluster
 from repro.sim.engine import (
+    AllocationRecorder,
     EngineResult,
     ReplaySession,
     run_trace,
@@ -18,6 +20,7 @@ from repro.sim.metrics import ComparisonRow, compare_results, mem_reduction_rati
 from repro.sim.timeline import TimelinePoint, TimelineRecorder, render_timeline
 
 __all__ = [
+    "AllocationRecorder",
     "EngineResult",
     "ReplaySession",
     "run_trace",

@@ -8,11 +8,12 @@ active/reserved memory, utilization, OOM events, per-iteration wall
 times and a memory timeline.
 
 :class:`ReplaySession` is the stepping layer underneath ``run_trace``:
-it owns the live-tensor table, OOM-tolerant allocation, and timeline
-sampling, but leaves the *event loop* to the caller.  Offline replay
-(``run_trace``) walks a pre-built trace; the online serving simulator
-(:mod:`repro.serve`) drives the same session one decision at a time,
-so scheduler policy can react to live allocator state.
+it owns the live-tensor table and OOM-tolerant allocation, but leaves
+the *event loop* to the caller.  Offline replay (``run_trace``) walks
+a pre-built trace; the online serving simulator (:mod:`repro.serve`)
+drives the same session one decision at a time, so scheduler policy
+can react to live allocator state.  :class:`AllocationRecorder` turns
+such a run's allocator stream back into a trace.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import (
     Union,
 )
 
-from repro.allocators.base import Allocation, BaseAllocator
+from repro.allocators.base import Allocation, AllocatorObserver, BaseAllocator
 from repro.api.spec import SpecLike, resolve_allocator
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
@@ -109,12 +110,40 @@ class EngineResult:
         )
 
 
+class AllocationRecorder(AllocatorObserver):
+    """Observer that writes an allocator's stream as a :class:`Trace`.
+
+    Attach with ``allocator.add_observer(AllocationRecorder())`` before
+    the first malloc: every ``on_alloc`` / ``on_free`` appends an ALLOC
+    / FREE of the tensor ``a<alloc_id>``, so :func:`run_trace` replays
+    the stream on any allocator (open-loop: no compute time, no
+    iterations).  An OOM raises instead: a stream that met memory
+    pressure carries the recorded allocator's decisions, so a recording
+    is always an unpressured one.  With an observer attached every run
+    operation fires its per-call hooks, so no call goes unrecorded.
+    """
+
+    def __init__(self):
+        self.trace = Trace()
+
+    def on_alloc(self, allocator: BaseAllocator, allocation: Allocation) -> None:
+        self.trace.alloc(f"a{allocation.alloc_id}", allocation.size)
+
+    def on_free(self, allocator: BaseAllocator, allocation: Allocation) -> None:
+        self.trace.free(f"a{allocation.alloc_id}")
+
+    def on_oom(self, allocator: BaseAllocator, size: int, error) -> None:
+        raise RuntimeError(
+            f"recorded run met an OOM ({size} bytes on {allocator.name}); "
+            "a recording must run with ample capacity")
+
+
 class ReplaySession:
     """A stepping interface over one allocator for event-driven loops.
 
-    The session tracks live tensors by name, converts allocator OOMs
-    into a boolean outcome (:meth:`try_alloc`) for callers that recover
-    instead of crashing, and samples the memory timeline on demand.
+    The session tracks live tensors by name and converts allocator
+    OOMs into a boolean outcome (:meth:`try_alloc`) for callers that
+    recover instead of crashing.
     ``run_trace`` drives it from a pre-built trace; the online serving
     simulator (:mod:`repro.serve`) drives it one admission / KV-growth
     / retirement decision at a time.
@@ -125,7 +154,6 @@ class ReplaySession:
         self.clock = allocator.device.clock
         self.start_s = self.clock.now_s
         self.live: Dict[str, Allocation] = {}
-        self.timeline: List[TimelinePoint] = []
         self._live_bytes = 0
 
     # ------------------------------------------------------------------
@@ -217,14 +245,6 @@ class ReplaySession:
         """Advance the simulated clock (compute time between events)."""
         self.clock.advance(duration_us)
 
-    def sample(self) -> None:
-        """Append one memory timeline point at the current time."""
-        self.timeline.append(TimelinePoint(
-            time_s=self.elapsed_s,
-            active_bytes=self.allocator.active_bytes,
-            reserved_bytes=self.allocator.reserved_bytes,
-        ))
-
     def finish(self, result: EngineResult) -> None:
         """Fill allocator-side statistics into ``result``."""
         stats = self.allocator.stats()
@@ -234,7 +254,6 @@ class ReplaySession:
         result.host_time_us = stats.host_time_us
         result.malloc_count = stats.malloc_count
         result.total_time_s = self.elapsed_s
-        result.timeline = self.timeline
 
 
 def run_trace(
@@ -288,7 +307,7 @@ def run_trace(
     if recorder is not None:
         recorder.sample(allocator)
         allocator.remove_observer(recorder)
-        session.timeline = recorder.points
+        result.timeline = recorder.points
     session.finish(result)
     global_batch = int(trace.meta.get("global_batch", 0) or 0)
     if result.iterations_completed > 0 and global_batch:

@@ -613,7 +613,7 @@ def observe(serve, slow=(), memory_every=16):
     ``seen`` holds every request's fields; each replica's allocator
     ``stats()``, final clock, driver state (VMM and runtime counters,
     committed and peak bytes, next chunk handle), ``kv.metrics``,
-    requests, timeline and gauge points; each replica's trace events
+    requests and gauge points; each replica's trace events
     in order (the fleet's recorder interleaves replicas by tick, which
     a quiet run reorders); the gauge points, each replica's in order
     (the shared sampler interleaves replicas by tick too, which a
@@ -636,7 +636,7 @@ def observe(serve, slow=(), memory_every=16):
              device.phys._next_handle),
             dataclasses.replace(sim.kv.metrics),
             [dict(vars(r)) for r in result.requests],
-            result.timeline, result.gauge_points))
+            result.gauge_points))
         return result
 
     def counting_tick(sim, *args, **kwargs):

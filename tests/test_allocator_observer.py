@@ -5,13 +5,15 @@ import pytest
 from repro.allocators.base import AllocatorObserver
 from repro.allocators.caching import CachingAllocator
 from repro.analysis import PeakMemoryObserver
+from repro.api import resolve_allocator
 from repro.core.allocator import GMLakeAllocator
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
-from repro.sim.engine import run_trace
+from repro.sim.engine import AllocationRecorder, run_trace
 from repro.sim.timeline import TimelineRecorder
 from repro.units import GB, MB
-from repro.workloads.request import Trace
+from repro.workloads import TrainingWorkload
+from repro.workloads.request import Op, Trace, TraceEvent
 
 
 class RecordingObserver(AllocatorObserver):
@@ -174,3 +176,49 @@ class TestPeakMemoryObserver:
         assert observer.at_oom is not None
         assert observer.oom_requested == 100 * MB
         assert observer.at_oom.reserved_bytes >= 40 * MB
+
+
+class TestAllocationRecorder:
+    @pytest.mark.parametrize("name", ["caching", "gmlake", "expandable"])
+    def test_every_run_operation_is_recorded(self, name):
+        """Run operations make their per-call hooks once a recorder is
+        attached: the repeated transient is never vouched for, and a
+        run is recorded call by call."""
+        allocator = resolve_allocator(name, GpuDevice(capacity=4 * GB))
+        allocator.free(allocator.malloc(64 * MB))  # a cached block
+        recorder = allocator.add_observer(AllocationRecorder())
+        assert allocator.transient_repeat(MB) is None
+        allocator.malloc_free(MB)
+        allocator.free_run(allocator.malloc_run(2 * MB, 4))
+        events = recorder.trace.events
+        assert [(e.op, e.size) for e in events] == (
+            [(Op.ALLOC, MB), (Op.FREE, 0)]
+            + [(Op.ALLOC, 2 * MB)] * 4 + [(Op.FREE, 0)] * 4)
+        recorder.trace.validate()
+
+    def test_a_refused_run_is_not_counted(self):
+        """Unobserved, a doomed run on a full device is counted in
+        closed form; recorded, it is left to the calls."""
+        def full_device():
+            allocator = CachingAllocator(GpuDevice(capacity=256 * MB))
+            allocator.malloc(200 * MB)
+            return allocator
+
+        assert full_device().refuse_run(64 * MB, 2, 1) == 0
+        allocator = full_device()
+        allocator.add_observer(AllocationRecorder())
+        assert allocator.refuse_run(64 * MB, 2, 1) is None
+
+    def test_recording_a_replay_gives_back_its_stream(self):
+        trace = TrainingWorkload("gpt-2", batch_size=2, strategies="R",
+                                 iterations=2).build_trace()
+        allocator = resolve_allocator("gmlake", GpuDevice())
+        recorder = allocator.add_observer(AllocationRecorder())
+        run_trace(allocator, trace)
+        names = {}
+        for event in trace.events:
+            if event.op is Op.ALLOC:
+                names[event.tensor] = f"a{len(names) + 1}"
+        assert recorder.trace.events == [
+            TraceEvent(e.op, names[e.tensor], e.size) for e in trace.events
+            if e.op in (Op.ALLOC, Op.FREE)]

@@ -78,6 +78,16 @@ class TestRunReplay:
         result, = api.run(tiny_experiment(record_timeline=True))
         assert len(result.raw.timeline) > 0
 
+    @pytest.mark.parametrize("build", [
+        lambda: ExperimentSpec(mode="serve", record_timeline=True),
+        lambda: ExperimentSpec.from_dict(
+            {"mode": "serve", "record_timeline": True}),
+    ], ids=["constructed", "parsed"])
+    def test_serve_rejects_record_timeline(self, build):
+        """A serving replica's memory curve is its gauges."""
+        with pytest.raises(SpecError, match="serving.gauge_every_s"):
+            build()
+
 
 class TestRunClusterAndServe:
     def test_cluster_mode(self):

@@ -52,6 +52,7 @@ from repro.serve import (
     run_serving_cluster,
 )
 from repro.units import GB
+from repro.workloads.inference import DECODE_TOKENS_PER_S
 from test_equivalence_goldens import (
     SCENARIOS,
     _request_digest,
@@ -290,7 +291,7 @@ class TestUncoupledFleetIsItsShards:
         """The fleet's simulators and the shards its front-end deals."""
         shards = dispatch_requests(
             self._stream(), self.N_REPLICAS,
-            drain_tokens_per_s=ServingConfig().decode_tokens_per_s)
+            drain_tokens_per_s=DECODE_TOKENS_PER_S)
         sims = [ServingSimulator(MODEL, replica_id=i, faults=faults,
                                  retry=retry, **self.REPLICA)
                 for i in range(self.N_REPLICAS)]

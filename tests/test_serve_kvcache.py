@@ -21,9 +21,12 @@ from repro.api import (
     component_names,
     iter_components,
     resolve,
+    resolve_allocator,
     run,
 )
+from repro.gpu.device import GpuDevice
 from repro.serve import (
+    MultiTenantArrivals,
     PoissonArrivals,
     ServingConfig,
     ServingSimulator,
@@ -31,9 +34,11 @@ from repro.serve import (
 )
 from repro.serve.kvcache import PagedKVCache
 from repro.serve.request import ServeRequest
+from repro.sim.engine import AllocationRecorder, run_trace
 from repro.units import GB, MB
-from repro.workloads import get_model
-from repro.workloads.inference import ServingWorkload, kv_bytes
+from repro.workloads import Op, get_model
+from repro.workloads.inference import decode_workspace_bytes, kv_bytes
+from test_workloads_inference import record
 
 
 def make_request(req_id, arrival, prompt, output):
@@ -225,25 +230,40 @@ class TestChunkedVsPaged:
         assert chunked.kv_metrics.grow_copy_bytes > 0
 
     def test_offline_trace_paged_variant(self):
-        chunked = ServingWorkload("opt-1.3b", n_requests=30, seed=3)
-        paged = ServingWorkload("opt-1.3b", n_requests=30, seed=3,
-                                kv_cache="paged?block_tokens=16")
-        trace = paged.build_trace()
-        trace.validate()
-        assert trace.meta["kv_cache"] == "paged?block_tokens=16"
+        _, chunked = record("opt-1.3b", 30, seed=3)
+        _, paged = record("opt-1.3b", 30, seed=3,
+                          kv_cache="paged?block_tokens=16")
+        paged.validate()
         model = get_model("opt-1.3b")
-        kv_sizes = {e.size for e in trace.events
-                    if e.tensor.startswith("kv") and e.op.value == "alloc"}
+        # Neither the weights nor a decode step's workspace.
+        other = {model.weight_bytes} | {
+            decode_workspace_bytes(model, batch) for batch in range(1, 17)}
+        kv_sizes = {e.size for e in paged.events
+                    if e.op is Op.ALLOC and e.size not in other}
         # The pool only ever sees one KV allocation size.
         assert kv_sizes == {kv_bytes(model, 16)}
         # The chunked trace sees many (never-repeating) sizes.
-        chunked_sizes = {e.size for e in chunked.build_trace().events
-                         if e.tensor.startswith("kv") and e.op.value == "alloc"}
+        chunked_sizes = {e.size for e in chunked.events
+                         if e.op is Op.ALLOC and e.size not in other}
         assert len(chunked_sizes) > 5
 
-    def test_bad_offline_kv_cache_rejected(self):
-        with pytest.raises(SpecError):
-            ServingWorkload("opt-1.3b", kv_cache="radix")
+    def test_offline_trace_of_prefix_sharing_replays(self):
+        """A shared-prefix run records like any other: its replay on the
+        same allocator makes the run's calls again."""
+        simulator = ServingSimulator(
+            "opt-1.3b", allocator="caching",
+            kv_cache="paged-shared?block_tokens=16",
+            config=ServingConfig(queue_timeout_s=1e6))
+        recorder = simulator.allocator.add_observer(AllocationRecorder())
+        stream = MultiTenantArrivals(
+            tenants=3, rate_per_s=1000, shared_prefix_tokens=256).generate(
+                30, seed=4)
+        result = simulator.run(stream)
+        assert result.kv_metrics.prefix_hits > 0
+        replay = run_trace(resolve_allocator("caching", GpuDevice()),
+                           recorder.trace)
+        assert replay.peak_reserved_bytes == result.stats.peak_reserved_bytes
+        assert replay.malloc_count == result.stats.malloc_count
 
 
 class TestClusterAggregation:

@@ -3,11 +3,10 @@ group of ``tests/reference.py`` swapped in at once, and the two runs
 must agree exactly on everything ``reference.observe`` records.
 
 The matrix is every scheduler x {chunked, paged, paged-shared} x seven
-topologies: one replica, a straggler with a timeline, a traced
-replica with gauges and a timeline, a crash-faulted tiered 2-replica
-fleet (each pick runs ahead to the next crash hand-off), a hedged
-fleet (one tick per pick), a 1P+1D disaggregated run and an uncoupled
-2-replica GMLake fleet.
+topologies: one replica, a straggler, a traced replica with gauges,
+a crash-faulted tiered 2-replica fleet (each pick runs ahead to the
+next crash hand-off), a hedged fleet (one tick per pick), a 1P+1D
+disaggregated run and an uncoupled 2-replica GMLake fleet.
 Hypothesis draws each cell's seed: one example under the default
 profile (its simplest, seed 0, comes first) and four under the
 nightly one.
@@ -73,16 +72,13 @@ def _serve(topology, scheduler, kv, seed, trace, gauges):
         return run_serving(_stream(seed), MODEL, capacity=tight,
                            config=_config(), **common)
     if topology == "straggler":
-        # A timeline without a trace: samples inside the repeated
-        # workspace's quiet runs.
         return run_serving(
-            _stream(seed), MODEL, capacity=tight,
-            config=_config(record_timeline=True),
+            _stream(seed), MODEL, capacity=tight, config=_config(),
             faults=f"straggler?slowdown=3&prob=0.3&seed={seed}", **common)
     if topology == "observed":
         return run_serving(_stream(seed), MODEL, capacity=tight,
-                           config=_config(record_timeline=True),
-                           trace=trace, gauges=gauges, **common)
+                           config=_config(), trace=trace, gauges=gauges,
+                           **common)
     if topology == "crash-tiers-fleet":
         # Crashes every ~0.1 s against long decodes: crash hand-offs
         # land on a peer in the middle of its quiet runs.

@@ -12,9 +12,9 @@ from repro.api import DisaggSpec, ExperimentSpec, ServingSpec, WorkloadSpec
 from repro.cli import _serve_spec_from, build_parser, main
 from repro.units import MB
 from repro.workloads import TrainingWorkload
-from repro.workloads.inference import ServingWorkload
 from repro.workloads.request import Op, Trace
 from repro.workloads.traceio import load_trace, save_trace
+from test_workloads_inference import record
 
 
 class TestTraceIO:
@@ -63,8 +63,8 @@ class TestTraceIO:
     def test_serving_roundtrip_preserves_event_order(self, tmp_path):
         """ALLOC/FREE interleaving (the serving churn pattern) must
         survive save/load exactly — order, names, sizes, and meta."""
-        trace = ServingWorkload("opt-1.3b", n_requests=40, max_batch=8,
-                                seed=11).build_trace()
+        _, trace = record("opt-1.3b", 40, seed=11, max_batch=8)
+        trace.meta["label"] = "opt-1.3b/serving/40req"
         path = tmp_path / "serving.jsonl"
         save_trace(trace, path)
         loaded = load_trace(path)
@@ -74,25 +74,24 @@ class TestTraceIO:
             (e.op, e.tensor, e.size) for e in trace.events
         ]
         # The churn signature is intact: some KV frees happen before
-        # later KV allocations (out-of-admission-order retirement).
-        ops = [(e.op, e.tensor) for e in loaded.events
-               if e.tensor.startswith("kv")]
-        first_free = next(i for i, (op, _) in enumerate(ops)
-                          if op is Op.FREE)
-        assert any(op is Op.ALLOC for op, _ in ops[first_free:])
+        # later KV allocations (out-of-admission-order retirement).  A
+        # KV tensor outlives the next event; a workspace is freed by it.
+        events = loaded.events
+        kv = {e.tensor for e, after in zip(events, events[1:])
+              if e.op is Op.ALLOC and after.tensor != e.tensor}
+        ops = [e.op for e in events if e.tensor in kv]
+        first_free = ops.index(Op.FREE)
+        assert Op.ALLOC in ops[first_free:]
 
     def test_serving_workload_seed_is_byte_identical(self, tmp_path):
         """Same seed => byte-identical serialized trace."""
         path_a = tmp_path / "a.jsonl"
         path_b = tmp_path / "b.jsonl"
-        save_trace(ServingWorkload("opt-1.3b", n_requests=60, max_batch=8,
-                                   seed=9).build_trace(), path_a)
-        save_trace(ServingWorkload("opt-1.3b", n_requests=60, max_batch=8,
-                                   seed=9).build_trace(), path_b)
+        save_trace(record("opt-1.3b", 60, seed=9, max_batch=8)[1], path_a)
+        save_trace(record("opt-1.3b", 60, seed=9, max_batch=8)[1], path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
         path_c = tmp_path / "c.jsonl"
-        save_trace(ServingWorkload("opt-1.3b", n_requests=60, max_batch=8,
-                                   seed=10).build_trace(), path_c)
+        save_trace(record("opt-1.3b", 60, seed=10, max_batch=8)[1], path_c)
         assert path_a.read_bytes() != path_c.read_bytes()
 
 

@@ -1,13 +1,16 @@
-"""Tests for the inference serving workload and ZeRO stages 1/2."""
+"""Tests for the serving trace (a recording of the serving simulator)
+and ZeRO stages 1/2."""
 
 import pytest
 
 from repro.sim import run_workload
 from repro.api import resolve_allocator
-from repro.sim.engine import run_trace
+from repro.serve import PoissonArrivals, ServingConfig, ServingSimulator
+from repro.sim.engine import AllocationRecorder, run_trace
 from repro.gpu.device import GpuDevice
-from repro.workloads import TrainingWorkload, ZeroConfig, get_model
-from repro.workloads.inference import ServingWorkload, kv_bytes
+from repro.units import A100_80GB, MB
+from repro.workloads import Op, TrainingWorkload, ZeroConfig, get_model
+from repro.workloads.inference import kv_bytes
 
 
 class TestKvBytes:
@@ -20,65 +23,74 @@ class TestKvBytes:
         assert kv_bytes(model, 200) == 2 * kv_bytes(model, 100)
 
 
+def record(model, n_requests, seed=0, allocator="caching",
+           capacity=A100_80GB, max_batch=16, kv_cache="chunked"):
+    """Serve ``n_requests`` all at once with FCFS and record the
+    allocator stream; returns (the run's result, the trace)."""
+    simulator = ServingSimulator(
+        model, allocator=allocator, capacity=capacity, kv_cache=kv_cache,
+        config=ServingConfig(max_batch=max_batch, queue_timeout_s=1e6))
+    recorder = simulator.allocator.add_observer(AllocationRecorder())
+    stream = PoissonArrivals(rate_per_s=1000).generate(n_requests, seed=seed)
+    return simulator.run(stream), recorder.trace
+
+
 class TestServingTrace:
     def test_trace_validates(self):
-        trace = ServingWorkload("opt-1.3b", n_requests=50).build_trace()
+        _, trace = record("opt-1.3b", 50)
         trace.validate()
 
     def test_all_requests_served_and_freed(self):
-        workload = ServingWorkload("opt-1.3b", n_requests=40, max_batch=8)
-        trace = workload.build_trace()
-        stats = trace.stats()
-        # weights + 40 KV blocks + one workspace per decode step.
-        kv_allocs = sum(
-            1 for e in trace.events
-            if e.tensor.startswith("kv") and e.op.value == "alloc"
-        )
-        assert kv_allocs == 40
+        result, trace = record("opt-1.3b", 40, max_batch=8)
+        assert result.completed == 40
+        live = {}
+        for event in trace.events:
+            if event.op is Op.ALLOC:
+                live[event.tensor] = event.size
+            else:
+                del live[event.tensor]
         # Only the weights stay live at the end.
-        assert stats.peak_live_bytes > workload.model.weight_bytes
+        assert list(live.values()) == [get_model("opt-1.3b").weight_bytes]
+        assert trace.stats().peak_live_bytes > get_model("opt-1.3b").weight_bytes
 
     def test_deterministic(self):
-        a = ServingWorkload("opt-1.3b", n_requests=30, seed=5).build_trace()
-        b = ServingWorkload("opt-1.3b", n_requests=30, seed=5).build_trace()
+        _, a = record("opt-1.3b", 30, seed=5)
+        _, b = record("opt-1.3b", 30, seed=5)
         assert [(e.op, e.tensor, e.size) for e in a.events] == [
             (e.op, e.tensor, e.size) for e in b.events
         ]
 
     def test_seed_changes_lengths(self):
-        a = ServingWorkload("opt-1.3b", n_requests=30, seed=1).build_trace()
-        b = ServingWorkload("opt-1.3b", n_requests=30, seed=2).build_trace()
+        _, a = record("opt-1.3b", 30, seed=1)
+        _, b = record("opt-1.3b", 30, seed=2)
         assert a.stats().total_alloc_bytes != b.stats().total_alloc_bytes
 
-    def test_batch_cap_respected(self):
-        workload = ServingWorkload("opt-1.3b", n_requests=60, max_batch=4)
-        trace = workload.build_trace()
-        live_kv = 0
-        max_live = 0
-        for event in trace.events:
-            if event.tensor.startswith("kv"):
-                live_kv += 1 if event.op.value == "alloc" else -1
-                max_live = max(max_live, live_kv)
-        assert max_live <= 4
+    @pytest.mark.parametrize("kv_cache", ["chunked", "paged?block_tokens=16"])
+    @pytest.mark.parametrize("allocator", ["caching", "gmlake", "expandable"])
+    def test_replay_reproduces_the_run(self, allocator, kv_cache):
+        """Replaying a recording on a fresh device with the same
+        allocator makes the run's calls again, so it ends at the run's
+        peaks and malloc count."""
+        result, trace = record("opt-1.3b", 30, seed=3, allocator=allocator,
+                               kv_cache=kv_cache)
+        replay = run_trace(resolve_allocator(allocator, GpuDevice()), trace)
+        assert not replay.oom
+        assert replay.peak_active_bytes == result.stats.peak_active_bytes
+        assert replay.peak_reserved_bytes == result.stats.peak_reserved_bytes
+        assert replay.malloc_count == result.stats.malloc_count
 
-    def test_compute_time_tracks_tokens(self):
-        trace = ServingWorkload("opt-1.3b", n_requests=20).build_trace()
-        steps = trace.meta["decode_steps"]
-        assert trace.compute_us_per_iter[0] > 0
-        assert steps > 0
-
-    def test_bad_configs_rejected(self):
-        with pytest.raises(ValueError):
-            ServingWorkload("opt-1.3b", n_requests=0)
-        with pytest.raises(ValueError):
-            ServingWorkload("opt-1.3b", max_batch=0)
+    def test_a_run_that_meets_an_oom_is_not_recorded(self):
+        """Under pressure the simulator preempts on OOM; the recorder
+        refuses, since the stream would carry the allocator's own
+        decisions."""
+        model = get_model("opt-1.3b")
+        with pytest.raises(RuntimeError, match="OOM"):
+            record(model, 40, capacity=model.weight_bytes + 200 * MB)
 
     def test_gmlake_beats_caching_on_serving_churn(self):
         """Never-repeating KV sizes are the worst case for size caching;
         stitching still wins on reserved memory."""
-        workload = ServingWorkload("opt-6.7b", n_requests=120, max_batch=16,
-                                   seed=3)
-        trace = workload.build_trace()
+        _, trace = record("opt-6.7b", 120, seed=3)
         base = run_trace(resolve_allocator("caching", GpuDevice()), trace)
         gml = run_trace(resolve_allocator("gmlake", GpuDevice()), trace)
         assert not base.oom and not gml.oom
