@@ -56,6 +56,32 @@ class _OpCounters:
     host_time_us: float = 0.0
 
 
+@dataclass(frozen=True)
+class SteadyState:
+    """An allocator between two training iterations, as
+    :meth:`BaseAllocator.steady_state` answers it.
+
+    Attributes
+    ----------
+    shape:
+        Everything a ``malloc`` / ``free`` decision reads, compared with
+        ``==``: two answers with equal shapes make the same decisions on
+        the same calls.  It leaves out what every repeat moves on
+        (allocation ids, ticks, LRU stamps), which decisions read only
+        by order, and holds the driver's call counts, so a driver call
+        in between makes the shapes differ.
+    counts:
+        The integers :meth:`BaseAllocator.repeat_steady` advances.
+    spends:
+        Clock adds of ``cached_op_us`` so far: one per ``malloc`` and
+        per ``free`` that makes no driver call.
+    """
+
+    shape: object
+    counts: Tuple[int, ...]
+    spends: int
+
+
 class AllocatorObserver:
     """Event-hook interface over one allocator's lifecycle.
 
@@ -368,6 +394,54 @@ class BaseAllocator(ABC):
             observer.on_free(self, alloc)
         if cache is not self:
             cache._count_pairs(1, rounded)
+
+    # ------------------------------------------------------------------
+    # Converged iterations
+    # ------------------------------------------------------------------
+    def steady_state(self) -> Optional[SteadyState]:
+        """This allocator between two iterations, for the closed form of
+        :func:`repro.sim.engine.run_trace`; ``None``: no closed form.
+
+        Say an iteration of single ``malloc`` / ``free`` calls, which
+        frees every tensor it allocates, leads from an answer ``before``
+        to an ``after`` with an equal :attr:`~SteadyState.shape`.  The
+        same calls made again read equal shapes, so they make the same
+        decisions, spend the same host time and leave an equal shape
+        again.  :meth:`repeat_steady` then stands for ``k`` repeats.
+        Ids and ticks grow by the same delta in each repeat.  That is
+        exact because no decision reads their values, only their order.
+        An observed allocator answers ``None``, since its observers must
+        see every call.  This class always answers ``None``, so
+        ``native`` and ``vmm-naive`` make every call."""
+        return None
+
+    def repeat_steady(self, before: SteadyState, after: SteadyState,
+                      k: int) -> None:
+        """What ``k`` more repeats of the iteration from ``before`` to
+        ``after`` (equal shapes) leave, apart from the clock: each count
+        advanced by ``k`` times its delta, and each host-time spend
+        added in turn.  The live table and the peaks stay as they are.
+        Only an allocator that answers :meth:`steady_state` defines
+        this."""
+        raise NotImplementedError(f"{self.name} has no steady state")
+
+    def _steady_counts(self) -> Tuple[int, int, int]:
+        """The counts :meth:`_repeat_calls` advances."""
+        counters = self._counters
+        return counters.malloc_count, counters.free_count, self._next_id
+
+    def _repeat_calls(self, before: Tuple[int, ...], after: Tuple[int, ...],
+                      k: int, spends: int) -> None:
+        """``k`` more repeats of the calls between two
+        :meth:`_steady_counts` answers, which made ``spends``
+        host-time spends here."""
+        counters = self._counters
+        counters.malloc_count += k * (after[0] - before[0])
+        counters.free_count += k * (after[1] - before[1])
+        self._next_id += k * (after[2] - before[2])
+        counters.host_time_us = repeated_add(
+            counters.host_time_us, self.device.latency.cached_op_us,
+            k * spends)
 
     def empty_cache(self) -> None:
         """Release every cached (unused) physical byte back to the device."""

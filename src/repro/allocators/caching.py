@@ -24,10 +24,11 @@ segment boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.allocators.base import Allocation, BaseAllocator
+from repro.allocators.base import Allocation, BaseAllocator, SteadyState
 from repro.errors import CudaOutOfMemoryError, OutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.sortedlist import ChunkedSortedKeyList
@@ -288,6 +289,29 @@ class CachingAllocator(BaseAllocator):
             self._refused_cuda_malloc(seg_size)
         self._spend_host_time_many(us, k)  # the frees
         return k
+
+    def steady_state(self) -> Optional[SteadyState]:
+        """The block list in address order, each block's size and
+        whether it is allocated, and the driver's call counts.  The free
+        pools, the whole-free index and the byte counters follow from
+        the block list, and so do best fit's choices, which read sizes
+        and addresses.  Segments and arena frontiers move only with
+        driver calls.  Every call makes one host-time spend here."""
+        if self._observers:
+            return None
+        driver = (astuple(self.device.vmm.counters)
+                  + astuple(self.device.runtime.counters))
+        blocks = self._blocks_by_ptr
+        shape = tuple(chain.from_iterable(
+            (ptr, blocks[ptr].size, blocks[ptr].allocated)
+            for ptr in sorted(blocks)))
+        counts = self._steady_counts()
+        return SteadyState((driver, shape), counts, counts[0] + counts[1])
+
+    def repeat_steady(self, before: SteadyState, after: SteadyState,
+                      k: int) -> None:
+        self._repeat_calls(before.counts, after.counts, k,
+                           after.spends - before.spends)
 
     def _refused_cuda_malloc(self, seg_size: int) -> None:
         """A ``cudaMalloc`` the device is known to refuse."""

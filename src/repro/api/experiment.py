@@ -457,7 +457,8 @@ def run(
     :func:`repro.sim.engine.run_workload` directly.  A ``replay`` run
     builds its trace once, and a ``cluster`` run each rank's trace
     once: ``build_trace`` draws from a fresh ``random.Random``, so
-    every allocator would get the same one.
+    every allocator would get the same one.  Ranks whose traces are
+    equal share one build and one replay per allocator.
     """
     if isinstance(spec, str):
         spec = ExperimentSpec.load(spec)

@@ -30,10 +30,11 @@ reserved bytes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.allocators.base import Allocation, BaseAllocator
+from repro.allocators.base import Allocation, BaseAllocator, SteadyState
 from repro.allocators.caching import CachingAllocator, round_size
 from repro.core.bestfit import BestFitResult, FitState, best_fit
 from repro.core.config import GMLakeConfig
@@ -326,6 +327,57 @@ class GMLakeAllocator(BaseAllocator):
         """Release all cached (inactive) memory back to the device."""
         self._reclaim()
         self.counters.reclaims -= 1  # user-requested, not an OOM event
+
+    # ------------------------------------------------------------------
+    # Converged iterations (§4.2.2: S1 exact matches, no driver call)
+    # ------------------------------------------------------------------
+    def steady_state(self) -> Optional[SteadyState]:
+        """The small pool's answer, and every pBlock's id, size,
+        activity and sBlock references and every sBlock's id and owner,
+        in pool order.
+
+        Every look-up reads only these, plus sizes, which an id fixes.
+        A new pBlock or sBlock has a new id, so an iteration that
+        allocates, splits, stitches or frees a stitch changes the shape.
+        The LRU stamps are not part of it: only a stitch reads them,
+        and a stitch changes the shape.  Each call counts here, each
+        large one spends host time here, and each small one in the
+        small pool."""
+        if self._observers:
+            return None
+        small = self._small.steady_state()
+        shape = (small.shape,
+                 tuple(itertools.chain.from_iterable(
+                     (b.id, b.size, b.active, b.sblock_refs)
+                     for b in self.ppool)),
+                 tuple(itertools.chain.from_iterable(
+                     (s.id, s.owner_id is None) for s in self.spool)))
+        # Calls, frees and next id; tick; state hits; the small pool's.
+        counts = (*self._steady_counts(), self._tick,
+                  *self.counters.state_hits.values(), *small.counts)
+        return SteadyState(shape, counts, counts[0] + counts[1])
+
+    def repeat_steady(self, before: SteadyState, after: SteadyState,
+                      k: int) -> None:
+        """Also ``_tick`` and the state hits advance, and each LRU stamp
+        the iteration set (every stamp above its first tick) moves on
+        by ``k`` times the iteration's ticks, as ``k`` repeats restamp
+        the same blocks at the same offsets."""
+        was, now = before.counts, after.counts
+        small_was, small_now = was[-3:], now[-3:]
+        small_spends = (small_now[0] + small_now[1]
+                        - small_was[0] - small_was[1])
+        self._small._repeat_calls(small_was, small_now, k, small_spends)
+        self._repeat_calls(was, now, k,
+                           after.spends - before.spends - small_spends)
+        hits = self.counters.state_hits
+        for state, hit_was, hit_now in zip(hits, was[4:-3], now[4:-3]):
+            hits[state] += k * (hit_now - hit_was)
+        first, shift = was[3], k * (now[3] - was[3])
+        for block in itertools.chain(self.ppool, self.spool):
+            if block.last_used > first:
+                block.last_used += shift
+        self._tick += shift
 
     # ------------------------------------------------------------------
     # Introspection & invariants

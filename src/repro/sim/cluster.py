@@ -13,8 +13,9 @@ job does:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 from repro.api.result import WorstMemberRunResult
 from repro.api.spec import SpecLike, resolve_allocator
@@ -60,6 +61,14 @@ class ClusterResult(WorstMemberRunResult):
         """Synchronous training runs at the slowest rank's pace."""
         return min(r.throughput_samples_per_s for r in self.ranks)
 
+    @property
+    def converged_at(self) -> Optional[int]:
+        """The last rank to converge: the greatest
+        :attr:`EngineResult.converged_at`, or ``None`` when some rank
+        never did."""
+        marks = [rank.converged_at for rank in self.ranks]
+        return None if None in marks else max(marks)
+
     # -- the :class:`repro.api.RunResult` shared surface ---------------
     # Memory figures delegate to WorstMemberRunResult (worst rank).
     def _result_members(self) -> List[EngineResult]:
@@ -97,8 +106,9 @@ def run_cluster(
     """Simulate every rank of ``workload`` on its own device.
 
     Each rank replays the same workload with a rank-salted seed, so
-    strategy-induced irregularity (offload buckets, sequence jitter if
-    enabled) diverges slightly across ranks, as on a real cluster.
+    sequence jitter, if enabled, diverges slightly across ranks, as on
+    a real cluster.  Without it every rank's trace is the same, so it
+    is built once and replayed once.
     With ``record_timeline`` every rank carries its own memory timeline.
     """
     return _replay_ranks(_rank_traces(workload), allocator, capacity,
@@ -107,7 +117,11 @@ def run_cluster(
 
 def _rank_traces(workload: TrainingWorkload) -> List[Trace]:
     """Every rank's trace, built from its rank-salted seed.  Each draws
-    from a fresh ``random.Random``, so a trace serves every allocator."""
+    from a fresh ``random.Random``, so a trace serves every allocator.
+    A workload that does not read its seed builds one trace, which
+    every rank shares."""
+    if not workload.reads_seed:
+        return [workload.build_trace()] * workload.n_gpus
     return [replace(workload, seed=workload.seed + 1009 * rank).build_trace()
             for rank in range(workload.n_gpus)]
 
@@ -115,9 +129,26 @@ def _rank_traces(workload: TrainingWorkload) -> List[Trace]:
 def _replay_ranks(traces: List[Trace],
                   allocator: Union[SpecLike, AllocatorFactory],
                   capacity: int, record_timeline: bool) -> ClusterResult:
-    """:func:`run_cluster` over the ranks' ``traces``, each replayed on
-    a fresh device."""
-    return ClusterResult(ranks=[
-        run_trace(resolve_allocator(allocator, GpuDevice(capacity=capacity)),
-                  trace, record_timeline=record_timeline)
-        for trace in traces])
+    """:func:`run_cluster` over the ranks' ``traces``, each distinct
+    trace replayed once on a fresh device.  A rank whose trace equals
+    an earlier rank's (events, compute times and meta) gets its own
+    copy of that rank's result: the replay is a function of the trace."""
+    ranks: List[EngineResult] = []
+    for at, trace in enumerate(traces):
+        twin = next((rank for rank, earlier in zip(ranks, traces[:at])
+                     if _same_trace(earlier, trace)), None)
+        if twin is not None:
+            ranks.append(copy.deepcopy(twin))
+            continue
+        ranks.append(run_trace(
+            resolve_allocator(allocator, GpuDevice(capacity=capacity)),
+            trace, record_timeline=record_timeline))
+    return ClusterResult(ranks=ranks)
+
+
+def _same_trace(one: Trace, other: Trace) -> bool:
+    """Whether replaying ``one`` and ``other`` gives the same result."""
+    return one is other or (
+        one.events == other.events
+        and one.compute_us_per_iter == other.compute_us_per_iter
+        and one.meta == other.meta)

@@ -26,16 +26,23 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
-from repro.allocators.base import Allocation, AllocatorObserver, BaseAllocator
+from repro.allocators.base import (
+    Allocation,
+    AllocatorObserver,
+    BaseAllocator,
+    SteadyState,
+)
 from repro.api.spec import SpecLike, resolve_allocator
 from repro.errors import OutOfMemoryError
+from repro.gpu.clock import repeated_add
 from repro.gpu.device import GpuDevice
 from repro.sim.timeline import TimelinePoint, TimelineRecorder
 from repro.units import A100_80GB, GB
-from repro.workloads.request import Op, Trace
+from repro.workloads.request import Op, Trace, TraceEvent
 from repro.workloads.training import TrainingWorkload
 
 AllocatorFactory = Callable[[GpuDevice], BaseAllocator]
@@ -60,6 +67,10 @@ class EngineResult:
     host_time_us: float = 0.0
     malloc_count: int = 0
     timeline: List[TimelinePoint] = field(default_factory=list)
+    #: The iteration whose repeats the replay made in closed form (the
+    #: first such), or ``None``: every iteration after it left the
+    #: allocator as it found it.  Not in :meth:`extras`.
+    converged_at: Optional[int] = None
 
     @property
     def utilization_ratio(self) -> float:
@@ -271,6 +282,19 @@ def run_trace(
     Timeline capture subscribes to the allocator's event hooks
     (:class:`~repro.sim.timeline.TimelineRecorder`) rather than being
     baked into this loop; ``timeline_every`` counts alloc/free events.
+
+    A converged iteration is replayed once and then repeated in closed
+    form.  Say an iteration has the previous one's signature (each
+    ALLOC's size, each FREE as the position of its ALLOC), frees every
+    tensor it allocates, and leaves the allocator's
+    :meth:`~repro.allocators.base.BaseAllocator.steady_state` shape as
+    it found it.  Then the ``k`` iterations right after it with the same
+    signature make the same calls and decisions again.  Their clock
+    adds are made in order (each call's host-time spend, then the
+    compute time), and ``repeat_steady`` advances the allocator's
+    counts.  ``converged_at`` names the iteration that was repeated.
+    An allocator that answers no steady state (``native``,
+    ``vmm-naive``, any observed one) replays every call.
     """
     session = ReplaySession(allocator)
     clock = session.clock
@@ -282,10 +306,20 @@ def run_trace(
     if record_timeline:
         recorder = allocator.add_observer(
             TimelineRecorder(allocator, every=timeline_every))
+    events = trace.events
+    compute_list = trace.compute_us_per_iter
+    repeats: Dict[int, Tuple[int, int]] = {}
+    if allocator.steady_state() is not None:
+        repeats = _repeats(events)
+    us = allocator.device.latency.cached_op_us
+    probe: Optional[Tuple[int, int, SteadyState, float]] = None
     iter_start_s = session.start_s
     current_iter = 0
 
-    for event in trace.events:
+    pos, end = 0, len(events)
+    while pos < end:
+        event = events[pos]
+        pos += 1
         if event.op is Op.ALLOC:
             if not session.try_alloc(event.tensor, event.size):
                 result.oom = True
@@ -297,12 +331,37 @@ def run_trace(
         elif event.op is Op.ITER_START:
             current_iter = int(event.tensor)
             iter_start_s = clock.now_s
+            if pos - 1 in repeats:
+                probe = (*repeats[pos - 1], allocator.steady_state(),
+                         clock.now_us)
         elif event.op is Op.ITER_END:
-            compute_list = trace.compute_us_per_iter
+            k = 0
+            if probe is not None:
+                k, span, before, start_us = probe
+                probe = None
+                after = allocator.steady_state()
+                spends = after.spends - before.spends
+                # The iteration's clock adds were its host-time spends.
+                if (after.shape != before.shape
+                        or repeated_add(start_us, us, spends) != clock.now_us):
+                    k = 0
             if current_iter < len(compute_list):
                 clock.advance(compute_list[current_iter])
             result.iterations_completed += 1
             result.iter_times_s.append(clock.now_s - iter_start_s)
+            if k:
+                allocator.repeat_steady(before, after, k)
+                if result.converged_at is None:
+                    result.converged_at = current_iter
+                for _ in range(k):
+                    current_iter = int(events[pos].tensor)
+                    iter_start_s = clock.now_s
+                    clock.advance_many(us, spends)
+                    if current_iter < len(compute_list):
+                        clock.advance(compute_list[current_iter])
+                    result.iterations_completed += 1
+                    result.iter_times_s.append(clock.now_s - iter_start_s)
+                    pos += span
 
     if recorder is not None:
         recorder.sample(allocator)
@@ -311,15 +370,68 @@ def run_trace(
     session.finish(result)
     global_batch = int(trace.meta.get("global_batch", 0) or 0)
     if result.iterations_completed > 0 and global_batch:
-        # Steady-state throughput: skip warm-up iterations (GMLake's
-        # stitching converges within ~4 iterations, Fig. 14; the paper
-        # reports converged samples/s).
+        # Steady-state throughput: skip 4 warm-up iterations, as the
+        # paper reports samples/s after its "converges within ~4
+        # iterations" (Fig. 14).  ``converged_at`` measures that point
+        # per run, but is not used here: the pinned throughputs stay.
         warmup = min(4, result.iterations_completed - 1)
         steady = result.iter_times_s[warmup:]
         if steady and sum(steady) > 0:
             samples = global_batch * len(steady)
             result.throughput_samples_per_s = samples / sum(steady)
     return result
+
+
+def _repeats(events: Sequence[TraceEvent]) -> Dict[int, Tuple[int, int]]:
+    """ITER_START index -> ``(k, span)`` for every iteration that has
+    the previous iteration's signature and is followed right away by
+    ``k >= 1`` more with it, each ``span`` events long (markers
+    included).
+
+    An iteration's signature is its calls: an ALLOC as its size, a FREE
+    as ``~`` the position of its ALLOC.  It has none when a FREE names
+    an older tensor or a tensor outlives the iteration.
+    """
+    alloc, free, begin = Op.ALLOC, Op.FREE, Op.ITER_START
+    spans: List[Tuple[int, int, Optional[Tuple[int, ...]]]] = []
+    kept: Dict[Tuple[int, ...], Tuple[int, ...]] = {}  # one per signature
+    start, signature, allocated = -1, None, {}
+    for index, event in enumerate(events):
+        op = event.op
+        if op is alloc:
+            if signature is not None:
+                allocated[event.tensor] = len(signature)
+                signature.append(event.size)
+        elif op is free:
+            if signature is not None:
+                at = allocated.pop(event.tensor, None)
+                if at is None:
+                    signature = None
+                else:
+                    signature.append(~at)
+        elif op is begin:
+            start, signature, allocated = index, [], {}
+        elif start >= 0:
+            if signature is None or allocated:
+                spans.append((start, index, None))
+            else:
+                signature = tuple(signature)
+                spans.append((start, index,
+                              kept.setdefault(signature, signature)))
+            start, signature = -1, None
+    repeats: Dict[int, Tuple[int, int]] = {}
+    followers, after = 0, None  # of the span after this one
+    for at in range(len(spans) - 1, -1, -1):
+        start, stop, signature = spans[at]
+        if (after is not None and signature is not None
+                and after[2] == signature and after[0] == stop + 1):
+            followers += 1
+        else:
+            followers = 0
+        if followers and at and spans[at - 1][2] == signature:
+            repeats[start] = (followers, stop - start + 1)
+        after = spans[at]
+    return repeats
 
 
 def run_workload(

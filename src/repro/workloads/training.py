@@ -205,6 +205,15 @@ class TrainingWorkload:
                           prefetch_depth=profile.prefetch_depth)
 
     @property
+    def reads_seed(self) -> bool:
+        """Whether :meth:`build_trace` depends on ``seed``.  The seed's
+        only draw is ``rng.uniform(lo, hi)`` per iteration, with
+        ``(lo, hi) = seq_jitter``, and that is ``lo`` when ``lo == hi``
+        (the default), whatever the generator's state."""
+        lo, hi = self.seq_jitter
+        return lo != hi
+
+    @property
     def label(self) -> str:
         """Human-readable workload id used in reports."""
         return (

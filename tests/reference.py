@@ -4,11 +4,13 @@
 ``(owner, attribute, slow replacement)`` entries that put back the
 definition it replaced: a loop of single calls, one driver call at a
 time, a scan, one decode step per tick, a doomed run or back carved
-and rolled back, a workspace op made every step.  :func:`reference`
-swaps them in, :func:`definition` hands a twin one attribute's slow
-side, and :func:`observe` runs a serving scenario and records
-everything a serving twin compares.  A new fast path registers its
-definition here; it adds no harness.
+and rolled back, a workspace op made every step, each iteration of a
+trace replayed call by call.  :func:`reference` swaps them in,
+:func:`definition` hands a twin one attribute's slow side, and
+:func:`observe` runs a serving scenario and records everything a
+serving twin compares, over the :data:`GROUPS` a serving run can
+fire.  A new fast path registers its definition here; it adds no
+harness.
 """
 
 import bisect
@@ -514,6 +516,13 @@ def rekey_per_sblock(self, block, left_size):
     return left, right
 
 
+# -- Converged iterations: every iteration replayed call by call -----
+def never_steady(self):
+    """Slow replacement of ``steady_state``: no state is ever steady,
+    so ``run_trace`` replays every call of every iteration."""
+    return None
+
+
 # -- Doomed backs: every chunk that fits created and rolled back ------
 def cannot_say(phys, size, n):
     """Slow replacement of ``PhysicalMemory.refuse_creates``: it never
@@ -558,8 +567,14 @@ REFERENCE = {
         *_entries(MemoryAwareScheduler, ScanOnlyMemoryAware)),
     "quiet-run": ((ServingSimulator, "_quiet_run", one_step_per_tick),),
     "fleet-loop": ((cluster, "_run_ahead", one_tick_per_pick),),
+    # Only a trace replay asks: no serving path calls run_trace.
+    "converged-iterations": (
+        (CachingAllocator, "steady_state", never_steady),
+        (GMLakeAllocator, "steady_state", never_steady)),
 }
-GROUPS = tuple(REFERENCE)
+#: The groups a serving run can fire, which the serving twin swaps in.
+GROUPS = tuple(group for group in REFERENCE
+               if group != "converged-iterations")
 
 
 @contextlib.contextmanager

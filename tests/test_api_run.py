@@ -1,16 +1,24 @@
 """Tests for ``ExperimentSpec`` / ``repro.api.run`` and the RunResult
 protocol, plus the CLI paths that ride on them."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import api
-from repro.api import ExperimentSpec, ServingSpec, SpecError, WorkloadSpec
+from repro.api import (
+    ExperimentSpec,
+    ServingSpec,
+    SpecError,
+    WorkloadSpec,
+    resolve_allocator,
+)
 from repro.api.result import ExperimentResult, RunResult, run_result_row
 from repro.cli import main
-from repro.sim import run_cluster
-from repro.sim.engine import run_workload
+from repro.gpu.device import GpuDevice
+from repro.sim import cluster, run_cluster
+from repro.sim.engine import run_trace, run_workload
 from repro.units import GB
 from repro.workloads import TrainingWorkload
 
@@ -101,20 +109,42 @@ class TestRunClusterAndServe:
 
     def test_cluster_builds_each_rank_trace_once(self, monkeypatch):
         """Every allocator replays the same rank traces, so ``run``
-        builds them once: ``n_gpus`` builds, equal results."""
-        built = []
+        builds them once.  With no sequence jitter the seed is not read
+        and every rank's trace is equal: one build, one replay per
+        allocator.  A jittered workload builds and replays each rank.
+        Either way the results are the per-rank loop's, each rank its
+        own copy."""
+        built, replayed = [], []
         build = TrainingWorkload.build_trace
         monkeypatch.setattr(
             TrainingWorkload, "build_trace",
             lambda workload: built.append(workload.seed) or build(workload))
+        monkeypatch.setattr(
+            cluster, "run_trace",
+            lambda allocator, trace, **kwargs: replayed.append(
+                allocator.name) or run_trace(allocator, trace, **kwargs))
         names = ["caching", "gmlake", "caching"]
-        workload = WorkloadSpec(**{**TINY, "n_gpus": 3, "strategies": "RO"})
+        workload = WorkloadSpec(**{**TINY, "n_gpus": 4, "strategies": "RO"})
         results = api.run(tiny_experiment(mode="cluster", allocators=names,
                                           workload=workload))
-        assert built == [0, 1009, 2018]
+        assert built == [0]
+        assert replayed == names
+        jittered = dataclasses.replace(workload.build(), seq_jitter=(0.7, 1))
+        built.clear()
+        replayed.clear()
+        result = run_cluster(jittered, "gmlake")
+        assert built == [0, 1009, 2018, 3027]
+        assert replayed == ["gmlake"] * 4
         monkeypatch.undo()
-        assert [r.raw.ranks for r in results] == [
-            run_cluster(workload.build(), name).ranks for name in names]
+        for ranks, name, of in [*((r.raw.ranks, n, workload.build())
+                                  for r, n in zip(results, names)),
+                                (result.ranks, "gmlake", jittered)]:
+            assert len({id(rank) for rank in ranks}) == 4
+            assert ranks == [
+                run_trace(resolve_allocator(name, GpuDevice()),
+                          dataclasses.replace(of, seed=1009 * rank)
+                          .build_trace())
+                for rank in range(4)]
 
     def test_serve_mode(self):
         spec = ExperimentSpec(

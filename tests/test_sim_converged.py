@@ -1,0 +1,217 @@
+"""A converged training iteration replays in closed form.
+
+``run_trace`` makes the calls of an iteration that left the allocator's
+steady state as it found it once, and the iterations with its
+signature that follow it in closed form.  The ``converged-iterations``
+group of ``tests/reference.py`` replays every call of every iteration;
+each twin here compares the two runs on everything a replay leaves
+behind, floats bit for bit.
+"""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference import GROUPS, REFERENCE, reference
+from test_equivalence_goldens import _load_goldens, engine_digest
+from repro.allocators import CachingAllocator
+from repro.api import component_names, resolve_allocator
+from repro.core import GMLakeAllocator
+from repro.gpu.device import GpuDevice
+from repro.sim.cluster import ClusterResult
+from repro.sim.engine import EngineResult, ReplaySession, run_trace
+from repro.workloads import TrainingWorkload
+from repro.workloads.request import Op
+
+#: The pinned replay cells of ``test_equivalence_goldens.SCENARIOS``
+#: that can converge: allocator and workload.
+GOLDEN_CELLS = {
+    "replay/opt-13b-LR-caching": ("caching", dict(
+        model="opt-13b", batch_size=4, n_gpus=4, strategies="LR",
+        iterations=6)),
+    "replay/opt-13b-LR-expandable": ("expandable", dict(
+        model="opt-13b", batch_size=4, n_gpus=4, strategies="LR",
+        iterations=6)),
+    "replay/opt-13b-LR-gmlake": ("gmlake", dict(
+        model="opt-13b", batch_size=4, n_gpus=4, strategies="LR",
+        iterations=6)),
+    "replay/gpt-2-RO-gmlake": ("gmlake", dict(
+        model="gpt-2", batch_size=16, n_gpus=1, strategies="RO",
+        iterations=4)),
+    "replay/llama-7b-LRO-gmlake-chunk256": ("gmlake?chunk_mb=256", dict(
+        model="llama-7b", batch_size=8, n_gpus=2, strategies="LRO",
+        iterations=4)),
+}
+#: A 36-iteration run small enough to replay call by call.
+TINY = dict(model="opt-1.3b", batch_size=2, n_gpus=1, strategies="RO",
+            iterations=36)
+#: ``benchmarks/perf`` ``train_replay``'s workload.
+TRAIN_REPLAY = dict(model="gpt-neox-20b", batch_size=8, n_gpus=4,
+                    strategies="LRO", iterations=36)
+CONVERGING = ("caching", "expandable", "gmlake")
+
+
+def replay(allocator, trace):
+    """Replay ``trace`` on a fresh device; returns the result and
+    everything the run leaves behind: the digest (``iter_times_s``
+    among it), clock, allocator stats and next id, driver counters,
+    committed and peak bytes and next chunk handle, and for GMLake its
+    counters, tick, pools with their LRU stamps (in pool order: block
+    ids are process-wide) and its small pool.  The allocator's
+    invariants hold."""
+    device = GpuDevice()
+    alloc = resolve_allocator(allocator, device)
+    result = run_trace(alloc, trace)
+    alloc.check_invariants()
+    phys = device.phys
+    left = [engine_digest(result), device.clock.now_us, alloc.stats(),
+            alloc._next_id, device.vmm.counters.snapshot(),
+            dataclasses.asdict(device.runtime.counters),
+            (phys.committed, phys.peak_committed, phys._next_handle)]
+    if isinstance(alloc, GMLakeAllocator):
+        left += [dataclasses.asdict(alloc.counters), alloc._tick,
+                 [(b.size, b.active, b.sblock_refs, b.last_used)
+                  for b in alloc.ppool],
+                 [(s.size, s.last_used, s.owner_id) for s in alloc.spool],
+                 alloc._small.stats(), alloc._small._next_id]
+    return result, left
+
+
+def twin(allocator, trace):
+    """The shipped replay of ``trace`` and the one that makes every
+    call, which must leave the same; returns the shipped result."""
+    fast, fast_left = replay(allocator, trace)
+    with reference("converged-iterations"):
+        slow, slow_left = replay(allocator, trace)
+    assert slow.converged_at is None
+    assert fast_left == slow_left
+    return fast, fast_left
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
+def test_golden_cell_equals_every_call_replayed(cell):
+    allocator, workload = GOLDEN_CELLS[cell]
+    _, left = twin(allocator, TrainingWorkload(**workload).build_trace())
+    assert left[0] == _load_goldens()[cell]  # in lockstep with the pin
+
+
+@pytest.mark.parametrize("allocator", CONVERGING)
+def test_tiny_run_equals_every_call_replayed(allocator):
+    fast, _ = twin(allocator, TrainingWorkload(**TINY).build_trace())
+    assert fast.converged_at is not None
+
+
+@pytest.mark.parametrize("allocator", sorted(
+    set(component_names("allocator")) - set(CONVERGING)))
+def test_an_allocator_with_no_steady_state_makes_every_call(allocator):
+    assert resolve_allocator(allocator, GpuDevice()).steady_state() is None
+
+
+def test_the_group_fires_in_a_shipped_replay_cell(monkeypatch):
+    """The twins compare something only if a shipped cell takes the
+    closed form; the serving twin's groups never can."""
+    repeats = []
+    shipped = CachingAllocator.repeat_steady
+    monkeypatch.setattr(
+        CachingAllocator, "repeat_steady",
+        lambda self, before, after, k: repeats.append(k) or shipped(
+            self, before, after, k))
+    allocator, workload = GOLDEN_CELLS["replay/opt-13b-LR-caching"]
+    replay(allocator, TrainingWorkload(**workload).build_trace())
+    assert repeats == [4]  # iteration 1 repeated for 2-5
+    assert "converged-iterations" in REFERENCE
+    assert "converged-iterations" not in GROUPS
+
+
+@pytest.mark.parametrize("allocator", CONVERGING)
+@settings(max_examples=max(1, settings().max_examples // 20))
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       jitter=st.sampled_from([1.0, 0.99, 0.97, 0.9, 0.7]),
+       strategies=st.sampled_from(["N", "R", "LR", "RO", "LRO"]),
+       n_gpus=st.integers(1, 2), iterations=st.integers(1, 12))
+def test_small_workloads_equal_every_call_replayed(
+        allocator, seed, jitter, strategies, n_gpus, iterations):
+    """Jitter below 4 % often repeats a padded length a few times and
+    then changes it: the closed form stops at the first iteration
+    that differs and the replay resumes there."""
+    workload = TrainingWorkload(
+        "opt-1.3b", batch_size=2, n_gpus=n_gpus, strategies=strategies,
+        iterations=iterations, seed=seed, seq_jitter=(jitter, 1.0))
+    twin(allocator, workload.build_trace())
+
+
+def test_a_jittered_run_resumes_after_its_repeats():
+    """Seed 6's padded lengths are equal for iterations 1-4 and change
+    at 5: iteration 2 is repeated for 3 and 4, and 5 on are replayed."""
+    workload = TrainingWorkload(
+        "opt-1.3b", batch_size=2, strategies="RO", iterations=10, seed=6,
+        seq_jitter=(0.97, 1.0))
+    trace = workload.build_trace()
+    compute = trace.compute_us_per_iter  # a function of the length
+    assert len(set(compute[1:5])) == 1 and compute[5] != compute[4]
+    fast, _ = twin("caching", trace)
+    assert fast.converged_at == 2
+
+
+def iteration_deltas(allocator, trace):
+    """Per iteration after the first, call by call: the change in
+    every integer stat, in the driver time and in the host time."""
+    device = GpuDevice()
+    alloc = resolve_allocator(allocator, device)
+    session = ReplaySession(alloc)
+    marks = []
+    for event in trace.events:
+        if event.op is Op.ALLOC:
+            session.alloc(event.tensor, event.size)
+        elif event.op is Op.FREE:
+            session.free(event.tensor)
+        elif event.op is Op.ITER_END:
+            marks.append(dataclasses.astuple(alloc.stats()))
+    floats = (6, 7)  # driver_time_us, host_time_us
+    return [(tuple(b - a for i, (a, b) in enumerate(zip(was, now))
+                   if i not in floats), now[6] - was[6], now[7] - was[7])
+            for was, now in zip(marks, marks[1:])]
+
+
+@pytest.mark.parametrize("allocator", CONVERGING)
+def test_every_iteration_after_converged_at_repeats_its_deltas(allocator):
+    trace = TrainingWorkload(**TINY).build_trace()
+    converged_at = run_trace(
+        resolve_allocator(allocator, GpuDevice()), trace).converged_at
+    deltas = iteration_deltas(allocator, trace)[converged_at - 1:]
+    counts, driver, host = deltas[0]
+    assert driver == 0.0 and host > 0
+    for later_counts, later_driver, later_host in deltas[1:]:
+        assert later_counts == counts and later_driver == 0.0
+        assert math.isclose(later_host, host, rel_tol=1e-9)
+
+
+def test_train_replay_converges_after_1_caching_and_4_gmlake_iterations():
+    """``converged_at`` names the iteration the closed form repeats:
+    the first that left the allocator as it found it.  Caching's
+    iteration 0 makes its segments; GMLake's 1-3 still split and
+    stitch (the paper's "converges within ~4 iterations")."""
+    trace = TrainingWorkload(**TRAIN_REPLAY).build_trace()
+    converged = {name: run_trace(resolve_allocator(name, GpuDevice()),
+                                 trace).converged_at
+                 for name in ("caching", "gmlake")}
+    assert converged == {"caching": 1, "gmlake": 4}
+
+
+def test_an_observed_replay_makes_every_call():
+    result = run_trace(resolve_allocator("caching", GpuDevice()),
+                       TrainingWorkload(**TINY).build_trace(),
+                       record_timeline=True)
+    assert result.converged_at is None
+    assert "converged_at" not in result.extras()  # not in the digests
+
+
+def test_a_cluster_converges_with_its_last_rank():
+    def rank(converged_at):
+        return EngineResult("caching", {}, converged_at=converged_at)
+
+    assert ClusterResult([rank(1), rank(4)]).converged_at == 4
+    assert ClusterResult([rank(1), rank(None)]).converged_at is None
