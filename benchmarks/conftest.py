@@ -6,11 +6,9 @@ under::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_paper_artefacts.py --benchmark-only
 
-and the allocator micro-timings under the same command with
-``benchmarks/bench_allocator_ops.py``.  pytest captures stdout, so each
-artefact registers its table through the ``report`` fixture; a
-terminal-summary hook prints every registered table after the benchmark
-timings.
+pytest captures stdout, so each artefact registers its table through
+the ``report`` fixture; a terminal-summary hook prints every registered
+table after the benchmark timings.
 """
 
 from typing import List

@@ -128,7 +128,6 @@ class CachingAllocator(BaseAllocator):
         self._blocks_by_ptr: Dict[int, Block] = {}
         self._segments: Dict[int, Segment] = {}
         self._reserved = 0
-        self._cached_bytes = 0
 
     # ------------------------------------------------------------------
     @property
@@ -147,26 +146,21 @@ class CachingAllocator(BaseAllocator):
         return sum(len(p) for p in self._free_pools.values())
 
     def cached_bytes(self) -> int:
-        """Total bytes of free (inactive) blocks held in the pools.
+        """Total bytes of free (inactive) blocks held in the pools,
+        summed when asked: no allocation decision reads it."""
+        return sum(b.size for p in self._free_pools.values() for b in p)
 
-        Maintained incrementally by :meth:`_pool_add` /
-        :meth:`_pool_remove` instead of re-summing the pools per query.
-        """
-        return self._cached_bytes
-
-    # -- every pool entry/exit goes through these two, so the byte
-    # -- counter and the whole-free index can never drift from the
-    # -- pool contents.  (A block as large as its segment has no
-    # -- neighbours: size alone says it is whole.)
+    # -- every pool entry/exit goes through these two, so the
+    # -- whole-free index can never drift from the pool contents.  (A
+    # -- block as large as its segment has no neighbours: size alone
+    # -- says it is whole.)
     def _pool_add(self, pool: str, block: Block) -> None:
         self._free_pools[pool].add(block)
-        self._cached_bytes += block.size
         if block.size == block.segment.size:
             self._whole_free[pool][block.ptr] = block
 
     def _pool_remove(self, pool: str, block: Block) -> None:
         self._free_pools[pool].remove(block)
-        self._cached_bytes -= block.size
         if block.size == block.segment.size:
             del self._whole_free[pool][block.ptr]
 
@@ -540,10 +534,6 @@ class CachingAllocator(BaseAllocator):
         # Reserved equals the segments' physical bytes.
         assert self._reserved == sum(
             self._backed_bytes(s) for s in self._segments.values())
-        # The incremental cached-bytes counter matches a full re-sum.
-        assert self._cached_bytes == sum(
-            b.size for p in self._free_pools.values() for b in p
-        ), "cached_bytes counter out of sync with the free pools"
         for name, pool in self._free_pools.items():
             assert pool.check_sorted()
             # The whole-free index is exactly the pooled blocks that

@@ -280,10 +280,10 @@ class GMLakeAllocator(BaseAllocator):
         block.last_used = self._tick
         block.owner_id = self._next_id  # the Allocation id BaseAllocator will use
         if isinstance(block, PBlock):
-            self.ppool.mark_active(block)
+            block.active = True
         else:
             for member in block.members:
-                self.ppool.mark_active(member)
+                member.active = True
                 member.last_used = self._tick
         self._assigned[block.va] = block
         return block.va, rounded
@@ -301,10 +301,10 @@ class GMLakeAllocator(BaseAllocator):
         block.owner_id = None
         block.last_used = self._tick
         if isinstance(block, PBlock):
-            self.ppool.mark_inactive(block)
+            block.active = False
         else:
             for member in block.members:
-                self.ppool.mark_inactive(member)
+                member.active = False
                 member.last_used = self._tick
 
     # ------------------------------------------------------------------
@@ -312,12 +312,15 @@ class GMLakeAllocator(BaseAllocator):
     # ------------------------------------------------------------------
     def _reclaim(self) -> None:
         """OOM fallback: StitchFree every unowned sBlock, then release
-        every inactive pBlock's physical memory."""
+        every inactive pBlock's physical memory, smallest first (then by
+        id): the order of the driver calls, and so the clock."""
         self.counters.reclaims += 1
         for sblock in list(self.spool):
             if not sblock.is_allocated:
                 self._stitch_free(sblock)
-        for pblock in [p for p in self.ppool if not p.active]:
+        victims = sorted((p for p in self.ppool if not p.active),
+                         key=lambda p: (p.size, p.id))
+        for pblock in victims:
             self.ppool.remove(pblock)
             self._pblock_bytes -= pblock.size
             pblock.destroy(self.device)
@@ -403,9 +406,10 @@ class GMLakeAllocator(BaseAllocator):
             assert pblock.sblock_refs == len(self.spool.referencing(pblock)), (
                 f"pBlock {pblock.id} sblock_refs drifted")
         # Physical accounting matches the pool contents.
-        assert self._pblock_bytes == self.ppool.total_bytes, (
+        pooled = sum(b.size for b in self.ppool)
+        assert self._pblock_bytes == pooled, (
             f"pblock byte accounting drifted: {self._pblock_bytes} != "
-            f"{self.ppool.total_bytes}"
+            f"{pooled}"
         )
         # Each physical chunk is owned by exactly one pBlock.
         seen: Dict[int, int] = {}
@@ -416,14 +420,22 @@ class GMLakeAllocator(BaseAllocator):
                     f"{seen[handle]} and {pblock.id}"
                 )
                 seen[handle] = pblock.id
-        # A tensor-owned sBlock is intact and keeps all members active.
+        # A tensor-owned sBlock is intact, and ``PBlock.active``, the one
+        # store of activity, marks exactly the pBlocks a tensor owns:
+        # itself or as a member of its sBlock.
+        owned = set()
         for block in self._assigned.values():
             if isinstance(block, SBlock):
                 assert len(block.members) >= 2, (
                     f"owned sBlock {block.id} was destroyed while assigned"
                 )
-                assert all(m.active for m in block.members), (
-                    f"owned sBlock {block.id} has inactive members"
-                )
+                owned.update(m.id for m in block.members)
+            else:
+                owned.add(block.id)
+        active = {p.id for p in self.ppool if p.active}
+        assert active == owned, (
+            f"pBlock activity drifted: {sorted(active - owned)} active but "
+            f"unowned, {sorted(owned - active)} owned but inactive"
+        )
         # No reservation overlap at the VA layer.
         assert not self.device.vaspace.overlaps()

@@ -3,13 +3,13 @@
 Both pools are ordered sets sorted by block size and hold *all* blocks,
 active and inactive.  ``PBlock.active`` is the single source of truth
 for activity: nothing else stores it, so an assign or a free is a flag
-flip per member pBlock however many sBlocks stitch over it, and every
+write per member pBlock however many sBlocks stitch over it, and every
 look-up derives activity when it reads:
 
-* ``PPool`` keeps every block a second time in BestFit's scan order,
-  keyed ``(-size, sblock_refs, id)`` (the paper sorts descending), and
-  running ``total_bytes`` / ``inactive_bytes`` counters.  The inactive
-  look-ups walk that order and skip active blocks.
+* ``PPool`` keeps its blocks in one order, BestFit's scan order, keyed
+  ``(-size, sblock_refs, id)`` (the paper sorts descending).  The
+  inactive look-ups walk that order and skip active blocks.  It keeps
+  no byte total: ``GMLakeAllocator._pblock_bytes`` is the one.
 * ``SPool`` keeps a pBlock→sBlocks back-index (``referencing`` without
   scanning every sBlock); an sBlock is inactive iff none of its members
   is active (``SBlock.active``), evaluated at look-up.
@@ -17,9 +17,8 @@ look-up derives activity when it reads:
 Only what a sort key is made of must change through the pool API
 while its block is pooled:
 ``adjust_refs`` for ``sblock_refs``, ``replace_member`` for an sBlock's
-members.  ``mark_active`` / ``mark_inactive`` exist for the
-``inactive_bytes`` counter.  ``check_invariants`` re-derives every
-ordering, counter and back-index from scratch and asserts agreement.
+members.  ``check_invariants`` re-derives every ordering and
+back-index from scratch and asserts agreement.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.sortedlist import ChunkedSortedKeyList
 
 
 class PPool:
-    """The primitive memory pool: every live pBlock, sorted by size.
+    """The primitive memory pool: every live pBlock, largest first.
 
     "The pPool represents a strict one-to-one mapping of GPU memory,
     with each pBlock being distinct from others" (§4.2.1) — enforced by
@@ -40,54 +39,26 @@ class PPool:
     """
 
     def __init__(self):
-        self._blocks: ChunkedSortedKeyList[PBlock] = ChunkedSortedKeyList(
-            key=lambda b: (b.size, b.id)
-        )
-        # Every block again, in BestFit scan order: largest first, then
-        # fewest sBlock references, then id.  ``sblock_refs`` is part of
-        # the key, so every refs change must go through ``adjust_refs``.
+        # BestFit scan order: largest first, then fewest sBlock
+        # references, then id.  ``sblock_refs`` is part of the key, so
+        # every refs change must go through ``adjust_refs``.
         self._scan: ChunkedSortedKeyList[PBlock] = ChunkedSortedKeyList(
             key=lambda b: (-b.size, b.sblock_refs, b.id)
         )
-        self._total_bytes = 0
-        self._inactive_bytes = 0
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._scan)
 
     def __iter__(self) -> Iterator[PBlock]:
-        return iter(self._blocks)
+        return iter(self._scan)
 
     def add(self, block: PBlock) -> None:
         """Insert a pBlock (after Alloc or Split)."""
-        self._blocks.add(block)
         self._scan.add(block)
-        self._total_bytes += block.size
-        if not block.active:
-            self._inactive_bytes += block.size
 
     def remove(self, block: PBlock) -> None:
         """Remove a pBlock (before Split rebuilds it, or on release)."""
-        self._blocks.remove(block)
         self._scan.remove(block)
-        self._total_bytes -= block.size
-        if not block.active:
-            self._inactive_bytes -= block.size
-
-    # ------------------------------------------------------------------
-    # State transitions — the only way flags may change while pooled
-    # ------------------------------------------------------------------
-    def mark_active(self, block: PBlock) -> None:
-        """Flip ``block`` to active."""
-        if not block.active:
-            block.active = True
-            self._inactive_bytes -= block.size
-
-    def mark_inactive(self, block: PBlock) -> None:
-        """Flip ``block`` to inactive."""
-        if block.active:
-            block.active = False
-            self._inactive_bytes += block.size
 
     def adjust_refs(self, block: PBlock, delta: int) -> None:
         """Change ``block.sblock_refs`` (part of the scan-order key)."""
@@ -126,35 +97,17 @@ class PPool:
                 fallback = block
         return fallback
 
-    @property
-    def total_bytes(self) -> int:
-        """Physical bytes owned by all pBlocks (running counter)."""
-        return self._total_bytes
-
-    @property
-    def inactive_bytes(self) -> int:
-        """Physical bytes in inactive pBlocks (running counter)."""
-        return self._inactive_bytes
-
     def check_invariants(self) -> None:
-        """pPool holds no duplicates, stays sorted, and the scan order
-        and counters match a from-scratch recomputation."""
-        ids = [b.id for b in self._blocks]
+        """pPool holds no duplicates, stays in scan order, and keys no
+        block under a stale ``sblock_refs``."""
+        ids = [b.id for b in self._scan]
         assert len(ids) == len(set(ids)), "duplicate pBlock in pPool"
-        assert self._blocks.check_sorted(), "pPool not sorted"
         assert self._scan.check_sorted(), "pPool scan order not sorted"
-        # ``in`` looks a block up under its *current* key, so it also
-        # fails for a key left stale by a refs change that bypassed
+        # ``in`` looks a block up under its *current* key, so it fails
+        # for a key left stale by a refs change that bypassed
         # ``adjust_refs``.
-        assert len(self._scan) == len(ids) and all(
-            b in self._scan for b in self._blocks
-        ), "pPool scan order out of sync with the pool's blocks or their keys"
-        assert self._total_bytes == sum(b.size for b in self._blocks), (
-            "pPool total_bytes counter drifted"
-        )
-        assert self._inactive_bytes == sum(
-            b.size for b in self._blocks if not b.active
-        ), "pPool inactive_bytes counter drifted"
+        assert all(b in self._scan for b in self._scan), (
+            "pPool scan order holds a block under a stale key")
 
 
 class SPool:
@@ -171,7 +124,6 @@ class SPool:
         # pBlock id -> sBlocks stitched over it (the back-index behind
         # ``referencing``).
         self._by_member: Dict[int, List[SBlock]] = {}
-        self._va_bytes = 0
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -182,14 +134,12 @@ class SPool:
     def add(self, block: SBlock) -> None:
         """Insert an sBlock (only Stitch creates these)."""
         self._blocks.add(block)
-        self._va_bytes += block.size
         for member in block.members:
             self._by_member.setdefault(member.id, []).append(block)
 
     def remove(self, block: SBlock) -> None:
         """Remove an sBlock (StitchFree)."""
         self._blocks.remove(block)
-        self._va_bytes -= block.size
         for member in block.members:
             holders = self._by_member[member.id]
             holders.remove(block)
@@ -250,8 +200,8 @@ class SPool:
         return victim
 
     def check_invariants(self, ppool: PPool) -> None:
-        """Every sBlock member is a live pPool block; the back-index and
-        counter match a from-scratch recomputation."""
+        """Every sBlock member is a live pPool block; the back-index
+        matches a from-scratch recomputation."""
         live = {id(b) for b in ppool}
         for sblock in self._blocks:
             assert len(sblock.members) >= 2, f"sBlock {sblock.id} has <2 members"
@@ -266,6 +216,3 @@ class SPool:
         expected_edges = {(m.id, id(s)) for s in self._blocks
                           for m in s.members}
         assert edges == expected_edges, "sPool member back-index drifted"
-        assert self._va_bytes == sum(b.size for b in self._blocks), (
-            "sPool VA byte counter drifted"
-        )

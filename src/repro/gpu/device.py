@@ -49,11 +49,6 @@ class GpuDevice:
         """Bytes available for new physical allocations."""
         return self.phys.free
 
-    @property
-    def peak_used_memory(self) -> int:
-        """High-water mark of committed bytes."""
-        return self.phys.peak_committed
-
     def driver_time_us(self) -> float:
         """Total time this device spent inside driver/runtime calls."""
         return self.vmm.counters.total_time_us + self.runtime.counters.total_time_us

@@ -3,8 +3,9 @@
 Real GPUs hand out *physical allocation handles* through ``cuMemCreate``;
 the handle owns physical pages until the last mapping is unmapped **and**
 the handle is released.  :class:`PhysicalMemory` reproduces exactly that
-refcounted lifetime, plus byte-accurate capacity/peak accounting, which
-is what the paper's "reserved memory" metric measures.
+refcounted lifetime, plus byte-accurate capacity accounting.  The
+paper's "reserved memory" peak is the allocator's to keep
+(``BaseAllocator.peak_reserved_bytes``).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class PhysicalMemory:
 
     capacity: int
     committed: int = 0
-    peak_committed: int = 0
     _chunks: Dict[int, PhysicalChunk] = field(default_factory=dict)
     _next_handle: int = 1
 
@@ -91,7 +91,6 @@ class PhysicalMemory:
         self._next_handle += 1
         self._chunks[handle] = PhysicalChunk(handle=handle, size=size)
         self.committed += size
-        self.peak_committed = max(self.peak_committed, self.committed)
         return handle
 
     def get(self, handle: int) -> PhysicalChunk:
@@ -149,19 +148,15 @@ class PhysicalMemory:
 
     def refuse_creates(self, size: int, n: int) -> Optional[int]:
         """``n`` creates of ``size`` bytes in a row, one failing, then the
-        destruction of those made: spends their handles, ratchets the peak
-        and returns how many were made.  ``None``, doing nothing, if a fault
-        injector (:class:`repro.testing.FlakyDevice`) replaced ``create``."""
+        destruction of those made: spends their handles and returns how
+        many were made (``committed`` ends where it began).  ``None``,
+        doing nothing, if a fault injector
+        (:class:`repro.testing.FlakyDevice`) replaced ``create``."""
         if "create" in vars(self):
             return None
         made = self.free // size
         self._next_handle += made
-        self.peak_committed = max(self.peak_committed, self.committed + made * size)
         return made
-
-    def reset_peak(self) -> None:
-        """Reset peak tracking to the current commit level."""
-        self.peak_committed = self.committed
 
     def __repr__(self) -> str:
         return (

@@ -42,7 +42,6 @@ class VirtualAddressSpace:
     _next: int = field(init=False)
     _reservations: Dict[int, Reservation] = field(default_factory=dict)
     total_reserved: int = 0
-    peak_reserved: int = 0
 
     def __post_init__(self):
         self._next = self.base
@@ -56,7 +55,6 @@ class VirtualAddressSpace:
         self._next += aligned
         self._reservations[va] = Reservation(va=va, size=aligned)
         self.total_reserved += aligned
-        self.peak_reserved = max(self.peak_reserved, self.total_reserved)
         return va
 
     def get(self, va: int) -> Reservation:

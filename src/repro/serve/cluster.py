@@ -411,7 +411,6 @@ def run_fleet(
                 continue
             target = pick(pool)
             clone = copy.copy(request)
-            clone.kv_name = None
             clone.kv_capacity_tokens = 0
             clone.kv_generation = 0
             clone.replica = target

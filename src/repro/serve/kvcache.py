@@ -440,7 +440,6 @@ class ChunkedKVCache(KVCacheModel):
                 min(request.context_tokens, request.kv_capacity_tokens))
             self._free(*old)
         self._live[request.req_id] = (name, size)
-        request.kv_name = name
         request.kv_capacity_tokens = capacity_tokens
         return True
 
@@ -460,7 +459,6 @@ class ChunkedKVCache(KVCacheModel):
         if preempted:
             self._note_preempt(request)
         self._free(*held)
-        request.kv_name = None
         request.kv_capacity_tokens = 0
 
     def projected_bytes(self, request: ServeRequest) -> int:

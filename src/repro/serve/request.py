@@ -113,9 +113,8 @@ class ServeRequest:
     # KV bookkeeping maintained by the replica's KVCacheModel.
     # kv_capacity_tokens is the token capacity currently provisioned
     # (chunk-rounded for chunked KV, whole blocks for paged KV);
-    # kv_name/kv_generation are used by the chunked model only — the
-    # paged model keeps its block table internally, keyed by req_id.
-    kv_name: Optional[str] = field(default=None, repr=False)
+    # kv_generation is used by the chunked model only — the paged
+    # model keeps its block table internally, keyed by req_id.
     kv_capacity_tokens: int = field(default=0, repr=False)
     kv_generation: int = field(default=0, repr=False)
 

@@ -41,7 +41,6 @@ from repro.api.registry import (
 )
 from repro.serve.kvcache import KVCacheModel
 from repro.serve.request import RequestState, ServeRequest
-from repro.workloads.models import ModelSpec
 
 register_kind("scheduler", label="scheduler")
 
@@ -51,9 +50,6 @@ class SchedulerView:
     """What an admission policy may observe about the serving state."""
 
     allocator: BaseAllocator
-    model: ModelSpec
-    running: int
-    max_batch: int
     capacity: int
     kv: KVCacheModel
     #: A lower bound of ``projected_kv_bytes`` over every queued
@@ -99,8 +95,8 @@ class Scheduler(ABC):
     ) -> Optional[ServeRequest]:
         """Pick the queued request to admit next, or ``None`` to wait.
 
-        The simulator only calls this while the batch has a free slot;
-        the policy never needs to re-check ``view.running``.
+        The simulator only calls this while the batch has a free slot,
+        so the view carries no batch occupancy.
 
         A ``None`` for an unchanged queue and view stays ``None``: asked
         again before anything is admitted, with the same requests queued

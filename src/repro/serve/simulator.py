@@ -492,10 +492,8 @@ class ServingSimulator:
         flushed = False
         while queue and len(running) < self.config.max_batch:
             view = SchedulerView(
-                allocator=self.allocator, model=self.model,
-                running=len(running), max_batch=self.config.max_batch,
-                capacity=self.capacity, kv=self.kv,
-                queue_floor_bytes=self._queue_floor(),
+                allocator=self.allocator, capacity=self.capacity,
+                kv=self.kv, queue_floor_bytes=self._queue_floor(),
             )
             request = self.scheduler.select(queue, view)
             if request is None:

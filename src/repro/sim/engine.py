@@ -154,7 +154,9 @@ class ReplaySession:
 
     The session tracks live tensors by name and converts allocator
     OOMs into a boolean outcome (:meth:`try_alloc`) for callers that
-    recover instead of crashing.
+    recover instead of crashing.  It keeps no byte total of its own:
+    the allocator counts ``active_bytes``, and a sum over :attr:`live`
+    is exact when wanted.
     ``run_trace`` drives it from a pre-built trace; the online serving
     simulator (:mod:`repro.serve`) drives it one admission / KV-growth
     / retirement decision at a time.
@@ -165,24 +167,12 @@ class ReplaySession:
         self.clock = allocator.device.clock
         self.start_s = self.clock.now_s
         self.live: Dict[str, Allocation] = {}
-        self._live_bytes = 0
 
     # ------------------------------------------------------------------
     @property
     def elapsed_s(self) -> float:
         """Seconds of simulated time since the session started."""
         return self.clock.now_s - self.start_s
-
-    @property
-    def live_bytes(self) -> int:
-        """Sum of the rounded sizes of live tensors in this session.
-
-        A running counter updated by :meth:`alloc` / :meth:`free` — a
-        serving scheduler may query this per admission decision, and
-        re-summing every live tensor each time made that quadratic over
-        a run.
-        """
-        return self._live_bytes
 
     # ------------------------------------------------------------------
     def alloc(self, tensor: str, size: int) -> Allocation:
@@ -191,7 +181,6 @@ class ReplaySession:
             raise ValueError(f"tensor {tensor!r} allocated twice")
         allocation = self.allocator.malloc(size)
         self.live[tensor] = allocation
-        self._live_bytes += allocation.rounded_size
         return allocation
 
     def try_alloc(self, tensor: str, size: int) -> bool:
@@ -227,7 +216,6 @@ class ReplaySession:
             raise ValueError(f"tensor {twice!r} allocated twice")
         run = self.allocator.malloc_run(size, len(tensors))
         live.update(zip(tensors, run))
-        self._live_bytes += sum(a.rounded_size for a in run)
         return len(run)
 
     def free(self, tensor: str) -> None:
@@ -235,7 +223,6 @@ class ReplaySession:
         allocation = self.live.pop(tensor, None)
         if allocation is None:
             raise ValueError(f"trace frees unknown tensor {tensor!r}")
-        self._live_bytes -= allocation.rounded_size
         self.allocator.free(allocation)
 
     def free_run(self, tensors: Iterable[str]) -> None:
@@ -247,7 +234,6 @@ class ReplaySession:
                 allocation = self.live.pop(tensor, None)
                 if allocation is None:
                     raise ValueError(f"trace frees unknown tensor {tensor!r}")
-                self._live_bytes -= allocation.rounded_size
                 run.append(allocation)
         finally:
             self.allocator.free_run(run)

@@ -370,7 +370,7 @@ class TwinKV:
             "live": (kv.live_requests, kv.live_blocks, kv.live_kv_bytes),
             "clock_us": session.clock.now_us,
             "allocator": session.allocator.stats(),
-            "session": (list(session.live), session.live_bytes),
+            "session": list(session.live),
             "capacity": {i: r.kv_capacity_tokens
                          for i, r in requests.items()},
         }
@@ -627,7 +627,7 @@ def observe(serve, slow=(), memory_every=16):
 
     ``seen`` holds every request's fields; each replica's allocator
     ``stats()``, final clock, driver state (VMM and runtime counters,
-    committed and peak bytes, next chunk handle), ``kv.metrics``,
+    committed bytes, next chunk handle), ``kv.metrics``,
     requests and gauge points; each replica's trace events
     in order (the fleet's recorder interleaves replicas by tick, which
     a quiet run reorders); the gauge points, each replica's in order
@@ -647,8 +647,7 @@ def observe(serve, slow=(), memory_every=16):
             sim.replica_id, sim.allocator.stats(), device.clock.now_us,
             device.vmm.counters.snapshot(),
             dataclasses.asdict(device.runtime.counters),
-            (device.phys.committed, device.phys.peak_committed,
-             device.phys._next_handle),
+            (device.phys.committed, device.phys._next_handle),
             dataclasses.replace(sim.kv.metrics),
             [dict(vars(r)) for r in result.requests],
             result.gauge_points))

@@ -5,6 +5,7 @@ import pytest
 from repro.allocators import CachingAllocator
 from repro.core import GMLakeAllocator, GMLakeConfig
 from repro.core.bestfit import FitState
+from repro.core.pblock import PBlock
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.units import GB, KB, MB
@@ -221,6 +222,28 @@ class TestReclaimAndOom:
         gml.empty_cache()
         assert device.used_memory == 0
 
+    def test_reclaim_destroys_pblocks_by_size_then_id(self, gml,
+                                                       monkeypatch):
+        """The order of a reclaim's driver calls, and so the clock, is
+        ``(size, id)`` over the inactive pBlocks, not the pPool's scan
+        order ``(-size, sblock_refs, id)``: an 8 MB block made first,
+        then a 4 MB pair whose lower id sits under two sBlocks."""
+        kept = gml.malloc(2 * MB)
+        big = gml._alloc_pblock(8 * MB)
+        low, high = gml._alloc_pblock(4 * MB), gml._alloc_pblock(4 * MB)
+        gml._stitch([low, big])
+        gml._stitch([low, high])
+        assert (low.sblock_refs, high.sblock_refs) == (2, 1)
+        assert [b for b in gml.ppool if not b.active] == [big, high, low]
+        destroyed = []
+        destroy = PBlock.destroy
+        monkeypatch.setattr(PBlock, "destroy", lambda block, device: (
+            destroyed.append(block), destroy(block, device)))
+        gml.empty_cache()
+        assert destroyed == [low, high, big]
+        assert gml.reserved_bytes == kept.rounded_size
+        gml.check_invariants()
+
     def test_allocator_usable_after_oom(self, gml):
         keeper = gml.malloc(600 * MB)
         with pytest.raises(OutOfMemoryError):
@@ -348,9 +371,18 @@ class TestInvariantsCatchCorruption:
             gml.check_invariants()
 
     def test_drifted_inactive_bytes(self, stitched):
+        """The pPool's inactive bytes are summed from ``PBlock.active``,
+        so a flag set with no owner is what drifts them."""
         gml, sblock = stitched
-        sblock.members[0].active = True  # bypasses PPool.mark_active
-        with pytest.raises(AssertionError, match="inactive_bytes"):
+        sblock.members[0].active = True  # bypasses GMLake's assign
+        with pytest.raises(AssertionError, match="active but unowned"):
+            gml.check_invariants()
+
+    def test_owned_pblock_flag_cleared(self, gml):
+        alloc = gml.malloc(6 * MB)
+        gml.check_invariants()
+        gml._assigned[alloc.ptr].active = False  # bypasses GMLake's free
+        with pytest.raises(AssertionError, match="owned but inactive"):
             gml.check_invariants()
 
     def test_missing_by_member_edge(self, stitched):

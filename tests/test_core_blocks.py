@@ -235,14 +235,17 @@ class TestPools:
         assert got == sorted(sizes, reverse=True)
 
     def test_ppool_totals(self, device):
+        """The pPool keeps no byte counter: its totals are summed when
+        read, over every block, active or not, largest first."""
         pool = PPool()
         a = make_pblock(device, 4 * MB)
         b = make_pblock(device, 6 * MB)
         b.active = True
         pool.add(a)
         pool.add(b)
-        assert pool.total_bytes == 10 * MB
-        assert pool.inactive_bytes == 4 * MB
+        assert len(pool) == 2 and list(pool) == [b, a]
+        assert sum(p.size for p in pool) == 10 * MB
+        assert sum(p.size for p in pool if not p.active) == 4 * MB
 
     def test_spool_exact_inactive_only(self, device):
         ppool, spool = PPool(), SPool()
@@ -254,12 +257,11 @@ class TestPools:
         spool.add(sblock)
         assert spool.exact_inactive(8 * MB) is sblock
         # The sPool is told nothing: it reads the member flags.
-        ppool.mark_active(b)
+        b.active = True
         assert spool.exact_inactive(8 * MB) is None
         assert spool.inactive_blocks() == [] and spool.lru_inactive() is None
-        ppool.mark_inactive(b)
+        b.active = False
         assert spool.exact_inactive(8 * MB) is sblock
-        assert ppool.inactive_bytes == 8 * MB
 
     def test_spool_exact_inactive_skips_active_same_size(self, device):
         ppool, spool = PPool(), SPool()
@@ -271,7 +273,7 @@ class TestPools:
         spool.add(first)
         spool.add(second)
         assert spool.exact_inactive(8 * MB) is first  # lowest id wins
-        ppool.mark_active(blocks[1])
+        blocks[1].active = True
         assert spool.exact_inactive(8 * MB) is second
 
     def test_spool_lru_inactive(self, device):

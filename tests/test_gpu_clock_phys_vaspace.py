@@ -137,20 +137,14 @@ class TestPhysicalMemory:
         with pytest.raises(CudaInvalidValueError):
             phys.retain(handle)
 
-    def test_peak_tracking(self):
+    def test_refuse_creates_commits_nothing(self):
+        """Creates refused in a row spend the handles of those made
+        before the failing one, and leave ``committed`` where it was."""
         phys = PhysicalMemory(capacity=10 * MB)
-        h1 = phys.create(4 * MB)
-        phys.create(4 * MB)
-        phys.release(h1)
-        assert phys.peak_committed == 8 * MB
-        assert phys.committed == 4 * MB
-
-    def test_reset_peak(self):
-        phys = PhysicalMemory(capacity=10 * MB)
-        handle = phys.create(8 * MB)
-        phys.release(handle)
-        phys.reset_peak()
-        assert phys.peak_committed == 0
+        first = phys.create(4 * MB)
+        assert phys.refuse_creates(4 * MB, 3) == 1
+        assert phys.committed == 4 * MB and phys.free == 6 * MB
+        assert phys.create(4 * MB) == first + 2
 
     def test_invalid_size_rejected(self):
         phys = PhysicalMemory(capacity=4 * MB)
@@ -214,13 +208,12 @@ class TestVirtualAddressSpace:
         with pytest.raises(CudaInvalidAddressError):
             va_space.free(va)
 
-    def test_total_and_peak_tracking(self):
+    def test_total_tracking(self):
         va_space = VirtualAddressSpace()
         va = va_space.reserve(2 * MB)
         va_space.reserve(2 * MB)
         va_space.free(va)
         assert va_space.total_reserved == 2 * MB
-        assert va_space.peak_reserved == 4 * MB
 
     def test_zero_size_rejected(self):
         with pytest.raises(CudaInvalidValueError):

@@ -252,11 +252,10 @@ def vmm_state(device):
         "now_us": device.clock.now_us,
         "counters": vmm.counters.snapshot(),
         "mappings": chunk_view(vmm),
-        "phys": (phys.committed, phys.peak_committed, phys._next_handle,
+        "phys": (phys.committed, phys._next_handle,
                  {h: (c.size, c.refcount, c.released)
                   for h, c in phys._chunks.items()}),
         "vaspace": (vaspace._next, vaspace.total_reserved,
-                    vaspace.peak_reserved,
                     {va: r.size for va, r in vaspace._reservations.items()}),
     }
 
@@ -631,7 +630,6 @@ class TestDoomedBacks:
         assert self.doomed(twins, twins.vas[-1], 0, 10, 2 * U) == (
             2 * U, 0, 8 * U)
         phys = twins.fast.phys
-        assert phys.peak_committed == 8 * U  # the four chunks at once
         assert phys._next_handle == 5 and phys.live_chunk_count == 0
 
     def test_after_a_partial_back_at_another_offset(self):

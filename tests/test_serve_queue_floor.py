@@ -174,9 +174,8 @@ class TestSelectOracle:
             st.sampled_from([floor * margin, *projections]),
         ))
         view = FixedHeadroomView(
-            allocator=None, model=MODEL, running=0, max_batch=16,
-            capacity=8 * GB, kv=kv, queue_floor_bytes=floor - stale,
-            headroom=headroom)
+            allocator=None, capacity=8 * GB, kv=kv,
+            queue_floor_bytes=floor - stale, headroom=headroom)
         expected = ScanOnlyMemoryAware(margin).select(queue, view)
         assert MemoryAwareScheduler(margin).select(queue, view) is expected
 
@@ -185,9 +184,8 @@ class TestSelectOracle:
         queue = [make_request(i, 512, 256, 0, 0, 0) for i in range(4)]
         floor = kv.projected_floor(queue[0])
         view = FixedHeadroomView(
-            allocator=None, model=MODEL, running=0, max_batch=16,
-            capacity=8 * GB, kv=kv, queue_floor_bytes=floor,
-            headroom=floor * 1.25 - 1)
+            allocator=None, capacity=8 * GB, kv=kv,
+            queue_floor_bytes=floor, headroom=floor * 1.25 - 1)
         calls = []
         view.projected_kv_bytes = lambda r: calls.append(r) or 0
         assert MemoryAwareScheduler(1.25).select(queue, view) is None

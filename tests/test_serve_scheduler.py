@@ -34,12 +34,9 @@ def request(req_id, prompt=256, output=128, arrival=0.0):
 def view_on(capacity=4 * GB, model="opt-1.3b", kv_cache="chunked"):
     device = GpuDevice(capacity=capacity)
     allocator = resolve_allocator("caching", device)
-    spec = get_model(model)
-    kv = resolve("kv-cache", kv_cache, spec)
-    return SchedulerView(
-        allocator=allocator, model=spec, running=0,
-        max_batch=16, capacity=capacity, kv=kv,
-    ), allocator
+    kv = resolve("kv-cache", kv_cache, get_model(model))
+    return SchedulerView(allocator=allocator, capacity=capacity,
+                         kv=kv), allocator
 
 
 class TestResolve:
