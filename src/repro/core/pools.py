@@ -70,9 +70,11 @@ class PPool:
     def inactive_descending(self) -> List[PBlock]:
         """Inactive pBlocks, largest first — BestFit's scan order.
 
-        Equal-size blocks are ordered unreferenced-first so stitching
-        and splitting consume blocks that no existing sBlock depends on
-        before cannibalizing converged stitch compositions.
+        Equal-size blocks are ordered unreferenced-first, then by id, so
+        S3/S4 stitching gathers blocks that no existing sBlock depends
+        on first.  S2 does not: Algorithm 1's descending scan keeps the
+        *last* sufficient block, so among equal-size best fits it splits
+        the most-referenced, highest-id one.
         """
         return [b for b in self._scan if not b.active]
 

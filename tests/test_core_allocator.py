@@ -288,6 +288,33 @@ class TestStitchingSemantics:
         assert len(gml.spool) >= spool_size  # nothing destroyed
         gml.check_invariants()
 
+    def test_s2_splits_the_last_equal_size_best_fit_in_scan_order(
+            self, gml):
+        """Two inactive 8 MB best fits for 6 MB, only the newer one
+        stitched into an sBlock: S2 splits the one last in scan order
+        (``(-size, sblock_refs, id)``), the referenced one, as
+        Algorithm 1's descending scan leaves it."""
+        a = gml.malloc(8 * MB)
+        b = gml.malloc(8 * MB)
+        c = gml.malloc(4 * MB)
+        gml.free(b)
+        gml.free(c)
+        gml.free(gml.malloc(12 * MB))  # S3: sBlock over b's and c's blocks
+        gml.free(a)
+        unreferenced, referenced = [p for p in gml.ppool if p.size == 8 * MB]
+        assert (unreferenced.sblock_refs, referenced.sblock_refs) == (0, 1)
+        assert unreferenced.id < referenced.id
+        splits = gml.counters.splits
+        gml.malloc(6 * MB)
+        assert hits(gml, FitState.SINGLE_BLOCK) == 1
+        assert gml.counters.splits == splits + 1
+        pooled = list(gml.ppool)
+        assert any(p is unreferenced for p in pooled)
+        assert not any(p is referenced for p in pooled)
+        (sblock,) = [s for s in gml.spool if s.size == 12 * MB]
+        assert [p.size for p in sblock.members] == [6 * MB, 2 * MB, 4 * MB]
+        gml.check_invariants()
+
     def test_stitch_disabled_ablation(self, device):
         config = GMLakeConfig(enable_stitch=False)
         gml = GMLakeAllocator(device, config)
