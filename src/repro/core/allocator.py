@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.allocators.base import Allocation, BaseAllocator, SteadyState
 from repro.allocators.caching import CachingAllocator, round_size
-from repro.core.bestfit import BestFitResult, FitState, best_fit
+from repro.core.bestfit import BestFitResult, FitState
 from repro.core.config import GMLakeConfig
 from repro.core.pblock import PBlock
 from repro.core.pools import PPool, SPool
@@ -142,14 +142,32 @@ class GMLakeAllocator(BaseAllocator):
 
     def _run_best_fit(self, rounded: int) -> BestFitResult:
         """S2-S4 only: both exact look-ups have just missed ``rounded``,
-        so S1 cannot match and BestFit needs no sBlocks."""
+        so S1 cannot match and BestFit needs no sBlocks.
+
+        Algorithm 1 over the pPool's scan order, walked lazily from
+        ``rounded`` instead of copied whole: S2's block is the nearest
+        inactive one above it; failing that, S3/S4 gather forward from
+        it until the candidates cover ``rounded`` or the blocks fall
+        below the fragmentation limit (the scan descends, so every
+        later one is smaller)."""
+        block = self.ppool.inactive_above(rounded)
+        if block is not None:
+            return BestFitResult(FitState.SINGLE_BLOCK, [block])
         min_stitch = (
             self.config.fragmentation_limit
             if self.config.enable_stitch
             else 1 << 62  # no block qualifies: stitching disabled
         )
-        return best_fit(rounded, (), self.ppool.inactive_descending(),
-                        min_stitch_size=min_stitch)
+        candidates: List[PBlock] = []
+        total = 0
+        for block in self.ppool.inactive_from(rounded):
+            if total >= rounded or block.size < min_stitch:
+                break
+            candidates.append(block)
+            total += block.size
+        state = (FitState.MULTIPLE_BLOCKS if total >= rounded
+                 else FitState.INSUFFICIENT_BLOCKS)
+        return BestFitResult(state, candidates)
 
     # ------------------------------------------------------------------
     def _handle_single_block(self, block: PBlock, rounded: int) -> "tuple[int, int]":
@@ -263,12 +281,7 @@ class GMLakeAllocator(BaseAllocator):
         while len(self.spool) > self.config.max_spool_blocks or (
             self.device.vaspace.total_reserved > va_cap and len(self.spool) > 0
         ):
-            victim = self.spool.lru_inactive()
-            if victim is protect:
-                candidates = [
-                    s for s in self.spool.inactive_blocks() if s is not protect
-                ]
-                victim = min(candidates, key=lambda s: s.last_used) if candidates else None
+            victim = self.spool.lru_inactive(skip=protect)
             if victim is None:
                 break
             self._stitch_free(victim)

@@ -13,6 +13,10 @@ post-process:
   together do; they will be stitched.
 * **S4 insufficient blocks** — even all candidates together fall short;
   a new pBlock must be allocated (and stitched with the candidates).
+
+:func:`best_fit` is the definition.  ``GMLakeAllocator._run_best_fit``
+answers the same over the pPool's scan order without copying it: it
+walks only the blocks next to the request.
 """
 
 from __future__ import annotations

@@ -8,11 +8,14 @@ look-up derives activity when it reads:
 
 * ``PPool`` keeps its blocks in one order, BestFit's scan order, keyed
   ``(-size, sblock_refs, id)`` (the paper sorts descending).  The
-  inactive look-ups walk that order and skip active blocks.  It keeps
-  no byte total: ``GMLakeAllocator._pblock_bytes`` is the one.
+  inactive look-ups walk that order from a size, lazily, and skip
+  active blocks: BestFit reads only the blocks next to its request
+  (``inactive_above``, ``inactive_from``).  It keeps no byte total:
+  ``GMLakeAllocator._pblock_bytes`` is the one.
 * ``SPool`` keeps a pBlock→sBlocks back-index (``referencing`` without
   scanning every sBlock); an sBlock is inactive iff none of its members
-  is active (``SBlock.active``), evaluated at look-up.
+  is active (``SBlock.active``), evaluated at look-up, and StitchFree's
+  victim is found in one pass (``lru_inactive``).
 
 Only what a sort key is made of must change through the pool API
 while its block is pooled:
@@ -77,6 +80,23 @@ class PPool:
         the most-referenced, highest-id one.
         """
         return [b for b in self._scan if not b.active]
+
+    def inactive_above(self, size: int) -> Optional[PBlock]:
+        """The smallest inactive pBlock larger than ``size``, or None:
+        BestFit's S2 block, the *last* sufficient one in scan order
+        (among equal sizes the most-referenced, highest-id), found by
+        walking the scan order backwards from ``size``."""
+        for block in self._scan.iter_before((-size,)):
+            if not block.active:
+                return block
+        return None
+
+    def inactive_from(self, size: int) -> Iterator[PBlock]:
+        """Inactive pBlocks of at most ``size`` bytes, in scan order:
+        where BestFit's S3/S4 gathering starts when no block is above
+        ``size``."""
+        return (block for block in self._scan.iter_from((-size,))
+                if not block.active)
 
     def exact_inactive(self, size: int) -> Optional[PBlock]:
         """An inactive pBlock of exactly ``size`` bytes, if any.
@@ -179,10 +199,6 @@ class SPool:
                 return block
         return None
 
-    def inactive_blocks(self) -> List[SBlock]:
-        """All inactive sBlocks (StitchFree candidates)."""
-        return [b for b in self._blocks if not b.active]
-
     def referencing(self, pblock: PBlock) -> List[SBlock]:
         """Every sBlock that stitches over ``pblock``, in (size, id)
         order (the pre-index scan order)."""
@@ -191,13 +207,17 @@ class SPool:
             return []
         return sorted(holders, key=lambda s: (s.size, s.id))
 
-    def lru_inactive(self) -> Optional[SBlock]:
-        """Least-recently-used inactive sBlock (StitchFree victim)."""
+    def lru_inactive(self, skip: Optional[SBlock] = None) -> Optional[SBlock]:
+        """Least-recently-used inactive sBlock other than ``skip`` (the
+        StitchFree victim): the first, in pool order, of the least
+        ``last_used``.  One pass, which reads a block's members only
+        when its stamp would beat the victim so far."""
         victim: Optional[SBlock] = None
         for block in self._blocks:
-            if block.active:
+            if block is skip or (victim is not None
+                                 and block.last_used >= victim.last_used):
                 continue
-            if victim is None or block.last_used < victim.last_used:
+            if not block.active:
                 victim = block
         return victim
 

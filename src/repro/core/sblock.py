@@ -67,7 +67,8 @@ class SBlock:
             raise CudaInvalidValueError(
                 f"stitch needs at least 2 pBlocks, got {len(members)}"
             )
-        handles = [handle for pblock in members for handle in pblock.handles]
+        handles = list(itertools.chain.from_iterable(
+            pblock.handles for pblock in members))
         va = device.vmm.alias(handles, members[0].chunk_size)
         return cls(va=va, size=sum(p.size for p in members),
                    members=list(members))
@@ -101,14 +102,13 @@ class SBlock:
             raise CudaInvalidValueError(
                 f"replacement parts cover {total} bytes, expected {old.size}"
             )
-        idx = next(
-            (i for i, p in enumerate(self.members) if p is old), None
-        )
-        if idx is None:
+        try:  # by identity: a pBlock equals only itself
+            idx = self.members.index(old)
+        except ValueError:
             raise CudaInvalidValueError(
                 f"pBlock {old.id} is not a member of sBlock {self.id}"
-            )
-        self.members[idx : idx + 1] = list(new_parts)
+            ) from None
+        self.members[idx : idx + 1] = new_parts
 
     def destroy(self, device: GpuDevice) -> None:
         """The ``StitchFree`` release: unmap and drop the VA.

@@ -26,8 +26,11 @@ is how end-to-end allocator overhead (Figures 11/13 throughput) and the
 Table 1 breakdown are measured.  A run of calls over many chunks checks
 and prices them once, but still adds each call's latency on its own,
 and keeps one record (:class:`_Extent`) of the whole run: a range that
-ends inside a record splits it there.  A ``back`` doomed to run out of
-memory charges its calls but makes no chunk.
+ends inside a record splits it there.  :class:`PhysicalMemory` keeps
+the same kind of record one layer down, so ``back`` creates its chunks
+as one run, and a map or unmap retains or releases them per run.  A
+``back`` doomed to run out of memory charges its calls but makes no
+chunk.
 """
 
 from __future__ import annotations
@@ -253,14 +256,16 @@ class CudaVmm:
                 self._fail_back(made, chunk_size)
                 free = phys.free - made * chunk_size  # at the failing create
                 raise CudaOutOfMemoryError(chunk_size, free, phys.capacity)
-        handles: List[int] = []
-        try:
-            for _ in range(n):
-                handles.append(phys.create(chunk_size))
-        except CudaOutOfMemoryError:
-            phys.release_refs(handles)  # their creation references
-            self._fail_back(len(handles), chunk_size)
-            raise
+        handles = phys.create_run(chunk_size, n)
+        if handles is None:  # a fault injector's creates, one at a time
+            handles = []
+            try:
+                for _ in range(n):
+                    handles.append(phys.create(chunk_size))
+            except CudaOutOfMemoryError:
+                phys.release_refs(handles)  # their creation references
+                self._fail_back(len(handles), chunk_size)
+                raise
         latency, counters = self._latency, self.counters
         self._spend_pairs(latency.mem_create(chunk_size),
                           latency.mem_map(chunk_size), n)
@@ -312,8 +317,8 @@ class CudaVmm:
         for extent in removed:
             self._spend(cost(extent.chunk), len(extent.handles))
             counters.unmap_calls += len(extent.handles)
-        self._phys.release_refs(
-            [handle for extent in removed for handle in extent.handles])
+        for extent in removed:
+            self._phys.release_refs(extent.handles)
 
     def mem_release(self, handle: int) -> None:
         """Release the creation reference of a physical chunk."""

@@ -27,6 +27,7 @@ segments arenas and the GMLake pools use.
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Callable, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -102,6 +103,11 @@ class SortedKeyList(Generic[T]):
         if idx < len(self._items):
             return self._items[idx]
         return None
+
+    def iter_before(self, key: K) -> Iterator[T]:
+        """Iterate items with ``key(item) < key``, largest key first
+        (equal keys last-inserted first)."""
+        return reversed(self._items[:bisect.bisect_left(self._keys, key)])
 
     def index_at_least(self, key: K) -> int:
         """Index of the first item with key >= ``key`` (may be len)."""
@@ -307,6 +313,18 @@ class ChunkedSortedKeyList(Generic[T]):
         yield from self._items[ci][pos:]
         for chunk in self._items[ci + 1:]:
             yield from chunk
+
+    def iter_before(self, key: K) -> Iterator[T]:
+        """Iterate items with ``key(item) < key``, largest key first
+        (equal keys last-inserted first), copying nothing: a walk that
+        stops after a few items costs a few items."""
+        ci = bisect.bisect_left(self._maxes, key)
+        if ci < len(self._maxes):
+            chunk = self._items[ci]
+            pos = bisect.bisect_left(self._keys[ci], key)
+            yield from itertools.islice(reversed(chunk), len(chunk) - pos, None)
+        for ci in range(ci - 1, -1, -1):
+            yield from reversed(self._items[ci])
 
     def index_at_least(self, key: K) -> int:
         """Index of the first item with key >= ``key`` (may be len)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, NamedTuple
 
 
 class Op(enum.Enum):
@@ -21,13 +21,14 @@ class Op(enum.Enum):
     ITER_END = "iter_end"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One event in an allocation trace.
 
     ``tensor`` names the logical tensor for ALLOC/FREE events (unique per
     allocation lifetime); for iteration markers it carries the iteration
-    index as a string and ``size`` is 0.
+    index as a string and ``size`` is 0.  Immutable, and a tuple: a
+    trace holds one per event, so it is built without a per-field
+    ``__setattr__``.
     """
 
     op: Op

@@ -18,6 +18,10 @@ modelled explicitly:
    gathers interleave short transient allocations with long-lived ones,
    which is what strands free sub-blocks inside caching-allocator
    segments (the paper's Observations 1 and 2).
+
+Without sequence-length jitter every iteration is the same stream
+under its own ``i{it}.`` names, so the builder emits iteration 0 and
+stamps the others from it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.workloads.models import ModelSpec, get_model
 from repro.workloads.platforms import Platform, profile_for, round_gather
-from repro.workloads.request import Trace
+from repro.workloads.request import Trace, TraceEvent
 from repro.workloads.strategies import StrategySet
 from repro.workloads.transformer import (
     checkpoint_bytes,
@@ -226,7 +230,6 @@ class TrainingWorkload:
         """Generate the allocation trace for this workload."""
         model = self.model
         strategies = self.strategies
-        zero = self.zero
         rng = random.Random(self.seed * 7919 + len(self.label))
         trace = Trace(meta={
             "model": model.name,
@@ -240,20 +243,46 @@ class TrainingWorkload:
         })
 
         self._emit_setup(trace)
-        order_fwd = list(range(model.n_layers))
-        order_bwd = list(reversed(order_fwd))
-        for it in range(self.iterations):
-            lo, hi = self.seq_jitter
-            seq_t = max(16, int(model.seq_len * rng.uniform(lo, hi)) // 16 * 16)
-            trace.iter_start(it)
-            self._emit_forward(trace, it, seq_t, rng, order_fwd)
-            self._emit_backward(trace, it, seq_t, rng, order_bwd)
-            self._emit_step(trace, it, rng)
-            trace.iter_end(it)
-            trace.compute_us_per_iter.append(
-                estimate_compute_us(model, self.batch_size, seq_t, strategies, zero)
-            )
+        self._emit_iterations(trace, rng)
         return trace
+
+    def _emit_iterations(self, trace: Trace, rng: random.Random) -> None:
+        """Emit every iteration.  A trace that does not read its seed
+        (:attr:`reads_seed`) repeats iteration 0 under each later
+        index, so only iteration 0 is emitted: iterations 1..N-1 are
+        stamped from it, each tensor's ``i0.`` prefix rewritten to
+        ``i{it}.``, with its compute time."""
+        if self.reads_seed:
+            for it in range(self.iterations):
+                self._emit_iteration(trace, it, rng)
+            return
+        start = len(trace.events)
+        self._emit_iteration(trace, 0, rng)
+        # Between the iteration markers every event names an ``i0.`` tensor.
+        body = [(e.op, e.tensor[3:], e.size) for e in trace.events[start + 1:-1]]
+        compute_us = trace.compute_us_per_iter[-1]
+        for it in range(1, self.iterations):
+            prefix = f"i{it}."
+            trace.iter_start(it)
+            trace.events.extend([TraceEvent(op, prefix + name, size)
+                                 for op, name, size in body])
+            trace.iter_end(it)
+            trace.compute_us_per_iter.append(compute_us)
+
+    def _emit_iteration(self, trace: Trace, it: int, rng: random.Random) -> None:
+        """Emit iteration ``it``: its padded length (``rng``'s one draw),
+        forward, backward and optimizer step, and its compute time."""
+        model = self.model
+        lo, hi = self.seq_jitter
+        seq_t = max(16, int(model.seq_len * rng.uniform(lo, hi)) // 16 * 16)
+        order_fwd = list(range(model.n_layers))
+        trace.iter_start(it)
+        self._emit_forward(trace, it, seq_t, rng, order_fwd)
+        self._emit_backward(trace, it, seq_t, rng, order_fwd[::-1])
+        self._emit_step(trace, it, rng)
+        trace.iter_end(it)
+        trace.compute_us_per_iter.append(estimate_compute_us(
+            model, self.batch_size, seq_t, self.strategies, self.zero))
 
     # ------------------------------------------------------------------
     # Setup: persistent parameter / gradient / optimizer storage

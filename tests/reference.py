@@ -5,9 +5,10 @@
 definition it replaced: a loop of single calls, one driver call at a
 time, a scan, one decode step per tick, a doomed run or back carved
 and rolled back, a workspace op made every step, each iteration of a
-trace replayed call by call.  :func:`reference` swaps them in,
-:func:`definition` hands a twin one attribute's slow side, and
-:func:`observe` runs a serving scenario and records everything a
+trace replayed call by call or emitted on its own, BestFit over a
+copied pool, one record per physical chunk.  :func:`reference` swaps
+them in, :func:`definition` hands a twin one attribute's slow side,
+and :func:`observe` runs a serving scenario and records everything a
 serving twin compares, over the :data:`GROUPS` a serving run can
 fire.  A new fast path registers its definition here; it adds no
 harness.
@@ -26,13 +27,15 @@ from repro.allocators import CachingAllocator
 from repro.allocators.base import AllocatorObserver, BaseAllocator
 from repro.analysis import PeakMemoryObserver
 from repro.core import GMLakeAllocator
+from repro.core.bestfit import best_fit
+from repro.core.sblock import SBlock
 from repro.errors import (
     CudaInvalidAddressError,
     CudaInvalidValueError,
     CudaOutOfMemoryError,
 )
 from repro.gpu.device import GpuDevice
-from repro.gpu.phys import PhysicalMemory
+from repro.gpu.phys import PhysicalChunk, PhysicalMemory
 from repro.gpu.vmm import CudaVmm, _Extent
 from repro.obs import AllocatorTraceObserver, GaugeSampler, TraceRecorder
 from repro.serve import (
@@ -46,6 +49,7 @@ from repro.serve.memtier import TierHierarchy
 from repro.serve.request import ServeRequest
 from repro.sim.engine import ReplaySession
 from repro.sim.timeline import TimelineRecorder
+from repro.workloads import TrainingWorkload
 
 
 # -- Allocator run ops: BaseAllocator's loops of single calls ----------
@@ -532,6 +536,130 @@ def cannot_say(phys, size, n):
     return None
 
 
+# -- Seedless traces: every iteration emitted on its own ---------------
+def emit_each_iteration(self, trace, rng):
+    """Slow replacement of ``TrainingWorkload._emit_iterations``: each
+    iteration is emitted, whether or not the trace reads its seed."""
+    for it in range(self.iterations):
+        self._emit_iteration(trace, it, rng)
+
+
+# -- BestFit: Algorithm 1 over a copy of the inactive pPool ------------
+def copied_best_fit(self, rounded):
+    """Slow replacement of ``GMLakeAllocator._run_best_fit``:
+    :func:`best_fit` over every inactive pBlock, copied in scan
+    order."""
+    min_stitch = (self.config.fragmentation_limit
+                  if self.config.enable_stitch else 1 << 62)
+    return best_fit(rounded, (), self.ppool.inactive_descending(),
+                    min_stitch_size=min_stitch)
+
+
+# -- Split re-keying: each member found by a generator scan -----------
+def scan_replace_member(self, old, new_parts):
+    """Slow replacement of ``SBlock.replace_member``: ``old`` is found
+    by scanning the members one by one."""
+    total = sum(p.size for p in new_parts)
+    if total != old.size:
+        raise CudaInvalidValueError(
+            f"replacement parts cover {total} bytes, expected {old.size}")
+    idx = next((i for i, p in enumerate(self.members) if p is old), None)
+    if idx is None:
+        raise CudaInvalidValueError(
+            f"pBlock {old.id} is not a member of sBlock {self.id}")
+    self.members[idx:idx + 1] = list(new_parts)
+
+
+# -- Physical memory: one record per chunk -----------------------------
+@dataclasses.dataclass
+class _Chunk:
+    handle: int
+    size: int
+    refcount: int = 1
+    released: bool = False
+
+
+class PerChunkPhysicalMemory(PhysicalMemory):
+    """The reference: one mutable record per chunk, every create,
+    retain and release made one chunk at a time; ``back`` creates its
+    chunks one :meth:`create` at a time (``create_run`` never
+    answers).  A run-record memory must report the same chunks
+    (:meth:`chunks`), ``committed`` and next handle."""
+
+    def __post_init__(self):
+        if self.capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {self.capacity}")
+        self._chunks = {}
+
+    def create(self, size):
+        if size <= 0:
+            raise CudaInvalidValueError(
+                f"cuMemCreate size must be positive, got {size}")
+        if size > self.free:
+            raise CudaOutOfMemoryError(size, self.free, self.capacity)
+        handle = self._next_handle
+        self._next_handle += 1
+        self._chunks[handle] = _Chunk(handle=handle, size=size)
+        self.committed += size
+        return handle
+
+    def create_run(self, size, n):
+        return None
+
+    def get(self, handle):
+        chunk = self._chunks.get(handle)
+        if chunk is None:
+            raise CudaInvalidValueError(
+                f"unknown or destroyed physical handle {handle}")
+        return PhysicalChunk(chunk.handle, chunk.size, chunk.refcount,
+                             chunk.released)
+
+    def chunks(self):
+        return {handle: self.get(handle) for handle in sorted(self._chunks)}
+
+    def retain(self, *handles, size=None):
+        chunks = self._chunks
+        for i, handle in enumerate(handles):
+            chunk = chunks.get(handle)
+            if chunk is None or size is not None and chunk.size != size:
+                for done in handles[:i]:
+                    chunks[done].refcount -= 1
+                for handle in handles:  # a dead one raises first
+                    self.get(handle)
+                raise CudaInvalidValueError(
+                    f"expected {size}-byte chunks, got one of another size")
+            chunk.refcount += 1
+
+    def release_ref(self, handle):
+        self.release_refs((handle,))
+
+    def release_refs(self, handles):
+        chunks = self._chunks
+        for handle in handles:
+            chunk = chunks.get(handle)
+            if chunk is None:
+                self.get(handle)  # raises
+            chunk.refcount -= 1
+            if chunk.refcount == 0:
+                del chunks[handle]
+                self.committed -= chunk.size
+
+    def release(self, handle):
+        chunk = self._chunks.get(handle)
+        if chunk is None:
+            self.get(handle)  # raises
+        if chunk.released:
+            raise CudaInvalidValueError(
+                f"physical handle {handle} released twice")
+        chunk.released = True
+        self.release_ref(handle)
+
+    def check_invariants(self):
+        assert all(0 < handle < self._next_handle and chunk.refcount >= 1
+                   for handle, chunk in self._chunks.items())
+        assert self.committed == sum(c.size for c in self._chunks.values())
+
+
 def _entries(owner, slow):
     """One entry per function the class ``slow`` defines itself."""
     return tuple((owner, name, value) for name, value in vars(slow).items()
@@ -549,6 +677,9 @@ REFERENCE = {
     # No back is refused up front: a doomed back carves and rolls back.
     "doomed-backs": ((PhysicalMemory, "refuse_creates", cannot_say),),
     "split-refs": ((GMLakeAllocator, "_split", rekey_per_sblock),),
+    "lazy-best-fit": ((GMLakeAllocator, "_run_best_fit", copied_best_fit),),
+    "member-position": ((SBlock, "replace_member", scan_replace_member),),
+    "chunk-runs": _entries(PhysicalMemory, PerChunkPhysicalMemory),
     "paged-block-runs": (
         *_entries(PagedKVCache, PerBlockOracle),
         *_entries(SharedPagedKVCache, PerBlockSharedPagedKVCache)),
@@ -571,10 +702,15 @@ REFERENCE = {
     "converged-iterations": (
         (CachingAllocator, "steady_state", never_steady),
         (GMLakeAllocator, "steady_state", never_steady)),
+    # Only a training trace is built so.
+    "stamped-iterations": ((TrainingWorkload, "_emit_iterations",
+                            emit_each_iteration),),
 }
+#: The groups only a trace replay can fire, twinned in
+#: ``tests/test_sim_converged.py`` and ``tests/test_cold_path.py``.
+REPLAY_ONLY = ("converged-iterations", "stamped-iterations")
 #: The groups a serving run can fire, which the serving twin swaps in.
-GROUPS = tuple(group for group in REFERENCE
-               if group != "converged-iterations")
+GROUPS = tuple(group for group in REFERENCE if group not in REPLAY_ONLY)
 
 
 @contextlib.contextmanager
@@ -627,7 +763,8 @@ def observe(serve, slow=(), memory_every=16):
 
     ``seen`` holds every request's fields; each replica's allocator
     ``stats()``, final clock, driver state (VMM and runtime counters,
-    committed bytes, next chunk handle), ``kv.metrics``,
+    committed bytes, next chunk handle, every live chunk),
+    ``kv.metrics``,
     requests and gauge points; each replica's trace events
     in order (the fleet's recorder interleaves replicas by tick, which
     a quiet run reorders); the gauge points, each replica's in order
@@ -647,7 +784,8 @@ def observe(serve, slow=(), memory_every=16):
             sim.replica_id, sim.allocator.stats(), device.clock.now_us,
             device.vmm.counters.snapshot(),
             dataclasses.asdict(device.runtime.counters),
-            (device.phys.committed, device.phys._next_handle),
+            (device.phys.committed, device.phys._next_handle,
+             device.phys.chunks()),
             dataclasses.replace(sim.kv.metrics),
             [dict(vars(r)) for r in result.requests],
             result.gauge_points))

@@ -259,7 +259,7 @@ class TestPools:
         # The sPool is told nothing: it reads the member flags.
         b.active = True
         assert spool.exact_inactive(8 * MB) is None
-        assert spool.inactive_blocks() == [] and spool.lru_inactive() is None
+        assert all(s.active for s in spool) and spool.lru_inactive() is None
         b.active = False
         assert spool.exact_inactive(8 * MB) is sblock
 
@@ -287,6 +287,35 @@ class TestPools:
             spool.add(s)
             blocks.append(s)
         assert spool.lru_inactive() is blocks[-1]
+
+    def test_spool_lru_inactive_skips_the_protected_block(self, device):
+        """One pass picks what ``lru_inactive()`` and then, when that
+        was the protected block, a second pass over the other inactive
+        blocks picked: the first in pool order of the least stamp, an
+        active block never."""
+        spool = SPool()
+        sblocks = []
+        for stamp in (4, 2, 6, 0, 2, 1):  # the last is the newest sBlock
+            pair = [make_pblock(device, 2 * MB) for _ in range(2)]
+            sblock = SBlock.stitch(device, pair)
+            sblock.last_used = stamp
+            spool.add(sblock)
+            sblocks.append(sblock)
+        sblocks[3].members[0].active = True  # the stalest is in use
+        protected = sblocks[-1]
+
+        def two_passes(protect):
+            victim = spool.lru_inactive()
+            if victim is protect:
+                others = [s for s in spool if not s.active and s is not protect]
+                victim = min(others, key=lambda s: s.last_used, default=None)
+            return victim
+
+        assert spool.lru_inactive() is protected
+        for protect in (protected, sblocks[1], sblocks[4], None):
+            assert spool.lru_inactive(skip=protect) is two_passes(protect)
+        assert spool.lru_inactive(skip=protected) is sblocks[1]  # tie: first
+        assert spool.lru_inactive(skip=sblocks[1]) is protected
 
     def test_spool_referencing(self, device):
         spool = SPool()

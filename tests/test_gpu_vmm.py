@@ -254,7 +254,7 @@ def vmm_state(device):
         "mappings": chunk_view(vmm),
         "phys": (phys.committed, phys._next_handle,
                  {h: (c.size, c.refcount, c.released)
-                  for h, c in phys._chunks.items()}),
+                  for h, c in phys.chunks().items()}),
         "vaspace": (vaspace._next, vaspace.total_reserved,
                     {va: r.size for va, r in vaspace._reservations.items()}),
     }
@@ -435,7 +435,7 @@ class TestSequencesMatchOneCallAtATime:
                 twins.call("back", va, at, twins.span(va, at, units), chunk)
             elif op == "alias":
                 picks, chunk, spoil, repeat = args
-                live = [h for h, c in twins.ref.phys._chunks.items()
+                live = [h for h, c in twins.ref.phys.chunks().items()
                         if c.size == chunk]
                 chosen = [_pick(live, p, None) for p in picks]
                 if repeat:  # the first handle again, next to itself
@@ -692,7 +692,7 @@ def test_release_refs_is_a_loop_of_release_ref():
         for handle in (h2, h1, dead, h3):
             loop.release_ref(handle)
     assert str(batched.value) == str(looped.value)
-    assert {h: (c.refcount, c.released) for h, c in batch._chunks.items()} == {
-        h: (c.refcount, c.released) for h, c in loop._chunks.items()} == {
+    assert {h: (c.refcount, c.released) for h, c in batch.chunks().items()} == {
+        h: (c.refcount, c.released) for h, c in loop.chunks().items()} == {
         h1: (1, False), h3: (2, False)}
     assert batch.committed == loop.committed == 2 * U

@@ -170,15 +170,19 @@ def assert_inactive_lookups_match_brute_force(allocator):
     free_p = [p for p in ppool if not p.active]
     free_s = [s for s in spool if _no_active_member(s)]
 
-    assert ppool.inactive_descending() == sorted(
-        free_p, key=lambda p: (-p.size, p.sblock_refs, p.id))
-    assert spool.inactive_blocks() == sorted(
-        free_s, key=lambda s: (s.size, s.id))
-    assert spool.lru_inactive() is min(
-        free_s, key=lambda s: (s.last_used, s.size, s.id), default=None)
+    scan_key = lambda p: (-p.size, p.sblock_refs, p.id)
+    assert ppool.inactive_descending() == sorted(free_p, key=scan_key)
+    for skip in (None, *spool):
+        assert spool.lru_inactive(skip=skip) is min(
+            (s for s in free_s if s is not skip),
+            key=lambda s: (s.last_used, s.size, s.id), default=None)
 
     sizes = {b.size for pool in (ppool, spool) for b in pool}
-    for size in sizes | {max(sizes, default=0) + 2 * MB}:
+    for size in sizes | {max(sizes, default=0) + 2 * MB, 1}:
+        assert ppool.inactive_above(size) is max(
+            (p for p in free_p if p.size > size), key=scan_key, default=None)
+        assert list(ppool.inactive_from(size)) == sorted(
+            (p for p in free_p if p.size <= size), key=scan_key)
         fitting = [p for p in free_p if p.size == size]
         unreferenced = [p for p in fitting if p.sblock_refs == 0]
         assert ppool.exact_inactive(size) is min(

@@ -54,23 +54,25 @@ TRAIN_REPLAY = dict(model="gpt-neox-20b", batch_size=8, n_gpus=4,
 CONVERGING = ("caching", "expandable", "gmlake")
 
 
-def replay(allocator, trace):
-    """Replay ``trace`` on a fresh device; returns the result and
+def replay(allocator, trace, capacity=None):
+    """Replay ``trace`` on a fresh device (of ``capacity`` bytes, or an
+    A100's); returns the result and
     everything the run leaves behind: the digest (``iter_times_s``
     among it), clock, allocator stats and next id, driver counters,
-    committed bytes and next chunk handle, and for GMLake its
-    counters, tick, pools with their LRU stamps (in pool order: block
-    ids are process-wide) and its small pool.  The allocator's
-    invariants hold."""
-    device = GpuDevice()
+    committed bytes, next chunk handle and every live chunk, and for
+    GMLake its counters, tick, pools with their LRU stamps (in pool
+    order: block ids are process-wide) and its small pool.  The allocator's and the
+    physical memory's invariants hold."""
+    device = GpuDevice() if capacity is None else GpuDevice(capacity=capacity)
     alloc = resolve_allocator(allocator, device)
     result = run_trace(alloc, trace)
     alloc.check_invariants()
     phys = device.phys
+    phys.check_invariants()
     left = [engine_digest(result), device.clock.now_us, alloc.stats(),
             alloc._next_id, device.vmm.counters.snapshot(),
             dataclasses.asdict(device.runtime.counters),
-            (phys.committed, phys._next_handle)]
+            (phys.committed, phys._next_handle, phys.chunks())]
     if isinstance(alloc, GMLakeAllocator):
         left += [dataclasses.asdict(alloc.counters), alloc._tick,
                  [(b.size, b.active, b.sblock_refs, b.last_used)

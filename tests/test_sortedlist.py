@@ -134,6 +134,13 @@ class TestQueries:
         assert list(sl.iter_from(7)) == [8, 10, 12, 14, 16, 18]
         assert list(sl.iter_from(99)) == []
 
+    def test_iter_before(self, make):
+        sl = make(key=lambda x: x, items=list(range(0, 20, 2)))
+        assert list(sl.iter_before(7)) == [6, 4, 2, 0]
+        assert list(sl.iter_before(8)) == [6, 4, 2, 0]
+        assert list(sl.iter_before(0)) == []
+        assert list(sl.iter_before(99)) == list(range(18, -1, -2))
+
 
 class TestProperties:
     @given(st.lists(st.integers(-100, 100)))
@@ -187,3 +194,31 @@ class TestProperties:
         assert flat.as_list() == chunked.as_list()
         assert chunked.check_sorted()
         assert len(flat) == len(chunked)
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 10),
+                              st.integers(0, 1000)), max_size=80),
+           st.integers(-1, 12))
+    def test_chunked_walks_back_like_flat(self, steps, needle):
+        """``iter_before`` walks the same items in the same order on
+        both, equal keys last-inserted first, after any interleaving of
+        adds and removes (the chunked list's boundaries fall anywhere);
+        a walk cut short yields the same prefix."""
+        flat = SortedKeyList(key=lambda i: i.value)
+        chunked = _chunked(key=lambda i: i.value)
+        live = []
+        for is_add, value, pick in steps:
+            if is_add or not live:
+                item = Item(value)
+                flat.add(item)
+                chunked.add(item)
+                live.append(item)
+            else:
+                item = live.pop(pick % len(live))
+                flat.remove(item)
+                chunked.remove(item)
+        walked = list(chunked.iter_before(needle))
+        assert walked == list(flat.iter_before(needle))
+        assert walked == [i for i in reversed(flat.as_list())
+                          if i.value < needle]
+        cut = chunked.iter_before(needle)
+        assert [next(cut, None) for _ in range(2)] == (walked + [None] * 2)[:2]
