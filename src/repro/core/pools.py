@@ -217,7 +217,10 @@ class SPool:
             if block is skip or (victim is not None
                                  and block.last_used >= victim.last_used):
                 continue
-            if not block.active:
+            for member in block.members:  # ``not block.active``, spelled out
+                if member.active:
+                    break
+            else:
                 victim = block
         return victim
 
