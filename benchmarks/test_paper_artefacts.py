@@ -37,16 +37,17 @@ def test_no_pin_is_orphaned():
 
 
 #: Artefacts whose ``measure()`` costs at most 1.2 CPU-s (one process,
-#: ``REPRO_SWEEP_JOBS=1``; about 7 s together), held to their pins on
+#: ``REPRO_SWEEP_JOBS=1``; about 8 s together), held to their pins on
 #: every run.  CI's nightly job runs all of them.
 PIN_CHECKED = (
     "fig03-strategy-utilization", "fig04-gpu-scaleout",
     "fig05-footprint-irregularity", "fig06-vmm-latency",
     "table1-vmm-breakdown", "sec22-native-vs-caching", "fig12-platforms",
-    "fig14-memory-trace", "ablation-chunk-size",
-    "ablation-fragmentation-limit", "ext-inference-serving",
-    "ext-online-serving", "ext-paged-vs-stitched", "ext-swap-vs-recompute",
-    "ext-prefix-sharing", "ext-disagg-vs-colocated",
+    "fig14-memory-trace", "table2-model-registry", "ablation-chunk-size",
+    "ablation-fragmentation-limit", "ext-expandable-segments",
+    "ext-inference-serving", "ext-online-serving", "ext-paged-vs-stitched",
+    "ext-swap-vs-recompute", "ext-prefix-sharing",
+    "ext-disagg-vs-colocated",
 )
 
 

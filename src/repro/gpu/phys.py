@@ -170,26 +170,19 @@ class PhysicalMemory:
         on ``cuMemMap``).  Either every handle is a live chunk, of
         ``size`` bytes if given, and each gains one reference, or none
         does.  Consecutive handles in one record gain theirs at once."""
-        pieces = []
         i, n = 0, len(handles)
         while i < n:
             handle = handles[i]
             run = self._run_of(handle)
             if run is None or size is not None and run.size != size:
+                self.release_refs(handles[:i])  # back to where they were
                 for handle in handles:  # a dead one raises first
                     self.get(handle)
                 raise CudaInvalidValueError(
                     f"expected {size}-byte chunks, got one of another size")
             k = _consecutive(handles, i, min(run.first + run.n - handle, n - i))
-            pieces.append((handle, k))
+            self._cut(run, handle, k).refcount += 1
             i += k
-        for handle, k in pieces:  # an earlier piece may have split its run
-            end = handle + k
-            while handle < end:
-                run = self._run_of(handle)
-                k = min(end, run.first + run.n) - handle
-                self._cut(run, handle, k).refcount += 1
-                handle += k
 
     def release_ref(self, handle: int) -> None:
         """Drop one mapping reference; destroy the chunk at zero."""
