@@ -126,7 +126,7 @@ def test_only_a_seedless_trace_is_stamped(monkeypatch):
         assert emitted == iterations
 
 
-# -- lazy-best-fit and member-position ---------------------------------
+# -- guards ----------------------------------------------------------
 def test_the_gmlake_groups_fire_in_a_shipped_replay_cell(monkeypatch):
     """Each group's fast path runs in ``replay/opt-13b-LR-gmlake`` as
     shipped: BestFit walks from the request for S2 and for S3/S4, a
