@@ -127,11 +127,12 @@ def test_only_a_seedless_trace_is_stamped(monkeypatch):
 
 
 # -- guards ----------------------------------------------------------
-def test_the_gmlake_groups_fire_in_a_shipped_replay_cell(monkeypatch):
+def test_each_group_fires_in_a_shipped_replay_cell(monkeypatch):
     """Each group's fast path runs in ``replay/opt-13b-LR-gmlake`` as
-    shipped: BestFit walks from the request for S2 and for S3/S4, a
-    split re-keys stitched members, and chunk runs are made whole,
-    retained and released in pieces and split."""
+    shipped: its 6-iteration trace emits one iteration, BestFit walks
+    from the request for S2 and for S3/S4, a split re-keys stitched
+    members, and chunk runs are made whole, retained and released in
+    pieces and split."""
     calls = {}
 
     def count(owner, name):
@@ -143,13 +144,16 @@ def test_the_gmlake_groups_fire_in_a_shipped_replay_cell(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((PPool, "inactive_above"), (PPool, "inactive_from"),
+    for owner, name in ((TrainingWorkload, "_emit_iteration"),
+                        (PPool, "inactive_above"), (PPool, "inactive_from"),
                         (SBlock, "replace_member"),
                         (PhysicalMemory, "create_run"),
                         (PhysicalMemory, "_split")):
         count(owner, name)
     allocator, workload = GOLDEN_CELLS["replay/opt-13b-LR-gmlake"]
+    assert workload["iterations"] == 6
     replay(allocator, TrainingWorkload(**workload).build_trace())
+    assert calls.pop("_emit_iteration") == 1
     assert set(calls) == {"inactive_above", "inactive_from",
                           "replace_member", "create_run", "_split"}, calls
 
