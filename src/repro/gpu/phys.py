@@ -107,7 +107,7 @@ class PhysicalMemory:
     @property
     def live_chunk_count(self) -> int:
         """Number of chunks still holding physical memory."""
-        return len(self.chunks())
+        return sum(run.n for run in self._runs.values())
 
     def create(self, size: int) -> int:
         """Commit ``size`` bytes and return a fresh handle.
@@ -216,16 +216,6 @@ class PhysicalMemory:
         if run.released:
             raise CudaInvalidValueError(f"physical handle {handle} released twice")
         if run.n > 1:
-            if handle == run.first and run.refcount == 1:
-                # Destroyed at once: its run just starts one handle later,
-                # as when a pBlock's chunks are released in order.
-                self._runs[handle + 1] = self._runs.pop(handle)
-                firsts = self._firsts
-                firsts[bisect.bisect_left(firsts, handle)] = handle + 1
-                run.first += 1
-                run.n -= 1
-                self.committed -= run.size
-                return
             run = self._cut(run, handle, 1)
         run.released = True
         run.refcount -= 1
