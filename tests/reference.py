@@ -555,21 +555,6 @@ def copied_best_fit(self, rounded):
                     min_stitch_size=min_stitch)
 
 
-# -- Split re-keying: each member found by a generator scan -----------
-def scan_replace_member(self, old, new_parts):
-    """Slow replacement of ``SBlock.replace_member``: ``old`` is found
-    by scanning the members one by one."""
-    total = sum(p.size for p in new_parts)
-    if total != old.size:
-        raise CudaInvalidValueError(
-            f"replacement parts cover {total} bytes, expected {old.size}")
-    idx = next((i for i, p in enumerate(self.members) if p is old), None)
-    if idx is None:
-        raise CudaInvalidValueError(
-            f"pBlock {old.id} is not a member of sBlock {self.id}")
-    self.members[idx:idx + 1] = list(new_parts)
-
-
 # -- Physical memory: one record per chunk -----------------------------
 @dataclasses.dataclass
 class _Chunk:
@@ -678,7 +663,6 @@ REFERENCE = {
     "doomed-backs": ((PhysicalMemory, "refuse_creates", cannot_say),),
     "split-refs": ((GMLakeAllocator, "_split", rekey_per_sblock),),
     "lazy-best-fit": ((GMLakeAllocator, "_run_best_fit", copied_best_fit),),
-    "member-position": ((SBlock, "replace_member", scan_replace_member),),
     "chunk-runs": _entries(PhysicalMemory, PerChunkPhysicalMemory),
     "paged-block-runs": (
         *_entries(PagedKVCache, PerBlockOracle),

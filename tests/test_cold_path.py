@@ -1,14 +1,13 @@
 """A seedless trace's iterations and GMLake's cold path, each fast path
 against its slow definition.
 
-Four groups of ``tests/reference.py`` act where a training run is built
+Three groups of ``tests/reference.py`` act where a training run is built
 or replayed call by call:
 
 * ``stamped-iterations`` — a trace that does not read its seed emits
   iteration 0 and stamps the others from it;
 * ``lazy-best-fit`` — BestFit walks the pPool's scan order from the
   request instead of copying every inactive pBlock;
-* ``member-position`` — a split finds an sBlock's member by position;
 * ``chunk-runs`` — physical memory keeps one record per run of
   consecutive handles.
 
@@ -29,7 +28,6 @@ from reference import GROUPS, REFERENCE, REPLAY_ONLY, PerChunkPhysicalMemory, re
 from test_equivalence_goldens import _load_goldens
 from test_sim_converged import GOLDEN_CELLS, replay
 from repro.core.pools import PPool
-from repro.core.sblock import SBlock
 from repro.errors import CudaError
 from repro.gpu.phys import PhysicalMemory
 from repro.units import GB, MB
@@ -37,8 +35,7 @@ from repro.workloads import TrainingWorkload
 from repro.workloads.models import MODELS
 from repro.workloads.platforms import Platform
 
-COLD = ("stamped-iterations", "lazy-best-fit", "member-position",
-        "chunk-runs")
+COLD = ("stamped-iterations", "lazy-best-fit", "chunk-runs")
 GMLAKE_CELLS = sorted(cell for cell, (allocator, _) in GOLDEN_CELLS.items()
                       if allocator.startswith("gmlake"))
 STRATEGIES = ("N", "R", "LR", "RO", "LRO")
@@ -130,9 +127,8 @@ def test_only_a_seedless_trace_is_stamped(monkeypatch):
 def test_each_group_fires_in_a_shipped_replay_cell(monkeypatch):
     """Each group's fast path runs in ``replay/opt-13b-LR-gmlake`` as
     shipped: its 6-iteration trace emits one iteration, BestFit walks
-    from the request for S2 and for S3/S4, a split re-keys stitched
-    members, and chunk runs are made whole, retained and released in
-    pieces and split."""
+    from the request for S2 and for S3/S4, and chunk runs are made
+    whole, retained and released in pieces and split."""
     calls = {}
 
     def count(owner, name):
@@ -146,7 +142,6 @@ def test_each_group_fires_in_a_shipped_replay_cell(monkeypatch):
 
     for owner, name in ((TrainingWorkload, "_emit_iteration"),
                         (PPool, "inactive_above"), (PPool, "inactive_from"),
-                        (SBlock, "replace_member"),
                         (PhysicalMemory, "create_run"),
                         (PhysicalMemory, "_split")):
         count(owner, name)
@@ -155,14 +150,14 @@ def test_each_group_fires_in_a_shipped_replay_cell(monkeypatch):
     replay(allocator, TrainingWorkload(**workload).build_trace())
     assert calls.pop("_emit_iteration") == 1
     assert set(calls) == {"inactive_above", "inactive_from",
-                          "replace_member", "create_run", "_split"}, calls
+                          "create_run", "_split"}, calls
 
 
 def test_the_cold_groups_are_registered_where_they_fire():
     for group in COLD:
         assert group in REFERENCE
     assert "stamped-iterations" in REPLAY_ONLY
-    assert {"lazy-best-fit", "member-position", "chunk-runs"} <= set(GROUPS)
+    assert {"lazy-best-fit", "chunk-runs"} <= set(GROUPS)
 
 
 # -- chunk-runs --------------------------------------------------------
