@@ -30,10 +30,8 @@ def main() -> None:
             "ranks": n_gpus,
             "caching min-util": round(base.min_utilization, 3),
             "gmlake min-util": round(gml.min_utilization, 3),
-            "caching worst RM (GB)": round(
-                base.max_peak_reserved_bytes / (1 << 30), 2),
-            "gmlake worst RM (GB)": round(
-                gml.max_peak_reserved_bytes / (1 << 30), 2),
+            "caching worst RM (GB)": round(base.peak_reserved_gb, 2),
+            "gmlake worst RM (GB)": round(gml.peak_reserved_gb, 2),
             "caching OOM": base.oom,
             "gmlake OOM": gml.oom,
         })

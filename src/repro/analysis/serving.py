@@ -91,7 +91,7 @@ def defrag_comparison_rows(
             "goodput (req/s)": round(report.goodput_req_s, 3),
             "SLO %": round(report.slo_attainment * 100.0, 1),
             "preempt": report.preemptions,
-            "RM (GB)": round(result.peak_reserved_bytes / (1 << 30), 2),
+            "RM (GB)": round(result.peak_reserved_gb, 2),
             "pool frag": round(result.fragmentation_ratio, 3),
             "kv frag": round(kv.internal_frag_ratio, 3) if kv else "-",
             "copy (MB)": round(

@@ -14,9 +14,9 @@ Three layers, each usable alone:
   component; :class:`ExperimentSpec` does the same for a whole
   experiment (mode + workload + allocators).
 * **Runner** (:mod:`repro.api.experiment`) — :func:`run` dispatches
-  offline replay, multi-rank cluster runs and online serving through
-  one code path, returning :class:`ExperimentResult` adapters that all
-  satisfy the :class:`RunResult` protocol.
+  replay, cluster and serving runs through one code path; each
+  :class:`ExperimentResult` reads the :class:`RunResult` surface off its
+  mode's own ``raw`` result (the §5.1 ratios: ``MemoryHeadline``).
 * **Sweeps** (:mod:`repro.api.sweep`) — :func:`run_sweep` fans
   independent experiment points over worker processes (results are
   byte-identical at any job count) and :func:`sweep_rows` merges any

@@ -27,6 +27,7 @@ experiment.json``.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
@@ -500,10 +501,11 @@ def _run_cluster(spec: ExperimentSpec, allocator: AllocatorSpec,
 
 
 def _labelled_trace_path(path: str, label: str) -> str:
-    """``trace.json`` → ``trace.<label>.json`` for multi-allocator runs."""
+    """``trace.json`` → ``trace.<label>.json`` for multi-allocator runs;
+    only the file name splits (``runs.v2/trace`` → ``runs.v2/trace.<label>``)."""
     safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in label)
-    stem, dot, ext = path.rpartition(".")
-    return f"{stem}.{safe}.{ext}" if dot else f"{path}.{safe}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.{safe}{ext}"
 
 
 def _run_serve(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResult:

@@ -15,49 +15,43 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Protocol, runtime_checkable
 
-from repro.units import GB
+from repro.allocators.stats import MemoryHeadline
 
 
 @runtime_checkable
 class RunResult(Protocol):
     """What every experiment result exposes, whatever the mode.
 
-    ``throughput`` is mode-appropriate (training samples/s for replay,
-    completed requests/s for serving); ``extras()`` carries the
-    mode-specific remainder (SLO metrics, per-rank peaks, ...).
+    Every member is read-only; results supply them as fields or
+    properties, the memory headline through
+    :class:`~repro.allocators.stats.MemoryHeadline`.  ``throughput`` is
+    mode-appropriate (training samples/s for replay, completed
+    requests/s for serving); ``extras()`` carries the mode-specific
+    remainder (SLO metrics, per-rank peaks, ...).
     """
 
     allocator_name: str
-
-    @property
-    def peak_active_bytes(self) -> int: ...
-
-    @property
-    def peak_reserved_bytes(self) -> int: ...
-
-    @property
-    def utilization_ratio(self) -> float: ...
-
-    @property
-    def fragmentation_ratio(self) -> float: ...
-
-    @property
-    def throughput(self) -> float: ...
-
-    @property
-    def oom(self) -> bool: ...
+    peak_active_bytes: int
+    peak_reserved_bytes: int
+    utilization_ratio: float
+    fragmentation_ratio: float
+    peak_reserved_gb: float
+    peak_active_gb: float
+    throughput: float
+    oom: bool
 
     def extras(self) -> Dict[str, Any]: ...
 
 
-class WorstMemberRunResult:
+class WorstMemberRunResult(MemoryHeadline):
     """Mixin: the :class:`RunResult` memory surface of an aggregate.
 
     Both cluster aggregates (training ranks, serving replicas) report
     memory from the *worst member* — the one with the highest reserved
-    peak, what capacity planning sees.  All three memory figures come
-    from that same member, so a row's utilization always matches its
-    reported peaks.  Subclasses implement :meth:`_result_members`.
+    peak, what capacity planning sees.  Both peaks come from that same
+    member, so a row's utilization always matches its reported peaks;
+    :attr:`min_utilization` is the lowest ratio of any member.
+    Subclasses implement :meth:`_result_members`.
     """
 
     def _result_members(self) -> list:
@@ -81,12 +75,9 @@ class WorstMemberRunResult:
         return self._worst_member().peak_reserved_bytes
 
     @property
-    def utilization_ratio(self) -> float:
-        return self._worst_member().utilization_ratio
-
-    @property
-    def fragmentation_ratio(self) -> float:
-        return 1.0 - self.utilization_ratio
+    def min_utilization(self) -> float:
+        """The lowest member's utilization ratio."""
+        return min(m.utilization_ratio for m in self._result_members())
 
 
 #: The report-only serving metrics layered over ``result.extras()``.
@@ -96,41 +87,33 @@ _REPORT_EXTRAS = ("goodput_req_s", "slo_attainment", "p99_ttft_s",
 
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(MemoryHeadline):
     """A mode-agnostic result adapter satisfying :class:`RunResult`.
 
-    ``raw`` keeps the full mode-specific result for callers that need
-    more than the shared surface.
+    ``raw`` is the full mode-specific result; peaks, throughput and OOM
+    are read off it, never copied, so the two can never disagree.
     """
 
     allocator_name: str
     mode: str
-    peak_active_bytes: int
-    peak_reserved_bytes: int
-    throughput: float
-    oom: bool
-    raw: Any = None
+    raw: Any
     _extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
-    def utilization_ratio(self) -> float:
-        """Peak active / peak reserved — the paper's §5.1 metric."""
-        if self.peak_reserved_bytes == 0:
-            return 1.0
-        return self.peak_active_bytes / self.peak_reserved_bytes
+    def peak_active_bytes(self) -> int:
+        return self.raw.peak_active_bytes
 
     @property
-    def fragmentation_ratio(self) -> float:
-        """1 − utilization ratio."""
-        return 1.0 - self.utilization_ratio
+    def peak_reserved_bytes(self) -> int:
+        return self.raw.peak_reserved_bytes
 
     @property
-    def peak_reserved_gb(self) -> float:
-        return self.peak_reserved_bytes / GB
+    def throughput(self) -> float:
+        return self.raw.throughput
 
     @property
-    def peak_active_gb(self) -> float:
-        return self.peak_active_bytes / GB
+    def oom(self) -> bool:
+        return self.raw.oom
 
     def extras(self) -> Dict[str, Any]:
         """Mode-specific metrics beyond the shared surface."""
@@ -151,34 +134,22 @@ class ExperimentResult:
     # Adapters, one per experiment mode, over one constructor call
     # ------------------------------------------------------------------
     @classmethod
-    def _adapt(cls, mode: str, result, label: str, throughput: float,
+    def _adapt(cls, mode: str, result, label: str,
                extras: Dict[str, Any]) -> "ExperimentResult":
-        """Everything else delegates to ``result``'s own
-        :class:`RunResult` surface, so the two can never disagree."""
-        return cls(
-            allocator_name=label or result.allocator_name,
-            mode=mode,
-            peak_active_bytes=result.peak_active_bytes,
-            peak_reserved_bytes=result.peak_reserved_bytes,
-            throughput=throughput,
-            oom=result.oom,
-            raw=result,
-            _extras=extras,
-        )
+        return cls(allocator_name=label or result.allocator_name,
+                   mode=mode, raw=result, _extras=extras)
 
     @classmethod
     def from_engine(cls, result, label: str = "") -> "ExperimentResult":
         """Adapt an offline-replay :class:`EngineResult`."""
-        return cls._adapt("replay", result, label,
-                          result.throughput_samples_per_s, result.extras())
+        return cls._adapt("replay", result, label, result.extras())
 
     @classmethod
     def from_cluster(cls, result, label: str = "") -> "ExperimentResult":
         """Adapt a multi-rank training :class:`ClusterResult`: peaks are
         worst-rank (what capacity planning sees), throughput is the
         synchronous job's (slowest rank)."""
-        return cls._adapt("cluster", result, label, result.throughput,
-                          result.extras())
+        return cls._adapt("cluster", result, label, result.extras())
 
     @classmethod
     def _from_serve(cls, mode: str, result, slo, label: str,
@@ -192,7 +163,7 @@ class ExperimentResult:
         report = result.report(slo, streaming=streaming)
         extras = result.extras()
         extras.update((key, getattr(report, key)) for key in report_keys)
-        return cls._adapt(mode, result, label, result.throughput, extras)
+        return cls._adapt(mode, result, label, extras)
 
     @classmethod
     def from_serving(cls, result, slo=None, label: str = "",
@@ -225,8 +196,8 @@ def run_result_row(result: RunResult) -> Dict[str, Any]:
     :class:`RunResult`, whatever the experiment mode."""
     return {
         "allocator": result.allocator_name,
-        "reserved (GB)": round(result.peak_reserved_bytes / GB, 2),
-        "active (GB)": round(result.peak_active_bytes / GB, 2),
+        "reserved (GB)": round(result.peak_reserved_gb, 2),
+        "active (GB)": round(result.peak_active_gb, 2),
         "utilization": round(result.utilization_ratio, 3),
         "thru (/s)": round(result.throughput, 2),
         "OOM": result.oom,

@@ -94,9 +94,12 @@ def run_sweep(
 def sweep_point_label(spec: ExperimentSpec) -> str:
     """Short human label for one sweep point (the table's left column)."""
     if spec.mode == "serve":
-        serving = spec.serving
-        return (f"serve {serving.model} {serving.arrival} "
-                f"rate={serving.rate_per_s:g}/s x{serving.replicas}")
+        serving, disagg = spec.serving, spec.serving.disagg
+        arrivals = (serving.arrivals or
+                    f"{serving.arrival} rate={serving.rate_per_s:g}/s")
+        fleet = (f"{disagg.prefill_replicas}P+{disagg.decode_replicas}D"
+                 if disagg else f"x{serving.replicas}")
+        return f"serve {serving.model} {arrivals} {fleet}"
     workload = spec.workload
     return (f"{spec.mode} {workload.model} bs={workload.batch_size} "
             f"g={workload.n_gpus} {workload.strategies}")

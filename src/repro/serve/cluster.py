@@ -158,16 +158,6 @@ class FleetResult(RequestTallies, WorstMemberRunResult):
         return max((r.makespan_s for r in self.replicas), default=0.0)
 
     @property
-    def min_utilization(self) -> float:
-        """The worst replica's memory utilization ratio."""
-        return min(r.utilization for r in self.replicas)
-
-    @property
-    def max_peak_reserved_gb(self) -> float:
-        """The worst replica's reserved peak (capacity planning view)."""
-        return max(r.peak_reserved_gb for r in self.replicas)
-
-    @property
     def kv_cache_name(self) -> str:
         """The fleet's (uniform) KV-cache model name."""
         return self.replicas[0].kv_cache_name if self.replicas else "chunked"
@@ -227,7 +217,7 @@ class FleetResult(RequestTallies, WorstMemberRunResult):
         """
         headline = dict(
             utilization=self.min_utilization,
-            peak_reserved_gb=self.max_peak_reserved_gb,
+            peak_reserved_gb=self.peak_reserved_gb,
             migrated_mb=self.kv_metrics.migrated_bytes / (1 << 20))
         if not streaming:
             return ServingReport.from_requests(

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.allocators.stats import AllocatorStats
+from repro.allocators.stats import AllocatorStats, MemoryHeadline
 from repro.api.spec import SpecLike, resolve, resolve_allocator
 from repro.gpu.device import GpuDevice
 from repro.obs.gauges import NO_GAUGES, GaugePoint, GaugeSampler
@@ -48,7 +48,7 @@ from repro.serve.request import REJECT_REASONS, RequestState, ServeRequest
 from repro.serve.metrics import ServingReport, SloConfig
 from repro.serve.scheduler import Scheduler, SchedulerView
 from repro.sim.engine import AllocatorFactory, ReplaySession
-from repro.units import A100_80GB, GB
+from repro.units import A100_80GB
 from repro.workloads.inference import (
     DECODE_TOKENS_PER_S,
     decode_workspace_bytes,
@@ -154,7 +154,7 @@ class RequestTallies:
 
 
 @dataclass
-class ServingResult(RequestTallies):
+class ServingResult(RequestTallies, MemoryHeadline):
     """Everything one replica measured: per-request lifecycles plus the
     allocator-side statistics the offline engine also reports."""
 
@@ -174,14 +174,6 @@ class ServingResult(RequestTallies):
     #: Canonical tier hierarchy this replica served with ("" = none).
     memory_tiers: str = ""
 
-    @property
-    def utilization(self) -> float:
-        return self.stats.utilization_ratio
-
-    @property
-    def peak_reserved_gb(self) -> float:
-        return self.stats.peak_reserved_bytes / GB
-
     # -- the :class:`repro.api.RunResult` shared surface ---------------
     @property
     def peak_active_bytes(self) -> int:
@@ -190,14 +182,6 @@ class ServingResult(RequestTallies):
     @property
     def peak_reserved_bytes(self) -> int:
         return self.stats.peak_reserved_bytes
-
-    @property
-    def utilization_ratio(self) -> float:
-        return self.stats.utilization_ratio
-
-    @property
-    def fragmentation_ratio(self) -> float:
-        return self.stats.fragmentation_ratio
 
     def extras(self) -> Dict[str, object]:
         """Serving-specific metrics beyond the shared surface."""
@@ -228,7 +212,7 @@ class ServingResult(RequestTallies):
         """
         return ServingReport.from_requests(
             self.requests, self.makespan_s, slo,
-            utilization=self.utilization,
+            utilization=self.utilization_ratio,
             peak_reserved_gb=self.peak_reserved_gb,
             streaming=streaming,
             migrated_mb=self.kv_metrics.migrated_bytes / (1 << 20),

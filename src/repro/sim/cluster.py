@@ -42,16 +42,6 @@ class ClusterResult(WorstMemberRunResult):
         return any(rank.oom for rank in self.ranks)
 
     @property
-    def max_peak_reserved_bytes(self) -> int:
-        """The worst rank's reserved peak — what capacity planning sees."""
-        return max(rank.peak_reserved_bytes for rank in self.ranks)
-
-    @property
-    def min_utilization(self) -> float:
-        """The worst rank's utilization ratio."""
-        return min(rank.utilization_ratio for rank in self.ranks)
-
-    @property
     def mean_utilization(self) -> float:
         """Fleet-average utilization ratio."""
         return sum(r.utilization_ratio for r in self.ranks) / len(self.ranks)
@@ -70,7 +60,7 @@ class ClusterResult(WorstMemberRunResult):
         return None if None in marks else max(marks)
 
     # -- the :class:`repro.api.RunResult` shared surface ---------------
-    # Memory figures delegate to WorstMemberRunResult (worst rank).
+    # Memory figures and min_utilization come from WorstMemberRunResult.
     def _result_members(self) -> List[EngineResult]:
         return self.ranks
 
@@ -92,7 +82,7 @@ class ClusterResult(WorstMemberRunResult):
         return (
             f"{self.n_ranks} ranks: util min={self.min_utilization:.3f} "
             f"mean={self.mean_utilization:.3f}, "
-            f"max reserved={self.max_peak_reserved_bytes / (1 << 30):.2f} GB, "
+            f"max reserved={self.peak_reserved_gb:.2f} GB, "
             f"thru={self.throughput_samples_per_s:.2f} samp/s{oom}"
         )
 

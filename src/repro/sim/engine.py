@@ -36,12 +36,13 @@ from repro.allocators.base import (
     BaseAllocator,
     SteadyState,
 )
+from repro.allocators.stats import MemoryHeadline
 from repro.api.spec import SpecLike, resolve_allocator
 from repro.errors import OutOfMemoryError
 from repro.gpu.clock import repeated_add
 from repro.gpu.device import GpuDevice
 from repro.sim.timeline import TimelinePoint, TimelineRecorder
-from repro.units import A100_80GB, GB
+from repro.units import A100_80GB
 from repro.workloads.request import Op, Trace, TraceEvent
 from repro.workloads.training import TrainingWorkload
 
@@ -49,7 +50,7 @@ AllocatorFactory = Callable[[GpuDevice], BaseAllocator]
 
 
 @dataclass
-class EngineResult:
+class EngineResult(MemoryHeadline):
     """Everything measured from one trace replay."""
 
     allocator_name: str
@@ -71,28 +72,6 @@ class EngineResult:
     #: first such), or ``None``: every iteration after it left the
     #: allocator as it found it.  Not in :meth:`extras`.
     converged_at: Optional[int] = None
-
-    @property
-    def utilization_ratio(self) -> float:
-        """Peak active / peak reserved — the paper's §5.1 metric."""
-        if self.peak_reserved_bytes == 0:
-            return 1.0
-        return self.peak_active_bytes / self.peak_reserved_bytes
-
-    @property
-    def fragmentation_ratio(self) -> float:
-        """1 − utilization ratio."""
-        return 1.0 - self.utilization_ratio
-
-    @property
-    def peak_reserved_gb(self) -> float:
-        """Peak reserved memory in GB (the figures' RM axis)."""
-        return self.peak_reserved_bytes / GB
-
-    @property
-    def peak_active_gb(self) -> float:
-        """Peak active memory in GB."""
-        return self.peak_active_bytes / GB
 
     @property
     def throughput(self) -> float:

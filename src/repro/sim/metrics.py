@@ -1,8 +1,9 @@
 """Paper metrics and baseline-vs-GMLake comparison rows (§5.1).
 
-* utilization ratio  = peak active / peak reserved
-* fragmentation ratio = 1 − utilization ratio
-* memory reduction ratio = (Σ reserved − Σ GMLake reserved) / Σ reserved
+The per-run utilization and fragmentation ratios are defined once, on
+:class:`repro.allocators.stats.MemoryHeadline`; this module adds the
+cross-workload memory reduction ratio
+(Σ reserved − Σ GMLake reserved) / Σ reserved.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.sim.engine import EngineResult
-from repro.units import GB
 
 
 def mem_reduction_ratio(
@@ -36,9 +36,7 @@ class ComparisonRow:
     @property
     def reserved_saving_gb(self) -> float:
         """Reserved-memory saving in GB (positive = GMLake uses less)."""
-        return (
-            self.baseline.peak_reserved_bytes - self.gmlake.peak_reserved_bytes
-        ) / GB
+        return self.baseline.peak_reserved_gb - self.gmlake.peak_reserved_gb
 
     @property
     def fragmentation_reduction(self) -> float:

@@ -14,11 +14,12 @@ from repro.api import (
     WorkloadSpec,
     resolve_allocator,
 )
+from repro.api.experiment import _labelled_trace_path
 from repro.api.result import ExperimentResult, RunResult, run_result_row
 from repro.cli import main
 from repro.gpu.device import GpuDevice
 from repro.sim import cluster, run_cluster
-from repro.sim.engine import run_trace, run_workload
+from repro.sim.engine import EngineResult, run_trace, run_workload
 from repro.units import GB
 from repro.workloads import TrainingWorkload
 
@@ -184,6 +185,28 @@ class TestRunClusterAndServe:
                     (tmp_path / name).read_text(encoding="utf-8").splitlines()]
             assert {"admit", "finish"} <= {row["kind"] for row in rows}
 
+    def test_two_allocator_trace_keeps_a_dotted_directory(self, tmp_path):
+        runs = tmp_path / "runs.v2"
+        runs.mkdir()
+        spec = ExperimentSpec(
+            mode="serve", allocators=["caching", "gmlake"], capacity=8 * GB,
+            serving=ServingSpec(model="opt-1.3b", n_requests=5,
+                                rate_per_s=4.0,
+                                trace=f"jsonl?path={runs / 'trace'}"))
+        api.run(spec)
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.v2"]
+        assert sorted(p.name for p in runs.iterdir()) == [
+            "trace.caching", "trace.gmlake"]
+
+    @pytest.mark.parametrize("path, labelled", [
+        ("runs.v2/trace", "runs.v2/trace.gmlake"),
+        ("trace", "trace.gmlake"),
+        ("trace.json", "trace.gmlake.json"),
+        ("runs.v2/trace.json", "runs.v2/trace.gmlake.json"),
+    ])
+    def test_labelled_trace_path_splits_the_file_name(self, path, labelled):
+        assert _labelled_trace_path(path, "gmlake") == labelled
+
     def test_serve_capacity_string(self):
         spec = ExperimentSpec(
             mode="serve", allocators=["gmlake"], capacity="8GB",
@@ -294,9 +317,9 @@ class TestRunResultRow:
         assert "[replay]" in result.summary()
 
     def test_experiment_result_ratios(self):
-        result = ExperimentResult(
-            allocator_name="x", mode="replay", peak_active_bytes=50,
-            peak_reserved_bytes=100, throughput=1.0, oom=False)
+        result = ExperimentResult.from_engine(EngineResult(
+            allocator_name="x", meta={}, peak_active_bytes=50,
+            peak_reserved_bytes=100, throughput_samples_per_s=1.0))
         assert result.utilization_ratio == 0.5
         assert result.fragmentation_ratio == 0.5
 

@@ -72,6 +72,20 @@ class TestSweepRows:
         assert {"allocator", "reserved (GB)", "utilization",
                 "thru (/s)", "OOM"} <= set(rows[0])
 
+    @pytest.mark.parametrize("serving, fleet", [
+        ({"arrivals": "closed-loop?clients=8", "replicas": 2}, "x2"),
+        ({"arrivals": "mmpp?rate=3&burst=9"}, "x1"),
+        ({"arrivals": "poisson?rate=4",
+          "disagg": {"prefill_replicas": 2, "decode_replicas": 3}}, "2P+3D"),
+    ])
+    def test_serve_label_names_arrivals_and_fleet(self, serving, fleet):
+        spec = api.ExperimentSpec(
+            mode="serve", allocators=["caching"],
+            serving=api.ServingSpec(model="opt-1.3b", **serving))
+        assert api.sweep_point_label(spec) == (
+            f"serve opt-1.3b {spec.serving.arrivals} {fleet}")
+        assert "rate=2/s" not in api.sweep_point_label(spec)
+
     def test_replay_label(self):
         spec = api.ExperimentSpec(mode="replay", allocators=["caching"])
         assert api.sweep_point_label(spec).startswith("replay opt-13b")

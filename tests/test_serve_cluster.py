@@ -83,10 +83,10 @@ class TestClusterRun:
     def test_memory_headlines_are_worst_replica(self):
         stream = PoissonArrivals(rate_per_s=4.0).generate(30, seed=6)
         result = run_serving_cluster(stream, "opt-1.3b", n_replicas=2)
-        assert result.max_peak_reserved_gb == max(
+        assert result.peak_reserved_gb == max(
             r.peak_reserved_gb for r in result.replicas)
         assert result.min_utilization == min(
-            r.utilization for r in result.replicas)
+            r.utilization_ratio for r in result.replicas)
 
     def test_summary_mentions_replicas(self):
         stream = PoissonArrivals(rate_per_s=2.0).generate(10, seed=0)

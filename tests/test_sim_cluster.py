@@ -33,7 +33,7 @@ class TestClusterAggregation:
     def test_max_reserved_is_worst_rank(self):
         result = ClusterResult(ranks=[fake_rank(0.9, 10, 5),
                                       fake_rank(0.8, 14, 5)])
-        assert result.max_peak_reserved_bytes == 14 * GB
+        assert result.peak_reserved_bytes == 14 * GB
 
     def test_min_and_mean_utilization(self):
         result = ClusterResult(ranks=[fake_rank(0.9, 10, 5),
