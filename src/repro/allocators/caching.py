@@ -95,11 +95,6 @@ def pool_for(rounded: int) -> str:
     return "small" if rounded <= SMALL_SIZE else "large"
 
 
-def should_split(block_size: int, rounded: int, pool: str) -> bool:
-    """PyTorch's split policy: keep the remainder only if it is usable."""
-    return block_size - rounded >= CachingAllocator._split_floor[pool]
-
-
 class CachingAllocator(BaseAllocator):
     """PyTorch-style BFC caching allocator (the paper's baseline).
 

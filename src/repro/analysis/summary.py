@@ -25,18 +25,6 @@ class SummaryStats:
     baseline_ooms: int
     gmlake_ooms: int
 
-    def as_dict(self) -> dict:
-        return {
-            "workloads": self.n_workloads,
-            "avg saving (GB)": round(self.avg_saving_gb, 2),
-            "max saving (GB)": round(self.max_saving_gb, 2),
-            "avg frag reduction": round(self.avg_frag_reduction, 3),
-            "max frag reduction": round(self.max_frag_reduction, 3),
-            "mem reduction ratio": round(self.mem_reduction_ratio, 3),
-            "baseline OOMs": self.baseline_ooms,
-            "gmlake OOMs": self.gmlake_ooms,
-        }
-
 
 def summarize(rows: Sequence[ComparisonRow]) -> SummaryStats:
     """Aggregate comparison rows into the §5 summary statistics.

@@ -45,12 +45,3 @@ def format_table(
     for r in table:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def format_kv(title: str, pairs: Dict[str, Any]) -> str:
-    """Render a key/value block (used for single-result reports)."""
-    width = max(len(k) for k in pairs)
-    lines = [title]
-    for key, value in pairs.items():
-        lines.append(f"  {key.ljust(width)} : {_cell(value)}")
-    return "\n".join(lines)

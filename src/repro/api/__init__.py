@@ -50,7 +50,6 @@ from repro.api.registry import (
     UnknownComponentError,
     component_kinds,
     component_names,
-    component_registry,
     get_component_info,
     iter_components,
     kind_label,
@@ -69,7 +68,6 @@ from repro.api.spec import (
     SpecLike,
     resolve,
     resolve_allocator,
-    spec_label,
 )
 from repro.api.sweep import (
     expand_spec_points,
@@ -96,7 +94,6 @@ __all__ = [
     "WorstMemberRunResult",
     "component_kinds",
     "component_names",
-    "component_registry",
     "expand_spec_points",
     "get_component_info",
     "iter_components",
@@ -108,7 +105,6 @@ __all__ = [
     "run",
     "run_result_row",
     "run_sweep",
-    "spec_label",
     "sweep_point_label",
     "sweep_rows",
 ]

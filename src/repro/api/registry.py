@@ -443,11 +443,6 @@ def component_kinds() -> List[str]:
     return list(_COMPONENTS)
 
 
-def component_registry(kind: str) -> Dict[str, ComponentInfo]:
-    """The canonical-name → :class:`ComponentInfo` catalogue (a copy)."""
-    return dict(_kind_registry(kind))
-
-
 def component_names(kind: str, include_aliases: bool = False) -> List[str]:
     """Registered component names of ``kind``, optionally with aliases."""
     names = list(_kind_registry(kind))

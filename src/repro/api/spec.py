@@ -24,7 +24,7 @@ component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Tuple, Union
 
 from repro.allocators.base import BaseAllocator
 from repro.api.registry import (
@@ -168,13 +168,6 @@ class ComponentSpec:
         """The registry entry this spec builds."""
         return get_component_info(self.kind, self.name)
 
-    def resolved_params(self) -> Dict[str, Any]:
-        """Full parameter dict: defaults overlaid with this spec's values."""
-        info = self.info
-        resolved = {p.name: p.default for p in info.params}
-        resolved.update(info.resolve_params(self.params))
-        return resolved
-
     def build(self, *args: Any) -> Any:
         """Instantiate the configured component (positional ``args``
         are whatever the kind's constructors require up front)."""
@@ -213,10 +206,3 @@ def resolve_allocator(
     if callable(kind):
         return kind(device)
     return resolve("allocator", kind, device)
-
-
-def spec_label(kind: Any) -> Optional[str]:
-    """Display label for an allocator named by spec (None for callables)."""
-    if isinstance(kind, (str, ComponentSpec)):
-        return ComponentSpec.parse(kind).label
-    return None

@@ -12,7 +12,7 @@ The allocator (§3) is built from three layers, mirroring Figure 7:
 """
 
 from repro.core.allocator import GMLakeAllocator
-from repro.core.bestfit import BestFitResult, FitState, best_fit
+from repro.core.bestfit import FitState
 from repro.core.config import GMLakeConfig
 from repro.core.pblock import PBlock
 from repro.core.pools import PPool, SPool
@@ -26,6 +26,4 @@ __all__ = [
     "PPool",
     "SPool",
     "FitState",
-    "BestFitResult",
-    "best_fit",
 ]

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.allocators.base import Allocation, BaseAllocator, SteadyState
 from repro.allocators.caching import CachingAllocator, round_size
-from repro.core.bestfit import BestFitResult, FitState
+from repro.core.bestfit import FitState
 from repro.core.config import GMLakeConfig
 from repro.core.pblock import PBlock
 from repro.core.pools import PPool, SPool
@@ -132,15 +132,15 @@ class GMLakeAllocator(BaseAllocator):
             self.counters.record_state(FitState.EXACT_MATCH)
             return self._assign(pblock, rounded)
 
-        result = self._run_best_fit(rounded)
-        self.counters.record_state(result.state)
-        if result.state is FitState.SINGLE_BLOCK:
-            return self._handle_single_block(result.candidates[0], rounded)
-        if result.state is FitState.MULTIPLE_BLOCKS:
-            return self._handle_multiple_blocks(result.candidates, rounded)
-        return self._handle_insufficient(result.candidates, rounded)
+        state, candidates = self._run_best_fit(rounded)
+        self.counters.record_state(state)
+        if state is FitState.SINGLE_BLOCK:
+            return self._handle_single_block(candidates[0], rounded)
+        if state is FitState.MULTIPLE_BLOCKS:
+            return self._handle_multiple_blocks(candidates, rounded)
+        return self._handle_insufficient(candidates, rounded)
 
-    def _run_best_fit(self, rounded: int) -> BestFitResult:
+    def _run_best_fit(self, rounded: int) -> "tuple[FitState, List[PBlock]]":
         """S2-S4 only: both exact look-ups have just missed ``rounded``,
         so S1 cannot match and BestFit needs no sBlocks.
 
@@ -152,7 +152,7 @@ class GMLakeAllocator(BaseAllocator):
         later one is smaller)."""
         block = self.ppool.inactive_above(rounded)
         if block is not None:
-            return BestFitResult(FitState.SINGLE_BLOCK, [block])
+            return FitState.SINGLE_BLOCK, [block]
         min_stitch = (
             self.config.fragmentation_limit
             if self.config.enable_stitch
@@ -167,7 +167,7 @@ class GMLakeAllocator(BaseAllocator):
             total += block.size
         state = (FitState.MULTIPLE_BLOCKS if total >= rounded
                  else FitState.INSUFFICIENT_BLOCKS)
-        return BestFitResult(state, candidates)
+        return state, candidates
 
     # ------------------------------------------------------------------
     def _handle_single_block(self, block: PBlock, rounded: int) -> "tuple[int, int]":
@@ -398,10 +398,6 @@ class GMLakeAllocator(BaseAllocator):
     # ------------------------------------------------------------------
     # Introspection & invariants
     # ------------------------------------------------------------------
-    def state_histogram(self) -> Dict[str, int]:
-        """BestFit state counts keyed by state name."""
-        return {FitState(v).name: n for v, n in self.counters.state_hits.items()}
-
     def check_invariants(self) -> None:
         """Verify the §4.2.1 data-structure guarantees."""
         super().check_invariants()

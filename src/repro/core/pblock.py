@@ -144,11 +144,6 @@ class PBlock:
         vmm.mem_address_free(self.va)
         self.handles = []
 
-    @property
-    def n_chunks(self) -> int:
-        """Number of physical chunks backing this block."""
-        return self.size // self.chunk_size
-
     def __repr__(self) -> str:
         state = "active" if self.active else "inactive"
         return f"PBlock(id={self.id}, size={fmt_bytes(self.size)}, {state})"

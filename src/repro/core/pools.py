@@ -70,17 +70,6 @@ class PPool:
         self._scan.add(block)
 
     # ------------------------------------------------------------------
-    def inactive_descending(self) -> List[PBlock]:
-        """Inactive pBlocks, largest first — BestFit's scan order.
-
-        Equal-size blocks are ordered unreferenced-first, then by id, so
-        S3/S4 stitching gathers blocks that no existing sBlock depends
-        on first.  S2 does not: Algorithm 1's descending scan keeps the
-        *last* sufficient block, so among equal-size best fits it splits
-        the most-referenced, highest-id one.
-        """
-        return [b for b in self._scan if not b.active]
-
     def inactive_above(self, size: int) -> Optional[PBlock]:
         """The smallest inactive pBlock larger than ``size``, or None:
         BestFit's S2 block, the *last* sufficient one in scan order

@@ -85,10 +85,6 @@ class SBlock:
         """True when a tensor currently occupies this very sBlock."""
         return self.owner_id is not None
 
-    def contains(self, pblock: PBlock) -> bool:
-        """True if ``pblock`` is one of this sBlock's members."""
-        return any(p is pblock for p in self.members)
-
     def replace_member(self, old: PBlock, new_parts: Sequence[PBlock]) -> None:
         """Swap member ``old`` for the pBlocks it was split into.
 

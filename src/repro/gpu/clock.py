@@ -38,11 +38,6 @@ class SimClock:
         return self._now_us
 
     @property
-    def now_ms(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now_us / 1e3
-
-    @property
     def now_s(self) -> float:
         """Current simulated time in seconds."""
         return self._now_us / 1e6
@@ -69,10 +64,6 @@ class SimClock:
             raise ValueError(f"cannot move clock back to {now_us} us")
         self._now_us = now_us
         return now_us
-
-    def reset(self) -> None:
-        """Reset the clock to zero (used between benchmark repetitions)."""
-        self._now_us = 0.0
 
     def __repr__(self) -> str:
         return f"SimClock(now_us={self._now_us:.3f})"

@@ -44,11 +44,6 @@ class GpuDevice:
         """Physically committed bytes."""
         return self.phys.committed
 
-    @property
-    def free_memory(self) -> int:
-        """Bytes available for new physical allocations."""
-        return self.phys.free
-
     def driver_time_us(self) -> float:
         """Total time this device spent inside driver/runtime calls."""
         return self.vmm.counters.total_time_us + self.runtime.counters.total_time_us
@@ -56,5 +51,5 @@ class GpuDevice:
     def __repr__(self) -> str:
         return (
             f"GpuDevice(capacity={self.capacity}, used={self.used_memory}, "
-            f"t={self.clock.now_ms:.3f} ms)"
+            f"t={self.clock.now_us / 1e3:.3f} ms)"
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.units import GB, MB
 
@@ -149,19 +149,6 @@ class LatencyModel:
     def cuda_free(self, size: int) -> float:
         """Latency of ``cudaFree`` of a ``size``-byte allocation."""
         return self.cuda_free_fixed_us + self.cuda_free_per_gb_us * size / GB
-
-    def pcie_transfer(self, size: int,
-                      gb_per_s: Optional[float] = None) -> float:
-        """Latency of one host<->device copy of ``size`` bytes.
-
-        ``gb_per_s`` overrides the modelled bandwidth (a swap policy
-        configured for a different link); the per-transfer setup cost
-        is always :attr:`pcie_latency_us`.
-        """
-        bandwidth = gb_per_s if gb_per_s else self.pcie_gb_per_s
-        if bandwidth <= 0:
-            raise ValueError(f"PCIe bandwidth must be positive, got {bandwidth}")
-        return self.pcie_latency_us + size / (bandwidth * GB) * 1e6
 
     # ------------------------------------------------------------------
     # VMM driver API (GMLake path), per call

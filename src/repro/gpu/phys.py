@@ -133,12 +133,7 @@ class PhysicalMemory:
     def create_run(self, size: int, n: int) -> Optional[List[int]]:
         """``n`` creates of ``size`` bytes in a row, as one record;
         returns their handles.  Makes none, raising
-        :class:`CudaOutOfMemoryError`, if they do not all fit.  ``None``,
-        doing nothing, if a fault injector
-        (:class:`repro.testing.FlakyDevice`) replaced ``create``: the
-        caller then makes them one :meth:`create` at a time."""
-        if "create" in vars(self):
-            return None
+        :class:`CudaOutOfMemoryError`, if they do not all fit."""
         if size <= 0 or n <= 0:
             raise CudaInvalidValueError(
                 f"cannot create {n} chunks of {size} bytes")
@@ -184,13 +179,10 @@ class PhysicalMemory:
             self._cut(run, handle, k).refcount += 1
             i += k
 
-    def release_ref(self, handle: int) -> None:
-        """Drop one mapping reference; destroy the chunk at zero."""
-        self.release_refs((handle,))
-
     def release_refs(self, handles: Sequence[int]) -> None:
-        """:meth:`release_ref` each of ``handles`` in turn; a dead
-        handle raises after the references before it are dropped.
+        """Drop one mapping reference from each of ``handles`` in turn,
+        destroying a chunk at zero; a dead handle raises after the
+        references before it are dropped.
         Consecutive handles in one record drop theirs at once."""
         i, n = 0, len(handles)
         while i < n:
@@ -262,11 +254,7 @@ class PhysicalMemory:
     def refuse_creates(self, size: int, n: int) -> Optional[int]:
         """``n`` creates of ``size`` bytes in a row, one failing, then the
         destruction of those made: spends their handles and returns how
-        many were made (``committed`` ends where it began).  ``None``,
-        doing nothing, if a fault injector
-        (:class:`repro.testing.FlakyDevice`) replaced ``create``."""
-        if "create" in vars(self):
-            return None
+        many were made (``committed`` ends where it began)."""
         made = self.free // size
         self._next_handle += made
         return made

@@ -23,7 +23,7 @@ test suite enforces).
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 __all__ = ["QuantileSketch"]
 
@@ -69,11 +69,6 @@ class QuantileSketch:
         self._buffer.append(value)
         if len(self._buffer) >= self._flush_at:
             self._compress()
-
-    def extend(self, values: Sequence[float]) -> None:
-        """Fold many samples into the sketch."""
-        for value in values:
-            self.add(value)
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch in place; returns ``self``.

@@ -65,10 +65,9 @@ class Interconnect(ABC):
         ``latency`` is the transferring device's
         :class:`~repro.gpu.latency.LatencyModel` (used only by links
         whose parameters defer to the device, i.e. ``pcie`` with the 0
-        sentinels).  The formula — setup latency plus size over
-        bandwidth — is the same expression
-        :meth:`~repro.gpu.latency.LatencyModel.pcie_transfer` uses, so
-        a default ``pcie`` link prices byte-identically to it.
+        sentinels).  The formula is setup latency plus size over
+        bandwidth; a default ``pcie`` link prices with the device's
+        ``pcie_latency_us`` and ``pcie_gb_per_s``.
         """
         bandwidth, setup = self._resolve(latency)
         if bandwidth <= 0:

@@ -86,13 +86,6 @@ class SloConfig:
                 and (tpot is None or tpot <= self.tpot_s))
 
     # -- token-level attainment ----------------------------------------
-    def token_deadline_s(self, index: int) -> float:
-        """Deadline of output token ``index`` (1-based), relative to
-        the request's arrival: ``ttft_s + (index - 1) * tpot_s``."""
-        if index < 1:
-            raise ValueError(f"token index must be >= 1, got {index}")
-        return self.ttft_s + (index - 1) * self.tpot_s
-
     def tokens_on_time(self, request: ServeRequest) -> int:
         """Output tokens of ``request`` that met their deadlines.
 

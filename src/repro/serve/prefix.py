@@ -329,15 +329,6 @@ class SharedPagedKVCache(PagedKVCache):
                 break
         return freed
 
-    def reset_shared(self) -> int:
-        """Drop every idle shared block (end-of-run teardown / tests);
-        returns how many blocks were freed.  Blocks still referenced by
-        live requests are kept."""
-        freed = self._evict_idle(self.trie.resident_blocks * self.block_bytes
-                                 + self.block_bytes)
-        self._note_shared_blocks()
-        return freed // self.block_bytes
-
     # -- observability --------------------------------------------------
     @property
     def shared_live_blocks(self) -> int:

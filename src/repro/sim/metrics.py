@@ -55,19 +55,6 @@ class ComparisonRow:
             / self.baseline.throughput_samples_per_s
         )
 
-    def as_dict(self) -> dict:
-        """Flat dict for table rendering."""
-        return {
-            "workload": self.label,
-            "RM base (GB)": round(self.baseline.peak_reserved_gb, 2),
-            "RM gml (GB)": round(self.gmlake.peak_reserved_gb, 2),
-            "UR base": round(self.baseline.utilization_ratio, 3),
-            "UR gml": round(self.gmlake.utilization_ratio, 3),
-            "saving (GB)": round(self.reserved_saving_gb, 2),
-            "base OOM": self.baseline.oom,
-            "gml OOM": self.gmlake.oom,
-        }
-
 
 def compare_results(
     label: str, baseline: EngineResult, gmlake: EngineResult

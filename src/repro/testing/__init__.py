@@ -24,7 +24,9 @@ class FlakyDevice(GpuDevice):
     mapping memory.  Failures are transient by construction — the next
     non-listed call succeeds — which is exactly the shape allocator
     reclaim/retry paths must survive without leaking chunks or
-    stranding VA reservations.
+    stranding VA reservations.  Its ``phys`` answers ``None`` to
+    ``create_run`` and ``refuse_creates``, so a back makes its chunks
+    one ``create`` at a time and every one can be the failing call.
     """
 
     def __init__(self, capacity, fail_on=()):
@@ -40,3 +42,5 @@ class FlakyDevice(GpuDevice):
             return original_create(size)
 
         self.phys.create = flaky_create
+        self.phys.create_run = self.phys.refuse_creates = (
+            lambda size, n: None)

@@ -35,27 +35,11 @@ def align_up(size: int, alignment: int) -> int:
     return (size + alignment - 1) // alignment * alignment
 
 
-def align_down(size: int, alignment: int) -> int:
-    """Round ``size`` down to the previous multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
-    return size // alignment * alignment
-
-
 def is_aligned(size: int, alignment: int) -> bool:
     """Return True if ``size`` is a multiple of ``alignment``."""
     if alignment <= 0:
         raise ValueError(f"alignment must be positive, got {alignment}")
     return size % alignment == 0
-
-
-def chunks_for(size: int, chunk_size: int = CHUNK_SIZE) -> int:
-    """Number of fixed-size physical chunks needed to back ``size`` bytes."""
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
-    return (size + chunk_size - 1) // chunk_size
 
 
 def fmt_bytes(size: int) -> str:

@@ -157,17 +157,3 @@ class Trace:
             n_iterations=iters,
             peak_live_bytes=peak,
         )
-
-    def subset_iterations(self, n: int) -> "Trace":
-        """A copy of this trace truncated after ``n`` iterations
-        (setup events included)."""
-        out = Trace(meta=dict(self.meta),
-                    compute_us_per_iter=self.compute_us_per_iter[:n])
-        done = 0
-        for event in self.events:
-            out.events.append(event)
-            if event.op is Op.ITER_END:
-                done += 1
-                if done >= n:
-                    break
-        return out

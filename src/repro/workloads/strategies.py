@@ -68,12 +68,6 @@ class StrategySet:
             out += "O"
         return out or "N"
 
-    @property
-    def irregularity(self) -> int:
-        """How many irregularity sources are active (0-3); used only for
-        reporting, the trace builder derives behaviour from the flags."""
-        return int(self.recompute) + int(self.lora) + int(self.offload)
-
     def lora_rank(self, layer: int) -> int:
         """Adapter rank used at ``layer`` (cycles through LORA_RANKS)."""
         return LORA_RANKS[layer % len(LORA_RANKS)]

@@ -90,7 +90,3 @@ class ZeroConfig:
         if not self.shards_optimizer:
             return state_bytes
         return shard_bytes(state_bytes, self.n_gpus)
-
-    def gather_bytes(self, layer_bytes: int) -> int:
-        """Transient all-gather buffer: the full layer."""
-        return layer_bytes

@@ -18,6 +18,7 @@ import bisect
 import contextlib
 import dataclasses
 import inspect
+import itertools
 from collections import Counter
 from typing import Any, List, NamedTuple, Sequence
 
@@ -27,8 +28,7 @@ from repro.allocators import CachingAllocator
 from repro.allocators.base import AllocatorObserver, BaseAllocator
 from repro.analysis import PeakMemoryObserver
 from repro.core import GMLakeAllocator
-from repro.core.bestfit import best_fit
-from repro.core.sblock import SBlock
+from repro.core.bestfit import FitState
 from repro.errors import (
     CudaInvalidAddressError,
     CudaInvalidValueError,
@@ -241,7 +241,7 @@ class PerCallVmm(CudaVmm):
         for m in removed:
             self._spend(self._latency.mem_unmap(m.chunk))
             self.counters.unmap_calls += 1
-            self._phys.release_ref(m.handles[0])
+            self._phys.release_refs((m.handles[0],))
 
 
 def chunk_view(vmm):
@@ -545,13 +545,79 @@ def emit_each_iteration(self, trace, rng):
 
 
 # -- BestFit: Algorithm 1 over a copy of the inactive pPool ------------
+class BestFitResult(NamedTuple):
+    """State and candidate blocks returned by :func:`best_fit`, the
+    ``(state, candidates)`` pair ``_run_best_fit`` returns.
+
+    ``candidates`` holds pBlocks except in the EXACT_MATCH state, where
+    the single entry may be an sBlock.
+    """
+
+    state: FitState
+    candidates: list
+
+    @property
+    def candidate_bytes(self):
+        """Total size of the candidate blocks."""
+        return sum(b.size for b in self.candidates)
+
+
+def best_fit(bsize, inactive_sblocks, inactive_pblocks, min_stitch_size=0):
+    """Algorithm 1, verbatim: classify a request of ``bsize`` bytes
+    (already rounded to chunk granularity) against the inactive blocks
+    of both pools, each sorted in **descending** size order, as the
+    paper assumes ("both sPool and pPool are sorted in descending
+    order").  pBlocks below ``min_stitch_size`` (the fragmentation
+    limit, §4.3) are skipped when gathering multi-block stitching
+    candidates, though they may still serve an exact match."""
+    # S1: exact match over the union of both pools (lines 2-4).
+    for block in itertools.chain(inactive_sblocks, inactive_pblocks):
+        if block.size == bsize:
+            return BestFitResult(FitState.EXACT_MATCH, [block])
+
+    # Candidate gathering over pBlocks only (lines 5-15).
+    cb = []
+    cb_size = 0
+    for block in inactive_pblocks:
+        if block.size >= bsize:
+            # Descending scan: each sufficient block replaces the last,
+            # leaving the *smallest* sufficient block — the best fit.
+            cb = [block]
+            cb_size = block.size
+        elif cb_size < bsize:
+            if block.size < min_stitch_size:
+                continue
+            cb.append(block)
+            cb_size += block.size
+        else:
+            break
+
+    if len(cb) == 1 and cb_size > bsize:
+        return BestFitResult(FitState.SINGLE_BLOCK, cb)
+    if cb_size >= bsize:
+        return BestFitResult(FitState.MULTIPLE_BLOCKS, cb)
+    return BestFitResult(FitState.INSUFFICIENT_BLOCKS, cb)
+
+
+def inactive_descending(ppool):
+    """Inactive pBlocks, largest first — BestFit's scan order.
+
+    Equal-size blocks are ordered unreferenced-first, then by id, so
+    S3/S4 stitching gathers blocks that no existing sBlock depends on
+    first.  S2 does not: Algorithm 1's descending scan keeps the *last*
+    sufficient block, so among equal-size best fits it splits the
+    most-referenced, highest-id one.
+    """
+    return [b for b in ppool if not b.active]
+
+
 def copied_best_fit(self, rounded):
     """Slow replacement of ``GMLakeAllocator._run_best_fit``:
     :func:`best_fit` over every inactive pBlock, copied in scan
     order."""
     min_stitch = (self.config.fragmentation_limit
                   if self.config.enable_stitch else 1 << 62)
-    return best_fit(rounded, (), self.ppool.inactive_descending(),
+    return best_fit(rounded, (), inactive_descending(self.ppool),
                     min_stitch_size=min_stitch)
 
 
@@ -615,9 +681,6 @@ class PerChunkPhysicalMemory(PhysicalMemory):
                     f"expected {size}-byte chunks, got one of another size")
             chunk.refcount += 1
 
-    def release_ref(self, handle):
-        self.release_refs((handle,))
-
     def release_refs(self, handles):
         chunks = self._chunks
         for handle in handles:
@@ -637,7 +700,7 @@ class PerChunkPhysicalMemory(PhysicalMemory):
             raise CudaInvalidValueError(
                 f"physical handle {handle} released twice")
         chunk.released = True
-        self.release_ref(handle)
+        self.release_refs((handle,))
 
     def check_invariants(self):
         assert all(0 < handle < self._next_handle and chunk.refcount >= 1

@@ -16,7 +16,6 @@ from repro.allocators.caching import (
     pool_for,
     round_size,
     segment_size_for,
-    should_split,
 )
 from repro.errors import AllocatorError, DoubleFreeError, OutOfMemoryError
 from repro.gpu.device import GpuDevice
@@ -53,13 +52,29 @@ class TestRoundingPolicy:
     def test_segment_for_huge_request_rounds_to_2mb(self):
         assert segment_size_for(MIN_LARGE_ALLOC + 1) == MIN_LARGE_ALLOC + ROUND_LARGE
 
-    def test_should_split_small_pool(self):
-        assert should_split(2 * MB, 1 * MB, "small")
-        assert not should_split(1 * MB + 256, 1 * MB, "small")
+    def test_should_split_small_pool(self, caching):
+        # 1 MB of a fresh 2 MB small segment leaves a usable 1 MB.
+        caching.malloc(1 * MB)
+        assert [b.size for b in caching._free_pools["small"]] == [1 * MB]
+        # A remainder of 512 B is still kept: the small pool's floor.
+        caching.malloc(1 * MB - MIN_BLOCK_SIZE)
+        assert [b.size for b in caching._free_pools["small"]] == [MIN_BLOCK_SIZE]
+        # An exact fit leaves nothing to split off.
+        caching.malloc(MIN_BLOCK_SIZE)
+        assert caching.free_block_count("small") == 0
+        assert caching.segment_count == 1
 
-    def test_should_split_large_pool(self):
-        assert should_split(20 * MB, 5 * MB, "large")
-        assert not should_split(5 * MB + SMALL_SIZE, 5 * MB, "large")
+    def test_should_split_large_pool(self, caching):
+        # 5 MB of a fresh 20 MB segment leaves a usable 15 MB.
+        caching.malloc(5 * MB)
+        assert [b.size for b in caching._free_pools["large"]] == [15 * MB]
+        caching.malloc(9 * MB)
+        assert [b.size for b in caching._free_pools["large"]] == [6 * MB]
+        # 6 MB - 5 MB = 1 MB is not above SMALL_SIZE: the 5 MB request
+        # takes the whole 6 MB block.
+        alloc = caching.malloc(5 * MB)
+        assert caching.free_block_count("large") == 0
+        assert caching._blocks_by_ptr[alloc.ptr].size == 5 * MB + SMALL_SIZE
 
 
 class TestCachingBehavior:
@@ -115,7 +130,7 @@ class TestCachingBehavior:
             caching.free(alloc)
         # All three re-merge into one 60 MB whole-segment block.
         assert caching.free_block_count("large") == 1
-        assert caching._free_pools["large"].max().size == 60 * MB
+        assert list(caching._free_pools["large"])[-1].size == 60 * MB
 
     def test_coalesce_only_within_segment(self, caching):
         a = caching.malloc(30 * MB)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from reference import definition
 from repro.allocators import CachingAllocator, ExpandableSegmentsAllocator
-from repro.allocators import caching
 from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.units import GB, KB, MB
@@ -184,7 +183,7 @@ class TestIsTheCachingAllocator:
     def test_split_floor_is_512_bytes_in_both_pools(self, expandable):
         """A 1 MB remainder is stranded by ``caching``'s large pool
         (split only above 1 MB) and kept by ``expandable``."""
-        assert not caching.should_split(5 * MB, 4 * MB, "large")
+        assert 5 * MB - 4 * MB < CachingAllocator._split_floor["large"]
         first = expandable.malloc(5 * MB)
         expandable.free(first)
         again = expandable.malloc(4 * MB)

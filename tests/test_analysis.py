@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import along, comparison, format_table, grid, summarize
 from repro.analysis.experiments import first_oom_batch, point
-from repro.analysis.tables import format_kv
 from repro.api import ExperimentSpec, ServingSpec, WorkloadSpec
 from repro.sim.engine import EngineResult
 from repro.sim.metrics import ComparisonRow
@@ -54,10 +53,6 @@ class TestTables:
         out = format_table([{"x": True}])
         assert "yes" in out
 
-    def test_format_kv(self):
-        out = format_kv("head", {"alpha": 1, "b": 2.5})
-        assert "head" in out and "alpha" in out and "2.500" in out
-
 
 class TestSummary:
     def test_averages(self):
@@ -82,10 +77,6 @@ class TestSummary:
         stats = summarize([])
         assert stats.n_workloads == 0
         assert stats.avg_saving_gb == 0.0
-
-    def test_as_dict_keys(self):
-        stats = summarize([fake_row(10, 9, 8)])
-        assert "avg saving (GB)" in stats.as_dict()
 
 
 class TestFirstOom:

@@ -52,7 +52,7 @@ class TestKindRegistry:
         assert api.component_names("interconnect") == ["nvlink", "pcie"]
 
     def test_aliases_are_metadata_not_entries(self):
-        assert "sjf" not in api.component_registry("scheduler")
+        assert "sjf" not in api.component_names("scheduler")
         assert "sjf" in api.get_component_info(
             "scheduler", "shortest-prompt").aliases
         assert api.get_component_info("scheduler", "sjf").name \

@@ -32,7 +32,7 @@ class TestRegistry:
 
     def test_aliases_are_metadata_not_entries(self):
         # One canonical entry; "pytorch" must not be its own allocator.
-        assert "pytorch" not in api.component_registry("allocator")
+        assert "pytorch" not in api.component_names("allocator")
         assert "pytorch" in api.get_component_info("allocator", "caching").aliases
 
     def test_unknown_name(self):
@@ -252,10 +252,10 @@ class TestSpecBuild:
         assert allocator.config.fragmentation_limit == 32 * MB
 
     def test_resolved_params_includes_defaults(self):
-        spec = AllocatorSpec.parse("gmlake?spool=16")
-        resolved = spec.resolved_params()
-        assert resolved["max_spool_blocks"] == 16
-        assert resolved["chunk_size"] == 2 * MB  # default
+        config = AllocatorSpec.parse("gmlake?spool=16").build(
+            GpuDevice(capacity=1 * GB)).config
+        assert config.max_spool_blocks == 16
+        assert config.chunk_size == 2 * MB  # default
 
     def test_kwarg_allocators(self):
         native = AllocatorSpec.parse("native?op_amplification=1").build(
@@ -271,5 +271,4 @@ class TestSpecBuild:
                                      GpuDevice(capacity=1 * GB)) is sentinel
 
     def test_spec_label(self):
-        assert api.spec_label("gmlake?chunk_mb=4") == "gmlake?chunk_size=4MB"
-        assert api.spec_label(lambda device: None) is None
+        assert AllocatorSpec.parse("gmlake?chunk_mb=4").label == "gmlake?chunk_size=4MB"

@@ -494,7 +494,7 @@ class TestTransient:
         inner = allocator._small
         return (allocator.stats(), allocator._next_id, inner.stats(),
                 inner._next_id, allocator.device.clock.now_us,
-                allocator._tick, allocator.state_histogram())
+                allocator._tick, dict(allocator.counters.state_hits))
 
     @staticmethod
     def served_by_small_pool(monkeypatch):
@@ -531,7 +531,7 @@ class TestTransient:
         def structures():
             return (dict(gml._small_by_ptr), list(gml.ppool),
                     list(gml.spool), dict(gml._assigned), gml._tick,
-                    gml.state_histogram())
+                    dict(gml.counters.state_hits))
 
         before = structures()
         assert gml.malloc_free(64 * KB) == 64 * KB

@@ -1,6 +1,9 @@
-"""Tests for Algorithm 1 (BestFit) as a pure function."""
+"""Tests for Algorithm 1 (BestFit) as a pure function: the definition
+in ``tests/reference.py`` that ``GMLakeAllocator._run_best_fit``
+answers like."""
 
-from repro.core.bestfit import FitState, best_fit
+from reference import best_fit
+from repro.core.bestfit import FitState
 
 
 class FakeBlock:

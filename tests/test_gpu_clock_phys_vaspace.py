@@ -10,6 +10,7 @@ from repro.errors import (
 from repro.gpu.clock import SimClock
 from repro.gpu.phys import PhysicalMemory
 from repro.gpu.vaspace import VirtualAddressSpace
+from repro.testing import FlakyDevice
 from repro.units import MB
 
 
@@ -58,14 +59,7 @@ class TestSimClock:
     def test_unit_conversions(self):
         clock = SimClock()
         clock.advance(2_500_000)
-        assert clock.now_ms == 2500.0
         assert clock.now_s == 2.5
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(7.0)
-        clock.reset()
-        assert clock.now_us == 0.0
 
 
 class TestPhysicalMemory:
@@ -80,6 +74,20 @@ class TestPhysicalMemory:
         h1 = phys.create(2 * MB)
         h2 = phys.create(2 * MB)
         assert h1 != h2
+
+    def test_fault_injector_makes_chunks_one_create_at_a_time(self):
+        """``FlakyDevice``'s ``phys`` declines the batched creates, so
+        each chunk is one ``create`` and any of them can fail."""
+        phys = FlakyDevice(capacity=10 * MB, fail_on=(2,)).phys
+        assert phys.create_run(2 * MB, 3) is None
+        assert phys.refuse_creates(2 * MB, 3) is None
+        assert phys.committed == 0
+        phys.create(2 * MB)
+        with pytest.raises(CudaOutOfMemoryError):
+            phys.create(2 * MB)
+        phys.create(2 * MB)
+        assert phys.committed == 4 * MB
+        assert PhysicalMemory(capacity=10 * MB).create_run(2 * MB, 3) is not None
 
     def test_retain_of_many_retains_all_or_none(self):
         phys = PhysicalMemory(capacity=10 * MB)
@@ -127,7 +135,7 @@ class TestPhysicalMemory:
         phys.retain(handle)  # a mapping reference
         phys.release(handle)  # creation reference dropped
         assert phys.committed == 2 * MB  # mapping keeps it alive
-        phys.release_ref(handle)
+        phys.release_refs((handle,))
         assert phys.committed == 0
 
     def test_release_then_double_release_via_refs(self):

@@ -20,13 +20,13 @@ class TestGpuDevice:
     def test_defaults_to_a100(self):
         device = GpuDevice()
         assert device.capacity == A100_80GB
-        assert device.free_memory == A100_80GB
+        assert device.phys.free == A100_80GB
 
     def test_used_and_free_track_phys(self):
         device = GpuDevice(capacity=1 * GB)
         ptr = device.runtime.cuda_malloc(100 * MB)
         assert device.used_memory == 100 * MB
-        assert device.free_memory == 924 * MB
+        assert device.phys.free == 924 * MB
         device.runtime.cuda_free(ptr)
         assert device.used_memory == 0
 

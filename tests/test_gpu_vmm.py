@@ -690,7 +690,7 @@ def test_release_refs_is_a_loop_of_release_ref():
         batch.release_refs([h2, h1, dead, h3])
     with pytest.raises(CudaInvalidValueError) as looped:
         for handle in (h2, h1, dead, h3):
-            loop.release_ref(handle)
+            loop.release_refs((handle,))
     assert str(batched.value) == str(looped.value)
     assert {h: (c.refcount, c.released) for h, c in batch.chunks().items()} == {
         h: (c.refcount, c.released) for h, c in loop.chunks().items()} == {

@@ -67,10 +67,21 @@ class TestTokensOnTime:
     SLO = SloConfig(ttft_s=2.0, tpot_s=0.05)
 
     def test_token_deadline_schedule(self):
-        assert self.SLO.token_deadline_s(1) == 2.0
-        assert self.SLO.token_deadline_s(101) == pytest.approx(2.0 + 5.0)
-        with pytest.raises(ValueError):
-            self.SLO.token_deadline_s(0)
+        """Token ``k`` is due ``ttft_s + (k-1) * tpot_s`` after arrival
+        (binary-exact figures, so each deadline is hit exactly)."""
+        slo = SloConfig(ttft_s=2.0, tpot_s=0.0625)
+        # Token 1 is due at the TTFT SLO, each later one a TPOT later.
+        assert slo.tokens_on_time(
+            make_finished(0, ttft=2.0, tpot=0.0625, tokens=101)) == 101
+        assert slo.tokens_on_time(
+            make_finished(0, ttft=2.0 + 2 ** -10, tpot=0.0625,
+                          tokens=101)) == 0
+        # 3.125 s late, gaining 1/32 s a token: only token 101 lands on
+        # its deadline, 2 + 100 * 0.0625 = 8.25 s.
+        assert slo.tokens_on_time(
+            make_finished(0, ttft=5.125, tpot=0.03125, tokens=101)) == 1
+        assert slo.tokens_on_time(
+            make_finished(0, ttft=5.125, tpot=0.03125, tokens=100)) == 0
 
     def test_all_on_time_when_both_slos_met(self):
         request = make_finished(0, ttft=1.5, tpot=0.04, tokens=100)

@@ -22,6 +22,12 @@ floats = st.floats(min_value=-1e9, max_value=1e9,
                    allow_nan=False, allow_infinity=False)
 
 
+def extend(sketch, values):
+    """Fold many samples into ``sketch``, one ``add`` each."""
+    for value in values:
+        sketch.add(value)
+
+
 def rank_of(sorted_values, x) -> float:
     """Fraction of values <= x (a value's exact quantile position)."""
     import bisect
@@ -78,7 +84,7 @@ class TestBasics:
         rng = random.Random(7)
         values = [rng.lognormvariate(0.0, 2.0) for _ in range(5000)]
         sketch = QuantileSketch(compression=100)
-        sketch.extend(values)
+        extend(sketch, values)
         assert sketch.quantile(0.0) == min(values)
         assert sketch.quantile(100.0) == max(values)
 
@@ -89,7 +95,7 @@ class TestBasics:
         rng = random.Random(3)
         values = [rng.uniform(-50.0, 50.0) for _ in range(200)]
         sketch = QuantileSketch(compression=200)
-        sketch.extend(values)
+        extend(sketch, values)
         data = sorted(values)
         for q in QS:
             assert sketch.quantile(q) == pytest.approx(
@@ -97,7 +103,7 @@ class TestBasics:
 
     def test_bounded_memory(self):
         sketch = QuantileSketch(compression=100)
-        sketch.extend(float(i % 977) for i in range(50_000))
+        extend(sketch, (float(i % 977) for i in range(50_000)))
         sketch._compress(force=True)
         assert sketch.centroid_count <= 2 * 100
         assert len(sketch) == 50_000
@@ -108,7 +114,7 @@ class TestAccuracy:
     @settings(max_examples=60)
     def test_rank_accuracy_random_streams(self, values):
         sketch = QuantileSketch(compression=100)
-        sketch.extend(values)
+        extend(sketch, values)
         for q in QS:
             assert_rank_close(values, sketch, q)
 
@@ -123,7 +129,7 @@ class TestAccuracy:
     ])
     def test_rank_accuracy_adversarial(self, name, values):
         sketch = QuantileSketch(compression=100)
-        sketch.extend(values)
+        extend(sketch, values)
         for q in QS:
             assert_rank_close(values, sketch, q)
 
@@ -133,7 +139,7 @@ class TestAccuracy:
         rng = random.Random(0)
         values = [rng.lognormvariate(0.0, 1.0) for _ in range(10_000)]
         sketch = QuantileSketch(compression=200)
-        sketch.extend(values)
+        extend(sketch, values)
         data = sorted(values)
         for q in (50.0, 95.0, 99.0):
             exact = percentile(data, q, presorted=True)
@@ -151,15 +157,15 @@ class TestMerge:
         the exact combined stream (t-digest merging is not bitwise
         symmetric; its *contract* — rank accuracy — is)."""
         ab = QuantileSketch(compression=100)
-        ab.extend(a)
+        extend(ab, a)
         other_b = QuantileSketch(compression=100)
-        other_b.extend(b)
+        extend(other_b, b)
         ab.merge(other_b)
 
         ba = QuantileSketch(compression=100)
-        ba.extend(b)
+        extend(ba, b)
         other_a = QuantileSketch(compression=100)
-        other_a.extend(a)
+        extend(other_a, a)
         ba.merge(other_a)
 
         combined = a + b
@@ -172,11 +178,11 @@ class TestMerge:
         rng = random.Random(11)
         values = [rng.expovariate(0.2) for _ in range(4000)]
         whole = QuantileSketch(compression=150)
-        whole.extend(values)
+        extend(whole, values)
         left = QuantileSketch(compression=150)
-        left.extend(values[:1500])
+        extend(left, values[:1500])
         right = QuantileSketch(compression=150)
-        right.extend(values[1500:])
+        extend(right, values[1500:])
         left.merge(right)
         assert len(left) == len(whole)
         assert left.quantile(0.0) == whole.quantile(0.0) == min(values)
@@ -186,7 +192,7 @@ class TestMerge:
 
     def test_merge_empty_is_identity(self):
         sketch = QuantileSketch()
-        sketch.extend([1.0, 2.0, 3.0])
+        extend(sketch, [1.0, 2.0, 3.0])
         before = [sketch.quantile(q) for q in (0.0, 50.0, 100.0)]
         sketch.merge(QuantileSketch())
         assert [sketch.quantile(q) for q in (0.0, 50.0, 100.0)] == before
@@ -194,7 +200,7 @@ class TestMerge:
     def test_merge_into_empty(self):
         empty = QuantileSketch()
         full = QuantileSketch()
-        full.extend([5.0, 6.0, 7.0])
+        extend(full, [5.0, 6.0, 7.0])
         empty.merge(full)
         assert len(empty) == 3
         assert empty.quantile(50.0) == 6.0

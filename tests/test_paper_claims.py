@@ -7,6 +7,7 @@ enough for CI.
 
 import pytest
 
+from test_workloads_request import subset_iterations
 from repro.analysis import along, comparison, grid
 from repro.analysis.experiments import first_oom_batch
 from repro.api import ExperimentSpec, WorkloadSpec
@@ -104,7 +105,7 @@ class TestFigure14Convergence:
         allocator = GMLakeAllocator(device)
 
         # Replay the first 12 iterations, snapshot, then watch the rest.
-        first = trace.subset_iterations(12)
+        first = subset_iterations(trace, 12)
         run_trace(allocator, first)
         hits_before = dict(allocator.counters.state_hits)
         reserved_before = allocator.reserved_bytes

@@ -98,7 +98,8 @@ class TestTierRegistry:
         has."""
         tier = ComponentSpec.parse("dram", "memory-tier").build()
         latency = LatencyModel()
-        assert tier.transfer_us(GB, latency) == latency.pcie_transfer(GB)
+        assert tier.transfer_us(GB, latency) \
+            == PcieInterconnect().transfer_us(GB, latency)
 
 
 class TestHierarchyParsing:

@@ -201,14 +201,17 @@ class TestSwap:
 
     def test_pcie_transfer_model(self):
         latency = GpuDevice().latency
-        base = latency.pcie_transfer(0)
+        pcie = PcieInterconnect()
+        base = pcie.transfer_us(0, latency)
         assert base == latency.pcie_latency_us
-        one_gb = latency.pcie_transfer(1 * GB)
+        one_gb = pcie.transfer_us(1 * GB, latency)
         assert one_gb == pytest.approx(
             latency.pcie_latency_us + 1e6 / latency.pcie_gb_per_s)
         # Override halves the bandwidth -> doubles the payload term.
-        slow = latency.pcie_transfer(256 * MB, latency.pcie_gb_per_s / 2)
-        fast = latency.pcie_transfer(256 * MB)
+        half = resolve("interconnect",
+                       f"pcie?gb_per_s={latency.pcie_gb_per_s / 2}")
+        slow = half.transfer_us(256 * MB, latency)
+        fast = pcie.transfer_us(256 * MB, latency)
         assert (slow - base) == pytest.approx(2 * (fast - base))
 
 
@@ -235,7 +238,7 @@ class TestSwapPcieParamShim:
             == 5.0 + size / (12.0 * (1 << 30)) * 1e6
         bare = resolve("preemption", "swap")
         assert _swap_link(bare).transfer_us(size, latency) \
-            == latency.pcie_transfer(size)
+            == PcieInterconnect().transfer_us(size, latency)
 
     def test_other_interconnects_plug_in(self):
         policy = resolve("preemption", "swap?interconnect=nvlink?gb_per_s=300")

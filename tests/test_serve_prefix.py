@@ -58,6 +58,16 @@ def prefix_request(req_id, prefix_id=None, prefix_tokens=0,
                         prefix_id=prefix_id, prefix_tokens=prefix_tokens)
 
 
+def reset_shared(kv):
+    """Drop every idle shared block (a run's teardown); returns how
+    many blocks were freed.  Blocks still referenced by live requests
+    are kept."""
+    freed = kv._evict_idle(kv.trie.resident_blocks * kv.block_bytes
+                           + kv.block_bytes)
+    kv._note_shared_blocks()
+    return freed // kv.block_bytes
+
+
 def assert_ref_ledger(kv):
     """Every block's ref_count equals its live references: one per
     trie ownership plus one per block-table splice."""
@@ -250,7 +260,7 @@ class TestSharingMechanics:
             r = prefix_request(i, pid, prefix_tokens=64)
             assert kv.admit(r)
             kv.release(r)
-        assert kv.reset_shared() == 8
+        assert reset_shared(kv) == 8
         assert kv.live_blocks == 0
         assert allocator.stats().active_bytes == 0
         assert kv.metrics.kv_allocs == kv.metrics.kv_frees
@@ -339,7 +349,7 @@ class PrefixRefCountMachine(RuleBasedStateMachine):
 
     @rule()
     def drain_idle_cache(self):
-        self.kv.reset_shared()
+        reset_shared(self.kv)
 
     # -- the invariant (checked after every rule) -----------------------
     @invariant()
@@ -353,7 +363,7 @@ class PrefixRefCountMachine(RuleBasedStateMachine):
         for request in list(self.live.values()):
             self.kv.release(request)
         self.live.clear()
-        self.kv.reset_shared()
+        reset_shared(self.kv)
         # pending == 0 and live == 0  =>  zero leaked blocks.
         assert self.kv.live_requests == 0
         assert self.kv.live_blocks == 0
@@ -440,12 +450,12 @@ class TestSharedBlocksAsOneRunMatchPerBlock:
             elif op == "readmit":
                 twins.readmit()
             elif op == "reset_shared":
-                twins.step(lambda kv, requests: kv.reset_shared())
+                twins.step(lambda kv, requests: reset_shared(kv))
             else:
                 twins.release(a, preempted=(op == "preempt"))
             assert_ref_ledger(twins.sides[0][0])
         twins.drain()
-        twins.step(lambda kv, requests: kv.reset_shared())
+        twins.step(lambda kv, requests: reset_shared(kv))
         kv, session, hierarchy, _ = twins.sides[0]
         assert kv.live_blocks == 0 and not session.live
 

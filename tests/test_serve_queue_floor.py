@@ -37,7 +37,12 @@ from repro.serve import (
 from repro.serve.request import ServeRequest
 from repro.units import GB, MB
 from repro.workloads import get_model
-from tests.test_serve_prefix import BLOCK_BYTES, harness, prefix_request
+from tests.test_serve_prefix import (
+    BLOCK_BYTES,
+    harness,
+    prefix_request,
+    reset_shared,
+)
 
 MODEL = get_model("opt-1.3b")
 KV_NAMES = component_names("kv-cache")
@@ -142,7 +147,7 @@ class TestProjectedFloor:
             elif op == "evict":
                 kv._evict_idle(a * BLOCK_BYTES)
             elif op == "reset_shared":
-                kv.reset_shared()
+                reset_shared(kv)
             assert [kv.projected_floor(r) for r in probes] == floors
             for request in probes:
                 assert kv.projected_floor(request) \

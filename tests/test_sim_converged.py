@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from reference import GROUPS, REFERENCE, reference
 from test_equivalence_goldens import _load_goldens, engine_digest
+from test_workloads_request import subset_iterations
 from repro.allocators import CachingAllocator
 from repro.api import component_names, resolve_allocator
 from repro.core import GMLakeAllocator
@@ -220,22 +221,25 @@ def test_a_cluster_converges_with_its_last_rank():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "GMLake never reaches a fixed point on gpt-2 bs 16 RO: every "
-    "iteration after the first splits 3 more pBlocks and stitches 3 "
-    "more sBlocks, so the pools grow without bound"))
+    "GMLake converges on gpt-2 bs 16 RO, but late: until iteration 27 "
+    "every iteration splits and stitches more, so 8 iterations leave "
+    "larger pools than 4; a 40-iteration replay reads converged_at 27, "
+    "pPool 313, sPool 164, splits 157"))
 def test_gmlake_pools_stop_growing_on_the_gpt2_cell_workload():
     """GMLake converges within a few iterations (§4.2.2): after that an
     iteration makes no pBlock or sBlock and splits nothing, so 8
     iterations leave the pools as 4 do, and the replay takes the closed
-    form.  The workload is ``replay/gpt-2-RO-gmlake``'s; today 4 -> 8
-    iterations read pPool 261 -> 273, sPool 112 -> 124, splits 105 ->
-    117, with ``alloc_pblocks`` 156 both times."""
+    form.  The workload is ``replay/gpt-2-RO-gmlake``'s.  Today its
+    pools do stop growing, but only at iteration 27: 4 -> 8 iterations
+    read pPool 261 -> 273, sPool 112 -> 124, splits 105 -> 117, and a
+    40-iteration replay reads ``converged_at`` 27 with pPool 313, sPool
+    164 and splits 157; ``alloc_pblocks`` is 156 throughout."""
     _, workload = GOLDEN_CELLS["replay/gpt-2-RO-gmlake"]
     trace = TrainingWorkload(**{**workload, "iterations": 8}).build_trace()
 
     def pools(iterations):
         alloc = GMLakeAllocator(GpuDevice())
-        result = run_trace(alloc, trace.subset_iterations(iterations))
+        result = run_trace(alloc, subset_iterations(trace, iterations))
         return ((len(alloc.ppool), len(alloc.spool), alloc.counters.splits),
                 result.converged_at)
 

@@ -8,9 +8,7 @@ from repro.units import (
     GB,
     KB,
     MB,
-    align_down,
     align_up,
-    chunks_for,
     fmt_bytes,
     is_aligned,
     parse_size,
@@ -54,21 +52,6 @@ class TestAlignUp:
             align_up(4, 0)
 
 
-class TestAlignDown:
-    def test_already_aligned(self):
-        assert align_down(8, 4) == 8
-
-    def test_rounds_down(self):
-        assert align_down(7, 4) == 4
-
-    def test_below_alignment(self):
-        assert align_down(3, 4) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            align_down(-4, 4)
-
-
 class TestIsAligned:
     def test_aligned(self):
         assert is_aligned(4 * MB, 2 * MB)
@@ -82,24 +65,6 @@ class TestIsAligned:
     def test_bad_alignment(self):
         with pytest.raises(ValueError):
             is_aligned(4, -1)
-
-
-class TestChunksFor:
-    def test_exact(self):
-        assert chunks_for(4 * MB) == 2
-
-    def test_partial_rounds_up(self):
-        assert chunks_for(4 * MB + 1) == 3
-
-    def test_zero(self):
-        assert chunks_for(0) == 0
-
-    def test_custom_chunk(self):
-        assert chunks_for(10, chunk_size=4) == 3
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            chunks_for(-1)
 
 
 class TestFmtBytes:

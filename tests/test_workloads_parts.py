@@ -1,9 +1,18 @@
 """Tests for transformer shapes, strategies, ZeRO sharding, platforms."""
 
+import re
+
 import pytest
 
 from repro.units import MB
-from repro.workloads import StrategySet, ZeroConfig, get_model, shard_bytes
+from repro.workloads import (
+    Op,
+    StrategySet,
+    TrainingWorkload,
+    ZeroConfig,
+    get_model,
+    shard_bytes,
+)
 from repro.workloads.platforms import Platform, profile_for, round_gather
 from repro.workloads.strategies import LORA_RANKS
 from repro.workloads.transformer import (
@@ -85,10 +94,6 @@ class TestStrategySet:
         with pytest.raises(ValueError):
             StrategySet.from_label("XY")
 
-    def test_irregularity_counts_sources(self):
-        assert StrategySet.from_label("N").irregularity == 0
-        assert StrategySet.from_label("LRO").irregularity == 3
-
     def test_lora_rank_cycles(self):
         strategies = StrategySet(lora=True)
         ranks = [strategies.lora_rank(layer) for layer in range(8)]
@@ -122,8 +127,14 @@ class TestZeroSharding:
         assert not config.shards_params
 
     def test_gather_is_full_layer(self):
-        config = ZeroConfig(n_gpus=8)
-        assert config.gather_bytes(100 * MB) == 100 * MB
+        """A ZeRO-3 all-gather buffer holds the whole layer, not a shard."""
+        workload = TrainingWorkload("opt-1.3b", batch_size=1, n_gpus=8,
+                                    strategies="N", iterations=1)
+        layer = workload.model.layer_weight_bytes
+        gathers = {e.size for e in workload.build_trace().events
+                   if e.op is Op.ALLOC and re.search(r"\.[fb]\.g\d+$", e.tensor)}
+        assert gathers == {layer}
+        assert ZeroConfig(n_gpus=8).param_shard(layer) < layer
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ValueError):
