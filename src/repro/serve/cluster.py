@@ -402,7 +402,6 @@ def run_fleet(
             target = pick(pool)
             clone = copy.copy(request)
             clone.kv_capacity_tokens = 0
-            clone.kv_generation = 0
             clone.replica = target
             hedged[request.req_id] = (request, clone)
             sim.trace.request_event("hedge", clone, now, source=i,

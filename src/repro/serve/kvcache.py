@@ -39,7 +39,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.allocators.base import BaseAllocator
+from repro.allocators.base import Allocation, BaseAllocator
 from repro.allocators.stats import AllocatorStats
 from repro.api.registry import (
     Param,
@@ -47,6 +47,7 @@ from repro.api.registry import (
     register_component,
     register_kind,
 )
+from repro.errors import OutOfMemoryError
 from repro.obs.trace import NO_TRACE, TraceRecorder
 from repro.serve.request import ServeRequest
 from repro.units import MB, align_up
@@ -234,9 +235,9 @@ class KVCacheModel(ABC):
     """How one serving replica lays its KV cache out in pool memory.
 
     The simulator owns the event loop and the preemption policy; the
-    model owns every KV byte: it allocates through the replica's
-    :class:`~repro.sim.engine.ReplaySession` (so driver latency is
-    charged to the simulated clock), keeps ``request.kv_capacity_tokens``
+    model owns every KV byte: it holds the allocator's
+    :class:`~repro.allocators.base.Allocation` handles (driver latency
+    lands on the replica's clock), keeps ``request.kv_capacity_tokens``
     current, and accounts its own :class:`KVCacheMetrics`.  ``admit`` /
     ``grow`` return ``False`` on allocator OOM — recovery (victim
     preemption, queueing) stays the simulator's job.
@@ -253,7 +254,7 @@ class KVCacheModel(ABC):
         self.model = model
         self.metrics = KVCacheMetrics(kv_cache=self.name,
                                       block_tokens=granularity_tokens)
-        self._session = None  # ReplaySession, bound by the simulator
+        self._session = None  # the replica's ReplaySession (its clock)
         self._allocator: Optional[BaseAllocator] = None
         self._live_kv_bytes = 0
         self._trace: TraceRecorder = NO_TRACE
@@ -267,7 +268,7 @@ class KVCacheModel(ABC):
         self._replica = replica
 
     def bind(self, session, allocator: BaseAllocator) -> None:
-        """Attach the replica's session + allocator (once, at startup)."""
+        """Attach the replica's clock + allocator (once, at startup)."""
         if self._session is not None:
             raise ValueError(
                 f"KV-cache model {self.name!r} is already bound to a "
@@ -279,20 +280,27 @@ class KVCacheModel(ABC):
         self._allocator = allocator
 
     # -- allocator access with shared accounting -----------------------
-    def _try_alloc(self, name: str, size: int) -> bool:
-        """Allocate a KV tensor: one attempt, then :meth:`_recover_alloc`."""
-        ok = (self._session.try_alloc(name, size)
-              or self._recover_alloc(name, size))
-        if ok:
-            self._note_allocs(1, size)
-        return ok
+    def _malloc(self, size: int) -> Optional[Allocation]:
+        """One ``malloc``; ``None`` on OOM (whose driver/host time
+        still elapses on the clock)."""
+        try:
+            return self._allocator.malloc(size)
+        except OutOfMemoryError:
+            return None
 
-    def _recover_alloc(self, name: str, size: int) -> bool:
-        """What follows a failed attempt at ``name``: ``empty_cache``
-        and one retry.  (``paged-shared`` goes on to evict idle prefix
-        blocks and retry twice more — up to four attempts per block.)"""
+    def _try_alloc(self, size: int) -> Optional[Allocation]:
+        """Allocate a KV tensor: one attempt, then :meth:`_recover_alloc`."""
+        allocation = self._malloc(size) or self._recover_alloc(size)
+        if allocation is not None:
+            self._note_allocs(1, size)
+        return allocation
+
+    def _recover_alloc(self, size: int) -> Optional[Allocation]:
+        """What follows a failed attempt: ``empty_cache`` and one retry.
+        (``paged-shared`` goes on to evict idle prefix blocks and retry
+        twice more — up to four attempts per block.)"""
         self._allocator.empty_cache()
-        return self._session.try_alloc(name, size)
+        return self._malloc(size)
 
     def _note_allocs(self, count: int, size: int) -> None:
         """Account ``count`` allocations of ``size`` bytes each."""
@@ -301,9 +309,9 @@ class KVCacheModel(ABC):
         self.metrics.peak_kv_bytes = max(
             self.metrics.peak_kv_bytes, self._live_kv_bytes)
 
-    def _free(self, name: str, size: int) -> None:
-        self._session.free(name)
-        self._note_frees(1, size)
+    def _free(self, allocation: Allocation) -> None:
+        self._allocator.free(allocation)
+        self._note_frees(1, allocation.size)
 
     def _note_frees(self, count: int, size: int) -> None:
         """Account ``count`` frees of ``size`` bytes each."""
@@ -423,23 +431,20 @@ class ChunkedKVCache(KVCacheModel):
     def __init__(self, model: ModelSpec, chunk_tokens: int = 256):
         super().__init__(model, chunk_tokens)
         self.chunk_tokens = chunk_tokens
-        self._live: Dict[int, Tuple[str, int]] = {}  # req_id -> (name, bytes)
+        self._live: Dict[int, Allocation] = {}  # req_id -> KV tensor
 
     def _realloc(self, request: ServeRequest, capacity_tokens: int) -> bool:
         """Allocate the new KV tensor, then retire the old (copy done)."""
-        request.kv_generation += 1
-        name = f"kv{request.req_id}.{request.kv_generation}"
-        size = kv_bytes(self.model, capacity_tokens)
-        if not self._try_alloc(name, size):
-            request.kv_generation -= 1
+        allocation = self._try_alloc(kv_bytes(self.model, capacity_tokens))
+        if allocation is None:
             return False
         old = self._live.get(request.req_id)
         if old is not None:
             self.metrics.grow_copy_bytes += kv_bytes(
                 self.model,
                 min(request.context_tokens, request.kv_capacity_tokens))
-            self._free(*old)
-        self._live[request.req_id] = (name, size)
+            self._free(old)
+        self._live[request.req_id] = allocation
         request.kv_capacity_tokens = capacity_tokens
         return True
 
@@ -458,7 +463,7 @@ class ChunkedKVCache(KVCacheModel):
             return
         if preempted:
             self._note_preempt(request)
-        self._free(*held)
+        self._free(held)
         request.kv_capacity_tokens = 0
 
     def projected_bytes(self, request: ServeRequest) -> int:
@@ -467,7 +472,7 @@ class ChunkedKVCache(KVCacheModel):
 
     def held_bytes(self, request: ServeRequest) -> int:
         held = self._live.get(request.req_id)
-        return held[1] if held is not None else 0
+        return held.size if held is not None else 0
 
     def headroom_bytes(self, stats: AllocatorStats, capacity: int,
                        pool_reuse: float = 0.5) -> int:
@@ -525,55 +530,55 @@ class PagedKVCache(KVCacheModel):
         super().__init__(model, block_tokens)
         self.block_tokens = block_tokens
         self.block_bytes = kv_bytes(model, block_tokens)
-        self._tables: Dict[int, List[str]] = {}  # req_id -> block names
-        self._ref: Dict[str, int] = {}  # block name -> reference count
-        self._live_blocks = 0
-        self._next_block = 0
+        self._tables: Dict[int, List[Allocation]] = {}  # req_id -> blocks
+        self._ref: Dict[int, int] = {}  # block's alloc_id -> reference count
 
     def _blocks_for(self, tokens: int) -> int:
         return -(-max(tokens, 1) // self.block_tokens)  # ceil div
 
     # -- first-class block reference counts ----------------------------
-    def ref_count(self, block: str) -> int:
+    def ref_count(self, block: Allocation) -> int:
         """Live references to ``block`` (0 once it returned to the pool)."""
-        return self._ref.get(block, 0)
+        return self._ref.get(block.alloc_id, 0)
 
-    def _add_block_ref(self, block: str) -> None:
-        self._ref[block] = self._ref.get(block, 0) + 1
+    def _add_block_ref(self, block: Allocation) -> None:
+        key = block.alloc_id
+        self._ref[key] = self._ref.get(key, 0) + 1
 
-    def _drop_block_ref(self, block: str) -> None:
+    def _drop_block_ref(self, block: Allocation) -> None:
         """Drop one reference; the block frees only at ref 0."""
         self._drop_block_refs((block,))
 
-    def _drop_block_refs(self, blocks: Iterable[str]) -> None:
+    def _drop_block_refs(self, blocks: Iterable[Allocation]) -> None:
         """Drop one reference from each of ``blocks``, in order; those
         that reach ref 0 return to the pool as one run of frees."""
-        dead: List[str] = []
+        ref = self._ref
+        dead: List[Allocation] = []
         for block in blocks:
-            refs = self._ref[block] - 1
+            key = block.alloc_id
+            refs = ref[key] - 1
             if refs > 0:
-                self._ref[block] = refs
+                ref[key] = refs
             else:
-                del self._ref[block]
+                del ref[key]
                 dead.append(block)
         if dead:
-            self._session.free_run(dead)
+            self._allocator.free_run(dead)
             self._note_frees(len(dead), self.block_bytes)
-            self._live_blocks -= len(dead)
 
-    def _adopt(self, table: List[str], names: List[str]) -> None:
+    def _adopt(self, table: List[Allocation],
+               blocks: List[Allocation]) -> None:
         """Enter freshly allocated blocks into ``table``, one reference
         each."""
-        table += names
-        self._ref.update(dict.fromkeys(names, 1))
-        self._live_blocks += len(names)
+        table += blocks
+        self._ref.update({block.alloc_id: 1 for block in blocks})
 
     def _ensure(self, request: ServeRequest, tokens: int) -> bool:
         """Grow the block table to cover ``tokens``; roll back on OOM.
 
         The missing blocks' first attempts are one run
-        (:meth:`ReplaySession.try_alloc_run`).  Where the run stops,
-        that block goes through the per-block :meth:`_recover_alloc`;
+        (:meth:`BaseAllocator.malloc_run`).  Where the run stops, that
+        block goes through the per-block :meth:`_recover_alloc`;
         if it comes back the run resumes after it, if not every block
         added here is freed again, newest first, as one run.
 
@@ -589,32 +594,22 @@ class PagedKVCache(KVCacheModel):
         if start < need and self._recovery_is_one_retry():
             refused = self._allocator.refuse_run(size, need - start, 1)
             if refused is not None:
-                # The run's names are never seen: only their numbers,
-                # and the stopping block's, are used up.
                 self._note_allocs(refused, size)
                 self._note_frees(refused, size)
-                self._next_block += refused + 1
                 if not table:
                     del self._tables[request.req_id]
                 request.kv_capacity_tokens = start * self.block_tokens
                 return False
-        prefix = f"kvb{request.req_id}."
         while len(table) < need:
-            first = self._next_block
-            names = [f"{prefix}{number}"
-                     for number in range(first, first + need - len(table))]
-            got = self._session.try_alloc_run(names, size)
-            self._note_allocs(got, size)
-            self._adopt(table, names[:got])
-            self._next_block += got
-            if got == len(names):
+            run = self._allocator.malloc_run(size, need - len(table))
+            self._note_allocs(len(run), size)
+            self._adopt(table, run)
+            if len(table) == need:
                 break
-            # The run stopped at names[got], whose block number is
-            # consumed whether or not recovery brings it back.
-            self._next_block += 1
-            if self._recover_alloc(names[got], size):
+            block = self._recover_alloc(size)
+            if block is not None:
                 self._note_allocs(1, size)
-                self._adopt(table, [names[got]])
+                self._adopt(table, [block])
                 continue
             added = table[start:]
             del table[start:]
@@ -624,7 +619,7 @@ class PagedKVCache(KVCacheModel):
             request.kv_capacity_tokens = len(table) * self.block_tokens
             return False
         self.metrics.peak_blocks = max(self.metrics.peak_blocks,
-                                       self._live_blocks)
+                                       len(self._ref))
         request.kv_capacity_tokens = len(table) * self.block_tokens
         return True
 
@@ -690,7 +685,7 @@ class PagedKVCache(KVCacheModel):
     @property
     def live_blocks(self) -> int:
         """Blocks currently allocated across all block tables."""
-        return self._live_blocks
+        return len(self._ref)
 
 
 # ----------------------------------------------------------------------

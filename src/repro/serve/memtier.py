@@ -38,6 +38,7 @@ unbounded DRAM tier over the host link (see
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.registry import (
@@ -216,8 +217,8 @@ class TierHierarchy:
         #: Stable per-tier labels (tier name, de-duplicated in order).
         self.labels: List[str] = labels
         self._used: List[int] = [0] * len(self.tiers)
-        #: item name -> (tier index, size in bytes).
-        self._resident: Dict[str, Tuple[int, int]] = {}
+        #: item key (any hashable) -> (tier index, size in bytes).
+        self._resident: Dict[Hashable, Tuple[int, int]] = {}
         self._session = None
         self._latency = None
         self._trace = NO_TRACE
@@ -236,7 +237,8 @@ class TierHierarchy:
         self._replica = replica
 
     # -- residency -----------------------------------------------------
-    def demote(self, name: str, size: int) -> Optional[Tuple[str, float]]:
+    def demote(self, name: Hashable,
+               size: int) -> Optional[Tuple[str, float]]:
         """Park ``size`` bytes under ``name`` in the shallowest tier
         with room.
 
@@ -257,7 +259,7 @@ class TierHierarchy:
             return self.labels[index], us
         return None
 
-    def promote(self, name: str) -> Optional[Tuple[str, int, float]]:
+    def promote(self, name: Hashable) -> Optional[Tuple[str, int, float]]:
         """Bring ``name`` back to the device on first touch.
 
         Returns ``(tier label, size, transfer µs)``, or ``None`` when
@@ -272,18 +274,18 @@ class TierHierarchy:
         self._note_transfer("kv_promote", self.labels[index], size)
         return self.labels[index], size, us
 
-    def discard(self, name: str) -> None:
+    def discard(self, name: Hashable) -> None:
         """Drop ``name``'s residency without a transfer (rejection)."""
         entry = self._resident.pop(name, None)
         if entry is not None:
             index, size = entry
             self._used[index] -= size
 
-    def holds(self, name: str) -> bool:
+    def holds(self, name: Hashable) -> bool:
         """Whether ``name`` is currently resident in some tier."""
         return name in self._resident
 
-    def tier_of(self, name: str) -> Optional[str]:
+    def tier_of(self, name: Hashable) -> Optional[str]:
         """The label of the tier holding ``name`` (``None`` if absent)."""
         entry = self._resident.get(name)
         return None if entry is None else self.labels[entry[0]]

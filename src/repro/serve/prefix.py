@@ -12,8 +12,8 @@ request.  This module brings that mechanism to the serving simulator:
     declared ``prefix_id`` is an edge off the root; along an edge the
     shared blocks form a path, and two requests of the same group
     share exactly the longest common path their declared prefix
-    lengths allow (block-aligned).  Nodes are named KV blocks; the
-    tree owns one reference to each so blocks stay resident after the
+    lengths allow (block-aligned).  Nodes are KV block allocations;
+    the tree owns one reference to each so blocks stay resident after the
     last request finishes, and least-recently-used tails are evicted
     under allocator pressure.
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.allocators.base import Allocation
 from repro.allocators.stats import AllocatorStats
 from repro.api.registry import Param, register_component
 from repro.serve.kvcache import PagedKVCache, _check_token_granularity
@@ -67,7 +68,7 @@ class PrefixTrie:
     """
 
     def __init__(self) -> None:
-        self._paths: Dict[str, List[str]] = {}  # prefix_id -> block path
+        self._paths: Dict[str, List[Allocation]] = {}  # prefix_id -> path
         self._slots: Dict[str, int] = {}        # prefix_id -> stable slot
         self._last_use: Dict[str, int] = {}     # prefix_id -> LRU stamp
         self._clock = 0
@@ -75,10 +76,10 @@ class PrefixTrie:
         self.resident_blocks = 0
 
     def slot(self, prefix_id: str) -> int:
-        """Stable small integer naming this prefix's blocks."""
+        """Stable small integer naming this prefix's contents."""
         return self._slots.setdefault(prefix_id, len(self._slots))
 
-    def path(self, prefix_id: str) -> List[str]:
+    def path(self, prefix_id: str) -> List[Allocation]:
         """Resident shared block path for ``prefix_id`` (may be empty)."""
         return self._paths.get(prefix_id, [])
 
@@ -87,12 +88,12 @@ class PrefixTrie:
         self._clock += 1
         self._last_use[prefix_id] = self._clock
 
-    def extend(self, prefix_id: str, block: str) -> None:
+    def extend(self, prefix_id: str, block: Allocation) -> None:
         """Append a newly materialized shared block to the path."""
         self._paths.setdefault(prefix_id, []).append(block)
         self.resident_blocks += 1
 
-    def trim_tail(self, prefix_id: str) -> Optional[str]:
+    def trim_tail(self, prefix_id: str) -> Optional[Allocation]:
         """Pop the deepest block of the path (eviction works tail-first
         so what remains is still a valid prefix)."""
         path = self._paths.get(prefix_id)
@@ -105,7 +106,7 @@ class PrefixTrie:
             self._last_use.pop(prefix_id, None)
         return block
 
-    def tails(self) -> Iterator[str]:
+    def tails(self) -> Iterator[Allocation]:
         """The deepest block of every resident path."""
         for path in self._paths.values():
             yield path[-1]
@@ -114,7 +115,7 @@ class PrefixTrie:
         """Prefix ids, least recently used first."""
         return sorted(self._paths, key=lambda p: self._last_use.get(p, 0))
 
-    def owned_blocks(self) -> Iterator[Tuple[str, str]]:
+    def owned_blocks(self) -> Iterator[Tuple[str, Allocation]]:
         """All resident ``(prefix_id, block)`` pairs."""
         for prefix_id, path in self._paths.items():
             for block in path:
@@ -129,9 +130,9 @@ class SharedPagedKVCache(PagedKVCache):
     plain :class:`~repro.serve.kvcache.PagedKVCache` path.  Shared
     blocks are owned by the :class:`PrefixTrie` (one owner reference)
     and additionally referenced by every live request whose table
-    splices them in; they return to the pool only at ref 0 — either
-    when LRU eviction under allocator pressure drops the owner
-    reference of an idle tail, or at :meth:`reset_shared`.
+    splices them in; they return to the pool only at ref 0, when LRU
+    eviction (:meth:`_evict_idle`) drops the owner reference of an
+    idle tail.
     """
 
     name = "paged-shared"
@@ -200,18 +201,19 @@ class SharedPagedKVCache(PagedKVCache):
             self._add_block_ref(block)
 
         slot = self.trie.slot(prefix_id)
-        added: List[str] = []
+        added: List[Allocation] = []
         while len(table) < need:
-            block = f"kvp{slot}.{len(resident) + len(added)}"
-            if not self._try_alloc(block, self.block_bytes):
-                for name in reversed(added):
-                    table.remove(name)
+            contents = (slot, len(resident) + len(added))  # tier key
+            block = self._try_alloc(self.block_bytes)
+            if block is None:
+                for block in reversed(added):
+                    table.remove(block)
                     self.trie.trim_tail(prefix_id)
-                    self._drop_block_ref(name)  # request ref
-                    self._drop_block_ref(name)  # owner ref -> frees
-                for name in head:
-                    table.remove(name)
-                    self._drop_block_ref(name)
+                    self._drop_block_ref(block)  # request ref
+                    self._drop_block_ref(block)  # owner ref -> frees
+                for block in head:
+                    table.remove(block)
+                    self._drop_block_ref(block)
                 del self._tables[request.req_id]
                 return False
             self.trie.extend(prefix_id, block)
@@ -219,16 +221,15 @@ class SharedPagedKVCache(PagedKVCache):
             self._add_block_ref(block)  # this request's reference
             table.append(block)
             added.append(block)
-            self._live_blocks += 1
-            if self._hierarchy.holds(block):
+            if self._hierarchy.holds(contents):
                 # First touch of a demoted tail: pay the tier transfer
                 # to bring its contents back instead of recomputing.
-                label, size, us = self._hierarchy.promote(block)
+                label, size, us = self._hierarchy.promote(contents)
                 self._session.advance(us)
                 ledger = self.metrics.promoted_bytes
                 ledger[label] = ledger.get(label, 0) + size
         self.metrics.peak_blocks = max(self.metrics.peak_blocks,
-                                       self._live_blocks)
+                                       len(self._ref))
 
         self._shared_len[request.req_id] = need
         if reused > 0:
@@ -287,17 +288,14 @@ class SharedPagedKVCache(PagedKVCache):
         return super().free_blocks(stats, capacity) + self.idle_shared_blocks
 
     # -- pressure eviction ---------------------------------------------
-    def _recover_alloc(self, name: str, size: int) -> bool:
+    def _recover_alloc(self, size: int) -> Optional[Allocation]:
         """``empty_cache`` → retry → evict idle shared tails → retry →
         ``empty_cache`` → retry."""
-        if super()._recover_alloc(name, size):
-            return True
-        if self._evict_idle(size) == 0:
-            return False
-        ok = (self._session.try_alloc(name, size)
-              or super()._recover_alloc(name, size))
-        self._note_shared_blocks()
-        return ok
+        block = super()._recover_alloc(size)
+        if block is None and self._evict_idle(size):
+            block = self._malloc(size) or super()._recover_alloc(size)
+            self._note_shared_blocks()
+        return block
 
     def _recovery_is_one_retry(self) -> bool:
         """True when no path's tail is idle: :meth:`_evict_idle` would
@@ -313,9 +311,10 @@ class SharedPagedKVCache(PagedKVCache):
                 path = self.trie.path(prefix_id)
                 if not path or self.ref_count(path[-1]) != 1:
                     break  # tail busy (or path gone): keep this prefix
+                contents = (self.trie.slot(prefix_id), len(path) - 1)
                 block = self.trie.trim_tail(prefix_id)
                 self._drop_block_ref(block)  # owner ref was last -> frees
-                placed = self._hierarchy.demote(block, self.block_bytes)
+                placed = self._hierarchy.demote(contents, self.block_bytes)
                 if placed is not None:
                     # Demote-instead-of-drop: the cold tail's bytes move
                     # down the hierarchy (clock charged) and can be

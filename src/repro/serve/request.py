@@ -110,13 +110,11 @@ class ServeRequest:
     tenant: str = field(default="", repr=False)
     prefix_id: Optional[str] = field(default=None, repr=False)
     prefix_tokens: int = field(default=0, repr=False)
-    # KV bookkeeping maintained by the replica's KVCacheModel.
-    # kv_capacity_tokens is the token capacity currently provisioned
-    # (chunk-rounded for chunked KV, whole blocks for paged KV);
-    # kv_generation is used by the chunked model only — the paged
-    # model keeps its block table internally, keyed by req_id.
+    # KV bookkeeping maintained by the replica's KVCacheModel: the
+    # token capacity currently provisioned (chunk-rounded for chunked
+    # KV, whole blocks for paged KV).  The model holds the allocations
+    # themselves, keyed by req_id.
     kv_capacity_tokens: int = field(default=0, repr=False)
-    kv_generation: int = field(default=0, repr=False)
 
     # ------------------------------------------------------------------
     @property

@@ -37,6 +37,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.allocators.stats import AllocatorStats, MemoryHeadline
 from repro.api.spec import SpecLike, resolve, resolve_allocator
+from repro.errors import OutOfMemoryError
 from repro.gpu.device import GpuDevice
 from repro.obs.gauges import NO_GAUGES, GaugePoint, GaugeSampler
 from repro.obs.trace import NO_TRACE, TraceRecorder
@@ -245,7 +246,7 @@ class ServingSimulator:
         self.device = GpuDevice(capacity=capacity)
         self.allocator = resolve_allocator(allocator, self.device)
         self.scheduler = resolve("scheduler", scheduler)
-        self.session = ReplaySession(self.allocator)
+        self.session = ReplaySession(self.allocator)  # the replica's clock
         # Telemetry is strictly passive: recording/sampling never
         # advances the clock or changes a decision, so a traced run is
         # byte-identical to an untraced one.  Without a trace or gauges
@@ -580,6 +581,14 @@ class ServingSimulator:
                 self.model, batch)
         return ws_bytes
 
+    def _try_workspace(self, ws_bytes: int) -> None:
+        """Best-effort workspace, one ``malloc_free``: under pressure
+        the step runs from reserved slack rather than preempting."""
+        try:
+            self.allocator.malloc_free(ws_bytes)
+        except OutOfMemoryError:
+            pass
+
     def _decode_step(self, queue: "Deque[ServeRequest]",
                      running: List[ServeRequest]) -> bool:
         """Decode one token for every running request.
@@ -593,9 +602,7 @@ class ServingSimulator:
         batch = len(running)
         self.session.advance(
             self._step_us(batch) * self.fault_state.step_factor())
-        # Best-effort workspace: under pressure the step runs from
-        # reserved slack rather than preempting.
-        self.session.try_malloc_free(self._workspace(batch))
+        self._try_workspace(self._workspace(batch))
         quiet = True
         for request in list(running):
             if request.state is not RequestState.RUNNING:
@@ -695,7 +702,7 @@ class ServingSimulator:
                     or now - oldest > timeout_s):
                 break
             clock.advance(step_us * step_factor())
-            session.try_malloc_free(ws_bytes)
+            self._try_workspace(ws_bytes)
             done += 1
             if allocator.reserved_bytes != reserved:
                 break
@@ -838,7 +845,7 @@ class ServingSimulator:
         for request in self._pending:
             request.replica = self.replica_id
         self._members = {id(r): r for r in self._pending}
-        self.session.alloc("weights", self.model.weight_bytes)
+        self.allocator.malloc(self.model.weight_bytes)
         self._queue = deque()
         self._running = []
         self._timeouts.clear()

@@ -8,12 +8,12 @@ active/reserved memory, utilization, OOM events, per-iteration wall
 times and a memory timeline.
 
 :class:`ReplaySession` is the stepping layer underneath ``run_trace``:
-it owns the live-tensor table and OOM-tolerant allocation, but leaves
-the *event loop* to the caller.  Offline replay (``run_trace``) walks
-a pre-built trace; the online serving simulator (:mod:`repro.serve`)
-drives the same session one decision at a time, so scheduler policy
-can react to live allocator state.  :class:`AllocationRecorder` turns
-such a run's allocator stream back into a trace.
+it owns the table of a trace's named tensors and OOM-tolerant
+allocation, but leaves the *event loop* to the caller.  The online
+serving simulator (:mod:`repro.serve`) keeps one per replica as its
+clock and calls the allocator itself, holding the handles it is given.
+:class:`AllocationRecorder` turns such a run's allocator stream back
+into a trace.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -131,14 +130,14 @@ class AllocationRecorder(AllocatorObserver):
 class ReplaySession:
     """A stepping interface over one allocator for event-driven loops.
 
-    The session tracks live tensors by name and converts allocator
-    OOMs into a boolean outcome (:meth:`try_alloc`) for callers that
-    recover instead of crashing.  It keeps no byte total of its own:
-    the allocator counts ``active_bytes``, and a sum over :attr:`live`
-    is exact when wanted.
-    ``run_trace`` drives it from a pre-built trace; the online serving
-    simulator (:mod:`repro.serve`) drives it one admission / KV-growth
-    / retirement decision at a time.
+    The session tracks live tensors by the names a trace gives them and
+    converts allocator OOMs into a boolean outcome (:meth:`try_alloc`)
+    for callers that recover instead of crashing.  It keeps no byte
+    total of its own: the allocator counts ``active_bytes``, and a sum
+    over :attr:`live` is exact when wanted.
+    ``run_trace`` drives it from a pre-built trace; a serving replica
+    (:mod:`repro.serve`) uses only its clock (:attr:`elapsed_s`,
+    :meth:`advance`).
     """
 
     def __init__(self, allocator: BaseAllocator):
@@ -175,47 +174,12 @@ class ReplaySession:
         except OutOfMemoryError:
             return False
 
-    def try_malloc_free(self, size: int) -> bool:
-        """:meth:`try_alloc` then :meth:`free` of a tensor nobody else
-        names, as one :meth:`BaseAllocator.malloc_free` call; ``False``
-        on OOM (time spent, nothing held either way)."""
-        try:
-            self.allocator.malloc_free(size)
-            return True
-        except OutOfMemoryError:
-            return False
-
-    def try_alloc_run(self, tensors: Sequence[str], size: int) -> int:
-        """:meth:`try_alloc` for each of ``tensors`` in turn, ``size``
-        bytes each, stopping at the first OOM; returns how many were
-        allocated.  One :meth:`BaseAllocator.malloc_run` call."""
-        live = self.live
-        if not live.keys().isdisjoint(tensors):
-            twice = next(t for t in tensors if t in live)
-            raise ValueError(f"tensor {twice!r} allocated twice")
-        run = self.allocator.malloc_run(size, len(tensors))
-        live.update(zip(tensors, run))
-        return len(run)
-
     def free(self, tensor: str) -> None:
         """Free the live tensor named ``tensor``."""
         allocation = self.live.pop(tensor, None)
         if allocation is None:
             raise ValueError(f"trace frees unknown tensor {tensor!r}")
         self.allocator.free(allocation)
-
-    def free_run(self, tensors: Iterable[str]) -> None:
-        """:meth:`free` for each of ``tensors`` in turn, as one
-        :meth:`BaseAllocator.free_run` call."""
-        run: List[Allocation] = []
-        try:
-            for tensor in tensors:
-                allocation = self.live.pop(tensor, None)
-                if allocation is None:
-                    raise ValueError(f"trace frees unknown tensor {tensor!r}")
-                run.append(allocation)
-        finally:
-            self.allocator.free_run(run)
 
     def advance(self, duration_us: float) -> None:
         """Advance the simulated clock (compute time between events)."""

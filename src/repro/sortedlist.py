@@ -118,8 +118,9 @@ class ChunkedSortedKeyList(Generic[T]):
 
     def remove(self, item: T) -> None:
         """Remove ``item`` (matched by identity). Raises ValueError if absent."""
-        # Inlined _locate + _delete: this runs once per allocator free,
-        # so the extra call layers are worth avoiding.
+        # _locate's search and the chunk deletion, inlined: this runs
+        # once per allocator free, so the extra call layers are worth
+        # avoiding.
         key = self._key(item)
         maxes = self._maxes
         ci = bisect.bisect_left(maxes, key)

@@ -257,28 +257,27 @@ def chunk_view(vmm):
 class PerBlockOracle:
     """Mixin carrying the per-block bodies paged KV had before a
     request's blocks became one allocator run: every block is its own
-    ``try_alloc`` (with its own retry) and its own ``free``."""
+    ``malloc`` (with its own retry) and its own ``free``."""
 
-    def _try_alloc(self, name, size):
-        ok = self._session.try_alloc(name, size)
-        if not ok:
+    def _try_alloc(self, size):
+        block = self._malloc(size)
+        if block is None:
             self._allocator.empty_cache()
-            ok = self._session.try_alloc(name, size)
-        if ok:
+            block = self._malloc(size)
+        if block is not None:
             self.metrics.kv_allocs += 1
             self._live_kv_bytes += size
             self.metrics.peak_kv_bytes = max(
                 self.metrics.peak_kv_bytes, self._live_kv_bytes)
-        return ok
+        return block
 
     def _drop_block_ref(self, block):
-        refs = self._ref[block] - 1
+        refs = self._ref[block.alloc_id] - 1
         if refs > 0:
-            self._ref[block] = refs
+            self._ref[block.alloc_id] = refs
             return
-        del self._ref[block]
-        self._free(block, self.block_bytes)
-        self._live_blocks -= 1
+        del self._ref[block.alloc_id]
+        self._free(block)
 
     def _drop_block_refs(self, blocks):
         for block in blocks:
@@ -289,9 +288,8 @@ class PerBlockOracle:
         need = self._blocks_for(tokens)
         added = []
         while len(table) < need:
-            name = f"kvb{request.req_id}.{self._next_block}"
-            self._next_block += 1
-            if not self._try_alloc(name, self.block_bytes):
+            block = self._try_alloc(self.block_bytes)
+            if block is None:
                 for block in reversed(added):
                     table.remove(block)
                     self._drop_block_ref(block)
@@ -299,12 +297,11 @@ class PerBlockOracle:
                     del self._tables[request.req_id]
                 request.kv_capacity_tokens = len(table) * self.block_tokens
                 return False
-            table.append(name)
-            added.append(name)
-            self._add_block_ref(name)
-            self._live_blocks += 1
+            table.append(block)
+            added.append(block)
+            self._add_block_ref(block)
         self.metrics.peak_blocks = max(self.metrics.peak_blocks,
-                                       self._live_blocks)
+                                       len(self._ref))
         request.kv_capacity_tokens = len(table) * self.block_tokens
         return True
 
@@ -329,14 +326,15 @@ class PerBlockSharedPagedKVCache(PerBlockOracle, SharedPagedKVCache):
     four attempts of its own (``empty_cache`` and idle-prefix eviction
     in between), as before the first attempts became one run."""
 
-    def _try_alloc(self, name, size):
-        if PerBlockOracle._try_alloc(self, name, size):
-            return True
+    def _try_alloc(self, size):
+        block = PerBlockOracle._try_alloc(self, size)
+        if block is not None:
+            return block
         if self._evict_idle(size) == 0:
-            return False
-        ok = PerBlockOracle._try_alloc(self, name, size)
+            return None
+        block = PerBlockOracle._try_alloc(self, size)
         self._note_shared_blocks()
-        return ok
+        return block
 
 
 class TwinKV:
@@ -351,7 +349,7 @@ class TwinKV:
             allocator = CachingAllocator(device)
             session = ReplaySession(allocator)
             if weights:
-                session.alloc("weights", weights)
+                allocator.malloc(weights)
             kv.bind(session, allocator)
             hierarchy = None
             if tiers is not None:
@@ -370,11 +368,10 @@ class TwinKV:
             "metrics": dataclasses.asdict(kv.metrics),
             "tables": kv._tables,
             "ref": kv._ref,
-            "next_block": kv._next_block,
             "live": (kv.live_requests, kv.live_blocks, kv.live_kv_bytes),
             "clock_us": session.clock.now_us,
             "allocator": session.allocator.stats(),
-            "session": list(session.live),
+            "live_ids": list(session.allocator._live),
             "capacity": {i: r.kv_capacity_tokens
                          for i, r in requests.items()},
         }
@@ -445,28 +442,6 @@ class TwinKV:
     def drain(self):
         while self.live:
             self.release(0, preempted=False)
-
-
-# -- Session runs: try_alloc / free per name ---------------------------
-class PerNameSession(ReplaySession):
-    """A session whose run operations are its single calls, one name
-    at a time (the transient under a name no tensor has)."""
-
-    def try_alloc_run(self, tensors, size):
-        for got, tensor in enumerate(tensors):
-            if not self.try_alloc(tensor, size):
-                return got
-        return len(tensors)
-
-    def free_run(self, tensors):
-        for tensor in tensors:
-            self.free(tensor)
-
-    def try_malloc_free(self, size):
-        ok = self.try_alloc(None, size)
-        if ok:
-            self.free(None)
-        return ok
 
 
 # -- Queue floor: every select scans the queue -------------------------
@@ -730,7 +705,6 @@ REFERENCE = {
     "paged-block-runs": (
         *_entries(PagedKVCache, PerBlockOracle),
         *_entries(SharedPagedKVCache, PerBlockSharedPagedKVCache)),
-    "session-runs": _entries(ReplaySession, PerNameSession),
     # A refused run is never taken: paged KV carves and rolls back.
     "refused-runs": ((CachingAllocator, "refuse_run",
                       BaseAllocator.refuse_run),),

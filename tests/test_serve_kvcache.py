@@ -38,6 +38,7 @@ from repro.sim.engine import AllocationRecorder, run_trace
 from repro.units import GB, MB
 from repro.workloads import Op, get_model
 from repro.workloads.inference import decode_workspace_bytes, kv_bytes
+from test_serve_prefix import reset_shared
 from test_workloads_inference import record
 
 
@@ -107,7 +108,8 @@ class TestKVCacheSpec:
 class TestPagedAccounting:
     """Block accounting never leaks — on finish, preempt or reject."""
 
-    def _pressure_cooker(self, kv_cache="paged?block_tokens=64"):
+    def _pressure_cooker(self, kv_cache="paged?block_tokens=64",
+                         memory_tiers="", requests=None):
         model = get_model("opt-1.3b")
         # Each request peaks at ~365 MB of KV (1824 tokens at ~12.6 MB
         # per 64-token block); 600 MB of headroom holds one but not
@@ -119,11 +121,13 @@ class TestPagedAccounting:
         config = ServingConfig(max_batch=4, queue_timeout_s=600.0)
         simulator = ServingSimulator(model, allocator="caching",
                                      capacity=capacity, config=config,
-                                     scheduler="fcfs", kv_cache=kv_cache)
-        requests = [
-            make_request(0, 0.0, 1024, 800),
-            make_request(1, 0.01, 1024, 800),
-        ]
+                                     scheduler="fcfs", kv_cache=kv_cache,
+                                     memory_tiers=memory_tiers)
+        if requests is None:
+            requests = [
+                make_request(0, 0.0, 1024, 800),
+                make_request(1, 0.01, 1024, 800),
+            ]
         return simulator, simulator.run(requests)
 
     def test_preemption_happens_and_everyone_finishes(self):
@@ -139,8 +143,9 @@ class TestPagedAccounting:
         assert kv.live_blocks == 0
         assert kv.live_kv_bytes == 0
         assert kv.metrics.kv_allocs == kv.metrics.kv_frees
-        # Only the resident weights survive the run in the session.
-        assert set(simulator.session.live) == {"weights"}
+        # Only the resident weights survive the run in the allocator.
+        assert simulator.allocator.live_allocation_count == 1
+        assert not kv._ref
 
     def test_no_leak_under_chunked_either(self):
         simulator, result = self._pressure_cooker(kv_cache="chunked")
@@ -149,7 +154,35 @@ class TestPagedAccounting:
         assert kv.live_requests == 0
         assert kv.live_kv_bytes == 0
         assert kv.metrics.kv_allocs == kv.metrics.kv_frees
-        assert set(simulator.session.live) == {"weights"}
+        assert simulator.allocator.live_allocation_count == 1
+        assert not kv._live
+
+    def test_no_leak_under_shared_prefixes_with_a_dram_tier(self):
+        # Three prefix groups, six requests: idle prefix tails are
+        # evicted to the dram tier under pressure and promoted back.
+        requests = [
+            ServeRequest(req_id=i, arrival_s=0.01 * i, prompt_tokens=1024,
+                         output_tokens=800, prefix_id=str(i % 3),
+                         prefix_tokens=768)
+            for i in range(6)]
+        simulator, result = self._pressure_cooker(
+            kv_cache="paged-shared?block_tokens=64", memory_tiers="dram",
+            requests=requests)
+        kv, allocator = simulator.kv, simulator.allocator
+        assert result.preemptions >= 1
+        assert all(r.finished for r in result.requests)
+        assert kv.metrics.demoted_bytes and kv.metrics.promoted_bytes
+        assert kv.live_requests == 0
+        # What outlives the run besides the weights is the trie's
+        # resident prefix blocks, each held by the trie alone.
+        owned = [block for _, block in kv.trie.owned_blocks()]
+        assert owned
+        assert kv._ref == {block.alloc_id: 1 for block in owned}
+        assert allocator.live_allocation_count == 1 + len(owned)
+        reset_shared(kv)
+        assert allocator.live_allocation_count == 1
+        assert not kv._ref
+        assert kv.metrics.kv_allocs == kv.metrics.kv_frees
 
     def test_too_large_request_rolls_back_partial_block_table(self):
         model = get_model("opt-1.3b")
@@ -331,8 +364,7 @@ class TestBlocksAsOneRunMatchPerBlock:
     """`_ensure` / `release` allocate and free a request's blocks as
     one allocator run; the per-block loop they replaced is the oracle.
     Under pressure the two must agree on every metric, table, ref
-    count, block number (a failed attempt still consumes one) and on
-    the simulated clock."""
+    count, live allocation and on the simulated clock."""
 
     # 16-token blocks are 3 MB (large pool: six per 20 MB segment plus
     # a 2 MB tail); 4-token blocks are 768 KB (small pool: two per 2 MB
@@ -360,9 +392,10 @@ class TestBlocksAsOneRunMatchPerBlock:
         twins.drain()
         kv, session = twins.sides[0][:2]
         assert kv.live_blocks == 0 and kv.metrics.kv_allocs == kv.metrics.kv_frees
-        assert set(session.live) == {"weights"}
+        assert session.allocator.live_allocation_count == 1  # the weights
+        assert not kv._ref
 
-    def test_failed_admission_consumes_a_block_number(self):
+    def test_failed_admission_rolls_back_every_block(self):
         model = get_model("opt-1.3b")
         twins = TwinKV(PagedKVCache(model), PerBlockPagedKVCache(model),
                        capacity=10 * kv_bytes(model, 16))
@@ -370,8 +403,8 @@ class TestBlocksAsOneRunMatchPerBlock:
         kv = twins.sides[0][0]
         assert not twins.live and kv.live_blocks == 0
         # One 20 MB segment maps: six blocks allocated, the seventh
-        # attempted (twice) and numbered, all six rolled back.
-        assert kv._next_block == 7
+        # attempted (twice), all six rolled back.
+        assert twins.sides[0][1].allocator.live_allocation_count == 0
         assert kv.metrics.kv_allocs == kv.metrics.kv_frees == 6
         assert kv.metrics.peak_kv_bytes == 6 * kv.block_bytes
         assert kv.metrics.peak_blocks == 0

@@ -73,9 +73,9 @@ def assert_ref_ledger(kv):
     trie ownership plus one per block-table splice."""
     expected = Counter()
     for _, block in kv.trie.owned_blocks():
-        expected[block] += 1
+        expected[block.alloc_id] += 1
     for table in kv._tables.values():
-        expected.update(table)
+        expected.update(block.alloc_id for block in table)
     assert dict(expected) == kv._ref
     assert kv.live_blocks == len(kv._ref)
 
@@ -160,7 +160,7 @@ class TestSharingMechanics:
         assert kv.admit(prefix_request(0))
         assert kv.metrics.prefix_lookups == 0
         assert kv.trie.resident_blocks == 0
-        assert all(b.startswith("kvb") for b in kv._tables[0])
+        assert all(kv.ref_count(b) == 1 for b in kv._tables[0])  # private
         assert_ref_ledger(kv)
 
     def test_sub_block_prefix_is_not_shared(self):
@@ -457,7 +457,8 @@ class TestSharedBlocksAsOneRunMatchPerBlock:
         twins.drain()
         twins.step(lambda kv, requests: reset_shared(kv))
         kv, session, hierarchy, _ = twins.sides[0]
-        assert kv.live_blocks == 0 and not session.live
+        assert kv.live_blocks == 0 and not kv._ref
+        assert session.allocator.live_allocation_count == 0
 
     def test_run_resumes_after_a_recovered_block(self):
         twins = shared_twins(capacity_blocks=14)  # two 20 MB segments
@@ -470,8 +471,13 @@ class TestSharedBlocksAsOneRunMatchPerBlock:
         # Eleven private blocks: the run takes the six that are free
         # and stops; recovery evicts one idle prefix tail for the
         # failing block, the run resumes with the next and stops again
-        # — five times over.  A recovered block keeps its number.
+        # — five times over.  A recovered block keeps its place: the
+        # table is the admission's eleven mallocs, in order.
         twins.admit_new(prompt_tokens=170, output_tokens=8)
         assert twins.live == [1]
-        assert kv._tables[1] == [f"kvb1.{n}" for n in range(1, 12)]
+        table = kv._tables[1]
+        first = table[0].alloc_id
+        assert [block.alloc_id for block in table] == list(
+            range(first, first + 11))
+        assert all(kv.ref_count(block) == 1 for block in table)
         assert kv.trie.resident_blocks == 1

@@ -2,7 +2,6 @@
 
 import pytest
 
-from reference import PerNameSession
 from repro.api import resolve_allocator
 from repro.gpu.device import GpuDevice
 from repro.sim import (
@@ -11,7 +10,6 @@ from repro.sim import (
     run_trace,
     run_workload,
 )
-from repro.sim.engine import ReplaySession
 from repro.sim.metrics import compare_results
 from repro.sim.timeline import TimelinePoint, downsample
 from repro.units import GB, MB
@@ -94,61 +92,6 @@ class TestRunTrace:
         device = GpuDevice(capacity=1 * GB)
         result = run_trace(resolve_allocator("gmlake", device), tiny_trace())
         assert "gmlake" in result.summary()
-
-
-class TestSessionRuns:
-    """``try_alloc_run`` / ``free_run`` / ``try_malloc_free`` are
-    ``try_alloc`` / ``free`` per name (``reference.PerNameSession``),
-    for any allocator (gmlake inherits the run loops)."""
-
-    @staticmethod
-    def _twins(allocator):
-        return [session(resolve_allocator(allocator, GpuDevice(
-            capacity=64 * MB))) for session in (ReplaySession, PerNameSession)]
-
-    @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
-    def test_run_equals_singles(self, allocator):
-        sessions = self._twins(allocator)
-        names = [f"t{i}" for i in range(30)]
-        got, singles = [s.try_alloc_run(names, 3 * MB) for s in sessions]
-        assert 0 < got == singles < len(names)
-        for session in sessions:
-            session.free_run(names[:got:2])
-        a, b = sessions
-        assert list(a.live) == list(b.live)
-        assert a.clock.now_us == b.clock.now_us
-        assert a.allocator.stats() == b.allocator.stats()
-
-    @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
-    def test_transient_equals_alloc_then_free(self, allocator):
-        a, b = self._twins(allocator)
-        for session in (a, b):
-            session.alloc("kv", 50 * MB)
-        # A new segment, a cached fit, 10 MB that fits, 20 MB that cannot.
-        for size, fits in [(64_000, True), (300_000, True),
-                           (10 * MB, True), (20 * MB, False)]:
-            before = a.clock.now_us
-            assert a.try_malloc_free(size) is fits
-            assert b.try_malloc_free(size) is fits
-            assert a.clock.now_us == b.clock.now_us > before  # time is spent
-            assert a.allocator.stats() == b.allocator.stats()
-            assert list(a.live) == list(b.live) == ["kv"]
-        a.allocator.check_invariants()
-
-    def test_name_already_live_is_rejected_before_allocating(self):
-        session = ReplaySession(resolve_allocator("caching", GpuDevice()))
-        session.alloc("a", MB)
-        with pytest.raises(ValueError, match="'a' allocated twice"):
-            session.try_alloc_run(["b", "a"], MB)
-        assert list(session.live) == ["a"]
-
-    def test_unknown_name_stops_the_run_where_free_would(self):
-        session = ReplaySession(resolve_allocator("caching", GpuDevice()))
-        session.try_alloc_run(["a", "b", "c"], MB)
-        with pytest.raises(ValueError, match="unknown tensor 'ghost'"):
-            session.free_run(["a", "ghost", "c"])
-        assert list(session.live) == ["b", "c"]
-        assert session.allocator.live_allocation_count == 2
 
 
 class TestRunWorkload:
