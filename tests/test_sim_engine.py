@@ -2,7 +2,10 @@
 
 import pytest
 
+from reference import two_calls
+from repro.allocators.base import Allocation, BaseAllocator
 from repro.api import resolve_allocator
+from repro.errors import OutOfMemoryError, UnknownAllocationError
 from repro.gpu.device import GpuDevice
 from repro.sim import (
     mem_reduction_ratio,
@@ -92,6 +95,70 @@ class TestRunTrace:
         device = GpuDevice(capacity=1 * GB)
         result = run_trace(resolve_allocator("gmlake", device), tiny_trace())
         assert "gmlake" in result.summary()
+
+
+class TestSessionRuns:
+    """The run operations a serving replica calls on its allocator
+    between the ticks of its session's clock (``malloc_run`` /
+    ``free_run`` / ``malloc_free``) leave what the single ``malloc`` /
+    ``free`` calls that define them leave, for any allocator (gmlake
+    inherits the run loops, and has its own transient fit)."""
+
+    @staticmethod
+    def _twins(allocator):
+        return [resolve_allocator(allocator, GpuDevice(capacity=64 * MB))
+                for _ in range(2)]
+
+    @staticmethod
+    def _state(allocator):
+        return (sorted(allocator._live), allocator.device.clock.now_us,
+                allocator.stats())
+
+    @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
+    def test_run_equals_singles(self, allocator):
+        a, b = self._twins(allocator)
+        run = a.malloc_run(3 * MB, 30)
+        singles = BaseAllocator.malloc_run(b, 3 * MB, 30)
+        assert 0 < len(run) == len(singles) < 30
+        assert run == singles
+        a.free_run(run[::2])
+        BaseAllocator.free_run(b, singles[::2])
+        assert self._state(a) == self._state(b)
+        a.check_invariants()
+
+    @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
+    def test_transient_equals_alloc_then_free(self, allocator):
+        a, b = self._twins(allocator)
+        held = [x.malloc(50 * MB) for x in (a, b)]
+        # A new segment, a cached fit, 10 MB that fits, 20 MB that cannot.
+        for size, fits in [(64_000, True), (300_000, True),
+                           (10 * MB, True), (20 * MB, False)]:
+            before = a.device.clock.now_us
+            for x, transient in ((a, type(a).malloc_free), (b, two_calls)):
+                if fits:
+                    assert transient(x, size) >= size
+                else:
+                    with pytest.raises(OutOfMemoryError):
+                        transient(x, size)
+            assert self._state(a) == self._state(b)
+            assert a.device.clock.now_us > before  # time is spent
+            assert sorted(a._live) == [held[0].alloc_id]
+        a.check_invariants()
+
+    @pytest.mark.parametrize("allocator", ["caching", "gmlake"])
+    def test_unknown_handle_stops_the_run_where_free_would(self, allocator):
+        a, b = self._twins(allocator)
+        runs = [a.malloc_run(MB, 3), b.malloc_run(MB, 3)]
+        foreign = Allocation(0, MB, MB, alloc_id=10**6)
+        for x, free_run, (first, second, third) in (
+                (a, type(a).free_run, runs[0]),
+                (b, BaseAllocator.free_run, runs[1])):
+            with pytest.raises(UnknownAllocationError):
+                free_run(x, [first, foreign, third])
+            assert sorted(x._live) == [second.alloc_id, third.alloc_id]
+        assert self._state(a) == self._state(b)
+        assert a.live_allocation_count == 2
+        a.check_invariants()
 
 
 class TestRunWorkload:
