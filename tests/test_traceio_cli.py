@@ -246,10 +246,15 @@ class TestCli:
         assert captured.out == ""
         assert "max_spool_blocks" in captured.err
 
+    _FLEET_UTIL = pytest.mark.xfail(
+        strict=True, reason="a fleet's report prints its lowest replica "
+        "utilization beside the worst-reserved replica's RM")
+
     @pytest.mark.parametrize("flags", [
         [],
-        ["--gpus", "3"],
-        ["--disagg", "--prefill-replicas", "2", "--interconnect", "nvlink"],
+        pytest.param(["--gpus", "3"], marks=_FLEET_UTIL),
+        pytest.param(["--disagg", "--prefill-replicas", "2",
+                      "--interconnect", "nvlink"], marks=_FLEET_UTIL),
         # 16 requests still preempt under both allocators, at a quarter
         # of the cost of 40.
         ["--kv-cache", "paged?block_tokens=16", "--prefix-sharing",
@@ -261,7 +266,8 @@ class TestCli:
     def test_serve_flags_equal_run_on_the_spec_they_build(
             self, flags, tmp_path, capsys):
         """`repro serve <flags>` and `repro run --spec` on the spec
-        those flags build are one path: same report rows."""
+        those flags build are one path: same report rows, and the same
+        memory headline (util and RM) as the run table."""
         argv = ["serve", "--model", "opt-1.3b", "--rate", "12",
                 "--requests", "40", "--allocator", "caching,gmlake",
                 "--capacity", "3500MB", *flags]
@@ -270,20 +276,28 @@ class TestCli:
         assert main(argv) == 0
         table = capsys.readouterr().out.splitlines()
         assert main(["run", "--spec", path]) == 0
+        ran_out = capsys.readouterr().out.splitlines()
         extras = {
             line.split(":")[0].strip(): dict(re.findall(r"(\w+)=([^,]+)", line))
-            for line in capsys.readouterr().out.splitlines()
-            if "completed=" in line}
-        header = [cell.strip() for cell in table[1].split("|")]
-        rows = [dict(zip(header, (cell.strip() for cell in line.split("|"))))
-                for line in table[3:5]]
+            for line in ran_out if "completed=" in line}
+
+        def rows_of(lines):
+            header = [cell.strip() for cell in lines[1].split("|")]
+            return [dict(zip(header, (cell.strip() for cell in line.split("|"))))
+                    for line in lines[3:5]]
+
+        rows = rows_of(table)
+        headlines = {row["allocator"]: row for row in rows_of(ran_out)}
         assert [row["run"] for row in rows] == list(extras) \
-            == ["caching", "gmlake"]
+            == list(headlines) == ["caching", "gmlake"]
         for row in rows:
             ran = extras[row["run"]]
             assert (row["done"], row["rej"], row["preempt"]) == (
                 ran["completed"], ran["rejected"], ran["preemptions"])
             assert float(row["goodput (req/s)"]) == float(ran["goodput_req_s"])
+            headline = headlines[row["run"]]
+            assert float(row["RM (GB)"]) == float(headline["reserved (GB)"])
+            assert float(row["util"]) == float(headline["utilization"])
             if "--prefix-sharing" in flags:
                 assert int(row["preempt"]) > 0
 
