@@ -39,32 +39,32 @@ def main() -> None:
     def stream():
         return PoissonArrivals(rate_per_s=rate).generate(n_requests, seed=1)
 
-    reports = {}
+    runs = {}
     colocated = run_serving_cluster(
         stream(), model, n_replicas=2, allocator="gmlake",
         capacity=capacity, config=config, scheduler="memory-aware")
-    reports["colocated 2 GPU"] = colocated.report(slo)
+    runs["colocated 2 GPU"] = (colocated, colocated.report(slo))
 
-    disagg_runs = {}
+    disagg_labels = []
     for label, link in (("1P+1D nvlink", "nvlink?gb_per_s=300"),
                         ("1P+1D slow pcie", "pcie?gb_per_s=2")):
         result = run_serving_disagg(
             stream(), model, prefill_replicas=1, decode_replicas=1,
             allocator="gmlake", capacity=capacity, config=config,
             scheduler="memory-aware", interconnect=link)
-        disagg_runs[label] = result
-        reports[label] = result.report(slo)
+        disagg_labels.append(label)
+        runs[label] = (result, result.report(slo))
 
     print(format_serving_summary(
-        reports,
+        runs,
         title=f"{model}: {n_requests} req at {rate:g}/s on "
               f"{capacity // GB} GB/replica",
         slo=slo))
 
     # Where TTFT was spent, and what the split cost on the wire.
     rows = []
-    for label, result in disagg_runs.items():
-        rep = reports[label]
+    for label in disagg_labels:
+        result, rep = runs[label]
         rows.append({
             "topology": label,
             "prefill wait (s)": round(rep.prefill_wait_s, 4),

@@ -36,13 +36,13 @@ def main() -> None:
     config = ServingConfig(max_batch=16, queue_timeout_s=30.0)
     slo = SloConfig(ttft_s=2.0, tpot_s=0.05)
 
-    reports = {}
+    runs = {}
     for name in ("caching", "expandable", "gmlake"):
         stream = PoissonArrivals(rate_per_s=rate).generate(n_requests, seed=1)
         result = run_serving(stream, model, allocator=name,
                              capacity=capacity, config=config,
                              scheduler="memory-aware")
-        reports[name] = result.report(slo)
+        runs[name] = (result, result.report(slo))
     # Cache-level defragmentation: vLLM-style paged KV blocks make the
     # pool see a single allocation size, so even the splitting caching
     # allocator stops fragmenting.
@@ -51,9 +51,9 @@ def main() -> None:
                          capacity=capacity, config=config,
                          scheduler="memory-aware",
                          kv_cache="paged?block_tokens=16")
-    reports["caching+paged"] = result.report(slo)
+    runs["caching+paged"] = (result, result.report(slo))
     print(format_serving_summary(
-        reports,
+        runs,
         title=f"{model}: {n_requests} req at {rate:g}/s on {capacity // GB} GB",
         slo=slo))
 

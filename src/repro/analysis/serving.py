@@ -13,28 +13,37 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.analysis.tables import format_table
 from repro.serve.metrics import ServingReport, SloConfig
 from repro.serve.request import ServeRequest
+from repro.units import MB
 
 
-def serving_row(label: Any, report: ServingReport) -> Dict[str, Any]:
-    """One labelled table row for a serving report."""
-    row: Dict[str, Any] = {"run": label}
-    row.update(report.as_row())
+def serving_row(label: Any, result: Any,
+                report: ServingReport) -> Dict[str, Any]:
+    """One labelled table row: ``report``'s SLO metrics beside the
+    memory headline of the run ``result`` it came from."""
+    row: Dict[str, Any] = {"run": label, **report.as_row()}
+    availability = row.pop("avail %")  # stays the last column
+    row["util"] = round(result.utilization_ratio, 3)
+    row["RM (GB)"] = round(result.peak_reserved_gb, 2)
+    row["migrated (MB)"] = round(result.kv_metrics.migrated_bytes / MB, 1)
+    row["avail %"] = availability
     return row
 
 
 def serving_summary_rows(
-    reports: Mapping[Any, ServingReport],
+    runs: Mapping[Any, Tuple[Any, ServingReport]],
 ) -> List[Dict[str, Any]]:
-    """Rows for a {label: report} mapping, in insertion order."""
-    return [serving_row(label, report) for label, report in reports.items()]
+    """Rows for a {label: (result, report)} mapping, in insertion
+    order."""
+    return [serving_row(label, result, report)
+            for label, (result, report) in runs.items()]
 
 
 def format_serving_summary(
-    reports: Mapping[Any, ServingReport],
+    runs: Mapping[Any, Tuple[Any, ServingReport]],
     title: Optional[str] = None,
     slo: Optional[SloConfig] = None,
 ) -> str:
-    """Render the serving-summary table.
+    """Render the serving-summary table of {label: (result, report)}.
 
     ``slo`` is only used for the title annotation — the reports were
     already computed against their SLO.
@@ -44,7 +53,7 @@ def format_serving_summary(
         title = "online serving summary"
     title = (f"{title}  (SLO: TTFT <= {slo.ttft_s:g}s, "
              f"TPOT <= {slo.tpot_s * 1e3:g}ms)")
-    return format_table(serving_summary_rows(reports), title=title)
+    return format_table(serving_summary_rows(runs), title=title)
 
 
 def goodput_vs_rate_rows(
@@ -166,9 +175,7 @@ def tenant_rows(
         tokens = sum(r.tokens_done for r in population if r.finished)
         row: Dict[str, Any] = {"tenant": tenant, "requests": len(population)}
         row.update(report.as_row())
-        # Fleet-level columns are meaningless split by tenant.
-        for fleet_only in ("req", "util", "RM (GB)", "migrated (MB)"):
-            row.pop(fleet_only, None)
+        del row["req"]  # the "requests" column above
         row["tokens"] = tokens
         row["token share"] = round(tokens / total_tokens, 3)
         rows.append(row)

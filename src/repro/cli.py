@@ -284,15 +284,15 @@ def _serve_spec_from(args: argparse.Namespace) -> ExperimentSpec:
 def _cmd_serve(args: argparse.Namespace) -> int:
     spec = _serve_spec_from(args)
     serving, slo = spec.serving, spec.serving.slo()
-    reports = {}
+    runs = {}
     gauge_points = []
     phase_rows = []
     tenant_tables = []
     results = run_experiment(spec)
     for result in results:
         raw, label = result.raw, result.allocator_name
-        report = reports[label] = raw.report(slo,
-                                             streaming=serving.streaming)
+        report = raw.report(slo, streaming=serving.streaming)
+        runs[label] = (raw, report)
         gauge_points.extend(raw.gauge_points)
         if any(r.tenant for r in raw.requests):
             tenant_tables.append(format_tenant_summary(
@@ -327,7 +327,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                              ("retry", serving.retry, "none")):
         if value != off:
             title += f", {name}={value}"
-    print(format_serving_summary(reports, title=title, slo=slo))
+    print(format_serving_summary(runs, title=title, slo=slo))
     for table in tenant_tables:
         print()
         print(table)

@@ -139,8 +139,8 @@ class FleetResult(RequestTallies, WorstMemberRunResult):
     """What every multi-replica serving aggregate reports, defined once.
 
     A fleet is a list of per-replica :class:`ServingResult` leaves
-    (``replicas``) plus the request population the run is judged on
-    (``requests``).  Subclasses supply those two —
+    (``replicas``), the request population the run is judged on
+    (``requests``) and a ``topology`` label.  Subclasses supply those —
     :class:`ServeClusterResult` as the merged replica populations,
     :class:`~repro.serve.disagg.DisaggServingResult` as the original
     requests with both phases folded back on — and everything derived
@@ -215,13 +215,9 @@ class FleetResult(RequestTallies, WorstMemberRunResult):
         the merged request list (percentiles come from merged t-digest
         sketches, within sketch tolerance of the exact path).
         """
-        headline = dict(
-            utilization=self.min_utilization,
-            peak_reserved_gb=self.peak_reserved_gb,
-            migrated_mb=self.kv_metrics.migrated_bytes / (1 << 20))
         if not streaming:
             return ServingReport.from_requests(
-                self.requests, self.makespan_s, slo, **headline)
+                self.requests, self.makespan_s, slo)
         merged: Optional[ServingReportAccumulator] = None
         for population in self._sketch_populations():
             acc = ServingReportAccumulator(slo)
@@ -230,7 +226,12 @@ class FleetResult(RequestTallies, WorstMemberRunResult):
             merged = acc if merged is None else merged.merge(acc)
         if merged is None:
             merged = ServingReportAccumulator(slo)
-        return merged.report(self.makespan_s, **headline)
+        return merged.report(self.makespan_s)
+
+    def summary(self) -> str:
+        """One-line report: topology, SLO metrics, utilization."""
+        return (f"{self.topology}: {self.report().summary()} "
+                f"util={self.utilization_ratio:.1%}")
 
 
 @dataclass
@@ -248,6 +249,10 @@ class ServeClusterResult(FleetResult):
     @property
     def n_replicas(self) -> int:
         return len(self.replicas)
+
+    @property
+    def topology(self) -> str:
+        return f"{self.n_replicas} replicas"
 
     @property
     def requests(self) -> List[ServeRequest]:
@@ -290,11 +295,6 @@ class ServeClusterResult(FleetResult):
             out["autoscaler"] = self.autoscaler_name
             out["active_replicas"] = self.active_replicas
         return self._extras_tail(out)
-
-    def summary(self) -> str:
-        """One-line fleet report."""
-        report = self.report()
-        return f"{self.n_replicas} replicas: {report.summary()}"
 
 
 def check_per_replica_specs(kv_cache: Union[SpecLike, KVCacheModel],

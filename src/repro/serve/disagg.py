@@ -108,6 +108,11 @@ class DisaggServingResult(FleetResult):
     def n_decode_replicas(self) -> int:
         return len(self.decode_results)
 
+    @property
+    def topology(self) -> str:
+        return (f"{self.n_prefill_replicas}P+{self.n_decode_replicas}D "
+                f"over {self.interconnect_name}")
+
     def _sketch_populations(self) -> List[List[ServeRequest]]:
         # Replica populations hold per-phase clones; the report is over
         # the merged originals, one sketch.
@@ -141,12 +146,6 @@ class DisaggServingResult(FleetResult):
         if self.autoscaler_name != "none":
             out["autoscaler"] = self.autoscaler_name
         return self._extras_tail(out)
-
-    def summary(self) -> str:
-        """One-line topology + SLO report."""
-        report = self.report()
-        return (f"{self.n_prefill_replicas}P+{self.n_decode_replicas}D "
-                f"over {self.interconnect_name}: {report.summary()}")
 
 
 def run_serving_disagg(

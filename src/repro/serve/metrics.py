@@ -127,7 +127,8 @@ class SloConfig:
 
 @dataclass
 class ServingReport:
-    """Aggregate serving metrics over one request population."""
+    """Aggregate serving metrics over one request population; the
+    memory headline is the run result's, not the report's."""
 
     n_requests: int
     completed: int
@@ -146,8 +147,6 @@ class ServingReport:
     goodput_req_s: float
     slo_attainment: float
     tokens_per_s: float
-    utilization: float = 0.0
-    peak_reserved_gb: float = 0.0
     # Token-level SLO metrics (see module docstring).  ``output_tokens``
     # counts every generated token, including rejected requests'
     # partial streams; ``on_time_tokens`` only finished requests'.
@@ -155,10 +154,8 @@ class ServingReport:
     on_time_tokens: int = 0
     token_slo_attainment: float = 0.0
     token_goodput_tok_s: float = 0.0
-    # KV bytes moved between replicas by disaggregated serving, and the
-    # per-phase queue-wait attribution of TTFT (mean seconds queued at
-    # the prefill / decode fleet).  All zero for colocated runs.
-    migrated_mb: float = 0.0
+    # The per-phase queue-wait attribution of TTFT (mean seconds queued
+    # at the prefill / decode fleet).  Zero for colocated runs.
     prefill_wait_s: float = 0.0
     decode_wait_s: float = 0.0
     # Fault accounting (all zero / 1.0 with ``faults="none"``).
@@ -183,10 +180,7 @@ class ServingReport:
         requests: Iterable[ServeRequest],
         makespan_s: float,
         slo: Optional[SloConfig] = None,
-        utilization: float = 0.0,
-        peak_reserved_gb: float = 0.0,
         streaming: bool = False,
-        migrated_mb: float = 0.0,
     ) -> "ServingReport":
         """Aggregate a request population into one report.
 
@@ -199,9 +193,7 @@ class ServingReport:
         acc = ServingReportAccumulator(slo, exact=not streaming)
         for request in requests:
             acc.observe(request)
-        return acc.report(makespan_s, utilization=utilization,
-                          peak_reserved_gb=peak_reserved_gb,
-                          migrated_mb=migrated_mb)
+        return acc.report(makespan_s)
 
     # ------------------------------------------------------------------
     def as_row(self) -> dict:
@@ -222,9 +214,6 @@ class ServingReport:
             "goodput (req/s)": round(self.goodput_req_s, 3),
             "SLO %": round(self.slo_attainment * 100.0, 1),
             "tok SLO %": round(self.token_slo_attainment * 100.0, 1),
-            "util": round(self.utilization, 3),
-            "RM (GB)": round(self.peak_reserved_gb, 2),
-            "migrated (MB)": round(self.migrated_mb, 1),
             "avail %": round(self.availability * 100.0, 1),
         }
 
@@ -236,8 +225,7 @@ class ServingReport:
             f"({self.rejected} rejected, {self.preemptions} preemptions) "
             f"TTFT p50={self.p50_ttft_s * 1e3:.1f}ms "
             f"p99 lat={self.p99_latency_s:.2f}s "
-            f"goodput={self.goodput_req_s:.2f} req/s "
-            f"util={self.utilization:.1%}"
+            f"goodput={self.goodput_req_s:.2f} req/s"
             f"{faults}"
         )
 
@@ -393,9 +381,7 @@ class ServingReportAccumulator:
         return self
 
     # ------------------------------------------------------------------
-    def report(self, makespan_s: float, utilization: float = 0.0,
-               peak_reserved_gb: float = 0.0,
-               migrated_mb: float = 0.0) -> ServingReport:
+    def report(self, makespan_s: float) -> ServingReport:
         """Materialize the accumulated state as a report."""
         span = max(makespan_s, 1e-9)
         p50_ttft, p99_ttft = self.ttft.quantiles(50, 99)
@@ -419,14 +405,11 @@ class ServingReportAccumulator:
             goodput_req_s=self.slo_met / span,
             slo_attainment=self.slo_met / self.n if self.n else 0.0,
             tokens_per_s=self.tokens_out / span,
-            utilization=utilization,
-            peak_reserved_gb=peak_reserved_gb,
             output_tokens=self.output_tokens,
             on_time_tokens=self.on_time_tokens,
             token_slo_attainment=(self.on_time_tokens / self.output_tokens
                                   if self.output_tokens else 0.0),
             token_goodput_tok_s=self.on_time_tokens / span,
-            migrated_mb=migrated_mb,
             prefill_wait_s=self.prefill_wait.mean(),
             decode_wait_s=self.decode_wait.mean(),
             retries=self.retries,

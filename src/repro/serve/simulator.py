@@ -212,12 +212,7 @@ class ServingResult(RequestTallies, MemoryHeadline):
         sample lists.
         """
         return ServingReport.from_requests(
-            self.requests, self.makespan_s, slo,
-            utilization=self.utilization_ratio,
-            peak_reserved_gb=self.peak_reserved_gb,
-            streaming=streaming,
-            migrated_mb=self.kv_metrics.migrated_bytes / (1 << 20),
-        )
+            self.requests, self.makespan_s, slo, streaming=streaming)
 
 
 class ServingSimulator:

@@ -163,9 +163,8 @@ def synthetic_population(n, seed=0):
 EXACT_FIELDS = [
     "n_requests", "completed", "rejected", "timed_out", "preemptions",
     "makespan_s", "mean_ttft_s", "mean_tpot_s", "throughput_req_s",
-    "goodput_req_s", "slo_attainment", "tokens_per_s", "utilization",
-    "peak_reserved_gb", "output_tokens", "on_time_tokens",
-    "token_slo_attainment", "token_goodput_tok_s",
+    "goodput_req_s", "slo_attainment", "tokens_per_s", "output_tokens",
+    "on_time_tokens", "token_slo_attainment", "token_goodput_tok_s",
 ]
 
 SKETCH_FIELDS = [
@@ -178,12 +177,8 @@ class TestStreamingReport:
     def test_counters_and_means_are_exact(self):
         requests = synthetic_population(2000)
         slo = SloConfig()
-        exact = ServingReport.from_requests(requests, 600.0, slo,
-                                            utilization=0.9,
-                                            peak_reserved_gb=40.0)
+        exact = ServingReport.from_requests(requests, 600.0, slo)
         stream = ServingReport.from_requests(requests, 600.0, slo,
-                                             utilization=0.9,
-                                             peak_reserved_gb=40.0,
                                              streaming=True)
         for field in EXACT_FIELDS:
             assert getattr(stream, field) == getattr(exact, field), field
@@ -224,8 +219,8 @@ class TestStreamingReport:
         for shard in shards[1:]:
             merged.merge(shard)
 
-        one = whole.report(400.0, utilization=0.8, peak_reserved_gb=30.0)
-        two = merged.report(400.0, utilization=0.8, peak_reserved_gb=30.0)
+        one = whole.report(400.0)
+        two = merged.report(400.0)
         for field in ("n_requests", "completed", "rejected", "timed_out",
                       "preemptions", "output_tokens", "on_time_tokens",
                       "slo_attainment", "token_slo_attainment"):

@@ -91,4 +91,6 @@ class TestClusterRun:
     def test_summary_mentions_replicas(self):
         stream = PoissonArrivals(rate_per_s=2.0).generate(10, seed=0)
         result = run_serving_cluster(stream, "opt-1.3b", n_replicas=2)
-        assert "2 replicas" in result.summary()
+        summary = result.summary()
+        assert summary.startswith("2 replicas:")
+        assert summary.endswith(f" util={result.utilization_ratio:.1%}")

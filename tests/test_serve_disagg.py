@@ -15,6 +15,7 @@ run in the same process.
 import pytest
 
 from repro import api
+from repro.analysis.serving import serving_row
 from repro.api import SpecError
 from repro.obs import GaugeSampler, TraceRecorder, validate_chrome_trace
 from repro.serve import (
@@ -31,7 +32,7 @@ from repro.serve import (
 )
 from repro.serve.disagg import DisaggServingResult
 from repro.serve.kvcache import ChunkedKVCache
-from repro.units import GB
+from repro.units import GB, MB
 from repro.workloads.models import get_model
 
 from tests.test_equivalence_goldens import _request_digest, serving_digest
@@ -93,9 +94,9 @@ class TestDisaggRun:
         report = result.report()
         assert report.prefill_wait_s >= 0.0
         assert report.decode_wait_s >= 0.0
-        assert report.migrated_mb > 0.0
-        assert report.as_row()["migrated (MB)"] == round(
-            report.migrated_mb, 1)
+        assert result.kv_metrics.migrated_bytes > 0
+        assert serving_row("1P+1D", result, report)["migrated (MB)"] == round(
+            result.kv_metrics.migrated_bytes / MB, 1)
 
     def test_replica_ids_are_global(self):
         result = _run(prefill_replicas=2, decode_replicas=3)
@@ -123,14 +124,16 @@ class TestDisaggRun:
         assert extras["interconnect"] == "nvlink"
         assert extras["migrations"] == result.migrations
         assert extras["migrated_mb"] > 0
-        assert result.summary().startswith("2P+1D over nvlink:")
+        summary = result.summary()
+        assert summary.startswith("2P+1D over nvlink:")
+        assert summary.endswith(f" util={result.utilization_ratio:.1%}")
 
     def test_streaming_report_matches_exact_counts(self):
         result = _run()
         exact = result.report()
         streaming = result.report(streaming=True)
         assert streaming.completed == exact.completed
-        assert streaming.migrated_mb == exact.migrated_mb
+        assert result.kv_metrics.migrated_bytes > 0
         assert streaming.prefill_wait_s == pytest.approx(
             exact.prefill_wait_s)
         assert streaming.decode_wait_s == pytest.approx(
@@ -268,7 +271,7 @@ class TestColocatedByteIdentity:
                              capacity=8 * GB)
         assert result.kv_metrics.migrated_bytes == 0
         report = result.report()
-        assert report.migrated_mb == 0.0
+        assert serving_row("colocated", result, report)["migrated (MB)"] == 0.0
         assert report.prefill_wait_s == 0.0
         assert report.decode_wait_s == 0.0
         assert "migrated_mb" not in result.extras()

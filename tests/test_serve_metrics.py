@@ -119,3 +119,6 @@ class TestServingReport:
         row = report.as_row()
         assert {"done", "goodput (req/s)", "lat p99 (s)"} <= set(row)
         assert "goodput" in report.summary()
+        # The memory headline is the run result's, not the report's.
+        assert "util=" not in report.summary()
+        assert not {"util", "RM (GB)", "migrated (MB)"} & set(row)

@@ -246,15 +246,10 @@ class TestCli:
         assert captured.out == ""
         assert "max_spool_blocks" in captured.err
 
-    _FLEET_UTIL = pytest.mark.xfail(
-        strict=True, reason="a fleet's report prints its lowest replica "
-        "utilization beside the worst-reserved replica's RM")
-
     @pytest.mark.parametrize("flags", [
         [],
-        pytest.param(["--gpus", "3"], marks=_FLEET_UTIL),
-        pytest.param(["--disagg", "--prefill-replicas", "2",
-                      "--interconnect", "nvlink"], marks=_FLEET_UTIL),
+        ["--gpus", "3"],
+        ["--disagg", "--prefill-replicas", "2", "--interconnect", "nvlink"],
         # 16 requests still preempt under both allocators, at a quarter
         # of the cost of 40.
         ["--kv-cache", "paged?block_tokens=16", "--prefix-sharing",
